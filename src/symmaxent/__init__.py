@@ -14,7 +14,6 @@ from .linalg import (
     HermitianOperator,
     commutator,
     eigh,
-    hermitian_expm,
     hs_inner,
     linearly_independent_subset,
     psd_sqrtm,
@@ -55,9 +54,12 @@ from .symmetry import (
     SymmetryGroupSpec,
     auxiliary_observables,
     build_symmetry,
+    commutant_basis,
     filter_measured_observables,
+    independent_projections,
     permutation_generators,
     permutation_operator,
+    project,
     werner_generators,
 )
 from .harness import ExperimentConfig, SweepResult, run_sweep, summarize
@@ -66,7 +68,6 @@ __all__ = [
     "HermitianOperator",
     "commutator",
     "eigh",
-    "hermitian_expm",
     "hs_inner",
     "linearly_independent_subset",
     "psd_sqrtm",
@@ -106,6 +107,9 @@ __all__ = [
     "permutation_generators",
     "permutation_operator",
     "werner_generators",
+    "commutant_basis",
+    "independent_projections",
+    "project",
     "ExperimentConfig",
     "SweepResult",
     "run_sweep",

@@ -162,11 +162,15 @@ def _solve_problem_from_json(data: dict) -> dict:
             op = by_label[label]
         measured.append((op, target))
 
-    spec = symmetry.build_symmetry(symmetry_kind, n_qubits)
-    solver_kwargs = data.get("solver", {})
-    options = SolverOptions(**solver_kwargs)
-    problem = MaxEntProblem(tuple(measured), spec.auxiliary, dim)
-    solution = solve(problem, options)
+    if symmetry_kind not in symmetry.KINDS:
+        raise ValueError(f"unknown symmetry kind {symmetry_kind!r}")
+    if symmetry_kind != "none":
+        measured = [
+            (HermitianOperator(symmetry.project(op, symmetry_kind, n_qubits), op.label), t)
+            for op, t in measured
+        ]
+    options = SolverOptions(**data.get("solver", {}))
+    solution = solve(MaxEntProblem(tuple(measured), (), dim), options)
     return solution.to_jsonable()
 
 

@@ -1,13 +1,15 @@
 """Experiment orchestration: batch sampling, observable-count sweeps, solver
-invocation with or without symmetry constraints, and CSV/JSON result files.
+invocation with or without a declared symmetry, and CSV/JSON result files.
 
 Protocol per state: sample a target from the configured family, optionally
 mix in white noise, order the canonical observable set (optionally shuffled
-per state), discard observables linearly dependent on the symmetry
-auxiliaries (measuring them would add nothing the symmetry does not already
-pin down), acquire targets for the surviving list, then for each sweep point
-r solve the maximum-entropy problem from the first r surviving observables
-and record the fidelity against the prepared (noisy) state.
+per state), and under a symmetry discard observables whose projections onto
+the commutant are linearly dependent on those kept before them (measuring
+them would add nothing the symmetry does not already pin down). Acquire
+targets for the surviving list, then for each sweep point r solve the
+maximum-entropy problem from the first r surviving observables, each
+projected onto the commutant, and record the fidelity against the prepared
+(noisy) state.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, linalg, measurement, observables, states, symmetry
+from . import __version__, measurement, observables, states, symmetry
+from .linalg import HermitianOperator
 from .maxent import MaxEntProblem, SolverOptions, solve
 from .measurement import NoiseConfig
 
@@ -134,10 +137,16 @@ def _sample_target(config: ExperimentConfig, rng: np.random.Generator) -> states
 
 @functools.lru_cache(maxsize=8)
 def _observable_context(kind: str, n_qubits: int, symmetry_kind: str):
-    """Canonical observables plus the symmetry spec; cached per worker."""
+    """Canonical observables plus the operators the solver constrains for
+    them: the observables themselves, or their projections onto the
+    symmetry's commutant. Cached per worker."""
     candidates = observables.canonical_set(kind, n_qubits)
-    spec = symmetry.build_symmetry(symmetry_kind, n_qubits)
-    return candidates, spec
+    if symmetry_kind == "none":
+        return candidates, tuple(candidates)
+    return candidates, tuple(
+        HermitianOperator(symmetry.project(op, symmetry_kind, n_qubits), op.label)
+        for op in candidates
+    )
 
 
 def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
@@ -150,41 +159,35 @@ def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
 
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
     """All sweep points for one state; used directly by the worker pool."""
-    candidates, spec = _observable_context(
+    candidates, constrained = _observable_context(
         config.observable_kind, config.n_qubits, config.symmetry
     )
     rho_target = _sample_target(config, _stream(config.seed, state_id, 0))
 
+    # canonical indices in measurement order; measurement streams key on them
     order = list(range(len(candidates)))
     if config.shuffle_observables:
         _stream(config.seed, state_id, 1).shuffle(order)
-    ordered = [candidates[i] for i in order]
-
     if config.symmetry != "none":
-        kept = linalg.linearly_independent_subset(ordered, seed_ops=spec.auxiliary)
-    else:
-        kept = list(range(len(ordered)))
-    filtered = [ordered[i] for i in kept]
-    # measurement streams key on the pre-shuffle canonical index
-    filtered_orig = [order[i] for i in kept]
+        kept = symmetry.independent_projections(
+            [candidates[i] for i in order], config.symmetry, config.n_qubits
+        )
+        order = [order[i] for i in kept]
 
-    max_r = min(max(config.r_values), len(filtered))
+    max_r = min(max(config.r_values), len(order))
     targets = [
         _acquire_target_value(
-            rho_target,
-            filtered[i],
-            config,
-            _stream(config.seed, state_id, 2, filtered_orig[i]),
+            rho_target, candidates[i], config, _stream(config.seed, state_id, 2, i)
         )
-        for i in range(max_r)
+        for i in order[:max_r]
     ]
 
     out = []
     for r in config.r_values:
-        k = min(r, len(filtered))
+        k = min(r, len(order))
         problem = MaxEntProblem(
-            measured=tuple((filtered[i], targets[i]) for i in range(k)),
-            auxiliary=spec.auxiliary,
+            measured=tuple(zip((constrained[i] for i in order[:k]), targets)),
+            auxiliary=(),
             dim=2**config.n_qubits,
         )
         solution = solve(problem, config.solver)

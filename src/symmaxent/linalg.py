@@ -125,17 +125,6 @@ def eigh(h):
     return w, v
 
 
-def hermitian_expm(h) -> np.ndarray:
-    """exp(H) for Hermitian H via eigendecomposition.
-
-    No spectrum shift is applied here; callers that exponentiate large
-    operators must shift by the top eigenvalue themselves and absorb the
-    scalar into their normalization (as the Gibbs-state construction does).
-    """
-    w, v = eigh(h)
-    return (v * np.exp(w)) @ v.conj().T
-
-
 def psd_sqrtm(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
@@ -155,51 +144,47 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(ma, mb))
 
 
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(as_matrix(a)))
+def independent_rows(vectors, norms, tol: float = LI_TOL) -> list[int]:
+    """Greedy extraction of linearly independent rows, in input order.
 
-
-def linearly_independent_subset(ops, seed_ops=(), tol: float = LI_TOL) -> list[int]:
-    """Greedy extraction of a linearly independent subset of ``ops``.
-
-    Operators are vectorized and processed in input order; an element is kept
-    when its residual after projecting onto span(seed_ops + kept so far)
-    exceeds ``tol`` times its own norm. Modified Gram-Schmidt with a second
-    orthogonalization pass keeps the decision stable for near-dependent sets.
-
-    Returns the kept indices into ``ops``; elements dependent on the seeds
-    alone are never kept.
+    Row i is kept when its residual after projecting onto the span of the
+    rows kept before it exceeds ``tol * norms[i]``; rows with zero reference
+    norm are skipped. Modified Gram-Schmidt with a second orthogonalization
+    pass keeps the decision stable for near-dependent sets. Returns the kept
+    row indices.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     basis: list[np.ndarray] = []
-
-    def _orthogonalize(vec: np.ndarray) -> np.ndarray:
+    kept: list[int] = []
+    for idx, (v, n0) in enumerate(zip(vectors, norms)):
+        if n0 == 0.0:
+            continue
+        if len(basis) == len(v):
+            break  # the kept rows span the space; every later residual is noise
         for _ in range(2):
             for q in basis:
-                vec = vec - np.vdot(q, vec) * q
-        return vec
-
-    for s in seed_ops:
-        v = as_matrix(s).ravel()
-        n0 = np.linalg.norm(v)
-        if n0 == 0.0:
-            continue
-        v = _orthogonalize(v.copy())
-        nv = np.linalg.norm(v)
-        if nv > tol * n0:
-            basis.append(v / nv)
-
-    kept: list[int] = []
-    for idx, op in enumerate(ops):
-        v = as_matrix(op).ravel()
-        n0 = np.linalg.norm(v)
-        if n0 == 0.0:
-            continue
-        v = _orthogonalize(v.copy())
+                v = v - np.vdot(q, v) * q
         nv = np.linalg.norm(v)
         if nv > tol * n0:
             kept.append(idx)
             basis.append(v / nv)
     return kept
+
+
+def linearly_independent_subset(ops, seed_ops=(), tol: float = LI_TOL) -> list[int]:
+    """Greedy extraction of a linearly independent subset of ``ops``.
+
+    Operators are vectorized and processed in input order after the seeds;
+    an element is kept when its residual after projecting onto span(seed_ops
+    + kept so far) exceeds ``tol`` times its own norm (see
+    :func:`independent_rows`).
+
+    Returns the kept indices into ``ops``; elements dependent on the seeds
+    alone are never kept.
+    """
+    vecs = [as_matrix(op).ravel() for op in seed_ops]
+    n_seeds = len(vecs)
+    vecs += [as_matrix(op).ravel() for op in ops]
+    kept = independent_rows(vecs, [np.linalg.norm(v) for v in vecs], tol)
+    return [i - n_seeds for i in kept if i >= n_seeds]

@@ -1,7 +1,7 @@
 """Constrained maximum-entropy estimation.
 
 Given expectation-value constraints Tr(A_i rho) = a_i (plus optional
-auxiliary symmetry constraints with target zero), the entropy-maximizing
+auxiliary constraints with target zero), the entropy-maximizing
 state is the Gibbs form
 
     rho(lambda) = exp(sum_i lambda_i A_i) / Z,
@@ -22,13 +22,12 @@ eigenbasis with the divided-difference kernel
 
     Phi_ab = (e^{w_a} - e^{w_b}) / (w_a - w_b),   Phi_aa = e^{w_a}.
 
-Three update rules are available: plain gradient descent with a fixed step,
-gradient descent with Armijo backtracking (the default; the trial step is
-grown after each accepted iteration, which is what makes the near-pure tail
-tractable), and a damped Newton update that solves
-(C + mu I) delta = -(residuals) with C the constraint susceptibility matrix.
-The Newton direction is always a descent direction for f, every rule accepts
-a step only if it satisfies the Armijo decrease test, and all rules stop
+Two update rules are available: gradient descent with Armijo backtracking
+(the default; the trial step is grown after each accepted iteration, which
+is what makes the near-pure tail tractable), and a damped Newton update that
+solves (C + mu I) delta = -(residuals) with C the constraint susceptibility
+matrix. The Newton direction is always a descent direction for f, both rules
+accept a step only if it satisfies the Armijo decrease test, and both stop
 early when no acceptable step exists (stalled on an infeasible target set).
 """
 
@@ -41,12 +40,8 @@ import numpy as np
 from .linalg import HermitianOperator
 from .states import DensityMatrix
 
-STEP_RULES = ("fixed", "backtracking", "newton")
+STEP_RULES = ("backtracking", "newton")
 LAMBDA_INITS = ("zeros", "supplied")
-
-# Eigenvalue gaps below this use the confluent limit of the divided
-# difference (removes the 0/0).
-DEGENERATE_GAP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +54,8 @@ class MaxEntProblem:
     dim: int
 
     def __post_init__(self):
+        if self.dim < 2 or self.dim & (self.dim - 1):
+            raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
         object.__setattr__(
             self,
             "measured",
@@ -197,14 +194,13 @@ class _Workspace:
 
 
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
-    d = w[:, None] - w[None, :]
-    degenerate = np.abs(d) < DEGENERATE_GAP
-    d_safe = np.where(degenerate, 1.0, d)
-    return np.where(
-        degenerate,
-        expw[:, None] * np.ones_like(d),
-        (expw[:, None] - expw[None, :]) / d_safe,
-    )
+    """Phi_ab evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <= 0,
+    i.e. with b the larger eigenvalue of the pair: no cancellation at small
+    gaps, no overflow at large ones, and exactly symmetric."""
+    d = -np.abs(w[:, None] - w[None, :])
+    ratio = np.ones_like(d)
+    np.divide(np.expm1(d), d, out=ratio, where=d != 0.0)
+    return np.maximum(expw[:, None], expw[None, :]) * ratio
 
 
 def _initial_lambdas(problem: MaxEntProblem, options: SolverOptions) -> np.ndarray:
@@ -321,13 +317,6 @@ def _gradient_step(ws, lam, f, g, r, state, options, step):
     descent = -(grad @ grad)
     if descent >= 0.0 or not np.isfinite(descent):
         return None
-    if options.step_rule == "fixed":
-        lam_new = lam - options.step_init * grad
-        f_new, g_new, r_new, state_new = ws.evaluate(lam_new)
-        if not np.isfinite(f_new):
-            return None
-        return lam_new, f_new, g_new, r_new, state_new, options.step_init, 1e-8
-
     trial = step * options.step_growth
     while trial >= options.min_step:
         lam_new = lam - trial * grad

@@ -17,7 +17,6 @@ Three acquisition modes:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +32,13 @@ MODE_EIGENVALUE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Source and detector model parameters.
-
-    ``raw_frequencies`` skips the click-model inversion during estimation and
-    uses relative frequencies directly; at mu = 0.18 the raw path understates
-    mode probabilities by roughly the attenuation factor, so inversion is the
-    default. Both paths exist for comparison.
-    """
+    """Source and detector model parameters."""
 
     eta: float = 0.0
     mu: float = 0.18
     lambda_dc: float = 0.0
     trials: int = 10000
     mode: str = "ideal"
-    raw_frequencies: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -163,7 +155,7 @@ def _invert_click_frequency(freq: float, config: NoiseConfig) -> tuple[float, bo
     saturated). A saturated mode (every pulse clicked) is clamped to
     (trials - 1)/trials before the log."""
     saturated = False
-    if config.mode == "photon_model" and not config.raw_frequencies:
+    if config.mode == "photon_model":
         if freq >= 1.0:
             freq = (config.trials - 1) / config.trials
             saturated = True
@@ -208,16 +200,3 @@ def estimate_expectations(records, a, config: NoiseConfig) -> float:
         rec.estimated_expectation = a_hat
     return a_hat
 
-
-RECORD_CSV_HEADER = "state_id,observable_label,mode_index,counts,trials,p_hat,a_hat"
-
-
-def records_to_csv(state_id: int, records) -> str:
-    """CSV rows (no header) for one state's measurement records."""
-    buf = io.StringIO()
-    for rec in records:
-        buf.write(
-            f"{state_id},{rec.observable_label},{rec.mode_index},{rec.counts},"
-            f"{rec.trials},{rec.estimated_probability:.17g},{rec.estimated_expectation:.17g}\n"
-        )
-    return buf.getvalue()

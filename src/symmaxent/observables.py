@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .linalg import HermitianOperator
-from .states import DensityMatrix
+
+if TYPE_CHECKING:  # states imports symmetry, which imports this module
+    from .states import DensityMatrix
 
 # Bloch vectors of the single-qubit tetrahedral SIC fiducials: first vertex at
 # the north pole, first azimuth at zero.

@@ -6,14 +6,12 @@ batch runs can hand each state its own independent stream.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, symmetry
 
 # Eigenvalues above this are accepted as numerically nonnegative; anything
 # more negative is a genuinely invalid state, not rounding noise.
@@ -148,44 +146,6 @@ def dicke(n_qubits: int, n_excitations: int) -> PureState:
     return PureState(amp, n_qubits)
 
 
-@functools.lru_cache(maxsize=8)
-def _collective_commutant_basis(n_qubits: int) -> np.ndarray:
-    """Orthonormal (vectorized) basis of span{V_pi}, the commutant of the
-    collective unitaries U^{otimes n}. For three qubits this span is
-    5-dimensional: the six permutation matrices obey one linear relation
-    (the antisymmetrizer vanishes)."""
-    basis: list[np.ndarray] = []
-    for perm in itertools.permutations(range(n_qubits)):
-        v = linalg.permutation_matrix(n_qubits, perm).ravel()
-        for q in basis:
-            v = v - np.vdot(q, v) * q
-        nv = np.linalg.norm(v)
-        if nv > 1e-9:
-            basis.append(v / nv)
-    out = np.array(basis)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _permutation_commutant_basis(n_qubits: int) -> np.ndarray:
-    """Orthonormal (vectorized) basis of the operators commuting with every
-    qubit permutation: the null space of the stacked swap-commutator
-    superoperators. 20-dimensional for three qubits."""
-    dim = 2**n_qubits
-    rows = []
-    for j in range(2, n_qubits + 1):
-        perm = list(range(n_qubits))
-        perm[0], perm[j - 1] = perm[j - 1], perm[0]
-        p = linalg.permutation_matrix(n_qubits, perm)
-        rows.append(np.kron(p, np.eye(dim)) - np.kron(np.eye(dim), p.T))
-    _, svals, vh = np.linalg.svd(np.vstack(rows))
-    rank = int(np.sum(svals > 1e-9 * svals[0]))
-    out = vh[rank:].conj()
-    out.setflags(write=False)
-    return out
-
-
 def _random_algebra_state(basis: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
     """rho = T T^dagger / Tr(T T^dagger) for a Gaussian element T of the
     algebra spanned by ``basis``: the Ginibre construction carried out inside
@@ -200,33 +160,25 @@ def _random_algebra_state(basis: np.ndarray, dim: int, rng: np.random.Generator)
     return m / np.trace(m).real
 
 
-def twirl(rho, n_qubits: int) -> DensityMatrix:
-    """Average of rho over all collective unitaries U^{otimes n}.
+def _as_array(rho) -> np.ndarray:
+    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
-    Computed exactly as the orthogonal (Hilbert-Schmidt) projection onto
-    span{V_pi}, which equals the Haar average. Idempotent, trace- and
-    PSD-preserving; the output commutes with the collective Pauli sums but,
-    for n >= 3, not necessarily with individual permutation matrices.
+
+def twirl(rho, n_qubits: int) -> DensityMatrix:
+    """Average of rho over all collective unitaries U^{otimes n}: its
+    projection onto span{V_pi}, the collective-unitary commutant.
+
+    Idempotent, trace- and PSD-preserving; the output commutes with the
+    collective Pauli sums but, for n >= 3, not necessarily with individual
+    permutation matrices.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    basis = _collective_commutant_basis(n_qubits)
-    coeffs = basis.conj() @ mat.ravel()
-    out = (coeffs @ basis).reshape(mat.shape)
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out, n_qubits)
+    return DensityMatrix(symmetry.project(_as_array(rho), "werner", n_qubits), n_qubits)
 
 
 def permutation_average(rho, n_qubits: int) -> DensityMatrix:
-    """Average of rho over the qubit-permutation group: the projection onto
-    permutationally invariant states."""
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    acc = np.zeros_like(mat)
-    count = 0
-    for perm in itertools.permutations(range(n_qubits)):
-        v = linalg.permutation_matrix(n_qubits, perm)
-        acc += v @ mat @ v.conj().T
-        count += 1
-    return DensityMatrix(acc / count, n_qubits)
+    """Average of rho over the qubit-permutation group: its projection onto
+    the operators commuting with every permutation."""
+    return DensityMatrix(symmetry.project(_as_array(rho), "permutation", n_qubits), n_qubits)
 
 
 def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -241,16 +193,16 @@ def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
 def random_werner(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
     """Random state invariant under all collective unitaries.
 
-    Sampled as a Ginibre state inside span{V_pi} itself (see
-    :func:`_random_algebra_state`); the twirl of a full-space Ginibre state
-    would be exactly invariant too but concentrates at purity ~ 1/2^n, which
-    collapses the fidelity-vs-r curves of the family into a flat line.
+    Sampled as a Ginibre state inside span{V_pi}, the collective-unitary
+    commutant (see :func:`_random_algebra_state`); the twirl of a full-space
+    Ginibre state would be exactly invariant too but concentrates at purity
+    ~ 1/2^n, which collapses the fidelity-vs-r curves of the family into a
+    flat line.
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    dim = 2**n_qubits
-    basis = _collective_commutant_basis(n_qubits)
-    return DensityMatrix(_random_algebra_state(basis, dim, rng), n_qubits)
+    basis = symmetry.commutant_basis("werner", n_qubits)
+    return DensityMatrix(_random_algebra_state(basis, 2**n_qubits, rng), n_qubits)
 
 
 def random_permutation_invariant_mixed(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -259,9 +211,8 @@ def random_permutation_invariant_mixed(n_qubits: int, rng: np.random.Generator) 
     versus the (n+1)-dimensional pure symmetric subspace)."""
     if n_qubits < 2:
         raise ValueError("n_qubits must be >= 2")
-    dim = 2**n_qubits
-    basis = _permutation_commutant_basis(n_qubits)
-    return DensityMatrix(_random_algebra_state(basis, dim, rng), n_qubits)
+    basis = symmetry.commutant_basis("permutation", n_qubits)
+    return DensityMatrix(_random_algebra_state(basis, 2**n_qubits, rng), n_qubits)
 
 
 def add_white_noise(psi: PureState, eta: float) -> DensityMatrix:

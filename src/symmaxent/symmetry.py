@@ -1,11 +1,17 @@
 """Symmetry groups as estimation constraints.
 
-A declared symmetry contributes a set of generators Q_k (swap operators for
-qubit-permutation symmetry, collective Pauli sums for invariance under
-U x ... x U) and, from them, auxiliary constraint observables i[Q_k, O_j]
-built against an operator basis {O_j}. A state commutes with every Q_k
-exactly when all auxiliary expectation values vanish, so the auxiliaries
-enter the estimation problem as extra constraints with target zero.
+A declared symmetry is represented by its commutant: the operators that
+commute with every group element (qubit permutations, or collective
+unitaries U x ... x U). For a symmetric state rho, Tr(A rho) equals
+Tr(P(A) rho) with P the orthogonal projection onto the commutant, so the
+estimator measures A but constrains P(A); the maximum-entropy state over
+projected constraints commutes with the group on its own.
+
+The generators Q_k (swap operators, collective Pauli sums) and the
+auxiliary observables i[Q_k, O_j] built from them span the orthogonal
+complement of the commutant. They are kept as the explicit, countable form
+of the same constraint: a state commutes with every Q_k exactly when all
+auxiliary expectation values vanish.
 """
 
 from __future__ import annotations
@@ -166,9 +172,63 @@ def filter_measured_observables(
     )
 
 
-def all_permutation_matrices(n_qubits: int) -> list[np.ndarray]:
-    """Matrix representation of every qubit permutation."""
-    return [
-        linalg.permutation_matrix(n_qubits, perm)
-        for perm in itertools.permutations(range(n_qubits))
-    ]
+@functools.lru_cache(maxsize=8)
+def commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
+    """Orthonormal basis of the commutant of a symmetry group, one read-only
+    row per element: a dim x dim matrix vectorized in row-major order.
+
+    - ``werner``: span{V_pi} of the qubit permutation matrices, which is the
+      commutant of the collective unitaries U^{otimes n} (Schur-Weyl
+      duality); Gram-Schmidt over the V_pi. 5-dimensional for three qubits:
+      the six V_pi obey one linear relation (the antisymmetrizer vanishes).
+    - ``permutation``: the null space of the stacked swap-commutator
+      superoperators. 20-dimensional for three qubits, 35 for four.
+    """
+    if kind == "werner":
+        basis: list[np.ndarray] = []
+        for perm in itertools.permutations(range(n_qubits)):
+            v = linalg.permutation_matrix(n_qubits, perm).ravel()
+            for q in basis:
+                v = v - np.vdot(q, v) * q
+            nv = np.linalg.norm(v)
+            if nv > 1e-9:
+                basis.append(v / nv)
+        out = np.array(basis)
+    elif kind == "permutation":
+        eye = np.eye(2**n_qubits)
+        rows = [
+            np.kron(p.matrix, eye) - np.kron(eye, p.matrix.T)
+            for p in permutation_generators(n_qubits)
+        ]
+        _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+        rank = int(np.sum(svals > 1e-9 * svals[0]))
+        out = vh[rank:].conj()
+    else:
+        raise ValueError(f"no commutant for symmetry kind {kind!r}")
+    out.setflags(write=False)
+    return out
+
+
+def project(a, kind: str, n_qubits: int) -> np.ndarray:
+    """Orthogonal (Hilbert-Schmidt) projection of an operator onto the
+    commutant of ``kind``: the group average of the operator. Idempotent,
+    trace-preserving, and Tr(A rho) = Tr(project(A) rho) for every
+    symmetric rho."""
+    mat = linalg.as_matrix(a)
+    basis = commutant_basis(kind, n_qubits)
+    return ((basis.conj() @ mat.ravel()) @ basis).reshape(mat.shape)
+
+
+def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
+    """Indices, in order, of the operators whose commutant projections are
+    linearly independent of the projections kept before them.
+
+    A residual counts relative to the norm of the operator itself, not of
+    its projection, so an operator whose projection is rounding noise is
+    dropped. The auxiliaries span the orthogonal complement of the
+    commutant, so this keeps what ``linearly_independent_subset(ops,
+    seed_ops=auxiliary)`` keeps, working in the commutant's coordinates.
+    """
+    flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
+    coeffs = flat @ commutant_basis(kind, n_qubits).conj().T
+    return linalg.independent_rows(coeffs, np.linalg.norm(flat, axis=1))

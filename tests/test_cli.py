@@ -146,6 +146,16 @@ class TestSolveCommand:
         payload = json.loads(out_path.read_text())
         rho = matrix_from_jsonable(payload["rho"])
         DensityMatrix(rho, 2)  # validates trace/PSD
+        # one multiplier per measured observable, none for the symmetry
+        assert len(payload["lambdas"]) == 1
+        assert np.allclose(rho[[1, 2]][:, [1, 2]], rho[[2, 1]][:, [2, 1]], atol=1e-9)
+
+    def test_unknown_symmetry_rejected(self, tmp_path):
+        problem = {"n_qubits": 1, "symmetry": "rotation", "measured": []}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match="unknown symmetry kind"):
+            main(["solve", "--targets", str(path)])
 
     def test_unknown_label_rejected(self, tmp_path):
         problem = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symmaxent import states
+from symmaxent import harness, states, symmetry
 from symmaxent.harness import (
     ExperimentConfig,
     StateRunRecord,
@@ -125,6 +125,27 @@ class TestSweep:
         for fids in by_state.values():
             assert fids[0] == pytest.approx(fids[1], abs=1e-9)
             assert fids[1] == pytest.approx(fids[2], abs=1e-9)
+
+    def test_symmetric_solves_constrain_projected_observables_only(self, monkeypatch):
+        # the solver sees r commutant-projected operators and no auxiliaries
+        seen = []
+        real_solve = harness.solve
+
+        def spy(problem, options):
+            seen.append(problem)
+            return real_solve(problem, options)
+
+        monkeypatch.setattr(harness, "solve", spy)
+        cfg = small_config(
+            state_family="permutation_invariant_mixed", symmetry="permutation",
+            r_values=(3, 19, 30), batch_size=1,
+        )
+        run_single_state(cfg, 0)
+        assert [p.n_constraints for p in seen] == [3, 19, 19]
+        for problem in seen:
+            assert problem.auxiliary == ()
+            for op, _ in problem.measured:
+                assert np.allclose(symmetry.project(op, "permutation", 3), op.matrix, atol=1e-14)
 
     def test_shuffle_changes_order_not_determinism(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")

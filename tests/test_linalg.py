@@ -7,7 +7,6 @@ from symmaxent.linalg import (
     HermitianOperator,
     commutator,
     eigh,
-    hermitian_expm,
     hs_inner,
     linearly_independent_subset,
     psd_sqrtm,
@@ -86,32 +85,6 @@ class TestEigh:
         recon = (v * w) @ v.conj().T
         assert np.linalg.norm(recon - h) <= 1e-10 * max(np.linalg.norm(h), 1.0)
         assert np.linalg.norm(v.conj().T @ v - np.eye(dim)) <= 1e-10
-
-
-class TestHermitianExpm:
-    def test_zero_gives_identity(self):
-        assert np.allclose(hermitian_expm(np.zeros((3, 3))), np.eye(3))
-
-    def test_diagonal_logs(self):
-        h = np.diag([np.log(2.0), np.log(3.0)]).astype(complex)
-        assert np.allclose(hermitian_expm(h), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_pauli_rotation_series(self):
-        # scalar identity: exp(t X) = cosh(t) I + sinh(t) X for an involution X
-        theta = 0.7
-        expected = np.cosh(theta) * I2 + np.sinh(theta) * SX
-        assert np.allclose(hermitian_expm(theta * SX), expected, atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_commutes_with_input(self, seed):
-        h = random_hermitian(8, np.random.default_rng(seed))
-        e = hermitian_expm(h)
-        assert np.linalg.norm(e @ h - h @ e) <= 1e-9 * max(np.linalg.norm(e) * np.linalg.norm(h), 1.0)
-
-    def test_positive_definite(self, rng):
-        e = hermitian_expm(random_hermitian(6, rng))
-        assert np.linalg.eigvalsh(e)[0] > 0.0
 
 
 class TestPsdSqrtm:
@@ -213,6 +186,27 @@ class TestLinearlyIndependentSubset:
         svals = np.linalg.svd(stacked, compute_uv=False)
         svd_rank = int(np.sum(svals > 1e-9 * svals[0]))
         assert len(kept) == svd_rank
+
+
+class TestIndependentRows:
+    def test_residual_measured_against_reference_norm(self):
+        # a row of rounding-noise size is independent by its own norm but not
+        # against a reference norm of one
+        rows = np.array([[1.0, 0.0], [0.0, 1e-13]])
+        assert linalg.independent_rows(rows, [1.0, 1e-13]) == [0, 1]
+        assert linalg.independent_rows(rows, [1.0, 1.0]) == [0]
+
+    def test_matches_subset_on_vectorized_operators(self, rng):
+        ops = [random_hermitian(3, rng) for _ in range(12)]
+        ops[6] = ops[1] - 0.25 * ops[2]
+        rows = np.array([op.ravel() for op in ops])
+        kept = linalg.independent_rows(rows, np.linalg.norm(rows, axis=1))
+        assert kept == linearly_independent_subset(ops)
+        assert len(kept) == 9
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            linalg.independent_rows(np.eye(2), [1.0, 1.0], tol=0.0)
 
 
 class TestPermutationMatrix:

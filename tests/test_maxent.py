@@ -1,7 +1,9 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
-from symmaxent import linalg, states
+from symmaxent import linalg, maxent, states, symmetry
 from symmaxent.linalg import HermitianOperator
 from symmaxent.maxent import (
     MaxEntProblem,
@@ -185,11 +187,6 @@ class TestSolve:
             hist = np.array(sol.history)
             assert np.all(np.diff(hist) <= 1e-15)
 
-    def test_fixed_step_rule_runs(self, rng):
-        prob = single_qubit_problem(0.4)
-        sol = solve(prob, SolverOptions(step_rule="fixed", step_init=0.5, max_iterations=2000))
-        assert sol.converged
-
     def test_converged_false_on_infeasible(self, rng):
         # targets perturbed away from any quantum state: solver stalls at the
         # least-squares optimum and reports non-convergence
@@ -289,7 +286,67 @@ class TestSolve:
         assert payload["converged"] is True
 
 
+class TestDividedDifferenceKernel:
+    @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-12, 1e-11, 1e-10, 1e-9, 1e-6, 1.0, 700.0])
+    def test_matches_decimal_reference(self, gap):
+        # Phi_ab = (e^{w_a} - e^{w_b}) / (w_a - w_b), evaluated in 60-digit
+        # decimal arithmetic on the same binary eigenvalues
+        w = np.array([-1.5 - gap, -1.5, -0.25, 0.0])
+        phi = maxent._divided_difference_kernel(w, np.exp(w))
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for a in range(4):
+                for b in range(4):
+                    wa, wb = Decimal(float(w[a])), Decimal(float(w[b]))
+                    exact = wa.exp() if wa == wb else (wa.exp() - wb.exp()) / (wa - wb)
+                    worst = max(worst, float(abs(Decimal(float(phi[a, b])) - exact) / exact))
+        assert worst <= 1e-15
+        assert np.array_equal(phi, phi.T)
+
+
+class TestProjectedConstraints:
+    # the maximum-entropy state over commutant-projected observables equals
+    # the state fitted with the auxiliary constraints (the reference path)
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_matches_auxiliary_solve(self, kind):
+        rng = np.random.default_rng([20260809, len(kind)])
+        sample = {"permutation": states.random_permutation_invariant_mixed,
+                  "werner": states.random_werner}[kind]
+        aux = build_symmetry(kind, 3).auxiliary
+        sic = list(sic_povm(3))
+        opts = SolverOptions(step_rule="newton", tolerance=1e-24, max_iterations=400)
+        worst = 0.0
+        for _ in range(20):
+            rho = sample(3, rng)
+            order = rng.permutation(len(sic))
+            ordered = [sic[i] for i in order]
+            kept = [ordered[i] for i in symmetry.independent_projections(ordered, kind, 3)]
+            use = kept[: int(rng.integers(1, len(kept) + 1))]
+            reference = solve(problem_from_state(rho, use, aux), opts)
+            projected = solve(
+                MaxEntProblem(
+                    tuple(
+                        (HermitianOperator(symmetry.project(op, kind, 3), op.label),
+                         expectation(rho, op))
+                        for op in use
+                    ),
+                    (),
+                    8,
+                ),
+                opts,
+            )
+            assert reference.converged and projected.converged
+            worst = max(worst, np.max(np.abs(projected.rho.matrix - reference.rho.matrix)))
+        assert worst <= 1e-8
+
+
 class TestValidation:
+    @pytest.mark.parametrize("dim", [0, 1, 3, 6])
+    def test_rejects_dim_not_power_of_two(self, dim):
+        with pytest.raises(ValueError, match="power of two"):
+            MaxEntProblem((), (), dim)
+
     def test_rejects_non_finite_target(self):
         z = pauli_basis(1)[2]
         with pytest.raises(ValueError, match="finite"):

@@ -11,9 +11,7 @@ from symmaxent.measurement import (
     modes_are_complete,
     photon_number_statistics,
     projector_modes,
-    records_to_csv,
     simulate_counts,
-    RECORD_CSV_HEADER,
 )
 from symmaxent.observables import expectation, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix
@@ -252,37 +250,21 @@ class TestEstimateExpectations:
             estimate_expectations([], HermitianOperator(SZ, "Z"), cfg)
 
     def test_raw_frequency_path_is_attenuated(self):
-        # without inversion the estimate is biased low by roughly the
-        # attenuation: a SIC mode with p = 1 clicks on only 1 - exp(-mu) of
-        # pulses
+        # the raw click frequency is biased low by roughly the attenuation (a
+        # SIC mode with p = 1 clicks on only 1 - exp(-mu) of pulses); the
+        # inverted estimate removes the bias
         rng = np.random.default_rng(9)
         e = sic_povm(1)[0]
         modes = projector_modes(e)
         proj, w = modes[0]
         rho = DensityMatrix(proj, 1)  # p = 1 for this mode
-        inverted_cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
-        raw_cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18, raw_frequencies=True)
-        records = simulate_counts(rho, modes, inverted_cfg, rng, e.label)
+        cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
+        records = simulate_counts(rho, modes, cfg, rng, e.label)
         counts = records[0].counts
         inverted = estimate_expectations(
-            [MeasurementRecord(e.label, 0, counts, inverted_cfg.trials)], e, inverted_cfg
+            [MeasurementRecord(e.label, 0, counts, cfg.trials)], e, cfg
         )
-        raw = estimate_expectations(
-            [MeasurementRecord(e.label, 0, counts, raw_cfg.trials)], e, raw_cfg
-        )
+        raw = w * counts / cfg.trials
         assert inverted == pytest.approx(w, abs=0.01)
         assert raw == pytest.approx(w * (1.0 - np.exp(-0.18)), abs=0.01)
         assert raw < inverted / 3
-
-
-class TestRecordsCsv:
-    def test_header_and_rows(self):
-        cfg = NoiseConfig(trials=100, mode="ideal")
-        op = HermitianOperator(SZ, "Z")
-        records = simulate_counts(zero_state(), projector_modes(op), cfg, observable_label="Z")
-        estimate_expectations(records, op, cfg)
-        text = records_to_csv(7, records)
-        lines = text.strip().split("\n")
-        assert len(lines) == 2
-        assert lines[0].startswith("7,Z,0,")
-        assert RECORD_CSV_HEADER.count(",") == lines[0].count(",")

@@ -209,7 +209,33 @@ class TestTwirl:
             assert von_neumann_entropy(twirl(rho, 3)) >= von_neumann_entropy(rho) - 1e-9
 
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_projection_onto_permutation_span(self, n, rng):
+        # reference: least-squares fit of rho by all n! permutation matrices
+        rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        vecs = np.array(
+            [
+                linalg.permutation_matrix(n, perm).ravel()
+                for perm in itertools.permutations(range(n))
+            ]
+        ).T
+        coeffs, *_ = np.linalg.lstsq(vecs, rho.matrix.ravel(), rcond=None)
+        expected = (vecs @ coeffs).reshape(rho.matrix.shape)
+        assert np.max(np.abs(twirl(rho, n).matrix - expected)) <= 1e-13
+
+
 class TestPermutationAverage:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_explicit_group_average(self, n, rng):
+        rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        expected = np.zeros_like(rho.matrix)
+        perms = list(itertools.permutations(range(n)))
+        for perm in perms:
+            v = linalg.permutation_matrix(n, perm)
+            expected += v @ rho.matrix @ v.conj().T
+        expected /= len(perms)
+        assert np.max(np.abs(permutation_average(rho, n).matrix - expected)) <= 1e-14
+
     def test_projects_onto_swap_invariants(self, rng):
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         avg = permutation_average(rho, 3).matrix

@@ -7,13 +7,15 @@ from symmaxent import linalg, states
 from symmaxent.observables import ObservableSet, pauli_basis, sic_povm
 from symmaxent.symmetry import (
     SymmetryGroupSpec,
-    all_permutation_matrices,
     auxiliary_observables,
     build_symmetry,
+    commutant_basis,
     filter_measured_observables,
     full_pauli_operator_basis,
+    independent_projections,
     permutation_generators,
     permutation_operator,
+    project,
     werner_generators,
 )
 
@@ -111,7 +113,8 @@ class TestWernerGenerators:
 
     def test_commute_with_permutations(self):
         for g in werner_generators(3):
-            for v in all_permutation_matrices(3):
+            for perm in itertools.permutations(range(3)):
+                v = linalg.permutation_matrix(3, perm)
                 assert np.linalg.norm(g.matrix @ v - v @ g.matrix) <= 1e-12
 
 
@@ -257,3 +260,81 @@ class TestFilterMeasuredObservables:
         all_labels = sic_povm(3).labels()
         positions = [all_labels.index(lab) for lab in kept.labels()]
         assert positions == sorted(positions)
+
+
+class TestCommutantBasis:
+    @pytest.mark.parametrize(
+        "kind, n, dim",
+        [("permutation", 3, 20), ("permutation", 4, 35), ("werner", 3, 5), ("werner", 4, 14)],
+    )
+    def test_dimension_matches_auxiliary_complement(self, kind, n, dim):
+        # the auxiliaries span the orthogonal complement of the commutant
+        basis = commutant_basis(kind, n)
+        assert basis.shape == (dim, 4**n)
+        assert dim + len(build_symmetry(kind, n).auxiliary) == 4**n
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_orthonormal_read_only_and_cached(self, kind):
+        basis = commutant_basis(kind, 3)
+        assert np.allclose(basis @ basis.conj().T, np.eye(len(basis)), atol=1e-12)
+        assert not basis.flags.writeable
+        assert commutant_basis(kind, 3) is basis
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_elements_commute_with_generators(self, kind):
+        for row in commutant_basis(kind, 3):
+            m = row.reshape(8, 8)
+            for g in build_symmetry(kind, 3).generators:
+                assert np.linalg.norm(linalg.commutator(g, m)) <= 1e-12
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="commutant"):
+            commutant_basis("none", 3)
+
+
+class TestProject:
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_idempotent_and_annihilates_auxiliaries(self, kind, rng):
+        a = random_mixed_state(8, rng)
+        p = project(a, kind, 3)
+        assert np.allclose(project(p, kind, 3), p, atol=1e-13)
+        for aux in build_symmetry(kind, 3).auxiliary:
+            assert abs(np.vdot(aux.matrix, p)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_expectations_kept_on_symmetric_states(self, kind, rng):
+        sample = {"permutation": states.random_permutation_invariant_mixed,
+                  "werner": states.random_werner}[kind]
+        rho = sample(3, rng)
+        for op in list(sic_povm(3))[:20]:
+            sym = project(op, kind, 3)
+            assert np.vdot(sym, rho.matrix).real == pytest.approx(
+                np.vdot(op.matrix, rho.matrix).real, abs=1e-13
+            )
+
+
+class TestIndependentProjections:
+    # reference: Gram-Schmidt of the raw operators against the auxiliaries,
+    # which span the orthogonal complement of the commutant
+    @pytest.mark.parametrize("observable_kind", ["sic", "pauli"])
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_keeps_what_the_auxiliary_filter_keeps(self, n, kind, observable_kind):
+        aux = build_symmetry(kind, n).auxiliary
+        candidates = list(pauli_basis(n) if observable_kind == "pauli" else sic_povm(n))
+        rng = np.random.default_rng([n, len(aux)])
+        for trial in range(8 if n == 3 else 2):
+            order = list(range(len(candidates)))
+            if trial:
+                rng.shuffle(order)
+            ordered = [candidates[i] for i in order]
+            expected = linalg.linearly_independent_subset(ordered, seed_ops=aux)
+            assert independent_projections(ordered, kind, n) == expected
+
+    def test_noise_sized_projection_dropped(self):
+        # X I I - I X I projects to zero under permutation symmetry; its
+        # rounding-noise projection must not count as a new direction
+        xii = kron_chain(SX, np.eye(2), np.eye(2))
+        ixi = kron_chain(np.eye(2), SX, np.eye(2))
+        ops = [linalg.HermitianOperator(xii - ixi, "XII-IXI"), sic_povm(3)[0]]
+        assert independent_projections(ops, "permutation", 3) == [1]
