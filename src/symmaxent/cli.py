@@ -9,7 +9,7 @@ Subcommands:
   estimation from explicit targets.
 
 The sweep config is a flat ``key = value`` text file; nested solver and
-noise fields use dotted keys (``solver.step_rule = newton``). Unset keys
+noise fields use dotted keys (``solver.tolerance = 1e-12``). Unset keys
 keep their defaults. ``r_values`` accepts comma-separated entries, each an
 integer or an inclusive ``lo-hi`` range, e.g. ``r_values = 1-20,30,63``.
 """
@@ -45,8 +45,10 @@ def _parse_r_values(raw: str) -> tuple[int, ...]:
         if not token:
             continue
         if "-" in token:
-            lo, hi = token.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in token.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"r_values range {token!r} is empty (lo > hi)")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(token))
     return tuple(out)

@@ -154,7 +154,7 @@ def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
         return observables.expectation(rho, op)
     modes = measurement.projector_modes(op)
     records = measurement.simulate_counts(rho, modes, config.noise, rng, op.label)
-    return measurement.estimate_expectations(records, op, config.noise)
+    return measurement.estimate_expectations(records, modes, config.noise)
 
 
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:

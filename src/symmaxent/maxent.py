@@ -22,13 +22,14 @@ eigenbasis with the divided-difference kernel
 
     Phi_ab = (e^{w_a} - e^{w_b}) / (w_a - w_b),   Phi_aa = e^{w_a}.
 
-Two update rules are available: gradient descent with Armijo backtracking
-(the default; the trial step is grown after each accepted iteration, which
-is what makes the near-pure tail tractable), and a damped Newton update that
-solves (C + mu I) delta = -(residuals) with C the constraint susceptibility
-matrix. The Newton direction is always a descent direction for f, both rules
-accept a step only if it satisfies the Armijo decrease test, and both stop
-early when no acceptable step exists (stalled on an infeasible target set).
+The multipliers are updated by damped Newton steps on the constraint
+equations: solve (C + mu s I) delta = -(residuals), with C the constraint
+susceptibility matrix C_ij = d<A_i>/dlambda_j, s its mean diagonal and mu a
+damping that grows tenfold on each rejected trial and shrinks after an
+accepted step. The direction is always a descent direction for f; a step is
+accepted only if it passes the Armijo decrease test with constant ARMIJO_C,
+so f never increases. The solve stops early when no acceptable step exists,
+as at the least-squares optimum of infeasible (noisy) targets.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 from .linalg import HermitianOperator
 from .states import DensityMatrix
 
-STEP_RULES = ("backtracking", "newton")
-LAMBDA_INITS = ("zeros", "supplied")
+# sufficient-decrease constant of the Armijo test on each Newton step
+ARMIJO_C = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,18 +91,17 @@ class MaxEntProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration controls; defaults are echoed into every result file so runs
-    stay comparable."""
+    """Iteration controls; echoed into every meta.json so runs stay
+    comparable.
+
+    ``step_rule`` names the update rule: damped Newton is the only one, so
+    ``"newton"`` is the only accepted value. ``lambda0`` is the start point
+    (zeros when None).
+    """
 
     tolerance: float = 1e-10
-    max_iterations: int = 20000
-    step_rule: str = "backtracking"
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_growth: float = 2.0
-    armijo_c: float = 1e-4
-    min_step: float = 1e-14
-    lambda_init: str = "zeros"
+    max_iterations: int = 400
+    step_rule: str = "newton"
     lambda0: tuple[float, ...] | None = None
     record_history: bool = False
 
@@ -110,12 +110,10 @@ class SolverOptions:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_rule not in STEP_RULES:
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if self.lambda_init not in LAMBDA_INITS:
-            raise ValueError(f"unknown lambda_init {self.lambda_init!r}")
-        if self.lambda_init == "supplied" and self.lambda0 is None:
-            raise ValueError("lambda_init='supplied' requires lambda0")
+        if self.step_rule != "newton":
+            raise ValueError(
+                f"unknown step_rule {self.step_rule!r}; the only update rule is 'newton'"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,32 +201,23 @@ def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
     return np.maximum(expw[:, None], expw[None, :]) * ratio
 
 
-def _initial_lambdas(problem: MaxEntProblem, options: SolverOptions) -> np.ndarray:
-    if options.lambda_init == "zeros":
-        return np.zeros(problem.n_constraints)
-    lam = np.asarray(options.lambda0, dtype=float)
+def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarray:
+    lam = np.array(lambdas, dtype=float)
     if lam.shape != (problem.n_constraints,):
-        raise ValueError(
-            f"lambda0 has shape {lam.shape}, expected ({problem.n_constraints},)"
-        )
+        raise ValueError(f"expected {problem.n_constraints} {what}, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
-        raise ValueError("lambda0 must be finite")
-    return lam.copy()
+        raise ValueError(f"{what} must be finite")
+    return lam
 
 
 def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
     """The Gibbs state exp(sum lambda_i A_i)/Z for the problem's operators."""
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (problem.n_constraints,):
-        raise ValueError(f"expected {problem.n_constraints} multipliers, got {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("multipliers must be finite")
+    lam = _checked_multipliers(problem, lambdas, "multipliers")
     ws = _Workspace(problem)
+    n = problem.dim.bit_length() - 1
     if ws.K == 0:
-        n = problem.dim.bit_length() - 1
         return DensityMatrix(np.eye(problem.dim) / problem.dim, n)
     rho = ws.gibbs(lam)[0]
-    n = problem.dim.bit_length() - 1
     return DensityMatrix((rho + rho.conj().T) / 2.0, n)
 
 
@@ -277,28 +266,27 @@ def solve(problem: MaxEntProblem, options: SolverOptions = SolverOptions()) -> M
         hist = (0.0,) if options.record_history else None
         return MaxEntSolution(rho, np.zeros(0), 0.0, 0, True, hist)
 
-    lam = _initial_lambdas(problem, options)
+    if options.lambda0 is None:
+        lam = np.zeros(ws.K)
+    else:
+        lam = _checked_multipliers(problem, options.lambda0, "lambda0 entries")
     f, g, r, state = ws.evaluate(lam)
     history = [f] if options.record_history else None
 
-    best_f, best_lam, best_state = f, lam.copy(), state
+    best_f, best_lam, best_state = f, lam, state
     iterations = 0
-    step = options.step_init
     mu = 1e-8
 
     while f >= options.tolerance and iterations < options.max_iterations:
-        if options.step_rule == "newton":
-            moved = _newton_step(ws, lam, f, g, r, state, options, mu)
-        else:
-            moved = _gradient_step(ws, lam, f, g, r, state, options, step)
+        moved = _newton_step(ws, lam, f, g, r, state, mu)
         if moved is None:
             break
-        lam, f, g, r, state, step, mu = moved
+        lam, f, g, r, state, mu = moved
         iterations += 1
         if history is not None:
             history.append(f)
         if f < best_f:
-            best_f, best_lam, best_state = f, lam.copy(), state
+            best_f, best_lam, best_state = f, lam, state
 
     rho_raw = best_state[0]
     rho = DensityMatrix((rho_raw + rho_raw.conj().T) / 2.0, n)
@@ -312,22 +300,10 @@ def solve(problem: MaxEntProblem, options: SolverOptions = SolverOptions()) -> M
     )
 
 
-def _gradient_step(ws, lam, f, g, r, state, options, step):
-    grad = ws.gradient(g, r, state)
-    descent = -(grad @ grad)
-    if descent >= 0.0 or not np.isfinite(descent):
-        return None
-    trial = step * options.step_growth
-    while trial >= options.min_step:
-        lam_new = lam - trial * grad
-        f_new, g_new, r_new, state_new = ws.evaluate(lam_new)
-        if np.isfinite(f_new) and f_new <= f + options.armijo_c * trial * descent:
-            return lam_new, f_new, g_new, r_new, state_new, trial, 1e-8
-        trial *= options.step_shrink
-    return None
-
-
-def _newton_step(ws, lam, f, g, r, state, options, mu):
+def _newton_step(ws, lam, f, g, r, state, mu):
+    """One accepted damped Newton step as (lambda, f, g, r, state, mu), or
+    None when sixty tenfold increases of the damping found no step that
+    passes the Armijo test."""
     c = ws.susceptibility(g, state)
     scale = max(float(np.trace(c)) / ws.K, 1e-300)
     grad = 2.0 * (c @ r)
@@ -343,15 +319,7 @@ def _newton_step(ws, lam, f, g, r, state, options, mu):
             mu *= 10.0
             continue
         f_new, g_new, r_new, state_new = ws.evaluate(lam + delta)
-        if np.isfinite(f_new) and f_new <= f + options.armijo_c * descent:
-            return (
-                lam + delta,
-                f_new,
-                g_new,
-                r_new,
-                state_new,
-                options.step_init,
-                max(mu * 0.3, 1e-12),
-            )
+        if np.isfinite(f_new) and f_new <= f + ARMIJO_C * descent:
+            return lam + delta, f_new, g_new, r_new, state_new, max(mu * 0.3, 1e-12)
         mu *= 10.0
     return None

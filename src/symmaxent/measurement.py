@@ -53,18 +53,14 @@ class NoiseConfig:
             raise ValueError(f"unknown acquisition mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementRecord:
-    """Counts for one projector mode of one observable; the estimation pass
-    fills in the inverted probability and the aggregated expectation."""
+    """Counts for one projector mode of one observable."""
 
     observable_label: str
     mode_index: int
     counts: int
     trials: int
-    estimated_probability: float = float("nan")
-    estimated_expectation: float = float("nan")
-    saturated: bool = False
 
     def __post_init__(self):
         if not 0 <= self.counts <= self.trials:
@@ -150,25 +146,23 @@ def simulate_counts(
     return records
 
 
-def _invert_click_frequency(freq: float, config: NoiseConfig) -> tuple[float, bool]:
-    """Solve the click model for the mode probability; returns (p_hat,
-    saturated). A saturated mode (every pulse clicked) is clamped to
-    (trials - 1)/trials before the log."""
-    saturated = False
+def _invert_click_frequency(freq: float, config: NoiseConfig) -> float:
+    """Solve the click model for the mode probability. A saturated mode
+    (every pulse clicked) is clamped to (trials - 1)/trials before the log."""
     if config.mode == "photon_model":
-        if freq >= 1.0:
-            freq = (config.trials - 1) / config.trials
-            saturated = True
         if config.mu <= 0.0:
             raise ValueError("photon_model inversion needs mu > 0")
+        freq = min(freq, (config.trials - 1) / config.trials)
         p_hat = (-np.log1p(-freq) - config.lambda_dc) / config.mu
     else:
         p_hat = freq
-    return float(np.clip(p_hat, 0.0, 1.0)), saturated
+    return float(np.clip(p_hat, 0.0, 1.0))
 
 
-def estimate_expectations(records, a, config: NoiseConfig) -> float:
-    """Aggregate mode counts into an expectation-value estimate.
+def estimate_expectations(records, modes, config: NoiseConfig) -> float:
+    """Aggregate one observable's mode counts into an expectation-value
+    estimate; ``modes`` are the observable's :func:`projector_modes`, the
+    ones the counts were simulated for.
 
     Mode probabilities are inverted from the click model (photon_model) or
     taken as raw frequencies, then, when the modes form a complete projective
@@ -176,27 +170,13 @@ def estimate_expectations(records, a, config: NoiseConfig) -> float:
     eigenvalue-weighted sum. The result is a convex combination of
     eigenvalues, so it stays inside the observable's spectral range.
     """
-    modes = projector_modes(a)
     if len(records) != len(modes):
         raise ValueError(f"expected {len(modes)} records, got {len(records)}")
-    dim = linalg.as_matrix(a).shape[0]
-
     p_hats = np.zeros(len(modes))
-    for rec, (_, _w) in zip(records, modes):
-        freq = rec.counts / rec.trials
-        p_hat, saturated = _invert_click_frequency(freq, config)
-        rec.estimated_probability = p_hat
-        rec.saturated = saturated
-        p_hats[rec.mode_index] = p_hat
-
-    weights = np.array([w for _, w in modes])
-    if modes_are_complete(modes, dim):
+    for rec in records:
+        p_hats[rec.mode_index] = _invert_click_frequency(rec.counts / rec.trials, config)
+    if modes and modes_are_complete(modes, modes[0][0].shape[0]):
         total = p_hats.sum()
         p_hats = p_hats / total if total > 0.0 else np.full(len(modes), 1.0 / len(modes))
-        for rec in records:
-            rec.estimated_probability = float(p_hats[rec.mode_index])
-    a_hat = float(weights @ p_hats)
-    for rec in records:
-        rec.estimated_expectation = a_hat
-    return a_hat
-
+    weights = np.array([w for _, w in modes])
+    return float(weights @ p_hats)

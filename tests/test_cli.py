@@ -37,7 +37,8 @@ class TestConfigParsing:
         assert cfg.n_qubits == 3
         assert cfg.observable_kind == "pauli"
         assert cfg.noise.mode == "ideal"
-        assert cfg.solver.step_rule == "backtracking"
+        assert cfg.solver.step_rule == "newton"
+        assert cfg.solver.max_iterations == 400
 
     def test_dicke_family_syntax(self):
         cfg = parse_config_text("state_family = dicke(2)\nbatch_size = 1")
@@ -62,6 +63,11 @@ class TestConfigParsing:
     def test_garbled_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("this is not a config line")
+
+    def test_descending_r_range_rejected(self):
+        # an empty range must not fall back to the full 1..63 sweep
+        with pytest.raises(ValueError, match="'5-3'"):
+            parse_config_text("r_values = 1,5-3")
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("\n# comment\nseed = 4  # trailing\n")

@@ -169,7 +169,7 @@ class TestEstimateExpectations:
         for op in pauli_basis(3)[:5]:
             modes = projector_modes(op)
             records = simulate_counts(rho, modes, cfg, observable_label=op.label)
-            a_hat = estimate_expectations(records, op, cfg)
+            a_hat = estimate_expectations(records, modes, cfg)
             assert a_hat == pytest.approx(expectation(rho, op), abs=1.0 / cfg.trials * len(modes))
 
     def test_exact_click_inversion(self):
@@ -182,14 +182,20 @@ class TestEstimateExpectations:
         p = np.trace(proj @ rho.matrix).real
         exact = int(round(cfg.trials * click_probability(p, cfg.mu, cfg.lambda_dc)))
         records = [MeasurementRecord(e.label, 0, exact, cfg.trials)]
-        a_hat = estimate_expectations(records, e, cfg)
+        a_hat = estimate_expectations(records, modes, cfg)
         assert a_hat == pytest.approx(w * p, abs=1e-5)
 
-    def test_saturated_mode_flagged(self):
+    def test_saturated_mode_clamped(self):
+        # every pulse clicked: the frequency is clamped to (trials - 1)/trials
+        # before the log, so the estimate is finite and below the eigenvalue
         cfg = NoiseConfig(trials=100, mode="photon_model", mu=5.0, lambda_dc=0.0)
-        records = [MeasurementRecord("E", 0, 100, 100)]
-        estimate_expectations(records, sic_povm(1)[0], cfg)
-        assert records[0].saturated
+        records = (MeasurementRecord("E", 0, 100, 100),)
+        modes = projector_modes(sic_povm(1)[0])
+        (_, w), = modes
+        a_hat = estimate_expectations(records, modes, cfg)
+        assert a_hat == pytest.approx(w * np.log(100.0) / 5.0, rel=1e-12)
+        assert a_hat < w
+        assert records == (MeasurementRecord("E", 0, 100, 100),)
 
     def test_renormalized_probabilities_sum_to_one(self, rng):
         cfg = NoiseConfig(trials=5_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
@@ -197,8 +203,12 @@ class TestEstimateExpectations:
         op = pauli_basis(3)[4]
         modes = projector_modes(op)
         records = simulate_counts(rho, modes, cfg, rng, op.label)
-        estimate_expectations(records, op, cfg)
-        assert sum(rec.estimated_probability for rec in records) == pytest.approx(1.0, abs=1e-12)
+        freqs = np.array([rec.counts / rec.trials for rec in records])
+        p_hats = np.clip((-np.log1p(-freqs) - cfg.lambda_dc) / cfg.mu, 0.0, 1.0)
+        assert abs(p_hats.sum() - 1.0) > 1e-3  # renormalization has work to do
+        weights = np.array([w for _, w in modes])
+        a_hat = estimate_expectations(records, modes, cfg)
+        assert a_hat == pytest.approx(weights @ (p_hats / p_hats.sum()), abs=1e-12)
 
     def test_pauli_estimates_in_range(self, rng):
         cfg = NoiseConfig(trials=500, mode="photon_model", mu=0.18, lambda_dc=5e-4)
@@ -206,7 +216,7 @@ class TestEstimateExpectations:
         for op in pauli_basis(3)[:6]:
             modes = projector_modes(op)
             records = simulate_counts(rho, modes, cfg, rng, op.label)
-            a_hat = estimate_expectations(records, op, cfg)
+            a_hat = estimate_expectations(records, modes, cfg)
             assert -1.0 <= a_hat <= 1.0
 
     def test_sigma_z_on_zero_state_calibration(self):
@@ -220,7 +230,7 @@ class TestEstimateExpectations:
         n_rep = 1000
         for _ in range(n_rep):
             records = simulate_counts(rho, modes, cfg, rng)
-            a_hat = estimate_expectations(records, HermitianOperator(SZ, "Z"), cfg)
+            a_hat = estimate_expectations(records, modes, cfg)
             if 0.9 <= a_hat <= 1.0:
                 hits += 1
         assert hits >= 0.99 * n_rep
@@ -234,7 +244,7 @@ class TestEstimateExpectations:
         op = HermitianOperator(SZ, "Z")
         modes = projector_modes(op)
         records = simulate_counts(rho, modes, cfg, rng, "Z")
-        a_hat = estimate_expectations(records, op, cfg)
+        a_hat = estimate_expectations(records, modes, cfg)
         # worst-case propagated standard error over the two modes
         se = 0.0
         for proj, _ in modes:
@@ -247,7 +257,7 @@ class TestEstimateExpectations:
     def test_record_count_mismatch_rejected(self):
         cfg = NoiseConfig(mode="ideal")
         with pytest.raises(ValueError, match="records"):
-            estimate_expectations([], HermitianOperator(SZ, "Z"), cfg)
+            estimate_expectations([], projector_modes(SZ), cfg)
 
     def test_raw_frequency_path_is_attenuated(self):
         # the raw click frequency is biased low by roughly the attenuation (a
@@ -262,7 +272,7 @@ class TestEstimateExpectations:
         records = simulate_counts(rho, modes, cfg, rng, e.label)
         counts = records[0].counts
         inverted = estimate_expectations(
-            [MeasurementRecord(e.label, 0, counts, cfg.trials)], e, cfg
+            [MeasurementRecord(e.label, 0, counts, cfg.trials)], modes, cfg
         )
         raw = w * counts / cfg.trials
         assert inverted == pytest.approx(w, abs=0.01)
