@@ -6,7 +6,8 @@ Subcommands:
   write result.csv, summary.csv, and meta.json.
 - ``symmaxent summarize result.csv``: print per-r summary statistics.
 - ``symmaxent solve --targets problem.json [--out FILE]``: one-shot
-  estimation from explicit targets.
+  estimation from explicit targets, starting from the problem's optional
+  ``lambda0`` list.
 
 The sweep config is a flat ``key = value`` text file; nested solver and
 noise fields use dotted keys (``solver.tolerance = 1e-12``). Unset keys
@@ -171,8 +172,16 @@ def _solve_problem_from_json(data: dict) -> dict:
             (HermitianOperator(symmetry.project(op, symmetry_kind, n_qubits), op.label), t)
             for op, t in measured
         ]
-    options = SolverOptions(**data.get("solver", {}))
-    solution = solve(MaxEntProblem(tuple(measured), (), dim), options)
+    solver_kwargs = data.get("solver", {})
+    solver_fields = {f.name for f in dataclasses.fields(SolverOptions)}
+    for name in solver_kwargs:
+        if name not in solver_fields:
+            raise ValueError(f"unknown solver field {name!r}")
+    solution = solve(
+        MaxEntProblem(tuple(measured), (), dim),
+        SolverOptions(**solver_kwargs),
+        lambda0=data.get("lambda0"),
+    )
     return solution.to_jsonable()
 
 

@@ -75,9 +75,11 @@ class ExperimentConfig:
         r_values = tuple(int(r) for r in self.r_values)
         if not r_values:
             r_values = tuple(range(1, n_total + 1))
-        for r in r_values:
+        for i, r in enumerate(r_values):
             if not 0 <= r <= n_total:
                 raise ValueError(f"r value {r} outside [0, {n_total}]")
+            if r in r_values[:i]:
+                raise ValueError(f"duplicate r value {r}")
         object.__setattr__(self, "r_values", r_values)
         if not 0 <= self.dicke_excitations <= self.n_qubits:
             raise ValueError("dicke_excitations outside [0, n_qubits]")
@@ -239,8 +241,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def summarize(records) -> list[SummaryRow]:
     """Per-r mean and population standard deviation of the fidelity, over all
     batch states including non-converged solves."""
-    if hasattr(records, "records"):
-        records = records.records
     records = list(records)
     if not records:
         raise ValueError("no records to summarize")

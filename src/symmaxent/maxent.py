@@ -95,15 +95,12 @@ class SolverOptions:
     comparable.
 
     ``step_rule`` names the update rule: damped Newton is the only one, so
-    ``"newton"`` is the only accepted value. ``lambda0`` is the start point
-    (zeros when None).
+    ``"newton"`` is the only accepted value.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 400
     step_rule: str = "newton"
-    lambda0: tuple[float, ...] | None = None
-    record_history: bool = False
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -123,7 +120,7 @@ class MaxEntSolution:
     objective: float
     iterations: int
     converged: bool
-    history: tuple[float, ...] | None = None
+    history: tuple[float, ...]
 
     def to_jsonable(self) -> dict:
         from .observables import matrix_to_jsonable
@@ -165,28 +162,14 @@ class _Workspace:
         r = g - self.targets
         return float(r @ r), g, r, state
 
-    def gradient(self, g: np.ndarray, r: np.ndarray, state) -> np.ndarray:
-        """df/dlambda without forming the full susceptibility matrix.
-
-        Uses the symmetry of the divided-difference kernel to contract the
-        residual-weighted operator sum R = sum_i r_i A_i through the
-        exponential derivative once, instead of once per constraint.
-        """
-        rho, w, v, expw, z = state
-        rmat = np.tensordot(r, self.A, axes=1)
-        rtil = v.conj().T @ rmat @ v
-        phi = _divided_difference_kernel(w, expw)
-        wmat = v @ (rtil * phi) @ v.conj().T / z
-        tr_part = (self.A_flat @ wmat.T.ravel()).real
-        return 2.0 * (tr_part - (r @ g) * g)
-
     def susceptibility(self, g: np.ndarray, state) -> np.ndarray:
         """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix."""
         rho, w, v, expw, z = state
         atil = np.matmul(np.matmul(v.conj().T[None, :, :], self.A), v)
         phi = _divided_difference_kernel(w, expw)
         m = atil * phi[None, :, :]
-        c = (atil.reshape(self.K, -1) @ m.conj().reshape(self.K, -1).T).real / z
+        d2 = self.dim * self.dim
+        c = (atil.reshape(self.K, d2) @ m.conj().reshape(self.K, d2).T).real / z
         c -= np.outer(g, g)
         return (c + c.T) / 2.0
 
@@ -213,65 +196,52 @@ def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarr
 def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
     """The Gibbs state exp(sum lambda_i A_i)/Z for the problem's operators."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    ws = _Workspace(problem)
-    n = problem.dim.bit_length() - 1
-    if ws.K == 0:
-        return DensityMatrix(np.eye(problem.dim) / problem.dim, n)
-    rho = ws.gibbs(lam)[0]
-    return DensityMatrix((rho + rho.conj().T) / 2.0, n)
+    rho = _Workspace(problem).gibbs(lam)[0]
+    return DensityMatrix((rho + rho.conj().T) / 2.0, problem.dim.bit_length() - 1)
 
 
 def objective(problem: MaxEntProblem, lambdas) -> float:
     """Sum of squared constraint mismatches at the given multipliers."""
-    lam = np.asarray(lambdas, dtype=float)
-    ws = _Workspace(problem)
-    if ws.K == 0:
-        return 0.0
-    return ws.evaluate(lam)[0]
+    lam = _checked_multipliers(problem, lambdas, "multipliers")
+    return _Workspace(problem).evaluate(lam)[0]
 
 
 def gradient(problem: MaxEntProblem, lambdas) -> np.ndarray:
-    """Analytic gradient of :func:`objective`; matches central finite
-    differences to relative 1e-5."""
-    lam = np.asarray(lambdas, dtype=float)
+    """Analytic gradient of :func:`objective`, df/dlambda = 2 C r with C the
+    susceptibility matrix and r the residuals, as in the Newton step."""
+    lam = _checked_multipliers(problem, lambdas, "multipliers")
     ws = _Workspace(problem)
-    if ws.K == 0:
-        return np.zeros(0)
     _, g, r, state = ws.evaluate(lam)
-    return ws.gradient(g, r, state)
+    return 2.0 * (ws.susceptibility(g, state) @ r)
 
 
 def susceptibility(problem: MaxEntProblem, lambdas) -> np.ndarray:
     """Full matrix of expectation derivatives d<A_i>/dlambda_j."""
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _checked_multipliers(problem, lambdas, "multipliers")
     ws = _Workspace(problem)
-    if ws.K == 0:
-        return np.zeros((0, 0))
     _, g, _, state = ws.evaluate(lam)
     return ws.susceptibility(g, state)
 
 
-def solve(problem: MaxEntProblem, options: SolverOptions = SolverOptions()) -> MaxEntSolution:
-    """Fit the multipliers until the objective drops below tolerance.
+def solve(
+    problem: MaxEntProblem, options: SolverOptions = SolverOptions(), lambda0=None
+) -> MaxEntSolution:
+    """Fit the multipliers, starting from ``lambda0`` (zeros when None), until
+    the objective drops below tolerance.
 
     Returns converged=False (with the best iterate found) when the iteration
     budget runs out or no acceptable step remains; infeasible targets, for
     example estimates taken from noisy counts, stall at the least-squares
-    optimum rather than raising.
+    optimum rather than raising. ``history`` holds the objective at the
+    start and after every accepted step.
     """
     ws = _Workspace(problem)
-    n = problem.dim.bit_length() - 1
-    if ws.K == 0:
-        rho = DensityMatrix(np.eye(problem.dim) / problem.dim, n)
-        hist = (0.0,) if options.record_history else None
-        return MaxEntSolution(rho, np.zeros(0), 0.0, 0, True, hist)
-
-    if options.lambda0 is None:
+    if lambda0 is None:
         lam = np.zeros(ws.K)
     else:
-        lam = _checked_multipliers(problem, options.lambda0, "lambda0 entries")
+        lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
     f, g, r, state = ws.evaluate(lam)
-    history = [f] if options.record_history else None
+    history = [f]
 
     best_f, best_lam, best_state = f, lam, state
     iterations = 0
@@ -283,20 +253,19 @@ def solve(problem: MaxEntProblem, options: SolverOptions = SolverOptions()) -> M
             break
         lam, f, g, r, state, mu = moved
         iterations += 1
-        if history is not None:
-            history.append(f)
+        history.append(f)
         if f < best_f:
             best_f, best_lam, best_state = f, lam, state
 
     rho_raw = best_state[0]
-    rho = DensityMatrix((rho_raw + rho_raw.conj().T) / 2.0, n)
+    rho = DensityMatrix((rho_raw + rho_raw.conj().T) / 2.0, problem.dim.bit_length() - 1)
     return MaxEntSolution(
         rho=rho,
         lambdas=best_lam,
         objective=best_f,
         iterations=iterations,
         converged=bool(best_f < options.tolerance),
-        history=tuple(history) if history is not None else None,
+        history=tuple(history),
     )
 
 

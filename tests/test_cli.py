@@ -60,6 +60,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="noise field"):
             parse_config_text("noise.gamma = 1")
 
+    @pytest.mark.parametrize("line", ["solver.lambda0 = 0.1", "solver.record_history = true"])
+    def test_start_point_and_history_not_solver_fields(self, line):
+        # the number of multipliers changes with r, so a sweep has no single
+        # start point; the objective history is always kept
+        with pytest.raises(ValueError, match="unknown solver field"):
+            parse_config_text(line)
+
     def test_garbled_line_rejected(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config_text("this is not a config line")
@@ -155,6 +162,45 @@ class TestSolveCommand:
         # one multiplier per measured observable, none for the symmetry
         assert len(payload["lambdas"]) == 1
         assert np.allclose(rho[[1, 2]][:, [1, 2]], rho[[2, 1]][:, [2, 1]], atol=1e-9)
+
+    def test_lambda0_is_the_start_point(self, tmp_path, capsys):
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}],
+            "lambda0": [float(np.arctanh(0.5))],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", "--targets", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["iterations"] == 0
+        assert payload["lambdas"] == problem["lambda0"]
+
+    def test_lambda0_wrong_length_rejected(self, tmp_path):
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}],
+            "lambda0": [0.1, 0.2],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match="expected 1 lambda0 entries"):
+            main(["solve", "--targets", str(path)])
+
+    @pytest.mark.parametrize("key", ["lambda0", "record_history", "tol"])
+    def test_unknown_solver_key_rejected(self, tmp_path, key):
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}],
+            "solver": {"tolerance": 1e-12, key: 1},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match=f"unknown solver field '{key}'"):
+            main(["solve", "--targets", str(path)])
 
     def test_unknown_symmetry_rejected(self, tmp_path):
         problem = {"n_qubits": 1, "symmetry": "rotation", "measured": []}

@@ -44,6 +44,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="outside"):
             ExperimentConfig(r_values=(64,))
 
+    def test_duplicate_r_value_rejected(self):
+        # a repeated r would be solved twice and counted twice in its row
+        with pytest.raises(ValueError, match="duplicate r value 3"):
+            ExperimentConfig(r_values=(1, 2, 3, 3))
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="state_family"):
             ExperimentConfig(state_family="thermal")
@@ -160,7 +165,9 @@ class TestSweep:
         cfg = small_config(batch_size=1, r_values=(3,))
         res = run_sweep(cfg)
         assert res.metadata["config"]["state_family"] == "werner"
-        assert res.metadata["config"]["solver"]["step_rule"] == "newton"
+        assert res.metadata["config"]["solver"] == {
+            "tolerance": 1e-12, "max_iterations": 300, "step_rule": "newton"
+        }
         assert res.metadata["std_convention"] == "population"
 
 

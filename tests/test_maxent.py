@@ -144,11 +144,89 @@ class TestGradient:
         assert np.linalg.eigvalsh(c)[0] >= -1e-10
 
 
+def susceptibility_problem(shape, rng):
+    """Problems shaped like the solves behind the sweeps: n = 3 without a
+    symmetry, n = 3 with auxiliary constraints, n = 4 with commutant-projected
+    permutation constraints."""
+    if shape == "n3_none":
+        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        return problem_from_state(rho, list(sic_povm(3))[:20])
+    if shape == "n3_aux15":
+        rho = states.random_permutation_invariant_mixed(3, rng)
+        aux = build_symmetry("permutation", 3).auxiliary[:15]
+        return problem_from_state(rho, list(sic_povm(3))[:6], aux)
+    rho = states.random_permutation_invariant_mixed(4, rng)
+    sic = list(sic_povm(4))
+    kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 4)][:12]
+    return MaxEntProblem(
+        tuple(
+            (HermitianOperator(symmetry.project(op, "permutation", 4), op.label),
+             expectation(rho, op))
+            for op in kept
+        ),
+        (),
+        16,
+    )
+
+
+class TestSusceptibility:
+    @pytest.mark.parametrize("shape", ["n3_none", "n3_aux15", "n4_permutation"])
+    def test_matches_finite_differences_of_expectations(self, shape):
+        # independent oracle: central differences of <A_i>(lambda) taken
+        # through the Gibbs state, column j from a step in lambda_j
+        rng = np.random.default_rng([20261018, len(shape)])
+        prob = susceptibility_problem(shape, rng)
+        ops = [op for op, _ in prob.measured] + list(prob.auxiliary)
+        lam = rng.normal(0, 0.3, prob.n_constraints)
+        step = 1e-5
+
+        def expectations(x):
+            rho = rho_of_lambda(prob, x)
+            return np.array([expectation(rho, op) for op in ops])
+
+        fd = np.zeros((prob.n_constraints, prob.n_constraints))
+        for j in range(prob.n_constraints):
+            up, down = lam.copy(), lam.copy()
+            up[j] += step
+            down[j] -= step
+            fd[:, j] = (expectations(up) - expectations(down)) / (2 * step)
+        c = susceptibility(prob, lam)
+        assert np.linalg.norm(c - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+class TestPublicKernels:
+    # rho_of_lambda's multiplier checks are tested in TestRhoOfLambda
+    CHECKED = (objective, gradient, susceptibility)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_empty_problem(self, dim):
+        prob = MaxEntProblem((), (), dim)
+        assert np.array_equal(rho_of_lambda(prob, []).matrix, np.eye(dim) / dim)
+        assert objective(prob, []) == 0.0
+        assert gradient(prob, []).shape == (0,)
+        assert susceptibility(prob, []).shape == (0, 0)
+
+    @pytest.mark.parametrize("kernel", CHECKED, ids=lambda k: k.__name__)
+    def test_rejects_wrong_length(self, kernel):
+        prob = single_qubit_problem(0.3)
+        with pytest.raises(ValueError, match="expected 1 multipliers"):
+            kernel(prob, [0.1, 0.2])
+        with pytest.raises(ValueError, match="expected 0 multipliers"):
+            kernel(MaxEntProblem((), (), 2), [0.1])
+
+    @pytest.mark.parametrize("kernel", CHECKED, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, kernel, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kernel(single_qubit_problem(0.3), [bad])
+
+
 class TestSolve:
     def test_no_constraints_exact_maximally_mixed(self):
         sol = solve(MaxEntProblem((), (), 8))
         assert sol.iterations == 0
         assert sol.converged
+        assert sol.history == (0.0,)
         assert np.max(np.abs(sol.rho.matrix - np.eye(8) / 8)) <= 1e-12
 
     def test_tanh_inversion(self):
@@ -191,8 +269,9 @@ class TestSolve:
     def test_objective_non_increasing(self, rng):
         rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
         prob = problem_from_state(rho, pauli_basis(3)[:20])
-        sol = solve(prob, SolverOptions(max_iterations=300, record_history=True))
+        sol = solve(prob, SolverOptions(max_iterations=300))
         hist = np.array(sol.history)
+        assert hist.size == sol.iterations + 1
         assert np.all(np.diff(hist) <= 1e-15)
 
     def test_converged_false_on_infeasible(self, rng):
@@ -374,17 +453,20 @@ class TestValidation:
             SolverOptions(step_rule="backtracking")
         with pytest.raises(ValueError, match="step_rule"):
             SolverOptions(step_rule="bogus")
+        for removed in ("lambda0", "record_history"):
+            with pytest.raises(TypeError, match=removed):
+                SolverOptions(**{removed: None})
 
     def test_lambda0_supplied(self):
         prob = single_qubit_problem(0.5)
         start = (np.arctanh(0.5),)
-        sol = solve(prob, SolverOptions(lambda0=start))
+        sol = solve(prob, lambda0=start)
         assert sol.converged
         assert sol.iterations == 0
 
     def test_lambda0_wrong_length_rejected(self):
         prob = single_qubit_problem(0.5)
         with pytest.raises(ValueError, match="expected 1 lambda0"):
-            solve(prob, SolverOptions(lambda0=(0.1, 0.2)))
+            solve(prob, lambda0=(0.1, 0.2))
         with pytest.raises(ValueError, match="finite"):
-            solve(prob, SolverOptions(lambda0=(np.inf,)))
+            solve(prob, lambda0=(np.inf,))
