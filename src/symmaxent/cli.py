@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -45,13 +46,13 @@ def _parse_r_values(raw: str) -> tuple[int, ...]:
         token = token.strip()
         if not token:
             continue
-        if "-" in token:
-            lo, hi = (int(end) for end in token.split("-", 1))
-            if lo > hi:
-                raise ValueError(f"r_values range {token!r} is empty (lo > hi)")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(token))
+        match = re.fullmatch(r"(\d+)(?:\s*-\s*(\d+))?", token)
+        if match is None:
+            raise ValueError(f"r_values entry {token!r} is not an integer or a lo-hi range")
+        lo, hi = int(match[1]), int(match[2] or match[1])
+        if lo > hi:
+            raise ValueError(f"r_values range {token!r} is empty (lo > hi)")
+        out.extend(range(lo, hi + 1))
     return tuple(out)
 
 

@@ -149,26 +149,39 @@ def independent_rows(vectors, norms, tol: float = LI_TOL) -> list[int]:
 
     Row i is kept when its residual after projecting onto the span of the
     rows kept before it exceeds ``tol * norms[i]``; rows with zero reference
-    norm are skipped. Modified Gram-Schmidt with a second orthogonalization
-    pass keeps the decision stable for near-dependent sets. Returns the kept
-    row indices.
+    norm are skipped. Classical Gram-Schmidt with a reorthogonalization pass
+    (CGS2), each pass two matrix-vector products against the kept basis, is
+    orthogonal to working precision like two-pass modified Gram-Schmidt, so
+    both keep the same rows unless a residual lies within rounding of the
+    threshold. Returns the kept row indices.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    basis: list[np.ndarray] = []
+    try:
+        rows = np.asarray(vectors, dtype=complex)
+    except ValueError:  # ragged rows
+        rows = None
+    if rows is None or (rows.ndim != 2 and rows.size):
+        shapes = sorted({np.shape(v) for v in vectors})
+        raise ValueError(f"rows must form one 2-D array, got row shapes {shapes}")
+    if len(rows) != len(norms):
+        raise ValueError(f"{len(rows)} rows but {len(norms)} reference norms")
+    basis = np.empty((rows.shape[-1],) * 2, dtype=complex)
+    conj = np.empty_like(basis)  # basis.conj(), kept so no pass conjugates
     kept: list[int] = []
-    for idx, (v, n0) in enumerate(zip(vectors, norms)):
+    for idx, (v, n0) in enumerate(zip(rows, norms)):
         if n0 == 0.0:
             continue
-        if len(basis) == len(v):
+        k = len(kept)
+        if k == len(v):
             break  # the kept rows span the space; every later residual is noise
         for _ in range(2):
-            for q in basis:
-                v = v - np.vdot(q, v) * q
+            v = v - (conj[:k] @ v) @ basis[:k]
         nv = np.linalg.norm(v)
         if nv > tol * n0:
+            basis[k] = v / nv
+            conj[k] = basis[k].conj()
             kept.append(idx)
-            basis.append(v / nv)
     return kept
 
 

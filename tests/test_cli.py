@@ -76,6 +76,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="'5-3'"):
             parse_config_text("r_values = 1,5-3")
 
+    @pytest.mark.parametrize("entry", ["3-", "-1", "1-2-3", "x"])
+    def test_malformed_r_entry_named(self, entry):
+        with pytest.raises(ValueError, match=f"r_values entry '{entry}' is not an integer"):
+            parse_config_text(f"r_values = 2,{entry}")
+
+    def test_spaced_r_range_accepted(self):
+        assert parse_config_text("r_values = 1 - 3, 5").r_values == (1, 2, 3, 5)
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("\n# comment\nseed = 4  # trailing\n")
         assert cfg.seed == 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symmaxent import linalg
+from symmaxent import linalg, observables, symmetry
 from symmaxent.linalg import (
     HermitianOperator,
     commutator,
@@ -207,6 +207,126 @@ class TestIndependentRows:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError, match="tol"):
             linalg.independent_rows(np.eye(2), [1.0, 1.0], tol=0.0)
+
+    def test_rejects_norms_of_other_length(self):
+        # a short norms list must not drop the trailing rows unseen
+        with pytest.raises(ValueError, match="3 rows but 2 reference norms"):
+            linalg.independent_rows(np.eye(3), [1.0, 1.0])
+        with pytest.raises(ValueError, match="2 rows but 3 reference norms"):
+            linalg.independent_rows(np.eye(3)[:2], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "rows, shapes",
+        [
+            ([np.ones(2), np.ones(3)], r"\[\(2,\), \(3,\)\]"),
+            (np.ones(3), r"\[\(\)\]"),
+            (np.ones((2, 2, 2)), r"\[\(2, 2\)\]"),
+        ],
+    )
+    def test_rejects_rows_that_are_not_one_matrix(self, rows, shapes):
+        with pytest.raises(ValueError, match="2-D array, got row shapes " + shapes):
+            linalg.independent_rows(rows, [1.0] * len(rows))
+
+    @pytest.mark.parametrize("rows", [[], np.zeros((0, 4))])
+    def test_no_rows(self, rows):
+        assert linalg.independent_rows(rows, []) == []
+
+    def test_zero_reference_norm_skipped(self):
+        # skipped by its reference norm, not by its own: the row is nonzero
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert linalg.independent_rows(rows, [0.0, 1.0, 1.0]) == [1, 2]
+        assert _reference_independent_rows(rows, [0.0, 1.0, 1.0]) == [1, 2]
+
+    def test_stops_once_the_kept_rows_span(self, rng):
+        # after a full orthonormal basis the residual of any row is rounding
+        # noise, which a tiny reference norm would otherwise count as new
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        rows = np.vstack([q, rng.standard_normal((2, 4))])
+        norms = [1.0] * 4 + [1e-300] * 2
+        assert linalg.independent_rows(rows, norms) == [0, 1, 2, 3]
+        assert _reference_independent_rows(rows, norms) == [0, 1, 2, 3]
+
+    def test_second_pass_rejects_a_dependent_row(self):
+        # Lauchli rows e0 + eps e_j: one classical Gram-Schmidt pass leaves
+        # the basis non-orthogonal by about u / eps, enough to keep their sum
+        eps = 1e-8
+        rows = np.eye(5)[0] + eps * np.eye(5)[1:]
+        rows = np.vstack([rows, rows.sum(axis=0)])
+        norms = np.linalg.norm(rows, axis=1)
+        assert linalg.independent_rows(rows, norms) == [0, 1, 2, 3]
+        assert _reference_independent_rows(rows, norms) == [0, 1, 2, 3]
+
+
+def _reference_independent_rows(vectors, norms, tol=linalg.LI_TOL):
+    """Two-pass modified Gram-Schmidt, one vdot per kept row: the
+    row-by-row reference for ``independent_rows``."""
+    basis, kept = [], []
+    for idx, (v, n0) in enumerate(zip(vectors, norms)):
+        if n0 == 0.0:
+            continue
+        if len(basis) == len(v):
+            break
+        for _ in range(2):
+            for q in basis:
+                v = v - np.vdot(q, v) * q
+        nv = np.linalg.norm(v)
+        if nv > tol * n0:
+            kept.append(idx)
+            basis.append(v / nv)
+    return kept
+
+
+class TestIndependentRowsOracle:
+    """The kernel keeps exactly the rows the two-pass modified Gram-Schmidt
+    loop keeps, on the inputs the package hands it."""
+
+    @pytest.mark.parametrize("observable_kind", ["sic", "pauli"])
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sweep_filter_inputs(self, n, kind, observable_kind):
+        # the rows independent_projections builds for the sweep harness:
+        # commutant coordinates, reference norms of the operators themselves
+        candidates = observables.canonical_set(observable_kind, n)
+        flat = np.array([linalg.as_matrix(op).ravel() for op in candidates])
+        coeffs = flat @ symmetry.commutant_basis(kind, n).conj().T
+        norms = np.linalg.norm(flat, axis=1)
+        rng = np.random.default_rng([n, len(candidates), len(kind)])
+        for trial in range(3):
+            order = np.arange(len(candidates))
+            if trial:
+                rng.shuffle(order)
+            kept = linalg.independent_rows(coeffs[order], norms[order])
+            assert kept == _reference_independent_rows(coeffs[order], norms[order])
+            assert kept == symmetry.independent_projections(
+                [candidates[i] for i in order], kind, n
+            )
+
+    @pytest.mark.parametrize(
+        "kind, n, expected",
+        [("permutation", 3, 44), ("werner", 3, 59), ("permutation", 4, 221), ("werner", 4, 242)],
+    )
+    def test_auxiliary_construction_inputs(self, kind, n, expected):
+        # the rank check on the Pauli basis, then the auxiliary candidates
+        # i[Q_k, O_j] at unit norm, built as auxiliary_observables builds them
+        paulis = symmetry.full_pauli_operator_basis(n)
+        rows = [op.matrix.ravel() for op in paulis]
+        norms = [np.linalg.norm(v) for v in rows]
+        assert linalg.independent_rows(rows, norms) == list(range(4**n))
+        assert _reference_independent_rows(rows, norms) == list(range(4**n))
+
+        candidates = []
+        for gen in symmetry.generators_for(kind, n):
+            for op in paulis:
+                comm = 1j * linalg.commutator(gen, op)
+                comm = (comm + comm.conj().T) / 2.0
+                nrm = np.linalg.norm(comm)
+                if nrm > symmetry.ZERO_COMMUTATOR_TOL:
+                    candidates.append(HermitianOperator(comm / nrm).matrix.ravel())
+        norms = [np.linalg.norm(v) for v in candidates]
+        kept = linalg.independent_rows(candidates, norms)
+        assert kept == _reference_independent_rows(candidates, norms)
+        assert len(kept) == expected
+        assert len(symmetry.build_symmetry(kind, n).auxiliary) == expected
 
 
 class TestPermutationMatrix:
