@@ -206,7 +206,12 @@ def _worker(args) -> list[StateRunRecord]:
 def worker_count(batch_size: int) -> int:
     raw = os.environ.get(THREADS_ENV_VAR, "")
     if raw.strip():
-        n = int(raw)
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}"
+            ) from None
         if n < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw!r}")
     else:

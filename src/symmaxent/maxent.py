@@ -22,6 +22,12 @@ eigenbasis with the divided-difference kernel
 
     Phi_ab = (e^{w_a} - e^{w_b}) / (w_a - w_b),   Phi_aa = e^{w_a}.
 
+With the operators stored side by side, two GEMMs rotate all of them into
+the eigenbasis at once, atil_k = v^H A_k v. Phi is positive, so scaling by
+its real square root and viewing each scaled atil_k as one real row Y_k
+gives the susceptibility as a single real rank-K product,
+C = Y Y^T / Z - g g^T with g the expectations, which is exactly symmetric.
+
 The multipliers are updated by damped Newton steps on the constraint
 equations: solve (C + mu s I) delta = -(residuals), with C the constraint
 susceptibility matrix C_ij = d<A_i>/dlambda_j, s its mean diagonal and mu a
@@ -35,6 +41,7 @@ as at the least-squares optimum of infeasible (noisy) targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,11 +149,20 @@ class _Workspace:
         self.A = problem.operator_stack()
         self.K = self.A.shape[0]
         self.A_flat = self.A.reshape(self.K, self.dim * self.dim)
+        # Tr(A rho) = sum_ij conj(A_ij) rho_ij for Hermitian A: one real dot
+        self.A_real = self.A_flat.view(float)
         self.targets = problem.target_vector()
+
+    @cached_property
+    def A_cols(self) -> np.ndarray:
+        """The operators side by side, A_cols[:, k*dim:(k+1)*dim] = A_k, so
+        that one GEMM applies v^H to all of them. Built on first use: the
+        copy is needed only by the susceptibility."""
+        return self.A.transpose(1, 0, 2).reshape(self.dim, self.K * self.dim)
 
     def gibbs(self, lambdas: np.ndarray):
         """rho(lambda) together with its shifted eigensystem."""
-        h = np.tensordot(lambdas, self.A, axes=1)
+        h = (lambdas @ self.A_flat).reshape(self.dim, self.dim)
         w, v = np.linalg.eigh(h)
         w_shifted = w - w[-1]
         expw = np.exp(w_shifted)
@@ -157,21 +173,29 @@ class _Workspace:
     def evaluate(self, lambdas: np.ndarray):
         """(f, expectations, residuals, gibbs state tuple)."""
         state = self.gibbs(lambdas)
-        rho = state[0]
-        g = (self.A_flat @ rho.T.ravel()).real
+        g = self.A_real @ state[0].view(float).ravel()
         r = g - self.targets
         return float(r @ r), g, r, state
 
     def susceptibility(self, g: np.ndarray, state) -> np.ndarray:
-        """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix."""
-        rho, w, v, expw, z = state
-        atil = np.matmul(np.matmul(v.conj().T[None, :, :], self.A), v)
-        phi = _divided_difference_kernel(w, expw)
-        m = atil * phi[None, :, :]
-        d2 = self.dim * self.dim
-        c = (atil.reshape(self.K, d2) @ m.conj().reshape(self.K, d2).T).real / z
-        c -= np.outer(g, g)
-        return (c + c.T) / 2.0
+        """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix.
+
+        Two GEMMs rotate every operator into the Gibbs eigenbasis,
+        atil_k = v^H A_k v. Scaled by sqrt(Phi), which is real since
+        Phi > 0 (an entry that underflows to 0 drops out), and viewed as
+        real rows Y_k, the operators give C = Y Y^T / z - g g^T, a real
+        rank-K product that is exactly symmetric.
+        """
+        _, w, v, expw, z = state
+        d, k = self.dim, self.K
+        left = (v.conj().T @ self.A_cols).reshape(d * k, d)
+        atil = (left @ v).reshape(d, k, d)
+        atil *= np.sqrt(_divided_difference_kernel(w, expw))[:, None, :]
+        y = np.ascontiguousarray(atil.transpose(1, 0, 2)).view(float).reshape(k, 2 * d * d)
+        c = y @ y.T
+        c /= z
+        c -= g[:, None] * g[None, :]
+        return c
 
 
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
@@ -274,12 +298,13 @@ def _newton_step(ws, lam, f, g, r, state, mu):
     None when sixty tenfold increases of the damping found no step that
     passes the Armijo test."""
     c = ws.susceptibility(g, state)
-    scale = max(float(np.trace(c)) / ws.K, 1e-300)
+    c_diag = c.diagonal().copy()
+    scale = max(float(c_diag.sum()) / ws.K, 1e-300)
     grad = 2.0 * (c @ r)
-    eye = np.eye(ws.K)
     for _ in range(60):
+        np.fill_diagonal(c, c_diag + mu * scale)
         try:
-            delta = -np.linalg.solve(c + mu * scale * eye, r)
+            delta = -np.linalg.solve(c, r)
         except np.linalg.LinAlgError:
             mu *= 10.0
             continue

@@ -229,6 +229,9 @@ def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
     commutant, so this keeps what ``linearly_independent_subset(ops,
     seed_ops=auxiliary)`` keeps, working in the commutant's coordinates.
     """
-    flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
+    rows = [linalg.as_matrix(op).ravel() for op in ops]
+    if not rows:
+        return []
+    flat = np.array(rows)
     coeffs = flat @ commutant_basis(kind, n_qubits).conj().T
     return linalg.independent_rows(coeffs, np.linalg.norm(flat, axis=1))

@@ -244,6 +244,12 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             worker_count(4)
 
+    @pytest.mark.parametrize("raw", ["two", "1.5", "4x"])
+    def test_not_an_integer_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("SYMMAXENT_THREADS", raw)
+        with pytest.raises(ValueError, match=f"SYMMAXENT_THREADS must be an integer.*{raw!r}"):
+            worker_count(4)
+
 
 class TestMeanFidelityHelper:
     def test_lookup(self):

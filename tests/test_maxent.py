@@ -140,7 +140,7 @@ class TestGradient:
         rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
         prob = problem_from_state(rho, pauli_basis(3)[:12])
         c = susceptibility(prob, rng.normal(0, 0.3, 12))
-        assert np.allclose(c, c.T, atol=1e-12)
+        assert np.array_equal(c, c.T)
         assert np.linalg.eigvalsh(c)[0] >= -1e-10
 
 
@@ -192,6 +192,110 @@ class TestSusceptibility:
             fd[:, j] = (expectations(up) - expectations(down)) / (2 * step)
         c = susceptibility(prob, lam)
         assert np.linalg.norm(c - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+def _reference_susceptibility(a, g, state):
+    """Test oracle: the batched-matmul susceptibility the GEMM kernel
+    replaced. Rotates each operator of the (K, dim, dim) stack ``a`` into
+    the eigenbasis with a K-batched matmul and contracts with a complex
+    K x dim^2 product."""
+    rho, w, v, expw, z = state
+    atil = np.matmul(np.matmul(v.conj().T[None, :, :], a), v)
+    phi = maxent._divided_difference_kernel(w, expw)
+    m = atil * phi[None, :, :]
+    k, d2 = a.shape[0], a.shape[1] * a.shape[2]
+    c = (atil.reshape(k, d2) @ m.conj().reshape(k, d2).T).real / z
+    c -= np.outer(g, g)
+    return (c + c.T) / 2.0
+
+
+def _projected(ops, kind, n):
+    kept = [ops[i] for i in symmetry.independent_projections(ops, kind, n)]
+    return [HermitianOperator(symmetry.project(op, kind, n), op.label) for op in kept]
+
+
+def oracle_problem(shape, rng):
+    """Raw SIC/Pauli operators at n = 2, 3, 4; commutant-projected operators;
+    and a problem with auxiliary constraints."""
+    if shape == "n2_pauli":
+        ops, aux = list(pauli_basis(2)), ()
+    elif shape == "n2_sic":
+        ops, aux = list(sic_povm(2)), ()
+    elif shape in ("n3_sic", "n4_sic"):
+        sic = list(sic_povm(int(shape[1])))
+        ops, aux = [sic[i] for i in rng.permutation(len(sic))[: len(sic) * 2 // 3]], ()
+    elif shape == "n3_permutation":
+        ops, aux = _projected(list(sic_povm(3)), "permutation", 3), ()
+    elif shape == "n3_werner":
+        ops, aux = _projected(list(pauli_basis(3)), "werner", 3), ()
+    elif shape == "n4_permutation":
+        ops, aux = _projected(list(sic_povm(4)), "permutation", 4)[:20], ()
+    else:
+        ops, aux = list(sic_povm(3))[:8], build_symmetry("werner", 3).auxiliary[:20]
+    n = ops[0].dim.bit_length() - 1
+    rho = states.DensityMatrix(random_mixed_state(ops[0].dim, rng), n)
+    return problem_from_state(rho, ops, aux)
+
+
+def oracle_multipliers(prob, which, rng):
+    """Random multipliers; zero (fully degenerate spectrum, every Phi entry
+    on its d == 0 branch); or near-pure, the exponent's spectrum spread over
+    2000 so that gaps run to hundreds and Phi entries underflow to 0."""
+    if which == "zero":
+        return np.zeros(prob.n_constraints)
+    lam = rng.normal(0, 0.5, prob.n_constraints)
+    if which == "near_pure":
+        w = np.linalg.eigvalsh(np.tensordot(lam, prob.operator_stack(), axes=1))
+        lam *= 2000.0 / (w[-1] - w[0])
+    return lam
+
+
+ORACLE_SHAPES = [
+    "n2_pauli", "n2_sic", "n3_sic", "n4_sic",
+    "n3_permutation", "n3_werner", "n4_permutation", "n3_aux20",
+]
+
+
+class TestSusceptibilityOracle:
+    @pytest.mark.parametrize("which", ["random", "zero", "near_pure"])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_matches_batched_matmul_reference(self, shape, which):
+        rng = np.random.default_rng([20261018, ORACLE_SHAPES.index(shape)])
+        prob = oracle_problem(shape, rng)
+        lam = oracle_multipliers(prob, which, rng)
+        ws = maxent._Workspace(prob)
+        _, g, _, state = ws.evaluate(lam)
+        w, expw = state[1], state[3]
+        phi = maxent._divided_difference_kernel(w, expw)
+        if which == "zero":
+            assert np.all(w == 0.0)
+        if which == "near_pure":
+            assert np.any(phi == 0.0)
+        c = ws.susceptibility(g, state)
+        ref = _reference_susceptibility(prob.operator_stack(), g, state)
+        assert np.array_equal(c, c.T)
+        assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+        # expectations against Tr(A_k rho) taken the long way round
+        exact = np.einsum("kij,ji->k", prob.operator_stack(), state[0]).real
+        assert np.max(np.abs(g - exact)) <= 1e-14
+
+    @pytest.mark.parametrize("which", ["random", "zero", "near_pure"])
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_gibbs_exponent_is_tensordot(self, shape, which, monkeypatch):
+        rng = np.random.default_rng([20261019, ORACLE_SHAPES.index(shape)])
+        prob = oracle_problem(shape, rng)
+        lam = oracle_multipliers(prob, which, rng)
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(h):
+            seen.append(h.copy())
+            return eigh(h)
+
+        monkeypatch.setattr(maxent.np.linalg, "eigh", spy)
+        maxent._Workspace(prob).gibbs(lam)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.tensordot(lam, prob.operator_stack(), axes=1))
 
 
 class TestPublicKernels:

@@ -331,6 +331,11 @@ class TestIndependentProjections:
             expected = linalg.linearly_independent_subset(ordered, seed_ops=aux)
             assert independent_projections(ordered, kind, n) == expected
 
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_operators_keeps_none(self, n, kind):
+        assert independent_projections([], kind, n) == []
+
     def test_noise_sized_projection_dropped(self):
         # X I I - I X I projects to zero under permutation symmetry; its
         # rounding-noise projection must not count as a new direction
