@@ -179,7 +179,7 @@ def _solve_problem_from_json(data: dict) -> dict:
         if name not in solver_fields:
             raise ValueError(f"unknown solver field {name!r}")
     solution = solve(
-        MaxEntProblem(tuple(measured), (), dim),
+        MaxEntProblem(tuple(measured), (), dim, symmetry_kind),
         SolverOptions(**solver_kwargs),
         lambda0=data.get("lambda0"),
     )

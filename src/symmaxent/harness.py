@@ -39,6 +39,8 @@ STATE_FAMILIES = (
     "ghz",
     "dicke",
 )
+# families whose samplers need at least two qubits
+TWO_QUBIT_FAMILIES = ("permutation_invariant_mixed", "ghz")
 
 THREADS_ENV_VAR = "SYMMAXENT_THREADS"
 
@@ -69,6 +71,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown observable_kind {self.observable_kind!r}")
         if self.symmetry not in symmetry.KINDS:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
+        # caught here, not inside the first state after a pool has started
+        if self.n_qubits < 2 and self.symmetry == "permutation":
+            raise ValueError("symmetry 'permutation' needs n_qubits >= 2")
+        if self.n_qubits < 2 and self.state_family in TWO_QUBIT_FAMILIES:
+            raise ValueError(f"state_family {self.state_family!r} needs n_qubits >= 2")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         n_total = 4**self.n_qubits - 1
@@ -191,6 +198,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
             measured=tuple(zip((constrained[i] for i in order[:k]), targets)),
             auxiliary=(),
             dim=2**config.n_qubits,
+            symmetry=config.symmetry,
         )
         solution = solve(problem, config.solver)
         fid = states.fidelity(rho_target, solution.rho)

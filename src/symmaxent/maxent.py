@@ -28,6 +28,14 @@ its real square root and viewing each scaled atil_k as one real row Y_k
 gives the susceptibility as a single real rank-K product,
 C = Y Y^T / Z - g g^T with g the expectations, which is exactly symmetric.
 
+A problem that declares a symmetry has every operator, and so the exponent
+and rho, in the symmetry's commutant, which is block diagonal in the
+total-spin basis. Its solve runs on one copy of each block
+(``symmetry.irrep_blocks``), each trace weighted by the block's number of
+copies: at four qubits a 9 x 9 eigensystem under permutation symmetry and
+6 x 6 under werner symmetry instead of 16 x 16. The estimate is expanded to
+the full space once, at the end.
+
 The multipliers are updated by damped Newton steps on the constraint
 equations: solve (C + mu s I) delta = -(residuals), with C the constraint
 susceptibility matrix C_ij = d<A_i>/dlambda_j, s its mean diagonal and mu a
@@ -45,25 +53,42 @@ from functools import cached_property
 
 import numpy as np
 
+from . import symmetry
 from .linalg import HermitianOperator
 from .states import DensityMatrix
 
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
 
+# a measured operator of a problem with a declared symmetry may lie at most
+# this fraction of its Hilbert-Schmidt norm from the commutant; the distance
+# comes from a difference of squared norms, which resolves about 1e-7
+COMMUTANT_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class MaxEntProblem:
     """Measured observables with targets, plus auxiliary observables whose
-    targets are implicitly zero."""
+    targets are implicitly zero.
+
+    ``symmetry`` declares a symmetry kind (see ``symmetry.KINDS``) whose
+    commutant holds every measured operator, as ``symmetry.project`` makes
+    them. The solve then runs on one copy of each irreducible block of the
+    commutant (``symmetry.irrep_blocks``) instead of the full matrix. A
+    declared symmetry takes no auxiliary constraints: they are what the
+    projection replaces.
+    """
 
     measured: tuple[tuple[HermitianOperator, float], ...]
     auxiliary: tuple[HermitianOperator, ...]
     dim: int
+    symmetry: str = "none"
 
     def __post_init__(self):
         if self.dim < 2 or self.dim & (self.dim - 1):
             raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
+        if self.symmetry not in symmetry.KINDS:
+            raise ValueError(f"unknown symmetry kind {self.symmetry!r}")
         object.__setattr__(
             self,
             "measured",
@@ -78,6 +103,33 @@ class MaxEntProblem:
         for op in self.auxiliary:
             if op.dim != self.dim:
                 raise ValueError(f"auxiliary observable {op.label!r} has dim {op.dim}")
+        if self.symmetry != "none":
+            if self.auxiliary:
+                raise ValueError(
+                    f"auxiliary constraints cannot be combined with symmetry "
+                    f"{self.symmetry!r}: constrain the commutant projections instead"
+                )
+            self._check_in_commutant()
+
+    def _check_in_commutant(self) -> None:
+        """The squared distance of each measured operator from the commutant,
+        ||A||^2 - ||coefficients on the orthonormal commutant basis||^2, must
+        stay below COMMUTANT_TOL^2 ||A||^2."""
+        flat = self.operator_stack().reshape(len(self.measured), self.dim * self.dim)
+        coeffs = flat @ symmetry.commutant_basis(self.symmetry, self.n_qubits).conj().T
+        norm_sq = np.einsum("ki,ki->k", flat.view(float), flat.view(float))
+        outside = norm_sq - np.einsum("ki,ki->k", coeffs.view(float), coeffs.view(float))
+        for (op, _), out, nrm in zip(self.measured, outside, norm_sq):
+            if out > COMMUTANT_TOL**2 * nrm:
+                raise ValueError(
+                    f"measured observable {op.label!r} is not in the {self.symmetry} "
+                    f"commutant (distance {np.sqrt(out / nrm):.1e} of its norm); "
+                    f"constrain symmetry.project of it instead"
+                )
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
 
     @property
     def n_constraints(self) -> int:
@@ -142,33 +194,66 @@ class MaxEntSolution:
 
 
 class _Workspace:
-    """Precomputed constraint arrays plus the per-lambda Gibbs evaluation."""
+    """Precomputed constraint arrays plus the per-lambda Gibbs evaluation.
+
+    Without a declared symmetry the arrays are the operators themselves.
+    With one, every operator is compressed once to W^H A W, with W the
+    isometry onto one copy of each irreducible block of the commutant and m
+    each column's block weight (``symmetry.irrep_blocks``), and the Gibbs
+    state is evaluated on that copy: the exponent's eigensystem is c x c,
+    Z = Tr(M exp(H_c)) with M = diag(m), and a trace Tr(A rho) over the full
+    space is Tr(M A_c rho_c). Since M is constant on each block,
+    the expectations use the operators scaled by sqrt(m_i m_j) and the
+    susceptibility the operators scaled by (m_i m_j)^(1/4), so that the
+    rank-K product over rotated operators carries the weight m once.
+    """
 
     def __init__(self, problem: MaxEntProblem):
-        self.dim = problem.dim
-        self.A = problem.operator_stack()
-        self.K = self.A.shape[0]
+        a = problem.operator_stack()
+        self.K = a.shape[0]
+        self.targets = problem.target_vector()
+        self.symmetry, self.n_qubits = problem.symmetry, problem.n_qubits
+        if problem.symmetry == "none":
+            self.weights = None
+            self.dim = problem.dim
+            self.A = self.A_rotated = weighted = a
+        else:
+            self.W, self.weights = symmetry.irrep_blocks(problem.symmetry, problem.n_qubits)
+            self.dim = self.W.shape[1]
+            self.A = self.W.T @ a @ self.W
+            root = np.sqrt(np.outer(self.weights, self.weights))
+            weighted = self.A * root
+            self.A_rotated = self.A * np.sqrt(root)
         self.A_flat = self.A.reshape(self.K, self.dim * self.dim)
         # Tr(A rho) = sum_ij conj(A_ij) rho_ij for Hermitian A: one real dot
-        self.A_real = self.A_flat.view(float)
-        self.targets = problem.target_vector()
+        self.A_real = weighted.reshape(self.K, self.dim * self.dim).view(float)
 
     @cached_property
     def A_cols(self) -> np.ndarray:
         """The operators side by side, A_cols[:, k*dim:(k+1)*dim] = A_k, so
         that one GEMM applies v^H to all of them. Built on first use: the
         copy is needed only by the susceptibility."""
-        return self.A.transpose(1, 0, 2).reshape(self.dim, self.K * self.dim)
+        return self.A_rotated.transpose(1, 0, 2).reshape(self.dim, self.K * self.dim)
 
     def gibbs(self, lambdas: np.ndarray):
-        """rho(lambda) together with its shifted eigensystem."""
+        """rho(lambda) together with its shifted eigensystem; with a declared
+        symmetry, rho on one copy of each block."""
         h = (lambdas @ self.A_flat).reshape(self.dim, self.dim)
         w, v = np.linalg.eigh(h)
         w_shifted = w - w[-1]
         expw = np.exp(w_shifted)
-        z = expw.sum()
-        rho = (v * expw) @ v.conj().T / z
+        rho = (v * expw) @ v.conj().T
+        z = expw.sum() if self.weights is None else self.weights @ rho.diagonal().real
+        rho /= z
         return rho, w_shifted, v, expw, z
+
+    def full_rho(self, rho: np.ndarray) -> np.ndarray:
+        """The estimate on the full space from ``gibbs``'s rho: with a
+        declared symmetry, project(W diag(m) rho W^H)."""
+        if self.weights is None:
+            return rho
+        expanded = self.W @ (self.weights[:, None] * rho) @ self.W.T
+        return symmetry.project(expanded, self.symmetry, self.n_qubits)
 
     def evaluate(self, lambdas: np.ndarray):
         """(f, expectations, residuals, gibbs state tuple)."""
@@ -220,8 +305,9 @@ def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarr
 def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
     """The Gibbs state exp(sum lambda_i A_i)/Z for the problem's operators."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    rho = _Workspace(problem).gibbs(lam)[0]
-    return DensityMatrix((rho + rho.conj().T) / 2.0, problem.dim.bit_length() - 1)
+    ws = _Workspace(problem)
+    rho = ws.full_rho(ws.gibbs(lam)[0])
+    return DensityMatrix((rho + rho.conj().T) / 2.0, problem.n_qubits)
 
 
 def objective(problem: MaxEntProblem, lambdas) -> float:
@@ -281,8 +367,8 @@ def solve(
         if f < best_f:
             best_f, best_lam, best_state = f, lam, state
 
-    rho_raw = best_state[0]
-    rho = DensityMatrix((rho_raw + rho_raw.conj().T) / 2.0, problem.dim.bit_length() - 1)
+    rho_raw = ws.full_rho(best_state[0])
+    rho = DensityMatrix((rho_raw + rho_raw.conj().T) / 2.0, problem.n_qubits)
     return MaxEntSolution(
         rho=rho,
         lambdas=best_lam,

@@ -7,6 +7,11 @@ Tr(P(A) rho) with P the orthogonal projection onto the commutant, so the
 estimator measures A but constrains P(A); the maximum-entropy state over
 projected constraints commutes with the group on its own.
 
+The commutant is block diagonal in the total-spin (Schur) basis: one block
+per total spin j, repeated over the copies of its irrep, so that every
+commutant operator, the maximum-entropy state included, is fixed by one copy
+of each block (``irrep_blocks``). The solver works on that copy.
+
 The generators Q_k (swap operators, collective Pauli sums) and the
 auxiliary observables i[Q_k, O_j] built from them span the orthogonal
 complement of the commutant. They are kept as the explicit, countable form
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +213,78 @@ def commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
         raise ValueError(f"no commutant for symmetry kind {kind!r}")
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def irrep_blocks(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Isometry W (2^n x c, read-only) onto one copy of each irreducible
+    block of the commutant, and the weight m (length c) of each column's
+    block in the trace.
+
+    By Schur-Weyl duality (C^2)^{otimes n} = sum_j V_j x K_j over the total
+    spins j = n/2 - k, k = 0..n/2: V_j is the spin-j irrep of the collective
+    unitaries (dimension 2j + 1) and K_j the irrep of the qubit permutations
+    (dimension C(n, k) - C(n, k - 1)). The permutation commutant is
+    sum_j M_{2j+1} x I and the werner commutant sum_j I x M_{dim K_j}. For X
+    in the commutant, W^H X W is block diagonal with one copy of each block,
+    Tr X = sum_c m_c (W^H X W)_cc, and project(W diag(m) W^H X W W^H) = X.
+    Blocks run from the largest j down, built from the collective spin:
+
+    - ``permutation``: the highest-weight vector singlet^{otimes k} x
+      |0...0>, lowered by S_- and normalised down to S_z = -j;
+      m = C(n, k) - C(n, k - 1).
+    - ``werner``: an orthonormal basis of ker S_+ at S_z = j, by Gram-Schmidt
+      over the qubit permutations of the same highest-weight vector;
+      m = 2j + 1.
+    - ``none``: the identity, m = 1.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown symmetry kind {kind!r}")
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    if kind == "permutation" and n_qubits < 2:
+        raise ValueError("permutation symmetry needs at least 2 qubits")
+    dim = 2**n_qubits
+    if kind == "none":
+        w, m = np.eye(dim), np.ones(dim)
+    else:
+        # S_- = sum over qubits of |1><0|, with |0> spin up
+        sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])
+        lower = sum(
+            np.kron(np.kron(np.eye(2**q), sigma_minus), np.eye(2 ** (n_qubits - q - 1)))
+            for q in range(n_qubits)
+        )
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        columns, weights = [], []
+        for k in range(n_qubits // 2 + 1):
+            top = np.ones(1)
+            for factor in [singlet] * k + [np.array([1.0, 0.0])] * (n_qubits - 2 * k):
+                top = np.kron(top, factor)
+            spin_dim = n_qubits - 2 * k + 1
+            copies = math.comb(n_qubits, k) - (math.comb(n_qubits, k - 1) if k else 0)
+            block = [top]
+            if kind == "permutation":
+                while len(block) < spin_dim:
+                    v = lower @ block[-1]
+                    block.append(v / np.linalg.norm(v))
+                weights.extend([copies] * spin_dim)
+            else:
+                tensor = top.reshape((2,) * n_qubits)
+                for perm in itertools.permutations(range(n_qubits)):
+                    if len(block) == copies:
+                        break
+                    v = tensor.transpose(perm).ravel()
+                    for _ in range(2):
+                        for q in block:
+                            v = v - (q @ v) * q
+                    if np.linalg.norm(v) > 1e-9:
+                        block.append(v / np.linalg.norm(v))
+                weights.extend([spin_dim] * copies)
+            columns.extend(block)
+        w, m = np.array(columns).T.copy(), np.array(weights, dtype=float)
+    w.setflags(write=False)
+    m.setflags(write=False)
+    return w, m
 
 
 def project(a, kind: str, n_qubits: int) -> np.ndarray:

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from symmaxent import cli
 from symmaxent.cli import main, parse_config_text
 from symmaxent.harness import read_result_csv
-from symmaxent.observables import matrix_from_jsonable, pauli_basis
-from symmaxent.states import DensityMatrix
+from symmaxent.observables import expectation, matrix_from_jsonable, pauli_basis, sic_povm
+from symmaxent.states import DensityMatrix, random_werner
 
 
 SMALL_SWEEP_CONFIG = """
@@ -170,6 +171,30 @@ class TestSolveCommand:
         # one multiplier per measured observable, none for the symmetry
         assert len(payload["lambdas"]) == 1
         assert np.allclose(rho[[1, 2]][:, [1, 2]], rho[[2, 1]][:, [2, 1]], atol=1e-9)
+
+    def test_symmetry_is_declared_to_the_solver(self, tmp_path, capsys, monkeypatch):
+        # the projected problem is solved on the werner irrep blocks
+        seen = []
+        real_solve = cli.solve
+
+        def spy(problem, options, lambda0=None):
+            seen.append(problem)
+            return real_solve(problem, options, lambda0=lambda0)
+
+        monkeypatch.setattr(cli, "solve", spy)
+        rho = random_werner(3, np.random.default_rng(5))
+        target = expectation(rho, sic_povm(3)[5])
+        problem = {
+            "n_qubits": 3,
+            "observables": "sic",
+            "symmetry": "werner",
+            "measured": [{"label": "SIC-05", "target": target}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", "--targets", str(path)]) == 0
+        assert [p.symmetry for p in seen] == ["werner"]
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
     def test_lambda0_is_the_start_point(self, tmp_path, capsys):
         problem = {

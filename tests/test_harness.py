@@ -57,6 +57,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            (dict(symmetry="permutation"), "symmetry 'permutation'"),
+            (dict(state_family="permutation_invariant_mixed"), "state_family"),
+            (dict(state_family="ghz"), "state_family"),
+        ],
+    )
+    def test_one_qubit_rejected_where_two_are_needed(self, fields, named):
+        # rejected at construction, naming the field, rather than inside the
+        # first state of the sweep
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig(n_qubits=1, r_values=(1,), **fields)
+
+    def test_one_qubit_werner_accepted(self):
+        cfg = ExperimentConfig(n_qubits=1, state_family="werner", symmetry="werner")
+        assert cfg.r_values == (1, 2, 3)
+
 
 class TestSweep:
     def test_deterministic_rerun(self, tmp_path, monkeypatch):
@@ -149,6 +167,7 @@ class TestSweep:
         assert [p.n_constraints for p in seen] == [3, 19, 19]
         for problem in seen:
             assert problem.auxiliary == ()
+            assert problem.symmetry == "permutation"
             for op, _ in problem.measured:
                 assert np.allclose(symmetry.project(op, "permutation", 3), op.matrix, atol=1e-14)
 

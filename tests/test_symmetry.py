@@ -13,6 +13,7 @@ from symmaxent.symmetry import (
     filter_measured_observables,
     full_pauli_operator_basis,
     independent_projections,
+    irrep_blocks,
     permutation_generators,
     permutation_operator,
     project,
@@ -343,3 +344,91 @@ class TestIndependentProjections:
         ixi = kron_chain(np.eye(2), SX, np.eye(2))
         ops = [linalg.HermitianOperator(xii - ixi, "XII-IXI"), sic_povm(3)[0]]
         assert independent_projections(ops, "permutation", 3) == [1]
+
+
+# (block sizes, block weights) in order of decreasing total spin j
+IRREP_BLOCKS = {
+    ("permutation", 2): ((3, 1), (1, 1)),
+    ("permutation", 3): ((4, 2), (1, 2)),
+    ("permutation", 4): ((5, 3, 1), (1, 3, 2)),
+    ("werner", 2): ((1, 1), (3, 1)),
+    ("werner", 3): ((1, 2), (4, 2)),
+    ("werner", 4): ((1, 3, 2), (5, 3, 1)),
+}
+
+
+def _spin_blocks(w, n):
+    """Total spin j of each column of w, from the collective S^2 = sum_k
+    (sum_l sigma_k^(l) / 2)^2, and the column ranges of equal j."""
+    s2 = sum(g.matrix @ g.matrix for g in werner_generators(n)) / 4.0
+    s2_c = w.T @ s2 @ w
+    assert np.max(np.abs(s2_c - np.diag(np.diag(s2_c)))) <= 1e-12
+    j = (np.sqrt(1.0 + 4.0 * np.diag(s2_c).real) - 1.0) / 2.0
+    assert np.allclose(j, np.round(2 * j) / 2, atol=1e-12)
+    starts = [0] + [c for c in range(1, len(j)) if abs(j[c] - j[c - 1]) > 0.25]
+    return j, [slice(a, b) for a, b in zip(starts, starts[1:] + [len(j)])]
+
+
+def _random_commutant_element(kind, n, rng):
+    basis = commutant_basis(kind, n)
+    x = ((rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))) @ basis)
+    x = x.reshape(2**n, 2**n)
+    return (x + x.conj().T) / 2
+
+
+class TestIrrepBlocks:
+    @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
+    def test_isometric_read_only_and_cached(self, kind, n):
+        w, m = irrep_blocks(kind, n)
+        assert w.shape == (2**n, len(m))
+        assert np.max(np.abs(w.T @ w - np.eye(len(m)))) <= 1e-14
+        assert not w.flags.writeable and not m.flags.writeable
+        assert irrep_blocks(kind, n)[0] is w
+
+    @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
+    def test_block_sizes_and_weights(self, kind, n):
+        w, m = irrep_blocks(kind, n)
+        j, blocks = _spin_blocks(w, n)
+        sizes, weights = IRREP_BLOCKS[kind, n]
+        assert tuple(b.stop - b.start for b in blocks) == sizes
+        assert tuple(m[b.start] for b in blocks) == weights
+        for b in blocks:
+            assert np.all(m[b] == m[b.start])
+        # a permutation block is a full spin-j multiplet (2j + 1 columns); a
+        # werner block is one state of it per copy, with weight 2j + 1
+        spin = j[[b.start for b in blocks]]
+        if kind == "permutation":
+            assert np.allclose(sizes, 2 * spin + 1)
+        else:
+            assert np.allclose(weights, 2 * spin + 1)
+        # Tr I = sum_c m_c
+        assert m.sum() == 2**n
+
+    @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
+    def test_commutant_identities(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        w, m = irrep_blocks(kind, n)
+        _, blocks = _spin_blocks(w, n)
+        in_block = np.zeros((len(m), len(m)), dtype=bool)
+        for b in blocks:
+            in_block[b, b] = True
+        for _ in range(3):
+            x = _random_commutant_element(kind, n, rng)
+            y = _random_commutant_element(kind, n, rng)
+            xc, yc = w.T @ x @ w, w.T @ y @ w
+            assert np.max(np.abs(xc[~in_block])) <= 1e-13
+            assert abs(np.trace(x) - m @ np.diag(xc)) <= 1e-13
+            assert abs(np.trace(x @ y) - np.sum(m[:, None] * xc * yc.T)) <= 1e-13
+            expanded = project(w @ (m[:, None] * xc) @ w.T, kind, n)
+            assert np.max(np.abs(expanded - x)) <= 1e-13
+
+    def test_none_is_the_identity(self):
+        w, m = irrep_blocks("none", 3)
+        assert np.array_equal(w, np.eye(8))
+        assert np.array_equal(m, np.ones(8))
+
+    def test_rejects_unknown_kind_and_one_qubit_permutation(self):
+        with pytest.raises(ValueError, match="unknown symmetry kind"):
+            irrep_blocks("cyclic", 3)
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            irrep_blocks("permutation", 1)
