@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ RESULT_CSV_HEADER = "state_id,r,fidelity,converged,iterations"
 SUMMARY_CSV_HEADER = "r,mean_f,std_f,n_converged"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     n_qubits: int = 3
     state_family: str = "haar_pure"
@@ -94,7 +93,7 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateRunRecord:
     state_id: int
     r: int
@@ -234,6 +233,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     if n_workers == 1:
         per_state = [run_single_state(config, s) for s in range(config.batch_size)]
     else:
+        # imported here: one-worker sweeps never pay for the module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_state = list(
                 pool.map(

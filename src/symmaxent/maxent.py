@@ -42,8 +42,19 @@ susceptibility matrix C_ij = d<A_i>/dlambda_j, s its mean diagonal and mu a
 damping that grows tenfold on each rejected trial and shrinks after an
 accepted step. The direction is always a descent direction for f; a step is
 accepted only if it passes the Armijo decrease test with constant ARMIJO_C,
-so f never increases. The solve stops early when no acceptable step exists,
-as at the least-squares optimum of infeasible (noisy) targets.
+so f never increases.
+
+Infeasible (noisy) targets keep f above a positive least-squares floor, so
+it never falls below tolerance. The gradient of f is 2 C r, and the solve
+stops once an iterate is first-order stationary, ||C r|| <= STATIONARY_TOL
+tr(C) ||r||. C is PSD, so tr C >= ||C||_2 and the test reads the same when the
+operators or the targets are rescaled. Each solve reports why it stopped
+(``MaxEntSolution.stop_reason``):
+
+- ``"tolerance"``: f fell below the tolerance;
+- ``"stationary"``: the first-order test above held;
+- ``"no_descent"``: no damping produced a step that passes the Armijo test;
+- ``"budget"``: the iteration budget ran out.
 """
 
 from __future__ import annotations
@@ -59,6 +70,9 @@ from .states import DensityMatrix
 
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
+
+# a solve stops as stationary once ||C r|| <= STATIONARY_TOL tr(C) ||r||
+STATIONARY_TOL = 1e-6
 
 # a measured operator of a problem with a declared symmetry may lie at most
 # this fraction of its Hilbert-Schmidt norm from the commutant; the distance
@@ -174,12 +188,18 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class MaxEntSolution:
+    """The best iterate of a solve. ``converged`` means its objective is below
+    the tolerance; ``stop_reason`` says why the iteration ended:
+    ``"tolerance"``, ``"stationary"``, ``"no_descent"`` or ``"budget"`` (see
+    the module docstring)."""
+
     rho: DensityMatrix
     lambdas: np.ndarray
     objective: float
     iterations: int
     converged: bool
     history: tuple[float, ...]
+    stop_reason: str
 
     def to_jsonable(self) -> dict:
         from .observables import matrix_to_jsonable
@@ -190,6 +210,7 @@ class MaxEntSolution:
             "objective": float(self.objective),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -339,11 +360,13 @@ def solve(
     """Fit the multipliers, starting from ``lambda0`` (zeros when None), until
     the objective drops below tolerance.
 
-    Returns converged=False (with the best iterate found) when the iteration
-    budget runs out or no acceptable step remains; infeasible targets, for
-    example estimates taken from noisy counts, stall at the least-squares
-    optimum rather than raising. ``history`` holds the objective at the
-    start and after every accepted step.
+    Returns converged=False (with the best iterate found) when the objective
+    reaches a first-order stationary point above tolerance, no acceptable
+    step remains or the iteration budget runs out; ``stop_reason`` says
+    which. Infeasible targets, for example estimates taken from noisy
+    counts, stop at the least-squares optimum rather than raising.
+    ``history`` holds the objective at the start and after every accepted
+    step.
     """
     ws = _Workspace(problem)
     if lambda0 is None:
@@ -357,9 +380,16 @@ def solve(
     iterations = 0
     mu = 1e-8
 
-    while f >= options.tolerance and iterations < options.max_iterations:
+    while True:
+        if f < options.tolerance:
+            stop_reason = "tolerance"
+            break
+        if iterations >= options.max_iterations:
+            stop_reason = "budget"
+            break
         moved = _newton_step(ws, lam, f, g, r, state, mu)
-        if moved is None:
+        if isinstance(moved, str):
+            stop_reason = moved
             break
         lam, f, g, r, state, mu = moved
         iterations += 1
@@ -376,17 +406,23 @@ def solve(
         iterations=iterations,
         converged=bool(best_f < options.tolerance),
         history=tuple(history),
+        stop_reason=stop_reason,
     )
 
 
 def _newton_step(ws, lam, f, g, r, state, mu):
-    """One accepted damped Newton step as (lambda, f, g, r, state, mu), or
-    None when sixty tenfold increases of the damping found no step that
-    passes the Armijo test."""
+    """One accepted damped Newton step as (lambda, f, g, r, state, mu), or the
+    reason no step is taken: "stationary" when the gradient of f passes the
+    first-order test, "no_descent" when sixty tenfold increases of the
+    damping found no step that passes the Armijo test."""
     c = ws.susceptibility(g, state)
     c_diag = c.diagonal().copy()
-    scale = max(float(c_diag.sum()) / ws.K, 1e-300)
+    trace = float(c_diag.sum())
     grad = 2.0 * (c @ r)
+    # ||grad|| = 2 ||C r|| and ||r||^2 = f
+    if grad @ grad <= (2.0 * STATIONARY_TOL * trace) ** 2 * f:
+        return "stationary"
+    scale = max(trace / ws.K, 1e-300)
     for _ in range(60):
         np.fill_diagonal(c, c_diag + mu * scale)
         try:
@@ -402,4 +438,4 @@ def _newton_step(ws, lam, f, g, r, state, mu):
         if np.isfinite(f_new) and f_new <= f + ARMIJO_C * descent:
             return lam + delta, f_new, g_new, r_new, state_new, max(mu * 0.3, 1e-12)
         mu *= 10.0
-    return None
+    return "no_descent"

@@ -137,10 +137,29 @@ class TestSolveCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is True
+        assert payload["stop_reason"] == "tolerance"
         rho = matrix_from_jsonable(payload["rho"])
         z = pauli_basis(1)[2].matrix
         assert np.trace(z @ rho).real == pytest.approx(0.5, abs=1e-6)
         assert payload["lambdas"][0] == pytest.approx(np.arctanh(0.5), abs=1e-5)
+
+    def test_contradictory_targets_stop_stationary(self, tmp_path, capsys):
+        # <Z> cannot be both 0.2 and 0.6: the least-squares optimum <Z> = 0.4
+        # is reported, not converged, with its stop reason
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.2}, {"label": "Z", "target": 0.6}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", "--targets", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is False
+        assert payload["stop_reason"] == "stationary"
+        rho = matrix_from_jsonable(payload["rho"])
+        z = pauli_basis(1)[2].matrix
+        assert np.trace(z @ rho).real == pytest.approx(0.4, abs=1e-6)
 
     def test_custom_matrix_and_symmetry(self, tmp_path, capsys):
         zz = {

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,23 @@ class TestSweep:
         parallel = run_sweep(cfg)
         assert serial.records == parallel.records
 
+    def test_parallel_matches_serial_on_noisy_symmetric_solves(self, monkeypatch):
+        # infeasible photon-model targets under a declared symmetry: the
+        # solves stop as stationary, in the workers as in one process
+        cfg = small_config(
+            state_family="permutation_invariant",
+            symmetry="permutation",
+            batch_size=4,
+            r_values=(10, 19),
+            noise=NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
+        )
+        monkeypatch.setenv("SYMMAXENT_THREADS", "1")
+        serial = run_sweep(cfg)
+        monkeypatch.setenv("SYMMAXENT_THREADS", "2")
+        parallel = run_sweep(cfg)
+        assert serial.records == parallel.records
+        assert not any(rec.converged for rec in serial.records)
+
     def test_r_zero_gives_maximally_mixed_fidelity(self, monkeypatch, rng):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")
         cfg = small_config(state_family="haar_pure", r_values=(0,), batch_size=2)
@@ -188,6 +208,24 @@ class TestSweep:
             "tolerance": 1e-12, "max_iterations": 300, "step_rule": "newton"
         }
         assert res.metadata["std_convention"] == "population"
+
+
+class TestSlottedRecords:
+    # the worker pool pickles the config to each worker and every record back
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        cfg = small_config(noise=NoiseConfig(mode="finite_sample", trials=200))
+        rec = StateRunRecord(3, 5, 0.987654321, False, 17)
+        for obj in (cfg, rec):
+            copy = pickle.loads(pickle.dumps(obj, protocol=protocol))
+            assert copy == obj
+            assert type(copy) is type(obj)
+
+    @pytest.mark.parametrize("obj", [small_config(), StateRunRecord(0, 1, 0.5, True, 2)])
+    def test_frozen_without_instance_dict(self, obj):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, 1)
 
 
 class TestSummarize:

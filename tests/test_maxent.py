@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,19 @@ def single_qubit_problem(target):
 def problem_from_state(rho, ops, aux=()):
     measured = tuple((op, expectation(rho, op)) for op in ops)
     return MaxEntProblem(measured, tuple(aux), rho.dim)
+
+
+def _load_benchmark_workloads():
+    """``perfbench/workloads.py``, which is not on the package path."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        # registered first: its dataclass looks its module up while defined
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def finite_difference_gradient(problem, lam, step=1e-5):
@@ -368,6 +384,7 @@ class TestSolve:
             ops = [sic[i] for i in rng.permutation(len(sic))[: int(rng.integers(10, 64))]]
             sol = solve(problem_from_state(rho, ops))
             assert sol.converged
+            assert sol.stop_reason == "tolerance"
             assert sol.iterations <= 100
 
     def test_objective_non_increasing(self, rng):
@@ -390,6 +407,69 @@ class TestSolve:
         assert not sol.converged
         assert sol.objective > 0
         assert np.isfinite(sol.rho.matrix).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_infeasible_stops_stationary(self, seed, monkeypatch):
+        # the shape above: f has a positive least-squares minimum, where the
+        # solve stops at the first-order test instead of at the budget
+        rng = np.random.default_rng(seed)
+        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        measured = tuple(
+            (op, expectation(rho, op) + rng.normal(0, 0.1)) for op in pauli_basis(3)
+        )
+        prob = MaxEntProblem(measured, (), 8)
+        sol = solve(prob)
+        assert sol.stop_reason == "stationary"
+        assert not sol.converged
+        assert sol.iterations < 100
+        # the returned iterate meets ||C r|| <= STATIONARY_TOL tr(C) ||r||,
+        # with gradient = 2 C r and objective = ||r||^2
+        lam = sol.lambdas
+        assert objective(prob, lam) == sol.objective
+        bound = maxent.STATIONARY_TOL * np.trace(susceptibility(prob, lam))
+        assert np.linalg.norm(gradient(prob, lam)) <= 2.0 * bound * np.sqrt(sol.objective)
+        # without the stop the solve runs to the budget and gains nothing
+        monkeypatch.setattr(maxent, "STATIONARY_TOL", 0.0)
+        capped = solve(prob)
+        assert capped.stop_reason == "budget"
+        assert capped.iterations == SolverOptions().max_iterations
+        assert sol.objective <= capped.objective * (1 + 1e-8)
+        assert states.fidelity(sol.rho, capped.rho) >= 1 - 1e-8
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-6, 1e-3, 0.3])
+    def test_feasible_stops_at_tolerance(self, eta):
+        # exact targets of pure and near-pure states, where the multipliers
+        # diverge and C degenerates, never pass the first-order test before
+        # the tolerance
+        rng = np.random.default_rng(20261018)
+        sic = list(sic_povm(3))
+        for _ in range(6):
+            rho = states.add_white_noise(states.haar_pure(3, rng), eta)
+            ops = [sic[i] for i in rng.permutation(len(sic))[: int(rng.integers(2, 64))]]
+            sol = solve(problem_from_state(rho, ops), SolverOptions(tolerance=1e-12))
+            assert sol.stop_reason == "tolerance"
+            assert sol.converged
+
+    def test_noisy_photon_sweep_never_runs_to_budget(self, monkeypatch):
+        # chunks 0-9 of the benchmark's noisy_photon workload: photon-model
+        # targets are infeasible, and every solve ends before the budget
+        from symmaxent import harness
+
+        workloads = _load_benchmark_workloads()
+        wl = workloads.WORKLOADS["noisy_photon"]
+        reasons = []
+
+        def spy(problem, options):
+            sol = solve(problem, options)
+            reasons.append(sol.stop_reason)
+            return sol
+
+        monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
+        monkeypatch.setattr(harness, "solve", spy)
+        for chunk in range(10):
+            harness.run_sweep(wl.config(wl.chunk_seed(7, chunk)))
+        assert len(reasons) == 10
+        assert set(reasons) <= {"stationary", "no_descent"}
 
     def test_constraints_met_within_sqrt_tolerance(self, rng):
         rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
@@ -473,8 +553,11 @@ class TestSolve:
         prob = single_qubit_problem(0.3)
         sol = solve(prob)
         payload = sol.to_jsonable()
-        assert set(payload) == {"rho", "lambdas", "objective", "iterations", "converged"}
+        assert set(payload) == {
+            "rho", "lambdas", "objective", "iterations", "converged", "stop_reason"
+        }
         assert payload["converged"] is True
+        assert payload["stop_reason"] == "tolerance"
 
 
 class TestDividedDifferenceKernel:
@@ -635,6 +718,7 @@ class TestDeclaredSymmetry:
             reference, solution = solve(sub[0], opts), solve(sub[1], opts)
             assert solution.iterations == reference.iterations
             assert solution.converged == reference.converged
+            assert solution.stop_reason == reference.stop_reason == "tolerance"
             assert np.max(np.abs(solution.rho.matrix - reference.rho.matrix)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
