@@ -24,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import harness, observables, symmetry
+from . import harness, observables
 from .harness import ExperimentConfig
 from .linalg import HermitianOperator
 from .maxent import MaxEntProblem, SolverOptions, solve
@@ -166,13 +166,6 @@ def _solve_problem_from_json(data: dict) -> dict:
             op = by_label[label]
         measured.append((op, target))
 
-    if symmetry_kind not in symmetry.KINDS:
-        raise ValueError(f"unknown symmetry kind {symmetry_kind!r}")
-    if symmetry_kind != "none":
-        measured = [
-            (HermitianOperator(symmetry.project(op, symmetry_kind, n_qubits), op.label), t)
-            for op, t in measured
-        ]
     solver_kwargs = data.get("solver", {})
     solver_fields = {f.name for f in dataclasses.fields(SolverOptions)}
     for name in solver_kwargs:

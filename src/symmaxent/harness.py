@@ -7,9 +7,9 @@ per state), and under a symmetry discard observables whose projections onto
 the commutant are linearly dependent on those kept before them (measuring
 them would add nothing the symmetry does not already pin down). Acquire
 targets for the surviving list, then for each sweep point r solve the
-maximum-entropy problem from the first r surviving observables, each
-projected onto the commutant, and record the fidelity against the prepared
-(noisy) state.
+maximum-entropy problem from the first r surviving observables, declaring
+the symmetry (so that the problem constrains their projections onto the
+commutant), and record the fidelity against the prepared (noisy) state.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, measurement, observables, states, symmetry
-from .linalg import HermitianOperator
 from .maxent import MaxEntProblem, SolverOptions, solve
 from .measurement import NoiseConfig
 
@@ -144,17 +143,9 @@ def _sample_target(config: ExperimentConfig, rng: np.random.Generator) -> states
 
 
 @functools.lru_cache(maxsize=8)
-def _observable_context(kind: str, n_qubits: int, symmetry_kind: str):
-    """Canonical observables plus the operators the solver constrains for
-    them: the observables themselves, or their projections onto the
-    symmetry's commutant. Cached per worker."""
-    candidates = observables.canonical_set(kind, n_qubits)
-    if symmetry_kind == "none":
-        return candidates, tuple(candidates)
-    return candidates, tuple(
-        HermitianOperator(symmetry.project(op, symmetry_kind, n_qubits), op.label)
-        for op in candidates
-    )
+def _observable_context(kind: str, n_qubits: int) -> observables.ObservableSet:
+    """The canonical observable set, cached per worker."""
+    return observables.canonical_set(kind, n_qubits)
 
 
 def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
@@ -167,9 +158,7 @@ def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
 
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
     """All sweep points for one state; used directly by the worker pool."""
-    candidates, constrained = _observable_context(
-        config.observable_kind, config.n_qubits, config.symmetry
-    )
+    candidates = _observable_context(config.observable_kind, config.n_qubits)
     rho_target = _sample_target(config, _stream(config.seed, state_id, 0))
 
     # canonical indices in measurement order; measurement streams key on them
@@ -194,7 +183,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     for r in config.r_values:
         k = min(r, len(order))
         problem = MaxEntProblem(
-            measured=tuple(zip((constrained[i] for i in order[:k]), targets)),
+            measured=tuple(zip((candidates[i] for i in order[:k]), targets)),
             auxiliary=(),
             dim=2**config.n_qubits,
             symmetry=config.symmetry,

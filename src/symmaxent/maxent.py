@@ -28,13 +28,14 @@ its real square root and viewing each scaled atil_k as one real row Y_k
 gives the susceptibility as a single real rank-K product,
 C = Y Y^T / Z - g g^T with g the expectations, which is exactly symmetric.
 
-A problem that declares a symmetry has every operator, and so the exponent
-and rho, in the symmetry's commutant, which is block diagonal in the
-total-spin basis. Its solve runs on one copy of each block
-(``symmetry.irrep_blocks``), each trace weighted by the block's number of
-copies: at four qubits a 9 x 9 eigensystem under permutation symmetry and
-6 x 6 under werner symmetry instead of 16 x 16. The estimate is expanded to
-the full space once, at the end.
+A problem that declares a symmetry constrains the commutant projection
+P(A_i) of each measured operator in place of A_i itself: for a symmetric
+state Tr(A rho) = Tr(P(A) rho), and the exponent and rho then lie in the
+commutant, which is block diagonal in the total-spin basis. Its solve runs
+on one copy of each block (``symmetry.irrep_blocks``), each trace weighted
+by the block's number of copies: at four qubits a 9 x 9 eigensystem under
+permutation symmetry and 6 x 6 under werner symmetry instead of 16 x 16. The
+estimate is expanded to the full space once, at the end.
 
 The multipliers are updated by damped Newton steps on the constraint
 equations: solve (C + mu s I) delta = -(residuals), with C the constraint
@@ -59,8 +60,10 @@ operators or the targets are rescaled. Each solve reports why it stopped
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,23 +77,19 @@ ARMIJO_C = 1e-4
 # a solve stops as stationary once ||C r|| <= STATIONARY_TOL tr(C) ||r||
 STATIONARY_TOL = 1e-6
 
-# a measured operator of a problem with a declared symmetry may lie at most
-# this fraction of its Hilbert-Schmidt norm from the commutant; the distance
-# comes from a difference of squared norms, which resolves about 1e-7
-COMMUTANT_TOL = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class MaxEntProblem:
     """Measured observables with targets, plus auxiliary observables whose
     targets are implicitly zero.
 
-    ``symmetry`` declares a symmetry kind (see ``symmetry.KINDS``) whose
-    commutant holds every measured operator, as ``symmetry.project`` makes
-    them. The solve then runs on one copy of each irreducible block of the
-    commutant (``symmetry.irrep_blocks``) instead of the full matrix. A
-    declared symmetry takes no auxiliary constraints: they are what the
-    projection replaces.
+    ``symmetry`` declares a symmetry kind (see ``symmetry.KINDS``). The
+    problem then constrains the commutant projection of each measured
+    operator (``symmetry.project``), which a symmetric state cannot tell
+    from the operator itself, and the solve runs on one copy of each
+    irreducible block of the commutant (``symmetry.irrep_blocks``) instead
+    of the full matrix. A declared symmetry takes no auxiliary constraints:
+    they are what the projection replaces.
     """
 
     measured: tuple[tuple[HermitianOperator, float], ...]
@@ -123,23 +122,9 @@ class MaxEntProblem:
                     f"auxiliary constraints cannot be combined with symmetry "
                     f"{self.symmetry!r}: constrain the commutant projections instead"
                 )
-            self._check_in_commutant()
-
-    def _check_in_commutant(self) -> None:
-        """The squared distance of each measured operator from the commutant,
-        ||A||^2 - ||coefficients on the orthonormal commutant basis||^2, must
-        stay below COMMUTANT_TOL^2 ||A||^2."""
-        flat = self.operator_stack().reshape(len(self.measured), self.dim * self.dim)
-        coeffs = flat @ symmetry.commutant_basis(self.symmetry, self.n_qubits).conj().T
-        norm_sq = np.einsum("ki,ki->k", flat.view(float), flat.view(float))
-        outside = norm_sq - np.einsum("ki,ki->k", coeffs.view(float), coeffs.view(float))
-        for (op, _), out, nrm in zip(self.measured, outside, norm_sq):
-            if out > COMMUTANT_TOL**2 * nrm:
-                raise ValueError(
-                    f"measured observable {op.label!r} is not in the {self.symmetry} "
-                    f"commutant (distance {np.sqrt(out / nrm):.1e} of its norm); "
-                    f"constrain symmetry.project of it instead"
-                )
+            # rejects a kind the block construction cannot serve, such as
+            # permutation symmetry on one qubit
+            symmetry.irrep_blocks(self.symmetry, self.n_qubits)
 
     @property
     def n_qubits(self) -> int:
@@ -150,7 +135,8 @@ class MaxEntProblem:
         return len(self.measured) + len(self.auxiliary)
 
     def operator_stack(self) -> np.ndarray:
-        """(K, dim, dim) array of measured then auxiliary operators."""
+        """(K, dim, dim) array of measured then auxiliary operators, as
+        given; a declared symmetry constrains their commutant projections."""
         ops = [op.matrix for op, _ in self.measured] + [op.matrix for op in self.auxiliary]
         if not ops:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
@@ -176,9 +162,15 @@ class SolverOptions:
     step_rule: str = "newton"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        # bool is an int subclass: True must not pass as a budget of 1
+        tol, budget = self.tolerance, self.max_iterations
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError(f"tolerance must be a number, got {tol!r}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {budget!r}")
+        if budget < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.step_rule != "newton":
             raise ValueError(
@@ -218,9 +210,11 @@ class _Workspace:
     """Precomputed constraint arrays plus the per-lambda Gibbs evaluation.
 
     Without a declared symmetry the arrays are the operators themselves.
-    With one, every operator is compressed once to W^H A W, with W the
-    isometry onto one copy of each irreducible block of the commutant and m
-    each column's block weight (``symmetry.irrep_blocks``), and the Gibbs
+    With one, every operator is compressed once to W^H P(A) W, with P the
+    commutant projection, W the isometry onto one copy of each irreducible
+    block of the commutant and m each column's block weight
+    (``symmetry.irrep_blocks``): the coefficients of A on the orthonormal
+    commutant basis times the compressed basis elements W^H B W. The Gibbs
     state is evaluated on that copy: the exponent's eigensystem is c x c,
     Z = Tr(M exp(H_c)) with M = diag(m), and a trace Tr(A rho) over the full
     space is Tr(M A_c rho_c). Since M is constant on each block,
@@ -239,9 +233,14 @@ class _Workspace:
             self.dim = problem.dim
             self.A = self.A_rotated = weighted = a
         else:
-            self.W, self.weights = symmetry.irrep_blocks(problem.symmetry, problem.n_qubits)
+            kind, n = self.symmetry, self.n_qubits
+            self.W, self.weights = symmetry.irrep_blocks(kind, n)
             self.dim = self.W.shape[1]
-            self.A = self.W.T @ a @ self.W
+            basis = symmetry.commutant_basis(kind, n)
+            coeffs = a.reshape(self.K, basis.shape[1]) @ basis.conj().T
+            a_c = coeffs @ _compressed_commutant_basis(kind, n)
+            a_c = a_c.reshape(self.K, self.dim, self.dim)
+            self.A = (a_c + a_c.conj().transpose(0, 2, 1)) / 2.0
             root = np.sqrt(np.outer(self.weights, self.weights))
             weighted = self.A * root
             self.A_rotated = self.A * np.sqrt(root)
@@ -304,6 +303,18 @@ class _Workspace:
         return c
 
 
+@lru_cache(maxsize=8)
+def _compressed_commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
+    """W^H B W for each element B of ``symmetry.commutant_basis``, one
+    read-only flattened c x c row per element, with W from
+    ``symmetry.irrep_blocks``."""
+    w, _ = symmetry.irrep_blocks(kind, n_qubits)
+    basis = symmetry.commutant_basis(kind, n_qubits).reshape(-1, w.shape[0], w.shape[0])
+    out = (w.T @ basis @ w).reshape(basis.shape[0], -1)
+    out.setflags(write=False)
+    return out
+
+
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
     """Phi_ab evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <= 0,
     i.e. with b the larger eigenvalue of the pair: no cancellation at small
@@ -324,7 +335,9 @@ def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarr
 
 
 def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
-    """The Gibbs state exp(sum lambda_i A_i)/Z for the problem's operators."""
+    """The Gibbs state exp(sum lambda_i A_i)/Z for the problem's operators,
+    or for their commutant projections when the problem declares a
+    symmetry."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
     ws = _Workspace(problem)
     rho = ws.full_rho(ws.gibbs(lam)[0])

@@ -43,10 +43,10 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.lambda_dc < 0.0:
-            raise ValueError(f"lambda_dc must be >= 0, got {self.lambda_dc}")
+        if not 0.0 <= self.mu < np.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0.0 <= self.lambda_dc < np.inf:
+            raise ValueError(f"lambda_dc must be finite and >= 0, got {self.lambda_dc}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in MODES:

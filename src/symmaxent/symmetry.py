@@ -4,8 +4,9 @@ A declared symmetry is represented by its commutant: the operators that
 commute with every group element (qubit permutations, or collective
 unitaries U x ... x U). For a symmetric state rho, Tr(A rho) equals
 Tr(P(A) rho) with P the orthogonal projection onto the commutant, so the
-estimator measures A but constrains P(A); the maximum-entropy state over
-projected constraints commutes with the group on its own.
+estimator measures A but constrains P(A) (a ``MaxEntProblem`` that declares
+the symmetry does so itself); the maximum-entropy state over projected
+constraints commutes with the group on its own.
 
 The commutant is block diagonal in the total-spin (Schur) basis: one block
 per total spin j, repeated over the copies of its irrep, so that every
@@ -236,52 +237,49 @@ def irrep_blocks(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     - ``werner``: an orthonormal basis of ker S_+ at S_z = j, by Gram-Schmidt
       over the qubit permutations of the same highest-weight vector;
       m = 2j + 1.
-    - ``none``: the identity, m = 1.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown symmetry kind {kind!r}")
+    if kind == "none":
+        raise ValueError("no irrep blocks for symmetry kind 'none'")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     if kind == "permutation" and n_qubits < 2:
         raise ValueError("permutation symmetry needs at least 2 qubits")
-    dim = 2**n_qubits
-    if kind == "none":
-        w, m = np.eye(dim), np.ones(dim)
-    else:
-        # S_- = sum over qubits of |1><0|, with |0> spin up
-        sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])
-        lower = sum(
-            np.kron(np.kron(np.eye(2**q), sigma_minus), np.eye(2 ** (n_qubits - q - 1)))
-            for q in range(n_qubits)
-        )
-        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        columns, weights = [], []
-        for k in range(n_qubits // 2 + 1):
-            top = np.ones(1)
-            for factor in [singlet] * k + [np.array([1.0, 0.0])] * (n_qubits - 2 * k):
-                top = np.kron(top, factor)
-            spin_dim = n_qubits - 2 * k + 1
-            copies = math.comb(n_qubits, k) - (math.comb(n_qubits, k - 1) if k else 0)
-            block = [top]
-            if kind == "permutation":
-                while len(block) < spin_dim:
-                    v = lower @ block[-1]
+    # S_- = sum over qubits of |1><0|, with |0> spin up
+    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])
+    lower = sum(
+        np.kron(np.kron(np.eye(2**q), sigma_minus), np.eye(2 ** (n_qubits - q - 1)))
+        for q in range(n_qubits)
+    )
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    columns, weights = [], []
+    for k in range(n_qubits // 2 + 1):
+        top = np.ones(1)
+        for factor in [singlet] * k + [np.array([1.0, 0.0])] * (n_qubits - 2 * k):
+            top = np.kron(top, factor)
+        spin_dim = n_qubits - 2 * k + 1
+        copies = math.comb(n_qubits, k) - (math.comb(n_qubits, k - 1) if k else 0)
+        block = [top]
+        if kind == "permutation":
+            while len(block) < spin_dim:
+                v = lower @ block[-1]
+                block.append(v / np.linalg.norm(v))
+            weights.extend([copies] * spin_dim)
+        else:
+            tensor = top.reshape((2,) * n_qubits)
+            for perm in itertools.permutations(range(n_qubits)):
+                if len(block) == copies:
+                    break
+                v = tensor.transpose(perm).ravel()
+                for _ in range(2):
+                    for q in block:
+                        v = v - (q @ v) * q
+                if np.linalg.norm(v) > 1e-9:
                     block.append(v / np.linalg.norm(v))
-                weights.extend([copies] * spin_dim)
-            else:
-                tensor = top.reshape((2,) * n_qubits)
-                for perm in itertools.permutations(range(n_qubits)):
-                    if len(block) == copies:
-                        break
-                    v = tensor.transpose(perm).ravel()
-                    for _ in range(2):
-                        for q in block:
-                            v = v - (q @ v) * q
-                    if np.linalg.norm(v) > 1e-9:
-                        block.append(v / np.linalg.norm(v))
-                weights.extend([spin_dim] * copies)
-            columns.extend(block)
-        w, m = np.array(columns).T.copy(), np.array(weights, dtype=float)
+            weights.extend([spin_dim] * copies)
+        columns.extend(block)
+    w, m = np.array(columns).T.copy(), np.array(weights, dtype=float)
     w.setflags(write=False)
     m.setflags(write=False)
     return w, m

@@ -61,6 +61,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="noise field"):
             parse_config_text("noise.gamma = 1")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # NaN passes an ordering test: every solve would run to the budget
+            "solver.tolerance = nan",
+            "solver.tolerance = inf",
+            "solver.max_iterations = 2.5",
+            "noise.mu = nan",
+            "noise.lambda_dc = inf",
+        ],
+    )
+    def test_non_finite_and_non_integer_values_rejected(self, line):
+        with pytest.raises(ValueError):
+            parse_config_text(line)
+
     @pytest.mark.parametrize("line", ["solver.lambda0 = 0.1", "solver.record_history = true"])
     def test_start_point_and_history_not_solver_fields(self, line):
         # the number of multipliers changes with r, so a sweep has no single
@@ -192,7 +207,8 @@ class TestSolveCommand:
         assert np.allclose(rho[[1, 2]][:, [1, 2]], rho[[2, 1]][:, [2, 1]], atol=1e-9)
 
     def test_symmetry_is_declared_to_the_solver(self, tmp_path, capsys, monkeypatch):
-        # the projected problem is solved on the werner irrep blocks
+        # the measured operator goes to the problem as it is; the problem
+        # constrains its projection and solves on the werner irrep blocks
         seen = []
         real_solve = cli.solve
 
@@ -213,6 +229,7 @@ class TestSolveCommand:
         path.write_text(json.dumps(problem))
         assert main(["solve", "--targets", str(path)]) == 0
         assert [p.symmetry for p in seen] == ["werner"]
+        assert np.array_equal(seen[0].measured[0][0].matrix, sic_povm(3)[5].matrix)
         assert json.loads(capsys.readouterr().out)["converged"] is True
 
     def test_lambda0_is_the_start_point(self, tmp_path, capsys):
@@ -252,6 +269,28 @@ class TestSolveCommand:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         with pytest.raises(ValueError, match=f"unknown solver field '{key}'"):
+            main(["solve", "--targets", str(path)])
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"tolerance": "1e-12"},
+            {"tolerance": float("nan")},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+        ],
+    )
+    def test_malformed_solver_value_rejected(self, tmp_path, solver):
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}],
+            "solver": solver,
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        name = next(iter(solver))
+        with pytest.raises(ValueError, match=name):
             main(["solve", "--targets", str(path)])
 
     def test_unknown_symmetry_rejected(self, tmp_path):

@@ -20,6 +20,7 @@ from symmaxent.harness import (
 )
 from symmaxent.maxent import SolverOptions
 from symmaxent.measurement import NoiseConfig
+from symmaxent.observables import sic_povm
 
 FAST_NEWTON = SolverOptions(step_rule="newton", tolerance=1e-12, max_iterations=300)
 
@@ -170,7 +171,9 @@ class TestSweep:
             assert fids[1] == pytest.approx(fids[2], abs=1e-9)
 
     def test_symmetric_solves_constrain_projected_observables_only(self, monkeypatch):
-        # the solver sees r commutant-projected operators and no auxiliaries
+        # the solver gets the first r filtered canonical operators as they
+        # are, with the symmetry declared and no auxiliaries; the problem
+        # constrains their commutant projections (checked in test_maxent)
         seen = []
         real_solve = harness.solve
 
@@ -184,12 +187,16 @@ class TestSweep:
             r_values=(3, 19, 30), batch_size=1,
         )
         run_single_state(cfg, 0)
+        sic = list(sic_povm(3))
+        kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 3)]
         assert [p.n_constraints for p in seen] == [3, 19, 19]
         for problem in seen:
             assert problem.auxiliary == ()
             assert problem.symmetry == "permutation"
-            for op, _ in problem.measured:
-                assert np.allclose(symmetry.project(op, "permutation", 3), op.matrix, atol=1e-14)
+            ops = [op for op, _ in problem.measured]
+            assert [op.label for op in ops] == [op.label for op in kept[: len(ops)]]
+            for op, ref in zip(ops, kept):
+                assert np.array_equal(op.matrix, ref.matrix)
 
     def test_shuffle_changes_order_not_determinism(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")

@@ -38,6 +38,11 @@ class TestNoiseConfig:
             dict(lambda_dc=-1e-3),
             dict(trials=0),
             dict(mode="banana"),
+            # a NaN passes an ordering test and would reach rng.binomial
+            dict(mu=np.nan),
+            dict(mu=np.inf),
+            dict(lambda_dc=np.nan),
+            dict(lambda_dc=np.inf),
         ],
     )
     def test_validation(self, kwargs):

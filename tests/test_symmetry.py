@@ -422,10 +422,10 @@ class TestIrrepBlocks:
             expanded = project(w @ (m[:, None] * xc) @ w.T, kind, n)
             assert np.max(np.abs(expanded - x)) <= 1e-13
 
-    def test_none_is_the_identity(self):
-        w, m = irrep_blocks("none", 3)
-        assert np.array_equal(w, np.eye(8))
-        assert np.array_equal(m, np.ones(8))
+    def test_none_is_rejected(self):
+        # as commutant_basis rejects it: "none" has no blocks to solve on
+        with pytest.raises(ValueError, match="symmetry kind 'none'"):
+            irrep_blocks("none", 3)
 
     def test_rejects_unknown_kind_and_one_qubit_permutation(self):
         with pytest.raises(ValueError, match="unknown symmetry kind"):
