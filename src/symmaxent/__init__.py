@@ -28,7 +28,6 @@ from .maxent import (
     solve,
 )
 from .measurement import (
-    MeasurementRecord,
     NoiseConfig,
     click_probability,
     estimate_expectations,
@@ -78,7 +77,6 @@ __all__ = [
     "objective",
     "rho_of_lambda",
     "solve",
-    "MeasurementRecord",
     "NoiseConfig",
     "click_probability",
     "estimate_expectations",

@@ -152,8 +152,8 @@ def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
     if config.noise.mode == "ideal":
         return observables.expectation(rho, op)
     modes = measurement.projector_modes(op)
-    records = measurement.simulate_counts(rho, modes, config.noise, rng, op.label)
-    return measurement.estimate_expectations(records, modes, config.noise)
+    counts = measurement.simulate_counts(rho, modes, config.noise, rng)
+    return measurement.estimate_expectations(counts, modes, config.noise)
 
 
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
@@ -312,11 +312,13 @@ def read_result_csv(path) -> list[StateRunRecord]:
         header = fh.readline().strip()
         if header != RESULT_CSV_HEADER:
             raise ValueError(f"unexpected result header: {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             state_id, r, fid, conv, iters = line.split(",")
+            if conv not in ("true", "false"):
+                raise ValueError(f"line {lineno}: converged must be true or false, got {conv!r}")
             records.append(
                 StateRunRecord(int(state_id), int(r), float(fid), conv == "true", int(iters))
             )

@@ -1,10 +1,13 @@
 """Simulated data acquisition.
 
-Three acquisition modes:
+An observable is measured in its eigenbasis: :func:`projector_modes` gives
+its modes as ``(vectors, weights)``, :func:`simulate_counts` one integer
+count per mode, and :func:`estimate_expectations` inverts the counts back to
+an expectation-value estimate. Acquisition modes:
 
-- ``ideal``: counts are the rounded expected counts (no randomness).
-- ``finite_sample``: per projector mode, counts ~ Binomial(trials, p) with
-  p = Tr(rho Pi).
+- ``ideal``: no counts are drawn; the harness takes exact expectations.
+- ``finite_sample``: per mode, counts ~ Binomial(trials, p) with
+  p = <v|rho|v>.
 - ``photon_model``: a pulsed attenuated-laser source with Poissonian photon
   statistics and Poissonian dark counts. A pulse produces at least one click
   in mode k with probability
@@ -17,6 +20,7 @@ Three acquisition modes:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,60 +51,40 @@ class NoiseConfig:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not 0.0 <= self.lambda_dc < np.inf:
             raise ValueError(f"lambda_dc must be finite and >= 0, got {self.lambda_dc}")
+        # numpy would draw int(trials) pulses, the estimate divide by trials
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in MODES:
             raise ValueError(f"unknown acquisition mode {self.mode!r}")
+        if self.mode == "photon_model" and self.mu == 0.0:
+            raise ValueError("photon_model needs mu > 0: its inversion divides by mu")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Counts for one projector mode of one observable."""
+def projector_modes(a) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-one modes of an observable as ``(vectors, weights)``.
 
-    observable_label: str
-    mode_index: int
-    counts: int
-    trials: int
-
-    def __post_init__(self):
-        if not 0 <= self.counts <= self.trials:
-            raise ValueError(f"counts {self.counts} outside [0, {self.trials}]")
-
-
-def projector_modes(a) -> list[tuple[np.ndarray, float]]:
-    """Rank-one modes (|v><v|, eigenvalue) of an observable.
-
-    Zero-eigenvalue directions are dropped, so a subnormalized rank-one POVM
-    element yields a single mode carrying its scale as the weight. The
-    weighted modes sum back to the observable.
+    The columns of ``vectors`` are orthonormal eigenvectors and ``weights``
+    their eigenvalues. Zero-eigenvalue directions are dropped, so a
+    subnormalized rank-one POVM element yields a single mode carrying its
+    scale as the weight. ``(vectors * weights) @ vectors^dagger`` is the
+    observable.
     """
     w, v = linalg.eigh(a)
-    modes = []
-    for k in range(w.shape[0]):
-        if abs(w[k]) <= MODE_EIGENVALUE_TOL:
-            continue
-        vec = v[:, k]
-        modes.append((np.outer(vec, vec.conj()), float(w[k])))
-    return modes
+    keep = np.abs(w) > MODE_EIGENVALUE_TOL
+    return v[:, keep], w[keep]
 
 
-def modes_are_complete(modes, dim: int, tol: float = 1e-8) -> bool:
-    """Whether the mode projectors resolve the identity (a full projective
-    decomposition, as for any non-singular observable)."""
-    acc = np.zeros((dim, dim), dtype=complex)
-    for proj, _ in modes:
-        acc += proj
-    return bool(np.max(np.abs(acc - np.eye(dim))) <= tol)
-
-
-def click_probability(p_k: float, mu: float, lambda_dc: float) -> float:
+def click_probability(p, mu: float, lambda_dc: float):
     """Probability that a pulse yields at least one click in a mode with
-    ideal projection probability p_k."""
-    if not 0.0 <= p_k <= 1.0:
-        raise ValueError(f"p_k must be in [0, 1], got {p_k}")
+    ideal projection probability p (a scalar or an array of them)."""
+    p = np.asarray(p, dtype=float)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ValueError(f"p must be in [0, 1], got {p}")
     if mu < 0.0 or lambda_dc < 0.0:
         raise ValueError("mu and lambda_dc must be nonnegative")
-    return float(1.0 - np.exp(-mu * p_k - lambda_dc))
+    return 1.0 - np.exp(-mu * p - lambda_dc)
 
 
 def photon_number_statistics(mu: float, n_pulses: int, rng: np.random.Generator):
@@ -112,71 +96,43 @@ def photon_number_statistics(mu: float, n_pulses: int, rng: np.random.Generator)
     return empty, multi
 
 
-def simulate_counts(
-    rho: DensityMatrix,
-    modes,
-    config: NoiseConfig,
-    rng: np.random.Generator | None = None,
-    observable_label: str = "",
-) -> list[MeasurementRecord]:
-    """Counts per mode for one observable.
-
-    ideal: counts = round(trials * p); finite_sample: Binomial(trials, p);
-    photon_model: Binomial(trials, click_probability(p)).
-    """
-    if config.mode != "ideal" and rng is None:
-        raise ValueError(f"mode {config.mode!r} needs a random generator")
-    records = []
-    for k, (proj, _) in enumerate(modes):
-        p = float(np.clip(np.vdot(proj, rho.matrix).real, 0.0, 1.0))
-        if config.mode == "ideal":
-            counts = int(round(config.trials * p))
-        elif config.mode == "finite_sample":
-            counts = int(rng.binomial(config.trials, p))
-        else:
-            counts = int(rng.binomial(config.trials, click_probability(p, config.mu, config.lambda_dc)))
-        records.append(
-            MeasurementRecord(
-                observable_label=observable_label,
-                mode_index=k,
-                counts=counts,
-                trials=config.trials,
-            )
-        )
-    return records
-
-
-def _invert_click_frequency(freq: float, config: NoiseConfig) -> float:
-    """Solve the click model for the mode probability. A saturated mode
-    (every pulse clicked) is clamped to (trials - 1)/trials before the log."""
+def simulate_counts(rho: DensityMatrix, modes, config: NoiseConfig, rng) -> np.ndarray:
+    """One integer count per mode of :func:`projector_modes`, drawn from
+    ``rng`` in mode order: Binomial(trials, p) for finite_sample,
+    Binomial(trials, click_probability(p)) for photon_model."""
+    if config.mode == "ideal":
+        raise ValueError("ideal acquisition takes exact expectations and draws no counts")
+    vectors, _ = modes
+    p = (vectors.conj() * (rho.matrix @ vectors)).sum(axis=0).real.clip(0.0, 1.0)
     if config.mode == "photon_model":
-        if config.mu <= 0.0:
-            raise ValueError("photon_model inversion needs mu > 0")
-        freq = min(freq, (config.trials - 1) / config.trials)
-        p_hat = (-np.log1p(-freq) - config.lambda_dc) / config.mu
-    else:
-        p_hat = freq
-    return float(np.clip(p_hat, 0.0, 1.0))
+        p = click_probability(p, config.mu, config.lambda_dc)
+    return rng.binomial(config.trials, p)
 
 
-def estimate_expectations(records, modes, config: NoiseConfig) -> float:
+def estimate_expectations(counts, modes, config: NoiseConfig) -> float:
     """Aggregate one observable's mode counts into an expectation-value
     estimate; ``modes`` are the observable's :func:`projector_modes`, the
     ones the counts were simulated for.
 
     Mode probabilities are inverted from the click model (photon_model) or
     taken as raw frequencies, then, when the modes form a complete projective
-    decomposition, renormalized to sum to one; the estimate is the
-    eigenvalue-weighted sum. The result is a convex combination of
-    eigenvalues, so it stays inside the observable's spectral range.
+    decomposition (no eigenvector was dropped), renormalized to sum to one;
+    the estimate is the eigenvalue-weighted sum, so it stays inside the
+    observable's spectral range. A saturated photon_model mode (every pulse
+    clicked) is clamped to (trials - 1)/trials before the log.
     """
-    if len(records) != len(modes):
-        raise ValueError(f"expected {len(modes)} records, got {len(records)}")
-    p_hats = np.zeros(len(modes))
-    for rec in records:
-        p_hats[rec.mode_index] = _invert_click_frequency(rec.counts / rec.trials, config)
-    if modes and modes_are_complete(modes, modes[0][0].shape[0]):
+    vectors, weights = modes
+    counts = np.asarray(counts)
+    if counts.shape != weights.shape:
+        raise ValueError(f"expected {weights.size} counts, got shape {counts.shape}")
+    if not ((counts >= 0) & (counts <= config.trials)).all():
+        raise ValueError(f"counts {counts} outside [0, {config.trials}]")
+    p_hats = counts / config.trials
+    if config.mode == "photon_model":
+        p_hats = np.minimum(p_hats, (config.trials - 1) / config.trials)
+        p_hats = (-np.log1p(-p_hats) - config.lambda_dc) / config.mu
+    p_hats = p_hats.clip(0.0, 1.0)
+    if vectors.shape[1] == vectors.shape[0]:
         total = p_hats.sum()
-        p_hats = p_hats / total if total > 0.0 else np.full(len(modes), 1.0 / len(modes))
-    weights = np.array([w for _, w in modes])
+        p_hats = p_hats / total if total > 0.0 else np.full(weights.size, 1.0 / weights.size)
     return float(weights @ p_hats)

@@ -293,6 +293,18 @@ class TestFiles:
         with pytest.raises(ValueError, match="header"):
             read_result_csv(path)
 
+    @pytest.mark.parametrize("flag", ["True", "yes", ""])
+    def test_unknown_converged_flag_rejected(self, tmp_path, flag):
+        # read as unconverged, it would make `summarize` print n_converged 0
+        path = tmp_path / "result.csv"
+        path.write_text(
+            "state_id,r,fidelity,converged,iterations\n"
+            "0,1,0.5,true,3\n"
+            f"0,2,0.75,{flag},4\n"
+        )
+        with pytest.raises(ValueError, match="line 3: converged"):
+            read_result_csv(path)
+
 
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):

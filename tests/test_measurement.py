@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from symmaxent.linalg import HermitianOperator
 from symmaxent.measurement import (
-    MeasurementRecord,
     NoiseConfig,
     click_probability,
     estimate_expectations,
-    modes_are_complete,
     photon_number_statistics,
     projector_modes,
     simulate_counts,
@@ -16,11 +14,32 @@ from symmaxent.measurement import (
 from symmaxent.observables import expectation, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix
 
-from conftest import SX, SZ, kron_chain, random_mixed_state
+from conftest import I2, SX, SZ, kron_chain, random_mixed_state
 
 
 def zero_state():
     return DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
+
+
+def mode_probabilities(rho, modes):
+    vectors, _ = modes
+    return [float(np.clip((v.conj() @ rho.matrix @ v).real, 0.0, 1.0)) for v in vectors.T]
+
+
+def reference_estimate(counts, modes, cfg):
+    """One mode at a time, as the estimator did before it was vectorised."""
+    vectors, weights = modes
+    p_hats = []
+    for c in counts:
+        freq = int(c) / cfg.trials
+        if cfg.mode == "photon_model":
+            freq = min(freq, (cfg.trials - 1) / cfg.trials)
+            freq = (-np.log1p(-freq) - cfg.lambda_dc) / cfg.mu
+        p_hats.append(float(np.clip(freq, 0.0, 1.0)))
+    p_hats = np.array(p_hats)
+    if vectors.shape[1] == vectors.shape[0]:
+        p_hats = p_hats / p_hats.sum()
+    return float(np.array([float(w) for w in weights]) @ p_hats)
 
 
 class TestNoiseConfig:
@@ -49,41 +68,64 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(**kwargs)
 
+    @pytest.mark.parametrize("trials", [2.5, 10_000.0, True])
+    def test_non_integer_trials_rejected(self, trials):
+        # numpy draws from int(trials) pulses; the estimate divides by trials
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            NoiseConfig(mode="finite_sample", trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        assert NoiseConfig(mode="finite_sample", trials=np.int64(200)).trials == 200
+
+    def test_photon_model_needs_positive_mu(self):
+        with pytest.raises(ValueError, match="mu > 0"):
+            NoiseConfig(mode="photon_model", mu=0.0)
+        # no other mode divides by mu
+        assert NoiseConfig(mode="finite_sample", mu=0.0).mu == 0.0
+
 
 class TestProjectorModes:
     def test_sigma_z(self):
-        modes = projector_modes(SZ)
-        assert len(modes) == 2
-        eigs = sorted(w for _, w in modes)
-        assert eigs == [-1.0, 1.0]
-        for proj, _ in modes:
-            assert np.allclose(proj @ proj, proj, atol=1e-12)
-            assert np.trace(proj).real == pytest.approx(1.0)
+        vectors, weights = projector_modes(SZ)
+        assert vectors.shape == (2, 2)
+        assert sorted(weights) == [-1.0, 1.0]
+        assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-12)
 
     def test_xx_two_qubit(self):
-        modes = projector_modes(kron_chain(SX, SX))
-        assert len(modes) == 4
-        assert sorted(w for _, w in modes) == [-1.0, -1.0, 1.0, 1.0]
+        vectors, weights = projector_modes(kron_chain(SX, SX))
+        assert vectors.shape == (4, 4)
+        assert sorted(weights) == [-1.0, -1.0, 1.0, 1.0]
 
     def test_sic_element_single_mode(self):
-        e = sic_povm(1)[0]
-        modes = projector_modes(e)
-        assert len(modes) == 1
-        proj, w = modes[0]
-        assert w == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(proj @ proj, proj, atol=1e-12)
+        vectors, weights = projector_modes(sic_povm(1)[0])
+        assert vectors.shape == (2, 1)
+        assert weights[0] == pytest.approx(0.5, abs=1e-12)
+        assert np.linalg.norm(vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_reconstructs_observable(self, rng):
         from conftest import random_hermitian
 
         h = random_hermitian(8, rng)
-        modes = projector_modes(h)
-        total = sum(w * proj for proj, w in modes)
+        vectors, weights = projector_modes(h)
+        total = (vectors * weights) @ vectors.conj().T
         assert np.linalg.norm(total - h) <= 1e-10
 
     def test_completeness_detection(self):
-        assert modes_are_complete(projector_modes(SZ), 2)
-        assert not modes_are_complete(projector_modes(sic_povm(1)[0].matrix), 2)
+        # complete modes resolve the identity, so the estimate renormalizes
+        # the mode probabilities: doubling every count leaves it unchanged
+        cfg = NoiseConfig(trials=1_000, mode="finite_sample")
+        for op, complete in (
+            (pauli_basis(3)[4], True),
+            (sic_povm(1)[0], False),
+            # eigenvalues 1, -1, 0, 0: the zero eigenspace is dropped
+            (kron_chain((I2 + SZ) / 2, SX), False),
+        ):
+            modes = projector_modes(op)
+            counts = np.arange(1, modes[1].size + 1) * 50
+            single = estimate_expectations(counts, modes, cfg)
+            double = estimate_expectations(2 * counts, modes, cfg)
+            assert (modes[0].shape[1] == modes[0].shape[0]) == complete
+            assert double == pytest.approx(single if complete else 2 * single, abs=1e-15)
 
 
 class TestClickProbability:
@@ -99,7 +141,16 @@ class TestClickProbability:
         with pytest.raises(ValueError):
             click_probability(1.5, 0.18, 0.0)
         with pytest.raises(ValueError):
+            click_probability(np.array([0.2, -0.1]), 0.18, 0.0)
+        with pytest.raises(ValueError):
+            click_probability(np.array([0.2, np.nan]), 0.18, 0.0)
+        with pytest.raises(ValueError):
             click_probability(0.5, -0.1, 0.0)
+
+    def test_array_matches_scalars(self):
+        p = np.array([0.0, 0.125, 0.5, 1.0])
+        out = click_probability(p, 0.18, 2e-4)
+        assert out.tolist() == [float(click_probability(x, 0.18, 2e-4)) for x in p]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -127,26 +178,44 @@ class TestPhotonStatistics:
 
 
 class TestSimulateCounts:
-    def test_ideal_round(self):
-        modes = projector_modes(SZ)
-        cfg = NoiseConfig(trials=10_000, mode="ideal")
-        records = simulate_counts(zero_state(), modes, cfg, observable_label="Z")
-        by_mode = {rec.mode_index: rec.counts for rec in records}
-        # |0> projects fully onto the +1 mode
-        plus_mode = [k for k, (_, w) in enumerate(modes) if w > 0][0]
-        assert by_mode[plus_mode] == 10_000
-        assert by_mode[1 - plus_mode] == 0
+    def test_ideal_mode_rejected(self):
+        # ideal acquisition takes exact expectations; there are no counts
+        with pytest.raises(ValueError, match="ideal"):
+            simulate_counts(
+                zero_state(), projector_modes(SZ), NoiseConfig(mode="ideal"),
+                np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    @pytest.mark.parametrize("trials", [50, 10_000])
+    @pytest.mark.parametrize(
+        "op, n_modes", [(pauli_basis(3)[27], 8), (sic_povm(3)[5], 1)], ids=["pauli", "sic"]
+    )
+    def test_stream_matches_per_mode_draws(self, rng, mode, trials, op, n_modes):
+        # recorded sweeps depend on the draws consuming the stream one mode
+        # at a time, in mode order
+        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        cfg = NoiseConfig(mode=mode, trials=trials, mu=0.18, lambda_dc=2e-4)
+        modes = projector_modes(op)
+        assert modes[1].size == n_modes
+        sim_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        counts = simulate_counts(rho, modes, cfg, sim_rng)
+        expected = []
+        for p in mode_probabilities(rho, modes):
+            if mode == "photon_model":
+                p = float(click_probability(p, cfg.mu, cfg.lambda_dc))
+            expected.append(int(ref_rng.binomial(trials, p)))
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == expected
+        assert sim_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_dark_counts_on_vacuum_mode(self):
         # mean counts N (1 - exp(-lambda_dc)) for a mode orthogonal to the state
         rng = np.random.default_rng(7)
         cfg = NoiseConfig(trials=10_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(SZ)
-        minus_mode = [k for k, (_, w) in enumerate(modes) if w < 0][0]
-        totals = []
-        for _ in range(300):
-            records = simulate_counts(zero_state(), modes, cfg, rng)
-            totals.append(records[minus_mode].counts)
+        minus_mode = int(np.flatnonzero(modes[1] < 0)[0])
+        totals = [simulate_counts(zero_state(), modes, cfg, rng)[minus_mode] for _ in range(300)]
         expected = 10_000 * (1.0 - np.exp(-2e-4))
         se = np.sqrt(expected / 300)  # Poisson-ish standard error of the mean
         assert np.mean(totals) == pytest.approx(expected, abs=4 * se)
@@ -156,72 +225,77 @@ class TestSimulateCounts:
         cfg = NoiseConfig(trials=100_000, mode="finite_sample")
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), 1)
         modes = projector_modes(SZ)
-        records = simulate_counts(rho, modes, cfg, rng)
-        for rec, (proj, _) in zip(records, modes):
-            p = np.trace(proj @ rho.matrix).real
+        counts = simulate_counts(rho, modes, cfg, rng)
+        for c, p in zip(counts, mode_probabilities(rho, modes)):
             se = np.sqrt(p * (1 - p) / cfg.trials)
-            assert rec.counts / cfg.trials == pytest.approx(p, abs=4 * se)
+            assert c / cfg.trials == pytest.approx(p, abs=4 * se)
 
     def test_requires_rng_for_random_modes(self):
-        with pytest.raises(ValueError, match="random"):
+        with pytest.raises(TypeError, match="rng"):
             simulate_counts(zero_state(), projector_modes(SZ), NoiseConfig(mode="finite_sample"))
 
 
 class TestEstimateExpectations:
     def test_ideal_round_trip(self, rng):
+        # exact expected counts, rounded, give back the expectation value
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
-        cfg = NoiseConfig(trials=10_000, mode="ideal")
+        cfg = NoiseConfig(trials=10_000, mode="finite_sample")
         for op in pauli_basis(3)[:5]:
             modes = projector_modes(op)
-            records = simulate_counts(rho, modes, cfg, observable_label=op.label)
-            a_hat = estimate_expectations(records, modes, cfg)
-            assert a_hat == pytest.approx(expectation(rho, op), abs=1.0 / cfg.trials * len(modes))
+            counts = np.rint(cfg.trials * np.array(mode_probabilities(rho, modes))).astype(int)
+            a_hat = estimate_expectations(counts, modes, cfg)
+            assert a_hat == pytest.approx(expectation(rho, op), abs=1.0 / cfg.trials * counts.size)
+
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    @pytest.mark.parametrize("op", [pauli_basis(3)[13], sic_povm(3)[40]], ids=["pauli", "sic"])
+    def test_matches_per_mode_reference(self, rng, mode, op):
+        cfg = NoiseConfig(trials=500, mode=mode, mu=0.18, lambda_dc=5e-4)
+        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        modes = projector_modes(op)
+        for _ in range(20):
+            counts = simulate_counts(rho, modes, cfg, rng)
+            assert estimate_expectations(counts, modes, cfg) == reference_estimate(
+                counts, modes, cfg
+            )
 
     def test_exact_click_inversion(self):
         # feed exact expected counts; the inversion must recover p exactly
         cfg = NoiseConfig(trials=10**6, mode="photon_model", mu=0.18, lambda_dc=0.0)
-        e = sic_povm(1)[1]
-        modes = projector_modes(e)
-        rho = zero_state()
-        proj, w = modes[0]
-        p = np.trace(proj @ rho.matrix).real
+        modes = projector_modes(sic_povm(1)[1])
+        (p,) = mode_probabilities(zero_state(), modes)
         exact = int(round(cfg.trials * click_probability(p, cfg.mu, cfg.lambda_dc)))
-        records = [MeasurementRecord(e.label, 0, exact, cfg.trials)]
-        a_hat = estimate_expectations(records, modes, cfg)
-        assert a_hat == pytest.approx(w * p, abs=1e-5)
+        a_hat = estimate_expectations(np.array([exact]), modes, cfg)
+        assert a_hat == pytest.approx(modes[1][0] * p, abs=1e-5)
 
     def test_saturated_mode_clamped(self):
         # every pulse clicked: the frequency is clamped to (trials - 1)/trials
         # before the log, so the estimate is finite and below the eigenvalue
         cfg = NoiseConfig(trials=100, mode="photon_model", mu=5.0, lambda_dc=0.0)
-        records = (MeasurementRecord("E", 0, 100, 100),)
+        counts = np.array([100])
         modes = projector_modes(sic_povm(1)[0])
-        (_, w), = modes
-        a_hat = estimate_expectations(records, modes, cfg)
+        (w,) = modes[1]
+        a_hat = estimate_expectations(counts, modes, cfg)
         assert a_hat == pytest.approx(w * np.log(100.0) / 5.0, rel=1e-12)
         assert a_hat < w
-        assert records == (MeasurementRecord("E", 0, 100, 100),)
+        assert counts.tolist() == [100]
 
     def test_renormalized_probabilities_sum_to_one(self, rng):
         cfg = NoiseConfig(trials=5_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
-        op = pauli_basis(3)[4]
-        modes = projector_modes(op)
-        records = simulate_counts(rho, modes, cfg, rng, op.label)
-        freqs = np.array([rec.counts / rec.trials for rec in records])
+        modes = projector_modes(pauli_basis(3)[4])
+        counts = simulate_counts(rho, modes, cfg, rng)
+        freqs = counts / cfg.trials
         p_hats = np.clip((-np.log1p(-freqs) - cfg.lambda_dc) / cfg.mu, 0.0, 1.0)
         assert abs(p_hats.sum() - 1.0) > 1e-3  # renormalization has work to do
-        weights = np.array([w for _, w in modes])
-        a_hat = estimate_expectations(records, modes, cfg)
-        assert a_hat == pytest.approx(weights @ (p_hats / p_hats.sum()), abs=1e-12)
+        a_hat = estimate_expectations(counts, modes, cfg)
+        assert a_hat == pytest.approx(modes[1] @ (p_hats / p_hats.sum()), abs=1e-12)
 
     def test_pauli_estimates_in_range(self, rng):
         cfg = NoiseConfig(trials=500, mode="photon_model", mu=0.18, lambda_dc=5e-4)
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         for op in pauli_basis(3)[:6]:
             modes = projector_modes(op)
-            records = simulate_counts(rho, modes, cfg, rng, op.label)
-            a_hat = estimate_expectations(records, modes, cfg)
+            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
             assert -1.0 <= a_hat <= 1.0
 
     def test_sigma_z_on_zero_state_calibration(self):
@@ -234,8 +308,7 @@ class TestEstimateExpectations:
         hits = 0
         n_rep = 1000
         for _ in range(n_rep):
-            records = simulate_counts(rho, modes, cfg, rng)
-            a_hat = estimate_expectations(records, modes, cfg)
+            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
             if 0.9 <= a_hat <= 1.0:
                 hits += 1
         assert hits >= 0.99 * n_rep
@@ -248,38 +321,36 @@ class TestEstimateExpectations:
         rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex), 1)
         op = HermitianOperator(SZ, "Z")
         modes = projector_modes(op)
-        records = simulate_counts(rho, modes, cfg, rng, "Z")
-        a_hat = estimate_expectations(records, modes, cfg)
+        a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
         # worst-case propagated standard error over the two modes
-        se = 0.0
-        for proj, _ in modes:
-            p = np.trace(proj @ rho.matrix).real
-            q = click_probability(p, cfg.mu, cfg.lambda_dc)
-            se += (np.sqrt(q * (1 - q) / cfg.trials) / (cfg.mu * (1 - q))) ** 2
-        se = np.sqrt(se)
+        q = click_probability(np.array(mode_probabilities(rho, modes)), cfg.mu, cfg.lambda_dc)
+        se = np.sqrt(np.sum((np.sqrt(q * (1 - q) / cfg.trials) / (cfg.mu * (1 - q))) ** 2))
         assert abs(a_hat - expectation(rho, op)) <= 3 * se
 
     def test_record_count_mismatch_rejected(self):
-        cfg = NoiseConfig(mode="ideal")
-        with pytest.raises(ValueError, match="records"):
-            estimate_expectations([], projector_modes(SZ), cfg)
+        cfg = NoiseConfig(mode="finite_sample", trials=10)
+        for counts in ([], [5], [1, 2, 3], [[1, 2]]):
+            with pytest.raises(ValueError, match="expected 2 counts"):
+                estimate_expectations(np.array(counts), projector_modes(SZ), cfg)
+
+    @pytest.mark.parametrize("counts", [[-1, 5], [3, 11], [3, np.nan]])
+    def test_out_of_range_counts_rejected(self, counts):
+        cfg = NoiseConfig(mode="finite_sample", trials=10)
+        with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
+            estimate_expectations(np.array(counts), projector_modes(SZ), cfg)
 
     def test_raw_frequency_path_is_attenuated(self):
         # the raw click frequency is biased low by roughly the attenuation (a
         # SIC mode with p = 1 clicks on only 1 - exp(-mu) of pulses); the
         # inverted estimate removes the bias
         rng = np.random.default_rng(9)
-        e = sic_povm(1)[0]
-        modes = projector_modes(e)
-        proj, w = modes[0]
-        rho = DensityMatrix(proj, 1)  # p = 1 for this mode
+        modes = projector_modes(sic_povm(1)[0])
+        vectors, (w,) = modes
+        rho = DensityMatrix(vectors @ vectors.conj().T, 1)  # p = 1 for this mode
         cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
-        records = simulate_counts(rho, modes, cfg, rng, e.label)
-        counts = records[0].counts
-        inverted = estimate_expectations(
-            [MeasurementRecord(e.label, 0, counts, cfg.trials)], modes, cfg
-        )
-        raw = w * counts / cfg.trials
+        counts = simulate_counts(rho, modes, cfg, rng)
+        inverted = estimate_expectations(counts, modes, cfg)
+        raw = w * counts[0] / cfg.trials
         assert inverted == pytest.approx(w, abs=0.01)
         assert raw == pytest.approx(w * (1.0 - np.exp(-0.18)), abs=0.01)
         assert raw < inverted / 3
