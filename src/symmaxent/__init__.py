@@ -15,7 +15,6 @@ from .linalg import (
     commutator,
     eigh,
     hs_inner,
-    linearly_independent_subset,
     psd_sqrtm,
 )
 from .maxent import (
@@ -46,20 +45,14 @@ from .states import (
     haar_symmetric_pure,
     purity,
     random_werner,
-    twirl,
     von_neumann_entropy,
 )
 from .symmetry import (
-    SymmetryGroupSpec,
-    auxiliary_observables,
-    build_symmetry,
     commutant_basis,
-    filter_measured_observables,
     independent_projections,
     permutation_generators,
     permutation_operator,
     project,
-    werner_generators,
 )
 from .harness import ExperimentConfig, SweepResult, run_sweep, summarize
 
@@ -68,7 +61,6 @@ __all__ = [
     "commutator",
     "eigh",
     "hs_inner",
-    "linearly_independent_subset",
     "psd_sqrtm",
     "MaxEntProblem",
     "MaxEntSolution",
@@ -96,15 +88,9 @@ __all__ = [
     "haar_symmetric_pure",
     "purity",
     "random_werner",
-    "twirl",
     "von_neumann_entropy",
-    "SymmetryGroupSpec",
-    "auxiliary_observables",
-    "build_symmetry",
-    "filter_measured_observables",
     "permutation_generators",
     "permutation_operator",
-    "werner_generators",
     "commutant_basis",
     "independent_projections",
     "project",

@@ -160,27 +160,6 @@ def _random_algebra_state(basis: np.ndarray, dim: int, rng: np.random.Generator)
     return m / np.trace(m).real
 
 
-def _as_array(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-def twirl(rho, n_qubits: int) -> DensityMatrix:
-    """Average of rho over all collective unitaries U^{otimes n}: its
-    projection onto span{V_pi}, the collective-unitary commutant.
-
-    Idempotent, trace- and PSD-preserving; the output commutes with the
-    collective Pauli sums but, for n >= 3, not necessarily with individual
-    permutation matrices.
-    """
-    return DensityMatrix(symmetry.project(_as_array(rho), "werner", n_qubits), n_qubits)
-
-
-def permutation_average(rho, n_qubits: int) -> DensityMatrix:
-    """Average of rho over the qubit-permutation group: its projection onto
-    the operators commuting with every permutation."""
-    return DensityMatrix(symmetry.project(_as_array(rho), "permutation", n_qubits), n_qubits)
-
-
 def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt-uniform mixed state: rho = G G^dagger / Tr(G G^dagger)
     with G complex Ginibre."""

@@ -8,16 +8,19 @@ estimator measures A but constrains P(A) (a ``MaxEntProblem`` that declares
 the symmetry does so itself); the maximum-entropy state over projected
 constraints commutes with the group on its own.
 
-The commutant is block diagonal in the total-spin (Schur) basis: one block
-per total spin j, repeated over the copies of its irrep, so that every
-commutant operator, the maximum-entropy state included, is fixed by one copy
-of each block (``irrep_blocks``). The solver works on that copy.
+The commutant is block diagonal in the total-spin (Schur) basis, built once
+per qubit count: one block per total spin j, repeated over the copies of its
+irrep. Its orthonormal basis (``commutant_basis``) is the matrix units of
+those blocks, and every commutant operator, the maximum-entropy state
+included, is fixed by one copy of each block (``irrep_blocks``). The solver
+works on that copy.
 
 The generators Q_k (swap operators, collective Pauli sums) and the
 auxiliary observables i[Q_k, O_j] built from them span the orthogonal
 complement of the commutant. They are kept as the explicit, countable form
-of the same constraint: a state commutes with every Q_k exactly when all
-auxiliary expectation values vanish.
+of the same constraint, built independently of the total-spin basis: a
+state commutes with every Q_k exactly when all auxiliary expectation values
+vanish.
 """
 
 from __future__ import annotations
@@ -180,38 +183,91 @@ def filter_measured_observables(
 
 
 @functools.lru_cache(maxsize=8)
+def _total_spin_basis(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """The total-spin (Schur) basis of (C^2)^{otimes n}: one read-only real
+    array per total spin j = n/2 - k, k = 0..n/2, from the largest j down,
+    of shape (copies, 2j + 1, 2^n), where u[c, a] is the S_z = j - a state
+    of copy c of the spin-j multiplet.
+
+    By Schur-Weyl duality (C^2)^{otimes n} = sum_j V_j x K_j: V_j is the
+    spin-j irrep of the collective unitaries (dimension 2j + 1) and K_j the
+    irrep of the qubit permutations (copies = C(n, k) - C(n, k - 1)). The
+    highest weights of the copies are an orthonormal basis of ker S_+ at
+    S_z = j, by Gram-Schmidt over the qubit permutations of singlet^{otimes
+    k} x |0...0>; each is lowered by S_- and normalised down to S_z = -j.
+    No step is a matrix factorization, so unlike an SVD null space the basis
+    does not change with the BLAS thread count.
+    """
+    # S_- = sum over qubits of |1><0|, with |0> spin up
+    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])
+    lower = sum(
+        np.kron(np.kron(np.eye(2**q), sigma_minus), np.eye(2 ** (n_qubits - q - 1)))
+        for q in range(n_qubits)
+    )
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    out = []
+    for k in range(n_qubits // 2 + 1):
+        top = np.ones(1)
+        for factor in [singlet] * k + [np.array([1.0, 0.0])] * (n_qubits - 2 * k):
+            top = np.kron(top, factor)
+        copies = math.comb(n_qubits, k) - (math.comb(n_qubits, k - 1) if k else 0)
+        tops = [top]
+        tensor = top.reshape((2,) * n_qubits)
+        for perm in itertools.permutations(range(n_qubits)):
+            if len(tops) == copies:
+                break
+            v = tensor.transpose(perm).ravel()
+            for _ in range(2):
+                for q in tops:
+                    v = v - (q @ v) * q
+            if np.linalg.norm(v) > 1e-9:
+                tops.append(v / np.linalg.norm(v))
+        u = np.empty((copies, n_qubits - 2 * k + 1, 2**n_qubits))
+        for c, v in enumerate(tops):
+            u[c, 0] = v
+            for a in range(1, u.shape[1]):
+                v = lower @ v
+                u[c, a] = v = v / np.linalg.norm(v)
+        u.setflags(write=False)
+        out.append(u)
+    return tuple(out)
+
+
+def _check_kind(kind: str, n_qubits: int, what: str) -> None:
+    if kind not in KINDS or kind == "none":
+        raise ValueError(f"no {what} for symmetry kind {kind!r}")
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    if kind == "permutation" and n_qubits < 2:
+        raise ValueError("permutation symmetry needs at least 2 qubits")
+
+
+@functools.lru_cache(maxsize=8)
 def commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
     """Orthonormal basis of the commutant of a symmetry group, one read-only
     row per element: a dim x dim matrix vectorized in row-major order.
 
-    - ``werner``: span{V_pi} of the qubit permutation matrices, which is the
-      commutant of the collective unitaries U^{otimes n} (Schur-Weyl
-      duality); Gram-Schmidt over the V_pi. 5-dimensional for three qubits:
-      the six V_pi obey one linear relation (the antisymmetrizer vanishes).
-    - ``permutation``: the null space of the stacked swap-commutator
-      superoperators. 20-dimensional for three qubits, 35 for four.
+    The rows are the matrix units of the total-spin basis u
+    (``_total_spin_basis``), block by block from the largest j down:
+
+    - ``permutation``: sum_j M_{2j+1} x I, the rows
+      sum_c |j a c><j b c| / sqrt(copies_j) over a, b. 20-dimensional for
+      three qubits, 35 for four, 56 for five.
+    - ``werner``: sum_j I x M_{copies_j}, the rows
+      sum_a |j a c><j a c'| / sqrt(2j + 1) over c, c'. This is span{V_pi}
+      of the qubit permutation matrices, the commutant of the collective
+      unitaries U^{otimes n} (Schur-Weyl duality): 5-dimensional for three
+      qubits, 14 for four, 42 for five.
     """
-    if kind == "werner":
-        basis: list[np.ndarray] = []
-        for perm in itertools.permutations(range(n_qubits)):
-            v = linalg.permutation_matrix(n_qubits, perm).ravel()
-            for q in basis:
-                v = v - np.vdot(q, v) * q
-            nv = np.linalg.norm(v)
-            if nv > 1e-9:
-                basis.append(v / nv)
-        out = np.array(basis)
-    elif kind == "permutation":
-        eye = np.eye(2**n_qubits)
-        rows = [
-            np.kron(p.matrix, eye) - np.kron(eye, p.matrix.T)
-            for p in permutation_generators(n_qubits)
-        ]
-        _, svals, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
-        rank = int(np.sum(svals > 1e-9 * svals[0]))
-        out = vh[rank:].conj()
-    else:
-        raise ValueError(f"no commutant for symmetry kind {kind!r}")
+    _check_kind(kind, n_qubits, "commutant")
+    rows = []
+    for u in _total_spin_basis(n_qubits):
+        if kind == "permutation":
+            units = np.einsum("cai,cbk->abik", u, u) / np.sqrt(u.shape[0])
+        else:
+            units = np.einsum("cai,dak->cdik", u, u) / np.sqrt(u.shape[1])
+        rows.append(units.reshape(-1, u.shape[2] ** 2))
+    out = np.concatenate(rows).astype(complex)
     out.setflags(write=False)
     return out
 
@@ -222,64 +278,28 @@ def irrep_blocks(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     block of the commutant, and the weight m (length c) of each column's
     block in the trace.
 
-    By Schur-Weyl duality (C^2)^{otimes n} = sum_j V_j x K_j over the total
-    spins j = n/2 - k, k = 0..n/2: V_j is the spin-j irrep of the collective
-    unitaries (dimension 2j + 1) and K_j the irrep of the qubit permutations
-    (dimension C(n, k) - C(n, k - 1)). The permutation commutant is
-    sum_j M_{2j+1} x I and the werner commutant sum_j I x M_{dim K_j}. For X
-    in the commutant, W^H X W is block diagonal with one copy of each block,
-    Tr X = sum_c m_c (W^H X W)_cc, and project(W diag(m) W^H X W W^H) = X.
-    Blocks run from the largest j down, built from the collective spin:
+    The permutation commutant is sum_j M_{2j+1} x I and the werner commutant
+    sum_j I x M_{copies_j} (``commutant_basis``). For X in the commutant,
+    W^H X W is block diagonal with one copy of each block, Tr X = sum_c m_c
+    (W^H X W)_cc, and project(W diag(m) W^H X W W^H) = X. Blocks run from
+    the largest j down, sliced from the total-spin basis u:
 
-    - ``permutation``: the highest-weight vector singlet^{otimes k} x
-      |0...0>, lowered by S_- and normalised down to S_z = -j;
-      m = C(n, k) - C(n, k - 1).
-    - ``werner``: an orthonormal basis of ker S_+ at S_z = j, by Gram-Schmidt
-      over the qubit permutations of the same highest-weight vector;
-      m = 2j + 1.
+    - ``permutation``: the multiplet u[0] of the first copy;
+      m = copies_j = C(n, k) - C(n, k - 1).
+    - ``werner``: the highest weights u[:, 0] of every copy; m = 2j + 1.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown symmetry kind {kind!r}")
-    if kind == "none":
-        raise ValueError("no irrep blocks for symmetry kind 'none'")
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if kind == "permutation" and n_qubits < 2:
-        raise ValueError("permutation symmetry needs at least 2 qubits")
-    # S_- = sum over qubits of |1><0|, with |0> spin up
-    sigma_minus = np.array([[0.0, 0.0], [1.0, 0.0]])
-    lower = sum(
-        np.kron(np.kron(np.eye(2**q), sigma_minus), np.eye(2 ** (n_qubits - q - 1)))
-        for q in range(n_qubits)
-    )
-    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    columns, weights = [], []
-    for k in range(n_qubits // 2 + 1):
-        top = np.ones(1)
-        for factor in [singlet] * k + [np.array([1.0, 0.0])] * (n_qubits - 2 * k):
-            top = np.kron(top, factor)
-        spin_dim = n_qubits - 2 * k + 1
-        copies = math.comb(n_qubits, k) - (math.comb(n_qubits, k - 1) if k else 0)
-        block = [top]
-        if kind == "permutation":
-            while len(block) < spin_dim:
-                v = lower @ block[-1]
-                block.append(v / np.linalg.norm(v))
-            weights.extend([copies] * spin_dim)
-        else:
-            tensor = top.reshape((2,) * n_qubits)
-            for perm in itertools.permutations(range(n_qubits)):
-                if len(block) == copies:
-                    break
-                v = tensor.transpose(perm).ravel()
-                for _ in range(2):
-                    for q in block:
-                        v = v - (q @ v) * q
-                if np.linalg.norm(v) > 1e-9:
-                    block.append(v / np.linalg.norm(v))
-            weights.extend([spin_dim] * copies)
-        columns.extend(block)
-    w, m = np.array(columns).T.copy(), np.array(weights, dtype=float)
+    _check_kind(kind, n_qubits, "irrep blocks")
+    basis = _total_spin_basis(n_qubits)
+    if kind == "permutation":
+        columns = [u[0] for u in basis]
+        weights = [np.full(u.shape[1], u.shape[0]) for u in basis]
+    else:
+        columns = [u[:, 0] for u in basis]
+        weights = [np.full(u.shape[0], u.shape[1]) for u in basis]
+    w = np.concatenate(columns).T.copy()
+    m = np.concatenate(weights).astype(float)
     w.setflags(write=False)
     m.setflags(write=False)
     return w, m

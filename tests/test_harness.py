@@ -170,6 +170,22 @@ class TestSweep:
             assert fids[0] == pytest.approx(fids[1], abs=1e-9)
             assert fids[1] == pytest.approx(fids[2], abs=1e-9)
 
+    def test_five_qubit_permutation_sweep_converges(self, monkeypatch):
+        # the commutant is 56-dimensional: the filter keeps 55 SIC projections,
+        # which with the trace pin the state, so r = 56 reconstructs it
+        monkeypatch.setenv("SYMMAXENT_THREADS", "1")
+        cfg = small_config(
+            n_qubits=5,
+            state_family="permutation_invariant_mixed",
+            symmetry="permutation",
+            batch_size=2,
+            r_values=(56,),
+            solver=SolverOptions(step_rule="newton", tolerance=1e-18, max_iterations=300),
+        )
+        res = run_sweep(cfg)
+        assert len(res.records) == 2
+        assert all(rec.converged and rec.fidelity >= 1 - 1e-8 for rec in res.records)
+
     def test_symmetric_solves_constrain_projected_observables_only(self, monkeypatch):
         # the solver gets the first r filtered canonical operators as they
         # are, with the symmetry declared and no auxiliaries; the problem

@@ -517,7 +517,7 @@ class TestSolve:
         filtered = filter_measured_observables(sic_povm(3), spec.auxiliary)
         prob = problem_from_state(rho, list(filtered)[:10], spec.auxiliary)
         sol = solve(prob, SolverOptions(step_rule="newton", tolerance=1e-14))
-        averaged = states.permutation_average(sol.rho, 3)
+        averaged = states.DensityMatrix(symmetry.project(sol.rho.matrix, "permutation", 3), 3)
         assert states.fidelity(sol.rho, averaged) >= 1 - 1e-8
 
     def test_entropy_optimality_against_perturbations(self, rng):

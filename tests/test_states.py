@@ -16,13 +16,12 @@ from symmaxent.states import (
     haar_symmetric_pure,
     haar_unitary,
     mix_with_identity,
-    permutation_average,
     purity,
     random_density,
     random_werner,
-    twirl,
     von_neumann_entropy,
 )
+from symmaxent.symmetry import project
 
 from conftest import SX, SY, SZ, kron_chain, random_mixed_state
 
@@ -154,22 +153,24 @@ class TestNamedStates:
 
 
 class TestTwirl:
+    # the twirl over collective unitaries is the werner commutant projection
+
     def test_fixes_maximally_mixed(self):
         rho = maximally_mixed(3)
-        assert np.allclose(twirl(rho, 3).matrix, rho.matrix, atol=1e-14)
+        assert np.allclose(project(rho.matrix, "werner", 3), rho.matrix, atol=1e-14)
 
     def test_idempotent(self, rng):
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
-        once = twirl(rho, 3)
-        twice = twirl(once, 3)
-        assert np.allclose(once.matrix, twice.matrix, atol=1e-13)
+        once = project(rho.matrix, "werner", 3)
+        twice = project(once, "werner", 3)
+        assert np.allclose(once, twice, atol=1e-13)
 
     def test_output_in_permutation_span(self, rng):
         # the image of the twirl is exactly span{V_pi}; note its elements
         # need not commute with individual permutations for n >= 3 (the
         # algebra spanned by the V_pi is non-abelian)
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
-        t = twirl(rho, 3).matrix
+        t = project(rho.matrix, "werner", 3)
         vecs = np.array(
             [
                 linalg.permutation_matrix(3, perm).ravel()
@@ -182,7 +183,7 @@ class TestTwirl:
 
     def test_output_commutes_with_collective_sums(self, rng):
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
-        t = twirl(rho, 3).matrix
+        t = project(rho.matrix, "werner", 3)
         for s in (SX, SY, SZ):
             coll = (
                 kron_chain(s, np.eye(2), np.eye(2))
@@ -192,21 +193,22 @@ class TestTwirl:
             assert np.linalg.norm(coll @ t - t @ coll) <= 1e-9
 
     def test_collective_unitary_invariance(self, rng):
-        t = twirl(DensityMatrix(random_mixed_state(8, rng), 3), 3).matrix
+        t = project(random_mixed_state(8, rng), "werner", 3)
         for _ in range(5):
             u = haar_unitary(2, rng)
             uu = kron_chain(u, u, u)
             assert np.linalg.norm(uu @ t @ uu.conj().T - t) <= 1e-9
 
     def test_trace_and_psd_preserved(self, rng):
-        t = twirl(DensityMatrix(random_mixed_state(8, rng), 3), 3)
-        assert np.trace(t.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(t.matrix)[0] >= -1e-12
+        t = project(random_mixed_state(8, rng), "werner", 3)
+        assert np.trace(t).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(t)[0] >= -1e-12
 
     def test_entropy_never_decreases(self, rng):
         for _ in range(5):
             rho = DensityMatrix(random_mixed_state(8, rng), 3)
-            assert von_neumann_entropy(twirl(rho, 3)) >= von_neumann_entropy(rho) - 1e-9
+            twirled = DensityMatrix(project(rho.matrix, "werner", 3), 3)
+            assert von_neumann_entropy(twirled) >= von_neumann_entropy(rho) - 1e-9
 
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -221,7 +223,7 @@ class TestTwirl:
         ).T
         coeffs, *_ = np.linalg.lstsq(vecs, rho.matrix.ravel(), rcond=None)
         expected = (vecs @ coeffs).reshape(rho.matrix.shape)
-        assert np.max(np.abs(twirl(rho, n).matrix - expected)) <= 1e-13
+        assert np.max(np.abs(project(rho.matrix, "werner", n) - expected)) <= 1e-13
 
 
 class TestPermutationAverage:
@@ -234,11 +236,11 @@ class TestPermutationAverage:
             v = linalg.permutation_matrix(n, perm)
             expected += v @ rho.matrix @ v.conj().T
         expected /= len(perms)
-        assert np.max(np.abs(permutation_average(rho, n).matrix - expected)) <= 1e-14
+        assert np.max(np.abs(project(rho.matrix, "permutation", n) - expected)) <= 1e-14
 
     def test_projects_onto_swap_invariants(self, rng):
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
-        avg = permutation_average(rho, 3).matrix
+        avg = project(rho.matrix, "permutation", 3)
         for perm in itertools.permutations(range(3)):
             v = linalg.permutation_matrix(3, perm)
             assert np.linalg.norm(v @ avg @ v.conj().T - avg) <= 1e-12

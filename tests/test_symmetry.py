@@ -1,9 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from symmaxent import linalg, states
+from symmaxent import linalg, states, symmetry
 from symmaxent.observables import ObservableSet, pauli_basis, sic_povm
 from symmaxent.symmetry import (
     SymmetryGroupSpec,
@@ -12,6 +15,7 @@ from symmaxent.symmetry import (
     commutant_basis,
     filter_measured_observables,
     full_pauli_operator_basis,
+    generators_for,
     independent_projections,
     irrep_blocks,
     permutation_generators,
@@ -168,9 +172,7 @@ class TestAuxiliaryObservables:
         aux = auxiliary_observables("permutation", 3)
         sym_states = [
             states.haar_symmetric_pure(3, rng).density(),
-            states.permutation_average(
-                states.DensityMatrix(random_mixed_state(8, rng), 3), 3
-            ),
+            states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3), 3),
         ]
         for rho in sym_states:
             for a in aux:
@@ -188,9 +190,7 @@ class TestAuxiliaryObservables:
         # build a state whose auxiliary expectations all vanish by averaging
         # over the permutation group, then check it commutes with each
         # generator
-        rho = states.permutation_average(
-            states.DensityMatrix(random_mixed_state(8, rng), 3), 3
-        )
+        rho = states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3), 3)
         aux = auxiliary_observables("permutation", 3)
         assert all(abs(np.vdot(a.matrix, rho.matrix).real) <= 1e-10 for a in aux)
         for g in permutation_generators(3):
@@ -263,6 +263,20 @@ class TestFilterMeasuredObservables:
         assert positions == sorted(positions)
 
 
+# prints a digest of the n = 4 permutation basis and blocks, and the first
+# diagonal entry of a seeded draw from them
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from symmaxent import states, symmetry
+digest = hashlib.sha256(symmetry.commutant_basis("permutation", 4).tobytes())
+for a in symmetry.irrep_blocks("permutation", 4):
+    digest.update(a.tobytes())
+rho = states.random_permutation_invariant_mixed(4, np.random.default_rng(5))
+print(digest.hexdigest(), repr(float(rho.matrix[0, 0].real)))
+"""
+
+
 class TestCommutantBasis:
     @pytest.mark.parametrize(
         "kind, n, dim",
@@ -287,6 +301,37 @@ class TestCommutantBasis:
             m = row.reshape(8, 8)
             for g in build_symmetry(kind, 3).generators:
                 assert np.linalg.norm(linalg.commutator(g, m)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, dim", [("permutation", 56), ("werner", 42)])
+    def test_five_qubit_dimension(self, kind, dim):
+        # sum_j (2j + 1)^2 = 36 + 16 + 4 and sum_j copies_j^2 = 1 + 16 + 25;
+        # the auxiliary complement is not counted, as building it takes seconds
+        assert commutant_basis(kind, 5).shape == (dim, 4**5)
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_five_qubit_rows_orthonormal_and_commuting(self, kind):
+        basis = commutant_basis(kind, 5)
+        assert np.max(np.abs(basis @ basis.conj().T - np.eye(len(basis)))) <= 1e-13
+        gens = generators_for(kind, 5)
+        for row in basis:
+            m = row.reshape(32, 32)
+            for g in gens:
+                assert np.linalg.norm(linalg.commutator(g, m)) <= 1e-12
+
+    def test_basis_and_draws_do_not_depend_on_blas_threads(self):
+        # each child sets its own thread count, so a pin in the parent's
+        # environment does not hide a difference
+        src = os.path.dirname(os.path.dirname(os.path.abspath(symmetry.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", THREAD_PROBE],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            outputs.append(run.stdout.split())
+        assert outputs[0] == outputs[1]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="commutant"):
@@ -354,6 +399,8 @@ IRREP_BLOCKS = {
     ("werner", 2): ((1, 1), (3, 1)),
     ("werner", 3): ((1, 2), (4, 2)),
     ("werner", 4): ((1, 3, 2), (5, 3, 1)),
+    ("permutation", 5): ((6, 4, 2), (1, 4, 5)),
+    ("werner", 5): ((1, 4, 5), (6, 4, 2)),
 }
 
 
