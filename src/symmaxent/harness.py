@@ -13,6 +13,15 @@ commutant), and record the fidelity against the prepared (noisy) state.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
+
+A worker process computes once what depends only on (observable_kind,
+n_qubits, symmetry) and shares it between the states it sweeps
+(``_observable_context``): each canonical observable's measurement modes,
+the canonical set's commutant coordinates, and the filter's kept order for
+the last measurement order, which an unshuffled sweep repeats. Each state
+still samples its target, shuffles, filters a new order on the cached
+coordinates, draws and inverts its counts, and solves. The caches hold what
+the uncached path computes, so they change no result.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, measurement, observables, states, symmetry
+from . import __version__, linalg, measurement, observables, states, symmetry
 from .maxent import MaxEntProblem, SolverOptions, solve
 from .measurement import NoiseConfig
 
@@ -142,23 +151,74 @@ def _sample_target(config: ExperimentConfig, rng: np.random.Generator) -> states
     raise ValueError(f"unknown state_family {family!r}")
 
 
+class _ObservableContext:
+    """What every state of a sweep shares; see ``_observable_context``. Its
+    arrays are read-only, so no state can change another state's inputs."""
+
+    def __init__(self, kind: str, n_qubits: int, symmetry_kind: str):
+        self.n_qubits, self.symmetry = n_qubits, symmetry_kind
+        self.candidates = observables.canonical_set(kind, n_qubits)
+        self._last_filter: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+    @functools.cached_property
+    def modes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``measurement.projector_modes`` of each canonical observable."""
+        modes = tuple(measurement.projector_modes(op) for op in self.candidates)
+        for vectors, weights in modes:
+            vectors.setflags(write=False)
+            weights.setflags(write=False)
+        return modes
+
+    @functools.cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """``symmetry.commutant_coordinates`` of the canonical set."""
+        coords = symmetry.commutant_coordinates(self.candidates, self.symmetry, self.n_qubits)
+        for arr in coords:
+            arr.setflags(write=False)
+        return coords
+
+    def independent(self, order) -> tuple[int, ...]:
+        """The canonical indices in ``order`` that
+        ``symmetry.independent_projections`` keeps on the operators in that
+        order; the result for the last order is kept."""
+        order = tuple(order)
+        if self._last_filter[0] != order:
+            coeffs, norms = self.coordinates
+            kept = linalg.independent_rows(coeffs[list(order)], norms[list(order)])
+            self._last_filter = (order, tuple(order[i] for i in kept))
+        return self._last_filter[1]
+
+
 @functools.lru_cache(maxsize=8)
-def _observable_context(kind: str, n_qubits: int) -> observables.ObservableSet:
-    """The canonical observable set, cached per worker."""
-    return observables.canonical_set(kind, n_qubits)
+def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _ObservableContext:
+    """Everything a sweep's states share, cached per worker process.
+
+    Computed once per worker: the canonical observable set; on the first
+    noisy acquisition, the measurement modes of every canonical observable
+    (one ``eigh`` each); on the first symmetric state, the canonical set's
+    coordinates on the commutant basis with their reference norms (one
+    matrix product). The symmetry filter's kept order is cached under the
+    measurement order it was computed for, so an unshuffled sweep filters
+    once per worker; a shuffled one filters each state's new order on the
+    cached coordinates. Each state still samples its target, draws its
+    shuffle and its counts, estimates, solves and scores.
+    """
+    return _ObservableContext(kind, n_qubits, symmetry_kind)
 
 
-def _acquire_target_value(rho, op, config: ExperimentConfig, rng) -> float:
+def _acquire_target_value(rho, context: _ObservableContext, index: int,
+                          config: ExperimentConfig, rng) -> float:
     if config.noise.mode == "ideal":
-        return observables.expectation(rho, op)
-    modes = measurement.projector_modes(op)
+        return observables.expectation(rho, context.candidates[index])
+    modes = context.modes[index]
     counts = measurement.simulate_counts(rho, modes, config.noise, rng)
     return measurement.estimate_expectations(counts, modes, config.noise)
 
 
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
     """All sweep points for one state; used directly by the worker pool."""
-    candidates = _observable_context(config.observable_kind, config.n_qubits)
+    context = _observable_context(config.observable_kind, config.n_qubits, config.symmetry)
+    candidates = context.candidates
     rho_target = _sample_target(config, _stream(config.seed, state_id, 0))
 
     # canonical indices in measurement order; measurement streams key on them
@@ -166,15 +226,12 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     if config.shuffle_observables:
         _stream(config.seed, state_id, 1).shuffle(order)
     if config.symmetry != "none":
-        kept = symmetry.independent_projections(
-            [candidates[i] for i in order], config.symmetry, config.n_qubits
-        )
-        order = [order[i] for i in kept]
+        order = context.independent(order)
 
     max_r = min(max(config.r_values), len(order))
     targets = [
         _acquire_target_value(
-            rho_target, candidates[i], config, _stream(config.seed, state_id, 2, i)
+            rho_target, context, i, config, _stream(config.seed, state_id, 2, i)
         )
         for i in order[:max_r]
     ]

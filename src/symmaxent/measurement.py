@@ -106,6 +106,9 @@ def simulate_counts(rho: DensityMatrix, modes, config: NoiseConfig, rng) -> np.n
     p = (vectors.conj() * (rho.matrix @ vectors)).sum(axis=0).real.clip(0.0, 1.0)
     if config.mode == "photon_model":
         p = click_probability(p, config.mu, config.lambda_dc)
+    if p.size == 1:
+        # same draw from the stream; numpy's array path costs ~12x a scalar's
+        return np.array([rng.binomial(config.trials, p[0])])
     return rng.binomial(config.trials, p)
 
 

@@ -315,6 +315,16 @@ def project(a, kind: str, n_qubits: int) -> np.ndarray:
     return ((basis.conj() @ mat.ravel()) @ basis).reshape(mat.shape)
 
 
+def commutant_coordinates(ops, kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of each operator's commutant projection on
+    ``commutant_basis(kind, n_qubits)``, one row per operator, and the
+    Hilbert-Schmidt norm of each operator itself: the rows and reference
+    norms that :func:`independent_projections` filters. ``ops`` must be
+    non-empty."""
+    flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
+    return flat @ commutant_basis(kind, n_qubits).conj().T, np.linalg.norm(flat, axis=1)
+
+
 def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
     """Indices, in order, of the operators whose commutant projections are
     linearly independent of the projections kept before them.
@@ -325,9 +335,7 @@ def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
     commutant, so this keeps what ``linearly_independent_subset(ops,
     seed_ops=auxiliary)`` keeps, working in the commutant's coordinates.
     """
-    rows = [linalg.as_matrix(op).ravel() for op in ops]
-    if not rows:
+    ops = list(ops)
+    if not ops:
         return []
-    flat = np.array(rows)
-    coeffs = flat @ commutant_basis(kind, n_qubits).conj().T
-    return linalg.independent_rows(coeffs, np.linalg.norm(flat, axis=1))
+    return linalg.independent_rows(*commutant_coordinates(ops, kind, n_qubits))

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from symmaxent import harness, states, symmetry
+from symmaxent import harness, linalg, measurement, states, symmetry
 from symmaxent.harness import (
     ExperimentConfig,
     StateRunRecord,
@@ -231,6 +231,93 @@ class TestSweep:
             "tolerance": 1e-12, "max_iterations": 300, "step_rule": "newton"
         }
         assert res.metadata["std_convention"] == "population"
+
+
+NOISY_PHOTON_SHAPED = small_config(
+    state_family="permutation_invariant",
+    symmetry="permutation",
+    r_values=(10, 63),
+    noise=NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
+    solver=SolverOptions(step_rule="newton", tolerance=1e-10, max_iterations=400),
+)
+SHUFFLED_SYMMETRIC_N4_SHAPED = small_config(
+    n_qubits=4,
+    state_family="permutation_invariant_mixed",
+    symmetry="permutation",
+    r_values=(2, 18, 34),
+    solver=SolverOptions(step_rule="newton", tolerance=1e-14, max_iterations=400),
+    shuffle_observables=True,
+)
+
+
+class TestObservableContext:
+    """What a worker computes once and shares between the states it sweeps."""
+
+    @pytest.mark.parametrize("observable_kind", ["sic", "pauli"])
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_filter_keeps_what_independent_projections_keeps(self, n, kind, observable_kind):
+        context = harness._ObservableContext(observable_kind, n, kind)
+        candidates = list(context.candidates)
+        rng = np.random.default_rng([n, len(kind), len(observable_kind)])
+        for trial in range(21):
+            order = list(range(len(candidates)))
+            if trial:
+                rng.shuffle(order)
+            kept = symmetry.independent_projections([candidates[i] for i in order], kind, n)
+            assert list(context.independent(order)) == [order[i] for i in kept]
+
+    def test_unshuffled_sweep_filters_once(self, monkeypatch):
+        calls = []
+        real = linalg.independent_rows
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "independent_rows", spy)
+        context = harness._ObservableContext("sic", 3, "permutation")
+        order = list(range(len(context.candidates)))
+        first = context.independent(order)
+        assert context.independent(order) == first
+        assert len(calls) == 1
+        context.independent(order[::-1])
+        assert len(calls) == 2
+
+    def test_cached_arrays_are_read_only_and_exact(self):
+        context = harness._ObservableContext("sic", 3, "permutation")
+        coeffs, norms = context.coordinates
+        ref_coeffs, ref_norms = symmetry.commutant_coordinates(
+            context.candidates, "permutation", 3
+        )
+        assert np.array_equal(coeffs, ref_coeffs) and np.array_equal(norms, ref_norms)
+        for (vectors, weights), op in zip(context.modes, context.candidates):
+            ref_vectors, ref_weights = measurement.projector_modes(op)
+            assert np.array_equal(vectors, ref_vectors)
+            assert np.array_equal(weights, ref_weights)
+        vectors, weights = context.modes[0]
+        for arr in (vectors, weights, coeffs, norms):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_ideal_sweep_without_symmetry_builds_neither_cache(self):
+        harness._observable_context.cache_clear()
+        run_single_state(small_config(r_values=(3,)), 0)
+        context = harness._observable_context("sic", 3, "none")
+        assert "modes" not in vars(context) and "coordinates" not in vars(context)
+
+    @pytest.mark.parametrize(
+        "cfg", [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED],
+        ids=["noisy_photon", "shuffled_symmetric_n4"],
+    )
+    def test_cold_and_warm_workers_give_identical_records(self, cfg):
+        # a state must not depend on which states the worker swept before it
+        cold = []
+        for state_id in range(3):
+            harness._observable_context.cache_clear()
+            cold.append(run_single_state(cfg, state_id))
+        warm = [run_single_state(cfg, state_id) for state_id in range(3)]
+        assert warm == cold
 
 
 class TestSlottedRecords:
