@@ -6,17 +6,11 @@ Poissonian dark counts), for several pulse counts and source purities."""
 import argparse
 from pathlib import Path
 
-from symmaxent.harness import (
-    ExperimentConfig,
-    run_sweep,
-    write_meta_json,
-    write_result_csv,
-    write_summary_csv,
-)
+from symmaxent.harness import ExperimentConfig, run_sweep, write_outputs
 from symmaxent.maxent import SolverOptions
 from symmaxent.measurement import NoiseConfig
 
-SOLVER = SolverOptions(step_rule="newton", tolerance=1e-10, max_iterations=400)
+SOLVER = SolverOptions(tolerance=1e-10, max_iterations=400)
 
 # purity 0.97 of a 3-qubit white-noise mixture corresponds to eta ~ 0.0173
 ETA_PURITY_097 = 0.0173
@@ -55,10 +49,7 @@ def main() -> None:
             )
             result = run_sweep(cfg)
             outdir = args.out / name / f"trials_{trials}"
-            outdir.mkdir(parents=True, exist_ok=True)
-            write_result_csv(outdir / "result.csv", result)
-            write_summary_csv(outdir / "summary.csv", result)
-            write_meta_json(outdir / "meta.json", result)
+            write_outputs(result, outdir)
             full = result.summary[-1]
             print(f"{name} trials={trials}: mean F at full r = {full.mean_f:.5f}")
 

@@ -9,16 +9,10 @@ fidelity 0.95."""
 import argparse
 from pathlib import Path
 
-from symmaxent.harness import (
-    ExperimentConfig,
-    run_sweep,
-    write_meta_json,
-    write_result_csv,
-    write_summary_csv,
-)
+from symmaxent.harness import ExperimentConfig, run_sweep, write_outputs
 from symmaxent.maxent import SolverOptions
 
-SOLVER = SolverOptions(step_rule="newton", tolerance=1e-14, max_iterations=400)
+SOLVER = SolverOptions(tolerance=1e-14, max_iterations=400)
 
 RUNS = (
     ("pi_plain", "permutation_invariant_mixed", "none"),
@@ -49,10 +43,7 @@ def main() -> None:
         )
         result = run_sweep(cfg)
         outdir = args.out / name
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_result_csv(outdir / "result.csv", result)
-        write_summary_csv(outdir / "summary.csv", result)
-        write_meta_json(outdir / "meta.json", result)
+        write_outputs(result, outdir)
         crossing = min((row.r for row in result.summary if row.mean_f >= 0.95), default=None)
         top = max(row.mean_f for row in result.summary)
         print(f"{name}: first r with mean F >= 0.95: {crossing}; best mean F {top:.5f}")

@@ -6,16 +6,10 @@ constraints. Writes one result/summary/meta triple per observable kind."""
 import argparse
 from pathlib import Path
 
-from symmaxent.harness import (
-    ExperimentConfig,
-    run_sweep,
-    write_meta_json,
-    write_result_csv,
-    write_summary_csv,
-)
+from symmaxent.harness import ExperimentConfig, run_sweep, write_outputs
 from symmaxent.maxent import SolverOptions
 
-SOLVER = SolverOptions(step_rule="newton", tolerance=1e-12, max_iterations=400)
+SOLVER = SolverOptions(tolerance=1e-12, max_iterations=400)
 
 
 def main() -> None:
@@ -42,10 +36,7 @@ def main() -> None:
         )
         result = run_sweep(cfg)
         outdir = args.out / kind
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_result_csv(outdir / "result.csv", result)
-        write_summary_csv(outdir / "summary.csv", result)
-        write_meta_json(outdir / "meta.json", result)
+        write_outputs(result, outdir)
         crossing = min((row.r for row in result.summary if row.mean_f >= 0.95), default=None)
         print(f"{kind}: first r with mean F >= 0.95: {crossing}; files in {outdir}")
 

@@ -122,14 +122,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def _cmd_sweep(args) -> int:
     config = parse_config_text(Path(args.config).read_text())
     result = harness.run_sweep(config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    harness.write_result_csv(outdir / "result.csv", result)
-    harness.write_summary_csv(outdir / "summary.csv", result)
-    harness.write_meta_json(outdir / "meta.json", result)
-    print(f"wrote {outdir / 'result.csv'}")
-    print(f"wrote {outdir / 'summary.csv'}")
-    print(f"wrote {outdir / 'meta.json'}")
+    for path in harness.write_outputs(result, args.out):
+        print(f"wrote {path}")
     return 0
 
 

@@ -31,6 +31,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -335,19 +336,25 @@ def mean_fidelity_by_r(result: SweepResult) -> dict[int, float]:
     return {row.r: row.mean_f for row in result.summary}
 
 
-def write_result_csv(path, result: SweepResult) -> None:
-    with open(path, "w") as fh:
+def write_outputs(result: SweepResult, outdir) -> list[Path]:
+    """Write a sweep's ``result.csv`` (one row per record), ``summary.csv``
+    and ``meta.json`` into ``outdir``, created if missing; returns the three
+    paths in that order."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / name for name in ("result.csv", "summary.csv", "meta.json")]
+    with open(paths[0], "w") as fh:
         fh.write(RESULT_CSV_HEADER + "\n")
         for rec in result.records:
             fh.write(
                 f"{rec.state_id},{rec.r},{rec.fidelity:.17g},"
                 f"{'true' if rec.converged else 'false'},{rec.iterations}\n"
             )
-
-
-def write_summary_csv(path, result: SweepResult) -> None:
-    with open(path, "w") as fh:
-        fh.write(summary_csv_text(result.summary))
+    paths[1].write_text(summary_csv_text(result.summary))
+    with open(paths[2], "w") as fh:
+        json.dump(result.metadata, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return paths
 
 
 def summary_csv_text(summary) -> str:
@@ -355,12 +362,6 @@ def summary_csv_text(summary) -> str:
     for row in summary:
         lines.append(f"{row.r},{row.mean_f:.17g},{row.std_f:.17g},{row.n_converged}")
     return "\n".join(lines) + "\n"
-
-
-def write_meta_json(path, result: SweepResult) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def read_result_csv(path) -> list[StateRunRecord]:

@@ -15,7 +15,7 @@ import numpy as np
 # Max-abs entrywise deviation from M == M^dagger tolerated on construction.
 HERMITICITY_TOL = 1e-12
 
-# Default relative tolerance for linear-independence decisions.
+# Relative tolerance for linear-independence decisions.
 LI_TOL = 1e-9
 
 PAULI_1Q = {
@@ -144,19 +144,17 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(ma, mb))
 
 
-def independent_rows(vectors, norms, tol: float = LI_TOL) -> list[int]:
+def independent_rows(vectors, norms) -> list[int]:
     """Greedy extraction of linearly independent rows, in input order.
 
     Row i is kept when its residual after projecting onto the span of the
-    rows kept before it exceeds ``tol * norms[i]``; rows with zero reference
-    norm are skipped. Classical Gram-Schmidt with a reorthogonalization pass
+    rows kept before it exceeds ``LI_TOL * norms[i]``; rows with zero
+    reference norm are skipped. Classical Gram-Schmidt with a reorthogonalization pass
     (CGS2), each pass two matrix-vector products against the kept basis, is
     orthogonal to working precision like two-pass modified Gram-Schmidt, so
     both keep the same rows unless a residual lies within rounding of the
     threshold. Returns the kept row indices.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         rows = np.asarray(vectors, dtype=complex)
     except ValueError:  # ragged rows
@@ -178,19 +176,19 @@ def independent_rows(vectors, norms, tol: float = LI_TOL) -> list[int]:
         for _ in range(2):
             v = v - (conj[:k] @ v) @ basis[:k]
         nv = np.linalg.norm(v)
-        if nv > tol * n0:
+        if nv > LI_TOL * n0:
             basis[k] = v / nv
             conj[k] = basis[k].conj()
             kept.append(idx)
     return kept
 
 
-def linearly_independent_subset(ops, seed_ops=(), tol: float = LI_TOL) -> list[int]:
+def linearly_independent_subset(ops, seed_ops=()) -> list[int]:
     """Greedy extraction of a linearly independent subset of ``ops``.
 
     Operators are vectorized and processed in input order after the seeds;
     an element is kept when its residual after projecting onto span(seed_ops
-    + kept so far) exceeds ``tol`` times its own norm (see
+    + kept so far) exceeds ``LI_TOL`` times its own norm (see
     :func:`independent_rows`).
 
     Returns the kept indices into ``ops``; elements dependent on the seeds
@@ -199,5 +197,5 @@ def linearly_independent_subset(ops, seed_ops=(), tol: float = LI_TOL) -> list[i
     vecs = [as_matrix(op).ravel() for op in seed_ops]
     n_seeds = len(vecs)
     vecs += [as_matrix(op).ravel() for op in ops]
-    kept = independent_rows(vecs, [np.linalg.norm(v) for v in vecs], tol)
+    kept = independent_rows(vecs, [np.linalg.norm(v) for v in vecs])
     return [i - n_seeds for i in kept if i >= n_seeds]

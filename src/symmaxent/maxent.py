@@ -32,10 +32,13 @@ A problem that declares a symmetry constrains the commutant projection
 P(A_i) of each measured operator in place of A_i itself: for a symmetric
 state Tr(A rho) = Tr(P(A) rho), and the exponent and rho then lie in the
 commutant, which is block diagonal in the total-spin basis. Its solve runs
-on one copy of each block (``symmetry.irrep_blocks``), each trace weighted
-by the block's number of copies: at four qubits a 9 x 9 eigensystem under
-permutation symmetry and 6 x 6 under werner symmetry instead of 16 x 16. The
-estimate is expanded to the full space once, at the end.
+on one copy of each block, each trace weighted by the block's number of
+copies: at four qubits a 9 x 9 eigensystem under permutation symmetry and
+6 x 6 under werner symmetry instead of 16 x 16. The solver holds only the
+compressed operators and the block weights: ``symmetry.compress`` maps the
+operators onto the blocks once, before the first step, and
+``symmetry.expand`` maps the estimate back to the full space once, at the
+end.
 
 The multipliers are updated by damped Newton steps on the constraint
 equations: solve (C + mu s I) delta = -(residuals), with C the constraint
@@ -63,7 +66,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -85,11 +88,11 @@ class MaxEntProblem:
 
     ``symmetry`` declares a symmetry kind (see ``symmetry.KINDS``). The
     problem then constrains the commutant projection of each measured
-    operator (``symmetry.project``), which a symmetric state cannot tell
-    from the operator itself, and the solve runs on one copy of each
-    irreducible block of the commutant (``symmetry.irrep_blocks``) instead
-    of the full matrix. A declared symmetry takes no auxiliary constraints:
-    they are what the projection replaces.
+    operator, which a symmetric state cannot tell from the operator itself,
+    and the solve runs on one copy of each irreducible block of the
+    commutant (``symmetry.compress``) instead of the full matrix. A declared
+    symmetry takes no auxiliary constraints: they are what the projection
+    replaces.
     """
 
     measured: tuple[tuple[HermitianOperator, float], ...]
@@ -210,12 +213,10 @@ class _Workspace:
     """Precomputed constraint arrays plus the per-lambda Gibbs evaluation.
 
     Without a declared symmetry the arrays are the operators themselves.
-    With one, every operator is compressed once to W^H P(A) W, with P the
-    commutant projection, W the isometry onto one copy of each irreducible
-    block of the commutant and m each column's block weight
-    (``symmetry.irrep_blocks``): the coefficients of A on the orthonormal
-    commutant basis times the compressed basis elements W^H B W. The Gibbs
-    state is evaluated on that copy: the exponent's eigensystem is c x c,
+    With one, every operator is compressed once to one copy of each
+    irreducible block of its commutant projection (``symmetry.compress``),
+    with m each block's weight (``symmetry.irrep_blocks``). The Gibbs state
+    is evaluated on that copy: the exponent's eigensystem is c x c,
     Z = Tr(M exp(H_c)) with M = diag(m), and a trace Tr(A rho) over the full
     space is Tr(M A_c rho_c). Since M is constant on each block,
     the expectations use the operators scaled by sqrt(m_i m_j) and the
@@ -230,20 +231,14 @@ class _Workspace:
         self.symmetry, self.n_qubits = problem.symmetry, problem.n_qubits
         if problem.symmetry == "none":
             self.weights = None
-            self.dim = problem.dim
             self.A = self.A_rotated = weighted = a
         else:
-            kind, n = self.symmetry, self.n_qubits
-            self.W, self.weights = symmetry.irrep_blocks(kind, n)
-            self.dim = self.W.shape[1]
-            basis = symmetry.commutant_basis(kind, n)
-            coeffs = a.reshape(self.K, basis.shape[1]) @ basis.conj().T
-            a_c = coeffs @ _compressed_commutant_basis(kind, n)
-            a_c = a_c.reshape(self.K, self.dim, self.dim)
-            self.A = (a_c + a_c.conj().transpose(0, 2, 1)) / 2.0
+            self.A = symmetry.compress(a, self.symmetry, self.n_qubits)
+            self.weights = symmetry.irrep_blocks(self.symmetry, self.n_qubits)[1]
             root = np.sqrt(np.outer(self.weights, self.weights))
             weighted = self.A * root
             self.A_rotated = self.A * np.sqrt(root)
+        self.dim = self.A.shape[1]
         self.A_flat = self.A.reshape(self.K, self.dim * self.dim)
         # Tr(A rho) = sum_ij conj(A_ij) rho_ij for Hermitian A: one real dot
         self.A_real = weighted.reshape(self.K, self.dim * self.dim).view(float)
@@ -267,13 +262,12 @@ class _Workspace:
         rho /= z
         return rho, w_shifted, v, expw, z
 
-    def full_rho(self, rho: np.ndarray) -> np.ndarray:
-        """The estimate on the full space from ``gibbs``'s rho: with a
-        declared symmetry, project(W diag(m) rho W^H)."""
-        if self.weights is None:
-            return rho
-        expanded = self.W @ (self.weights[:, None] * rho) @ self.W.T
-        return symmetry.project(expanded, self.symmetry, self.n_qubits)
+    def full_rho(self, rho: np.ndarray) -> DensityMatrix:
+        """The estimate on the full space from ``gibbs``'s rho; with a
+        declared symmetry, expanded from the blocks (``symmetry.expand``)."""
+        if self.weights is not None:
+            rho = symmetry.expand(rho, self.symmetry, self.n_qubits)
+        return DensityMatrix(rho, self.n_qubits)
 
     def evaluate(self, lambdas: np.ndarray):
         """(f, expectations, residuals, gibbs state tuple)."""
@@ -303,18 +297,6 @@ class _Workspace:
         return c
 
 
-@lru_cache(maxsize=8)
-def _compressed_commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
-    """W^H B W for each element B of ``symmetry.commutant_basis``, one
-    read-only flattened c x c row per element, with W from
-    ``symmetry.irrep_blocks``."""
-    w, _ = symmetry.irrep_blocks(kind, n_qubits)
-    basis = symmetry.commutant_basis(kind, n_qubits).reshape(-1, w.shape[0], w.shape[0])
-    out = (w.T @ basis @ w).reshape(basis.shape[0], -1)
-    out.setflags(write=False)
-    return out
-
-
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
     """Phi_ab evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <= 0,
     i.e. with b the larger eigenvalue of the pair: no cancellation at small
@@ -340,8 +322,7 @@ def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
     symmetry."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
     ws = _Workspace(problem)
-    rho = ws.full_rho(ws.gibbs(lam)[0])
-    return DensityMatrix((rho + rho.conj().T) / 2.0, problem.n_qubits)
+    return ws.full_rho(ws.gibbs(lam)[0])
 
 
 def objective(problem: MaxEntProblem, lambdas) -> float:
@@ -410,10 +391,8 @@ def solve(
         if f < best_f:
             best_f, best_lam, best_state = f, lam, state
 
-    rho_raw = ws.full_rho(best_state[0])
-    rho = DensityMatrix((rho_raw + rho_raw.conj().T) / 2.0, problem.n_qubits)
     return MaxEntSolution(
-        rho=rho,
+        rho=ws.full_rho(best_state[0]),
         lambdas=best_lam,
         objective=best_f,
         iterations=iterations,

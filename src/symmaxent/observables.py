@@ -82,9 +82,8 @@ def matrix_from_jsonable(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def pauli_labels(n_qubits: int, include_identity: bool = False) -> list[str]:
-    labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n_qubits)]
-    return labels if include_identity else labels[1:]
+def pauli_labels(n_qubits: int) -> list[str]:
+    return ["".join(t) for t in itertools.product("IXYZ", repeat=n_qubits)][1:]
 
 
 def pauli_basis(n_qubits: int) -> ObservableSet:

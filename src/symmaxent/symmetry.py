@@ -10,17 +10,22 @@ constraints commutes with the group on its own.
 
 The commutant is block diagonal in the total-spin (Schur) basis, built once
 per qubit count: one block per total spin j, repeated over the copies of its
-irrep. Its orthonormal basis (``commutant_basis``) is the matrix units of
+irrep. The two kinds differ only in which index of that basis the commutant
+acts on, the S_z state (permutation) or the copy (werner), so each object
+below is built one way from the basis oriented to put that index in the
+middle. Its orthonormal basis (``commutant_basis``) is the matrix units of
 those blocks, and every commutant operator, the maximum-entropy state
-included, is fixed by one copy of each block (``irrep_blocks``). The solver
-works on that copy.
+included, is fixed by one copy of each block (``irrep_blocks``). This module
+is the only one that knows that representation: the solver receives its
+operators compressed onto one copy of each block (``compress``) and hands
+back its estimate there, which ``expand`` returns to the full space.
 
 The generators Q_k (swap operators, collective Pauli sums) and the
-auxiliary observables i[Q_k, O_j] built from them span the orthogonal
-complement of the commutant. They are kept as the explicit, countable form
-of the same constraint, built independently of the total-spin basis: a
-state commutes with every Q_k exactly when all auxiliary expectation values
-vanish.
+auxiliary observables i[Q_k, O_j] built from them and the Pauli products
+O_j span the orthogonal complement of the commutant. They are kept as the
+explicit, countable form of the same constraint, built independently of the
+total-spin basis: a state commutes with every Q_k exactly when all
+auxiliary expectation values vanish.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import HermitianOperator
-from .observables import ObservableSet, pauli_labels
+from .observables import ObservableSet, pauli_basis
 
 KINDS = ("none", "permutation", "werner")
 
@@ -108,62 +113,44 @@ def generators_for(kind: str, n_qubits: int) -> list[HermitianOperator]:
     raise ValueError(f"unknown symmetry kind {kind!r}")
 
 
-def full_pauli_operator_basis(n_qubits: int) -> list[HermitianOperator]:
-    """The 4^n Pauli tensor products including the identity: a Hermitian
-    operator basis with orthogonal elements, used as the default {O_j}."""
-    return [
-        HermitianOperator(linalg.kron_all(linalg.PAULI_1Q[c] for c in label), label)
-        for label in pauli_labels(n_qubits, include_identity=True)
-    ]
-
-
-def auxiliary_observables(
-    kind: str,
-    n_qubits: int,
-    operator_basis: list[HermitianOperator] | None = None,
-) -> list[HermitianOperator]:
-    """Linearly independent auxiliary observables i[Q_k, O_j].
+def auxiliary_observables(kind: str, n_qubits: int) -> list[HermitianOperator]:
+    """Linearly independent auxiliary observables i[Q_k, O_j], with O_j the
+    j-th Pauli product of ``pauli_basis`` (1-based, as labelled).
 
     Candidates are symmetrized, rescaled to unit Hilbert-Schmidt norm (the
     target value zero is scale-free and unit scaling conditions the solver),
-    and reduced to a linearly independent subset in construction order. For
-    three qubits the permutation group yields 44 of them.
+    and reduced to a linearly independent subset in construction order. The
+    identity is left out of the O_j: its commutators vanish. For three
+    qubits the permutation group yields 44 of them.
     """
-    if kind == "none":
-        return []
-    if operator_basis is None:
-        operator_basis = full_pauli_operator_basis(n_qubits)
-    dim = 2**n_qubits
-    if len(operator_basis) != dim * dim:
-        raise ValueError(
-            f"operator basis must have {dim * dim} elements, got {len(operator_basis)}"
-        )
-    rank = len(linalg.linearly_independent_subset(operator_basis))
-    if rank != dim * dim:
-        raise ValueError(f"operator basis does not span: rank {rank} < {dim * dim}")
-
-    candidates: list[HermitianOperator] = []
-    for gen in generators_for(kind, n_qubits):
-        for j, op in enumerate(operator_basis):
+    gens = generators_for(kind, n_qubits)
+    paulis = pauli_basis(n_qubits) if gens else ()
+    candidates, labels = [], []
+    for gen in gens:
+        for j, op in enumerate(paulis, start=1):
             comm = 1j * linalg.commutator(gen, op)
             comm = (comm + comm.conj().T) / 2.0
             nrm = np.linalg.norm(comm)
             if nrm <= ZERO_COMMUTATOR_TOL:
                 continue
-            candidates.append(
-                HermitianOperator(comm / nrm, f"aux-{gen.label}-O{j:02d}")
-            )
-    kept = linalg.linearly_independent_subset(candidates)
-    return [candidates[i] for i in kept]
+            candidates.append(comm / nrm)
+            labels.append(f"aux-{gen.label}-O{j:02d}")
+    return [
+        HermitianOperator(candidates[i], labels[i])
+        for i in linalg.linearly_independent_subset(candidates)
+    ]
 
 
 @functools.lru_cache(maxsize=16)
 def build_symmetry(kind: str, n_qubits: int) -> SymmetryGroupSpec:
-    """Generators plus auxiliary observables for a symmetry kind, built
-    against the full Pauli operator basis."""
-    gens = generators_for(kind, n_qubits)
-    aux = auxiliary_observables(kind, n_qubits) if kind != "none" else []
-    return SymmetryGroupSpec(kind, n_qubits, tuple(gens), tuple(aux))
+    """Generators plus auxiliary observables for a symmetry kind; both are
+    empty for ``"none"``."""
+    return SymmetryGroupSpec(
+        kind,
+        n_qubits,
+        tuple(generators_for(kind, n_qubits)),
+        tuple(auxiliary_observables(kind, n_qubits)),
+    )
 
 
 def filter_measured_observables(
@@ -242,30 +229,38 @@ def _check_kind(kind: str, n_qubits: int, what: str) -> None:
         raise ValueError("permutation symmetry needs at least 2 qubits")
 
 
+def _oriented_blocks(kind: str, n_qubits: int) -> tuple[np.ndarray, ...]:
+    """The total-spin basis (``_total_spin_basis``) oriented so that the
+    commutant of ``kind`` acts on the middle index: arrays of shape (copies,
+    block size, 2^n), as built for ``permutation`` (the commutant mixes the
+    S_z states of one multiplet) and with the first two axes swapped for
+    ``werner`` (it mixes the copies of one S_z state)."""
+    basis = _total_spin_basis(n_qubits)
+    if kind == "werner":
+        return tuple(u.transpose(1, 0, 2) for u in basis)
+    return basis
+
+
 @functools.lru_cache(maxsize=8)
 def commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
     """Orthonormal basis of the commutant of a symmetry group, one read-only
     row per element: a dim x dim matrix vectorized in row-major order.
 
-    The rows are the matrix units of the total-spin basis u
-    (``_total_spin_basis``), block by block from the largest j down:
+    The rows are the matrix units of the oriented total-spin blocks u
+    (``_oriented_blocks``), sum_c |u[c, a]><u[c, b]| / sqrt(copies) over
+    a, b, block by block from the largest j down:
 
-    - ``permutation``: sum_j M_{2j+1} x I, the rows
-      sum_c |j a c><j b c| / sqrt(copies_j) over a, b. 20-dimensional for
-      three qubits, 35 for four, 56 for five.
-    - ``werner``: sum_j I x M_{copies_j}, the rows
-      sum_a |j a c><j a c'| / sqrt(2j + 1) over c, c'. This is span{V_pi}
-      of the qubit permutation matrices, the commutant of the collective
-      unitaries U^{otimes n} (Schur-Weyl duality): 5-dimensional for three
-      qubits, 14 for four, 42 for five.
+    - ``permutation``: sum_j M_{2j+1} x I. 20-dimensional for three qubits,
+      35 for four, 56 for five.
+    - ``werner``: sum_j I x M_{copies_j}. This is span{V_pi} of the qubit
+      permutation matrices, the commutant of the collective unitaries
+      U^{otimes n} (Schur-Weyl duality): 5-dimensional for three qubits, 14
+      for four, 42 for five.
     """
     _check_kind(kind, n_qubits, "commutant")
     rows = []
-    for u in _total_spin_basis(n_qubits):
-        if kind == "permutation":
-            units = np.einsum("cai,cbk->abik", u, u) / np.sqrt(u.shape[0])
-        else:
-            units = np.einsum("cai,dak->cdik", u, u) / np.sqrt(u.shape[1])
+    for u in _oriented_blocks(kind, n_qubits):
+        units = np.einsum("cai,cbk->abik", u, u) / np.sqrt(u.shape[0])
         rows.append(units.reshape(-1, u.shape[2] ** 2))
     out = np.concatenate(rows).astype(complex)
     out.setflags(write=False)
@@ -278,31 +273,63 @@ def irrep_blocks(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     block of the commutant, and the weight m (length c) of each column's
     block in the trace.
 
-    The permutation commutant is sum_j M_{2j+1} x I and the werner commutant
-    sum_j I x M_{copies_j} (``commutant_basis``). For X in the commutant,
-    W^H X W is block diagonal with one copy of each block, Tr X = sum_c m_c
-    (W^H X W)_cc, and project(W diag(m) W^H X W W^H) = X. Blocks run from
-    the largest j down, sliced from the total-spin basis u:
+    For X in the commutant, W^H X W is block diagonal with one copy of each
+    block, Tr X = sum_c m_c (W^H X W)_cc, and project(W diag(m) W^H X W W^H)
+    = X (``compress``, ``expand``). Each block is the first copy u[0] of an
+    oriented total-spin block u (``_oriented_blocks``), from the largest j
+    down, with weight m = u.shape[0], its number of copies:
 
-    - ``permutation``: the multiplet u[0] of the first copy;
-      m = copies_j = C(n, k) - C(n, k - 1).
-    - ``werner``: the highest weights u[:, 0] of every copy; m = 2j + 1.
+    - ``permutation``: a spin-j multiplet; m = C(n, k) - C(n, k - 1).
+    - ``werner``: the highest weights of every copy; m = 2j + 1.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown symmetry kind {kind!r}")
     _check_kind(kind, n_qubits, "irrep blocks")
-    basis = _total_spin_basis(n_qubits)
-    if kind == "permutation":
-        columns = [u[0] for u in basis]
-        weights = [np.full(u.shape[1], u.shape[0]) for u in basis]
-    else:
-        columns = [u[:, 0] for u in basis]
-        weights = [np.full(u.shape[0], u.shape[1]) for u in basis]
-    w = np.concatenate(columns).T.copy()
-    m = np.concatenate(weights).astype(float)
+    blocks = _oriented_blocks(kind, n_qubits)
+    w = np.concatenate([u[0] for u in blocks]).T.copy()
+    m = np.concatenate([np.full(u.shape[1], u.shape[0]) for u in blocks]).astype(float)
     w.setflags(write=False)
     m.setflags(write=False)
     return w, m
+
+
+@functools.lru_cache(maxsize=8)
+def _compressed_commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
+    """W^H B W for each element B of ``commutant_basis``, one read-only
+    flattened c x c row per element, with W from ``irrep_blocks``."""
+    w, _ = irrep_blocks(kind, n_qubits)
+    basis = commutant_basis(kind, n_qubits).reshape(-1, w.shape[0], w.shape[0])
+    out = (w.T @ basis @ w).reshape(basis.shape[0], -1)
+    out.setflags(write=False)
+    return out
+
+
+def _coordinates(flat: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
+    """Coefficients on ``commutant_basis`` of the commutant projections of
+    row-major vectorized operators, one row per operator."""
+    return flat @ commutant_basis(kind, n_qubits).conj().T
+
+
+def compress(stack, kind: str, n_qubits: int) -> np.ndarray:
+    """W^H P(A) W for each operator A of a (K, 2^n, 2^n) stack, K = 0
+    included, with P the commutant projection and W from ``irrep_blocks``:
+    the (K, c, c) stack of each projection on one copy of each irreducible
+    block, exactly Hermitian. Formed as the coordinates of A on the
+    commutant basis times the compressed basis elements W^H B W."""
+    stack = np.asarray(stack)
+    k, dim = len(stack), 2**n_qubits
+    c = irrep_blocks(kind, n_qubits)[0].shape[1]
+    out = _coordinates(stack.reshape(k, dim * dim), kind, n_qubits)
+    out = (out @ _compressed_commutant_basis(kind, n_qubits)).reshape(k, c, c)
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+
+def expand(rho_c, kind: str, n_qubits: int) -> np.ndarray:
+    """The commutant operator on the full space that ``rho_c`` (c x c) gives
+    on one copy of each block: project(W diag(m) rho_c W^T), with W and m
+    from ``irrep_blocks``. Inverts ``compress`` on the commutant."""
+    w, m = irrep_blocks(kind, n_qubits)
+    return project(w @ (m[:, None] * rho_c) @ w.T, kind, n_qubits)
 
 
 def project(a, kind: str, n_qubits: int) -> np.ndarray:
@@ -322,7 +349,7 @@ def commutant_coordinates(ops, kind: str, n_qubits: int) -> tuple[np.ndarray, np
     norms that :func:`independent_projections` filters. ``ops`` must be
     non-empty."""
     flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
-    return flat @ commutant_basis(kind, n_qubits).conj().T, np.linalg.norm(flat, axis=1)
+    return _coordinates(flat, kind, n_qubits), np.linalg.norm(flat, axis=1)
 
 
 def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:

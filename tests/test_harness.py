@@ -14,9 +14,7 @@ from symmaxent.harness import (
     run_sweep,
     summarize,
     worker_count,
-    write_meta_json,
-    write_result_csv,
-    write_summary_csv,
+    write_outputs,
 )
 from symmaxent.maxent import SolverOptions
 from symmaxent.measurement import NoiseConfig
@@ -88,10 +86,8 @@ class TestSweep:
         )
         res1 = run_sweep(cfg)
         res2 = run_sweep(cfg)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_result_csv(p1, res1)
-        write_result_csv(p2, res2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for p1, p2 in zip(write_outputs(res1, tmp_path / "a"), write_outputs(res2, tmp_path / "b")):
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_parallel_matches_serial(self, monkeypatch):
         cfg = small_config(batch_size=4)
@@ -374,20 +370,21 @@ class TestFiles:
     def test_result_csv_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")
         res = run_sweep(small_config(batch_size=2))
-        path = tmp_path / "result.csv"
-        write_result_csv(path, res)
+        path = write_outputs(res, tmp_path)[0]
+        assert path == tmp_path / "result.csv"
         back = read_result_csv(path)
         assert tuple(back) == res.records
 
     def test_summary_and_meta_files(self, tmp_path):
         res = run_sweep(small_config(batch_size=1, r_values=(2,)))
-        write_summary_csv(tmp_path / "summary.csv", res)
-        write_meta_json(tmp_path / "meta.json", res)
-        summary = (tmp_path / "summary.csv").read_text()
+        # the output directory is created when missing
+        out = tmp_path / "new" / "dir"
+        assert write_outputs(res, out) == [out / "result.csv", out / "summary.csv", out / "meta.json"]
+        summary = (out / "summary.csv").read_text()
         assert summary.startswith("r,mean_f,std_f,n_converged\n")
         import json
 
-        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta = json.loads((out / "meta.json").read_text())
         assert meta["artifact"] == "symmaxent"
 
     def test_bad_header_rejected(self, tmp_path):

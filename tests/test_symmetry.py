@@ -13,8 +13,9 @@ from symmaxent.symmetry import (
     auxiliary_observables,
     build_symmetry,
     commutant_basis,
+    compress,
+    expand,
     filter_measured_observables,
-    full_pauli_operator_basis,
     generators_for,
     independent_projections,
     irrep_blocks,
@@ -113,7 +114,7 @@ class TestWernerGenerators:
         # it would only contribute empty constraints
         assert len(werner_generators(3)) == 3
         n_eye = 3.0 * np.eye(8)
-        for op in full_pauli_operator_basis(3)[:10]:
+        for op in list(pauli_basis(3))[:10]:
             assert np.allclose(1j * linalg.commutator(n_eye, op), 0.0)
 
     def test_commute_with_permutations(self):
@@ -178,13 +179,24 @@ class TestAuxiliaryObservables:
             for a in aux:
                 assert abs(np.vdot(a.matrix, rho.matrix).real) <= 1e-9
 
-    def test_rejects_non_spanning_basis(self):
-        small = full_pauli_operator_basis(3)[:10]
-        with pytest.raises(ValueError, match="basis"):
-            auxiliary_observables("permutation", 3, small)
-
     def test_none_kind_empty(self):
         assert auxiliary_observables("none", 3) == []
+
+    @pytest.mark.parametrize(
+        "kind, n, count, first, last",
+        [
+            ("permutation", 3, 44, ["aux-P12-O04", "aux-P12-O05", "aux-P12-O06"], "aux-P13-O39"),
+            ("werner", 3, 59, ["aux-Sx-O02"], "aux-Sy-O53"),
+            ("permutation", 4, 221, [], "aux-P14-O151"),
+        ],
+    )
+    def test_counts_and_labels(self, kind, n, count, first, last):
+        # O_j is the j-th Pauli product of pauli_basis, counted from 1 as if
+        # the identity (whose commutators vanish) were O_00
+        labels = [a.label for a in auxiliary_observables(kind, n)]
+        assert len(labels) == count
+        assert labels[: len(first)] == first
+        assert labels[-1] == last
 
     def test_zero_expectations_imply_generator_commutation(self, rng):
         # build a state whose auxiliary expectations all vanish by averaging
@@ -479,3 +491,56 @@ class TestIrrepBlocks:
             irrep_blocks("cyclic", 3)
         with pytest.raises(ValueError, match="at least 2 qubits"):
             irrep_blocks("permutation", 1)
+
+
+def _two_branch_commutant_basis(kind, n):
+    """The commutant basis as built with one einsum per kind on the
+    unoriented total-spin basis: the oracle for the oriented construction."""
+    rows = []
+    for u in symmetry._total_spin_basis(n):
+        if kind == "permutation":
+            units = np.einsum("cai,cbk->abik", u, u) / np.sqrt(u.shape[0])
+        else:
+            units = np.einsum("cai,dak->cdik", u, u) / np.sqrt(u.shape[1])
+        rows.append(units.reshape(-1, u.shape[2] ** 2))
+    return np.concatenate(rows).astype(complex)
+
+
+class TestOrientedBlocks:
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_commutant_basis_matches_two_branch_oracle(self, kind, n):
+        assert np.array_equal(commutant_basis(kind, n), _two_branch_commutant_basis(kind, n))
+
+
+COMPRESS_CASES = [(kind, n) for kind in ("permutation", "werner") for n in (2, 3, 4)]
+
+
+class TestCompressExpand:
+    @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
+    def test_empty_stack(self, kind, n):
+        c = len(irrep_blocks(kind, n)[1])
+        out = compress(np.zeros((0, 2**n, 2**n), dtype=complex), kind, n)
+        assert out.shape == (0, c, c)
+
+    @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
+    def test_exactly_hermitian(self, kind, n):
+        ops = [op.matrix for op in list(sic_povm(n))[:7]]
+        out = compress(np.array(ops), kind, n)
+        assert np.array_equal(out, out.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
+    def test_expand_inverts_compress_and_keeps_the_trace(self, kind, n):
+        rng = np.random.default_rng([n, len(kind), 13])
+        _, m = irrep_blocks(kind, n)
+        xs = np.array([_random_commutant_element(kind, n, rng) for _ in range(3)])
+        for x, x_c in zip(xs, compress(xs, kind, n)):
+            assert np.max(np.abs(expand(x_c, kind, n) - x)) <= 1e-13
+            assert abs(np.trace(x) - m @ np.diag(x_c)) <= 1e-13
+
+    @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
+    def test_compresses_the_projection(self, kind, n):
+        # an operator and its commutant projection compress alike
+        a = random_mixed_state(2**n, np.random.default_rng([n, len(kind)]))
+        both = compress(np.array([a, project(a, kind, n)]), kind, n)
+        assert np.max(np.abs(both[0] - both[1])) <= 1e-13
