@@ -57,16 +57,22 @@ def _parse_r_values(raw: str) -> tuple[int, ...]:
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat key = value lines."""
-    flat: dict[str, str] = {}
+    """Build an ExperimentConfig from flat key = value lines, each key once."""
+    flat: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value, got {line!r}")
-        key, value = line.split("=", 1)
-        flat[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs = [(key, value)]
+        if key == "state_family" and value.startswith("dicke(") and value.endswith(")"):
+            pairs = [(key, "dicke"), ("dicke_excitations", value[len("dicke("):-1])]
+        for key, value in pairs:
+            if key in flat:
+                raise ValueError(f"config line {lineno}: {key!r} also set on line {flat[key][0]}")
+            flat[key] = lineno, value
 
     top: dict[str, object] = {}
     noise_kwargs: dict[str, object] = {}
@@ -84,7 +90,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             return float(value)
         return value
 
-    for key, value in flat.items():
+    for key, (_, value) in flat.items():
         if key.startswith("noise."):
             name = key[len("noise."):]
             if name not in noise_fields:
@@ -97,17 +103,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             solver_kwargs[name] = _convert(value, solver_fields[name])
         elif key == "r_values":
             top["r_values"] = _parse_r_values(value)
-        elif key == "state_family":
-            family = value
-            if family.startswith("dicke(") and family.endswith(")"):
-                top["dicke_excitations"] = int(family[len("dicke("):-1])
-                family = "dicke"
-            top["state_family"] = family
         elif key in ("n_qubits", "batch_size", "seed", "dicke_excitations"):
             top[key] = int(value)
         elif key == "shuffle_observables":
             top[key] = _parse_bool(value)
-        elif key in ("observable_kind", "symmetry"):
+        elif key in ("observable_kind", "symmetry", "state_family"):
             top[key] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
@@ -134,7 +134,15 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+def _reject_unknown_keys(entry: dict, known: set[str], what: str) -> None:
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}")
+
+
 def _solve_problem_from_json(data: dict) -> dict:
+    problem_keys = {"n_qubits", "observables", "symmetry", "measured", "solver", "lambda0"}
+    _reject_unknown_keys(data, problem_keys, "problem key")
     n_qubits = int(data["n_qubits"])
     dim = 2**n_qubits
     kind = data.get("observables", "custom")
@@ -147,6 +155,10 @@ def _solve_problem_from_json(data: dict) -> dict:
 
     measured = []
     for entry in data["measured"]:
+        where = f"measured entry {len(measured)}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is not a JSON object: {entry!r}")
+        _reject_unknown_keys(entry, {"label", "matrix", "target"}, f"{where} key")
         target = float(entry["target"])
         if "matrix" in entry:
             op = HermitianOperator(
@@ -162,9 +174,7 @@ def _solve_problem_from_json(data: dict) -> dict:
 
     solver_kwargs = data.get("solver", {})
     solver_fields = {f.name for f in dataclasses.fields(SolverOptions)}
-    for name in solver_kwargs:
-        if name not in solver_fields:
-            raise ValueError(f"unknown solver field {name!r}")
+    _reject_unknown_keys(solver_kwargs, solver_fields, "solver field")
     solution = solve(
         MaxEntProblem(tuple(measured), (), dim, symmetry_kind),
         SolverOptions(**solver_kwargs),

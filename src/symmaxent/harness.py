@@ -374,7 +374,10 @@ def read_result_csv(path) -> list[StateRunRecord]:
             line = line.strip()
             if not line:
                 continue
-            state_id, r, fid, conv, iters = line.split(",")
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise ValueError(f"line {lineno}: expected 5 fields, got {len(fields)}")
+            state_id, r, fid, conv, iters = fields
             if conv not in ("true", "false"):
                 raise ValueError(f"line {lineno}: converged must be true or false, got {conv!r}")
             records.append(

@@ -35,9 +35,9 @@ commutant, which is block diagonal in the total-spin basis. Its solve runs
 on one copy of each block, each trace weighted by the block's number of
 copies: at four qubits a 9 x 9 eigensystem under permutation symmetry and
 6 x 6 under werner symmetry instead of 16 x 16. The solver holds only the
-compressed operators and the block weights: ``symmetry.compress`` maps the
-operators onto the blocks once, before the first step, and
-``symmetry.expand`` maps the estimate back to the full space once, at the
+compressed operators and the block weights: ``symmetry.compress`` places
+their commutant coordinates on the blocks once, before the first step, and
+``symmetry.expand`` returns the estimate to the full space once, at the
 end.
 
 The multipliers are updated by damped Newton steps on the constraint
@@ -127,7 +127,7 @@ class MaxEntProblem:
                 )
             # rejects a kind the block construction cannot serve, such as
             # permutation symmetry on one qubit
-            symmetry.irrep_blocks(self.symmetry, self.n_qubits)
+            symmetry.block_weights(self.symmetry, self.n_qubits)
 
     @property
     def n_qubits(self) -> int:
@@ -215,7 +215,7 @@ class _Workspace:
     Without a declared symmetry the arrays are the operators themselves.
     With one, every operator is compressed once to one copy of each
     irreducible block of its commutant projection (``symmetry.compress``),
-    with m each block's weight (``symmetry.irrep_blocks``). The Gibbs state
+    with m each block's weight (``symmetry.block_weights``). The Gibbs state
     is evaluated on that copy: the exponent's eigensystem is c x c,
     Z = Tr(M exp(H_c)) with M = diag(m), and a trace Tr(A rho) over the full
     space is Tr(M A_c rho_c). Since M is constant on each block,
@@ -234,7 +234,7 @@ class _Workspace:
             self.A = self.A_rotated = weighted = a
         else:
             self.A = symmetry.compress(a, self.symmetry, self.n_qubits)
-            self.weights = symmetry.irrep_blocks(self.symmetry, self.n_qubits)[1]
+            self.weights = symmetry.block_weights(self.symmetry, self.n_qubits)
             root = np.sqrt(np.outer(self.weights, self.weights))
             weighted = self.A * root
             self.A_rotated = self.A * np.sqrt(root)

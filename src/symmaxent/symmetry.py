@@ -15,10 +15,11 @@ acts on, the S_z state (permutation) or the copy (werner), so each object
 below is built one way from the basis oriented to put that index in the
 middle. Its orthonormal basis (``commutant_basis``) is the matrix units of
 those blocks, and every commutant operator, the maximum-entropy state
-included, is fixed by one copy of each block (``irrep_blocks``). This module
-is the only one that knows that representation: the solver receives its
-operators compressed onto one copy of each block (``compress``) and hands
-back its estimate there, which ``expand`` returns to the full space.
+included, is fixed by one copy of each block, where a basis coordinate is
+one entry times sqrt(copies). This module is the only one that knows that
+representation: the solver receives its operators' coordinates placed on
+the blocks (``compress``) and hands back its estimate there, which
+``expand`` reads back onto the basis.
 
 The generators Q_k (swap operators, collective Pauli sums) and the
 auxiliary observables i[Q_k, O_j] built from them and the Pauli products
@@ -221,8 +222,10 @@ def _total_spin_basis(n_qubits: int) -> tuple[np.ndarray, ...]:
 
 
 def _check_kind(kind: str, n_qubits: int, what: str) -> None:
-    if kind not in KINDS or kind == "none":
-        raise ValueError(f"no {what} for symmetry kind {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown symmetry kind {kind!r}")
+    if kind == "none":
+        raise ValueError(f"no {what} for symmetry kind 'none'")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     if kind == "permutation" and n_qubits < 2:
@@ -268,40 +271,31 @@ def commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def irrep_blocks(kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Isometry W (2^n x c, read-only) onto one copy of each irreducible
-    block of the commutant, and the weight m (length c) of each column's
-    block in the trace.
-
-    For X in the commutant, W^H X W is block diagonal with one copy of each
-    block, Tr X = sum_c m_c (W^H X W)_cc, and project(W diag(m) W^H X W W^H)
-    = X (``compress``, ``expand``). Each block is the first copy u[0] of an
-    oriented total-spin block u (``_oriented_blocks``), from the largest j
-    down, with weight m = u.shape[0], its number of copies:
-
-    - ``permutation``: a spin-j multiplet; m = C(n, k) - C(n, k - 1).
-    - ``werner``: the highest weights of every copy; m = 2j + 1.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"unknown symmetry kind {kind!r}")
+def _block_layout(kind: str, n_qubits: int) -> tuple[np.ndarray, ...]:
+    """Read-only (rows, cols, root, weights): the position of each
+    ``commutant_basis`` element on one copy of each block, sqrt(copies) of
+    its block, and the trace weight m of each of the c columns. Element
+    (a, b) of an oriented block u is sum_c |u[c, a]><u[c, b]| / sqrt(copies),
+    which is 1 / sqrt(copies) at one block-diagonal position of copy u[0];
+    row-major, those positions run in the order of the basis elements."""
     _check_kind(kind, n_qubits, "irrep blocks")
     blocks = _oriented_blocks(kind, n_qubits)
-    w = np.concatenate([u[0] for u in blocks]).T.copy()
-    m = np.concatenate([np.full(u.shape[1], u.shape[0]) for u in blocks]).astype(float)
-    w.setflags(write=False)
-    m.setflags(write=False)
-    return w, m
-
-
-@functools.lru_cache(maxsize=8)
-def _compressed_commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
-    """W^H B W for each element B of ``commutant_basis``, one read-only
-    flattened c x c row per element, with W from ``irrep_blocks``."""
-    w, _ = irrep_blocks(kind, n_qubits)
-    basis = commutant_basis(kind, n_qubits).reshape(-1, w.shape[0], w.shape[0])
-    out = (w.T @ basis @ w).reshape(basis.shape[0], -1)
-    out.setflags(write=False)
+    weights = np.concatenate([np.full(u.shape[1], float(u.shape[0])) for u in blocks])
+    block_of = np.repeat(np.arange(len(blocks)), [u.shape[1] for u in blocks])
+    rows, cols = np.nonzero(block_of[:, None] == block_of)
+    out = rows, cols, np.sqrt(weights[rows]), weights
+    for x in out:
+        x.setflags(write=False)
     return out
+
+
+def block_weights(kind: str, n_qubits: int) -> np.ndarray:
+    """The trace weight m (read-only) of each of the c columns of the blocks
+    that ``compress`` maps onto, from the largest total spin j down: its
+    block's number of copies, C(n, k) - C(n, k - 1) for ``permutation`` (a
+    spin-j multiplet) and 2j + 1 for ``werner`` (one S_z state of every
+    copy). Tr X = sum_c m_c compress(X)_cc for X in the commutant."""
+    return _block_layout(kind, n_qubits)[3]
 
 
 def _coordinates(flat: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
@@ -311,25 +305,25 @@ def _coordinates(flat: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
 
 
 def compress(stack, kind: str, n_qubits: int) -> np.ndarray:
-    """W^H P(A) W for each operator A of a (K, 2^n, 2^n) stack, K = 0
-    included, with P the commutant projection and W from ``irrep_blocks``:
-    the (K, c, c) stack of each projection on one copy of each irreducible
-    block, exactly Hermitian. Formed as the coordinates of A on the
-    commutant basis times the compressed basis elements W^H B W."""
+    """The commutant projection of each operator of a (K, 2^n, 2^n) stack,
+    K = 0 included, on one copy of each block: its ``commutant_basis``
+    coordinates placed on the blocks and divided by sqrt(copies). The
+    (K, c, c) result is exactly Hermitian and exactly zero off the blocks."""
     stack = np.asarray(stack)
     k, dim = len(stack), 2**n_qubits
-    c = irrep_blocks(kind, n_qubits)[0].shape[1]
-    out = _coordinates(stack.reshape(k, dim * dim), kind, n_qubits)
-    out = (out @ _compressed_commutant_basis(kind, n_qubits)).reshape(k, c, c)
+    rows, cols, root, weights = _block_layout(kind, n_qubits)
+    out = np.zeros((k, len(weights), len(weights)), dtype=complex)
+    out[:, rows, cols] = _coordinates(stack.reshape(k, dim * dim), kind, n_qubits) / root
     return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
 def expand(rho_c, kind: str, n_qubits: int) -> np.ndarray:
-    """The commutant operator on the full space that ``rho_c`` (c x c) gives
-    on one copy of each block: project(W diag(m) rho_c W^T), with W and m
-    from ``irrep_blocks``. Inverts ``compress`` on the commutant."""
-    w, m = irrep_blocks(kind, n_qubits)
-    return project(w @ (m[:, None] * rho_c) @ w.T, kind, n_qubits)
+    """The full-space commutant operator whose blocks are ``rho_c`` (c x c):
+    its block entries times sqrt(copies) are its ``commutant_basis``
+    coordinates. Inverts ``compress`` on the commutant."""
+    rows, cols, root, _ = _block_layout(kind, n_qubits)
+    dim = 2**n_qubits
+    return ((rho_c[rows, cols] * root) @ commutant_basis(kind, n_qubits)).reshape(dim, dim)
 
 
 def project(a, kind: str, n_qubits: int) -> np.ndarray:

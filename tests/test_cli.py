@@ -100,6 +100,29 @@ class TestConfigParsing:
     def test_spaced_r_range_accepted(self):
         assert parse_config_text("r_values = 1 - 3, 5").r_values == (1, 2, 3, 5)
 
+    def test_key_given_twice_rejected(self):
+        # the later line would silently win
+        with pytest.raises(ValueError, match="line 3: 'n_qubits' also set on line 1"):
+            parse_config_text("n_qubits = 2\nseed = 1\nn_qubits = 3")
+
+    @pytest.mark.parametrize(
+        "text, lineno, first",
+        [
+            ("state_family = dicke(1)\ndicke_excitations = 2", 2, 1),
+            ("dicke_excitations = 2\nstate_family = dicke(1)", 2, 1),
+        ],
+    )
+    def test_dicke_family_and_excitations_both_rejected(self, text, lineno, first):
+        with pytest.raises(
+            ValueError,
+            match=f"line {lineno}: 'dicke_excitations' also set on line {first}",
+        ):
+            parse_config_text(text)
+
+    def test_dicke_excitations_beside_plain_family_accepted(self):
+        cfg = parse_config_text("state_family = dicke\ndicke_excitations = 2")
+        assert (cfg.state_family, cfg.dicke_excitations) == ("dicke", 2)
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("\n# comment\nseed = 4  # trailing\n")
         assert cfg.seed == 4
@@ -309,4 +332,31 @@ class TestSolveCommand:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         with pytest.raises(ValueError, match="unknown observable label"):
+            main(["solve", "--targets", str(path)])
+
+    def test_unknown_problem_key_rejected(self, tmp_path):
+        # a misspelt symmetry would otherwise solve without one
+        problem = {"n_qubits": 1, "measured": [], "symmetyr": "permutation"}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match="unknown problem key.*'symmetyr'"):
+            main(["solve", "--targets", str(path)])
+
+    def test_unknown_measured_entry_key_rejected(self, tmp_path):
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}, {"label": "X", "value": 0.1}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match="unknown measured entry 1 key.*'value'"):
+            main(["solve", "--targets", str(path)])
+
+    def test_measured_entry_not_an_object_rejected(self, tmp_path):
+        # a dict in place of the list iterates over its keys
+        problem = {"n_qubits": 1, "measured": {"label": "Z", "target": 0.5}}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match="measured entry 0 is not a JSON object: 'label'"):
             main(["solve", "--targets", str(path)])

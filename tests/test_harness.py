@@ -406,6 +406,15 @@ class TestFiles:
             read_result_csv(path)
 
 
+    @pytest.mark.parametrize("row", ["0,2,0.75,true,4,9", "0,2,0.75,true"])
+    def test_wrong_field_count_named(self, tmp_path, row):
+        path = tmp_path / "result.csv"
+        path.write_text("state_id,r,fidelity,converged,iterations\n0,1,0.5,true,3\n" + row + "\n")
+        n = len(row.split(","))
+        with pytest.raises(ValueError, match=f"line 3: expected 5 fields, got {n}"):
+            read_result_csv(path)
+
+
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")

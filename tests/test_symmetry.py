@@ -11,6 +11,7 @@ from symmaxent.observables import ObservableSet, pauli_basis, sic_povm
 from symmaxent.symmetry import (
     SymmetryGroupSpec,
     auxiliary_observables,
+    block_weights,
     build_symmetry,
     commutant_basis,
     compress,
@@ -18,7 +19,6 @@ from symmaxent.symmetry import (
     filter_measured_observables,
     generators_for,
     independent_projections,
-    irrep_blocks,
     permutation_generators,
     permutation_operator,
     project,
@@ -275,15 +275,17 @@ class TestFilterMeasuredObservables:
         assert positions == sorted(positions)
 
 
-# prints a digest of the n = 4 permutation basis and blocks, and the first
-# diagonal entry of a seeded draw from them
+# prints a digest of the n = 4 permutation basis, its block weights and the
+# compressed n = 4 SIC set, and the first diagonal entry of a seeded draw
 THREAD_PROBE = """
 import hashlib
 import numpy as np
 from symmaxent import states, symmetry
+from symmaxent.observables import sic_povm
 digest = hashlib.sha256(symmetry.commutant_basis("permutation", 4).tobytes())
-for a in symmetry.irrep_blocks("permutation", 4):
-    digest.update(a.tobytes())
+digest.update(symmetry.block_weights("permutation", 4).tobytes())
+sic = np.array([op.matrix for op in sic_povm(4)])
+digest.update(symmetry.compress(sic, "permutation", 4).tobytes())
 rho = states.random_permutation_invariant_mixed(4, np.random.default_rng(5))
 print(digest.hexdigest(), repr(float(rho.matrix[0, 0].real)))
 """
@@ -416,11 +418,12 @@ IRREP_BLOCKS = {
 }
 
 
-def _spin_blocks(w, n):
-    """Total spin j of each column of w, from the collective S^2 = sum_k
-    (sum_l sigma_k^(l) / 2)^2, and the column ranges of equal j."""
+def _spin_blocks(kind, n):
+    """Total spin j of each column of the blocks, read from the compressed
+    collective S^2 = sum_k (sum_l sigma_k^(l) / 2)^2, which lies in both
+    commutants, and the column ranges of equal j."""
     s2 = sum(g.matrix @ g.matrix for g in werner_generators(n)) / 4.0
-    s2_c = w.T @ s2 @ w
+    s2_c = compress(s2[None], kind, n)[0]
     assert np.max(np.abs(s2_c - np.diag(np.diag(s2_c)))) <= 1e-12
     j = (np.sqrt(1.0 + 4.0 * np.diag(s2_c).real) - 1.0) / 2.0
     assert np.allclose(j, np.round(2 * j) / 2, atol=1e-12)
@@ -435,19 +438,31 @@ def _random_commutant_element(kind, n, rng):
     return (x + x.conj().T) / 2
 
 
+def _block_mask(kind, n):
+    """c x c mask of the block diagonal, from the block sizes in IRREP_BLOCKS."""
+    block_of = np.repeat(np.arange(len(IRREP_BLOCKS[kind, n][0])), IRREP_BLOCKS[kind, n][0])
+    return block_of[:, None] == block_of
+
+
 class TestIrrepBlocks:
     @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
     def test_isometric_read_only_and_cached(self, kind, n):
-        w, m = irrep_blocks(kind, n)
-        assert w.shape == (2**n, len(m))
-        assert np.max(np.abs(w.T @ w - np.eye(len(m)))) <= 1e-14
-        assert not w.flags.writeable and not m.flags.writeable
-        assert irrep_blocks(kind, n)[0] is w
+        # on the commutant, compress is an isometry for the inner product
+        # weighted by m: Tr XY = sum_ab m_a (X_c)_ab (Y_c)_ba
+        rng = np.random.default_rng([n, len(kind), 3])
+        m = block_weights(kind, n)
+        for _ in range(3):
+            x = _random_commutant_element(kind, n, rng)
+            y = _random_commutant_element(kind, n, rng)
+            xc, yc = compress(np.array([x, y]), kind, n)
+            assert abs(np.trace(x @ y) - np.sum(m[:, None] * xc * yc.T)) <= 1e-13
+        assert not m.flags.writeable
+        assert block_weights(kind, n) is m
 
     @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
     def test_block_sizes_and_weights(self, kind, n):
-        w, m = irrep_blocks(kind, n)
-        j, blocks = _spin_blocks(w, n)
+        m = block_weights(kind, n)
+        j, blocks = _spin_blocks(kind, n)
         sizes, weights = IRREP_BLOCKS[kind, n]
         assert tuple(b.stop - b.start for b in blocks) == sizes
         assert tuple(m[b.start] for b in blocks) == weights
@@ -465,32 +480,25 @@ class TestIrrepBlocks:
 
     @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
     def test_commutant_identities(self, kind, n):
+        # commutant elements and any other operators compress to exact zeros
+        # off the blocks; the trace and expand identities are checked in
+        # TestCompressExpand
         rng = np.random.default_rng([n, len(kind)])
-        w, m = irrep_blocks(kind, n)
-        _, blocks = _spin_blocks(w, n)
-        in_block = np.zeros((len(m), len(m)), dtype=bool)
-        for b in blocks:
-            in_block[b, b] = True
-        for _ in range(3):
-            x = _random_commutant_element(kind, n, rng)
-            y = _random_commutant_element(kind, n, rng)
-            xc, yc = w.T @ x @ w, w.T @ y @ w
-            assert np.max(np.abs(xc[~in_block])) <= 1e-13
-            assert abs(np.trace(x) - m @ np.diag(xc)) <= 1e-13
-            assert abs(np.trace(x @ y) - np.sum(m[:, None] * xc * yc.T)) <= 1e-13
-            expanded = project(w @ (m[:, None] * xc) @ w.T, kind, n)
-            assert np.max(np.abs(expanded - x)) <= 1e-13
+        ops = [_random_commutant_element(kind, n, rng) for _ in range(3)]
+        ops += [random_mixed_state(2**n, rng), sic_povm(n)[0].matrix]
+        out = compress(np.array(ops), kind, n)
+        assert np.all(out[:, ~_block_mask(kind, n)] == 0)
 
     def test_none_is_rejected(self):
         # as commutant_basis rejects it: "none" has no blocks to solve on
         with pytest.raises(ValueError, match="symmetry kind 'none'"):
-            irrep_blocks("none", 3)
+            block_weights("none", 3)
 
     def test_rejects_unknown_kind_and_one_qubit_permutation(self):
         with pytest.raises(ValueError, match="unknown symmetry kind"):
-            irrep_blocks("cyclic", 3)
+            block_weights("cyclic", 3)
         with pytest.raises(ValueError, match="at least 2 qubits"):
-            irrep_blocks("permutation", 1)
+            block_weights("permutation", 1)
 
 
 def _two_branch_commutant_basis(kind, n):
@@ -516,10 +524,36 @@ class TestOrientedBlocks:
 COMPRESS_CASES = [(kind, n) for kind in ("permutation", "werner") for n in (2, 3, 4)]
 
 
+def _oracle_isometry(kind, n):
+    """W (2^n x c): the first copy of each oriented total-spin block, side by
+    side, and the weight m of each column, its block's number of copies."""
+    blocks = symmetry._oriented_blocks(kind, n)
+    w = np.concatenate([u[0] for u in blocks]).T
+    m = np.concatenate([np.full(u.shape[1], float(u.shape[0])) for u in blocks])
+    return w, m
+
+
+def _oracle_compress(stack, kind, n):
+    """W^H P(A) W, formed as the commutant coordinates of A times the
+    compressed basis elements W^H B W: the oracle for placing coordinates."""
+    w, _ = _oracle_isometry(kind, n)
+    basis = commutant_basis(kind, n)
+    compressed = (w.T @ basis.reshape(-1, 2**n, 2**n) @ w).reshape(len(basis), -1)
+    out = stack.reshape(len(stack), -1) @ basis.conj().T @ compressed
+    out = out.reshape(len(stack), w.shape[1], w.shape[1])
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _oracle_expand(rho_c, kind, n):
+    """project(W diag(m) rho_c W^T): the oracle for reading coordinates."""
+    w, m = _oracle_isometry(kind, n)
+    return project(w @ (m[:, None] * rho_c) @ w.T, kind, n)
+
+
 class TestCompressExpand:
     @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
     def test_empty_stack(self, kind, n):
-        c = len(irrep_blocks(kind, n)[1])
+        c = len(block_weights(kind, n))
         out = compress(np.zeros((0, 2**n, 2**n), dtype=complex), kind, n)
         assert out.shape == (0, c, c)
 
@@ -529,10 +563,24 @@ class TestCompressExpand:
         out = compress(np.array(ops), kind, n)
         assert np.array_equal(out, out.conj().transpose(0, 2, 1))
 
+    @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
+    def test_matches_isometry_oracle(self, kind, n):
+        rng = np.random.default_rng([n, len(kind), 21])
+        ops = [op.matrix for op in list(sic_povm(n))[:10]]
+        ops += [random_mixed_state(2**n, rng) for _ in range(3)]
+        stack = np.array(ops)
+        out = compress(stack, kind, n)
+        assert np.max(np.abs(out - _oracle_compress(stack, kind, n))) <= 1e-13
+        # any c x c matrix, off-block entries included, which both ignore
+        c = out.shape[1]
+        rho_c = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+        for x_c in list(out) + [rho_c + rho_c.conj().T]:
+            assert np.max(np.abs(expand(x_c, kind, n) - _oracle_expand(x_c, kind, n))) <= 1e-13
+
     @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
     def test_expand_inverts_compress_and_keeps_the_trace(self, kind, n):
         rng = np.random.default_rng([n, len(kind), 13])
-        _, m = irrep_blocks(kind, n)
+        m = block_weights(kind, n)
         xs = np.array([_random_commutant_element(kind, n, rng) for _ in range(3)])
         for x, x_c in zip(xs, compress(xs, kind, n)):
             assert np.max(np.abs(expand(x_c, kind, n) - x)) <= 1e-13
