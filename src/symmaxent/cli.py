@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import re
 import sys
 from pathlib import Path
@@ -143,7 +144,10 @@ def _reject_unknown_keys(entry: dict, known: set[str], what: str) -> None:
 def _solve_problem_from_json(data: dict) -> dict:
     problem_keys = {"n_qubits", "observables", "symmetry", "measured", "solver", "lambda0"}
     _reject_unknown_keys(data, problem_keys, "problem key")
-    n_qubits = int(data["n_qubits"])
+    n_qubits = data["n_qubits"]
+    # bool is an int subclass: true must not read as one qubit
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral):
+        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
     dim = 2**n_qubits
     kind = data.get("observables", "custom")
     symmetry_kind = data.get("symmetry", "none")

@@ -6,10 +6,11 @@ mix in white noise, order the canonical observable set (optionally shuffled
 per state), and under a symmetry discard observables whose projections onto
 the commutant are linearly dependent on those kept before them (measuring
 them would add nothing the symmetry does not already pin down). Acquire
-targets for the surviving list, then for each sweep point r solve the
-maximum-entropy problem from the first r surviving observables, declaring
-the symmetry (so that the problem constrains their projections onto the
-commutant), and record the fidelity against the prepared (noisy) state.
+targets for the first max(r) survivors, build one maximum-entropy problem on
+them that declares the symmetry (so it constrains their commutant
+projections), and at each sweep point r solve its leading slice on the first
+r (``MaxEntProblem.leading``) and record the fidelity against the prepared
+(noisy) state.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
@@ -237,16 +238,11 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
         for i in order[:max_r]
     ]
 
+    measured = tuple(zip((candidates[i] for i in order[:max_r]), targets))
+    problem = MaxEntProblem(measured, (), 2**config.n_qubits, config.symmetry)
     out = []
     for r in config.r_values:
-        k = min(r, len(order))
-        problem = MaxEntProblem(
-            measured=tuple(zip((candidates[i] for i in order[:k]), targets)),
-            auxiliary=(),
-            dim=2**config.n_qubits,
-            symmetry=config.symmetry,
-        )
-        solution = solve(problem, config.solver)
+        solution = solve(problem.leading(min(r, len(order))), config.solver)
         fid = states.fidelity(rho_target, solution.rho)
         out.append(StateRunRecord(state_id, r, fid, solution.converged, solution.iterations))
     return out

@@ -36,9 +36,13 @@ on one copy of each block, each trace weighted by the block's number of
 copies: at four qubits a 9 x 9 eigensystem under permutation symmetry and
 6 x 6 under werner symmetry instead of 16 x 16. The solver holds only the
 compressed operators and the block weights: ``symmetry.compress`` places
-their commutant coordinates on the blocks once, before the first step, and
-``symmetry.expand`` returns the estimate to the full space once, at the
-end.
+their commutant coordinates on the blocks, and ``symmetry.expand`` returns
+the estimate to the full space once, at the end of a solve.
+
+A problem builds its stacked, compressed operators and the arrays derived
+from them once, on first use, for every solve and kernel call on it. A sweep
+state builds one problem and solves its leading slices on the first r
+observables (``MaxEntProblem.leading``), whose operators are its rows.
 
 The multipliers are updated by damped Newton steps on the constraint
 equations: solve (C + mu s I) delta = -(residuals), with C the constraint
@@ -119,6 +123,7 @@ class MaxEntProblem:
         for op in self.auxiliary:
             if op.dim != self.dim:
                 raise ValueError(f"auxiliary observable {op.label!r} has dim {op.dim}")
+        weights = None
         if self.symmetry != "none":
             if self.auxiliary:
                 raise ValueError(
@@ -127,7 +132,10 @@ class MaxEntProblem:
                 )
             # rejects a kind the block construction cannot serve, such as
             # permutation symmetry on one qubit
-            symmetry.block_weights(self.symmetry, self.n_qubits)
+            weights = symmetry.block_weights(self.symmetry, self.n_qubits)
+        object.__setattr__(self, "_weights", weights)
+        targets = [t for _, t in self.measured] + [0.0] * len(self.auxiliary)
+        object.__setattr__(self, "_targets", np.array(targets, dtype=float))
 
     @property
     def n_qubits(self) -> int:
@@ -145,10 +153,98 @@ class MaxEntProblem:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
         return np.array(ops)
 
-    def target_vector(self) -> np.ndarray:
-        return np.array(
-            [t for _, t in self.measured] + [0.0] * len(self.auxiliary), dtype=float
-        )
+    def leading(self, k: int) -> MaxEntProblem:
+        """The problem on the first ``k`` measured constraints and every
+        auxiliary one. Its solver operators are rows of this problem's, so a
+        sweep builds and compresses the stack of its longest prefix once."""
+        if not 0 <= k <= len(self.measured):
+            raise ValueError(f"k must be in [0, {len(self.measured)}], got {k}")
+        sub = MaxEntProblem(self.measured[:k], self.auxiliary, self.dim, self.symmetry)
+        rows = np.r_[:k, len(self.measured):self.n_constraints]
+        object.__setattr__(sub, "_operators", self._operators[rows])
+        return sub
+
+    # The solver's arrays are built on first use and kept. Without a
+    # declared symmetry they are the operators themselves. With one, every
+    # operator is compressed once to one copy of each irreducible block of
+    # its commutant projection (``symmetry.compress``), with m each block's
+    # weight (``symmetry.block_weights``). The Gibbs state is evaluated on
+    # that copy: the exponent's eigensystem is c x c, Z = Tr(M exp(H_c)) with
+    # M = diag(m), and a trace Tr(A rho) over the full space is
+    # Tr(M A_c rho_c). Since M is constant on each block, the expectations
+    # use the operators scaled by sqrt(m_i m_j) and the susceptibility the
+    # operators scaled by (m_i m_j)^(1/4), so that the rank-K product over
+    # rotated operators carries the weight m once.
+
+    @cached_property
+    def _operators(self) -> np.ndarray:
+        """(K, c, c): the operator stack, compressed under a symmetry."""
+        a = self.operator_stack()
+        return a if self._weights is None else symmetry.compress(a, self.symmetry, self.n_qubits)
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(flat, real, cols): the operators as (K, c^2) rows, for the
+        exponent; the expectation rows, weighted and viewed as real, since
+        Tr(A rho) = sum_ij conj(A_ij) rho_ij is one real dot for Hermitian A;
+        and the operators weighted for the susceptibility and placed side by
+        side, cols[:, k*c:(k+1)*c] = A_k, so that one GEMM applies v^H to all
+        of them."""
+        a = self._operators
+        k, c = a.shape[:2]
+        weighted = rotated = a
+        if self._weights is not None:
+            root = np.sqrt(np.outer(self._weights, self._weights))
+            weighted, rotated = a * root, a * np.sqrt(root)
+        cols = rotated.transpose(1, 0, 2).reshape(c, k * c)
+        return a.reshape(k, c * c), weighted.reshape(k, c * c).view(float), cols
+
+    def _gibbs(self, lambdas: np.ndarray):
+        """rho(lambda) together with its shifted eigensystem; with a declared
+        symmetry, rho on one copy of each block."""
+        c = self._operators.shape[1]
+        h = (lambdas @ self._rows[0]).reshape(c, c)
+        w, v = np.linalg.eigh(h)
+        w_shifted = w - w[-1]
+        expw = np.exp(w_shifted)
+        rho = (v * expw) @ v.conj().T
+        z = expw.sum() if self._weights is None else self._weights @ rho.diagonal().real
+        rho /= z
+        return rho, w_shifted, v, expw, z
+
+    def _full_rho(self, rho: np.ndarray) -> DensityMatrix:
+        """The estimate on the full space from ``_gibbs``'s rho; with a
+        declared symmetry, expanded from the blocks (``symmetry.expand``)."""
+        if self._weights is not None:
+            rho = symmetry.expand(rho, self.symmetry, self.n_qubits)
+        return DensityMatrix(rho, self.n_qubits)
+
+    def _evaluate(self, lambdas: np.ndarray):
+        """(f, expectations, residuals, gibbs state tuple)."""
+        state = self._gibbs(lambdas)
+        g = self._rows[1] @ state[0].view(float).ravel()
+        r = g - self._targets
+        return float(r @ r), g, r, state
+
+    def _susceptibility(self, g: np.ndarray, state) -> np.ndarray:
+        """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix.
+
+        Two GEMMs rotate every operator into the Gibbs eigenbasis,
+        atil_k = v^H A_k v. Scaled by sqrt(Phi), which is real since
+        Phi > 0 (an entry that underflows to 0 drops out), and viewed as
+        real rows Y_k, the operators give C = Y Y^T / z - g g^T, a real
+        rank-K product that is exactly symmetric.
+        """
+        _, w, v, expw, z = state
+        d, k = w.shape[0], self.n_constraints
+        left = (v.conj().T @ self._rows[2]).reshape(d * k, d)
+        atil = (left @ v).reshape(d, k, d)
+        atil *= np.sqrt(_divided_difference_kernel(w, expw))[:, None, :]
+        y = np.ascontiguousarray(atil.transpose(1, 0, 2)).view(float).reshape(k, 2 * d * d)
+        c = y @ y.T
+        c /= z
+        c -= g[:, None] * g[None, :]
+        return c
 
 
 @dataclass(frozen=True)
@@ -209,94 +305,6 @@ class MaxEntSolution:
         }
 
 
-class _Workspace:
-    """Precomputed constraint arrays plus the per-lambda Gibbs evaluation.
-
-    Without a declared symmetry the arrays are the operators themselves.
-    With one, every operator is compressed once to one copy of each
-    irreducible block of its commutant projection (``symmetry.compress``),
-    with m each block's weight (``symmetry.block_weights``). The Gibbs state
-    is evaluated on that copy: the exponent's eigensystem is c x c,
-    Z = Tr(M exp(H_c)) with M = diag(m), and a trace Tr(A rho) over the full
-    space is Tr(M A_c rho_c). Since M is constant on each block,
-    the expectations use the operators scaled by sqrt(m_i m_j) and the
-    susceptibility the operators scaled by (m_i m_j)^(1/4), so that the
-    rank-K product over rotated operators carries the weight m once.
-    """
-
-    def __init__(self, problem: MaxEntProblem):
-        a = problem.operator_stack()
-        self.K = a.shape[0]
-        self.targets = problem.target_vector()
-        self.symmetry, self.n_qubits = problem.symmetry, problem.n_qubits
-        if problem.symmetry == "none":
-            self.weights = None
-            self.A = self.A_rotated = weighted = a
-        else:
-            self.A = symmetry.compress(a, self.symmetry, self.n_qubits)
-            self.weights = symmetry.block_weights(self.symmetry, self.n_qubits)
-            root = np.sqrt(np.outer(self.weights, self.weights))
-            weighted = self.A * root
-            self.A_rotated = self.A * np.sqrt(root)
-        self.dim = self.A.shape[1]
-        self.A_flat = self.A.reshape(self.K, self.dim * self.dim)
-        # Tr(A rho) = sum_ij conj(A_ij) rho_ij for Hermitian A: one real dot
-        self.A_real = weighted.reshape(self.K, self.dim * self.dim).view(float)
-
-    @cached_property
-    def A_cols(self) -> np.ndarray:
-        """The operators side by side, A_cols[:, k*dim:(k+1)*dim] = A_k, so
-        that one GEMM applies v^H to all of them. Built on first use: the
-        copy is needed only by the susceptibility."""
-        return self.A_rotated.transpose(1, 0, 2).reshape(self.dim, self.K * self.dim)
-
-    def gibbs(self, lambdas: np.ndarray):
-        """rho(lambda) together with its shifted eigensystem; with a declared
-        symmetry, rho on one copy of each block."""
-        h = (lambdas @ self.A_flat).reshape(self.dim, self.dim)
-        w, v = np.linalg.eigh(h)
-        w_shifted = w - w[-1]
-        expw = np.exp(w_shifted)
-        rho = (v * expw) @ v.conj().T
-        z = expw.sum() if self.weights is None else self.weights @ rho.diagonal().real
-        rho /= z
-        return rho, w_shifted, v, expw, z
-
-    def full_rho(self, rho: np.ndarray) -> DensityMatrix:
-        """The estimate on the full space from ``gibbs``'s rho; with a
-        declared symmetry, expanded from the blocks (``symmetry.expand``)."""
-        if self.weights is not None:
-            rho = symmetry.expand(rho, self.symmetry, self.n_qubits)
-        return DensityMatrix(rho, self.n_qubits)
-
-    def evaluate(self, lambdas: np.ndarray):
-        """(f, expectations, residuals, gibbs state tuple)."""
-        state = self.gibbs(lambdas)
-        g = self.A_real @ state[0].view(float).ravel()
-        r = g - self.targets
-        return float(r @ r), g, r, state
-
-    def susceptibility(self, g: np.ndarray, state) -> np.ndarray:
-        """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix.
-
-        Two GEMMs rotate every operator into the Gibbs eigenbasis,
-        atil_k = v^H A_k v. Scaled by sqrt(Phi), which is real since
-        Phi > 0 (an entry that underflows to 0 drops out), and viewed as
-        real rows Y_k, the operators give C = Y Y^T / z - g g^T, a real
-        rank-K product that is exactly symmetric.
-        """
-        _, w, v, expw, z = state
-        d, k = self.dim, self.K
-        left = (v.conj().T @ self.A_cols).reshape(d * k, d)
-        atil = (left @ v).reshape(d, k, d)
-        atil *= np.sqrt(_divided_difference_kernel(w, expw))[:, None, :]
-        y = np.ascontiguousarray(atil.transpose(1, 0, 2)).view(float).reshape(k, 2 * d * d)
-        c = y @ y.T
-        c /= z
-        c -= g[:, None] * g[None, :]
-        return c
-
-
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
     """Phi_ab evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <= 0,
     i.e. with b the larger eigenvalue of the pair: no cancellation at small
@@ -321,31 +329,28 @@ def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
     or for their commutant projections when the problem declares a
     symmetry."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    ws = _Workspace(problem)
-    return ws.full_rho(ws.gibbs(lam)[0])
+    return problem._full_rho(problem._gibbs(lam)[0])
 
 
 def objective(problem: MaxEntProblem, lambdas) -> float:
     """Sum of squared constraint mismatches at the given multipliers."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    return _Workspace(problem).evaluate(lam)[0]
+    return problem._evaluate(lam)[0]
 
 
 def gradient(problem: MaxEntProblem, lambdas) -> np.ndarray:
     """Analytic gradient of :func:`objective`, df/dlambda = 2 C r with C the
     susceptibility matrix and r the residuals, as in the Newton step."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    ws = _Workspace(problem)
-    _, g, r, state = ws.evaluate(lam)
-    return 2.0 * (ws.susceptibility(g, state) @ r)
+    _, g, r, state = problem._evaluate(lam)
+    return 2.0 * (problem._susceptibility(g, state) @ r)
 
 
 def susceptibility(problem: MaxEntProblem, lambdas) -> np.ndarray:
     """Full matrix of expectation derivatives d<A_i>/dlambda_j."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    ws = _Workspace(problem)
-    _, g, _, state = ws.evaluate(lam)
-    return ws.susceptibility(g, state)
+    _, g, _, state = problem._evaluate(lam)
+    return problem._susceptibility(g, state)
 
 
 def solve(
@@ -362,12 +367,11 @@ def solve(
     ``history`` holds the objective at the start and after every accepted
     step.
     """
-    ws = _Workspace(problem)
     if lambda0 is None:
-        lam = np.zeros(ws.K)
+        lam = np.zeros(problem.n_constraints)
     else:
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
-    f, g, r, state = ws.evaluate(lam)
+    f, g, r, state = problem._evaluate(lam)
     history = [f]
 
     best_f, best_lam, best_state = f, lam, state
@@ -381,7 +385,7 @@ def solve(
         if iterations >= options.max_iterations:
             stop_reason = "budget"
             break
-        moved = _newton_step(ws, lam, f, g, r, state, mu)
+        moved = _newton_step(problem, lam, f, g, r, state, mu)
         if isinstance(moved, str):
             stop_reason = moved
             break
@@ -392,7 +396,7 @@ def solve(
             best_f, best_lam, best_state = f, lam, state
 
     return MaxEntSolution(
-        rho=ws.full_rho(best_state[0]),
+        rho=problem._full_rho(best_state[0]),
         lambdas=best_lam,
         objective=best_f,
         iterations=iterations,
@@ -402,19 +406,19 @@ def solve(
     )
 
 
-def _newton_step(ws, lam, f, g, r, state, mu):
+def _newton_step(problem, lam, f, g, r, state, mu):
     """One accepted damped Newton step as (lambda, f, g, r, state, mu), or the
     reason no step is taken: "stationary" when the gradient of f passes the
     first-order test, "no_descent" when sixty tenfold increases of the
     damping found no step that passes the Armijo test."""
-    c = ws.susceptibility(g, state)
+    c = problem._susceptibility(g, state)
     c_diag = c.diagonal().copy()
     trace = float(c_diag.sum())
     grad = 2.0 * (c @ r)
     # ||grad|| = 2 ||C r|| and ||r||^2 = f
     if grad @ grad <= (2.0 * STATIONARY_TOL * trace) ** 2 * f:
         return "stationary"
-    scale = max(trace / ws.K, 1e-300)
+    scale = max(trace / problem.n_constraints, 1e-300)
     for _ in range(60):
         np.fill_diagonal(c, c_diag + mu * scale)
         try:
@@ -426,7 +430,7 @@ def _newton_step(ws, lam, f, g, r, state, mu):
         if descent >= 0.0 or not np.isfinite(descent):
             mu *= 10.0
             continue
-        f_new, g_new, r_new, state_new = ws.evaluate(lam + delta)
+        f_new, g_new, r_new, state_new = problem._evaluate(lam + delta)
         if np.isfinite(f_new) and f_new <= f + ARMIJO_C * descent:
             return lam + delta, f_new, g_new, r_new, state_new, max(mu * 0.3, 1e-12)
         mu *= 10.0

@@ -92,10 +92,14 @@ def pauli_basis(n_qubits: int) -> ObservableSet:
     identity."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    ops = [
-        HermitianOperator(linalg.kron_all(linalg.PAULI_1Q[c] for c in label), label)
-        for label in pauli_labels(n_qubits)
-    ]
+    # one broadcast Kronecker product per qubit, leftmost factor first, in
+    # the order of pauli_labels; entries 0, +-1, +-i multiply exactly
+    singles = np.stack([linalg.PAULI_1Q[c] for c in "IXYZ"])
+    mats = np.ones((1, 1, 1), dtype=complex)
+    for q in range(1, n_qubits + 1):
+        mats = mats[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
+        mats = mats.reshape(4**q, 2**q, 2**q)
+    ops = [HermitianOperator(m, label) for m, label in zip(mats[1:], pauli_labels(n_qubits))]
     return ObservableSet(tuple(ops), "pauli", n_qubits)
 
 

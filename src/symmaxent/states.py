@@ -99,15 +99,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def dicke_basis(n_qubits: int) -> list[np.ndarray]:
     """Orthonormal basis of the symmetric subspace: one uniform-superposition
     vector per excitation number 0..n."""
-    vecs = []
-    dim = 2**n_qubits
-    for k in range(n_qubits + 1):
-        v = np.zeros(dim, dtype=complex)
-        for idx in range(dim):
-            if bin(idx).count("1") == k:
-                v[idx] = 1.0
-        vecs.append(v / np.linalg.norm(v))
-    return vecs
+    return [dicke(n_qubits, k).amplitudes for k in range(n_qubits + 1)]
 
 
 def haar_symmetric_pure(n_qubits: int, rng: np.random.Generator) -> PureState:

@@ -316,6 +316,19 @@ class TestSolveCommand:
         with pytest.raises(ValueError, match=name):
             main(["solve", "--targets", str(path)])
 
+    @pytest.mark.parametrize("n_qubits", [1.9, True, "3"])
+    def test_non_integer_n_qubits_rejected(self, tmp_path, n_qubits):
+        # 1.9 must not truncate to one qubit, nor true read as 1
+        problem = {
+            "n_qubits": n_qubits,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            main(["solve", "--targets", str(path)])
+
     def test_unknown_symmetry_rejected(self, tmp_path):
         problem = {"n_qubits": 1, "symmetry": "rotation", "measured": []}
         path = tmp_path / "problem.json"

@@ -210,6 +210,31 @@ class TestSweep:
             for op, ref in zip(ops, kept):
                 assert np.array_equal(op.matrix, ref.matrix)
 
+    def test_one_problem_per_state(self, monkeypatch):
+        # every sweep point solves a leading slice of the state's one problem;
+        # the werner commutant at n = 3 keeps 5 SIC projections, so r = 30 solves 5
+        built, solved = [], []
+        real_problem, real_solve = harness.MaxEntProblem, harness.solve
+
+        def build(*args, **kwargs):
+            built.append(real_problem(*args, **kwargs))
+            return built[-1]
+
+        def spy(problem, options):
+            solved.append(problem)
+            return real_solve(problem, options)
+
+        monkeypatch.setattr(harness, "MaxEntProblem", build)
+        monkeypatch.setattr(harness, "solve", spy)
+        cfg = small_config(symmetry="werner", r_values=(2, 4, 30, 3), batch_size=1)
+        for state_id in (0, 1):
+            run_single_state(cfg, state_id)
+        assert len(built) == 2
+        assert [len(p.measured) for p in built] == [5, 5]
+        assert [p.n_constraints for p in solved] == [2, 4, 5, 3] * 2
+        for i, problem in enumerate(solved):
+            assert problem.measured == built[i // 4].measured[: problem.n_constraints]
+
     def test_shuffle_changes_order_not_determinism(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")
         cfg = small_config(state_family="haar_pure", shuffle_observables=True, r_values=(6,))

@@ -279,15 +279,14 @@ class TestSusceptibilityOracle:
         rng = np.random.default_rng([20261018, ORACLE_SHAPES.index(shape)])
         prob = oracle_problem(shape, rng)
         lam = oracle_multipliers(prob, which, rng)
-        ws = maxent._Workspace(prob)
-        _, g, _, state = ws.evaluate(lam)
+        _, g, _, state = prob._evaluate(lam)
         w, expw = state[1], state[3]
         phi = maxent._divided_difference_kernel(w, expw)
         if which == "zero":
             assert np.all(w == 0.0)
         if which == "near_pure":
             assert np.any(phi == 0.0)
-        c = ws.susceptibility(g, state)
+        c = prob._susceptibility(g, state)
         ref = _reference_susceptibility(prob.operator_stack(), g, state)
         assert np.array_equal(c, c.T)
         assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -309,7 +308,7 @@ class TestSusceptibilityOracle:
             return eigh(h)
 
         monkeypatch.setattr(maxent.np.linalg, "eigh", spy)
-        maxent._Workspace(prob).gibbs(lam)
+        prob._gibbs(lam)
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.tensordot(lam, prob.operator_stack(), axes=1))
 
@@ -710,7 +709,7 @@ class TestDeclaredSymmetry:
         rng = np.random.default_rng([20261020, DECLARED_SHAPES.index(shape)])
         dense, *declared = declared_pair(shape, rng)
         lam = oracle_multipliers(dense, which, rng)
-        _, g, r, _ = maxent._Workspace(dense).evaluate(lam)
+        _, g, r, _ = dense._evaluate(lam)
         rho = rho_of_lambda(dense, lam).matrix
         rho_tol = 2e-12 if which == "near_pure" else 1e-12
         f = objective(dense, lam)
@@ -761,3 +760,70 @@ class TestDeclaredSymmetry:
     def test_rejects_one_qubit_permutation(self):
         with pytest.raises(ValueError, match="at least 2 qubits"):
             MaxEntProblem((), (), 2, "permutation")
+
+
+LEADING_SHAPES = [
+    "n3_none", "n3_aux15", "permutation_n3_sic", "werner_n3_sic", "permutation_n4_sic",
+]
+
+
+def leading_problem(shape, rng):
+    """Problems a sweep state solves prefixes of: raw SIC operators with no
+    symmetry or with a declared one, and one with auxiliary constraints."""
+    if shape in ("n3_none", "n3_aux15"):
+        return susceptibility_problem(shape, rng)
+    return declared_pair(shape, rng)[2]
+
+
+class TestLeading:
+    @pytest.mark.parametrize("shape", LEADING_SHAPES)
+    def test_solves_like_the_prefix_problem(self, shape):
+        # the slice's operators are rows of one stack compressed at once; for
+        # k >= 2 they equal the prefix problem's own compression exactly. A
+        # one-row product takes another BLAS path, so k = 1 may differ by
+        # rounding.
+        rng = np.random.default_rng([20261022, LEADING_SHAPES.index(shape)])
+        prob = leading_problem(shape, rng)
+        opts = SolverOptions(tolerance=1e-14)
+        for k in range(len(prob.measured) + 1):
+            sub = prob.leading(k)
+            assert sub.measured == prob.measured[:k] and sub.auxiliary == prob.auxiliary
+            got = solve(sub, opts)
+            ref = solve(MaxEntProblem(prob.measured[:k], prob.auxiliary, prob.dim,
+                                      prob.symmetry), opts)
+            assert got.stop_reason == ref.stop_reason
+            if k == 1:
+                assert np.max(np.abs(got.rho.matrix - ref.rho.matrix)) <= 1e-15
+                scale = max(1.0, np.max(np.abs(ref.lambdas)))
+                assert np.max(np.abs(got.lambdas - ref.lambdas)) <= 1e-15 * scale
+                continue
+            assert np.array_equal(got.lambdas, ref.lambdas)
+            assert np.array_equal(got.rho.matrix, ref.rho.matrix)
+            assert got.iterations == ref.iterations
+
+    def test_compresses_once(self, monkeypatch):
+        rng = np.random.default_rng([20261023])
+        prob = leading_problem("permutation_n4_sic", rng)
+        calls = []
+        compress = symmetry.compress
+
+        def spy(stack, kind, n):
+            calls.append(len(stack))
+            return compress(stack, kind, n)
+
+        monkeypatch.setattr(maxent.symmetry, "compress", spy)
+        lam = np.full(prob.n_constraints, 0.1)
+        for kernel in (rho_of_lambda, objective, gradient, susceptibility, objective):
+            kernel(prob, lam)
+        for k in (2, 10, len(prob.measured)):
+            sub = prob.leading(k)
+            solve(sub)
+            objective(sub, lam[:k])
+        assert calls == [prob.n_constraints]
+
+    @pytest.mark.parametrize("k", [-1, 35])
+    def test_rejects_k_outside_the_measured_range(self, k):
+        prob = leading_problem("permutation_n4_sic", np.random.default_rng(0))
+        assert len(prob.measured) == 34
+        with pytest.raises(ValueError, match=r"k must be in \[0, 34\]"):
+            prob.leading(k)

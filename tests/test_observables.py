@@ -52,6 +52,13 @@ class TestPauliBasis:
         kept = linalg.linearly_independent_subset(ops)
         assert len(kept) == 64
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_products_equal_kron_chain(self, n):
+        # the broadcast products are exact: every entry is 0, +-1 or +-i
+        for op in pauli_basis(n):
+            ref = linalg.kron_all(linalg.PAULI_1Q[c] for c in op.label)
+            assert np.array_equal(op.matrix, ref)
+
 
 class TestSicPovm:
     def test_single_qubit_overlaps(self):

@@ -98,6 +98,15 @@ class TestHaarSymmetricPure:
         recon = coeffs @ basis
         assert np.linalg.norm(recon - psi.amplitudes) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_excitation_basis_is_the_hamming_weight_loop(self, n):
+        # haar_symmetric_pure draws its samples on this basis: normalising by
+        # the norm and scaling by 1/sqrt(comb) round the same way, so the
+        # vectors, and with them the draws, are bit-identical
+        for k, v in enumerate(states.dicke_basis(n)):
+            ref = np.array([bin(i).count("1") == k for i in range(2**n)], dtype=complex)
+            assert np.array_equal(v, ref / np.linalg.norm(ref))
+
     def test_two_qubit_support(self, rng):
         psi = haar_symmetric_pure(2, rng)
         # symmetric two-qubit subspace: |00>, (|01>+|10>)/sqrt2, |11>
