@@ -91,27 +91,30 @@ def parse_config_text(text: str) -> ExperimentConfig:
             return float(value)
         return value
 
-    for key, (_, value) in flat.items():
-        if key.startswith("noise."):
-            name = key[len("noise."):]
-            if name not in noise_fields:
-                raise ValueError(f"unknown noise field {name!r}")
-            noise_kwargs[name] = _convert(value, noise_fields[name])
-        elif key.startswith("solver."):
-            name = key[len("solver."):]
-            if name not in solver_fields:
-                raise ValueError(f"unknown solver field {name!r}")
-            solver_kwargs[name] = _convert(value, solver_fields[name])
-        elif key == "r_values":
-            top["r_values"] = _parse_r_values(value)
-        elif key in ("n_qubits", "batch_size", "seed", "dicke_excitations"):
-            top[key] = int(value)
-        elif key == "shuffle_observables":
-            top[key] = _parse_bool(value)
-        elif key in ("observable_kind", "symmetry", "state_family"):
-            top[key] = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
+    for key, (lineno, value) in flat.items():
+        try:
+            if key.startswith("noise."):
+                name = key[len("noise."):]
+                if name not in noise_fields:
+                    raise ValueError(f"unknown noise field {name!r}")
+                noise_kwargs[name] = _convert(value, noise_fields[name])
+            elif key.startswith("solver."):
+                name = key[len("solver."):]
+                if name not in solver_fields:
+                    raise ValueError(f"unknown solver field {name!r}")
+                solver_kwargs[name] = _convert(value, solver_fields[name])
+            elif key == "r_values":
+                top["r_values"] = _parse_r_values(value)
+            elif key in ("n_qubits", "batch_size", "seed", "dicke_excitations"):
+                top[key] = int(value)
+            elif key == "shuffle_observables":
+                top[key] = _parse_bool(value)
+            elif key in ("observable_kind", "symmetry", "state_family"):
+                top[key] = value
+            else:
+                raise ValueError("unknown config key")
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key!r}: {exc}") from None
 
     return ExperimentConfig(
         noise=NoiseConfig(**noise_kwargs),

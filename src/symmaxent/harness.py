@@ -376,7 +376,12 @@ def read_result_csv(path) -> list[StateRunRecord]:
             state_id, r, fid, conv, iters = fields
             if conv not in ("true", "false"):
                 raise ValueError(f"line {lineno}: converged must be true or false, got {conv!r}")
-            records.append(
-                StateRunRecord(int(state_id), int(r), float(fid), conv == "true", int(iters))
-            )
+            try:
+                record = StateRunRecord(int(state_id), int(r), float(fid), conv == "true", int(iters))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            # a nan would turn `summarize`'s mean into nan
+            if not 0.0 <= record.fidelity <= 1.0:
+                raise ValueError(f"line {lineno}: fidelity must lie in [0, 1], got {fid!r}")
+            records.append(record)
     return records

@@ -1,8 +1,7 @@
 """Constrained maximum-entropy estimation.
 
-Given expectation-value constraints Tr(A_i rho) = a_i (plus optional
-auxiliary constraints with target zero), the entropy-maximizing
-state is the Gibbs form
+Given expectation-value constraints Tr(A_i rho) = a_i, the
+entropy-maximizing state is the Gibbs form
 
     rho(lambda) = exp(sum_i lambda_i A_i) / Z,
 
@@ -32,12 +31,16 @@ A problem that declares a symmetry constrains the commutant projection
 P(A_i) of each measured operator in place of A_i itself: for a symmetric
 state Tr(A rho) = Tr(P(A) rho), and the exponent and rho then lie in the
 commutant, which is block diagonal in the total-spin basis. Its solve runs
-on one copy of each block, each trace weighted by the block's number of
-copies: at four qubits a 9 x 9 eigensystem under permutation symmetry and
-6 x 6 under werner symmetry instead of 16 x 16. The solver holds only the
-compressed operators and the block weights: ``symmetry.compress`` places
-their commutant coordinates on the blocks, and ``symmetry.expand`` returns
-the estimate to the full space once, at the end of a solve.
+on one copy of each block: at four qubits a 9 x 9 eigensystem under
+permutation symmetry and 6 x 6 under werner symmetry instead of 16 x 16.
+The blocks' multiplicities M = diag(m) enter only as a constant reference
+weight. M is constant on each block and commutes with the block-diagonal
+exponent H, so Z = Tr(M e^H) = Tr e^(H + log M): the compressed solve is
+the plain solve with log m added to the exponent's diagonal, the Gibbs form
+of minimum relative entropy with prior M (Csiszar, Ann. Probab. 3, 146
+(1975)). ``symmetry.compress`` places the operators' commutant coordinates
+on the blocks, and ``symmetry.expand`` returns the estimate to the full
+space once, at the end of a solve.
 
 A problem builds its stacked, compressed operators and the arrays derived
 from them once, on first use, for every solve and kernel call on it. A sweep
@@ -69,7 +72,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -87,8 +90,11 @@ STATIONARY_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class MaxEntProblem:
-    """Measured observables with targets, plus auxiliary observables whose
-    targets are implicitly zero.
+    """Measured observables with targets.
+
+    ``auxiliary`` observables are constraints with target zero. They are
+    appended to ``measured`` as zero-target rows when the problem is built,
+    so a problem has one constraint list.
 
     ``symmetry`` declares a symmetry kind (see ``symmetry.KINDS``). The
     problem then constrains the commutant projection of each measured
@@ -100,32 +106,26 @@ class MaxEntProblem:
     """
 
     measured: tuple[tuple[HermitianOperator, float], ...]
-    auxiliary: tuple[HermitianOperator, ...]
+    auxiliary: InitVar[tuple[HermitianOperator, ...]]
     dim: int
     symmetry: str = "none"
 
-    def __post_init__(self):
+    def __post_init__(self, auxiliary):
         if self.dim < 2 or self.dim & (self.dim - 1):
             raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
         if self.symmetry not in symmetry.KINDS:
             raise ValueError(f"unknown symmetry kind {self.symmetry!r}")
-        object.__setattr__(
-            self,
-            "measured",
-            tuple((op, float(t)) for op, t in self.measured),
-        )
-        object.__setattr__(self, "auxiliary", tuple(self.auxiliary))
-        for op, t in self.measured:
+        zero_rows = tuple((op, 0.0) for op in auxiliary)
+        measured = tuple((op, float(t)) for op, t in self.measured) + zero_rows
+        object.__setattr__(self, "measured", measured)
+        for op, t in measured:
             if op.dim != self.dim:
                 raise ValueError(f"measured observable {op.label!r} has dim {op.dim}")
             if not np.isfinite(t):
                 raise ValueError(f"target for {op.label!r} is not finite")
-        for op in self.auxiliary:
-            if op.dim != self.dim:
-                raise ValueError(f"auxiliary observable {op.label!r} has dim {op.dim}")
-        weights = None
+        weights = log_weights = None
         if self.symmetry != "none":
-            if self.auxiliary:
+            if zero_rows:
                 raise ValueError(
                     f"auxiliary constraints cannot be combined with symmetry "
                     f"{self.symmetry!r}: constrain the commutant projections instead"
@@ -133,9 +133,10 @@ class MaxEntProblem:
             # rejects a kind the block construction cannot serve, such as
             # permutation symmetry on one qubit
             weights = symmetry.block_weights(self.symmetry, self.n_qubits)
+            log_weights = np.log(weights)
         object.__setattr__(self, "_weights", weights)
-        targets = [t for _, t in self.measured] + [0.0] * len(self.auxiliary)
-        object.__setattr__(self, "_targets", np.array(targets, dtype=float))
+        object.__setattr__(self, "_log_weights", log_weights)
+        object.__setattr__(self, "_targets", np.array([t for _, t in measured], dtype=float))
 
     @property
     def n_qubits(self) -> int:
@@ -143,38 +144,35 @@ class MaxEntProblem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.measured) + len(self.auxiliary)
+        return len(self.measured)
 
     def operator_stack(self) -> np.ndarray:
-        """(K, dim, dim) array of measured then auxiliary operators, as
-        given; a declared symmetry constrains their commutant projections."""
-        ops = [op.matrix for op, _ in self.measured] + [op.matrix for op in self.auxiliary]
-        if not ops:
+        """(K, dim, dim) array of the constraint operators, as given; a
+        declared symmetry constrains their commutant projections."""
+        if not self.measured:
             return np.zeros((0, self.dim, self.dim), dtype=complex)
-        return np.array(ops)
+        return np.array([op.matrix for op, _ in self.measured])
 
     def leading(self, k: int) -> MaxEntProblem:
-        """The problem on the first ``k`` measured constraints and every
-        auxiliary one. Its solver operators are rows of this problem's, so a
-        sweep builds and compresses the stack of its longest prefix once."""
-        if not 0 <= k <= len(self.measured):
-            raise ValueError(f"k must be in [0, {len(self.measured)}], got {k}")
-        sub = MaxEntProblem(self.measured[:k], self.auxiliary, self.dim, self.symmetry)
-        rows = np.r_[:k, len(self.measured):self.n_constraints]
-        object.__setattr__(sub, "_operators", self._operators[rows])
+        """The problem on the first ``k`` constraints. Its solver operators
+        are the first k rows of this problem's, so a sweep builds and
+        compresses the stack of its longest prefix once."""
+        if not 0 <= k <= self.n_constraints:
+            raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
+        sub = MaxEntProblem(self.measured[:k], (), self.dim, self.symmetry)
+        object.__setattr__(sub, "_operators", self._operators[:k])
         return sub
 
     # The solver's arrays are built on first use and kept. Without a
     # declared symmetry they are the operators themselves. With one, every
     # operator is compressed once to one copy of each irreducible block of
     # its commutant projection (``symmetry.compress``), with m each block's
-    # weight (``symmetry.block_weights``). The Gibbs state is evaluated on
-    # that copy: the exponent's eigensystem is c x c, Z = Tr(M exp(H_c)) with
-    # M = diag(m), and a trace Tr(A rho) over the full space is
-    # Tr(M A_c rho_c). Since M is constant on each block, the expectations
-    # use the operators scaled by sqrt(m_i m_j) and the susceptibility the
-    # operators scaled by (m_i m_j)^(1/4), so that the rank-K product over
-    # rotated operators carries the weight m once.
+    # number of copies (``symmetry.block_weights``). The Gibbs state is
+    # evaluated on that copy with log m added to the exponent's diagonal:
+    # M = diag(m) is constant on each block, so Tr(M exp(H_c)) =
+    # Tr exp(H_c + log M), and rho' = exp(H_c + log M) / Z = M rho_c gives
+    # every full-space trace Tr(A rho) = Tr(M A_c rho_c) as Tr(A_c rho').
+    # Both paths then share one set of formulas on the unweighted operators.
 
     @cached_property
     def _operators(self) -> np.ndarray:
@@ -185,38 +183,37 @@ class MaxEntProblem:
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(flat, real, cols): the operators as (K, c^2) rows, for the
-        exponent; the expectation rows, weighted and viewed as real, since
+        exponent; the same rows viewed as real, for the expectations, since
         Tr(A rho) = sum_ij conj(A_ij) rho_ij is one real dot for Hermitian A;
-        and the operators weighted for the susceptibility and placed side by
-        side, cols[:, k*c:(k+1)*c] = A_k, so that one GEMM applies v^H to all
-        of them."""
+        and the operators placed side by side, cols[:, k*c:(k+1)*c] = A_k, so
+        that one GEMM applies v^H to all of them for the susceptibility."""
         a = self._operators
         k, c = a.shape[:2]
-        weighted = rotated = a
-        if self._weights is not None:
-            root = np.sqrt(np.outer(self._weights, self._weights))
-            weighted, rotated = a * root, a * np.sqrt(root)
-        cols = rotated.transpose(1, 0, 2).reshape(c, k * c)
-        return a.reshape(k, c * c), weighted.reshape(k, c * c).view(float), cols
+        flat = a.reshape(k, c * c)
+        return flat, flat.view(float), a.transpose(1, 0, 2).reshape(c, k * c)
 
     def _gibbs(self, lambdas: np.ndarray):
         """rho(lambda) together with its shifted eigensystem; with a declared
-        symmetry, rho on one copy of each block."""
+        symmetry, rho' = M rho_c on one copy of each block."""
         c = self._operators.shape[1]
-        h = (lambdas @ self._rows[0]).reshape(c, c)
-        w, v = np.linalg.eigh(h)
+        h = lambdas @ self._rows[0]
+        if self._log_weights is not None:
+            # every (c + 1)-th entry of the flat exponent is on its diagonal
+            h[:: c + 1] += self._log_weights
+        w, v = np.linalg.eigh(h.reshape(c, c))
         w_shifted = w - w[-1]
         expw = np.exp(w_shifted)
         rho = (v * expw) @ v.conj().T
-        z = expw.sum() if self._weights is None else self._weights @ rho.diagonal().real
+        z = expw.sum()
         rho /= z
         return rho, w_shifted, v, expw, z
 
     def _full_rho(self, rho: np.ndarray) -> DensityMatrix:
         """The estimate on the full space from ``_gibbs``'s rho; with a
-        declared symmetry, expanded from the blocks (``symmetry.expand``)."""
+        declared symmetry, rho_c = M^-1 rho' expanded from the blocks
+        (``symmetry.expand``)."""
         if self._weights is not None:
-            rho = symmetry.expand(rho, self.symmetry, self.n_qubits)
+            rho = symmetry.expand(rho / self._weights[:, None], self.symmetry, self.n_qubits)
         return DensityMatrix(rho, self.n_qubits)
 
     def _evaluate(self, lambdas: np.ndarray):
@@ -279,18 +276,21 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class MaxEntSolution:
-    """The best iterate of a solve. ``converged`` means its objective is below
-    the tolerance; ``stop_reason`` says why the iteration ended:
-    ``"tolerance"``, ``"stationary"``, ``"no_descent"`` or ``"budget"`` (see
-    the module docstring)."""
+    """The last accepted iterate of a solve. ``stop_reason`` says why the
+    iteration ended: ``"tolerance"``, ``"stationary"``, ``"no_descent"`` or
+    ``"budget"`` (see the module docstring)."""
 
     rho: DensityMatrix
     lambdas: np.ndarray
     objective: float
     iterations: int
-    converged: bool
     history: tuple[float, ...]
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the objective fell below the tolerance."""
+        return self.stop_reason == "tolerance"
 
     def to_jsonable(self) -> dict:
         from .observables import matrix_to_jsonable
@@ -359,7 +359,7 @@ def solve(
     """Fit the multipliers, starting from ``lambda0`` (zeros when None), until
     the objective drops below tolerance.
 
-    Returns converged=False (with the best iterate found) when the objective
+    Returns converged=False (with the last accepted iterate) when the objective
     reaches a first-order stationary point above tolerance, no acceptable
     step remains or the iteration budget runs out; ``stop_reason`` says
     which. Infeasible targets, for example estimates taken from noisy
@@ -373,8 +373,6 @@ def solve(
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
     f, g, r, state = problem._evaluate(lam)
     history = [f]
-
-    best_f, best_lam, best_state = f, lam, state
     iterations = 0
     mu = 1e-8
 
@@ -392,15 +390,14 @@ def solve(
         lam, f, g, r, state, mu = moved
         iterations += 1
         history.append(f)
-        if f < best_f:
-            best_f, best_lam, best_state = f, lam, state
 
+    # an accepted step passes the Armijo test with a negative descent,
+    # f_new <= f + ARMIJO_C descent <= f, so the last iterate is the best one
     return MaxEntSolution(
-        rho=problem._full_rho(best_state[0]),
-        lambdas=best_lam,
-        objective=best_f,
+        rho=problem._full_rho(state[0]),
+        lambdas=lam,
+        objective=f,
         iterations=iterations,
-        converged=bool(best_f < options.tolerance),
         history=tuple(history),
         stop_reason=stop_reason,
     )

@@ -61,17 +61,6 @@ class ObservableSet:
     def labels(self) -> list[str]:
         return [op.label for op in self.observables]
 
-    def to_jsonable(self) -> dict:
-        """JSON-friendly dump (label + matrix as nested [re, im] pairs)."""
-        return {
-            "kind": self.kind,
-            "n_qubits": self.n_qubits,
-            "observables": [
-                {"label": op.label, "matrix": matrix_to_jsonable(op.matrix)}
-                for op in self.observables
-            ],
-        }
-
 
 def matrix_to_jsonable(m: np.ndarray) -> list:
     """Nested row-major lists of [re, im] pairs."""

@@ -62,19 +62,28 @@ class TestConfigParsing:
             parse_config_text("noise.gamma = 1")
 
     @pytest.mark.parametrize(
-        "line",
+        "text, match",
         [
             # NaN passes an ordering test: every solve would run to the budget
-            "solver.tolerance = nan",
-            "solver.tolerance = inf",
-            "solver.max_iterations = 2.5",
-            "noise.mu = nan",
-            "noise.lambda_dc = inf",
+            pytest.param("solver.tolerance = nan", "tolerance must be", id="solver.tolerance = nan"),
+            pytest.param("solver.tolerance = inf", "tolerance must be", id="solver.tolerance = inf"),
+            pytest.param(
+                "solver.max_iterations = 2.5", "line 1: 'solver.max_iterations'",
+                id="solver.max_iterations = 2.5",
+            ),
+            pytest.param("noise.mu = nan", "mu must be", id="noise.mu = nan"),
+            pytest.param("noise.lambda_dc = inf", "lambda_dc must be", id="noise.lambda_dc = inf"),
+            # a value that does not convert names its line and key
+            pytest.param("seed = 1\nn_qubits = two", "line 2: 'n_qubits'", id="n_qubits = two"),
+            pytest.param(
+                "seed = 1\n\nnoise.trials = 1e4", "line 3: 'noise.trials'",
+                id="noise.trials = 1e4",
+            ),
         ],
     )
-    def test_non_finite_and_non_integer_values_rejected(self, line):
-        with pytest.raises(ValueError):
-            parse_config_text(line)
+    def test_non_finite_and_non_integer_values_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config_text(text)
 
     @pytest.mark.parametrize("line", ["solver.lambda0 = 0.1", "solver.record_history = true"])
     def test_start_point_and_history_not_solver_fields(self, line):

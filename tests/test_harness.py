@@ -202,8 +202,8 @@ class TestSweep:
         sic = list(sic_povm(3))
         kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 3)]
         assert [p.n_constraints for p in seen] == [3, 19, 19]
+        # the constraints are the kept operators alone: no auxiliary rows
         for problem in seen:
-            assert problem.auxiliary == ()
             assert problem.symmetry == "permutation"
             ops = [op for op, _ in problem.measured]
             assert [op.label for op in ops] == [op.label for op in kept[: len(ops)]]
@@ -431,12 +431,27 @@ class TestFiles:
             read_result_csv(path)
 
 
-    @pytest.mark.parametrize("row", ["0,2,0.75,true,4,9", "0,2,0.75,true"])
-    def test_wrong_field_count_named(self, tmp_path, row):
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            pytest.param(row, match, id=row)
+            for row, match in [
+                ("0,2,0.75,true,4,9", "expected 5 fields, got 6"),
+                ("0,2,0.75,true", "expected 5 fields, got 4"),
+                # a field that does not parse, and a fidelity off [0, 1]
+                ("x,1,0.5,true,3", "invalid literal"),
+                ("0,2,0.5,true,3.5", "invalid literal"),
+                ("0,2,nan,true,4", "fidelity must lie in"),
+                ("0,2,1.5,true,4", "fidelity must lie in"),
+                ("0,2,-inf,true,4", "fidelity must lie in"),
+            ]
+        ],
+    )
+    def test_wrong_field_count_named(self, tmp_path, row, match):
+        # a malformed row is named by its line
         path = tmp_path / "result.csv"
         path.write_text("state_id,r,fidelity,converged,iterations\n0,1,0.5,true,3\n" + row + "\n")
-        n = len(row.split(","))
-        with pytest.raises(ValueError, match=f"line 3: expected 5 fields, got {n}"):
+        with pytest.raises(ValueError, match=f"line 3: {match}"):
             read_result_csv(path)
 
 

@@ -192,7 +192,7 @@ class TestSusceptibility:
         # through the Gibbs state, column j from a step in lambda_j
         rng = np.random.default_rng([20261018, len(shape)])
         prob = susceptibility_problem(shape, rng)
-        ops = [op for op, _ in prob.measured] + list(prob.auxiliary)
+        ops = [op for op, _ in prob.measured]
         lam = rng.normal(0, 0.3, prob.n_constraints)
         step = 1e-5
 
@@ -384,6 +384,7 @@ class TestSolve:
             sol = solve(problem_from_state(rho, ops))
             assert sol.converged
             assert sol.stop_reason == "tolerance"
+            assert sol.converged == (sol.stop_reason == "tolerance")
             assert sol.iterations <= 100
 
     def test_objective_non_increasing(self, rng):
@@ -420,6 +421,7 @@ class TestSolve:
         sol = solve(prob)
         assert sol.stop_reason == "stationary"
         assert not sol.converged
+        assert sol.converged == (sol.stop_reason == "tolerance")
         assert sol.iterations < 100
         # the returned iterate meets ||C r|| <= STATIONARY_TOL tr(C) ||r||,
         # with gradient = 2 C r and objective = ||r||^2
@@ -431,6 +433,7 @@ class TestSolve:
         monkeypatch.setattr(maxent, "STATIONARY_TOL", 0.0)
         capped = solve(prob)
         assert capped.stop_reason == "budget"
+        assert capped.converged == (capped.stop_reason == "tolerance")
         assert capped.iterations == SolverOptions().max_iterations
         assert sol.objective <= capped.objective * (1 + 1e-8)
         assert states.fidelity(sol.rho, capped.rho) >= 1 - 1e-8
@@ -448,6 +451,7 @@ class TestSolve:
             sol = solve(problem_from_state(rho, ops), SolverOptions(tolerance=1e-12))
             assert sol.stop_reason == "tolerance"
             assert sol.converged
+            assert sol.converged == (sol.stop_reason == "tolerance")
 
     def test_noisy_photon_sweep_never_runs_to_budget(self, monkeypatch):
         # chunks 0-9 of the benchmark's noisy_photon workload: photon-model
@@ -460,6 +464,7 @@ class TestSolve:
 
         def spy(problem, options):
             sol = solve(problem, options)
+            assert sol.converged == (sol.stop_reason == "tolerance")
             reasons.append(sol.stop_reason)
             return sol
 
@@ -469,6 +474,22 @@ class TestSolve:
             harness.run_sweep(wl.config(wl.chunk_seed(7, chunk)))
         assert len(reasons) == 10
         assert set(reasons) <= {"stationary", "no_descent"}
+
+    def test_auxiliary_is_zero_target_measured_rows(self, rng):
+        # auxiliary operators are constraints with target zero, appended to
+        # the one constraint list: the solve cannot tell them apart
+        rho = states.random_permutation_invariant_mixed(3, rng)
+        aux = build_symmetry("permutation", 3).auxiliary[:15]
+        measured = tuple((op, expectation(rho, op)) for op in list(sic_povm(3))[:6])
+        with_aux = MaxEntProblem(measured, auxiliary=aux, dim=8)
+        as_rows = MaxEntProblem(measured + tuple((op, 0.0) for op in aux), (), 8)
+        assert with_aux.measured == as_rows.measured
+        opts = SolverOptions(tolerance=1e-14)
+        got, ref = solve(with_aux, opts), solve(as_rows, opts)
+        assert got.converged and got.stop_reason == ref.stop_reason
+        assert got.history == ref.history
+        assert np.array_equal(got.lambdas, ref.lambdas)
+        assert np.array_equal(got.rho.matrix, ref.rho.matrix)
 
     def test_constraints_met_within_sqrt_tolerance(self, rng):
         rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
@@ -778,19 +799,18 @@ def leading_problem(shape, rng):
 class TestLeading:
     @pytest.mark.parametrize("shape", LEADING_SHAPES)
     def test_solves_like_the_prefix_problem(self, shape):
-        # the slice's operators are rows of one stack compressed at once; for
-        # k >= 2 they equal the prefix problem's own compression exactly. A
-        # one-row product takes another BLAS path, so k = 1 may differ by
-        # rounding.
+        # the slice is the first k rows, auxiliary rows included. Its
+        # operators are rows of one stack compressed at once; for k >= 2 they
+        # equal the prefix problem's own compression exactly. A one-row
+        # product takes another BLAS path, so k = 1 may differ by rounding.
         rng = np.random.default_rng([20261022, LEADING_SHAPES.index(shape)])
         prob = leading_problem(shape, rng)
         opts = SolverOptions(tolerance=1e-14)
-        for k in range(len(prob.measured) + 1):
+        for k in range(prob.n_constraints + 1):
             sub = prob.leading(k)
-            assert sub.measured == prob.measured[:k] and sub.auxiliary == prob.auxiliary
+            assert sub.measured == prob.measured[:k]
             got = solve(sub, opts)
-            ref = solve(MaxEntProblem(prob.measured[:k], prob.auxiliary, prob.dim,
-                                      prob.symmetry), opts)
+            ref = solve(MaxEntProblem(prob.measured[:k], (), prob.dim, prob.symmetry), opts)
             assert got.stop_reason == ref.stop_reason
             if k == 1:
                 assert np.max(np.abs(got.rho.matrix - ref.rho.matrix)) <= 1e-15

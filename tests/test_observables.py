@@ -109,13 +109,6 @@ class TestObservableSet:
         with pytest.raises(ValueError, match="dim"):
             ObservableSet((op,), "custom", 2)
 
-    def test_json_round_trip(self):
-        povm = sic_povm(1)
-        data = povm.to_jsonable()
-        assert data["kind"] == "sic"
-        back = matrix_from_jsonable(data["observables"][0]["matrix"])
-        assert np.allclose(back, povm[0].matrix)
-
 
 class TestExpectation:
     def test_maximally_mixed_pauli_vanishes(self):
