@@ -98,11 +98,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 if name not in noise_fields:
                     raise ValueError(f"unknown noise field {name!r}")
                 noise_kwargs[name] = _convert(value, noise_fields[name])
+                # range checks of this one field, over the defaults, so the
+                # error names the line; cross-field checks run below
+                NoiseConfig(**{name: noise_kwargs[name]})
             elif key.startswith("solver."):
                 name = key[len("solver."):]
                 if name not in solver_fields:
                     raise ValueError(f"unknown solver field {name!r}")
                 solver_kwargs[name] = _convert(value, solver_fields[name])
+                SolverOptions(**{name: solver_kwargs[name]})
             elif key == "r_values":
                 top["r_values"] = _parse_r_values(value)
             elif key in ("n_qubits", "batch_size", "seed", "dicke_excitations"):

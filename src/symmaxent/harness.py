@@ -5,12 +5,14 @@ Protocol per state: sample a target from the configured family, optionally
 mix in white noise, order the canonical observable set (optionally shuffled
 per state), and under a symmetry discard observables whose projections onto
 the commutant are linearly dependent on those kept before them (measuring
-them would add nothing the symmetry does not already pin down). Acquire
-targets for the first max(r) survivors, build one maximum-entropy problem on
-them that declares the symmetry (so it constrains their commutant
-projections), and at each sweep point r solve its leading slice on the first
-r (``MaxEntProblem.leading``) and record the fidelity against the prepared
-(noisy) state.
+them would add nothing the symmetry does not already pin down). Under
+permutation symmetry that keeps the first member of each qubit-permutation
+orbit, read off the observables' labels; under werner symmetry the
+projections are filtered numerically. Acquire targets for the first max(r)
+survivors, build one maximum-entropy problem on them that declares the
+symmetry (so it constrains their commutant projections), and at each sweep
+point r solve its leading slice on the first r (``MaxEntProblem.leading``)
+and record the fidelity against the prepared (noisy) state.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
@@ -18,11 +20,12 @@ are bit-identical across reruns and independent of worker scheduling.
 A worker process computes once what depends only on (observable_kind,
 n_qubits, symmetry) and shares it between the states it sweeps
 (``_observable_context``): each canonical observable's measurement modes,
-the canonical set's commutant coordinates, and the filter's kept order for
-the last measurement order, which an unshuffled sweep repeats. Each state
-still samples its target, shuffles, filters a new order on the cached
-coordinates, draws and inverts its counts, and solves. The caches hold what
-the uncached path computes, so they change no result.
+its permutation orbit or, under werner symmetry, the canonical set's
+commutant coordinates, and the filter's kept order for the last measurement
+order, which an unshuffled sweep repeats. Each state still samples its
+target, shuffles, filters a new order, draws and inverts its counts, and
+solves. The caches hold what the uncached path computes, so they change no
+result.
 """
 
 from __future__ import annotations
@@ -179,14 +182,37 @@ class _ObservableContext:
             arr.setflags(write=False)
         return coords
 
+    @functools.cached_property
+    def orbits(self) -> np.ndarray:
+        """Each canonical observable's qubit-permutation orbit, numbered by
+        its key: the sorted tuple of the observable's per-qubit factor
+        indices (``observables.factor_indices``)."""
+        factors = observables.factor_indices(self.candidates.kind, self.n_qubits)
+        _, orbits = np.unique(np.sort(factors, axis=1), axis=0, return_inverse=True)
+        orbits = orbits.reshape(-1)
+        orbits.setflags(write=False)
+        return orbits
+
     def independent(self, order) -> tuple[int, ...]:
         """The canonical indices in ``order`` that
         ``symmetry.independent_projections`` keeps on the operators in that
-        order; the result for the last order is kept."""
+        order.
+
+        Under permutation symmetry that is the first member of each orbit
+        (``orbits``), read off the labels: P(A) = P(V_s A V_s^dagger) for
+        every qubit permutation s, so an orbit's members share one
+        projection, and symmetrised products of a local basis are linearly
+        independent. Under werner symmetry the commutant coordinates are
+        filtered numerically (``linalg.independent_rows``). The result for
+        the last order is kept."""
         order = tuple(order)
         if self._last_filter[0] != order:
-            coeffs, norms = self.coordinates
-            kept = linalg.independent_rows(coeffs[list(order)], norms[list(order)])
+            if self.symmetry == "permutation":
+                _, first = np.unique(self.orbits[list(order)], return_index=True)
+                kept = np.sort(first)
+            else:
+                coeffs, norms = self.coordinates
+                kept = linalg.independent_rows(coeffs[list(order)], norms[list(order)])
             self._last_filter = (order, tuple(order[i] for i in kept))
         return self._last_filter[1]
 
@@ -197,22 +223,26 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
 
     Computed once per worker: the canonical observable set; on the first
     noisy acquisition, the measurement modes of every canonical observable
-    (one ``eigh`` each); on the first symmetric state, the canonical set's
-    coordinates on the commutant basis with their reference norms (one
-    matrix product). The symmetry filter's kept order is cached under the
-    measurement order it was computed for, so an unshuffled sweep filters
-    once per worker; a shuffled one filters each state's new order on the
-    cached coordinates. Each state still samples its target, draws its
-    shuffle and its counts, estimates, solves and scores.
+    (one ``eigh`` each). On the first permutation-symmetric state, each
+    canonical observable's orbit number, from its factor indices; a state
+    then keeps the first of each orbit in its order, with no coordinates.
+    On the first werner-symmetric state, the canonical set's coordinates on
+    the commutant basis with their reference norms (one matrix product),
+    which the numeric filter reads. The filter's kept order is cached under
+    the measurement order it was computed for, so an unshuffled sweep
+    filters once per worker and a shuffled one filters each state's new
+    order. Each state still samples its target, draws its shuffle and its
+    counts, estimates, solves and scores.
     """
     return _ObservableContext(kind, n_qubits, symmetry_kind)
 
 
 def _acquire_target_value(rho, context: _ObservableContext, index: int,
-                          config: ExperimentConfig, rng) -> float:
+                          config: ExperimentConfig, state_id: int) -> float:
     if config.noise.mode == "ideal":
         return observables.expectation(rho, context.candidates[index])
     modes = context.modes[index]
+    rng = _stream(config.seed, state_id, 2, index)
     counts = measurement.simulate_counts(rho, modes, config.noise, rng)
     return measurement.estimate_expectations(counts, modes, config.noise)
 
@@ -232,10 +262,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
 
     max_r = min(max(config.r_values), len(order))
     targets = [
-        _acquire_target_value(
-            rho_target, context, i, config, _stream(config.seed, state_id, 2, i)
-        )
-        for i in order[:max_r]
+        _acquire_target_value(rho_target, context, i, config, state_id) for i in order[:max_r]
     ]
 
     measured = tuple(zip((candidates[i] for i in order[:max_r]), targets))

@@ -125,6 +125,18 @@ def sic_povm(n_qubits: int) -> ObservableSet:
     return ObservableSet(tuple(ops), "sic", n_qubits)
 
 
+def factor_indices(kind: str, n_qubits: int) -> np.ndarray:
+    """Per-qubit factor indices (0..3, leftmost qubit first) of each element
+    of ``canonical_set(kind, n_qubits)``, one row per element: I, X, Y, Z
+    for Pauli, the SIC element index for SIC."""
+    rows = np.array(list(itertools.product(range(4), repeat=n_qubits)))
+    if kind == "pauli":
+        return rows[1:]
+    if kind == "sic":
+        return rows[:-1]
+    raise ValueError(f"no canonical observable set of kind {kind!r}")
+
+
 def canonical_set(kind: str, n_qubits: int) -> ObservableSet:
     if kind == "pauli":
         return pauli_basis(n_qubits)

@@ -6,6 +6,7 @@ batch runs can hand each state its own independent stream.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,6 +77,14 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def sqrt(self) -> np.ndarray:
+        """``linalg.psd_sqrtm`` of the matrix, computed once: a sweep scores
+        every estimate of a state against the same target."""
+        s = linalg.psd_sqrtm(self.matrix)
+        s.setflags(write=False)
+        return s
 
 
 def haar_pure(n_qubits: int, rng: np.random.Generator) -> PureState:
@@ -209,7 +218,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)); 1 iff the states coincide."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    s = linalg.psd_sqrtm(rho.matrix)
+    s = rho.sqrt
     inner = s @ sigma.matrix @ s
     inner = (inner + inner.conj().T) / 2.0
     w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)

@@ -73,6 +73,29 @@ class TestConfigParsing:
             ),
             pytest.param("noise.mu = nan", "mu must be", id="noise.mu = nan"),
             pytest.param("noise.lambda_dc = inf", "lambda_dc must be", id="noise.lambda_dc = inf"),
+            # a range error names its line and key too
+            pytest.param(
+                "seed = 1\nsolver.tolerance = nan",
+                "line 2: 'solver.tolerance': tolerance must be",
+                id="line of solver.tolerance = nan",
+            ),
+            pytest.param(
+                "seed = 1\nnoise.mu = nan", "line 2: 'noise.mu': mu must be",
+                id="line of noise.mu = nan",
+            ),
+            pytest.param(
+                "noise.trials = 5\nnoise.eta = 1.5", "line 2: 'noise.eta': eta must be",
+                id="line of noise.eta = 1.5",
+            ),
+            pytest.param(
+                "solver.max_iterations = 0", "line 1: 'solver.max_iterations': max_iterations",
+                id="line of solver.max_iterations = 0",
+            ),
+            # each value is valid over the defaults, only the pair is not: no line
+            pytest.param(
+                "noise.mode = photon_model\nnoise.mu = 0", "^photon_model needs mu > 0",
+                id="photon_model with mu = 0",
+            ),
             # a value that does not convert names its line and key
             pytest.param("seed = 1\nn_qubits = two", "line 2: 'n_qubits'", id="n_qubits = two"),
             pytest.param(

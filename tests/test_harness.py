@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -276,17 +277,37 @@ class TestObservableContext:
 
     @pytest.mark.parametrize("observable_kind", ["sic", "pauli"])
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_filter_keeps_what_independent_projections_keeps(self, n, kind, observable_kind):
+        # permutation keeps the first of each orbit, werner filters numerically
         context = harness._ObservableContext(observable_kind, n, kind)
         candidates = list(context.candidates)
         rng = np.random.default_rng([n, len(kind), len(observable_kind)])
-        for trial in range(21):
+        for trial in range(21 if n < 5 else 5):
             order = list(range(len(candidates)))
             if trial:
                 rng.shuffle(order)
             kept = symmetry.independent_projections([candidates[i] for i in order], kind, n)
             assert list(context.independent(order)) == [order[i] for i in kept]
+        if kind == "permutation":
+            # one per orbit of products of the 4 local factors, less the
+            # dropped identity (Pauli) or all-last (SIC) orbit
+            assert len(kept) == math.comb(n + 3, 3) - 1
+
+    def test_shuffled_permutation_sweep_reads_orbits_only(self, monkeypatch):
+        def numeric_filter(*args, **kwargs):
+            raise AssertionError("linalg.independent_rows called")
+
+        monkeypatch.setattr(linalg, "independent_rows", numeric_filter)
+        harness._observable_context.cache_clear()
+        cfg = small_config(
+            state_family="permutation_invariant_mixed", symmetry="permutation",
+            shuffle_observables=True, r_values=(2, 19),
+        )
+        for state_id in range(2):
+            run_single_state(cfg, state_id)
+        context = harness._observable_context("sic", 3, "permutation")
+        assert "orbits" in vars(context) and "coordinates" not in vars(context)
 
     def test_unshuffled_sweep_filters_once(self, monkeypatch):
         calls = []
@@ -297,7 +318,7 @@ class TestObservableContext:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "independent_rows", spy)
-        context = harness._ObservableContext("sic", 3, "permutation")
+        context = harness._ObservableContext("sic", 3, "werner")
         order = list(range(len(context.candidates)))
         first = context.independent(order)
         assert context.independent(order) == first
@@ -326,6 +347,31 @@ class TestObservableContext:
         run_single_state(small_config(r_values=(3,)), 0)
         context = harness._observable_context("sic", 3, "none")
         assert "modes" not in vars(context) and "coordinates" not in vars(context)
+
+    def test_state_takes_its_target_root_once(self, monkeypatch):
+        # every sweep point scores against the same target
+        calls = []
+        real = linalg.psd_sqrtm
+
+        def spy(m):
+            calls.append(1)
+            return real(m)
+
+        monkeypatch.setattr(linalg, "psd_sqrtm", spy)
+        run_single_state(small_config(r_values=(2, 5, 9)), 0)
+        assert len(calls) == 1
+
+    def test_ideal_state_builds_no_measurement_streams(self, monkeypatch):
+        purposes = []
+        real = harness._stream
+
+        def spy(seed, state_id, purpose, extra=0):
+            purposes.append(purpose)
+            return real(seed, state_id, purpose, extra)
+
+        monkeypatch.setattr(harness, "_stream", spy)
+        run_single_state(small_config(shuffle_observables=True), 0)
+        assert purposes == [0, 1]  # the target and the shuffle
 
     @pytest.mark.parametrize(
         "cfg", [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED],

@@ -344,6 +344,19 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(a, b)
 
+    def test_cached_root_gives_the_inline_formula_exactly(self, rng):
+        rho = DensityMatrix(random_mixed_state(16, rng), 4)
+        s = linalg.psd_sqrtm(rho.matrix)
+        for _ in range(3):  # the first call fills the cache, the others read it
+            sigma = DensityMatrix(random_mixed_state(16, rng), 4)
+            inner = s @ sigma.matrix @ s
+            inner = (inner + inner.conj().T) / 2.0
+            w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+            assert fidelity(rho, sigma) == float(min(np.sum(np.sqrt(w)), 1.0))
+        assert np.array_equal(rho.sqrt, s)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.sqrt[0, 0] = 0.0
+
     def test_monotone_in_noise(self, rng):
         psi = haar_pure(3, rng)
         pure = psi.density()
