@@ -79,6 +79,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     noise_kwargs: dict[str, object] = {}
     solver_kwargs: dict[str, object] = {}
 
+    top_fields = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     noise_fields = {f.name: f.type for f in dataclasses.fields(NoiseConfig)}
     solver_fields = {f.name: f.type for f in dataclasses.fields(SolverOptions)}
 
@@ -91,6 +92,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             return float(value)
         return value
 
+    # range checks of one field run over the defaults, so the error names the
+    # line; checks that span fields (r_values and dicke_excitations against
+    # n_qubits, a noise mode against its rates) run at the end, with no line
     for key, (lineno, value) in flat.items():
         try:
             if key.startswith("noise."):
@@ -98,8 +102,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 if name not in noise_fields:
                     raise ValueError(f"unknown noise field {name!r}")
                 noise_kwargs[name] = _convert(value, noise_fields[name])
-                # range checks of this one field, over the defaults, so the
-                # error names the line; cross-field checks run below
                 NoiseConfig(**{name: noise_kwargs[name]})
             elif key.startswith("solver."):
                 name = key[len("solver."):]
@@ -109,12 +111,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 SolverOptions(**{name: solver_kwargs[name]})
             elif key == "r_values":
                 top["r_values"] = _parse_r_values(value)
-            elif key in ("n_qubits", "batch_size", "seed", "dicke_excitations"):
-                top[key] = int(value)
-            elif key == "shuffle_observables":
-                top[key] = _parse_bool(value)
-            elif key in ("observable_kind", "symmetry", "state_family"):
-                top[key] = value
+            elif key in top_fields and key not in ("noise", "solver"):
+                top[key] = _convert(value, top_fields[key])
+                if key != "dicke_excitations":
+                    ExperimentConfig(**{key: top[key]})
             else:
                 raise ValueError("unknown config key")
         except ValueError as exc:

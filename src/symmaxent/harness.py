@@ -7,7 +7,7 @@ per state), and under a symmetry discard observables whose projections onto
 the commutant are linearly dependent on those kept before them (measuring
 them would add nothing the symmetry does not already pin down). Under
 permutation symmetry that keeps the first member of each qubit-permutation
-orbit, read off the observables' labels; under werner symmetry the
+orbit, read off the observables' factor indices; under werner symmetry the
 projections are filtered numerically. Acquire targets for the first max(r)
 survivors, build one maximum-entropy problem on them that declares the
 symmetry (so it constrains their commutant projections), and at each sweep
@@ -19,13 +19,13 @@ are bit-identical across reruns and independent of worker scheduling.
 
 A worker process computes once what depends only on (observable_kind,
 n_qubits, symmetry) and shares it between the states it sweeps
-(``_observable_context``): each canonical observable's measurement modes,
-its permutation orbit or, under werner symmetry, the canonical set's
-commutant coordinates, and the filter's kept order for the last measurement
-order, which an unshuffled sweep repeats. Each state still samples its
-target, shuffles, filters a new order, draws and inverts its counts, and
-solves. The caches hold what the uncached path computes, so they change no
-result.
+(``_observable_context``): the canonical observable set, the measurement
+modes of each observable a state measures, built on first use, and under
+permutation symmetry each observable's permutation orbit. Under werner
+symmetry a state calls ``symmetry.independent_projections`` on its order.
+Each state still samples its target, shuffles, filters its order, draws and
+inverts its counts, and solves. The shared values are what each state would
+compute itself, so they change no result.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, linalg, measurement, observables, states, symmetry
+from . import __version__, measurement, observables, states, symmetry
 from .maxent import MaxEntProblem, SolverOptions, solve
 from .measurement import NoiseConfig
 
@@ -94,11 +94,13 @@ class ExperimentConfig:
         r_values = tuple(int(r) for r in self.r_values)
         if not r_values:
             r_values = tuple(range(1, n_total + 1))
-        for i, r in enumerate(r_values):
+        seen: set[int] = set()
+        for r in r_values:
             if not 0 <= r <= n_total:
                 raise ValueError(f"r value {r} outside [0, {n_total}]")
-            if r in r_values[:i]:
+            if r in seen:
                 raise ValueError(f"duplicate r value {r}")
+            seen.add(r)
         object.__setattr__(self, "r_values", r_values)
         if not 0 <= self.dicke_excitations <= self.n_qubits:
             raise ValueError("dicke_excitations outside [0, n_qubits]")
@@ -163,24 +165,17 @@ class _ObservableContext:
     def __init__(self, kind: str, n_qubits: int, symmetry_kind: str):
         self.n_qubits, self.symmetry = n_qubits, symmetry_kind
         self.candidates = observables.canonical_set(kind, n_qubits)
-        self._last_filter: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+        self._modes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    @functools.cached_property
-    def modes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``measurement.projector_modes`` of each canonical observable."""
-        modes = tuple(measurement.projector_modes(op) for op in self.candidates)
-        for vectors, weights in modes:
-            vectors.setflags(write=False)
-            weights.setflags(write=False)
-        return modes
-
-    @functools.cached_property
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """``symmetry.commutant_coordinates`` of the canonical set."""
-        coords = symmetry.commutant_coordinates(self.candidates, self.symmetry, self.n_qubits)
-        for arr in coords:
-            arr.setflags(write=False)
-        return coords
+    def modes(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """``measurement.projector_modes`` of canonical observable
+        ``index``, built on its first use."""
+        if index not in self._modes:
+            modes = measurement.projector_modes(self.candidates[index])
+            for arr in modes:
+                arr.setflags(write=False)
+            self._modes[index] = modes
+        return self._modes[index]
 
     @functools.cached_property
     def orbits(self) -> np.ndarray:
@@ -199,40 +194,32 @@ class _ObservableContext:
         order.
 
         Under permutation symmetry that is the first member of each orbit
-        (``orbits``), read off the labels: P(A) = P(V_s A V_s^dagger) for
-        every qubit permutation s, so an orbit's members share one
+        (``orbits``), read off the factor indices: P(A) = P(V_s A V_s^dagger)
+        for every qubit permutation s, so an orbit's members share one
         projection, and symmetrised products of a local basis are linearly
-        independent. Under werner symmetry the commutant coordinates are
-        filtered numerically (``linalg.independent_rows``). The result for
-        the last order is kept."""
-        order = tuple(order)
-        if self._last_filter[0] != order:
-            if self.symmetry == "permutation":
-                _, first = np.unique(self.orbits[list(order)], return_index=True)
-                kept = np.sort(first)
-            else:
-                coeffs, norms = self.coordinates
-                kept = linalg.independent_rows(coeffs[list(order)], norms[list(order)])
-            self._last_filter = (order, tuple(order[i] for i in kept))
-        return self._last_filter[1]
+        independent. Under werner symmetry it is that call itself."""
+        order = list(order)
+        if self.symmetry == "permutation":
+            _, first = np.unique(self.orbits[order], return_index=True)
+            kept = np.sort(first)
+        else:
+            ops = [self.candidates[i] for i in order]
+            kept = symmetry.independent_projections(ops, self.symmetry, self.n_qubits)
+        return tuple(order[i] for i in kept)
 
 
 @functools.lru_cache(maxsize=8)
 def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _ObservableContext:
     """Everything a sweep's states share, cached per worker process.
 
-    Computed once per worker: the canonical observable set; on the first
-    noisy acquisition, the measurement modes of every canonical observable
-    (one ``eigh`` each). On the first permutation-symmetric state, each
-    canonical observable's orbit number, from its factor indices; a state
-    then keeps the first of each orbit in its order, with no coordinates.
-    On the first werner-symmetric state, the canonical set's coordinates on
-    the commutant basis with their reference norms (one matrix product),
-    which the numeric filter reads. The filter's kept order is cached under
-    the measurement order it was computed for, so an unshuffled sweep
-    filters once per worker and a shuffled one filters each state's new
-    order. Each state still samples its target, draws its shuffle and its
-    counts, estimates, solves and scores.
+    Computed once per worker: the canonical observable set; the measurement
+    modes of each canonical observable (one ``eigh``) on its first noisy
+    acquisition; on the first permutation-symmetric state, each canonical
+    observable's orbit number, from its factor indices, so that a state
+    keeps the first of each orbit in its order. A werner-symmetric state
+    filters its order with ``symmetry.independent_projections``. Each state
+    still samples its target, draws its shuffle and its counts, estimates,
+    solves and scores.
     """
     return _ObservableContext(kind, n_qubits, symmetry_kind)
 
@@ -241,7 +228,7 @@ def _acquire_target_value(rho, context: _ObservableContext, index: int,
                           config: ExperimentConfig, state_id: int) -> float:
     if config.noise.mode == "ideal":
         return observables.expectation(rho, context.candidates[index])
-    modes = context.modes[index]
+    modes = context.modes(index)
     rng = _stream(config.seed, state_id, 2, index)
     counts = measurement.simulate_counts(rho, modes, config.noise, rng)
     return measurement.estimate_expectations(counts, modes, config.noise)

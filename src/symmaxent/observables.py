@@ -3,7 +3,6 @@ tensor-product SIC-POVM, plus ideal expectation values."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,25 +70,11 @@ def matrix_from_jsonable(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def pauli_labels(n_qubits: int) -> list[str]:
-    return ["".join(t) for t in itertools.product("IXYZ", repeat=n_qubits)][1:]
-
-
 def pauli_basis(n_qubits: int) -> ObservableSet:
     """All 4^n - 1 non-identity Pauli tensor products, lexicographic with
     I < X < Y < Z. Each element is Hermitian, traceless and squares to the
     identity."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    # one broadcast Kronecker product per qubit, leftmost factor first, in
-    # the order of pauli_labels; entries 0, +-1, +-i multiply exactly
-    singles = np.stack([linalg.PAULI_1Q[c] for c in "IXYZ"])
-    mats = np.ones((1, 1, 1), dtype=complex)
-    for q in range(1, n_qubits + 1):
-        mats = mats[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
-        mats = mats.reshape(4**q, 2**q, 2**q)
-    ops = [HermitianOperator(m, label) for m, label in zip(mats[1:], pauli_labels(n_qubits))]
-    return ObservableSet(tuple(ops), "pauli", n_qubits)
+    return canonical_set("pauli", n_qubits)
 
 
 def sic_single_qubit_elements() -> list[np.ndarray]:
@@ -111,38 +96,45 @@ def sic_povm(n_qubits: int) -> ObservableSet:
     """Tensor products of the single-qubit SIC elements, flat index order
     over per-qubit indices (0..3), with the final all-threes product dropped
     to leave 4^n - 1 linearly independent elements."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    singles = sic_single_qubit_elements()
-    total = 4**n_qubits
-    width = len(str(total - 1))
-    ops = []
-    for flat, ks in enumerate(itertools.product(range(4), repeat=n_qubits)):
-        if flat == total - 1:
-            break
-        mat = linalg.kron_all(singles[k] for k in ks)
-        ops.append(HermitianOperator(mat, f"SIC-{flat:0{width}d}"))
-    return ObservableSet(tuple(ops), "sic", n_qubits)
+    return canonical_set("sic", n_qubits)
 
 
 def factor_indices(kind: str, n_qubits: int) -> np.ndarray:
     """Per-qubit factor indices (0..3, leftmost qubit first) of each element
     of ``canonical_set(kind, n_qubits)``, one row per element: I, X, Y, Z
-    for Pauli, the SIC element index for SIC."""
-    rows = np.array(list(itertools.product(range(4), repeat=n_qubits)))
-    if kind == "pauli":
-        return rows[1:]
-    if kind == "sic":
-        return rows[:-1]
-    raise ValueError(f"no canonical observable set of kind {kind!r}")
+    for Pauli, the SIC element index for SIC. The rows run lexicographically
+    and leave out the all-zeros row (the identity) for Pauli and the
+    all-threes row for SIC."""
+    if kind not in ("pauli", "sic"):
+        raise ValueError(f"no canonical observable set of kind {kind!r}")
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    rows = np.indices((4,) * n_qubits).reshape(n_qubits, -1).T
+    return rows[1:] if kind == "pauli" else rows[:-1]
 
 
 def canonical_set(kind: str, n_qubits: int) -> ObservableSet:
+    """The Pauli products (``pauli_basis``) or the SIC products
+    (``sic_povm``), one element per ``factor_indices`` row: the Kronecker
+    product of the single-qubit elements the row names, labelled by the
+    Pauli letters or ``SIC-<row number>``."""
+    rows = factor_indices(kind, n_qubits)
     if kind == "pauli":
-        return pauli_basis(n_qubits)
-    if kind == "sic":
-        return sic_povm(n_qubits)
-    raise ValueError(f"no canonical observable set of kind {kind!r}")
+        singles = np.stack([linalg.PAULI_1Q[c] for c in "IXYZ"])
+        labels = ["".join("IXYZ"[i] for i in row) for row in rows]
+    else:
+        singles = np.stack(sic_single_qubit_elements())
+        width = len(str(len(rows)))
+        labels = [f"SIC-{flat:0{width}d}" for flat in range(len(rows))]
+    # one broadcast Kronecker product per qubit, leftmost factor first;
+    # each entry is the product of its factors' entries in that order
+    mats = np.ones((len(rows), 1, 1), dtype=complex)
+    for q in range(n_qubits):
+        factors = singles[rows[:, q]]
+        mats = mats[:, :, None, :, None] * factors[:, None, :, None, :]
+        mats = mats.reshape(len(rows), 2 ** (q + 1), 2 ** (q + 1))
+    ops = tuple(HermitianOperator(m, label) for m, label in zip(mats, labels))
+    return ObservableSet(ops, kind, n_qubits)
 
 
 def expectation(rho: DensityMatrix, a) -> float:

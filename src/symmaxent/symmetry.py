@@ -336,16 +336,6 @@ def project(a, kind: str, n_qubits: int) -> np.ndarray:
     return ((basis.conj() @ mat.ravel()) @ basis).reshape(mat.shape)
 
 
-def commutant_coordinates(ops, kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of each operator's commutant projection on
-    ``commutant_basis(kind, n_qubits)``, one row per operator, and the
-    Hilbert-Schmidt norm of each operator itself: the rows and reference
-    norms that :func:`independent_projections` filters. ``ops`` must be
-    non-empty."""
-    flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
-    return _coordinates(flat, kind, n_qubits), np.linalg.norm(flat, axis=1)
-
-
 def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
     """Indices, in order, of the operators whose commutant projections are
     linearly independent of the projections kept before them.
@@ -359,4 +349,6 @@ def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
     ops = list(ops)
     if not ops:
         return []
-    return linalg.independent_rows(*commutant_coordinates(ops, kind, n_qubits))
+    flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
+    coeffs = _coordinates(flat, kind, n_qubits)
+    return linalg.independent_rows(coeffs, np.linalg.norm(flat, axis=1))

@@ -91,11 +91,29 @@ class TestConfigParsing:
                 "solver.max_iterations = 0", "line 1: 'solver.max_iterations': max_iterations",
                 id="line of solver.max_iterations = 0",
             ),
+            # so does a top-level range error
+            pytest.param("seed = 1\nbatch_size = 0", "line 2: 'batch_size': batch_size must be",
+                         id="line of batch_size = 0"),
+            pytest.param("n_qubits = 0", "line 1: 'n_qubits': n_qubits must be",
+                         id="line of n_qubits = 0"),
+            pytest.param("seed = -1", "line 1: 'seed': seed must be nonnegative",
+                         id="line of seed = -1"),
+            pytest.param(
+                "seed = 1\nobservable_kind = foo",
+                "line 2: 'observable_kind': unknown observable_kind 'foo'",
+                id="line of observable_kind = foo",
+            ),
             # each value is valid over the defaults, only the pair is not: no line
             pytest.param(
                 "noise.mode = photon_model\nnoise.mu = 0", "^photon_model needs mu > 0",
                 id="photon_model with mu = 0",
             ),
+            pytest.param(
+                "n_qubits = 1\nsymmetry = permutation", "^symmetry 'permutation' needs",
+                id="permutation with n_qubits = 1",
+            ),
+            pytest.param("n_qubits = 2\nr_values = 16", "^r value 16 outside",
+                         id="r_values beyond n_qubits"),
             # a value that does not convert names its line and key
             pytest.param("seed = 1\nn_qubits = two", "line 2: 'n_qubits'", id="n_qubits = two"),
             pytest.param(

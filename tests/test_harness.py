@@ -279,7 +279,7 @@ class TestObservableContext:
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_filter_keeps_what_independent_projections_keeps(self, n, kind, observable_kind):
-        # permutation keeps the first of each orbit, werner filters numerically
+        # permutation keeps the first of each orbit; werner is that call itself
         context = harness._ObservableContext(observable_kind, n, kind)
         candidates = list(context.candidates)
         rng = np.random.default_rng([n, len(kind), len(observable_kind)])
@@ -307,46 +307,42 @@ class TestObservableContext:
         for state_id in range(2):
             run_single_state(cfg, state_id)
         context = harness._observable_context("sic", 3, "permutation")
-        assert "orbits" in vars(context) and "coordinates" not in vars(context)
+        assert "orbits" in vars(context)
 
-    def test_unshuffled_sweep_filters_once(self, monkeypatch):
+    def test_modes_built_for_measured_observables_only(self, monkeypatch):
+        # an unshuffled permutation sweep at n = 3 measures the same 19 of
+        # the 63 canonical observables in every state
         calls = []
-        real = linalg.independent_rows
+        real = measurement.projector_modes
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def spy(op):
+            calls.append(op.label)
+            return real(op)
 
-        monkeypatch.setattr(linalg, "independent_rows", spy)
-        context = harness._ObservableContext("sic", 3, "werner")
-        order = list(range(len(context.candidates)))
-        first = context.independent(order)
-        assert context.independent(order) == first
-        assert len(calls) == 1
-        context.independent(order[::-1])
-        assert len(calls) == 2
+        monkeypatch.setattr(measurement, "projector_modes", spy)
+        harness._observable_context.cache_clear()
+        for state_id in range(2):
+            run_single_state(NOISY_PHOTON_SHAPED, state_id)
+        assert len(calls) == 19 and len(set(calls)) == 19
 
-    def test_cached_arrays_are_read_only_and_exact(self):
+    def test_cached_modes_are_read_only_and_exact(self):
         context = harness._ObservableContext("sic", 3, "permutation")
-        coeffs, norms = context.coordinates
-        ref_coeffs, ref_norms = symmetry.commutant_coordinates(
-            context.candidates, "permutation", 3
-        )
-        assert np.array_equal(coeffs, ref_coeffs) and np.array_equal(norms, ref_norms)
-        for (vectors, weights), op in zip(context.modes, context.candidates):
-            ref_vectors, ref_weights = measurement.projector_modes(op)
+        for index in (0, 17, 62):
+            vectors, weights = context.modes(index)
+            ref_vectors, ref_weights = measurement.projector_modes(context.candidates[index])
             assert np.array_equal(vectors, ref_vectors)
             assert np.array_equal(weights, ref_weights)
-        vectors, weights = context.modes[0]
-        for arr in (vectors, weights, coeffs, norms):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+            assert context.modes(index)[0] is vectors
+            for arr in (vectors, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        assert context.orbits.flags.writeable is False
 
     def test_ideal_sweep_without_symmetry_builds_neither_cache(self):
         harness._observable_context.cache_clear()
         run_single_state(small_config(r_values=(3,)), 0)
         context = harness._observable_context("sic", 3, "none")
-        assert "modes" not in vars(context) and "coordinates" not in vars(context)
+        assert not context._modes and "orbits" not in vars(context)
 
     def test_state_takes_its_target_root_once(self, monkeypatch):
         # every sweep point scores against the same target

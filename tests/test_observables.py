@@ -4,7 +4,9 @@ import pytest
 from symmaxent import linalg
 from symmaxent.observables import (
     ObservableSet,
+    canonical_set,
     expectation,
+    factor_indices,
     matrix_from_jsonable,
     matrix_to_jsonable,
     pauli_basis,
@@ -52,12 +54,31 @@ class TestPauliBasis:
         kept = linalg.linearly_independent_subset(ops)
         assert len(kept) == 64
 
+    @pytest.mark.parametrize("kind", ["pauli", "sic"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_products_equal_kron_chain(self, n):
-        # the broadcast products are exact: every entry is 0, +-1 or +-i
-        for op in pauli_basis(n):
-            ref = linalg.kron_all(linalg.PAULI_1Q[c] for c in op.label)
-            assert np.array_equal(op.matrix, ref)
+    def test_products_equal_kron_chain(self, n, kind):
+        # each element is the Kronecker product of the single-qubit elements
+        # its factor-index row names, bit for bit (signed zeros included)
+        # once both pass the same Hermitian symmetrization
+        singles = (
+            [linalg.PAULI_1Q[c] for c in "IXYZ"] if kind == "pauli"
+            else sic_single_qubit_elements()
+        )
+        rows = factor_indices(kind, n)
+        ops = canonical_set(kind, n)
+        assert len(rows) == len(ops) == 4**n - 1
+        for op, row in zip(ops, rows):
+            ref = linalg.HermitianOperator(linalg.kron_all(singles[i] for i in row))
+            assert op.matrix.tobytes() == ref.matrix.tobytes()
+        if kind == "pauli":
+            assert ops.labels() == ["".join("IXYZ"[i] for i in row) for row in rows]
+
+    @pytest.mark.parametrize("kind, n", [("pauli", 0), ("sic", 0), ("custom", 2)])
+    def test_canonical_set_rejects_bad_arguments(self, kind, n):
+        match = "n_qubits must be >= 1" if n < 1 else "no canonical observable set"
+        for build in (factor_indices, canonical_set):
+            with pytest.raises(ValueError, match=match):
+                build(kind, n)
 
 
 class TestSicPovm:
