@@ -33,7 +33,7 @@ from .measurement import (
     projector_modes,
     simulate_counts,
 )
-from .observables import ObservableSet, expectation, pauli_basis, sic_povm
+from .observables import expectation, pauli_basis, sic_povm
 from .states import (
     DensityMatrix,
     PureState,
@@ -74,7 +74,6 @@ __all__ = [
     "estimate_expectations",
     "projector_modes",
     "simulate_counts",
-    "ObservableSet",
     "expectation",
     "pauli_basis",
     "sic_povm",

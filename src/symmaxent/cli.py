@@ -148,42 +148,62 @@ def _reject_unknown_keys(entry: dict, known: set[str], what: str) -> None:
         raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}")
 
 
-def _solve_problem_from_json(data: dict) -> dict:
+_MISSING = object()
+_JSON_TYPE_NAMES = {
+    dict: "a JSON object",
+    list: "a JSON list",
+    str: "a string",
+    numbers.Integral: "an integer",
+    numbers.Real: "a number",
+}
+
+
+def _expect(value, json_type, what: str):
+    """``value`` if it is a ``json_type``, else a ValueError that says ``what``
+    is missing (``_MISSING``) or of the wrong type; a bool is no number."""
+    if value is _MISSING:
+        raise ValueError(f"{what} is missing")
+    if isinstance(value, bool) or not isinstance(value, json_type):
+        raise ValueError(f"{what} must be {_JSON_TYPE_NAMES[json_type]}, got {value!r}")
+    return value
+
+
+def _solve_problem_from_json(data) -> dict:
+    _expect(data, dict, "a solve problem")
     problem_keys = {"n_qubits", "observables", "symmetry", "measured", "solver", "lambda0"}
     _reject_unknown_keys(data, problem_keys, "problem key")
-    n_qubits = data["n_qubits"]
-    # bool is an int subclass: true must not read as one qubit
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral):
-        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
+    n_qubits = _expect(data.get("n_qubits", _MISSING), numbers.Integral, "n_qubits")
     dim = 2**n_qubits
-    kind = data.get("observables", "custom")
+    kind = data.get("observables")
     symmetry_kind = data.get("symmetry", "none")
 
     by_label = {}
-    if kind in ("pauli", "sic"):
-        canonical = observables.canonical_set(kind, n_qubits)
-        by_label = {op.label: op for op in canonical}
+    if "observables" in data:
+        if kind not in observables.KINDS:
+            raise ValueError(f"unknown observables kind {kind!r}, not one of {observables.KINDS}")
+        by_label = {op.label: op for op in observables.canonical_set(kind, n_qubits)}
 
     measured = []
-    for entry in data["measured"]:
+    for entry in _expect(data.get("measured", _MISSING), list, "measured"):
         where = f"measured entry {len(measured)}"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} is not a JSON object: {entry!r}")
+        _expect(entry, dict, where)
         _reject_unknown_keys(entry, {"label", "matrix", "target"}, f"{where} key")
-        target = float(entry["target"])
+        target = _expect(entry.get("target", _MISSING), numbers.Real, f"{where} target")
         if "matrix" in entry:
             op = HermitianOperator(
                 observables.matrix_from_jsonable(entry["matrix"]),
                 entry.get("label", f"custom-{len(measured)}"),
             )
-        else:
-            label = entry["label"]
+        elif "label" in entry:
+            label = _expect(entry["label"], str, f"{where} label")
             if label not in by_label:
                 raise ValueError(f"unknown observable label {label!r} for kind {kind!r}")
             op = by_label[label]
-        measured.append((op, target))
+        else:
+            raise ValueError(f"{where} has neither a label nor a matrix")
+        measured.append((op, float(target)))
 
-    solver_kwargs = data.get("solver", {})
+    solver_kwargs = _expect(data.get("solver", {}), dict, "solver")
     solver_fields = {f.name for f in dataclasses.fields(SolverOptions)}
     _reject_unknown_keys(solver_kwargs, solver_fields, "solver field")
     solution = solve(

@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,11 +76,20 @@ class ExperimentConfig:
     shuffle_observables: bool = False
 
     def __post_init__(self):
+        # a float would truncate or fail far from here, a bool read as 0 or 1;
+        # a numpy integer becomes an int, which the sweep and meta.json need
+        names = ("n_qubits", "dicke_excitations", "batch_size", "seed")
+        integers = [(name, getattr(self, name)) for name in names]
+        for name, value in integers + [("r value", r) for r in self.r_values]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in integers:
+            object.__setattr__(self, name, int(value))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if self.state_family not in STATE_FAMILIES:
             raise ValueError(f"unknown state_family {self.state_family!r}")
-        if self.observable_kind not in ("pauli", "sic"):
+        if self.observable_kind not in observables.KINDS:
             raise ValueError(f"unknown observable_kind {self.observable_kind!r}")
         if self.symmetry not in symmetry.KINDS:
             raise ValueError(f"unknown symmetry {self.symmetry!r}")
@@ -163,7 +173,7 @@ class _ObservableContext:
     arrays are read-only, so no state can change another state's inputs."""
 
     def __init__(self, kind: str, n_qubits: int, symmetry_kind: str):
-        self.n_qubits, self.symmetry = n_qubits, symmetry_kind
+        self.kind, self.n_qubits, self.symmetry = kind, n_qubits, symmetry_kind
         self.candidates = observables.canonical_set(kind, n_qubits)
         self._modes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -182,7 +192,7 @@ class _ObservableContext:
         """Each canonical observable's qubit-permutation orbit, numbered by
         its key: the sorted tuple of the observable's per-qubit factor
         indices (``observables.factor_indices``)."""
-        factors = observables.factor_indices(self.candidates.kind, self.n_qubits)
+        factors = observables.factor_indices(self.kind, self.n_qubits)
         _, orbits = np.unique(np.sort(factors, axis=1), axis=0, return_inverse=True)
         orbits = orbits.reshape(-1)
         orbits.setflags(write=False)

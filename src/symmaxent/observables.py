@@ -3,7 +3,6 @@ tensor-product SIC-POVM, plus ideal expectation values."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,42 +22,8 @@ SIC_BLOCH_VECTORS = (
     (-np.sqrt(2.0) / 3.0, -np.sqrt(2.0 / 3.0), -1.0 / 3.0),
 )
 
-KINDS = ("pauli", "sic", "custom")
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableSet:
-    """Ordered, uniquely labelled observables sharing one dimension."""
-
-    observables: tuple[HermitianOperator, ...]
-    kind: str
-    n_qubits: int
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown observable kind {self.kind!r}")
-        object.__setattr__(self, "observables", tuple(self.observables))
-        dim = 2**self.n_qubits
-        for op in self.observables:
-            if op.dim != dim:
-                raise ValueError(
-                    f"observable {op.label!r} has dim {op.dim}, expected {dim}"
-                )
-        labels = [op.label for op in self.observables]
-        if len(set(labels)) != len(labels):
-            raise ValueError("observable labels must be unique")
-
-    def __len__(self) -> int:
-        return len(self.observables)
-
-    def __iter__(self):
-        return iter(self.observables)
-
-    def __getitem__(self, i: int) -> HermitianOperator:
-        return self.observables[i]
-
-    def labels(self) -> list[str]:
-        return [op.label for op in self.observables]
+# the canonical observable kinds; every other module checks against this list
+KINDS = ("pauli", "sic")
 
 
 def matrix_to_jsonable(m: np.ndarray) -> list:
@@ -67,10 +32,14 @@ def matrix_to_jsonable(m: np.ndarray) -> list:
 
 
 def matrix_from_jsonable(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    """The inverse of ``matrix_to_jsonable``; a ValueError on other input."""
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in data])
+    except TypeError as exc:
+        raise ValueError(f"not a matrix of [re, im] number pairs: {exc}") from None
 
 
-def pauli_basis(n_qubits: int) -> ObservableSet:
+def pauli_basis(n_qubits: int) -> tuple[HermitianOperator, ...]:
     """All 4^n - 1 non-identity Pauli tensor products, lexicographic with
     I < X < Y < Z. Each element is Hermitian, traceless and squares to the
     identity."""
@@ -92,7 +61,7 @@ def sic_single_qubit_elements() -> list[np.ndarray]:
     return out
 
 
-def sic_povm(n_qubits: int) -> ObservableSet:
+def sic_povm(n_qubits: int) -> tuple[HermitianOperator, ...]:
     """Tensor products of the single-qubit SIC elements, flat index order
     over per-qubit indices (0..3), with the final all-threes product dropped
     to leave 4^n - 1 linearly independent elements."""
@@ -105,7 +74,7 @@ def factor_indices(kind: str, n_qubits: int) -> np.ndarray:
     for Pauli, the SIC element index for SIC. The rows run lexicographically
     and leave out the all-zeros row (the identity) for Pauli and the
     all-threes row for SIC."""
-    if kind not in ("pauli", "sic"):
+    if kind not in KINDS:
         raise ValueError(f"no canonical observable set of kind {kind!r}")
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
@@ -113,11 +82,12 @@ def factor_indices(kind: str, n_qubits: int) -> np.ndarray:
     return rows[1:] if kind == "pauli" else rows[:-1]
 
 
-def canonical_set(kind: str, n_qubits: int) -> ObservableSet:
+def canonical_set(kind: str, n_qubits: int) -> tuple[HermitianOperator, ...]:
     """The Pauli products (``pauli_basis``) or the SIC products
-    (``sic_povm``), one element per ``factor_indices`` row: the Kronecker
-    product of the single-qubit elements the row names, labelled by the
-    Pauli letters or ``SIC-<row number>``."""
+    (``sic_povm``) as a tuple of ``HermitianOperator``, one element per
+    ``factor_indices`` row, in row order: the Kronecker product of the
+    single-qubit elements the row names, labelled by the Pauli letters or
+    ``SIC-<row number>``. Labels are unique within a set."""
     rows = factor_indices(kind, n_qubits)
     if kind == "pauli":
         singles = np.stack([linalg.PAULI_1Q[c] for c in "IXYZ"])
@@ -133,8 +103,7 @@ def canonical_set(kind: str, n_qubits: int) -> ObservableSet:
         factors = singles[rows[:, q]]
         mats = mats[:, :, None, :, None] * factors[:, None, :, None, :]
         mats = mats.reshape(len(rows), 2 ** (q + 1), 2 ** (q + 1))
-    ops = tuple(HermitianOperator(m, label) for m, label in zip(mats, labels))
-    return ObservableSet(ops, kind, n_qubits)
+    return tuple(HermitianOperator(m, label) for m, label in zip(mats, labels))
 
 
 def expectation(rho: DensityMatrix, a) -> float:

@@ -34,13 +34,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .linalg import HermitianOperator
-from .observables import ObservableSet, pauli_basis
+from .observables import pauli_basis
 
 KINDS = ("none", "permutation", "werner")
 
@@ -155,19 +156,16 @@ def build_symmetry(kind: str, n_qubits: int) -> SymmetryGroupSpec:
 
 
 def filter_measured_observables(
-    candidates: ObservableSet, aux: tuple[HermitianOperator, ...] | list[HermitianOperator]
-) -> ObservableSet:
-    """Order-preserving subset of ``candidates`` in which every element is
-    linearly independent of the auxiliaries and of the candidates kept before
-    it. Measuring a rejected candidate would add no information beyond what
-    the symmetry constraints already pin down."""
-    aux = tuple(aux)
-    if aux and aux[0].dim != 2**candidates.n_qubits:
+    candidates: Sequence[HermitianOperator], aux: Sequence[HermitianOperator]
+) -> tuple[HermitianOperator, ...]:
+    """The order-preserving subset of ``candidates``, as a tuple, in which
+    every element is linearly independent of the auxiliaries and of the
+    candidates kept before it. Measuring a rejected candidate would add no
+    information beyond what the symmetry constraints already pin down."""
+    if aux and candidates and aux[0].dim != candidates[0].dim:
         raise ValueError("auxiliary dimension does not match candidates")
-    kept = linalg.linearly_independent_subset(list(candidates), seed_ops=aux)
-    return ObservableSet(
-        tuple(candidates[i] for i in kept), "custom", candidates.n_qubits
-    )
+    kept = linalg.linearly_independent_subset(candidates, seed_ops=aux)
+    return tuple(candidates[i] for i in kept)
 
 
 @functools.lru_cache(maxsize=8)

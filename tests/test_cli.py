@@ -9,6 +9,8 @@ from symmaxent.harness import read_result_csv
 from symmaxent.observables import expectation, matrix_from_jsonable, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix, random_werner
 
+# a custom one-qubit Z, as nested [re, im] pairs
+Z_MATRIX_ENTRY = {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "target": 0.2}
 
 SMALL_SWEEP_CONFIG = """
 # minimal deterministic sweep
@@ -417,9 +419,69 @@ class TestSolveCommand:
             main(["solve", "--targets", str(path)])
 
     def test_measured_entry_not_an_object_rejected(self, tmp_path):
-        # a dict in place of the list iterates over its keys
+        # a dict in place of the list is named as such, not iterated over
         problem = {"n_qubits": 1, "measured": {"label": "Z", "target": 0.5}}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="measured entry 0 is not a JSON object: 'label'"):
+        with pytest.raises(ValueError, match="measured must be a JSON list, got {'label'"):
+            main(["solve", "--targets", str(path)])
+
+    @pytest.mark.parametrize(
+        "problem, match",
+        [
+            # a misspelt kind would otherwise solve with no label lookup
+            (
+                {"n_qubits": 1, "observables": "paulii", "measured": [Z_MATRIX_ENTRY]},
+                r"unknown observables kind 'paulii', not one of \('pauli', 'sic'\)",
+            ),
+            ({"n_qubits": 1, "observables": None, "measured": []}, "observables kind None"),
+            ({"observables": "pauli", "measured": []}, "n_qubits is missing"),
+            ({"n_qubits": 1, "observables": "pauli"}, "measured is missing"),
+            (
+                {"n_qubits": 1, "observables": "pauli", "measured": [{"label": "Z"}]},
+                "measured entry 0 target is missing",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli", "measured": [{"target": 0.5}]},
+                "measured entry 0 has neither a label nor a matrix",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": None}]},
+                "measured entry 0 target must be a number, got None",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": True}]},
+                "measured entry 0 target must be a number, got True",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": ["Z"], "target": 0.5}]},
+                "measured entry 0 label must be a string",
+            ),
+            (
+                {"n_qubits": 1, "measured": [
+                    {"matrix": [[["a", 0], [0, 0]], [[0, 0], [1, 0]]], "target": 0.5}
+                ]},
+                r"not a matrix of \[re, im\] number pairs",
+            ),
+            (
+                {"n_qubits": 1, "measured": [{"matrix": 5, "target": 0.5}]},
+                r"not a matrix of \[re, im\] number pairs",
+            ),
+            ({"n_qubits": 1, "measured": 5}, "measured must be a JSON list, got 5"),
+            ({"n_qubits": 1, "measured": ["Z"]}, "measured entry 0 must be a JSON object, got 'Z'"),
+            (3, "a solve problem must be a JSON object, got 3"),
+            ([1, 2], r"a solve problem must be a JSON object, got \[1, 2\]"),
+            (
+                {"n_qubits": 1, "observables": "pauli", "measured": [], "solver": [1]},
+                r"solver must be a JSON object, got \[1\]",
+            ),
+        ],
+    )
+    def test_malformed_problem_rejected(self, tmp_path, problem, match):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        with pytest.raises(ValueError, match=match):
             main(["solve", "--targets", str(path)])

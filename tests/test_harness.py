@@ -78,6 +78,37 @@ class TestConfigValidation:
         cfg = ExperimentConfig(n_qubits=1, state_family="werner", symmetry="werner")
         assert cfg.r_values == (1, 2, 3)
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            (dict(r_values=(2.5, 7.9)), "r value must be an integer, got 2.5"),
+            (dict(r_values=(3, True)), "r value must be an integer, got True"),
+            (dict(batch_size=2.5), "batch_size must be an integer"),
+            (dict(n_qubits=2.0), "n_qubits must be an integer"),
+            (dict(n_qubits=True), "n_qubits must be an integer"),
+            (dict(dicke_excitations=1.0), "dicke_excitations must be an integer"),
+            (dict(seed=7.5), "seed must be an integer"),
+            (dict(seed="7"), "seed must be an integer"),
+        ],
+    )
+    def test_non_integral_integer_fields_rejected(self, fields, named):
+        # rejected, not truncated, and not left to fail inside the sweep
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig(**fields)
+
+    def test_numpy_integers_become_ints(self, monkeypatch, tmp_path):
+        # a numpy integer n_qubits failed inside the first state, and a numpy
+        # seed in writing meta.json
+        monkeypatch.setenv("SYMMAXENT_THREADS", "1")
+        cfg = ExperimentConfig(
+            n_qubits=np.int64(2), batch_size=np.int64(1), r_values=(np.int64(3), 15),
+            seed=np.uint32(7),
+        )
+        assert cfg.r_values == (3, 15)
+        assert all(type(r) is int for r in cfg.r_values)
+        assert all(type(getattr(cfg, name)) is int for name in ("n_qubits", "batch_size", "seed"))
+        write_outputs(run_sweep(cfg), tmp_path)
+
 
 class TestSweep:
     def test_deterministic_rerun(self, tmp_path, monkeypatch):

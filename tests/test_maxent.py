@@ -519,11 +519,8 @@ class TestSolve:
         rho = psi.density()
         kept = [op for op in sic_povm(3)][:30]
         from symmaxent.symmetry import filter_measured_observables
-        from symmaxent.observables import ObservableSet
 
-        filtered = filter_measured_observables(
-            ObservableSet(tuple(kept), "custom", 3), spec.auxiliary
-        )
+        filtered = filter_measured_observables(kept, spec.auxiliary)
         prob = problem_from_state(rho, list(filtered), spec.auxiliary)
         sol = solve(prob, SolverOptions(step_rule="newton", tolerance=1e-14))
         for g in spec.generators:

@@ -3,7 +3,6 @@ import pytest
 
 from symmaxent import linalg
 from symmaxent.observables import (
-    ObservableSet,
     canonical_set,
     expectation,
     factor_indices,
@@ -25,16 +24,16 @@ def maximally_mixed(n):
 class TestPauliBasis:
     def test_single_qubit(self):
         basis = pauli_basis(1)
-        assert basis.labels() == ["X", "Y", "Z"]
+        assert [op.label for op in basis] == ["X", "Y", "Z"]
         assert np.allclose(basis[0].matrix, SX)
 
     def test_three_qubit_count(self):
         assert len(pauli_basis(3)) == 63
 
     def test_order_deterministic(self):
-        labels = pauli_basis(2).labels()
+        labels = [op.label for op in pauli_basis(2)]
         assert labels[:6] == ["IX", "IY", "IZ", "XI", "XX", "XY"]
-        assert labels == pauli_basis(2).labels()
+        assert labels == [op.label for op in pauli_basis(2)]
 
     def test_traceless_and_involutory(self):
         for op in pauli_basis(2):
@@ -66,12 +65,20 @@ class TestPauliBasis:
         )
         rows = factor_indices(kind, n)
         ops = canonical_set(kind, n)
+        # a plain tuple of operators, the same one each public name returns
+        assert type(ops) is tuple
+        assert all(type(op) is linalg.HermitianOperator for op in ops)
+        named = pauli_basis(n) if kind == "pauli" else sic_povm(n)
+        assert type(named) is tuple
+        assert [op.label for op in named] == [op.label for op in ops]
         assert len(rows) == len(ops) == 4**n - 1
         for op, row in zip(ops, rows):
             ref = linalg.HermitianOperator(linalg.kron_all(singles[i] for i in row))
             assert op.matrix.tobytes() == ref.matrix.tobytes()
+        labels = [op.label for op in ops]
+        assert len(set(labels)) == len(labels)
         if kind == "pauli":
-            assert ops.labels() == ["".join("IXYZ"[i] for i in row) for row in rows]
+            assert labels == ["".join("IXYZ"[i] for i in row) for row in rows]
 
     @pytest.mark.parametrize("kind, n", [("pauli", 0), ("sic", 0), ("custom", 2)])
     def test_canonical_set_rejects_bad_arguments(self, kind, n):
@@ -115,20 +122,8 @@ class TestSicPovm:
 
     def test_labels(self):
         povm = sic_povm(3)
-        assert povm.labels()[0] == "SIC-00"
-        assert povm.labels()[17] == "SIC-17"
-
-
-class TestObservableSet:
-    def test_rejects_duplicate_labels(self):
-        op = pauli_basis(1)[0]
-        with pytest.raises(ValueError, match="unique"):
-            ObservableSet((op, op), "custom", 1)
-
-    def test_rejects_dim_mismatch(self):
-        op = pauli_basis(1)[0]
-        with pytest.raises(ValueError, match="dim"):
-            ObservableSet((op,), "custom", 2)
+        assert povm[0].label == "SIC-00"
+        assert povm[17].label == "SIC-17"
 
 
 class TestExpectation:

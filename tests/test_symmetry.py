@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symmaxent import linalg, states, symmetry
-from symmaxent.observables import ObservableSet, pauli_basis, sic_povm
+from symmaxent.observables import canonical_set, pauli_basis, sic_povm
 from symmaxent.symmetry import (
     SymmetryGroupSpec,
     auxiliary_observables,
@@ -230,7 +230,7 @@ class TestFilterMeasuredObservables:
         basis = pauli_basis(3)
         kept = filter_measured_observables(basis, ())
         assert len(kept) == 63
-        assert kept.labels() == basis.labels()
+        assert [op.label for op in kept] == [op.label for op in basis]
 
     def test_rejects_aux_span_member(self):
         # X I I - I X I flips sign under conjugation by the 1<->2 swap, so it
@@ -244,10 +244,8 @@ class TestFilterMeasuredObservables:
         coeffs, *_ = np.linalg.lstsq(basis_mat, candidate.ravel(), rcond=None)
         residual = np.linalg.norm(basis_mat @ coeffs - candidate.ravel())
         assert residual < 1e-9
-        obs = ObservableSet(
-            (linalg.HermitianOperator(candidate, "XII-IXI"),), "custom", 3
-        )
-        assert len(filter_measured_observables(obs, aux)) == 0
+        obs = [linalg.HermitianOperator(candidate, "XII-IXI")]
+        assert filter_measured_observables(obs, aux) == ()
 
     def test_rank_bookkeeping(self):
         # kept + |aux| must equal the rank of the union of candidates and aux
@@ -263,15 +261,27 @@ class TestFilterMeasuredObservables:
         assert len(kept) == 19
 
     def test_sic_filtered_lengths(self):
-        sic = sic_povm(3)
-        assert len(filter_measured_observables(sic, build_symmetry("permutation", 3).auxiliary)) == 19
-        assert len(filter_measured_observables(sic, build_symmetry("werner", 3).auxiliary)) == 5
+        expected = {
+            "permutation": [0, 1, 2, 3, 5, 6, 7, 10, 11, 15, 21, 22, 23, 26, 27, 31, 42, 43, 47],
+            "werner": [0, 1, 4, 5, 6],
+        }
+        for kind, numbers in expected.items():
+            aux = build_symmetry(kind, 3).auxiliary
+            # a plain list in, a tuple of the kept operators out, in input order
+            kept = filter_measured_observables(list(sic_povm(3)), aux)
+            assert type(kept) is tuple
+            assert all(type(op) is linalg.HermitianOperator for op in kept)
+            assert [op.label for op in kept] == [f"SIC-{k:02d}" for k in numbers]
+        # the call the benchmark's n = 3 permutation kernel makes
+        aux = build_symmetry("permutation", 3).auxiliary
+        first = list(filter_measured_observables(canonical_set("sic", 3), aux))[:19]
+        assert [op.label for op in first] == [f"SIC-{k:02d}" for k in expected["permutation"]]
 
     def test_preserves_order(self):
         aux = build_symmetry("werner", 3).auxiliary
         kept = filter_measured_observables(sic_povm(3), aux)
-        all_labels = sic_povm(3).labels()
-        positions = [all_labels.index(lab) for lab in kept.labels()]
+        all_labels = [op.label for op in sic_povm(3)]
+        positions = [all_labels.index(op.label) for op in kept]
         assert positions == sorted(positions)
 
 
