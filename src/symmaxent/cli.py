@@ -173,6 +173,8 @@ def _solve_problem_from_json(data) -> dict:
     problem_keys = {"n_qubits", "observables", "symmetry", "measured", "solver", "lambda0"}
     _reject_unknown_keys(data, problem_keys, "problem key")
     n_qubits = _expect(data.get("n_qubits", _MISSING), numbers.Integral, "n_qubits")
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     dim = 2**n_qubits
     kind = data.get("observables")
     symmetry_kind = data.get("symmetry", "none")
@@ -190,10 +192,11 @@ def _solve_problem_from_json(data) -> dict:
         _reject_unknown_keys(entry, {"label", "matrix", "target"}, f"{where} key")
         target = _expect(entry.get("target", _MISSING), numbers.Real, f"{where} target")
         if "matrix" in entry:
-            op = HermitianOperator(
-                observables.matrix_from_jsonable(entry["matrix"]),
-                entry.get("label", f"custom-{len(measured)}"),
-            )
+            label = entry.get("label", f"custom-{len(measured)}")
+            try:
+                op = HermitianOperator(observables.matrix_from_jsonable(entry["matrix"]), label)
+            except ValueError as exc:
+                raise ValueError(f"{where} matrix: {exc}") from None
         elif "label" in entry:
             label = _expect(entry["label"], str, f"{where} label")
             if label not in by_label:

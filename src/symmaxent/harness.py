@@ -9,8 +9,10 @@ them would add nothing the symmetry does not already pin down). Under
 permutation symmetry that keeps the first member of each qubit-permutation
 orbit, read off the observables' factor indices; under werner symmetry the
 projections are filtered numerically. Acquire targets for the first max(r)
-survivors, build one maximum-entropy problem on them that declares the
-symmetry (so it constrains their commutant projections), and at each sweep
+survivors, with their variances (zero for ideal data), build one
+maximum-entropy problem on them that declares the symmetry (so it
+constrains their commutant projections) and carries the variances (so a
+noisy target may miss by about its standard deviation), and at each sweep
 point r solve its leading slice on the first r (``MaxEntProblem.leading``)
 and record the fidelity against the prepared (noisy) state.
 
@@ -76,6 +78,20 @@ class ExperimentConfig:
     shuffle_observables: bool = False
 
     def __post_init__(self):
+        # a wrong type is caught here, not inside the first state: a string
+        # shuffle flag would be truthy, a dict solver fail in the pool
+        if not isinstance(self.shuffle_observables, (bool, np.bool_)):
+            raise ValueError(
+                f"shuffle_observables must be a bool, got {self.shuffle_observables!r}"
+            )
+        object.__setattr__(self, "shuffle_observables", bool(self.shuffle_observables))
+        for name, cls in (("noise", NoiseConfig), ("solver", SolverOptions)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+        if isinstance(self.r_values, (str, bytes)) or not np.iterable(self.r_values):
+            raise ValueError(f"r_values must be a sequence of integers, got {self.r_values!r}")
+        # read once: a generator would be empty on the second pass below
+        object.__setattr__(self, "r_values", tuple(self.r_values))
         # a float would truncate or fail far from here, a bool read as 0 or 1;
         # a numpy integer becomes an int, which the sweep and meta.json need
         names = ("n_qubits", "dicke_excitations", "batch_size", "seed")
@@ -235,9 +251,11 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
 
 
 def _acquire_target_value(rho, context: _ObservableContext, index: int,
-                          config: ExperimentConfig, state_id: int) -> float:
+                          config: ExperimentConfig, state_id: int) -> tuple[float, float]:
+    """(target, variance) of canonical observable ``index``; an ideal target
+    is exact, with variance zero."""
     if config.noise.mode == "ideal":
-        return observables.expectation(rho, context.candidates[index])
+        return observables.expectation(rho, context.candidates[index]), 0.0
     modes = context.modes(index)
     rng = _stream(config.seed, state_id, 2, index)
     counts = measurement.simulate_counts(rho, modes, config.noise, rng)
@@ -258,12 +276,14 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
         order = context.independent(order)
 
     max_r = min(max(config.r_values), len(order))
-    targets = [
+    acquired = [
         _acquire_target_value(rho_target, context, i, config, state_id) for i in order[:max_r]
     ]
+    targets = [target for target, _ in acquired]
+    variances = [variance for _, variance in acquired]
 
     measured = tuple(zip((candidates[i] for i in order[:max_r]), targets))
-    problem = MaxEntProblem(measured, (), 2**config.n_qubits, config.symmetry)
+    problem = MaxEntProblem(measured, (), 2**config.n_qubits, config.symmetry, variances)
     out = []
     for r in config.r_values:
         solution = solve(problem.leading(min(r, len(order))), config.solver)

@@ -47,25 +47,47 @@ from them once, on first use, for every solve and kernel call on it. A sweep
 state builds one problem and solves its leading slices on the first r
 observables (``MaxEntProblem.leading``), whose operators are its rows.
 
-The multipliers are updated by damped Newton steps on the constraint
-equations: solve (C + mu s I) delta = -(residuals), with C the constraint
-susceptibility matrix C_ij = d<A_i>/dlambda_j, s its mean diagonal and mu a
-damping that grows tenfold on each rejected trial and shrinks after an
-accepted step. The direction is always a descent direction for f; a step is
-accepted only if it passes the Armijo decrease test with constant ARMIJO_C,
-so f never increases.
+The multipliers minimise the variance-regularised dual
 
-Infeasible (noisy) targets keep f above a positive least-squares floor, so
-it never falls below tolerance. The gradient of f is 2 C r, and the solve
-stops once an iterate is first-order stationary, ||C r|| <= STATIONARY_TOL
-tr(C) ||r||. C is PSD, so tr C >= ||C||_2 and the test reads the same when the
-operators or the targets are rescaled. Each solve reports why it stopped
+    Phi(lambda) = log Z(lambda) - lambda . a + lambda^T Sigma lambda / 2,
+
+with Sigma = diag(sigma_i^2) the variances of the targets (zero for exact
+data; Dudik, Phillips & Schapire, JMLR 8, 1217 (2007)). Its gradient is the
+residual r = g - a + Sigma lambda and its Hessian C + Sigma, with C the
+constraint susceptibility matrix C_ij = d<A_i>/dlambda_j. With Sigma = 0
+the minimiser meets every constraint exactly; with Sigma > 0 each target may
+move by about its standard deviation, and Phi is strictly convex with a
+finite minimiser even when noisy targets fit no state.
+
+Each iteration is a damped Newton step (Boyd & Vandenberghe, Convex
+Optimization, section 9.5): delta = -(C + Sigma + mu s I)^-1 r, with s the
+mean diagonal and mu a tiny fixed damping, grown tenfold only when no step
+along delta is accepted. The step length backtracks t = 1, 1/2, ... until
+the Armijo test Phi(lambda + t delta) <= Phi(lambda) + ARMIJO_C t r.delta
+holds. Near convergence the predicted decrease -t r.delta falls below the
+rounding of Phi (DUAL_ROUNDING max(1, |Phi|)), and the test is made on
+f = ||r||^2 instead, along its own directional derivative 2 r^T (C + Sigma)
+delta.
+
+The solve stops once f falls below the tolerance. Exact (Sigma = 0) but
+infeasible targets leave Phi unbounded below and f above a positive
+least-squares floor. A state that met them would bound Phi below by its
+entropy, so a negative Phi proves them infeasible; the solve then fits f
+from its start point by Levenberg-Marquardt steps (unit steps, with a
+damping that shrinks after an accepted step and grows after a rejected one)
+and stops once an iterate is first-order stationary for f,
+||(C + Sigma) r|| <= STATIONARY_TOL tr(C + Sigma) ||r||. The Hessian is PSD,
+so its trace bounds its norm and the test reads the same when the operators
+or the targets are rescaled. Each solve reports why it stopped
 (``MaxEntSolution.stop_reason``):
 
 - ``"tolerance"``: f fell below the tolerance;
 - ``"stationary"``: the first-order test above held;
-- ``"no_descent"``: no damping produced a step that passes the Armijo test;
+- ``"no_descent"``: no damping produced a step that passes the line search;
 - ``"budget"``: the iteration budget ran out.
+
+It also reports the entropy of its estimate, S = log Z - lambda . g, which
+the dual gives for free, and the number of Gibbs evaluations it made.
 """
 
 from __future__ import annotations
@@ -84,8 +106,27 @@ from .states import DensityMatrix
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
 
-# a solve stops as stationary once ||C r|| <= STATIONARY_TOL tr(C) ||r||
+# a solve stops as stationary once ||H r|| <= STATIONARY_TOL tr(H) ||r||,
+# with H = C + Sigma the Hessian of the dual
 STATIONARY_TOL = 1e-6
+
+# damping mu of the Newton system, relative to its mean diagonal; it grows
+# tenfold, DAMPING_TRIES times at most, only when no step length is accepted
+DAMPING = 1e-10
+DAMPING_TRIES = 12
+
+# step-length halvings tried along one Newton direction
+HALVINGS = 30
+
+# a least-squares fit starts at this damping, which shrinks by 0.3 (to 1e-12
+# at least) after an accepted unit step and grows tenfold, LEAST_SQUARES_TRIES
+# times at most, after a rejected one
+LEAST_SQUARES_DAMPING = 1e-8
+LEAST_SQUARES_TRIES = 60
+
+# a predicted decrease of the dual below DUAL_ROUNDING max(1, |Phi|) is
+# within its rounding, and the line search tests f = ||r||^2 instead
+DUAL_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +144,18 @@ class MaxEntProblem:
     commutant (``symmetry.compress``) instead of the full matrix. A declared
     symmetry takes no auxiliary constraints: they are what the projection
     replaces.
+
+    ``variances`` holds the variance of each measured target (zeros when
+    None, for exact data; auxiliary rows are exact). They regularise the
+    dual the solve minimises (see the module docstring), so that a target
+    may miss by about its standard deviation.
     """
 
     measured: tuple[tuple[HermitianOperator, float], ...]
     auxiliary: InitVar[tuple[HermitianOperator, ...]]
     dim: int
     symmetry: str = "none"
+    variances: np.ndarray | None = None
 
     def __post_init__(self, auxiliary):
         if self.dim < 2 or self.dim & (self.dim - 1):
@@ -116,6 +163,18 @@ class MaxEntProblem:
         if self.symmetry not in symmetry.KINDS:
             raise ValueError(f"unknown symmetry kind {self.symmetry!r}")
         zero_rows = tuple((op, 0.0) for op in auxiliary)
+        n_given = len(self.measured)
+        if self.variances is None:
+            variances = np.zeros(n_given)
+        else:
+            variances = np.array(self.variances, dtype=float)
+        if variances.shape != (n_given,):
+            raise ValueError(f"expected {n_given} variances, got shape {variances.shape}")
+        if not (np.all(np.isfinite(variances)) and np.all(variances >= 0.0)):
+            raise ValueError("variances must be finite and >= 0")
+        variances = np.concatenate([variances, np.zeros(len(zero_rows))])
+        variances.setflags(write=False)
+        object.__setattr__(self, "variances", variances)
         measured = tuple((op, float(t)) for op, t in self.measured) + zero_rows
         object.__setattr__(self, "measured", measured)
         for op, t in measured:
@@ -159,7 +218,9 @@ class MaxEntProblem:
         compresses the stack of its longest prefix once."""
         if not 0 <= k <= self.n_constraints:
             raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
-        sub = MaxEntProblem(self.measured[:k], (), self.dim, self.symmetry)
+        sub = MaxEntProblem(
+            self.measured[:k], (), self.dim, self.symmetry, self.variances[:k]
+        )
         object.__setattr__(sub, "_operators", self._operators[:k])
         return sub
 
@@ -193,8 +254,8 @@ class MaxEntProblem:
         return flat, flat.view(float), a.transpose(1, 0, 2).reshape(c, k * c)
 
     def _gibbs(self, lambdas: np.ndarray):
-        """rho(lambda) together with its shifted eigensystem; with a declared
-        symmetry, rho' = M rho_c on one copy of each block."""
+        """rho(lambda) together with its shifted eigensystem and log Z; with
+        a declared symmetry, rho' = M rho_c on one copy of each block."""
         c = self._operators.shape[1]
         h = lambdas @ self._rows[0]
         if self._log_weights is not None:
@@ -206,7 +267,7 @@ class MaxEntProblem:
         rho = (v * expw) @ v.conj().T
         z = expw.sum()
         rho /= z
-        return rho, w_shifted, v, expw, z
+        return rho, w_shifted, v, expw, z, w[-1] + math.log(z)
 
     def _full_rho(self, rho: np.ndarray) -> DensityMatrix:
         """The estimate on the full space from ``_gibbs``'s rho; with a
@@ -217,11 +278,18 @@ class MaxEntProblem:
         return DensityMatrix(rho, self.n_qubits)
 
     def _evaluate(self, lambdas: np.ndarray):
-        """(f, expectations, residuals, gibbs state tuple)."""
+        """(f, expectations, residuals, gibbs state tuple): the residuals
+        r = g - a + Sigma lambda are the gradient of the dual, and
+        f = ||r||^2."""
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
-        r = g - self._targets
+        r = g - self._targets + self.variances * lambdas
         return float(r @ r), g, r, state
+
+    def _dual(self, lambdas: np.ndarray, state) -> float:
+        """Phi = log Z - lambda . a + lambda^T Sigma lambda / 2, with log Z
+        from ``_gibbs``'s state at the same multipliers."""
+        return float(state[5] - lambdas @ (self._targets - 0.5 * self.variances * lambdas))
 
     def _susceptibility(self, g: np.ndarray, state) -> np.ndarray:
         """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix.
@@ -232,7 +300,7 @@ class MaxEntProblem:
         real rows Y_k, the operators give C = Y Y^T / z - g g^T, a real
         rank-K product that is exactly symmetric.
         """
-        _, w, v, expw, z = state
+        _, w, v, expw, z, _ = state
         d, k = w.shape[0], self.n_constraints
         left = (v.conj().T @ self._rows[2]).reshape(d * k, d)
         atil = (left @ v).reshape(d, k, d)
@@ -278,7 +346,9 @@ class SolverOptions:
 class MaxEntSolution:
     """The last accepted iterate of a solve. ``stop_reason`` says why the
     iteration ended: ``"tolerance"``, ``"stationary"``, ``"no_descent"`` or
-    ``"budget"`` (see the module docstring)."""
+    ``"budget"`` (see the module docstring). ``entropy`` is the von Neumann
+    entropy of ``rho`` and ``n_evals`` the number of Gibbs evaluations the
+    solve made."""
 
     rho: DensityMatrix
     lambdas: np.ndarray
@@ -286,6 +356,8 @@ class MaxEntSolution:
     iterations: int
     history: tuple[float, ...]
     stop_reason: str
+    entropy: float
+    n_evals: int
 
     @property
     def converged(self) -> bool:
@@ -302,6 +374,8 @@ class MaxEntSolution:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "stop_reason": self.stop_reason,
+            "entropy": float(self.entropy),
+            "n_evals": int(self.n_evals),
         }
 
 
@@ -333,17 +407,19 @@ def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
 
 
 def objective(problem: MaxEntProblem, lambdas) -> float:
-    """Sum of squared constraint mismatches at the given multipliers."""
+    """f = ||r||^2, the squared gradient of the dual: the sum of squared
+    constraint mismatches, each shifted by its variance times its
+    multiplier."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
     return problem._evaluate(lam)[0]
 
 
 def gradient(problem: MaxEntProblem, lambdas) -> np.ndarray:
-    """Analytic gradient of :func:`objective`, df/dlambda = 2 C r with C the
-    susceptibility matrix and r the residuals, as in the Newton step."""
+    """Analytic gradient of :func:`objective`, df/dlambda = 2 (C + Sigma) r
+    with C the susceptibility matrix and r the residuals."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
     _, g, r, state = problem._evaluate(lam)
-    return 2.0 * (problem._susceptibility(g, state) @ r)
+    return 2.0 * (problem._susceptibility(g, state) @ r + problem.variances * r)
 
 
 def susceptibility(problem: MaxEntProblem, lambdas) -> np.ndarray:
@@ -356,43 +432,49 @@ def susceptibility(problem: MaxEntProblem, lambdas) -> np.ndarray:
 def solve(
     problem: MaxEntProblem, options: SolverOptions = SolverOptions(), lambda0=None
 ) -> MaxEntSolution:
-    """Fit the multipliers, starting from ``lambda0`` (zeros when None), until
-    the objective drops below tolerance.
+    """Minimise the dual from ``lambda0`` (zeros when None) until the
+    objective f = ||r||^2 drops below tolerance.
 
     Returns converged=False (with the last accepted iterate) when the objective
     reaches a first-order stationary point above tolerance, no acceptable
     step remains or the iteration budget runs out; ``stop_reason`` says
-    which. Infeasible targets, for example estimates taken from noisy
-    counts, stop at the least-squares optimum rather than raising.
-    ``history`` holds the objective at the start and after every accepted
-    step.
+    which. Exact but infeasible targets stop at the least-squares optimum
+    rather than raising. ``history`` holds the objective at the start and
+    after every accepted step; ``iterations``, ``history`` and ``n_evals``
+    count the dual steps taken before a least-squares fit restarts from the
+    start point.
     """
     if lambda0 is None:
         lam = np.zeros(problem.n_constraints)
     else:
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
-    f, g, r, state = problem._evaluate(lam)
-    history = [f]
-    iterations = 0
-    mu = 1e-8
+    point = problem._evaluate(lam)
+    start = lam, point
+    history = [point[0]]
+    iterations, n_evals = 0, 1
+    exact, mu = not problem.variances.any(), None
 
     while True:
-        if f < options.tolerance:
+        if point[0] < options.tolerance:
             stop_reason = "tolerance"
             break
         if iterations >= options.max_iterations:
             stop_reason = "budget"
             break
-        moved = _newton_step(problem, lam, f, g, r, state, mu)
+        if exact and mu is None and _proves_infeasible(problem, lam, point[3]):
+            # the least-squares fit runs from the start point, so that its
+            # result does not depend on the dual steps taken so far
+            (lam, point), mu = start, LEAST_SQUARES_DAMPING
+        moved, evals, mu = _newton_step(problem, lam, point, mu)
+        n_evals += evals
         if isinstance(moved, str):
             stop_reason = moved
             break
-        lam, f, g, r, state, mu = moved
+        lam, point = moved
         iterations += 1
-        history.append(f)
+        history.append(point[0])
 
-    # an accepted step passes the Armijo test with a negative descent,
-    # f_new <= f + ARMIJO_C descent <= f, so the last iterate is the best one
+    f, g, _, state = point
     return MaxEntSolution(
         rho=problem._full_rho(state[0]),
         lambdas=lam,
@@ -400,35 +482,74 @@ def solve(
         iterations=iterations,
         history=tuple(history),
         stop_reason=stop_reason,
+        entropy=float(state[5] - lam @ g),
+        n_evals=n_evals,
     )
 
 
-def _newton_step(problem, lam, f, g, r, state, mu):
-    """One accepted damped Newton step as (lambda, f, g, r, state, mu), or the
-    reason no step is taken: "stationary" when the gradient of f passes the
-    first-order test, "no_descent" when sixty tenfold increases of the
-    damping found no step that passes the Armijo test."""
-    c = problem._susceptibility(g, state)
-    c_diag = c.diagonal().copy()
-    trace = float(c_diag.sum())
-    grad = 2.0 * (c @ r)
-    # ||grad|| = 2 ||C r|| and ||r||^2 = f
-    if grad @ grad <= (2.0 * STATIONARY_TOL * trace) ** 2 * f:
-        return "stationary"
+def _proves_infeasible(problem, lam, state) -> bool:
+    """Whether the dual at ``lam`` proves exact targets infeasible. A state
+    sigma that meets them gives log Z >= lambda . a + S(sigma) (the Gibbs
+    variational principle), so Phi >= S(sigma) >= 0 everywhere. A negative
+    dual leaves Phi unbounded below, and the solve fits f instead, to its
+    least-squares optimum."""
+    return problem._dual(lam, state) < -DUAL_ROUNDING * max(1.0, abs(state[5]))
+
+
+def _newton_step(problem, lam, point, mu):
+    """One accepted damped Newton step as ((lambda, point), evaluations,
+    damping), or the reason no step is taken in its place: "stationary"
+    when the gradient of f passes the first-order test, "no_descent" when no
+    damping gives a step that passes the line search.
+
+    With ``mu`` None the step descends the dual: its damping starts at
+    DAMPING and the step length backtracks. Otherwise it descends f alone,
+    Levenberg-Marquardt style: unit steps, with the damping carried over
+    from the last step."""
+    f, g, r, state = point
+    h = problem._susceptibility(g, state)
+    h_diag = h.diagonal() + problem.variances
+    np.fill_diagonal(h, h_diag)
+    trace = float(h_diag.sum())
+    # half the gradient of f
+    hr = h @ r
+    if hr @ hr <= (STATIONARY_TOL * trace) ** 2 * f:
+        return "stationary", 0, mu
+    least_squares = mu is not None
+    if least_squares:
+        tries, halvings = LEAST_SQUARES_TRIES, 1
+    else:
+        tries, halvings, mu = DAMPING_TRIES, HALVINGS, DAMPING
+        dual = problem._dual(lam, state)
+        rounding = DUAL_ROUNDING * max(1.0, abs(dual))
     scale = max(trace / problem.n_constraints, 1e-300)
-    for _ in range(60):
-        np.fill_diagonal(c, c_diag + mu * scale)
+    evals = 0
+    for _ in range(tries):
+        np.fill_diagonal(h, h_diag + mu * scale)
         try:
-            delta = -np.linalg.solve(c, r)
+            delta = -np.linalg.solve(h, r)
         except np.linalg.LinAlgError:
             mu *= 10.0
             continue
-        descent = float(grad @ delta)
-        if descent >= 0.0 or not np.isfinite(descent):
+        # directional derivatives of the dual and of f
+        slope, descent = float(r @ delta), 2.0 * float(hr @ delta)
+        if not (slope < 0.0 and descent < 0.0):
             mu *= 10.0
             continue
-        f_new, g_new, r_new, state_new = problem._evaluate(lam + delta)
-        if np.isfinite(f_new) and f_new <= f + ARMIJO_C * descent:
-            return lam + delta, f_new, g_new, r_new, state_new, max(mu * 0.3, 1e-12)
+        t = 1.0
+        for _ in range(halvings):
+            lam_new = lam + t * delta
+            trial = problem._evaluate(lam_new)
+            evals += 1
+            if not least_squares and -t * slope > rounding:
+                old, new, bound = dual, problem._dual(lam_new, trial[3]), t * slope
+            else:
+                old, new, bound = f, trial[0], t * descent
+            # a decrease below the rounding of f or Phi passes the Armijo
+            # test as no change; along a halved dual step that admits steps
+            # too short to move, so there the decrease must be strict
+            if new <= old + ARMIJO_C * bound and (least_squares or new < old):
+                return (lam_new, trial), evals, max(mu * 0.3, 1e-12) if least_squares else None
+            t *= 0.5
         mu *= 10.0
-    return "no_descent"
+    return "no_descent", evals, None

@@ -3,7 +3,7 @@
 An observable is measured in its eigenbasis: :func:`projector_modes` gives
 its modes as ``(vectors, weights)``, :func:`simulate_counts` one integer
 count per mode, and :func:`estimate_expectations` inverts the counts back to
-an expectation-value estimate. Acquisition modes:
+an expectation-value estimate and its variance. Acquisition modes:
 
 - ``ideal``: no counts are drawn; the harness takes exact expectations.
 - ``finite_sample``: per mode, counts ~ Binomial(trials, p) with
@@ -112,10 +112,10 @@ def simulate_counts(rho: DensityMatrix, modes, config: NoiseConfig, rng) -> np.n
     return rng.binomial(config.trials, p)
 
 
-def estimate_expectations(counts, modes, config: NoiseConfig) -> float:
+def estimate_expectations(counts, modes, config: NoiseConfig) -> tuple[float, float]:
     """Aggregate one observable's mode counts into an expectation-value
-    estimate; ``modes`` are the observable's :func:`projector_modes`, the
-    ones the counts were simulated for.
+    estimate and its variance; ``modes`` are the observable's
+    :func:`projector_modes`, the ones the counts were simulated for.
 
     Mode probabilities are inverted from the click model (photon_model) or
     taken as raw frequencies, then, when the modes form a complete projective
@@ -123,6 +123,14 @@ def estimate_expectations(counts, modes, config: NoiseConfig) -> float:
     the estimate is the eigenvalue-weighted sum, so it stays inside the
     observable's spectral range. A saturated photon_model mode (every pulse
     clicked) is clamped to (trials - 1)/trials before the log.
+
+    The variance is the delta-method value from the counts. Each mode's
+    count frequency P, clipped to [1/N, (N - 1)/N] for N trials, gives
+    var p_k = P (1 - P) / N for finite_sample and P / (N mu^2 (1 - P)) for
+    photon_model, the binomial variance through the derivative of the log
+    inversion. The estimate's variance sums these times the squared
+    derivative of the estimate in p_k: the mode weight, or, after the
+    renormalization, (weight - estimate) / (sum of the p_k).
     """
     vectors, weights = modes
     counts = np.asarray(counts)
@@ -130,12 +138,22 @@ def estimate_expectations(counts, modes, config: NoiseConfig) -> float:
         raise ValueError(f"expected {weights.size} counts, got shape {counts.shape}")
     if not ((counts >= 0) & (counts <= config.trials)).all():
         raise ValueError(f"counts {counts} outside [0, {config.trials}]")
-    p_hats = counts / config.trials
+    n = config.trials
+    p_hats = counts / n
+    freq = p_hats.clip(1.0 / n, (n - 1) / n)
     if config.mode == "photon_model":
-        p_hats = np.minimum(p_hats, (config.trials - 1) / config.trials)
+        p_vars = freq / (n * config.mu**2 * (1.0 - freq))
+        p_hats = np.minimum(p_hats, (n - 1) / n)
         p_hats = (-np.log1p(-p_hats) - config.lambda_dc) / config.mu
+    else:
+        p_vars = freq * (1.0 - freq) / n
     p_hats = p_hats.clip(0.0, 1.0)
+    slopes = weights
     if vectors.shape[1] == vectors.shape[0]:
         total = p_hats.sum()
-        p_hats = p_hats / total if total > 0.0 else np.full(weights.size, 1.0 / weights.size)
-    return float(weights @ p_hats)
+        if total > 0.0:
+            p_hats = p_hats / total
+            slopes = (weights - weights @ p_hats) / total
+        else:
+            p_hats = np.full(weights.size, 1.0 / weights.size)
+    return float(weights @ p_hats), float(slopes**2 @ p_vars)

@@ -232,6 +232,10 @@ class TestSolveCommand:
         z = pauli_basis(1)[2].matrix
         assert np.trace(z @ rho).real == pytest.approx(0.5, abs=1e-6)
         assert payload["lambdas"][0] == pytest.approx(np.arctanh(0.5), abs=1e-5)
+        # the entropy of the (3/4, 1/4) state, and one Gibbs evaluation at
+        # the start plus at least one per Newton step
+        assert payload["entropy"] == pytest.approx(-0.75 * np.log(0.75) - 0.25 * np.log(0.25))
+        assert payload["n_evals"] >= payload["iterations"] + 1
 
     def test_contradictory_targets_stop_stationary(self, tmp_path, capsys):
         # <Z> cannot be both 0.2 and 0.6: the least-squares optimum <Z> = 0.4
@@ -470,6 +474,30 @@ class TestSolveCommand:
                 {"n_qubits": 1, "measured": [{"matrix": 5, "target": 0.5}]},
                 r"not a matrix of \[re, im\] number pairs",
             ),
+            # the malformed entry is named by its index
+            (
+                {"n_qubits": 1, "observables": "pauli", "measured": [
+                    {"label": "Z", "target": 0.1}, {"matrix": 5, "target": 0.5}
+                ]},
+                r"measured entry 1 matrix: not a matrix of \[re, im\] number pairs",
+            ),
+            (
+                {"n_qubits": 1, "measured": [
+                    Z_MATRIX_ENTRY, {"matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                     "target": 0.5},
+                ]},
+                "measured entry 1 matrix: ",
+            ),
+            (
+                {"n_qubits": 1, "measured": [
+                    Z_MATRIX_ENTRY, Z_MATRIX_ENTRY, {"matrix": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
+                                                     "target": 0.5},
+                ]},
+                "measured entry 2 matrix: operator 'custom-2': ",
+            ),
+            # the problem has no dim field: the error names the one it has
+            ({"n_qubits": 0, "measured": []}, "n_qubits must be >= 1, got 0"),
+            ({"n_qubits": -1, "measured": [Z_MATRIX_ENTRY]}, "n_qubits must be >= 1, got -1"),
             ({"n_qubits": 1, "measured": 5}, "measured must be a JSON list, got 5"),
             ({"n_qubits": 1, "measured": ["Z"]}, "measured entry 0 must be a JSON object, got 'Z'"),
             (3, "a solve problem must be a JSON object, got 3"),

@@ -122,8 +122,8 @@ class TestProjectorModes:
         ):
             modes = projector_modes(op)
             counts = np.arange(1, modes[1].size + 1) * 50
-            single = estimate_expectations(counts, modes, cfg)
-            double = estimate_expectations(2 * counts, modes, cfg)
+            single = estimate_expectations(counts, modes, cfg)[0]
+            double = estimate_expectations(2 * counts, modes, cfg)[0]
             assert (modes[0].shape[1] == modes[0].shape[0]) == complete
             assert double == pytest.approx(single if complete else 2 * single, abs=1e-15)
 
@@ -243,7 +243,7 @@ class TestEstimateExpectations:
         for op in pauli_basis(3)[:5]:
             modes = projector_modes(op)
             counts = np.rint(cfg.trials * np.array(mode_probabilities(rho, modes))).astype(int)
-            a_hat = estimate_expectations(counts, modes, cfg)
+            a_hat = estimate_expectations(counts, modes, cfg)[0]
             assert a_hat == pytest.approx(expectation(rho, op), abs=1.0 / cfg.trials * counts.size)
 
     @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
@@ -254,7 +254,7 @@ class TestEstimateExpectations:
         modes = projector_modes(op)
         for _ in range(20):
             counts = simulate_counts(rho, modes, cfg, rng)
-            assert estimate_expectations(counts, modes, cfg) == reference_estimate(
+            assert estimate_expectations(counts, modes, cfg)[0] == reference_estimate(
                 counts, modes, cfg
             )
 
@@ -264,7 +264,7 @@ class TestEstimateExpectations:
         modes = projector_modes(sic_povm(1)[1])
         (p,) = mode_probabilities(zero_state(), modes)
         exact = int(round(cfg.trials * click_probability(p, cfg.mu, cfg.lambda_dc)))
-        a_hat = estimate_expectations(np.array([exact]), modes, cfg)
+        a_hat = estimate_expectations(np.array([exact]), modes, cfg)[0]
         assert a_hat == pytest.approx(modes[1][0] * p, abs=1e-5)
 
     def test_saturated_mode_clamped(self):
@@ -274,7 +274,7 @@ class TestEstimateExpectations:
         counts = np.array([100])
         modes = projector_modes(sic_povm(1)[0])
         (w,) = modes[1]
-        a_hat = estimate_expectations(counts, modes, cfg)
+        a_hat = estimate_expectations(counts, modes, cfg)[0]
         assert a_hat == pytest.approx(w * np.log(100.0) / 5.0, rel=1e-12)
         assert a_hat < w
         assert counts.tolist() == [100]
@@ -287,7 +287,7 @@ class TestEstimateExpectations:
         freqs = counts / cfg.trials
         p_hats = np.clip((-np.log1p(-freqs) - cfg.lambda_dc) / cfg.mu, 0.0, 1.0)
         assert abs(p_hats.sum() - 1.0) > 1e-3  # renormalization has work to do
-        a_hat = estimate_expectations(counts, modes, cfg)
+        a_hat = estimate_expectations(counts, modes, cfg)[0]
         assert a_hat == pytest.approx(modes[1] @ (p_hats / p_hats.sum()), abs=1e-12)
 
     def test_pauli_estimates_in_range(self, rng):
@@ -295,7 +295,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         for op in pauli_basis(3)[:6]:
             modes = projector_modes(op)
-            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
+            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
             assert -1.0 <= a_hat <= 1.0
 
     def test_sigma_z_on_zero_state_calibration(self):
@@ -308,7 +308,7 @@ class TestEstimateExpectations:
         hits = 0
         n_rep = 1000
         for _ in range(n_rep):
-            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
+            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
             if 0.9 <= a_hat <= 1.0:
                 hits += 1
         assert hits >= 0.99 * n_rep
@@ -321,11 +321,37 @@ class TestEstimateExpectations:
         rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex), 1)
         op = HermitianOperator(SZ, "Z")
         modes = projector_modes(op)
-        a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
+        a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
         # worst-case propagated standard error over the two modes
         q = click_probability(np.array(mode_probabilities(rho, modes)), cfg.mu, cfg.lambda_dc)
         se = np.sqrt(np.sum((np.sqrt(q * (1 - q) / cfg.trials) / (cfg.mu * (1 - q))) ** 2))
         assert abs(a_hat - expectation(rho, op)) <= 3 * se
+
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    @pytest.mark.parametrize(
+        "op", [sic_povm(2)[5], pauli_basis(2)[7]], ids=["sic_one_mode", "pauli_renormalized"]
+    )
+    def test_variance_matches_monte_carlo(self, mode, op):
+        # the delta-method variance against the spread of 2,000 estimates;
+        # the sample variance itself scatters by about 3% at this size
+        rng = np.random.default_rng(20261019)
+        rho = DensityMatrix(random_mixed_state(4, rng), 2)
+        cfg = NoiseConfig(mode=mode, trials=10_000, mu=0.18, lambda_dc=2e-4)
+        modes = projector_modes(op)
+        draws = np.array([
+            estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
+            for _ in range(2000)
+        ])
+        assert draws[:, 1].mean() == pytest.approx(draws[:, 0].var(), rel=0.1)
+
+    def test_variance_of_a_saturated_or_empty_mode_is_finite(self):
+        # P is clipped to [1/N, (N - 1)/N], so no mode divides by zero
+        modes = projector_modes(sic_povm(1)[0])
+        for mode in ("finite_sample", "photon_model"):
+            cfg = NoiseConfig(mode=mode, trials=100, mu=5.0)
+            for counts in ([0], [100]):
+                _, variance = estimate_expectations(np.array(counts), modes, cfg)
+                assert 0.0 < variance < np.inf
 
     def test_record_count_mismatch_rejected(self):
         cfg = NoiseConfig(mode="finite_sample", trials=10)
@@ -349,7 +375,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(vectors @ vectors.conj().T, 1)  # p = 1 for this mode
         cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
         counts = simulate_counts(rho, modes, cfg, rng)
-        inverted = estimate_expectations(counts, modes, cfg)
+        inverted = estimate_expectations(counts, modes, cfg)[0]
         raw = w * counts[0] / cfg.trials
         assert inverted == pytest.approx(w, abs=0.01)
         assert raw == pytest.approx(w * (1.0 - np.exp(-0.18)), abs=0.01)
