@@ -27,11 +27,13 @@ from .maxent import (
     solve,
 )
 from .measurement import (
+    Modes,
     NoiseConfig,
     click_probability,
     estimate_expectations,
     projector_modes,
     simulate_counts,
+    stack_modes,
 )
 from .observables import expectation, pauli_basis, sic_povm
 from .states import (
@@ -69,11 +71,13 @@ __all__ = [
     "objective",
     "rho_of_lambda",
     "solve",
+    "Modes",
     "NoiseConfig",
     "click_probability",
     "estimate_expectations",
     "projector_modes",
     "simulate_counts",
+    "stack_modes",
     "expectation",
     "pauli_basis",
     "sic_povm",

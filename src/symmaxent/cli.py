@@ -6,8 +6,8 @@ Subcommands:
   write result.csv, summary.csv, and meta.json.
 - ``symmaxent summarize result.csv``: print per-r summary statistics.
 - ``symmaxent solve --targets problem.json [--out FILE]``: one-shot
-  estimation from explicit targets, starting from the problem's optional
-  ``lambda0`` list.
+  estimation from explicit targets, each with an optional ``variance``,
+  starting from the problem's optional ``lambda0`` list.
 
 The sweep config is a flat ``key = value`` text file; nested solver and
 noise fields use dotted keys (``solver.tolerance = 1e-12``). Unset keys
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import re
 import sys
@@ -168,6 +169,16 @@ def _expect(value, json_type, what: str):
     return value
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, if it is a JSON number within float range; else
+    a ValueError that names ``what``."""
+    number = _expect(value, numbers.Real, what)
+    try:
+        return float(number)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 def _solve_problem_from_json(data) -> dict:
     _expect(data, dict, "a solve problem")
     problem_keys = {"n_qubits", "observables", "symmetry", "measured", "solver", "lambda0"}
@@ -185,12 +196,15 @@ def _solve_problem_from_json(data) -> dict:
             raise ValueError(f"unknown observables kind {kind!r}, not one of {observables.KINDS}")
         by_label = {op.label: op for op in observables.canonical_set(kind, n_qubits)}
 
-    measured = []
+    measured, variances = [], []
     for entry in _expect(data.get("measured", _MISSING), list, "measured"):
         where = f"measured entry {len(measured)}"
         _expect(entry, dict, where)
-        _reject_unknown_keys(entry, {"label", "matrix", "target"}, f"{where} key")
-        target = _expect(entry.get("target", _MISSING), numbers.Real, f"{where} target")
+        _reject_unknown_keys(entry, {"label", "matrix", "target", "variance"}, f"{where} key")
+        target = _number(entry.get("target", _MISSING), f"{where} target")
+        variance = _number(entry.get("variance", 0.0), f"{where} variance")
+        if not 0.0 <= variance < math.inf:
+            raise ValueError(f"{where} variance must be finite and >= 0, got {variance!r}")
         if "matrix" in entry:
             label = entry.get("label", f"custom-{len(measured)}")
             try:
@@ -204,13 +218,14 @@ def _solve_problem_from_json(data) -> dict:
             op = by_label[label]
         else:
             raise ValueError(f"{where} has neither a label nor a matrix")
-        measured.append((op, float(target)))
+        measured.append((op, target))
+        variances.append(variance)
 
     solver_kwargs = _expect(data.get("solver", {}), dict, "solver")
     solver_fields = {f.name for f in dataclasses.fields(SolverOptions)}
     _reject_unknown_keys(solver_kwargs, solver_fields, "solver field")
     solution = solve(
-        MaxEntProblem(tuple(measured), (), dim, symmetry_kind),
+        MaxEntProblem(tuple(measured), (), dim, symmetry_kind, variances),
         SolverOptions(**solver_kwargs),
         lambda0=data.get("lambda0"),
     )

@@ -9,12 +9,17 @@ them would add nothing the symmetry does not already pin down). Under
 permutation symmetry that keeps the first member of each qubit-permutation
 orbit, read off the observables' factor indices; under werner symmetry the
 projections are filtered numerically. Acquire targets for the first max(r)
-survivors, with their variances (zero for ideal data), build one
-maximum-entropy problem on them that declares the symmetry (so it
+survivors, with their variances (zero for ideal data), in one pass: noisy
+data stacks the survivors' modes into one batch, computes every mode's
+probability with one GEMM, draws each observable's counts from its own
+stream and inverts all counts with array operations
+(``measurement.simulate_counts``, ``measurement.estimate_expectations``).
+Build one maximum-entropy problem on them that declares the symmetry (so it
 constrains their commutant projections) and carries the variances (so a
-noisy target may miss by about its standard deviation), and at each sweep
-point r solve its leading slice on the first r (``MaxEntProblem.leading``)
-and record the fidelity against the prepared (noisy) state.
+noisy target may miss by about its standard deviation). At each distinct
+k = min(r, survivors) solve its leading slice on the first k
+(``MaxEntProblem.leading``) once, and record the fidelity against the
+prepared (noisy) state for every sweep point r that maps to k.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
@@ -159,7 +164,12 @@ class SweepResult:
 
 
 def _stream(seed: int, state_id: int, purpose: int, extra: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, state_id, purpose, extra]))
+    entropy = [seed, state_id, purpose, extra]
+    if max(entropy) < 2**32:
+        # the words SeedSequence makes of the list, one per entry, given as
+        # an array: the same stream without its per-integer conversion
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _sample_target(config: ExperimentConfig, rng: np.random.Generator) -> states.DensityMatrix:
@@ -191,14 +201,14 @@ class _ObservableContext:
     def __init__(self, kind: str, n_qubits: int, symmetry_kind: str):
         self.kind, self.n_qubits, self.symmetry = kind, n_qubits, symmetry_kind
         self.candidates = observables.canonical_set(kind, n_qubits)
-        self._modes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._modes: dict[int, measurement.Modes] = {}
 
-    def modes(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+    def modes(self, index: int) -> measurement.Modes:
         """``measurement.projector_modes`` of canonical observable
         ``index``, built on its first use."""
         if index not in self._modes:
             modes = measurement.projector_modes(self.candidates[index])
-            for arr in modes:
+            for arr in (modes.vectors, modes.weights):
                 arr.setflags(write=False)
             self._modes[index] = modes
         return self._modes[index]
@@ -250,45 +260,48 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
     return _ObservableContext(kind, n_qubits, symmetry_kind)
 
 
-def _acquire_target_value(rho, context: _ObservableContext, index: int,
-                          config: ExperimentConfig, state_id: int) -> tuple[float, float]:
-    """(target, variance) of canonical observable ``index``; an ideal target
-    is exact, with variance zero."""
-    if config.noise.mode == "ideal":
-        return observables.expectation(rho, context.candidates[index]), 0.0
-    modes = context.modes(index)
-    rng = _stream(config.seed, state_id, 2, index)
-    counts = measurement.simulate_counts(rho, modes, config.noise, rng)
+def _acquire(rho, context: _ObservableContext, indices, config: ExperimentConfig,
+             state_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, variances) of the canonical observables ``indices``, in
+    their order, in one pass: ideal targets are exact, with variance zero;
+    noisy ones are drawn and inverted as one batch of their cached modes,
+    each observable from its own stream."""
+    # an empty batch has no modes to stack, and no targets either way
+    if config.noise.mode == "ideal" or not indices:
+        targets = [observables.expectation(rho, context.candidates[i]) for i in indices]
+        return np.array(targets, dtype=float), np.zeros(len(indices))
+    modes = measurement.stack_modes(context.modes(i) for i in indices)
+    rngs = (_stream(config.seed, state_id, 2, i) for i in indices)
+    counts = measurement.simulate_counts(rho, modes, config.noise, rngs)
     return measurement.estimate_expectations(counts, modes, config.noise)
 
 
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
     """All sweep points for one state; used directly by the worker pool."""
     context = _observable_context(config.observable_kind, config.n_qubits, config.symmetry)
-    candidates = context.candidates
     rho_target = _sample_target(config, _stream(config.seed, state_id, 0))
 
     # canonical indices in measurement order; measurement streams key on them
-    order = list(range(len(candidates)))
+    order = list(range(len(context.candidates)))
     if config.shuffle_observables:
         _stream(config.seed, state_id, 1).shuffle(order)
     if config.symmetry != "none":
         order = context.independent(order)
 
-    max_r = min(max(config.r_values), len(order))
-    acquired = [
-        _acquire_target_value(rho_target, context, i, config, state_id) for i in order[:max_r]
-    ]
-    targets = [target for target, _ in acquired]
-    variances = [variance for _, variance in acquired]
-
-    measured = tuple(zip((candidates[i] for i in order[:max_r]), targets))
+    kept = order[: min(max(config.r_values), len(order))]
+    targets, variances = _acquire(rho_target, context, kept, config, state_id)
+    measured = tuple(zip((context.candidates[i] for i in kept), targets))
     problem = MaxEntProblem(measured, (), 2**config.n_qubits, config.symmetry, variances)
+    # every r past the kept count is the same k; each distinct k is solved once
+    points: dict[int, tuple[float, bool, int]] = {}
     out = []
     for r in config.r_values:
-        solution = solve(problem.leading(min(r, len(order))), config.solver)
-        fid = states.fidelity(rho_target, solution.rho)
-        out.append(StateRunRecord(state_id, r, fid, solution.converged, solution.iterations))
+        k = min(r, len(order))
+        if k not in points:
+            solution = solve(problem.leading(k), config.solver)
+            fid = states.fidelity(rho_target, solution.rho)
+            points[k] = fid, solution.converged, solution.iterations
+        out.append(StateRunRecord(state_id, r, *points[k]))
     return out
 
 

@@ -92,6 +92,7 @@ the dual gives for free, and the number of Gibbs evaluations it made.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import InitVar, dataclass
@@ -180,7 +181,7 @@ class MaxEntProblem:
         for op, t in measured:
             if op.dim != self.dim:
                 raise ValueError(f"measured observable {op.label!r} has dim {op.dim}")
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 raise ValueError(f"target for {op.label!r} is not finite")
         weights = log_weights = None
         if self.symmetry != "none":
@@ -213,15 +214,26 @@ class MaxEntProblem:
         return np.array([op.matrix for op, _ in self.measured])
 
     def leading(self, k: int) -> MaxEntProblem:
-        """The problem on the first ``k`` constraints. Its solver operators
-        are the first k rows of this problem's, so a sweep builds and
-        compresses the stack of its longest prefix once."""
+        """The problem on the first ``k`` constraints, sliced from this one.
+
+        Its measured pairs, targets, variances, operators and solver rows
+        are the first k of this problem's, views where they are arrays; they
+        were validated when this problem was built and are not checked
+        again. So a sweep builds and compresses the stack of its longest
+        prefix once, and each sweep point costs only the slicing."""
         if not 0 <= k <= self.n_constraints:
             raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
-        sub = MaxEntProblem(
-            self.measured[:k], (), self.dim, self.symmetry, self.variances[:k]
-        )
-        object.__setattr__(sub, "_operators", self._operators[:k])
+        flat, real, cols = self._rows
+        c = self._operators.shape[1]
+        sub = copy.copy(self)
+        for name, value in (
+            ("measured", self.measured[:k]),
+            ("variances", self.variances[:k]),
+            ("_targets", self._targets[:k]),
+            ("_operators", self._operators[:k]),
+            ("_rows", (flat[:k], real[:k], cols[:, : k * c])),
+        ):
+            object.__setattr__(sub, name, value)
         return sub
 
     # The solver's arrays are built on first use and kept. Without a
@@ -278,13 +290,14 @@ class MaxEntProblem:
         return DensityMatrix(rho, self.n_qubits)
 
     def _evaluate(self, lambdas: np.ndarray):
-        """(f, expectations, residuals, gibbs state tuple): the residuals
-        r = g - a + Sigma lambda are the gradient of the dual, and
-        f = ||r||^2."""
+        """(f, expectations, residuals, gibbs state tuple, dual): the
+        residuals r = g - a + Sigma lambda are the gradient of the dual Phi,
+        and f = ||r||^2. The point carries its Phi, so no step computes it
+        twice."""
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
         r = g - self._targets + self.variances * lambdas
-        return float(r @ r), g, r, state
+        return float(r @ r), g, r, state, self._dual(lambdas, state)
 
     def _dual(self, lambdas: np.ndarray, state) -> float:
         """Phi = log Z - lambda . a + lambda^T Sigma lambda / 2, with log Z
@@ -418,14 +431,14 @@ def gradient(problem: MaxEntProblem, lambdas) -> np.ndarray:
     """Analytic gradient of :func:`objective`, df/dlambda = 2 (C + Sigma) r
     with C the susceptibility matrix and r the residuals."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    _, g, r, state = problem._evaluate(lam)
+    _, g, r, state, _ = problem._evaluate(lam)
     return 2.0 * (problem._susceptibility(g, state) @ r + problem.variances * r)
 
 
 def susceptibility(problem: MaxEntProblem, lambdas) -> np.ndarray:
     """Full matrix of expectation derivatives d<A_i>/dlambda_j."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    _, g, _, state = problem._evaluate(lam)
+    _, g, _, state, _ = problem._evaluate(lam)
     return problem._susceptibility(g, state)
 
 
@@ -461,7 +474,7 @@ def solve(
         if iterations >= options.max_iterations:
             stop_reason = "budget"
             break
-        if exact and mu is None and _proves_infeasible(problem, lam, point[3]):
+        if exact and mu is None and _proves_infeasible(point):
             # the least-squares fit runs from the start point, so that its
             # result does not depend on the dual steps taken so far
             (lam, point), mu = start, LEAST_SQUARES_DAMPING
@@ -474,7 +487,7 @@ def solve(
         iterations += 1
         history.append(point[0])
 
-    f, g, _, state = point
+    f, g, _, state, _ = point
     return MaxEntSolution(
         rho=problem._full_rho(state[0]),
         lambdas=lam,
@@ -487,13 +500,13 @@ def solve(
     )
 
 
-def _proves_infeasible(problem, lam, state) -> bool:
-    """Whether the dual at ``lam`` proves exact targets infeasible. A state
-    sigma that meets them gives log Z >= lambda . a + S(sigma) (the Gibbs
-    variational principle), so Phi >= S(sigma) >= 0 everywhere. A negative
-    dual leaves Phi unbounded below, and the solve fits f instead, to its
-    least-squares optimum."""
-    return problem._dual(lam, state) < -DUAL_ROUNDING * max(1.0, abs(state[5]))
+def _proves_infeasible(point) -> bool:
+    """Whether the dual at an evaluated point proves exact targets
+    infeasible. A state sigma that meets them gives log Z >= lambda . a +
+    S(sigma) (the Gibbs variational principle), so Phi >= S(sigma) >= 0
+    everywhere. A negative dual leaves Phi unbounded below, and the solve
+    fits f instead, to its least-squares optimum."""
+    return point[4] < -DUAL_ROUNDING * max(1.0, abs(point[3][5]))
 
 
 def _newton_step(problem, lam, point, mu):
@@ -506,7 +519,7 @@ def _newton_step(problem, lam, point, mu):
     DAMPING and the step length backtracks. Otherwise it descends f alone,
     Levenberg-Marquardt style: unit steps, with the damping carried over
     from the last step."""
-    f, g, r, state = point
+    f, g, r, state, dual = point
     h = problem._susceptibility(g, state)
     h_diag = h.diagonal() + problem.variances
     np.fill_diagonal(h, h_diag)
@@ -520,7 +533,6 @@ def _newton_step(problem, lam, point, mu):
         tries, halvings = LEAST_SQUARES_TRIES, 1
     else:
         tries, halvings, mu = DAMPING_TRIES, HALVINGS, DAMPING
-        dual = problem._dual(lam, state)
         rounding = DUAL_ROUNDING * max(1.0, abs(dual))
     scale = max(trace / problem.n_constraints, 1e-300)
     evals = 0
@@ -542,7 +554,7 @@ def _newton_step(problem, lam, point, mu):
             trial = problem._evaluate(lam_new)
             evals += 1
             if not least_squares and -t * slope > rounding:
-                old, new, bound = dual, problem._dual(lam_new, trial[3]), t * slope
+                old, new, bound = dual, trial[4], t * slope
             else:
                 old, new, bound = f, trial[0], t * descent
             # a decrease below the rounding of f or Phi passes the Armijo

@@ -1,9 +1,22 @@
 """Simulated data acquisition.
 
-An observable is measured in its eigenbasis: :func:`projector_modes` gives
-its modes as ``(vectors, weights)``, :func:`simulate_counts` one integer
+An observable is measured in its eigenbasis, and observables are acquired
+in batches; one observable is a batch of one. :func:`projector_modes` gives
+an observable's modes, :func:`stack_modes` places the modes of a batch side
+by side as one (d x M) array, :func:`simulate_counts` draws one integer
 count per mode, and :func:`estimate_expectations` inverts the counts back to
-an expectation-value estimate and its variance. Acquisition modes:
+one expectation-value estimate and one variance per observable.
+
+A batch is one pass: one GEMM gives every mode's probability, and the click
+model and the count inversion are array operations over all modes. Each
+observable still draws its counts from its own generator with the call it
+would make alone, and its sums are its own dot products, so its estimate
+and variance are those of its counts alone. A one-mode observable's
+probability is a GEMM column here and a matrix-vector product in a batch of
+one; the two can differ in the last bit (about 4e-16 relative), far below
+what moves a binomial draw of any practical number of trials.
+
+Acquisition modes:
 
 - ``ideal``: no counts are drawn; the harness takes exact expectations.
 - ``finite_sample``: per mode, counts ~ Binomial(trials, p) with
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +76,20 @@ class NoiseConfig:
             raise ValueError("photon_model needs mu > 0: its inversion divides by mu")
 
 
-def projector_modes(a) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-one modes of an observable as ``(vectors, weights)``.
+class Modes(NamedTuple):
+    """Measurement modes of a batch of observables, side by side in
+    observable order: the columns of ``vectors`` are the modes, ``weights``
+    their eigenvalues, and ``sizes`` the number of modes of each observable.
+    One observable is a batch of one (:func:`projector_modes`);
+    :func:`stack_modes` joins batches."""
+
+    vectors: np.ndarray
+    weights: np.ndarray
+    sizes: tuple[int, ...]
+
+
+def projector_modes(a) -> Modes:
+    """Rank-one modes of one observable, as a batch of one.
 
     The columns of ``vectors`` are orthonormal eigenvectors and ``weights``
     their eigenvalues. Zero-eigenvalue directions are dropped, so a
@@ -73,7 +99,30 @@ def projector_modes(a) -> tuple[np.ndarray, np.ndarray]:
     """
     w, v = linalg.eigh(a)
     keep = np.abs(w) > MODE_EIGENVALUE_TOL
-    return v[:, keep], w[keep]
+    return Modes(v[:, keep], w[keep], (int(keep.sum()),))
+
+
+def stack_modes(batches) -> Modes:
+    """One batch of the modes of ``batches``, in their order."""
+    batches = list(batches)
+    if not batches:
+        raise ValueError("stack_modes needs at least one batch")
+    return Modes(
+        np.concatenate([b.vectors for b in batches], axis=1),
+        np.concatenate([b.weights for b in batches]),
+        sum((b.sizes for b in batches), ()),
+    )
+
+
+def _segments(sizes):
+    """(observables, mode columns) per distinct mode count m: the indices
+    of the observables with m modes, and an (observables, m) array of their
+    modes' positions in the batch."""
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    for m in np.unique(sizes):
+        obs = np.flatnonzero(sizes == m)
+        yield obs, starts[obs][:, None] + np.arange(m)
 
 
 def click_probability(p, mu: float, lambda_dc: float):
@@ -96,33 +145,46 @@ def photon_number_statistics(mu: float, n_pulses: int, rng: np.random.Generator)
     return empty, multi
 
 
-def simulate_counts(rho: DensityMatrix, modes, config: NoiseConfig, rng) -> np.ndarray:
-    """One integer count per mode of :func:`projector_modes`, drawn from
-    ``rng`` in mode order: Binomial(trials, p) for finite_sample,
-    Binomial(trials, click_probability(p)) for photon_model."""
+def simulate_counts(rho: DensityMatrix, modes: Modes, config: NoiseConfig, rngs) -> np.ndarray:
+    """One integer count per mode of a batch, in mode order:
+    Binomial(trials, p) for finite_sample, Binomial(trials,
+    click_probability(p)) for photon_model.
+
+    ``rngs`` holds one generator per observable of the batch. Each
+    observable's counts are drawn from its own generator, as one scalar draw
+    for a one-mode observable and one array draw otherwise, so they do not
+    depend on the rest of the batch. One GEMM gives every mode's
+    probability p = <v|rho|v>."""
     if config.mode == "ideal":
         raise ValueError("ideal acquisition takes exact expectations and draws no counts")
-    vectors, _ = modes
+    vectors, _, sizes = modes
     p = (vectors.conj() * (rho.matrix @ vectors)).sum(axis=0).real.clip(0.0, 1.0)
     if config.mode == "photon_model":
         p = click_probability(p, config.mu, config.lambda_dc)
-    if p.size == 1:
-        # same draw from the stream; numpy's array path costs ~12x a scalar's
-        return np.array([rng.binomial(config.trials, p[0])])
-    return rng.binomial(config.trials, p)
+    counts = np.empty(p.size, dtype=np.int64)
+    start = 0
+    for size, rng in zip(sizes, rngs, strict=True):
+        if size == 1:
+            # numpy's array path costs ~12x a scalar's, for the same draw
+            counts[start] = rng.binomial(config.trials, p[start])
+        else:
+            counts[start : start + size] = rng.binomial(config.trials, p[start : start + size])
+        start += size
+    return counts
 
 
-def estimate_expectations(counts, modes, config: NoiseConfig) -> tuple[float, float]:
-    """Aggregate one observable's mode counts into an expectation-value
-    estimate and its variance; ``modes`` are the observable's
-    :func:`projector_modes`, the ones the counts were simulated for.
+def estimate_expectations(counts, modes: Modes, config: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Invert a batch's mode counts into one expectation-value estimate and
+    one variance per observable, as two arrays in observable order;
+    ``modes`` are the batch the counts were simulated for.
 
     Mode probabilities are inverted from the click model (photon_model) or
-    taken as raw frequencies, then, when the modes form a complete projective
-    decomposition (no eigenvector was dropped), renormalized to sum to one;
-    the estimate is the eigenvalue-weighted sum, so it stays inside the
-    observable's spectral range. A saturated photon_model mode (every pulse
-    clicked) is clamped to (trials - 1)/trials before the log.
+    taken as raw frequencies, then, for an observable whose modes form a
+    complete projective decomposition (no eigenvector was dropped),
+    renormalized to sum to one; the estimate is the eigenvalue-weighted sum,
+    so it stays inside the observable's spectral range. A saturated
+    photon_model mode (every pulse clicked) is clamped to (trials - 1)/trials
+    before the log.
 
     The variance is the delta-method value from the counts. Each mode's
     count frequency P, clipped to [1/N, (N - 1)/N] for N trials, gives
@@ -131,8 +193,12 @@ def estimate_expectations(counts, modes, config: NoiseConfig) -> tuple[float, fl
     inversion. The estimate's variance sums these times the squared
     derivative of the estimate in p_k: the mode weight, or, after the
     renormalization, (weight - estimate) / (sum of the p_k).
+
+    Every step is an array operation over all modes, or over the
+    observables with the same number of modes; each observable's sums are
+    its own dot products, so its estimate does not depend on the batch.
     """
-    vectors, weights = modes
+    vectors, weights, sizes = modes
     counts = np.asarray(counts)
     if counts.shape != weights.shape:
         raise ValueError(f"expected {weights.size} counts, got shape {counts.shape}")
@@ -148,12 +214,17 @@ def estimate_expectations(counts, modes, config: NoiseConfig) -> tuple[float, fl
     else:
         p_vars = freq * (1.0 - freq) / n
     p_hats = p_hats.clip(0.0, 1.0)
-    slopes = weights
-    if vectors.shape[1] == vectors.shape[0]:
-        total = p_hats.sum()
-        if total > 0.0:
-            p_hats = p_hats / total
-            slopes = (weights - weights @ p_hats) / total
-        else:
-            p_hats = np.full(weights.size, 1.0 / weights.size)
-    return float(weights @ p_hats), float(slopes**2 @ p_vars)
+    estimates, variances = np.empty(len(sizes)), np.empty(len(sizes))
+    for obs, cols in _segments(sizes):
+        w, p = weights[cols], p_hats[cols]
+        complete = cols.shape[1] == vectors.shape[0]
+        if complete:
+            total = p.sum(axis=1, keepdims=True)
+            p = np.divide(p, total, out=np.full_like(p, 1.0 / p.shape[1]), where=total > 0.0)
+        # one dot product per observable, (1, m) @ (m, 1)
+        estimates[obs] = est = (w[:, None, :] @ p[:, :, None])[:, 0, 0]
+        slopes = w
+        if complete:
+            slopes = np.divide(w - est[:, None], total, out=w.copy(), where=total > 0.0)
+        variances[obs] = ((slopes**2)[:, None, :] @ p_vars[cols][:, :, None])[:, 0, 0]
+    return estimates, variances

@@ -105,10 +105,12 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def dicke_basis(n_qubits: int) -> list[np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def dicke_basis(n_qubits: int) -> tuple[np.ndarray, ...]:
     """Orthonormal basis of the symmetric subspace: one uniform-superposition
-    vector per excitation number 0..n."""
-    return [dicke(n_qubits, k).amplitudes for k in range(n_qubits + 1)]
+    vector per excitation number 0..n, as read-only arrays, built once per
+    qubit count."""
+    return tuple(dicke(n_qubits, k).amplitudes for k in range(n_qubits + 1))
 
 
 def haar_symmetric_pure(n_qubits: int, rng: np.random.Generator) -> PureState:

@@ -255,6 +255,46 @@ class TestSolveCommand:
         z = pauli_basis(1)[2].matrix
         assert np.trace(z @ rho).real == pytest.approx(0.4, abs=1e-6)
 
+    def test_contradictory_targets_with_variances_converge(self, tmp_path, capsys):
+        # declared variances make the regularised dual bounded: the same
+        # contradictory targets now stop on tolerance, at <Z> = 0.4 for equal
+        # variances and nearer the surer target for unequal ones
+        for variances, z_fit in (((1e-3, 1e-3), 0.4), ((1e-3, 3e-3), 0.3)):
+            problem = {
+                "n_qubits": 1,
+                "observables": "pauli",
+                "measured": [
+                    {"label": "Z", "target": 0.2, "variance": variances[0]},
+                    {"label": "Z", "target": 0.6, "variance": variances[1]},
+                ],
+            }
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            assert main(["solve", "--targets", str(path)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["converged"] is True
+            assert payload["stop_reason"] == "tolerance"
+            rho = matrix_from_jsonable(payload["rho"])
+            z = pauli_basis(1)[2].matrix
+            assert np.trace(z @ rho).real == pytest.approx(z_fit, abs=1e-3)
+
+    def test_variance_reaches_the_problem(self, monkeypatch):
+        seen = []
+        real_solve = cli.solve
+
+        def spy(problem, *args, **kwargs):
+            seen.append(problem)
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", spy)
+        cli._solve_problem_from_json({
+            "n_qubits": 1, "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.2, "variance": 2e-3},
+                         {"label": "X", "target": 0.1},
+                         {"label": "Y", "target": 0.0, "variance": 0}],
+        })
+        assert seen[0].variances.tolist() == [2e-3, 0.0, 0.0]
+
     def test_custom_matrix_and_symmetry(self, tmp_path, capsys):
         zz = {
             "n_qubits": 2,
@@ -494,6 +534,44 @@ class TestSolveCommand:
                                                      "target": 0.5},
                 ]},
                 "measured entry 2 matrix: operator 'custom-2': ",
+            ),
+            # a variance is a finite number >= 0, named by its entry
+            (
+                {"n_qubits": 1, "observables": "pauli", "measured": [
+                    {"label": "Z", "target": 0.1}, {"label": "X", "target": 0.2, "variance": -0.1}
+                ]},
+                r"measured entry 1 variance must be finite and >= 0, got -0.1",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": 0.1, "variance": float("nan")}]},
+                r"measured entry 0 variance must be finite and >= 0, got nan",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": 0.1, "variance": float("inf")}]},
+                r"measured entry 0 variance must be finite and >= 0, got inf",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": 0.1, "variance": "0.01"}]},
+                r"measured entry 0 variance must be a number, got '0.01'",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": 0.1, "variance": True}]},
+                r"measured entry 0 variance must be a number, got True",
+            ),
+            # an integer beyond float range is named, not an OverflowError
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": 10**400}]},
+                "measured entry 0 target is too large for a float",
+            ),
+            (
+                {"n_qubits": 1, "observables": "pauli",
+                 "measured": [{"label": "Z", "target": 0.1, "variance": 10**400}]},
+                "measured entry 0 variance is too large for a float",
             ),
             # the problem has no dim field: the error names the one it has
             ({"n_qubits": 0, "measured": []}, "n_qubits must be >= 1, got 0"),

@@ -17,7 +17,7 @@ from symmaxent.harness import (
     worker_count,
     write_outputs,
 )
-from symmaxent.maxent import SolverOptions
+from symmaxent.maxent import MaxEntProblem, SolverOptions, solve
 from symmaxent.measurement import NoiseConfig
 from symmaxent.observables import sic_povm
 
@@ -132,6 +132,56 @@ class TestConfigValidation:
         assert all(type(r) is int for r in cfg.r_values)
         assert all(type(getattr(cfg, name)) is int for name in ("n_qubits", "batch_size", "seed"))
         write_outputs(run_sweep(cfg), tmp_path)
+
+
+def per_r_records(cfg, state_id):
+    """A state's records computed the way the sweep did before a state was
+    one pass: every observable acquired alone, as a batch of one drawn from
+    its own stream, and for every r a problem built afresh on the first
+    k = min(r, kept) targets and solved."""
+    context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
+    rho = harness._sample_target(cfg, harness._stream(cfg.seed, state_id, 0))
+    order = list(range(len(context.candidates)))
+    if cfg.shuffle_observables:
+        harness._stream(cfg.seed, state_id, 1).shuffle(order)
+    if cfg.symmetry != "none":
+        order = context.independent(order)
+    measured, variances = [], []
+    for i in order[: max(cfg.r_values)]:
+        op = context.candidates[i]
+        modes = measurement.projector_modes(op)
+        rng = harness._stream(cfg.seed, state_id, 2, i)
+        counts = measurement.simulate_counts(rho, modes, cfg.noise, [rng])
+        (target,), (variance,) = measurement.estimate_expectations(counts, modes, cfg.noise)
+        measured.append((op, float(target)))
+        variances.append(float(variance))
+    out = []
+    for r in cfg.r_values:
+        k = min(r, len(order))
+        problem = MaxEntProblem(tuple(measured[:k]), (), 2**cfg.n_qubits, cfg.symmetry,
+                                variances[:k])
+        solution = solve(problem, cfg.solver)
+        fid = states.fidelity(rho, solution.rho)
+        out.append(StateRunRecord(state_id, r, fid, solution.converged, solution.iterations))
+    return out
+
+
+# each config with the distinct k = min(r, kept) its states solve
+PER_R_CONFIGS = {
+    "sic_permutation": (small_config(
+        state_family="permutation_invariant", symmetry="permutation", batch_size=2,
+        r_values=(6, 19, 25, 2, 63),
+        noise=NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
+    ), [2, 6, 19]),
+    "pauli_none": (small_config(
+        state_family="haar_pure", observable_kind="pauli", batch_size=2, shuffle_observables=True,
+        r_values=(3, 12, 40, 63), noise=NoiseConfig(mode="finite_sample", trials=1_000),
+    ), [3, 12, 40, 63]),
+    "pauli_werner": (small_config(
+        observable_kind="pauli", symmetry="werner", batch_size=2, shuffle_observables=True,
+        r_values=(2, 4, 25, 63), noise=NoiseConfig(mode="finite_sample", trials=1_000),
+    ), [2, 4]),
+}
 
 
 class TestSweep:
@@ -259,7 +309,8 @@ class TestSweep:
         run_single_state(cfg, 0)
         sic = list(sic_povm(3))
         kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 3)]
-        assert [p.n_constraints for p in seen] == [3, 19, 19]
+        # r = 30 maps to the same 19 kept observables as r = 19, solved once
+        assert [p.n_constraints for p in seen] == [3, 19]
         # the constraints are the kept operators alone: no auxiliary rows
         for problem in seen:
             assert problem.symmetry == "permutation"
@@ -292,6 +343,35 @@ class TestSweep:
         assert [p.n_constraints for p in solved] == [2, 4, 5, 3] * 2
         for i, problem in enumerate(solved):
             assert problem.measured == built[i // 4].measured[: problem.n_constraints]
+
+    @pytest.mark.parametrize("cfg", ["sic_permutation", "pauli_none", "pauli_werner"])
+    def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
+        # bit for bit: the one-pass state against each observable acquired
+        # alone from its stream and a fresh problem built and solved for
+        # every r. The permutation and werner sweeps keep 19 and 4
+        # observables, so there r = 25 and 63 repeat the full problem, which
+        # the state solves once
+        cfg, distinct = PER_R_CONFIGS[cfg]
+        solved = []
+        real_solve = harness.solve
+
+        def spy(problem, options):
+            solved.append(problem.n_constraints)
+            return real_solve(problem, options)
+
+        monkeypatch.setattr(harness, "solve", spy)
+        for state_id in range(cfg.batch_size):
+            solved.clear()
+            records = run_single_state(cfg, state_id)
+            assert sorted(solved) == distinct
+            assert records == per_r_records(cfg, state_id)
+
+    def test_noisy_sweep_with_no_observable(self, monkeypatch):
+        monkeypatch.setenv("SYMMAXENT_THREADS", "1")
+        cfg = small_config(r_values=(0, 2), noise=NoiseConfig(mode="finite_sample", trials=500))
+        records = run_sweep(cfg).records
+        assert [rec.r for rec in records] == [0, 2] * 3
+        assert records[0].iterations == 0 and records[0].converged
 
     def test_shuffle_changes_order_not_determinism(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")
@@ -327,6 +407,20 @@ SHUFFLED_SYMMETRIC_N4_SHAPED = small_config(
     solver=SolverOptions(step_rule="newton", tolerance=1e-14, max_iterations=400),
     shuffle_observables=True,
 )
+
+
+class TestStreams:
+    @pytest.mark.parametrize(
+        "entropy",
+        [(0, 0, 0, 0), (2**32 - 1, 5, 2, 62), (2**32, 1, 2, 3), (2**40 + 7, 2**33, 1, 0)],
+    )
+    def test_stream_is_the_seed_sequence_of_its_entropy(self, entropy):
+        # entries below 2**32 go to SeedSequence as one uint32 array, larger
+        # ones as the list; either way the stream is the list's
+        got = harness._stream(*entropy)
+        want = np.random.default_rng(np.random.SeedSequence(list(entropy)))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
 
 
 class TestObservableContext:
@@ -385,10 +479,13 @@ class TestObservableContext:
     def test_cached_modes_are_read_only_and_exact(self):
         context = harness._ObservableContext("sic", 3, "permutation")
         for index in (0, 17, 62):
-            vectors, weights = context.modes(index)
-            ref_vectors, ref_weights = measurement.projector_modes(context.candidates[index])
+            vectors, weights, sizes = context.modes(index)
+            ref_vectors, ref_weights, ref_sizes = measurement.projector_modes(
+                context.candidates[index]
+            )
             assert np.array_equal(vectors, ref_vectors)
             assert np.array_equal(weights, ref_weights)
+            assert sizes == ref_sizes == (1,)
             assert context.modes(index)[0] is vectors
             for arr in (vectors, weights):
                 with pytest.raises(ValueError, match="read-only"):

@@ -279,7 +279,7 @@ class TestSusceptibilityOracle:
         rng = np.random.default_rng([20261018, ORACLE_SHAPES.index(shape)])
         prob = oracle_problem(shape, rng)
         lam = oracle_multipliers(prob, which, rng)
-        _, g, _, state = prob._evaluate(lam)
+        _, g, _, state, _ = prob._evaluate(lam)
         w, expw = state[1], state[3]
         phi = maxent._divided_difference_kernel(w, expw)
         if which == "zero":
@@ -731,7 +731,7 @@ class TestDeclaredSymmetry:
         rng = np.random.default_rng([20261020, DECLARED_SHAPES.index(shape)])
         dense, *declared = declared_pair(shape, rng)
         lam = oracle_multipliers(dense, which, rng)
-        _, g, r, _ = dense._evaluate(lam)
+        _, g, r, _, _ = dense._evaluate(lam)
         rho = rho_of_lambda(dense, lam).matrix
         rho_tol = 2e-12 if which == "near_pure" else 1e-12
         f = objective(dense, lam)
@@ -842,6 +842,53 @@ class TestLeading:
             objective(sub, lam[:k])
         assert calls == [prob.n_constraints]
 
+    @pytest.mark.parametrize("symmetry_kind", ["none", "permutation"])
+    def test_slices_like_a_fresh_problem(self, monkeypatch, symmetry_kind):
+        # the slice is views of the parent's validated arrays, equal to those
+        # of a problem built on the first k, and it solves like that problem
+        # bit for bit, variances included. Under a symmetry a one-row
+        # compression takes another BLAS path, so there k = 1 is left out
+        rng = np.random.default_rng([20261019, symmetry_kind == "none"])
+        prob = noisy_problem(rng, n_ops=12, symmetry_kind=symmetry_kind)
+        prob = MaxEntProblem(prob.measured, (), 8, symmetry_kind, rng.uniform(0, 4e-3, 12))
+        fresh = {
+            k: MaxEntProblem(prob.measured[:k], (), 8, symmetry_kind, prob.variances[:k])
+            for k in range(13)
+        }
+        # every problem builds its rows now; after this nothing is validated
+        # or compressed again
+        for problem in (prob, *fresh.values()):
+            assert len(problem._rows) == 3
+        monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
+        monkeypatch.setattr(maxent.symmetry, "compress", None)
+        for k in range(13):
+            sub, ref = prob.leading(k), fresh[k]
+            assert sub.measured == ref.measured and sub.n_constraints == k
+            assert np.array_equal(sub._targets, ref._targets)
+            assert np.array_equal(sub.variances, ref.variances)
+            assert not sub.variances.flags.writeable
+            for got, parent in zip(sub._rows, prob._rows):
+                assert np.shares_memory(got, parent) or k == 0
+            if k == 1 and symmetry_kind != "none":
+                continue
+            assert np.array_equal(sub._operators, ref._operators)
+            for got, want in zip(sub._rows, ref._rows):
+                assert np.array_equal(got, want)
+            got, want = solve(sub), solve(ref)
+            assert got.stop_reason == want.stop_reason == "tolerance"
+            assert got.iterations == want.iterations and got.n_evals == want.n_evals
+            assert np.array_equal(got.lambdas, want.lambdas)
+            assert np.array_equal(got.rho.matrix, want.rho.matrix)
+
+    def test_slice_of_a_slice(self):
+        rng = np.random.default_rng([20261020])
+        prob = leading_problem("permutation_n4_sic", rng)
+        twice, once = prob.leading(20).leading(7), prob.leading(7)
+        assert twice.measured == once.measured
+        for got, want in zip(twice._rows, once._rows):
+            assert np.array_equal(got, want)
+        assert np.array_equal(solve(twice).lambdas, solve(once).lambdas)
+
     @pytest.mark.parametrize("k", [-1, 35])
     def test_rejects_k_outside_the_measured_range(self, k):
         prob = leading_problem("permutation_n4_sic", np.random.default_rng(0))
@@ -902,7 +949,7 @@ class TestVariances:
         # central differences of Phi = log Z - lambda . a + lambda Sigma lambda / 2
         prob = noisy_problem(rng)
         lam = rng.normal(0, 0.5, prob.n_constraints)
-        _, _, r, _ = prob._evaluate(lam)
+        _, _, r, _, _ = prob._evaluate(lam)
         fd = np.zeros_like(lam)
         for j in range(lam.size):
             up, down = lam.copy(), lam.copy()

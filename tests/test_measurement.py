@@ -10,6 +10,7 @@ from symmaxent.measurement import (
     photon_number_statistics,
     projector_modes,
     simulate_counts,
+    stack_modes,
 )
 from symmaxent.observables import expectation, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix
@@ -21,14 +22,26 @@ def zero_state():
     return DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
 
 
+def simulate_one(rho, modes, cfg, rng):
+    """The counts of a batch of one, drawn from ``rng``."""
+    return simulate_counts(rho, modes, cfg, [rng])
+
+
+def estimate_one(counts, modes, cfg):
+    """(estimate, variance) of a batch of one."""
+    estimates, variances = estimate_expectations(counts, modes, cfg)
+    assert estimates.shape == variances.shape == (1,)
+    return float(estimates[0]), float(variances[0])
+
+
 def mode_probabilities(rho, modes):
-    vectors, _ = modes
+    vectors = modes.vectors
     return [float(np.clip((v.conj() @ rho.matrix @ v).real, 0.0, 1.0)) for v in vectors.T]
 
 
 def reference_estimate(counts, modes, cfg):
     """One mode at a time, as the estimator did before it was vectorised."""
-    vectors, weights = modes
+    vectors, weights, _ = modes
     p_hats = []
     for c in counts:
         freq = int(c) / cfg.trials
@@ -86,19 +99,19 @@ class TestNoiseConfig:
 
 class TestProjectorModes:
     def test_sigma_z(self):
-        vectors, weights = projector_modes(SZ)
-        assert vectors.shape == (2, 2)
+        vectors, weights, sizes = projector_modes(SZ)
+        assert vectors.shape == (2, 2) and sizes == (2,)
         assert sorted(weights) == [-1.0, 1.0]
         assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-12)
 
     def test_xx_two_qubit(self):
-        vectors, weights = projector_modes(kron_chain(SX, SX))
-        assert vectors.shape == (4, 4)
+        vectors, weights, sizes = projector_modes(kron_chain(SX, SX))
+        assert vectors.shape == (4, 4) and sizes == (4,)
         assert sorted(weights) == [-1.0, -1.0, 1.0, 1.0]
 
     def test_sic_element_single_mode(self):
-        vectors, weights = projector_modes(sic_povm(1)[0])
-        assert vectors.shape == (2, 1)
+        vectors, weights, sizes = projector_modes(sic_povm(1)[0])
+        assert vectors.shape == (2, 1) and sizes == (1,)
         assert weights[0] == pytest.approx(0.5, abs=1e-12)
         assert np.linalg.norm(vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -106,7 +119,7 @@ class TestProjectorModes:
         from conftest import random_hermitian
 
         h = random_hermitian(8, rng)
-        vectors, weights = projector_modes(h)
+        vectors, weights, _ = projector_modes(h)
         total = (vectors * weights) @ vectors.conj().T
         assert np.linalg.norm(total - h) <= 1e-10
 
@@ -122,8 +135,8 @@ class TestProjectorModes:
         ):
             modes = projector_modes(op)
             counts = np.arange(1, modes[1].size + 1) * 50
-            single = estimate_expectations(counts, modes, cfg)[0]
-            double = estimate_expectations(2 * counts, modes, cfg)[0]
+            single = estimate_one(counts, modes, cfg)[0]
+            double = estimate_one(2 * counts, modes, cfg)[0]
             assert (modes[0].shape[1] == modes[0].shape[0]) == complete
             assert double == pytest.approx(single if complete else 2 * single, abs=1e-15)
 
@@ -199,7 +212,7 @@ class TestSimulateCounts:
         modes = projector_modes(op)
         assert modes[1].size == n_modes
         sim_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        counts = simulate_counts(rho, modes, cfg, sim_rng)
+        counts = simulate_one(rho, modes, cfg, sim_rng)
         expected = []
         for p in mode_probabilities(rho, modes):
             if mode == "photon_model":
@@ -215,7 +228,7 @@ class TestSimulateCounts:
         cfg = NoiseConfig(trials=10_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(SZ)
         minus_mode = int(np.flatnonzero(modes[1] < 0)[0])
-        totals = [simulate_counts(zero_state(), modes, cfg, rng)[minus_mode] for _ in range(300)]
+        totals = [simulate_one(zero_state(), modes, cfg, rng)[minus_mode] for _ in range(300)]
         expected = 10_000 * (1.0 - np.exp(-2e-4))
         se = np.sqrt(expected / 300)  # Poisson-ish standard error of the mean
         assert np.mean(totals) == pytest.approx(expected, abs=4 * se)
@@ -225,7 +238,7 @@ class TestSimulateCounts:
         cfg = NoiseConfig(trials=100_000, mode="finite_sample")
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), 1)
         modes = projector_modes(SZ)
-        counts = simulate_counts(rho, modes, cfg, rng)
+        counts = simulate_one(rho, modes, cfg, rng)
         for c, p in zip(counts, mode_probabilities(rho, modes)):
             se = np.sqrt(p * (1 - p) / cfg.trials)
             assert c / cfg.trials == pytest.approx(p, abs=4 * se)
@@ -243,7 +256,7 @@ class TestEstimateExpectations:
         for op in pauli_basis(3)[:5]:
             modes = projector_modes(op)
             counts = np.rint(cfg.trials * np.array(mode_probabilities(rho, modes))).astype(int)
-            a_hat = estimate_expectations(counts, modes, cfg)[0]
+            a_hat = estimate_one(counts, modes, cfg)[0]
             assert a_hat == pytest.approx(expectation(rho, op), abs=1.0 / cfg.trials * counts.size)
 
     @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
@@ -253,8 +266,8 @@ class TestEstimateExpectations:
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         modes = projector_modes(op)
         for _ in range(20):
-            counts = simulate_counts(rho, modes, cfg, rng)
-            assert estimate_expectations(counts, modes, cfg)[0] == reference_estimate(
+            counts = simulate_one(rho, modes, cfg, rng)
+            assert estimate_one(counts, modes, cfg)[0] == reference_estimate(
                 counts, modes, cfg
             )
 
@@ -264,7 +277,7 @@ class TestEstimateExpectations:
         modes = projector_modes(sic_povm(1)[1])
         (p,) = mode_probabilities(zero_state(), modes)
         exact = int(round(cfg.trials * click_probability(p, cfg.mu, cfg.lambda_dc)))
-        a_hat = estimate_expectations(np.array([exact]), modes, cfg)[0]
+        a_hat = estimate_one(np.array([exact]), modes, cfg)[0]
         assert a_hat == pytest.approx(modes[1][0] * p, abs=1e-5)
 
     def test_saturated_mode_clamped(self):
@@ -274,7 +287,7 @@ class TestEstimateExpectations:
         counts = np.array([100])
         modes = projector_modes(sic_povm(1)[0])
         (w,) = modes[1]
-        a_hat = estimate_expectations(counts, modes, cfg)[0]
+        a_hat = estimate_one(counts, modes, cfg)[0]
         assert a_hat == pytest.approx(w * np.log(100.0) / 5.0, rel=1e-12)
         assert a_hat < w
         assert counts.tolist() == [100]
@@ -283,11 +296,11 @@ class TestEstimateExpectations:
         cfg = NoiseConfig(trials=5_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         modes = projector_modes(pauli_basis(3)[4])
-        counts = simulate_counts(rho, modes, cfg, rng)
+        counts = simulate_one(rho, modes, cfg, rng)
         freqs = counts / cfg.trials
         p_hats = np.clip((-np.log1p(-freqs) - cfg.lambda_dc) / cfg.mu, 0.0, 1.0)
         assert abs(p_hats.sum() - 1.0) > 1e-3  # renormalization has work to do
-        a_hat = estimate_expectations(counts, modes, cfg)[0]
+        a_hat = estimate_one(counts, modes, cfg)[0]
         assert a_hat == pytest.approx(modes[1] @ (p_hats / p_hats.sum()), abs=1e-12)
 
     def test_pauli_estimates_in_range(self, rng):
@@ -295,7 +308,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         for op in pauli_basis(3)[:6]:
             modes = projector_modes(op)
-            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
+            a_hat = estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)[0]
             assert -1.0 <= a_hat <= 1.0
 
     def test_sigma_z_on_zero_state_calibration(self):
@@ -308,7 +321,7 @@ class TestEstimateExpectations:
         hits = 0
         n_rep = 1000
         for _ in range(n_rep):
-            a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
+            a_hat = estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)[0]
             if 0.9 <= a_hat <= 1.0:
                 hits += 1
         assert hits >= 0.99 * n_rep
@@ -321,7 +334,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex), 1)
         op = HermitianOperator(SZ, "Z")
         modes = projector_modes(op)
-        a_hat = estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
+        a_hat = estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)[0]
         # worst-case propagated standard error over the two modes
         q = click_probability(np.array(mode_probabilities(rho, modes)), cfg.mu, cfg.lambda_dc)
         se = np.sqrt(np.sum((np.sqrt(q * (1 - q) / cfg.trials) / (cfg.mu * (1 - q))) ** 2))
@@ -339,7 +352,7 @@ class TestEstimateExpectations:
         cfg = NoiseConfig(mode=mode, trials=10_000, mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(op)
         draws = np.array([
-            estimate_expectations(simulate_counts(rho, modes, cfg, rng), modes, cfg)
+            estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)
             for _ in range(2000)
         ])
         assert draws[:, 1].mean() == pytest.approx(draws[:, 0].var(), rel=0.1)
@@ -350,7 +363,7 @@ class TestEstimateExpectations:
         for mode in ("finite_sample", "photon_model"):
             cfg = NoiseConfig(mode=mode, trials=100, mu=5.0)
             for counts in ([0], [100]):
-                _, variance = estimate_expectations(np.array(counts), modes, cfg)
+                _, variance = estimate_one(np.array(counts), modes, cfg)
                 assert 0.0 < variance < np.inf
 
     def test_record_count_mismatch_rejected(self):
@@ -371,12 +384,132 @@ class TestEstimateExpectations:
         # inverted estimate removes the bias
         rng = np.random.default_rng(9)
         modes = projector_modes(sic_povm(1)[0])
-        vectors, (w,) = modes
+        vectors, (w,), _ = modes
         rho = DensityMatrix(vectors @ vectors.conj().T, 1)  # p = 1 for this mode
         cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
-        counts = simulate_counts(rho, modes, cfg, rng)
-        inverted = estimate_expectations(counts, modes, cfg)[0]
+        counts = simulate_one(rho, modes, cfg, rng)
+        inverted = estimate_one(counts, modes, cfg)[0]
         raw = w * counts[0] / cfg.trials
         assert inverted == pytest.approx(w, abs=0.01)
         assert raw == pytest.approx(w * (1.0 - np.exp(-0.18)), abs=0.01)
         assert raw < inverted / 3
+
+
+def per_observable_acquisition(rho, op, cfg, rng):
+    """One observable's counts, estimate and variance by the formulas the
+    estimator applied one observable at a time before acquisition was
+    batched: its own probability product, a scalar draw for one mode, and
+    its own sums."""
+    w, v = np.linalg.eigh(op.matrix)
+    keep = np.abs(w) > 1e-12
+    vectors, weights = v[:, keep], w[keep]
+    p = (vectors.conj() * (rho.matrix @ vectors)).sum(axis=0).real.clip(0.0, 1.0)
+    if cfg.mode == "photon_model":
+        p = 1.0 - np.exp(-cfg.mu * p - cfg.lambda_dc)
+    if p.size == 1:
+        counts = np.array([rng.binomial(cfg.trials, p[0])])
+    else:
+        counts = rng.binomial(cfg.trials, p)
+    return (counts,) + per_observable_estimate(counts, vectors, weights, cfg)
+
+
+def per_observable_estimate(counts, vectors, weights, cfg):
+    n = cfg.trials
+    p_hats = counts / n
+    freq = p_hats.clip(1.0 / n, (n - 1) / n)
+    if cfg.mode == "photon_model":
+        p_vars = freq / (n * cfg.mu**2 * (1.0 - freq))
+        p_hats = np.minimum(p_hats, (n - 1) / n)
+        p_hats = (-np.log1p(-p_hats) - cfg.lambda_dc) / cfg.mu
+    else:
+        p_vars = freq * (1.0 - freq) / n
+    p_hats = p_hats.clip(0.0, 1.0)
+    slopes = weights
+    if vectors.shape[1] == vectors.shape[0]:
+        total = p_hats.sum()
+        if total > 0.0:
+            p_hats = p_hats / total
+            slopes = (weights - weights @ p_hats) / total
+        else:
+            p_hats = np.full(weights.size, 1.0 / weights.size)
+    return float(weights @ p_hats), float(slopes**2 @ p_vars)
+
+
+# one-mode SIC products; complete-mode Pauli products; and a mixed batch
+# that adds an operator whose zero eigenspace is dropped (2 of 4 modes)
+BATCHES = {
+    "sic": lambda: list(sic_povm(3)[::5]),
+    "pauli": lambda: list(pauli_basis(3)[::5]),
+    "mixed": lambda: [sic_povm(2)[3], pauli_basis(2)[7],
+                      HermitianOperator(kron_chain((I2 + SZ) / 2, SX), "P0X"),
+                      sic_povm(2)[9], pauli_basis(2)[14]],
+}
+
+
+class TestBatch:
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("state", ["mixed", "basis"])
+    def test_matches_per_observable_formulas(self, rng, mode, batch, state):
+        # bit for bit: the same counts from the same streams, left in the
+        # same states, and the same estimates and variances. |0...0> puts
+        # every Pauli Z-string mode at p = 0 or 1, so finite_sample draws
+        # empty and saturated modes
+        ops = BATCHES[batch]()
+        n = ops[0].dim.bit_length() - 1
+        if state == "mixed":
+            rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        else:
+            rho = DensityMatrix(np.diag(np.eye(2**n)[0]).astype(complex), n)
+        cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
+        modes = stack_modes(projector_modes(op) for op in ops)
+        assert modes.vectors.shape == (2**n, sum(modes.sizes))
+        batch_rngs = [np.random.default_rng([7, i]) for i in range(len(ops))]
+        counts = simulate_counts(rho, modes, cfg, batch_rngs)
+        estimates, variances = estimate_expectations(counts, modes, cfg)
+        ref_rngs = [np.random.default_rng([7, i]) for i in range(len(ops))]
+        ref = [per_observable_acquisition(rho, op, cfg, r) for op, r in zip(ops, ref_rngs)]
+        assert counts.tolist() == np.concatenate([c for c, _, _ in ref]).tolist()
+        assert estimates.tolist() == [e for _, e, _ in ref]
+        assert variances.tolist() == [v for _, _, v in ref]
+        for got, want in zip(batch_rngs, ref_rngs):
+            assert got.bit_generator.state == want.bit_generator.state
+        if state == "basis" and mode == "finite_sample" and batch == "pauli":
+            assert {0, cfg.trials} <= set(counts.tolist())
+
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_empty_and_saturated_counts_invert_per_observable(self, mode, batch):
+        # counts of 0 and of every pulse, beside ordinary ones, in every
+        # observable: each inverts as it would alone
+        ops = BATCHES[batch]()
+        cfg = NoiseConfig(mode=mode, trials=100, mu=5.0, lambda_dc=1e-3)
+        modes = stack_modes(projector_modes(op) for op in ops)
+        pattern = [0, cfg.trials, 37, 0, 100, 5]
+        counts = np.resize(pattern, modes.weights.size)
+        estimates, variances = estimate_expectations(counts, modes, cfg)
+        start = 0
+        for b, op in enumerate(ops):
+            alone = projector_modes(op)
+            own = counts[start : start + alone.sizes[0]]
+            start += alone.sizes[0]
+            want = per_observable_estimate(own, alone.vectors, alone.weights, cfg)
+            assert (estimates[b], variances[b]) == want
+            assert estimate_one(own, alone, cfg) == want
+            assert np.isfinite(variances[b])
+        # every mode of a complete observable empty: uniform probabilities
+        pauli = projector_modes(pauli_basis(2)[5])
+        assert estimate_one(np.zeros(4, dtype=int), pauli, cfg) == per_observable_estimate(
+            np.zeros(4, dtype=int), pauli.vectors, pauli.weights, cfg
+        )
+
+    def test_one_generator_per_observable(self):
+        modes = stack_modes([projector_modes(SZ), projector_modes(sic_povm(1)[0])])
+        assert modes.sizes == (2, 1)
+        cfg = NoiseConfig(mode="finite_sample", trials=10)
+        with pytest.raises(ValueError):
+            simulate_counts(zero_state(), modes, cfg, [np.random.default_rng(0)])
+
+    def test_stack_needs_a_batch(self):
+        with pytest.raises(ValueError, match="at least one batch"):
+            stack_modes([])

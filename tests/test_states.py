@@ -107,6 +107,26 @@ class TestHaarSymmetricPure:
             ref = np.array([bin(i).count("1") == k for i in range(2**n)], dtype=complex)
             assert np.array_equal(v, ref / np.linalg.norm(ref))
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_excitation_basis_cached_read_only(self, n):
+        basis = states.dicke_basis(n)
+        assert states.dicke_basis(n) is basis
+        assert isinstance(basis, tuple) and len(basis) == n + 1
+        for v in basis:
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_samples_on_the_cached_basis_are_bit_identical(self, n):
+        # the draw the sampler made when it rebuilt the basis for every state
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            fresh = [dicke(n, k).amplitudes for k in range(n + 1)]
+            c = ref_rng.standard_normal(n + 1) + 1j * ref_rng.standard_normal(n + 1)
+            c /= np.linalg.norm(c)
+            ref = sum(ci * vi for ci, vi in zip(c, fresh))
+            assert np.array_equal(haar_symmetric_pure(n, rng).amplitudes, ref)
+
     def test_two_qubit_support(self, rng):
         psi = haar_symmetric_pure(2, rng)
         # symmetric two-qubit subspace: |00>, (|01>+|10>)/sqrt2, |11>
