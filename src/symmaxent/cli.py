@@ -224,10 +224,16 @@ def _solve_problem_from_json(data) -> dict:
     solver_kwargs = _expect(data.get("solver", {}), dict, "solver")
     solver_fields = {f.name for f in dataclasses.fields(SolverOptions)}
     _reject_unknown_keys(solver_kwargs, solver_fields, "solver field")
+    lambda0 = data.get("lambda0")
+    if lambda0 is not None:
+        lambda0 = [
+            _number(x, f"lambda0 entry {i}")
+            for i, x in enumerate(_expect(lambda0, list, "lambda0"))
+        ]
     solution = solve(
         MaxEntProblem(tuple(measured), (), dim, symmetry_kind, variances),
         SolverOptions(**solver_kwargs),
-        lambda0=data.get("lambda0"),
+        lambda0=lambda0,
     )
     return solution.to_jsonable()
 
@@ -235,6 +241,12 @@ def _solve_problem_from_json(data) -> dict:
 def _cmd_solve(args) -> int:
     data = json.loads(Path(args.targets).read_text())
     payload = _solve_problem_from_json(data)
+    if payload["stop_reason"] == "infeasible":
+        print(
+            "symmaxent solve: no state meets these exact targets; "
+            'a "variance" on each measured entry gives an estimate',
+            file=sys.stderr,
+        )
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

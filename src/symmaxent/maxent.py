@@ -5,15 +5,18 @@ entropy-maximizing state is the Gibbs form
 
     rho(lambda) = exp(sum_i lambda_i A_i) / Z,
 
-and the multipliers are fixed by driving the squared constraint mismatch
+and the multipliers minimise the convex dual Phi(lambda) = log Z(lambda) -
+lambda . a (regularised for noisy targets, below), whose gradient is the
+constraint mismatch: at its minimiser every constraint holds. The solve
+stops once the squared mismatch
 
     f(lambda) = sum_i (Tr(A_i rho(lambda)) - a_i)^2
 
-to zero. The exponent is always Hermitian, so rho is evaluated by
-eigendecomposition with the spectrum shifted by its top eigenvalue before
-exponentiation; the shift cancels against the normalization and prevents
-overflow when constraints push the state toward purity (diverging
-multipliers).
+falls below a tolerance. The exponent is always Hermitian, so rho is
+evaluated by eigendecomposition with the spectrum shifted by its top
+eigenvalue before exponentiation; the shift cancels against the
+normalization and prevents overflow when constraints push the state toward
+purity (diverging multipliers).
 
 The derivative of an expectation with respect to a multiplier runs through
 the directional derivative of the matrix exponential, evaluated in the
@@ -69,20 +72,17 @@ rounding of Phi (DUAL_ROUNDING max(1, |Phi|)), and the test is made on
 f = ||r||^2 instead, along its own directional derivative 2 r^T (C + Sigma)
 delta.
 
-The solve stops once f falls below the tolerance. Exact (Sigma = 0) but
-infeasible targets leave Phi unbounded below and f above a positive
-least-squares floor. A state that met them would bound Phi below by its
-entropy, so a negative Phi proves them infeasible; the solve then fits f
-from its start point by Levenberg-Marquardt steps (unit steps, with a
-damping that shrinks after an accepted step and grows after a rejected one)
-and stops once an iterate is first-order stationary for f,
-||(C + Sigma) r|| <= STATIONARY_TOL tr(C + Sigma) ||r||. The Hessian is PSD,
-so its trace bounds its norm and the test reads the same when the operators
-or the targets are rescaled. Each solve reports why it stopped
+The solve stops once f falls below the tolerance. Exact (Sigma = 0) targets
+that no state meets leave Phi unbounded below, and they have no
+maximum-entropy estimate. A state that met them would bound Phi below by
+its entropy, so a negative Phi proves them infeasible, and the solve stops
+at the iterate that proved it; declaring the targets' variances gives them
+an estimate. Each solve reports why it stopped
 (``MaxEntSolution.stop_reason``):
 
 - ``"tolerance"``: f fell below the tolerance;
-- ``"stationary"``: the first-order test above held;
+- ``"infeasible"``: the targets are exact and Phi < 0 proved that no state
+  meets them;
 - ``"no_descent"``: no damping produced a step that passes the line search;
 - ``"budget"``: the iteration budget ran out.
 
@@ -107,10 +107,6 @@ from .states import DensityMatrix
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
 
-# a solve stops as stationary once ||H r|| <= STATIONARY_TOL tr(H) ||r||,
-# with H = C + Sigma the Hessian of the dual
-STATIONARY_TOL = 1e-6
-
 # damping mu of the Newton system, relative to its mean diagonal; it grows
 # tenfold, DAMPING_TRIES times at most, only when no step length is accepted
 DAMPING = 1e-10
@@ -118,12 +114,6 @@ DAMPING_TRIES = 12
 
 # step-length halvings tried along one Newton direction
 HALVINGS = 30
-
-# a least-squares fit starts at this damping, which shrinks by 0.3 (to 1e-12
-# at least) after an accepted unit step and grows tenfold, LEAST_SQUARES_TRIES
-# times at most, after a rejected one
-LEAST_SQUARES_DAMPING = 1e-8
-LEAST_SQUARES_TRIES = 60
 
 # a predicted decrease of the dual below DUAL_ROUNDING max(1, |Phi|) is
 # within its rounding, and the line search tests f = ||r||^2 instead
@@ -358,8 +348,9 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class MaxEntSolution:
     """The last accepted iterate of a solve. ``stop_reason`` says why the
-    iteration ended: ``"tolerance"``, ``"stationary"``, ``"no_descent"`` or
-    ``"budget"`` (see the module docstring). ``entropy`` is the von Neumann
+    iteration ended: ``"tolerance"``, ``"infeasible"``, ``"no_descent"`` or
+    ``"budget"`` (see the module docstring); an ``"infeasible"`` solve
+    returns the iterate whose dual proved its exact targets infeasible. ``entropy`` is the von Neumann
     entropy of ``rho`` and ``n_evals`` the number of Gibbs evaluations the
     solve made."""
 
@@ -448,40 +439,34 @@ def solve(
     """Minimise the dual from ``lambda0`` (zeros when None) until the
     objective f = ||r||^2 drops below tolerance.
 
-    Returns converged=False (with the last accepted iterate) when the objective
-    reaches a first-order stationary point above tolerance, no acceptable
-    step remains or the iteration budget runs out; ``stop_reason`` says
-    which. Exact but infeasible targets stop at the least-squares optimum
-    rather than raising. ``history`` holds the objective at the start and
-    after every accepted step; ``iterations``, ``history`` and ``n_evals``
-    count the dual steps taken before a least-squares fit restarts from the
-    start point.
+    Returns converged=False with the last accepted iterate when the dual
+    proves exact targets infeasible, no acceptable step remains or the
+    iteration budget runs out; ``stop_reason`` says which. ``history``
+    holds the objective at the start and after every accepted step.
     """
     if lambda0 is None:
         lam = np.zeros(problem.n_constraints)
     else:
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
     point = problem._evaluate(lam)
-    start = lam, point
     history = [point[0]]
     iterations, n_evals = 0, 1
-    exact, mu = not problem.variances.any(), None
+    exact = not problem.variances.any()
 
     while True:
         if point[0] < options.tolerance:
             stop_reason = "tolerance"
             break
+        if exact and _proves_infeasible(point):
+            stop_reason = "infeasible"
+            break
         if iterations >= options.max_iterations:
             stop_reason = "budget"
             break
-        if exact and mu is None and _proves_infeasible(point):
-            # the least-squares fit runs from the start point, so that its
-            # result does not depend on the dual steps taken so far
-            (lam, point), mu = start, LEAST_SQUARES_DAMPING
-        moved, evals, mu = _newton_step(problem, lam, point, mu)
+        moved, evals = _newton_step(problem, lam, point)
         n_evals += evals
-        if isinstance(moved, str):
-            stop_reason = moved
+        if moved is None:
+            stop_reason = "no_descent"
             break
         lam, point = moved
         iterations += 1
@@ -504,39 +489,26 @@ def _proves_infeasible(point) -> bool:
     """Whether the dual at an evaluated point proves exact targets
     infeasible. A state sigma that meets them gives log Z >= lambda . a +
     S(sigma) (the Gibbs variational principle), so Phi >= S(sigma) >= 0
-    everywhere. A negative dual leaves Phi unbounded below, and the solve
-    fits f instead, to its least-squares optimum."""
+    everywhere. A negative dual leaves Phi unbounded below, and no
+    maximum-entropy estimate exists."""
     return point[4] < -DUAL_ROUNDING * max(1.0, abs(point[3][5]))
 
 
-def _newton_step(problem, lam, point, mu):
-    """One accepted damped Newton step as ((lambda, point), evaluations,
-    damping), or the reason no step is taken in its place: "stationary"
-    when the gradient of f passes the first-order test, "no_descent" when no
-    damping gives a step that passes the line search.
-
-    With ``mu`` None the step descends the dual: its damping starts at
-    DAMPING and the step length backtracks. Otherwise it descends f alone,
-    Levenberg-Marquardt style: unit steps, with the damping carried over
-    from the last step."""
+def _newton_step(problem, lam, point):
+    """One accepted damped Newton step on the dual as ((lambda, point),
+    evaluations), or (None, evaluations) when no damping gives a step that
+    passes the line search. The damping starts at DAMPING and the step
+    length backtracks."""
     f, g, r, state, dual = point
     h = problem._susceptibility(g, state)
     h_diag = h.diagonal() + problem.variances
     np.fill_diagonal(h, h_diag)
-    trace = float(h_diag.sum())
     # half the gradient of f
     hr = h @ r
-    if hr @ hr <= (STATIONARY_TOL * trace) ** 2 * f:
-        return "stationary", 0, mu
-    least_squares = mu is not None
-    if least_squares:
-        tries, halvings = LEAST_SQUARES_TRIES, 1
-    else:
-        tries, halvings, mu = DAMPING_TRIES, HALVINGS, DAMPING
-        rounding = DUAL_ROUNDING * max(1.0, abs(dual))
-    scale = max(trace / problem.n_constraints, 1e-300)
+    mu, rounding = DAMPING, DUAL_ROUNDING * max(1.0, abs(dual))
+    scale = max(float(h_diag.sum()) / problem.n_constraints, 1e-300)
     evals = 0
-    for _ in range(tries):
+    for _ in range(DAMPING_TRIES):
         np.fill_diagonal(h, h_diag + mu * scale)
         try:
             delta = -np.linalg.solve(h, r)
@@ -549,19 +521,19 @@ def _newton_step(problem, lam, point, mu):
             mu *= 10.0
             continue
         t = 1.0
-        for _ in range(halvings):
+        for _ in range(HALVINGS):
             lam_new = lam + t * delta
             trial = problem._evaluate(lam_new)
             evals += 1
-            if not least_squares and -t * slope > rounding:
+            if -t * slope > rounding:
                 old, new, bound = dual, trial[4], t * slope
             else:
                 old, new, bound = f, trial[0], t * descent
             # a decrease below the rounding of f or Phi passes the Armijo
-            # test as no change; along a halved dual step that admits steps
-            # too short to move, so there the decrease must be strict
-            if new <= old + ARMIJO_C * bound and (least_squares or new < old):
-                return (lam_new, trial), evals, max(mu * 0.3, 1e-12) if least_squares else None
+            # test as no change; along a halved step that admits steps too
+            # short to move, so the decrease must be strict
+            if new <= old + ARMIJO_C * bound and new < old:
+                return (lam_new, trial), evals
             t *= 0.5
         mu *= 10.0
-    return "no_descent", evals, None
+    return None, evals

@@ -237,9 +237,9 @@ class TestSolveCommand:
         assert payload["entropy"] == pytest.approx(-0.75 * np.log(0.75) - 0.25 * np.log(0.25))
         assert payload["n_evals"] >= payload["iterations"] + 1
 
-    def test_contradictory_targets_stop_stationary(self, tmp_path, capsys):
-        # <Z> cannot be both 0.2 and 0.6: the least-squares optimum <Z> = 0.4
-        # is reported, not converged, with its stop reason
+    def test_contradictory_targets_get_infeasible_verdict(self, tmp_path, capsys):
+        # <Z> cannot be both 0.2 and 0.6: no state meets the exact targets,
+        # and the solve says so and points at declaring variances
         problem = {
             "n_qubits": 1,
             "observables": "pauli",
@@ -248,12 +248,12 @@ class TestSolveCommand:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         assert main(["solve", "--targets", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
         assert payload["converged"] is False
-        assert payload["stop_reason"] == "stationary"
-        rho = matrix_from_jsonable(payload["rho"])
-        z = pauli_basis(1)[2].matrix
-        assert np.trace(z @ rho).real == pytest.approx(0.4, abs=1e-6)
+        assert payload["stop_reason"] == "infeasible"
+        assert err.count("\n") == 1
+        assert '"variance"' in err
 
     def test_contradictory_targets_with_variances_converge(self, tmp_path, capsys):
         # declared variances make the regularised dual bounded: the same
@@ -364,6 +364,26 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["iterations"] == 0
         assert payload["lambdas"] == problem["lambda0"]
+
+    @pytest.mark.parametrize(
+        "lambda0, match",
+        [
+            ([True], "lambda0 entry 0 must be a number"),
+            ([0.1, "0.1"], "lambda0 entry 1 must be a number"),
+            ([10**400], "lambda0 entry 0 is too large"),
+            ({}, "lambda0 must be a JSON list"),
+            (0.1, "lambda0 must be a JSON list"),
+        ],
+    )
+    def test_malformed_lambda0_rejected(self, lambda0, match):
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.5}, {"label": "X", "target": 0.1}],
+            "lambda0": lambda0,
+        }
+        with pytest.raises(ValueError, match=match):
+            cli._solve_problem_from_json(problem)
 
     def test_lambda0_wrong_length_rejected(self, tmp_path):
         problem = {
