@@ -235,7 +235,11 @@ def _solve_problem_from_json(data) -> dict:
         SolverOptions(**solver_kwargs),
         lambda0=lambda0,
     )
-    return solution.to_jsonable()
+    payload = solution.to_jsonable()
+    if solution.stop_reason == "infeasible":
+        # no state is the estimate; the multipliers stay as the proof
+        payload["rho"] = payload["entropy"] = None
+    return payload
 
 
 def _cmd_solve(args) -> int:

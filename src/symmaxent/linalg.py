@@ -18,6 +18,10 @@ HERMITICITY_TOL = 1e-12
 # Relative tolerance for linear-independence decisions.
 LI_TOL = 1e-9
 
+# Eigenvalues above this are accepted as numerically nonnegative; anything
+# more negative is a genuinely indefinite matrix, not rounding noise.
+PSD_EIG_FLOOR = -1e-10
+
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -128,11 +132,11 @@ def eigh(h):
 def psd_sqrtm(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in [-1e-10, 0) are treated as rounding noise and clamped to
-    zero; anything more negative raises.
+    Eigenvalues in [PSD_EIG_FLOOR, 0) are treated as rounding noise and
+    clamped to zero; anything more negative raises.
     """
     w, v = eigh(m)
-    if w[0] < -1e-10:
+    if w[0] < PSD_EIG_FLOOR:
         raise ValueError(f"psd_sqrtm: matrix not PSD (min eigenvalue {w[0]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 

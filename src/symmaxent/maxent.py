@@ -6,17 +6,20 @@ entropy-maximizing state is the Gibbs form
     rho(lambda) = exp(sum_i lambda_i A_i) / Z,
 
 and the multipliers minimise the convex dual Phi(lambda) = log Z(lambda) -
-lambda . a (regularised for noisy targets, below), whose gradient is the
-constraint mismatch: at its minimiser every constraint holds. The solve
-stops once the squared mismatch
+lambda . a (regularised for noisy targets, below). The solve stops once the
+squared gradient of the dual
 
-    f(lambda) = sum_i (Tr(A_i rho(lambda)) - a_i)^2
+    f(lambda) = sum_i (Tr(A_i rho(lambda)) - a_i + sigma_i^2 lambda_i)^2
 
-falls below a tolerance. The exponent is always Hermitian, so rho is
-evaluated by eigendecomposition with the spectrum shifted by its top
-eigenvalue before exponentiation; the shift cancels against the
-normalization and prevents overflow when constraints push the state toward
-purity (diverging multipliers).
+falls below a tolerance, with sigma_i^2 the variance of target i. For exact
+targets (sigma = 0) that is the squared constraint mismatch, and at the
+minimiser every constraint holds; a noisy target's term adds its variance
+times its multiplier, so at the minimiser it may miss by about its standard
+deviation. The exponent is always Hermitian, so rho is evaluated by
+eigendecomposition with the spectrum shifted by its top eigenvalue before
+exponentiation; the shift cancels against the normalization and prevents
+overflow when constraints push the state toward purity (diverging
+multipliers).
 
 The derivative of an expectation with respect to a multiplier runs through
 the directional derivative of the matrix exponential, evaluated in the

@@ -8,15 +8,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, symmetry
-
-# Eigenvalues above this are accepted as numerically nonnegative; anything
-# more negative is a genuinely invalid state, not rounding noise.
-PSD_EIG_FLOOR = -1e-10
 
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -51,10 +47,14 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Trace-one PSD Hermitian operator on (C^2)^{otimes n}."""
+    """Trace-one PSD Hermitian operator on (C^2)^{otimes n}.
+
+    ``min_eigenvalue`` is the smallest eigenvalue of ``matrix``, which the
+    PSD check computes on construction."""
 
     matrix: np.ndarray
     n_qubits: int
+    min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -69,10 +69,11 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         wmin = float(np.linalg.eigvalsh(m)[0])
-        if wmin < PSD_EIG_FLOOR:
+        if wmin < linalg.PSD_EIG_FLOOR:
             raise ValueError(f"density matrix not PSD (min eigenvalue {wmin:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "min_eigenvalue", wmin)
 
     @property
     def dim(self) -> int:

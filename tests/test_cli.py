@@ -6,6 +6,7 @@ import pytest
 from symmaxent import cli
 from symmaxent.cli import main, parse_config_text
 from symmaxent.harness import read_result_csv
+from symmaxent.maxent import MaxEntProblem
 from symmaxent.observables import expectation, matrix_from_jsonable, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix, random_werner
 
@@ -254,6 +255,27 @@ class TestSolveCommand:
         assert payload["stop_reason"] == "infeasible"
         assert err.count("\n") == 1
         assert '"variance"' in err
+
+    def test_infeasible_verdict_prints_no_state(self, tmp_path, capsys):
+        # the iterate that proved the verdict is no estimate: rho and entropy
+        # are null, and the multipliers whose dual is negative are kept
+        problem = {
+            "n_qubits": 1,
+            "observables": "pauli",
+            "measured": [{"label": "Z", "target": 0.2}, {"label": "Z", "target": 0.6}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", "--targets", str(path)]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["stop_reason"] == "infeasible"
+        assert '"rho": null' in out and '"entropy": null' in out
+        z = pauli_basis(1)[2]
+        prob = MaxEntProblem(((z, 0.2), (z, 0.6)), (), 2)
+        lam = np.array(payload["lambdas"])
+        assert lam.shape == (2,)
+        assert prob._dual(lam, prob._gibbs(lam)) < 0.0
 
     def test_contradictory_targets_with_variances_converge(self, tmp_path, capsys):
         # declared variances make the regularised dual bounded: the same

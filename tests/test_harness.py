@@ -137,8 +137,11 @@ class TestConfigValidation:
 def per_r_records(cfg, state_id):
     """A state's records computed the way the sweep did before a state was
     one pass: every observable acquired alone, as a batch of one drawn from
-    its own stream, and for every r a problem built afresh on the first
-    k = min(r, kept) targets and solved."""
+    its own stream, and for every distinct k = min(r, kept), in ascending
+    order, a problem built afresh on the first k targets and solved. A solve
+    starts from the last k's multipliers, padded with zeros, when that solve
+    stopped on tolerance with its estimate's smallest eigenvalue above
+    sqrt(tolerance), and from zeros otherwise."""
     context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
     rho = harness._sample_target(cfg, harness._stream(cfg.seed, state_id, 0))
     order = list(range(len(context.candidates)))
@@ -155,15 +158,19 @@ def per_r_records(cfg, state_id):
         (target,), (variance,) = measurement.estimate_expectations(counts, modes, cfg.noise)
         measured.append((op, float(target)))
         variances.append(float(variance))
-    out = []
-    for r in cfg.r_values:
-        k = min(r, len(order))
+    fields, lambda0 = {}, None
+    for k in sorted({min(r, len(order)) for r in cfg.r_values}):
         problem = MaxEntProblem(tuple(measured[:k]), (), 2**cfg.n_qubits, cfg.symmetry,
                                 variances[:k])
-        solution = solve(problem, cfg.solver)
+        if lambda0 is not None:
+            lambda0 = list(lambda0) + [0.0] * (k - len(lambda0))
+        solution = solve(problem, cfg.solver, lambda0)
         fid = states.fidelity(rho, solution.rho)
-        out.append(StateRunRecord(state_id, r, fid, solution.converged, solution.iterations))
-    return out
+        fields[k] = fid, solution.converged, solution.iterations
+        smallest = np.linalg.eigvalsh(solution.rho.matrix)[0]
+        full_rank = smallest > math.sqrt(cfg.solver.tolerance)
+        lambda0 = solution.lambdas if solution.stop_reason == "tolerance" and full_rank else None
+    return [StateRunRecord(state_id, r, *fields[min(r, len(order))]) for r in cfg.r_values]
 
 
 # each config with the distinct k = min(r, kept) its states solve
@@ -297,9 +304,9 @@ class TestSweep:
         seen = []
         real_solve = harness.solve
 
-        def spy(problem, options):
+        def spy(problem, options, lambda0=None):
             seen.append(problem)
-            return real_solve(problem, options)
+            return real_solve(problem, options, lambda0)
 
         monkeypatch.setattr(harness, "solve", spy)
         cfg = small_config(
@@ -320,8 +327,9 @@ class TestSweep:
                 assert np.array_equal(op.matrix, ref.matrix)
 
     def test_one_problem_per_state(self, monkeypatch):
-        # every sweep point solves a leading slice of the state's one problem;
-        # the werner commutant at n = 3 keeps 5 SIC projections, so r = 30 solves 5
+        # every sweep point solves a leading slice of the state's one problem,
+        # in ascending k; the werner commutant at n = 3 keeps 5 SIC
+        # projections, so r = 30 solves 5
         built, solved = [], []
         real_problem, real_solve = harness.MaxEntProblem, harness.solve
 
@@ -329,9 +337,9 @@ class TestSweep:
             built.append(real_problem(*args, **kwargs))
             return built[-1]
 
-        def spy(problem, options):
+        def spy(problem, options, lambda0=None):
             solved.append(problem)
-            return real_solve(problem, options)
+            return real_solve(problem, options, lambda0)
 
         monkeypatch.setattr(harness, "MaxEntProblem", build)
         monkeypatch.setattr(harness, "solve", spy)
@@ -340,7 +348,7 @@ class TestSweep:
             run_single_state(cfg, state_id)
         assert len(built) == 2
         assert [len(p.measured) for p in built] == [5, 5]
-        assert [p.n_constraints for p in solved] == [2, 4, 5, 3] * 2
+        assert [p.n_constraints for p in solved] == [2, 3, 4, 5] * 2
         for i, problem in enumerate(solved):
             assert problem.measured == built[i // 4].measured[: problem.n_constraints]
 
@@ -348,23 +356,89 @@ class TestSweep:
     def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
         # bit for bit: the one-pass state against each observable acquired
         # alone from its stream and a fresh problem built and solved for
-        # every r. The permutation and werner sweeps keep 19 and 4
-        # observables, so there r = 25 and 63 repeat the full problem, which
-        # the state solves once
+        # every distinct k, seeded by the same rule. The permutation and
+        # werner sweeps keep 19 and 4 observables, so there r = 25 and 63
+        # repeat the full problem, which the state solves once
         cfg, distinct = PER_R_CONFIGS[cfg]
         solved = []
         real_solve = harness.solve
 
-        def spy(problem, options):
+        def spy(problem, options, lambda0=None):
             solved.append(problem.n_constraints)
-            return real_solve(problem, options)
+            return real_solve(problem, options, lambda0)
 
         monkeypatch.setattr(harness, "solve", spy)
         for state_id in range(cfg.batch_size):
             solved.clear()
             records = run_single_state(cfg, state_id)
-            assert sorted(solved) == distinct
+            assert solved == distinct
             assert records == per_r_records(cfg, state_id)
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(state_family="haar_pure", r_values=tuple(range(2, 51, 4)) + (63,),
+                     shuffle_observables=True, batch_size=2),
+        small_config(state_family="permutation_invariant_mixed", symmetry="permutation",
+                     r_values=(2, 6, 10, 14, 19), shuffle_observables=True, batch_size=2),
+    ], ids=["sic_none", "sic_permutation"])
+    def test_seeded_records_stay_near_cold_solves(self, monkeypatch, cfg):
+        # a seeded prefix lands within 1e-4 in fidelity of the same prefix
+        # solved from zeros, and an unseeded one is that cold solve, bit for
+        # bit; pure targets give both kinds, mixed symmetric ones seeded only
+        calls = []
+        real_solve = harness.solve
+
+        def spy(problem, options, lambda0=None):
+            calls.append((problem, lambda0 is not None))
+            return real_solve(problem, options, lambda0)
+
+        monkeypatch.setattr(harness, "solve", spy)
+        n_seeded = 0
+        for state_id in range(cfg.batch_size):
+            calls.clear()
+            records = {rec.r: rec for rec in run_single_state(cfg, state_id)}
+            rho = harness._sample_target(cfg, harness._stream(cfg.seed, state_id, 0))
+            for problem, seeded in calls:
+                rec = records[problem.n_constraints]
+                cold = real_solve(problem, cfg.solver)
+                cold_fid = states.fidelity(rho, cold.rho)
+                if seeded:
+                    n_seeded += 1
+                    assert rec.converged
+                    assert abs(rec.fidelity - cold_fid) <= 1e-4
+                else:
+                    assert (rec.fidelity, rec.converged, rec.iterations) == (
+                        cold_fid, cold.converged, cold.iterations)
+        assert n_seeded > 0
+        if cfg.state_family == "haar_pure":
+            assert n_seeded < len(calls) * cfg.batch_size
+
+    def test_unsorted_grid_seeds_in_ascending_k(self, monkeypatch):
+        # the grid is solved as k = 2, 6, 19, 25, 63, each from zeros or
+        # from the previous k's multipliers padded with zeros; the pure
+        # target's estimates are full rank up to k = 19 and rank-deficient
+        # from there on, so k = 25 and 63 start from zeros
+        calls = []
+        real_solve = harness.solve
+
+        def spy(problem, options, lambda0=None):
+            solution = real_solve(problem, options, lambda0)
+            calls.append((problem.n_constraints, lambda0, solution))
+            return solution
+
+        monkeypatch.setattr(harness, "solve", spy)
+        cfg = small_config(state_family="haar_pure", r_values=(6, 19, 25, 2, 63),
+                           shuffle_observables=True, batch_size=1)
+        records = run_single_state(cfg, 0)
+        assert [rec.r for rec in records] == [6, 19, 25, 2, 63]
+        assert [k for k, _, _ in calls] == [2, 6, 19, 25, 63]
+        assert calls[0][1] is None
+        for (_, _, previous), (k, lambda0, _) in zip(calls, calls[1:]):
+            if lambda0 is not None:
+                padded = np.zeros(k)
+                padded[: previous.lambdas.size] = previous.lambdas
+                assert np.array_equal(lambda0, padded)
+        assert [lambda0 is not None for _, lambda0, _ in calls] == [
+            False, True, True, False, False]
 
     def test_noisy_sweep_with_no_observable(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")

@@ -11,6 +11,7 @@ from symmaxent.linalg import (
     linearly_independent_subset,
     psd_sqrtm,
 )
+from symmaxent.states import DensityMatrix
 
 from conftest import I2, SX, SY, SZ, random_hermitian, random_psd
 
@@ -115,6 +116,21 @@ class TestPsdSqrtm:
         m = np.diag([1.0, -5e-11]).astype(complex)
         s = psd_sqrtm(m)
         assert s[1, 1].real == 0.0
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_floor_shared_with_density_matrix(self, scale, accepted):
+        # one floor decides for both: inside it an eigenvalue is rounding,
+        # beyond it the matrix is rejected as a root and as a state
+        w = scale * linalg.PSD_EIG_FLOOR
+        m = np.diag([1.0 - w, w]).astype(complex)
+        if accepted:
+            psd_sqrtm(m)
+            DensityMatrix(m, 1)
+        else:
+            with pytest.raises(ValueError, match="not PSD"):
+                psd_sqrtm(m)
+            with pytest.raises(ValueError, match="not PSD"):
+                DensityMatrix(m, 1)
 
 
 class TestHsInner:

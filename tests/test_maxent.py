@@ -475,8 +475,8 @@ class TestSolve:
         wl = workloads.WORKLOADS["noisy_photon"]
         reasons = []
 
-        def spy(problem, options):
-            sol = solve(problem, options)
+        def spy(problem, options, lambda0=None):
+            sol = solve(problem, options, lambda0)
             assert sol.converged == (sol.stop_reason == "tolerance")
             assert sol.iterations < options.max_iterations
             assert problem.variances.min() > 0.0
@@ -1040,9 +1040,9 @@ def _unbiased_sic_problems(seed, batch_size, monkeypatch):
     )
     problems = []
 
-    def spy(problem, options):
+    def spy(problem, options, lambda0=None):
         problems.append(problem)
-        return solve(problem, options)
+        return solve(problem, options, lambda0)
 
     monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
     monkeypatch.setattr(harness, "solve", spy)

@@ -51,6 +51,11 @@ class TestTypes:
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         DensityMatrix(m, 1)
 
+    def test_min_eigenvalue_is_the_stored_matrix_smallest(self, rng):
+        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        assert rho.min_eigenvalue == np.linalg.eigvalsh(rho.matrix)[0]
+        assert DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]), 1).min_eigenvalue == -5e-11
+
 
 class TestHaarPure:
     def test_unit_norm(self, rng):
