@@ -11,8 +11,8 @@ orbit, read off the observables' factor indices; under werner symmetry the
 projections are filtered numerically. Acquire targets for the first max(r)
 survivors, with their variances (zero for ideal data), in one pass: noisy
 data stacks the survivors' modes into one batch, computes every mode's
-probability with one GEMM, draws each observable's counts from its own
-stream and inverts all counts with array operations
+probability with one GEMM, draws every count from the state's one counts
+stream in mode order and inverts all counts with array operations
 (``measurement.simulate_counts``, ``measurement.estimate_expectations``).
 Build one maximum-entropy problem on them that declares the symmetry (so it
 constrains their commutant projections) and carries the variances (so a
@@ -177,13 +177,11 @@ class SweepResult:
     metadata: dict
 
 
-def _stream(seed: int, state_id: int, purpose: int, extra: int = 0) -> np.random.Generator:
-    entropy = [seed, state_id, purpose, extra]
-    if max(entropy) < 2**32:
-        # the words SeedSequence makes of the list, one per entry, given as
-        # an array: the same stream without its per-integer conversion
-        entropy = np.array(entropy, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def _stream(seed: int, state_id: int, purpose: int) -> np.random.Generator:
+    # the trailing 0 keeps every recorded stream: SeedSequence pads entropy
+    # shorter than four words with zeros, but a seed of 2**32 or more takes
+    # two words, and there dropping the 0 would change the stream
+    return np.random.default_rng(np.random.SeedSequence([seed, state_id, purpose, 0]))
 
 
 def _sample_target(config: ExperimentConfig, rng: np.random.Generator) -> states.DensityMatrix:
@@ -279,14 +277,14 @@ def _acquire(rho, context: _ObservableContext, indices, config: ExperimentConfig
     """(targets, variances) of the canonical observables ``indices``, in
     their order, in one pass: ideal targets are exact, with variance zero;
     noisy ones are drawn and inverted as one batch of their cached modes,
-    each observable from its own stream."""
+    every count from the state's one counts stream, in mode order."""
     # an empty batch has no modes to stack, and no targets either way
     if config.noise.mode == "ideal" or not indices:
         targets = [observables.expectation(rho, context.candidates[i]) for i in indices]
         return np.array(targets, dtype=float), np.zeros(len(indices))
     modes = measurement.stack_modes(context.modes(i) for i in indices)
-    rngs = (_stream(config.seed, state_id, 2, i) for i in indices)
-    counts = measurement.simulate_counts(rho, modes, config.noise, rngs)
+    rng = _stream(config.seed, state_id, 2)
+    counts = measurement.simulate_counts(rho, modes, config.noise, rng)
     return measurement.estimate_expectations(counts, modes, config.noise)
 
 
@@ -295,7 +293,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     context = _observable_context(config.observable_kind, config.n_qubits, config.symmetry)
     rho_target = _sample_target(config, _stream(config.seed, state_id, 0))
 
-    # canonical indices in measurement order; measurement streams key on them
+    # canonical indices in measurement order
     order = list(range(len(context.candidates)))
     if config.shuffle_observables:
         _stream(config.seed, state_id, 1).shuffle(order)

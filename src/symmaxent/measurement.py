@@ -7,14 +7,14 @@ by side as one (d x M) array, :func:`simulate_counts` draws one integer
 count per mode, and :func:`estimate_expectations` inverts the counts back to
 one expectation-value estimate and one variance per observable.
 
-A batch is one pass: one GEMM gives every mode's probability, and the click
-model and the count inversion are array operations over all modes. Each
-observable still draws its counts from its own generator with the call it
-would make alone, and its sums are its own dot products, so its estimate
-and variance are those of its counts alone. A one-mode observable's
-probability is a GEMM column here and a matrix-vector product in a batch of
-one; the two can differ in the last bit (about 4e-16 relative), far below
-what moves a binomial draw of any practical number of trials.
+A batch is one pass: one GEMM gives every mode's probability, one binomial
+draw from one generator every count, in mode order, and the click model and
+the count inversion are array operations over all modes. numpy draws an
+array binomial element by element, so a batch's first k observables get the
+counts of a batch of just those k, and each observable's sums are its own
+dot products. A mode's probability, a GEMM column, can differ in the last
+bit (about 4e-16 relative) from its batch of one, far below what moves a
+binomial draw of any practical number of trials.
 
 Acquisition modes:
 
@@ -59,6 +59,11 @@ class NoiseConfig:
     mode: str = "ideal"
 
     def __post_init__(self):
+        # a bool would pass as 0 or 1, a string fail the range tests with a TypeError
+        for name in ("eta", "mu", "lambda_dc"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if not 0.0 <= self.mu < np.inf:
@@ -72,6 +77,9 @@ class NoiseConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.mode not in MODES:
             raise ValueError(f"unknown acquisition mode {self.mode!r}")
+        if self.mode != "ideal" and self.trials < 2:
+            # at N = 1 the clip [1/N, (N - 1)/N] is empty and every variance 0
+            raise ValueError(f"{self.mode} needs trials >= 2: a count's variance needs two trials")
         if self.mode == "photon_model" and self.mu == 0.0:
             raise ValueError("photon_model needs mu > 0: its inversion divides by mu")
 
@@ -145,32 +153,22 @@ def photon_number_statistics(mu: float, n_pulses: int, rng: np.random.Generator)
     return empty, multi
 
 
-def simulate_counts(rho: DensityMatrix, modes: Modes, config: NoiseConfig, rngs) -> np.ndarray:
+def simulate_counts(rho: DensityMatrix, modes: Modes, config: NoiseConfig, rng) -> np.ndarray:
     """One integer count per mode of a batch, in mode order:
     Binomial(trials, p) for finite_sample, Binomial(trials,
     click_probability(p)) for photon_model.
 
-    ``rngs`` holds one generator per observable of the batch. Each
-    observable's counts are drawn from its own generator, as one scalar draw
-    for a one-mode observable and one array draw otherwise, so they do not
-    depend on the rest of the batch. One GEMM gives every mode's
-    probability p = <v|rho|v>."""
+    Every count comes from the one generator ``rng``, mode by mode in batch
+    order: each observable's counts are the draws it would make alone from
+    ``rng`` as the observables before it left it. One GEMM gives every
+    mode's probability p = <v|rho|v>."""
     if config.mode == "ideal":
         raise ValueError("ideal acquisition takes exact expectations and draws no counts")
-    vectors, _, sizes = modes
+    vectors = modes.vectors
     p = (vectors.conj() * (rho.matrix @ vectors)).sum(axis=0).real.clip(0.0, 1.0)
     if config.mode == "photon_model":
         p = click_probability(p, config.mu, config.lambda_dc)
-    counts = np.empty(p.size, dtype=np.int64)
-    start = 0
-    for size, rng in zip(sizes, rngs, strict=True):
-        if size == 1:
-            # numpy's array path costs ~12x a scalar's, for the same draw
-            counts[start] = rng.binomial(config.trials, p[start])
-        else:
-            counts[start : start + size] = rng.binomial(config.trials, p[start : start + size])
-        start += size
-    return counts
+    return rng.binomial(config.trials, p)
 
 
 def estimate_expectations(counts, modes: Modes, config: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -136,8 +136,9 @@ class TestConfigValidation:
 
 def per_r_records(cfg, state_id):
     """A state's records computed the way the sweep did before a state was
-    one pass: every observable acquired alone, as a batch of one drawn from
-    its own stream, and for every distinct k = min(r, kept), in ascending
+    one pass: every observable acquired alone, as a batch of one, each
+    drawing its counts from the state's one counts stream in turn, and for
+    every distinct k = min(r, kept), in ascending
     order, a problem built afresh on the first k targets and solved. A solve
     starts from the last k's multipliers, padded with zeros, when that solve
     stopped on tolerance with its estimate's smallest eigenvalue above
@@ -150,11 +151,11 @@ def per_r_records(cfg, state_id):
     if cfg.symmetry != "none":
         order = context.independent(order)
     measured, variances = [], []
+    rng = harness._stream(cfg.seed, state_id, 2)
     for i in order[: max(cfg.r_values)]:
         op = context.candidates[i]
         modes = measurement.projector_modes(op)
-        rng = harness._stream(cfg.seed, state_id, 2, i)
-        counts = measurement.simulate_counts(rho, modes, cfg.noise, [rng])
+        counts = measurement.simulate_counts(rho, modes, cfg.noise, rng)
         (target,), (variance,) = measurement.estimate_expectations(counts, modes, cfg.noise)
         measured.append((op, float(target)))
         variances.append(float(variance))
@@ -355,7 +356,8 @@ class TestSweep:
     @pytest.mark.parametrize("cfg", ["sic_permutation", "pauli_none", "pauli_werner"])
     def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
         # bit for bit: the one-pass state against each observable acquired
-        # alone from its stream and a fresh problem built and solved for
+        # alone, in order, from one shared counts stream, and a fresh
+        # problem built and solved for
         # every distinct k, seeded by the same rule. The permutation and
         # werner sweeps keep 19 and 4 observables, so there r = 25 and 63
         # repeat the full problem, which the state solves once
@@ -373,6 +375,18 @@ class TestSweep:
             records = run_single_state(cfg, state_id)
             assert solved == distinct
             assert records == per_r_records(cfg, state_id)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(mode="finite_sample", trials=1_000),
+        NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
+    ], ids=["finite_sample", "photon_model"])
+    def test_noisy_record_does_not_depend_on_the_other_r_values(self, noise):
+        # r = 6 alone acquires 6 observables, with 19 and 63 beside it all
+        # 63; the first 6 draw the same counts either way
+        alone = small_config(observable_kind="pauli", r_values=(6,), noise=noise, batch_size=2)
+        grid = dataclasses.replace(alone, r_values=(6, 19, 63))
+        for state_id in range(alone.batch_size):
+            assert run_single_state(alone, state_id) == run_single_state(grid, state_id)[:1]
 
     @pytest.mark.parametrize("cfg", [
         small_config(state_family="haar_pure", r_values=tuple(range(2, 51, 4)) + (63,),
@@ -483,16 +497,31 @@ SHUFFLED_SYMMETRIC_N4_SHAPED = small_config(
 )
 
 
+def stream_purposes(monkeypatch, noise):
+    """The purposes of the streams one shuffled state of a sweep to r = 63
+    builds, in order."""
+    built = []
+    real = harness._stream
+
+    def spy(seed, state_id, purpose):
+        built.append(purpose)
+        return real(seed, state_id, purpose)
+
+    monkeypatch.setattr(harness, "_stream", spy)
+    run_single_state(small_config(shuffle_observables=True, r_values=(2, 19, 63), noise=noise), 0)
+    return built
+
+
 class TestStreams:
     @pytest.mark.parametrize(
         "entropy",
-        [(0, 0, 0, 0), (2**32 - 1, 5, 2, 62), (2**32, 1, 2, 3), (2**40 + 7, 2**33, 1, 0)],
+        [(0, 0, 0), (2**32 - 1, 5, 2), (2**32, 1, 2), (2**40 + 7, 2**33, 1)],
     )
     def test_stream_is_the_seed_sequence_of_its_entropy(self, entropy):
-        # entries below 2**32 go to SeedSequence as one uint32 array, larger
-        # ones as the list; either way the stream is the list's
+        # the entropy keeps its trailing 0 word, so that every target and
+        # shuffle stream, large seeds included, stays the one recorded
         got = harness._stream(*entropy)
-        want = np.random.default_rng(np.random.SeedSequence(list(entropy)))
+        want = np.random.default_rng(np.random.SeedSequence(list(entropy) + [0]))
         assert got.bit_generator.state == want.bit_generator.state
         assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
 
@@ -586,16 +615,15 @@ class TestObservableContext:
         assert len(calls) == 1
 
     def test_ideal_state_builds_no_measurement_streams(self, monkeypatch):
-        purposes = []
-        real = harness._stream
+        assert stream_purposes(monkeypatch, NoiseConfig()) == [0, 1]  # the target and the shuffle
 
-        def spy(seed, state_id, purpose, extra=0):
-            purposes.append(purpose)
-            return real(seed, state_id, purpose, extra)
-
-        monkeypatch.setattr(harness, "_stream", spy)
-        run_single_state(small_config(shuffle_observables=True), 0)
-        assert purposes == [0, 1]  # the target and the shuffle
+    @pytest.mark.parametrize("noise", [
+        NoiseConfig(mode="finite_sample", trials=1_000),
+        NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
+    ], ids=["finite_sample", "photon_model"])
+    def test_noisy_state_builds_one_counts_stream(self, monkeypatch, noise):
+        # the target, the shuffle, and the counts of all 63 observables
+        assert stream_purposes(monkeypatch, noise) == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "cfg", [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED],

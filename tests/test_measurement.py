@@ -22,11 +22,6 @@ def zero_state():
     return DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
 
 
-def simulate_one(rho, modes, cfg, rng):
-    """The counts of a batch of one, drawn from ``rng``."""
-    return simulate_counts(rho, modes, cfg, [rng])
-
-
 def estimate_one(counts, modes, cfg):
     """(estimate, variance) of a batch of one."""
     estimates, variances = estimate_expectations(counts, modes, cfg)
@@ -89,6 +84,29 @@ class TestNoiseConfig:
 
     def test_numpy_integer_trials_accepted(self):
         assert NoiseConfig(mode="finite_sample", trials=np.int64(200)).trials == 200
+
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    def test_noisy_modes_need_two_trials(self, mode):
+        # at one trial every count's variance would read 0, as if exact
+        with pytest.raises(ValueError, match="variance needs two trials"):
+            NoiseConfig(mode=mode, trials=1)
+        cfg = NoiseConfig(mode=mode, trials=2)
+        modes = projector_modes(SZ)
+        for counts in ([0, 2], [1, 1], [2, 0]):
+            assert estimate_one(np.array(counts), modes, cfg)[1] > 0.0
+        # ideal data draws no counts
+        assert NoiseConfig(mode="ideal", trials=1).trials == 1
+
+    @pytest.mark.parametrize("name", ["eta", "mu", "lambda_dc"])
+    @pytest.mark.parametrize("value", ["0.2", None, True, False, np.True_, 0.1 + 0j])
+    def test_non_real_rates_rejected(self, name, value):
+        # a bool would pass as 0 or 1, a string raise a bare TypeError
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            NoiseConfig(**{name: value})
+
+    def test_numpy_real_rates_accepted(self):
+        cfg = NoiseConfig(eta=np.float64(0.1), mu=np.float32(0.5), lambda_dc=np.int64(0))
+        assert (cfg.eta, cfg.mu, cfg.lambda_dc) == (0.1, 0.5, 0)
 
     def test_photon_model_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu > 0"):
@@ -212,7 +230,7 @@ class TestSimulateCounts:
         modes = projector_modes(op)
         assert modes[1].size == n_modes
         sim_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-        counts = simulate_one(rho, modes, cfg, sim_rng)
+        counts = simulate_counts(rho, modes, cfg, sim_rng)
         expected = []
         for p in mode_probabilities(rho, modes):
             if mode == "photon_model":
@@ -228,7 +246,7 @@ class TestSimulateCounts:
         cfg = NoiseConfig(trials=10_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(SZ)
         minus_mode = int(np.flatnonzero(modes[1] < 0)[0])
-        totals = [simulate_one(zero_state(), modes, cfg, rng)[minus_mode] for _ in range(300)]
+        totals = [simulate_counts(zero_state(), modes, cfg, rng)[minus_mode] for _ in range(300)]
         expected = 10_000 * (1.0 - np.exp(-2e-4))
         se = np.sqrt(expected / 300)  # Poisson-ish standard error of the mean
         assert np.mean(totals) == pytest.approx(expected, abs=4 * se)
@@ -238,7 +256,7 @@ class TestSimulateCounts:
         cfg = NoiseConfig(trials=100_000, mode="finite_sample")
         rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), 1)
         modes = projector_modes(SZ)
-        counts = simulate_one(rho, modes, cfg, rng)
+        counts = simulate_counts(rho, modes, cfg, rng)
         for c, p in zip(counts, mode_probabilities(rho, modes)):
             se = np.sqrt(p * (1 - p) / cfg.trials)
             assert c / cfg.trials == pytest.approx(p, abs=4 * se)
@@ -266,7 +284,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         modes = projector_modes(op)
         for _ in range(20):
-            counts = simulate_one(rho, modes, cfg, rng)
+            counts = simulate_counts(rho, modes, cfg, rng)
             assert estimate_one(counts, modes, cfg)[0] == reference_estimate(
                 counts, modes, cfg
             )
@@ -296,7 +314,7 @@ class TestEstimateExpectations:
         cfg = NoiseConfig(trials=5_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         modes = projector_modes(pauli_basis(3)[4])
-        counts = simulate_one(rho, modes, cfg, rng)
+        counts = simulate_counts(rho, modes, cfg, rng)
         freqs = counts / cfg.trials
         p_hats = np.clip((-np.log1p(-freqs) - cfg.lambda_dc) / cfg.mu, 0.0, 1.0)
         assert abs(p_hats.sum() - 1.0) > 1e-3  # renormalization has work to do
@@ -308,7 +326,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         for op in pauli_basis(3)[:6]:
             modes = projector_modes(op)
-            a_hat = estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)[0]
+            a_hat = estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
             assert -1.0 <= a_hat <= 1.0
 
     def test_sigma_z_on_zero_state_calibration(self):
@@ -321,7 +339,7 @@ class TestEstimateExpectations:
         hits = 0
         n_rep = 1000
         for _ in range(n_rep):
-            a_hat = estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)[0]
+            a_hat = estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
             if 0.9 <= a_hat <= 1.0:
                 hits += 1
         assert hits >= 0.99 * n_rep
@@ -334,7 +352,7 @@ class TestEstimateExpectations:
         rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex), 1)
         op = HermitianOperator(SZ, "Z")
         modes = projector_modes(op)
-        a_hat = estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)[0]
+        a_hat = estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
         # worst-case propagated standard error over the two modes
         q = click_probability(np.array(mode_probabilities(rho, modes)), cfg.mu, cfg.lambda_dc)
         se = np.sqrt(np.sum((np.sqrt(q * (1 - q) / cfg.trials) / (cfg.mu * (1 - q))) ** 2))
@@ -352,7 +370,7 @@ class TestEstimateExpectations:
         cfg = NoiseConfig(mode=mode, trials=10_000, mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(op)
         draws = np.array([
-            estimate_one(simulate_one(rho, modes, cfg, rng), modes, cfg)
+            estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)
             for _ in range(2000)
         ])
         assert draws[:, 1].mean() == pytest.approx(draws[:, 0].var(), rel=0.1)
@@ -387,7 +405,7 @@ class TestEstimateExpectations:
         vectors, (w,), _ = modes
         rho = DensityMatrix(vectors @ vectors.conj().T, 1)  # p = 1 for this mode
         cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
-        counts = simulate_one(rho, modes, cfg, rng)
+        counts = simulate_counts(rho, modes, cfg, rng)
         inverted = estimate_one(counts, modes, cfg)[0]
         raw = w * counts[0] / cfg.trials
         assert inverted == pytest.approx(w, abs=0.01)
@@ -451,8 +469,9 @@ class TestBatch:
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     @pytest.mark.parametrize("state", ["mixed", "basis"])
     def test_matches_per_observable_formulas(self, rng, mode, batch, state):
-        # bit for bit: the same counts from the same streams, left in the
-        # same states, and the same estimates and variances. |0...0> puts
+        # bit for bit: the counts each observable draws alone, in batch
+        # order, from one generator with the same seed, which is left in the
+        # same state; and the same estimates and variances. |0...0> puts
         # every Pauli Z-string mode at p = 0 or 1, so finite_sample draws
         # empty and saturated modes
         ops = BATCHES[batch]()
@@ -464,18 +483,34 @@ class TestBatch:
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
         modes = stack_modes(projector_modes(op) for op in ops)
         assert modes.vectors.shape == (2**n, sum(modes.sizes))
-        batch_rngs = [np.random.default_rng([7, i]) for i in range(len(ops))]
-        counts = simulate_counts(rho, modes, cfg, batch_rngs)
+        batch_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        counts = simulate_counts(rho, modes, cfg, batch_rng)
         estimates, variances = estimate_expectations(counts, modes, cfg)
-        ref_rngs = [np.random.default_rng([7, i]) for i in range(len(ops))]
-        ref = [per_observable_acquisition(rho, op, cfg, r) for op, r in zip(ops, ref_rngs)]
+        ref = [per_observable_acquisition(rho, op, cfg, ref_rng) for op in ops]
         assert counts.tolist() == np.concatenate([c for c, _, _ in ref]).tolist()
         assert estimates.tolist() == [e for _, e, _ in ref]
         assert variances.tolist() == [v for _, _, v in ref]
-        for got, want in zip(batch_rngs, ref_rngs):
-            assert got.bit_generator.state == want.bit_generator.state
+        assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
         if state == "basis" and mode == "finite_sample" and batch == "pauli":
             assert {0, cfg.trials} <= set(counts.tolist())
+
+    @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    def test_leading_observables_draw_the_counts_of_their_own_batch(self, rng, mode, batch):
+        # a sweep acquires its first max(r) observables once and slices the
+        # first k: those k must get the counts a batch of just them draws
+        ops = BATCHES[batch]()
+        n = ops[0].dim.bit_length() - 1
+        rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
+        alone = [projector_modes(op) for op in ops]
+        full = simulate_counts(rho, stack_modes(alone), cfg, np.random.default_rng(11))
+        for k in range(1, len(ops) + 1):
+            lead = stack_modes(alone[:k])
+            counts = simulate_counts(rho, lead, cfg, np.random.default_rng(11))
+            assert counts.tolist() == full[: counts.size].tolist()
+            assert (estimate_expectations(counts, lead, cfg)[0].tolist()
+                    == estimate_expectations(full, stack_modes(alone), cfg)[0][:k].tolist())
 
     @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
     @pytest.mark.parametrize("batch", sorted(BATCHES))
@@ -502,13 +537,6 @@ class TestBatch:
         assert estimate_one(np.zeros(4, dtype=int), pauli, cfg) == per_observable_estimate(
             np.zeros(4, dtype=int), pauli.vectors, pauli.weights, cfg
         )
-
-    def test_one_generator_per_observable(self):
-        modes = stack_modes([projector_modes(SZ), projector_modes(sic_povm(1)[0])])
-        assert modes.sizes == (2, 1)
-        cfg = NoiseConfig(mode="finite_sample", trials=10)
-        with pytest.raises(ValueError):
-            simulate_counts(zero_state(), modes, cfg, [np.random.default_rng(0)])
 
     def test_stack_needs_a_batch(self):
         with pytest.raises(ValueError, match="at least one batch"):
