@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     HermitianOperator,
-    commutator,
     eigh,
     hs_inner,
     psd_sqrtm,
@@ -52,15 +51,12 @@ from .states import (
 from .symmetry import (
     commutant_basis,
     independent_projections,
-    permutation_generators,
-    permutation_operator,
     project,
 )
 from .harness import ExperimentConfig, SweepResult, run_sweep, summarize
 
 __all__ = [
     "HermitianOperator",
-    "commutator",
     "eigh",
     "hs_inner",
     "psd_sqrtm",
@@ -92,8 +88,6 @@ __all__ = [
     "purity",
     "random_werner",
     "von_neumann_entropy",
-    "permutation_generators",
-    "permutation_operator",
     "commutant_basis",
     "independent_projections",
     "project",

@@ -213,6 +213,8 @@ def _solve_problem_from_json(data) -> dict:
                 raise ValueError(f"{where} matrix: {exc}") from None
         elif "label" in entry:
             label = _expect(entry["label"], str, f"{where} label")
+            if "observables" not in data:
+                raise ValueError(f"{where} label {label!r} needs the problem's observables kind")
             if label not in by_label:
                 raise ValueError(f"unknown observable label {label!r} for kind {kind!r}")
             op = by_label[label]
@@ -284,8 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an input error (a ValueError, a JSON error among
+    them, or an OSError) prints one line on stderr and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"symmaxent {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

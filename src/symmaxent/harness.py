@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -319,11 +320,6 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     return [StateRunRecord(state_id, r, *points[min(r, len(order))]) for r in config.r_values]
 
 
-def _worker(args) -> list[StateRunRecord]:
-    config, state_id = args
-    return run_single_state(config, state_id)
-
-
 def worker_count(batch_size: int) -> int:
     raw = os.environ.get(THREADS_ENV_VAR, "")
     if raw.strip():
@@ -353,8 +349,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_state = list(
                 pool.map(
-                    _worker,
-                    [(config, s) for s in range(config.batch_size)],
+                    run_single_state,
+                    itertools.repeat(config, config.batch_size),
+                    range(config.batch_size),
                     chunksize=max(1, config.batch_size // (4 * n_workers)),
                 )
             )

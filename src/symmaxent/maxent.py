@@ -320,18 +320,17 @@ class MaxEntProblem:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration controls; echoed into every meta.json so runs stay
-    comparable.
-
-    ``step_rule`` names the update rule: damped Newton is the only one, so
-    ``"newton"`` is the only accepted value.
-    """
+    """Iteration controls, echoed into every meta.json so runs stay
+    comparable: the ``tolerance`` on f = ||r||^2 and the ``max_iterations``
+    budget. ``step_rule`` is init-only and accepts only ``"newton"``, the one
+    update rule; a config or solve problem that names it fails as an unknown
+    solver field."""
 
     tolerance: float = 1e-10
     max_iterations: int = 400
-    step_rule: str = "newton"
+    step_rule: InitVar[str] = "newton"
 
-    def __post_init__(self):
+    def __post_init__(self, step_rule):
         # bool is an int subclass: True must not pass as a budget of 1
         tol, budget = self.tolerance, self.max_iterations
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
@@ -342,26 +341,24 @@ class SolverOptions:
             raise ValueError(f"max_iterations must be an integer, got {budget!r}")
         if budget < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_rule != "newton":
-            raise ValueError(
-                f"unknown step_rule {self.step_rule!r}; the only update rule is 'newton'"
-            )
+        if step_rule != "newton":
+            raise ValueError(f"unknown step_rule {step_rule!r}; the only update rule is 'newton'")
 
 
 @dataclass(frozen=True, eq=False)
 class MaxEntSolution:
-    """The last accepted iterate of a solve. ``stop_reason`` says why the
-    iteration ended: ``"tolerance"``, ``"infeasible"``, ``"no_descent"`` or
-    ``"budget"`` (see the module docstring); an ``"infeasible"`` solve
-    returns the iterate whose dual proved its exact targets infeasible. ``entropy`` is the von Neumann
-    entropy of ``rho`` and ``n_evals`` the number of Gibbs evaluations the
-    solve made."""
+    """The last accepted iterate of a solve, reached after ``iterations``
+    accepted steps, with f = ||r||^2 there as ``objective``. ``stop_reason``
+    says why the iteration ended: ``"tolerance"``, ``"infeasible"``,
+    ``"no_descent"`` or ``"budget"`` (see the module docstring); an
+    ``"infeasible"`` solve returns the iterate whose dual proved its exact
+    targets infeasible. ``entropy`` is the von Neumann entropy of ``rho``
+    and ``n_evals`` the number of Gibbs evaluations the solve made."""
 
     rho: DensityMatrix
     lambdas: np.ndarray
     objective: float
     iterations: int
-    history: tuple[float, ...]
     stop_reason: str
     entropy: float
     n_evals: int
@@ -444,15 +441,14 @@ def solve(
 
     Returns converged=False with the last accepted iterate when the dual
     proves exact targets infeasible, no acceptable step remains or the
-    iteration budget runs out; ``stop_reason`` says which. ``history``
-    holds the objective at the start and after every accepted step.
+    iteration budget runs out; ``stop_reason`` says which. A step descends
+    the dual Phi, so f may rise along the way.
     """
     if lambda0 is None:
         lam = np.zeros(problem.n_constraints)
     else:
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
     point = problem._evaluate(lam)
-    history = [point[0]]
     iterations, n_evals = 0, 1
     exact = not problem.variances.any()
 
@@ -473,7 +469,6 @@ def solve(
             break
         lam, point = moved
         iterations += 1
-        history.append(point[0])
 
     f, g, _, state, _ = point
     return MaxEntSolution(
@@ -481,7 +476,6 @@ def solve(
         lambdas=lam,
         objective=f,
         iterations=iterations,
-        history=tuple(history),
         stop_reason=stop_reason,
         entropy=float(state[5] - lam @ g),
         n_evals=n_evals,

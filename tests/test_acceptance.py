@@ -20,9 +20,9 @@ from symmaxent.symmetry import build_symmetry, filter_measured_observables
 
 SEED = 20260809
 
-SOLVER = SolverOptions(step_rule="newton", tolerance=1e-12, max_iterations=400)
-SOLVER_TIGHT = SolverOptions(step_rule="newton", tolerance=1e-14, max_iterations=400)
-SOLVER_NOISE = SolverOptions(step_rule="newton", tolerance=1e-10, max_iterations=400)
+SOLVER = SolverOptions(tolerance=1e-12, max_iterations=400)
+SOLVER_TIGHT = SolverOptions(tolerance=1e-14, max_iterations=400)
+SOLVER_NOISE = SolverOptions(tolerance=1e-10, max_iterations=400)
 
 # shared sweep grid for the unbiased/biased comparisons (criteria 2 and 3)
 GRID_SIC = tuple(range(2, 51, 2)) + (55, 60, 63)
@@ -284,7 +284,7 @@ class TestCriterion9SolverCorrectness:
     def test_full_data_reconstruction(self):
         rng = np.random.default_rng(SEED + 1)
         paulis = list(pauli_basis(3))
-        opts = SolverOptions(step_rule="newton", tolerance=1e-18, max_iterations=300)
+        opts = SolverOptions(tolerance=1e-18, max_iterations=300)
         worst = 1.0
         for _ in range(20):
             g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +8,22 @@ import pytest
 from symmaxent import cli
 from symmaxent.cli import main, parse_config_text
 from symmaxent.harness import read_result_csv
-from symmaxent.maxent import MaxEntProblem
+from symmaxent.maxent import MaxEntProblem, SolverOptions
 from symmaxent.observables import expectation, matrix_from_jsonable, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix, random_werner
 
 # a custom one-qubit Z, as nested [re, im] pairs
 Z_MATRIX_ENTRY = {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "target": 0.2}
+
+
+def input_error(capsys, *argv) -> str:
+    """What ``main`` prints on stderr for an input error: one line that names
+    the command, with return code 2 and no traceback."""
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"symmaxent {argv[0]}: error: ") and err.count("\n") == 1
+    return err
+
 
 SMALL_SWEEP_CONFIG = """
 # minimal deterministic sweep
@@ -22,7 +34,6 @@ symmetry = werner
 batch_size = 2
 r_values = 1-3,5
 seed = 5
-solver.step_rule = newton
 solver.tolerance = 1e-12
 solver.max_iterations = 200
 """
@@ -33,7 +44,6 @@ class TestConfigParsing:
         cfg = parse_config_text(SMALL_SWEEP_CONFIG)
         assert cfg.state_family == "werner"
         assert cfg.r_values == (1, 2, 3, 5)
-        assert cfg.solver.step_rule == "newton"
         assert cfg.solver.tolerance == 1e-12
 
     def test_defaults_when_empty(self):
@@ -41,7 +51,6 @@ class TestConfigParsing:
         assert cfg.n_qubits == 3
         assert cfg.observable_kind == "pauli"
         assert cfg.noise.mode == "ideal"
-        assert cfg.solver.step_rule == "newton"
         assert cfg.solver.max_iterations == 400
 
     def test_dicke_family_syntax(self):
@@ -132,7 +141,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line", ["solver.lambda0 = 0.1", "solver.record_history = true"])
     def test_start_point_and_history_not_solver_fields(self, line):
         # the number of multipliers changes with r, so a sweep has no single
-        # start point; the objective history is always kept
+        # start point; a solve keeps no objective history
         with pytest.raises(ValueError, match="unknown solver field"):
             parse_config_text(line)
 
@@ -333,7 +342,6 @@ class TestSolveCommand:
                     ],
                 }
             ],
-            "solver": {"step_rule": "newton"},
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(zz))
@@ -407,7 +415,7 @@ class TestSolveCommand:
         with pytest.raises(ValueError, match=match):
             cli._solve_problem_from_json(problem)
 
-    def test_lambda0_wrong_length_rejected(self, tmp_path):
+    def test_lambda0_wrong_length_rejected(self, tmp_path, capsys):
         problem = {
             "n_qubits": 1,
             "observables": "pauli",
@@ -416,11 +424,11 @@ class TestSolveCommand:
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="expected 1 lambda0 entries"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("expected 1 lambda0 entries", err)
 
     @pytest.mark.parametrize("key", ["lambda0", "record_history", "tol"])
-    def test_unknown_solver_key_rejected(self, tmp_path, key):
+    def test_unknown_solver_key_rejected(self, tmp_path, key, capsys):
         problem = {
             "n_qubits": 1,
             "observables": "pauli",
@@ -429,8 +437,8 @@ class TestSolveCommand:
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match=f"unknown solver field '{key}'"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search(f"unknown solver field '{key}'", err)
 
     @pytest.mark.parametrize(
         "solver",
@@ -441,7 +449,7 @@ class TestSolveCommand:
             {"max_iterations": True},
         ],
     )
-    def test_malformed_solver_value_rejected(self, tmp_path, solver):
+    def test_malformed_solver_value_rejected(self, tmp_path, solver, capsys):
         problem = {
             "n_qubits": 1,
             "observables": "pauli",
@@ -451,11 +459,11 @@ class TestSolveCommand:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         name = next(iter(solver))
-        with pytest.raises(ValueError, match=name):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search(name, err)
 
     @pytest.mark.parametrize("n_qubits", [1.9, True, "3"])
-    def test_non_integer_n_qubits_rejected(self, tmp_path, n_qubits):
+    def test_non_integer_n_qubits_rejected(self, tmp_path, n_qubits, capsys):
         # 1.9 must not truncate to one qubit, nor true read as 1
         problem = {
             "n_qubits": n_qubits,
@@ -464,17 +472,17 @@ class TestSolveCommand:
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="n_qubits must be an integer"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("n_qubits must be an integer", err)
 
-    def test_unknown_symmetry_rejected(self, tmp_path):
+    def test_unknown_symmetry_rejected(self, tmp_path, capsys):
         problem = {"n_qubits": 1, "symmetry": "rotation", "measured": []}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="unknown symmetry kind"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("unknown symmetry kind", err)
 
-    def test_unknown_label_rejected(self, tmp_path):
+    def test_unknown_label_rejected(self, tmp_path, capsys):
         problem = {
             "n_qubits": 1,
             "observables": "pauli",
@@ -482,18 +490,27 @@ class TestSolveCommand:
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="unknown observable label"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("unknown observable label", err)
 
-    def test_unknown_problem_key_rejected(self, tmp_path):
+    def test_label_needs_the_observables_kind(self):
+        # without a kind no label resolves: the entry is named, not kind None
+        problem = {"n_qubits": 1, "measured": [Z_MATRIX_ENTRY, {"label": "X", "target": 0.1}]}
+        with pytest.raises(
+            ValueError, match="measured entry 1 label 'X' needs the problem's observables kind"
+        ):
+            cli._solve_problem_from_json(problem)
+        assert cli._solve_problem_from_json({**problem, "observables": "pauli"})["converged"]
+
+    def test_unknown_problem_key_rejected(self, tmp_path, capsys):
         # a misspelt symmetry would otherwise solve without one
         problem = {"n_qubits": 1, "measured": [], "symmetyr": "permutation"}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="unknown problem key.*'symmetyr'"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("unknown problem key.*'symmetyr'", err)
 
-    def test_unknown_measured_entry_key_rejected(self, tmp_path):
+    def test_unknown_measured_entry_key_rejected(self, tmp_path, capsys):
         problem = {
             "n_qubits": 1,
             "observables": "pauli",
@@ -501,16 +518,16 @@ class TestSolveCommand:
         }
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="unknown measured entry 1 key.*'value'"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("unknown measured entry 1 key.*'value'", err)
 
-    def test_measured_entry_not_an_object_rejected(self, tmp_path):
+    def test_measured_entry_not_an_object_rejected(self, tmp_path, capsys):
         # a dict in place of the list is named as such, not iterated over
         problem = {"n_qubits": 1, "measured": {"label": "Z", "target": 0.5}}
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
-        with pytest.raises(ValueError, match="measured must be a JSON list, got {'label'"):
-            main(["solve", "--targets", str(path)])
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search("measured must be a JSON list, got {'label'", err)
 
     @pytest.mark.parametrize(
         "problem, match",
@@ -628,8 +645,70 @@ class TestSolveCommand:
             ),
         ],
     )
-    def test_malformed_problem_rejected(self, tmp_path, problem, match):
+    def test_malformed_problem_rejected(self, tmp_path, problem, match, capsys):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert re.search(match, err)
+
+
+class TestInputErrors:
+    """An input error ends the command with one line on stderr and return
+    code 2; ``parse_config_text`` and ``_solve_problem_from_json`` still
+    raise it."""
+
+    @pytest.mark.parametrize(
+        "lines, match",
+        [
+            ("noise.mode = finite_sample\nnoise.trials = 1", "finite_sample needs trials >= 2"),
+            ("noise.mode = photon_model\nnoise.mu = true", "config line 2: 'noise.mu': could not"),
+            ("n_qubits = 2\nsolver.tolerance = 0", "config line 2: 'solver.tolerance'"),
+        ],
+    )
+    def test_sweep_config_error(self, tmp_path, capsys, lines, match):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(lines + "\n")
+        err = input_error(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert re.search(match, err)
         with pytest.raises(ValueError, match=match):
-            main(["solve", "--targets", str(path)])
+            parse_config_text(lines)
+        assert not (tmp_path / "result.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--config"], ["summarize"], ["solve", "--targets"]]
+    )
+    def test_missing_file(self, tmp_path, capsys, command):
+        err = input_error(capsys, *command, str(tmp_path / "absent"))
+        assert "No such file" in err
+
+    def test_solve_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text('{"n_qubits": 1,')
+        err = input_error(capsys, "solve", "--targets", str(path))
+        assert "Expecting property name" in err
+
+
+def test_solver_options_are_tolerance_and_max_iterations(tmp_path, monkeypatch):
+    # a solve reads these two; step_rule is init-only and takes only the one
+    # update rule, so a config, problem or meta.json that names it is stale
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tolerance", "max_iterations"]
+    assert SolverOptions(step_rule="newton") == SolverOptions()
+    for step_rule in ("backtracking", "Newton", None):
+        with pytest.raises(ValueError, match="step_rule"):
+            SolverOptions(step_rule=step_rule)
+    with pytest.raises(ValueError, match="line 2: 'solver.step_rule': unknown solver field"):
+        parse_config_text("seed = 1\nsolver.step_rule = newton")
+    problem = {
+        "n_qubits": 1,
+        "observables": "pauli",
+        "measured": [{"label": "Z", "target": 0.5}],
+        "solver": {"step_rule": "newton"},
+    }
+    with pytest.raises(ValueError, match="unknown solver field 'step_rule'"):
+        cli._solve_problem_from_json(problem)
+    monkeypatch.setenv("SYMMAXENT_THREADS", "1")
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text("n_qubits = 1\nbatch_size = 1\nr_values = 2\nsolver.tolerance = 1e-12\n")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["config"]["solver"] == {"tolerance": 1e-12, "max_iterations": 400}

@@ -21,7 +21,7 @@ from symmaxent.maxent import MaxEntProblem, SolverOptions, solve
 from symmaxent.measurement import NoiseConfig
 from symmaxent.observables import sic_povm
 
-FAST_NEWTON = SolverOptions(step_rule="newton", tolerance=1e-12, max_iterations=300)
+FAST_NEWTON = SolverOptions(tolerance=1e-12, max_iterations=300)
 
 
 def small_config(**kwargs):
@@ -251,7 +251,7 @@ class TestSweep:
             state_family="werner",
             observable_kind="pauli",
             r_values=(63,),
-            solver=SolverOptions(step_rule="newton", tolerance=1e-18, max_iterations=300),
+            solver=SolverOptions(tolerance=1e-18, max_iterations=300),
         )
         res = run_sweep(cfg)
         assert all(rec.fidelity >= 0.999 for rec in res.records)
@@ -292,7 +292,7 @@ class TestSweep:
             symmetry="permutation",
             batch_size=2,
             r_values=(56,),
-            solver=SolverOptions(step_rule="newton", tolerance=1e-18, max_iterations=300),
+            solver=SolverOptions(tolerance=1e-18, max_iterations=300),
         )
         res = run_sweep(cfg)
         assert len(res.records) == 2
@@ -474,9 +474,7 @@ class TestSweep:
         cfg = small_config(batch_size=1, r_values=(3,))
         res = run_sweep(cfg)
         assert res.metadata["config"]["state_family"] == "werner"
-        assert res.metadata["config"]["solver"] == {
-            "tolerance": 1e-12, "max_iterations": 300, "step_rule": "newton"
-        }
+        assert res.metadata["config"]["solver"] == {"tolerance": 1e-12, "max_iterations": 300}
         assert res.metadata["std_convention"] == "population"
 
 
@@ -485,14 +483,14 @@ NOISY_PHOTON_SHAPED = small_config(
     symmetry="permutation",
     r_values=(10, 63),
     noise=NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
-    solver=SolverOptions(step_rule="newton", tolerance=1e-10, max_iterations=400),
+    solver=SolverOptions(tolerance=1e-10, max_iterations=400),
 )
 SHUFFLED_SYMMETRIC_N4_SHAPED = small_config(
     n_qubits=4,
     state_family="permutation_invariant_mixed",
     symmetry="permutation",
     r_values=(2, 18, 34),
-    solver=SolverOptions(step_rule="newton", tolerance=1e-14, max_iterations=400),
+    solver=SolverOptions(tolerance=1e-14, max_iterations=400),
     shuffle_observables=True,
 )
 
