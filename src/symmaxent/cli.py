@@ -26,11 +26,12 @@ import re
 import sys
 from pathlib import Path
 
-from . import harness, observables
+from . import harness, observables, symmetry
 from .harness import ExperimentConfig
 from .linalg import HermitianOperator
-from .maxent import MaxEntProblem, SolverOptions, solve
+from .maxent import SolverOptions, solve
 from .measurement import NoiseConfig
+from .states import DensityMatrix
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -186,15 +187,11 @@ def _solve_problem_from_json(data) -> dict:
     n_qubits = _expect(data.get("n_qubits", _MISSING), numbers.Integral, "n_qubits")
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    dim = 2**n_qubits
     kind = data.get("observables")
     symmetry_kind = data.get("symmetry", "none")
 
-    by_label = {}
-    if "observables" in data:
-        if kind not in observables.KINDS:
-            raise ValueError(f"unknown observables kind {kind!r}, not one of {observables.KINDS}")
-        by_label = {op.label: op for op in observables.canonical_set(kind, n_qubits)}
+    if "observables" in data and kind not in observables.KINDS:
+        raise ValueError(f"unknown observables kind {kind!r}, not one of {observables.KINDS}")
 
     measured, variances = [], []
     for entry in _expect(data.get("measured", _MISSING), list, "measured"):
@@ -215,9 +212,7 @@ def _solve_problem_from_json(data) -> dict:
             label = _expect(entry["label"], str, f"{where} label")
             if "observables" not in data:
                 raise ValueError(f"{where} label {label!r} needs the problem's observables kind")
-            if label not in by_label:
-                raise ValueError(f"unknown observable label {label!r} for kind {kind!r}")
-            op = by_label[label]
+            op = observables.canonical_operator(kind, n_qubits, label)
         else:
             raise ValueError(f"{where} has neither a label nor a matrix")
         measured.append((op, target))
@@ -232,16 +227,25 @@ def _solve_problem_from_json(data) -> dict:
             _number(x, f"lambda0 entry {i}")
             for i, x in enumerate(_expect(lambda0, list, "lambda0"))
         ]
-    solution = solve(
-        MaxEntProblem(tuple(measured), (), dim, symmetry_kind, variances),
-        SolverOptions(**solver_kwargs),
-        lambda0=lambda0,
-    )
-    payload = solution.to_jsonable()
-    if solution.stop_reason == "infeasible":
-        # no state is the estimate; the multipliers stay as the proof
-        payload["rho"] = payload["entropy"] = None
-    return payload
+    problem = symmetry.compressed_problem(tuple(measured), symmetry_kind, n_qubits, variances)
+    solution = solve(problem, SolverOptions(**solver_kwargs), lambda0=lambda0)
+    # no state is the estimate of an infeasible solve; the multipliers stay
+    # as the proof
+    rho = entropy = None
+    if solution.stop_reason != "infeasible":
+        full = symmetry.full_estimate(solution.rho, symmetry_kind, n_qubits)
+        rho = observables.matrix_to_jsonable(DensityMatrix(full, n_qubits).matrix)
+        entropy = float(solution.entropy)
+    return {
+        "rho": rho,
+        "lambdas": [float(x) for x in solution.lambdas],
+        "objective": float(solution.objective),
+        "iterations": int(solution.iterations),
+        "converged": bool(solution.converged),
+        "stop_reason": solution.stop_reason,
+        "entropy": entropy,
+        "n_evals": int(solution.n_evals),
+    }
 
 
 def _cmd_solve(args) -> int:

@@ -14,12 +14,13 @@ data stacks the survivors' modes into one batch, computes every mode's
 probability with one GEMM, draws every count from the state's one counts
 stream in mode order and inverts all counts with array operations
 (``measurement.simulate_counts``, ``measurement.estimate_expectations``).
-Build one maximum-entropy problem on them that declares the symmetry (so it
-constrains their commutant projections) and carries the variances (so a
-noisy target may miss by about its standard deviation). At each distinct
-k = min(r, survivors) solve its leading slice on the first k
-(``MaxEntProblem.leading``) once, and record the fidelity against the
-prepared (noisy) state for every sweep point r that maps to k.
+Build one maximum-entropy problem on them under the symmetry
+(``symmetry.compressed_problem``: it constrains their commutant projections,
+on the irrep blocks) that carries the variances (so a noisy target may miss
+by about its standard deviation). At each distinct k = min(r, survivors)
+solve its leading slice on the first k (``MaxEntProblem.leading``) once, and
+record the fidelity of its full-space estimate (``symmetry.full_estimate``)
+against the prepared (noisy) state for every sweep point r that maps to k.
 
 The distinct k are solved in ascending order, and each solve is seeded from
 the one before: it starts from that solve's multipliers, padded with zeros
@@ -63,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, measurement, observables, states, symmetry
-from .maxent import MaxEntProblem, SolverOptions, solve
+from .maxent import SolverOptions, solve
 from .measurement import NoiseConfig
 
 STATE_FAMILIES = (
@@ -304,7 +305,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     kept = order[: min(max(config.r_values), len(order))]
     targets, variances = _acquire(rho_target, context, kept, config, state_id)
     measured = tuple(zip((context.candidates[i] for i in kept), targets))
-    problem = MaxEntProblem(measured, (), 2**config.n_qubits, config.symmetry, variances)
+    problem = symmetry.compressed_problem(measured, config.symmetry, config.n_qubits, variances)
     # every r past the kept count is the same k; each distinct k is solved
     # once, in ascending order, seeded by the rule in the module docstring
     points: dict[int, tuple[float, bool, int]] = {}
@@ -313,9 +314,11 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
         if lambda0 is not None:
             lambda0 = np.pad(lambda0, (0, k - lambda0.size))
         solution = solve(problem.leading(k), config.solver, lambda0)
-        fid = states.fidelity(rho_target, solution.rho)
+        full = symmetry.full_estimate(solution.rho, config.symmetry, config.n_qubits)
+        rho = states.DensityMatrix(full, config.n_qubits)
+        fid = states.fidelity(rho_target, rho)
         points[k] = fid, solution.converged, solution.iterations
-        full_rank = solution.rho.min_eigenvalue > math.sqrt(config.solver.tolerance)
+        full_rank = rho.min_eigenvalue > math.sqrt(config.solver.tolerance)
         lambda0 = solution.lambdas if solution.converged and full_rank else None
     return [StateRunRecord(state_id, r, *points[min(r, len(order))]) for r in config.r_values]
 

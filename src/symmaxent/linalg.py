@@ -102,6 +102,16 @@ def as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
+def stack(ops, dim: int) -> np.ndarray:
+    """(K, dim, dim) complex stack of K operators (``as_matrix``), each of
+    them dim x dim."""
+    mats = [as_matrix(op) for op in ops]
+    a = np.array(mats, dtype=complex) if mats else np.zeros((0, dim, dim), dtype=complex)
+    if a.shape[1:] != (dim, dim):
+        raise ValueError(f"operators of shape {a.shape[1:]} do not match dim {dim}")
+    return a
+
+
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")

@@ -33,25 +33,15 @@ its real square root and viewing each scaled atil_k as one real row Y_k
 gives the susceptibility as a single real rank-K product,
 C = Y Y^T / Z - g g^T with g the expectations, which is exactly symmetric.
 
-A problem that declares a symmetry constrains the commutant projection
-P(A_i) of each measured operator in place of A_i itself: for a symmetric
-state Tr(A rho) = Tr(P(A) rho), and the exponent and rho then lie in the
-commutant, which is block diagonal in the total-spin basis. Its solve runs
-on one copy of each block: at four qubits a 9 x 9 eigensystem under
-permutation symmetry and 6 x 6 under werner symmetry instead of 16 x 16.
-The blocks' multiplicities M = diag(m) enter only as a constant reference
-weight. M is constant on each block and commutes with the block-diagonal
-exponent H, so Z = Tr(M e^H) = Tr e^(H + log M): the compressed solve is
-the plain solve with log m added to the exponent's diagonal, the Gibbs form
-of minimum relative entropy with prior M (Csiszar, Ann. Probab. 3, 146
-(1975)). ``symmetry.compress`` places the operators' commutant coordinates
-on the blocks, and ``symmetry.expand`` returns the estimate to the full
-space once, at the end of a solve.
+Log weights w on the diagonal of the exponent, rho(lambda) = exp(sum_i
+lambda_i A_i + diag(w)) / Z, give the Gibbs form of minimum relative entropy
+with prior diag(e^w) (Csiszar, Ann. Probab. 3, 146 (1975)); with them the
+entropy S below is minus that relative entropy.
 
-A problem builds its stacked, compressed operators and the arrays derived
-from them once, on first use, for every solve and kernel call on it. A sweep
-state builds one problem and solves its leading slices on the first r
-observables (``MaxEntProblem.leading``), whose operators are its rows.
+A problem stacks and validates its operators, and builds the arrays the
+solver derives from them, once, for every solve and kernel call on it. A
+sweep state builds one problem and solves its leading slices on the first r
+constraints (``MaxEntProblem.leading``), whose operators are its rows.
 
 The multipliers minimise the variance-regularised dual
 
@@ -99,13 +89,10 @@ import copy
 import math
 import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
-from . import symmetry
-from .linalg import HermitianOperator
-from .states import DensityMatrix
+from .linalg import HERMITICITY_TOL, HermitianOperator, stack
 
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
@@ -125,37 +112,32 @@ DUAL_ROUNDING = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class MaxEntProblem:
-    """Measured observables with targets.
+    """Measured observables with targets, on a space of dimension ``dim``.
 
+    Each measured operator is a ``HermitianOperator`` or a dim x dim array.
     ``auxiliary`` observables are constraints with target zero. They are
     appended to ``measured`` as zero-target rows when the problem is built,
     so a problem has one constraint list.
-
-    ``symmetry`` declares a symmetry kind (see ``symmetry.KINDS``). The
-    problem then constrains the commutant projection of each measured
-    operator, which a symmetric state cannot tell from the operator itself,
-    and the solve runs on one copy of each irreducible block of the
-    commutant (``symmetry.compress``) instead of the full matrix. A declared
-    symmetry takes no auxiliary constraints: they are what the projection
-    replaces.
 
     ``variances`` holds the variance of each measured target (zeros when
     None, for exact data; auxiliary rows are exact). They regularise the
     dual the solve minimises (see the module docstring), so that a target
     may miss by about its standard deviation.
+
+    ``log_weights`` (dim reals, or None) are added to the diagonal of the
+    exponent: the Gibbs form relative to the prior diag(e^w).
     """
 
-    measured: tuple[tuple[HermitianOperator, float], ...]
+    measured: tuple[tuple[HermitianOperator | np.ndarray, float], ...]
     auxiliary: InitVar[tuple[HermitianOperator, ...]]
     dim: int
-    symmetry: str = "none"
     variances: np.ndarray | None = None
+    log_weights: np.ndarray | None = None
 
     def __post_init__(self, auxiliary):
-        if self.dim < 2 or self.dim & (self.dim - 1):
-            raise ValueError(f"dim must be a power of two >= 2, got {self.dim}")
-        if self.symmetry not in symmetry.KINDS:
-            raise ValueError(f"unknown symmetry kind {self.symmetry!r}")
+        dim = self.dim
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         zero_rows = tuple((op, 0.0) for op in auxiliary)
         n_given = len(self.measured)
         if self.variances is None:
@@ -171,101 +153,68 @@ class MaxEntProblem:
         object.__setattr__(self, "variances", variances)
         measured = tuple((op, float(t)) for op, t in self.measured) + zero_rows
         object.__setattr__(self, "measured", measured)
-        for op, t in measured:
-            if op.dim != self.dim:
-                raise ValueError(f"measured observable {op.label!r} has dim {op.dim}")
-            if not math.isfinite(t):
-                raise ValueError(f"target for {op.label!r} is not finite")
-        weights = log_weights = None
-        if self.symmetry != "none":
-            if zero_rows:
-                raise ValueError(
-                    f"auxiliary constraints cannot be combined with symmetry "
-                    f"{self.symmetry!r}: constrain the commutant projections instead"
-                )
-            # rejects a kind the block construction cannot serve, such as
-            # permutation symmetry on one qubit
-            weights = symmetry.block_weights(self.symmetry, self.n_qubits)
-            log_weights = np.log(weights)
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_log_weights", log_weights)
-        object.__setattr__(self, "_targets", np.array([t for _, t in measured], dtype=float))
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
+        targets = np.array([t for _, t in measured], dtype=float)
+        if not np.all(np.isfinite(targets)):
+            raise ValueError("targets must be finite")
+        if self.log_weights is not None:
+            w = np.array(self.log_weights, dtype=float)
+            if w.shape != (dim,) or not np.all(np.isfinite(w)):
+                raise ValueError(f"log_weights must be {dim} finite numbers")
+            w.setflags(write=False)
+            object.__setattr__(self, "log_weights", w)
+        # one stack, checked at once; an operator within HERMITICITY_TOL of
+        # Hermitian but not exactly is replaced by its Hermitian part
+        a = stack([op for op, _ in measured], dim)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("measured observables have non-finite entries")
+        adjoint = a.conj().transpose(0, 2, 1)
+        dev = np.max(np.abs(a - adjoint), initial=0.0)
+        if dev > HERMITICITY_TOL:
+            raise ValueError(f"measured observables are {dev:.3e} from Hermitian")
+        if dev > 0.0:
+            a = (a + adjoint) / 2.0
+        # the operators as (K, dim^2) rows, for the exponent; the same rows
+        # viewed as real, for the expectations, since Tr(A rho) = sum_ij
+        # conj(A_ij) rho_ij is one real dot for Hermitian A; and the
+        # operators placed side by side, cols[:, k*dim:(k+1)*dim] = A_k, so
+        # that one GEMM applies v^H to all of them for the susceptibility
+        flat = a.reshape(len(a), dim * dim)
+        rows = flat, flat.view(float), a.transpose(1, 0, 2).reshape(dim, len(a) * dim)
+        object.__setattr__(self, "_targets", targets)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def n_constraints(self) -> int:
         return len(self.measured)
 
-    def operator_stack(self) -> np.ndarray:
-        """(K, dim, dim) array of the constraint operators, as given; a
-        declared symmetry constrains their commutant projections."""
-        if not self.measured:
-            return np.zeros((0, self.dim, self.dim), dtype=complex)
-        return np.array([op.matrix for op, _ in self.measured])
-
     def leading(self, k: int) -> MaxEntProblem:
         """The problem on the first ``k`` constraints, sliced from this one.
 
-        Its measured pairs, targets, variances, operators and solver rows
-        are the first k of this problem's, views where they are arrays; they
-        were validated when this problem was built and are not checked
-        again. So a sweep builds and compresses the stack of its longest
-        prefix once, and each sweep point costs only the slicing."""
+        Its measured pairs, targets, variances and solver rows (the
+        operators) are the first k of this problem's, views where they are
+        arrays; they were validated when this problem was built and are not
+        checked again. So a sweep builds the stack of its longest prefix
+        once, and each sweep point costs only the slicing."""
         if not 0 <= k <= self.n_constraints:
             raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
         flat, real, cols = self._rows
-        c = self._operators.shape[1]
         sub = copy.copy(self)
         for name, value in (
             ("measured", self.measured[:k]),
             ("variances", self.variances[:k]),
             ("_targets", self._targets[:k]),
-            ("_operators", self._operators[:k]),
-            ("_rows", (flat[:k], real[:k], cols[:, : k * c])),
+            ("_rows", (flat[:k], real[:k], cols[:, : k * self.dim])),
         ):
             object.__setattr__(sub, name, value)
         return sub
 
-    # The solver's arrays are built on first use and kept. Without a
-    # declared symmetry they are the operators themselves. With one, every
-    # operator is compressed once to one copy of each irreducible block of
-    # its commutant projection (``symmetry.compress``), with m each block's
-    # number of copies (``symmetry.block_weights``). The Gibbs state is
-    # evaluated on that copy with log m added to the exponent's diagonal:
-    # M = diag(m) is constant on each block, so Tr(M exp(H_c)) =
-    # Tr exp(H_c + log M), and rho' = exp(H_c + log M) / Z = M rho_c gives
-    # every full-space trace Tr(A rho) = Tr(M A_c rho_c) as Tr(A_c rho').
-    # Both paths then share one set of formulas on the unweighted operators.
-
-    @cached_property
-    def _operators(self) -> np.ndarray:
-        """(K, c, c): the operator stack, compressed under a symmetry."""
-        a = self.operator_stack()
-        return a if self._weights is None else symmetry.compress(a, self.symmetry, self.n_qubits)
-
-    @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(flat, real, cols): the operators as (K, c^2) rows, for the
-        exponent; the same rows viewed as real, for the expectations, since
-        Tr(A rho) = sum_ij conj(A_ij) rho_ij is one real dot for Hermitian A;
-        and the operators placed side by side, cols[:, k*c:(k+1)*c] = A_k, so
-        that one GEMM applies v^H to all of them for the susceptibility."""
-        a = self._operators
-        k, c = a.shape[:2]
-        flat = a.reshape(k, c * c)
-        return flat, flat.view(float), a.transpose(1, 0, 2).reshape(c, k * c)
-
     def _gibbs(self, lambdas: np.ndarray):
-        """rho(lambda) together with its shifted eigensystem and log Z; with
-        a declared symmetry, rho' = M rho_c on one copy of each block."""
-        c = self._operators.shape[1]
+        """rho(lambda) together with its shifted eigensystem and log Z."""
+        c = self.dim
         h = lambdas @ self._rows[0]
-        if self._log_weights is not None:
+        if self.log_weights is not None:
             # every (c + 1)-th entry of the flat exponent is on its diagonal
-            h[:: c + 1] += self._log_weights
+            h[:: c + 1] += self.log_weights
         w, v = np.linalg.eigh(h.reshape(c, c))
         w_shifted = w - w[-1]
         expw = np.exp(w_shifted)
@@ -273,14 +222,6 @@ class MaxEntProblem:
         z = expw.sum()
         rho /= z
         return rho, w_shifted, v, expw, z, w[-1] + math.log(z)
-
-    def _full_rho(self, rho: np.ndarray) -> DensityMatrix:
-        """The estimate on the full space from ``_gibbs``'s rho; with a
-        declared symmetry, rho_c = M^-1 rho' expanded from the blocks
-        (``symmetry.expand``)."""
-        if self._weights is not None:
-            rho = symmetry.expand(rho / self._weights[:, None], self.symmetry, self.n_qubits)
-        return DensityMatrix(rho, self.n_qubits)
 
     def _evaluate(self, lambdas: np.ndarray):
         """(f, expectations, residuals, gibbs state tuple, dual): the
@@ -352,10 +293,13 @@ class MaxEntSolution:
     says why the iteration ended: ``"tolerance"``, ``"infeasible"``,
     ``"no_descent"`` or ``"budget"`` (see the module docstring); an
     ``"infeasible"`` solve returns the iterate whose dual proved its exact
-    targets infeasible. ``entropy`` is the von Neumann entropy of ``rho``
-    and ``n_evals`` the number of Gibbs evaluations the solve made."""
+    targets infeasible. ``rho`` is the estimate in the problem's own space
+    (``symmetry.full_estimate`` maps a block estimate to the full space).
+    ``entropy`` is log Z - lambda . g, the von Neumann entropy of ``rho``
+    for a problem without log weights (see the module docstring), and
+    ``n_evals`` the number of Gibbs evaluations the solve made."""
 
-    rho: DensityMatrix
+    rho: np.ndarray
     lambdas: np.ndarray
     objective: float
     iterations: int
@@ -367,20 +311,6 @@ class MaxEntSolution:
     def converged(self) -> bool:
         """Whether the objective fell below the tolerance."""
         return self.stop_reason == "tolerance"
-
-    def to_jsonable(self) -> dict:
-        from .observables import matrix_to_jsonable
-
-        return {
-            "rho": matrix_to_jsonable(self.rho.matrix),
-            "lambdas": [float(x) for x in self.lambdas],
-            "objective": float(self.objective),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "stop_reason": self.stop_reason,
-            "entropy": float(self.entropy),
-            "n_evals": int(self.n_evals),
-        }
 
 
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
@@ -402,12 +332,11 @@ def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarr
     return lam
 
 
-def rho_of_lambda(problem: MaxEntProblem, lambdas) -> DensityMatrix:
-    """The Gibbs state exp(sum lambda_i A_i)/Z for the problem's operators,
-    or for their commutant projections when the problem declares a
-    symmetry."""
+def rho_of_lambda(problem: MaxEntProblem, lambdas) -> np.ndarray:
+    """The Gibbs state exp(sum lambda_i A_i + diag(w))/Z of the problem's
+    operators and log weights w (none by default), in its own space."""
     lam = _checked_multipliers(problem, lambdas, "multipliers")
-    return problem._full_rho(problem._gibbs(lam)[0])
+    return problem._gibbs(lam)[0]
 
 
 def objective(problem: MaxEntProblem, lambdas) -> float:
@@ -472,7 +401,7 @@ def solve(
 
     f, g, _, state, _ = point
     return MaxEntSolution(
-        rho=problem._full_rho(state[0]),
+        rho=state[0],
         lambdas=lam,
         objective=f,
         iterations=iterations,

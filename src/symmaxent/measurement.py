@@ -47,6 +47,9 @@ MODES = ("ideal", "finite_sample", "photon_model")
 # Spectral weights below this are rounding noise, not measurement modes.
 MODE_EIGENVALUE_TOL = 1e-12
 
+# the most trials numpy's binomial draws; it overflows at 2**63
+MAX_TRIALS = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -73,8 +76,8 @@ class NoiseConfig:
         # numpy would draw int(trials) pulses, the estimate divide by trials
         if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, 2**63 - 1], got {self.trials}")
         if self.mode not in MODES:
             raise ValueError(f"unknown acquisition mode {self.mode!r}")
         if self.mode != "ideal" and self.trials < 2:

@@ -68,18 +68,48 @@ def sic_povm(n_qubits: int) -> tuple[HermitianOperator, ...]:
     return canonical_set("sic", n_qubits)
 
 
+def _check_kind(kind: str, n_qubits: int) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"no canonical observable set of kind {kind!r}")
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+
+
 def factor_indices(kind: str, n_qubits: int) -> np.ndarray:
     """Per-qubit factor indices (0..3, leftmost qubit first) of each element
     of ``canonical_set(kind, n_qubits)``, one row per element: I, X, Y, Z
     for Pauli, the SIC element index for SIC. The rows run lexicographically
     and leave out the all-zeros row (the identity) for Pauli and the
     all-threes row for SIC."""
-    if kind not in KINDS:
-        raise ValueError(f"no canonical observable set of kind {kind!r}")
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _check_kind(kind, n_qubits)
     rows = np.indices((4,) * n_qubits).reshape(n_qubits, -1).T
     return rows[1:] if kind == "pauli" else rows[:-1]
+
+
+def _labels(kind: str, rows: np.ndarray) -> list[str]:
+    """The Pauli letters of each factor-index row, or ``SIC-<row number>``
+    in ``factor_indices``, which is the row read as a base-4 number."""
+    if kind == "pauli":
+        return ["".join("IXYZ"[i] for i in row) for row in rows]
+    n = rows.shape[1]
+    width = len(str(4**n - 1))
+    return [f"SIC-{flat:0{width}d}" for flat in rows @ 4 ** np.arange(n - 1, -1, -1)]
+
+
+def _products(kind: str, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), 2^n, 2^n): one broadcast Kronecker product per qubit,
+    leftmost factor first; each entry is the product of its factors'
+    entries in that order, so no row's product depends on the other rows."""
+    if kind == "pauli":
+        singles = np.stack([linalg.PAULI_1Q[c] for c in "IXYZ"])
+    else:
+        singles = np.stack(sic_single_qubit_elements())
+    mats = np.ones((len(rows), 1, 1), dtype=complex)
+    for q in range(rows.shape[1]):
+        factors = singles[rows[:, q]]
+        mats = mats[:, :, None, :, None] * factors[:, None, :, None, :]
+        mats = mats.reshape(len(rows), 2 ** (q + 1), 2 ** (q + 1))
+    return mats
 
 
 def canonical_set(kind: str, n_qubits: int) -> tuple[HermitianOperator, ...]:
@@ -89,21 +119,27 @@ def canonical_set(kind: str, n_qubits: int) -> tuple[HermitianOperator, ...]:
     single-qubit elements the row names, labelled by the Pauli letters or
     ``SIC-<row number>``. Labels are unique within a set."""
     rows = factor_indices(kind, n_qubits)
+    mats = _products(kind, rows)
+    return tuple(HermitianOperator(m, label) for m, label in zip(mats, _labels(kind, rows)))
+
+
+def canonical_operator(kind: str, n_qubits: int, label: str) -> HermitianOperator:
+    """The element of ``canonical_set(kind, n_qubits)`` labelled ``label``,
+    bit for bit, built alone: the label is read as its factor-index row, so
+    no other element or label is built."""
+    _check_kind(kind, n_qubits)
     if kind == "pauli":
-        singles = np.stack([linalg.PAULI_1Q[c] for c in "IXYZ"])
-        labels = ["".join("IXYZ"[i] for i in row) for row in rows]
+        row = ["IXYZ".find(c) for c in label]
     else:
-        singles = np.stack(sic_single_qubit_elements())
-        width = len(str(len(rows)))
-        labels = [f"SIC-{flat:0{width}d}" for flat in range(len(rows))]
-    # one broadcast Kronecker product per qubit, leftmost factor first;
-    # each entry is the product of its factors' entries in that order
-    mats = np.ones((len(rows), 1, 1), dtype=complex)
-    for q in range(n_qubits):
-        factors = singles[rows[:, q]]
-        mats = mats[:, :, None, :, None] * factors[:, None, :, None, :]
-        mats = mats.reshape(len(rows), 2 ** (q + 1), 2 ** (q + 1))
-    return tuple(HermitianOperator(m, label) for m, label in zip(mats, labels))
+        digits = label[len("SIC-"):] if label.startswith("SIC-") else ""
+        flat = int(digits) if digits.isascii() and digits.isdigit() else -1
+        row = np.unravel_index(flat, (4,) * n_qubits) if 0 <= flat < 4**n_qubits - 1 else []
+    rows = np.array([row], dtype=int)
+    # the identity is no Pauli element; a SIC label must be zero-padded
+    if (len(row) != n_qubits or min(row) < 0 or (kind == "pauli" and not any(row))
+            or _labels(kind, rows) != [label]):
+        raise ValueError(f"unknown observable label {label!r} for kind {kind!r}")
+    return HermitianOperator(_products(kind, rows)[0], label)
 
 
 def expectation(rho: DensityMatrix, a) -> float:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from symmaxent import states, symmetry
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -27,6 +29,12 @@ def random_psd(dim, rng):
 def random_mixed_state(dim, rng):
     m = random_psd(dim, rng)
     return m / np.trace(m).real
+
+
+def full_state(rho, n_qubits, kind="none"):
+    """A problem's estimate ``rho`` as a DensityMatrix on n qubits, expanded
+    from the irrep blocks of symmetry ``kind`` (``symmetry.full_estimate``)."""
+    return states.DensityMatrix(symmetry.full_estimate(rho, kind, n_qubits), n_qubits)
 
 
 @pytest.fixture

@@ -294,7 +294,7 @@ class TestCriterion9SolverCorrectness:
                 tuple((op, expectation(rho, op)) for op in paulis), (), 8
             )
             sol = solve(prob, opts)
-            worst = min(worst, states.fidelity(rho, sol.rho))
+            worst = min(worst, states.fidelity(rho, states.DensityMatrix(sol.rho, 3)))
         assert worst >= 0.999
         print(
             f"\nACCEPTANCE C9b PASS: full 63-observable reconstruction of 20 random "
@@ -322,7 +322,7 @@ class TestCriterion9SolverCorrectness:
                 for gen in spec.generators:
                     worst = max(
                         worst,
-                        np.linalg.norm(linalg.commutator(gen, sol.rho.matrix)),
+                        np.linalg.norm(linalg.commutator(gen, sol.rho)),
                     )
         assert worst <= 1e-6
         print(
@@ -332,7 +332,7 @@ class TestCriterion9SolverCorrectness:
 
     def test_zero_constraint_solve_is_maximally_mixed(self):
         sol = solve(MaxEntProblem((), (), 8), SOLVER)
-        dev = np.max(np.abs(sol.rho.matrix - np.eye(8) / 8))
+        dev = np.max(np.abs(sol.rho - np.eye(8) / 8))
         assert dev <= 1e-12
         print(
             f"\nACCEPTANCE C9d PASS: zero-constraint solve returns the maximally "

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from symmaxent import cli
+from symmaxent import cli, observables, symmetry
 from symmaxent.cli import main, parse_config_text
 from symmaxent.harness import read_result_csv
 from symmaxent.maxent import MaxEntProblem, SolverOptions
@@ -356,15 +356,20 @@ class TestSolveCommand:
         assert np.allclose(rho[[1, 2]][:, [1, 2]], rho[[2, 1]][:, [2, 1]], atol=1e-9)
 
     def test_symmetry_is_declared_to_the_solver(self, tmp_path, capsys, monkeypatch):
-        # the measured operator goes to the problem as it is; the problem
-        # constrains its projection and solves on the werner irrep blocks
-        seen = []
-        real_solve = cli.solve
+        # the measured operator goes to compressed_problem as it is, which
+        # constrains its projection; the solve runs on the werner irrep blocks
+        seen, solved = [], []
+        real_compressed, real_solve = symmetry.compressed_problem, cli.solve
+
+        def build(measured, kind, n_qubits, variances=None):
+            seen.append((measured, kind))
+            return real_compressed(measured, kind, n_qubits, variances)
 
         def spy(problem, options, lambda0=None):
-            seen.append(problem)
+            solved.append(problem.dim)
             return real_solve(problem, options, lambda0=lambda0)
 
+        monkeypatch.setattr(symmetry, "compressed_problem", build)
         monkeypatch.setattr(cli, "solve", spy)
         rho = random_werner(3, np.random.default_rng(5))
         target = expectation(rho, sic_povm(3)[5])
@@ -377,9 +382,30 @@ class TestSolveCommand:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(problem))
         assert main(["solve", "--targets", str(path)]) == 0
-        assert [p.symmetry for p in seen] == ["werner"]
-        assert np.array_equal(seen[0].measured[0][0].matrix, sic_povm(3)[5].matrix)
+        assert [kind for _, kind in seen] == ["werner"]
+        assert np.array_equal(seen[0][0][0][0].matrix, sic_povm(3)[5].matrix)
+        assert solved == [3]
         assert json.loads(capsys.readouterr().out)["converged"] is True
+
+    def test_labels_build_only_the_named_operators(self, tmp_path, capsys, monkeypatch):
+        # a label is built alone, not looked up in the whole canonical set,
+        # which at n = 6 takes half a gigabyte
+        def refuse(kind, n_qubits):
+            raise AssertionError("solve built the whole canonical set")
+
+        monkeypatch.setattr(observables, "canonical_set", refuse)
+        problem = {
+            "n_qubits": 6,
+            "observables": "pauli",
+            "symmetry": "permutation",
+            "measured": [{"label": "ZZZZZZ", "target": 0.5}, {"label": "XIIIII", "target": 0.1}],
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", "--targets", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stop_reason"] == "tolerance"
+        assert len(payload["rho"]) == 64
 
     def test_lambda0_is_the_start_point(self, tmp_path, capsys):
         problem = {
@@ -663,6 +689,9 @@ class TestInputErrors:
             ("noise.mode = finite_sample\nnoise.trials = 1", "finite_sample needs trials >= 2"),
             ("noise.mode = photon_model\nnoise.mu = true", "config line 2: 'noise.mu': could not"),
             ("n_qubits = 2\nsolver.tolerance = 0", "config line 2: 'solver.tolerance'"),
+            # numpy's binomial overflows at 2**63 trials
+            ("noise.mode = finite_sample\nnoise.trials = 100000000000000000000",
+             r"config line 2: 'noise.trials': trials must be in \[1, 2\*\*63 - 1\]"),
         ],
     )
     def test_sweep_config_error(self, tmp_path, capsys, lines, match):

@@ -17,9 +17,11 @@ from symmaxent.harness import (
     worker_count,
     write_outputs,
 )
-from symmaxent.maxent import MaxEntProblem, SolverOptions, solve
+from symmaxent.maxent import SolverOptions, solve
 from symmaxent.measurement import NoiseConfig
 from symmaxent.observables import sic_povm
+
+from conftest import full_state
 
 FAST_NEWTON = SolverOptions(tolerance=1e-12, max_iterations=300)
 
@@ -161,14 +163,15 @@ def per_r_records(cfg, state_id):
         variances.append(float(variance))
     fields, lambda0 = {}, None
     for k in sorted({min(r, len(order)) for r in cfg.r_values}):
-        problem = MaxEntProblem(tuple(measured[:k]), (), 2**cfg.n_qubits, cfg.symmetry,
-                                variances[:k])
+        problem = symmetry.compressed_problem(tuple(measured[:k]), cfg.symmetry, cfg.n_qubits,
+                                              variances[:k])
         if lambda0 is not None:
             lambda0 = list(lambda0) + [0.0] * (k - len(lambda0))
         solution = solve(problem, cfg.solver, lambda0)
-        fid = states.fidelity(rho, solution.rho)
+        estimate = full_state(solution.rho, cfg.n_qubits, cfg.symmetry)
+        fid = states.fidelity(rho, estimate)
         fields[k] = fid, solution.converged, solution.iterations
-        smallest = np.linalg.eigvalsh(solution.rho.matrix)[0]
+        smallest = np.linalg.eigvalsh(estimate.matrix)[0]
         full_rank = smallest > math.sqrt(cfg.solver.tolerance)
         lambda0 = solution.lambdas if solution.stop_reason == "tolerance" and full_rank else None
     return [StateRunRecord(state_id, r, *fields[min(r, len(order))]) for r in cfg.r_values]
@@ -299,16 +302,22 @@ class TestSweep:
         assert all(rec.converged and rec.fidelity >= 1 - 1e-8 for rec in res.records)
 
     def test_symmetric_solves_constrain_projected_observables_only(self, monkeypatch):
-        # the solver gets the first r filtered canonical operators as they
-        # are, with the symmetry declared and no auxiliaries; the problem
+        # compressed_problem gets the first r filtered canonical operators
+        # as they are, with the symmetry declared and no auxiliaries; it
         # constrains their commutant projections (checked in test_maxent)
         seen = []
-        real_solve = harness.solve
+        real_compressed, real_solve = symmetry.compressed_problem, harness.solve
+
+        def build(measured, kind, n_qubits, variances=None):
+            seen.append((measured, kind))
+            return real_compressed(measured, kind, n_qubits, variances)
 
         def spy(problem, options, lambda0=None):
-            seen.append(problem)
+            solved.append(problem.n_constraints)
             return real_solve(problem, options, lambda0)
 
+        solved = []
+        monkeypatch.setattr(symmetry, "compressed_problem", build)
         monkeypatch.setattr(harness, "solve", spy)
         cfg = small_config(
             state_family="permutation_invariant_mixed", symmetry="permutation",
@@ -318,11 +327,12 @@ class TestSweep:
         sic = list(sic_povm(3))
         kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 3)]
         # r = 30 maps to the same 19 kept observables as r = 19, solved once
-        assert [p.n_constraints for p in seen] == [3, 19]
+        assert solved == [3, 19]
         # the constraints are the kept operators alone: no auxiliary rows
-        for problem in seen:
-            assert problem.symmetry == "permutation"
-            ops = [op for op, _ in problem.measured]
+        assert len(seen) == 1
+        for measured, kind in seen:
+            assert kind == "permutation"
+            ops = [op for op, _ in measured]
             assert [op.label for op in ops] == [op.label for op in kept[: len(ops)]]
             for op, ref in zip(ops, kept):
                 assert np.array_equal(op.matrix, ref.matrix)
@@ -332,7 +342,7 @@ class TestSweep:
         # in ascending k; the werner commutant at n = 3 keeps 5 SIC
         # projections, so r = 30 solves 5
         built, solved = [], []
-        real_problem, real_solve = harness.MaxEntProblem, harness.solve
+        real_problem, real_solve = symmetry.compressed_problem, harness.solve
 
         def build(*args, **kwargs):
             built.append(real_problem(*args, **kwargs))
@@ -342,7 +352,7 @@ class TestSweep:
             solved.append(problem)
             return real_solve(problem, options, lambda0)
 
-        monkeypatch.setattr(harness, "MaxEntProblem", build)
+        monkeypatch.setattr(symmetry, "compressed_problem", build)
         monkeypatch.setattr(harness, "solve", spy)
         cfg = small_config(symmetry="werner", r_values=(2, 4, 30, 3), batch_size=1)
         for state_id in (0, 1):
@@ -414,7 +424,7 @@ class TestSweep:
             for problem, seeded in calls:
                 rec = records[problem.n_constraints]
                 cold = real_solve(problem, cfg.solver)
-                cold_fid = states.fidelity(rho, cold.rho)
+                cold_fid = states.fidelity(rho, full_state(cold.rho, cfg.n_qubits, cfg.symmetry))
                 if seeded:
                     n_seeded += 1
                     assert rec.converged

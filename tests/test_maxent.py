@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symmaxent import linalg, maxent, states, symmetry
+from symmaxent import cli, linalg, maxent, states, symmetry
 from symmaxent.linalg import HermitianOperator
 from symmaxent.maxent import (
     MaxEntProblem,
@@ -19,9 +19,9 @@ from symmaxent.maxent import (
     susceptibility,
 )
 from symmaxent.observables import expectation, pauli_basis, sic_povm
-from symmaxent.symmetry import build_symmetry
+from symmaxent.symmetry import build_symmetry, compressed_problem, full_estimate
 
-from conftest import SZ, kron_chain, random_mixed_state
+from conftest import SZ, full_state, kron_chain, random_mixed_state
 
 
 def single_qubit_problem(target):
@@ -32,6 +32,20 @@ def single_qubit_problem(target):
 def problem_from_state(rho, ops, aux=()):
     measured = tuple((op, expectation(rho, op)) for op in ops)
     return MaxEntProblem(measured, tuple(aux), rho.dim)
+
+
+def operator_stack(prob):
+    """(K, dim, dim) array of a problem's constraint operators, as given."""
+    return np.array([linalg.as_matrix(op) for op, _ in prob.measured])
+
+
+def same_pairs(x, y):
+    """Whether two measured tuples hold equal operators and targets; a
+    compressed problem's operators are arrays."""
+    return len(x) == len(y) and all(
+        np.array_equal(linalg.as_matrix(a), linalg.as_matrix(b)) and s == t
+        for (a, s), (b, t) in zip(x, y)
+    )
 
 
 def _load_benchmark_workloads():
@@ -65,13 +79,13 @@ class TestRhoOfLambda:
             states.DensityMatrix(np.eye(8) / 8, 3), pauli_basis(3)[:5]
         )
         rho = rho_of_lambda(prob, np.zeros(5))
-        assert np.allclose(rho.matrix, np.eye(8) / 8, atol=1e-14)
+        assert np.allclose(rho, np.eye(8) / 8, atol=1e-14)
 
     def test_single_z_gibbs_tanh(self):
         # two-level Gibbs closed form: <Z> = tanh(lambda)
         prob = single_qubit_problem(0.0)
         for t in (-1.2, -0.3, 0.0, 0.4, 2.5):
-            rho = rho_of_lambda(prob, [t])
+            rho = full_state(rho_of_lambda(prob, [t]), 1)
             assert expectation(rho, SZ) == pytest.approx(np.tanh(t), abs=1e-12)
 
     def test_commuting_observables_factorize(self):
@@ -79,7 +93,7 @@ class TestRhoOfLambda:
         iz = HermitianOperator(kron_chain(np.eye(2), SZ), "IZ")
         prob = MaxEntProblem(((zi, 0.0), (iz, 0.0)), (), 4)
         a, b = 0.7, -0.4
-        rho = rho_of_lambda(prob, [a, b]).matrix
+        rho = rho_of_lambda(prob, [a, b])
 
         def gibbs_1q(t):
             return np.diag([np.exp(t), np.exp(-t)]) / (np.exp(t) + np.exp(-t))
@@ -89,8 +103,8 @@ class TestRhoOfLambda:
     def test_large_multipliers_no_overflow(self):
         prob = single_qubit_problem(0.0)
         rho = rho_of_lambda(prob, [400.0])
-        assert np.isfinite(rho.matrix).all()
-        assert expectation(rho, SZ) == pytest.approx(1.0, abs=1e-12)
+        assert np.isfinite(rho).all()
+        assert expectation(full_state(rho, 1), SZ) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_finite(self):
         prob = single_qubit_problem(0.0)
@@ -197,7 +211,7 @@ class TestSusceptibility:
         step = 1e-5
 
         def expectations(x):
-            rho = rho_of_lambda(prob, x)
+            rho = full_state(rho_of_lambda(prob, x), prob.dim.bit_length() - 1)
             return np.array([expectation(rho, op) for op in ops])
 
         fd = np.zeros((prob.n_constraints, prob.n_constraints))
@@ -261,7 +275,7 @@ def oracle_multipliers(prob, which, rng):
         return np.zeros(prob.n_constraints)
     lam = rng.normal(0, 0.5, prob.n_constraints)
     if which == "near_pure":
-        w = np.linalg.eigvalsh(np.tensordot(lam, prob.operator_stack(), axes=1))
+        w = np.linalg.eigvalsh(np.tensordot(lam, operator_stack(prob), axes=1))
         lam *= 2000.0 / (w[-1] - w[0])
     return lam
 
@@ -287,11 +301,11 @@ class TestSusceptibilityOracle:
         if which == "near_pure":
             assert np.any(phi == 0.0)
         c = prob._susceptibility(g, state)
-        ref = _reference_susceptibility(prob.operator_stack(), g, state)
+        ref = _reference_susceptibility(operator_stack(prob), g, state)
         assert np.array_equal(c, c.T)
         assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
         # expectations against Tr(A_k rho) taken the long way round
-        exact = np.einsum("kij,ji->k", prob.operator_stack(), state[0]).real
+        exact = np.einsum("kij,ji->k", operator_stack(prob), state[0]).real
         assert np.max(np.abs(g - exact)) <= 1e-14
 
     @pytest.mark.parametrize("which", ["random", "zero", "near_pure"])
@@ -310,7 +324,7 @@ class TestSusceptibilityOracle:
         monkeypatch.setattr(maxent.np.linalg, "eigh", spy)
         prob._gibbs(lam)
         assert len(seen) == 1
-        assert np.array_equal(seen[0], np.tensordot(lam, prob.operator_stack(), axes=1))
+        assert np.array_equal(seen[0], np.tensordot(lam, operator_stack(prob), axes=1))
 
 
 class TestPublicKernels:
@@ -320,7 +334,7 @@ class TestPublicKernels:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_empty_problem(self, dim):
         prob = MaxEntProblem((), (), dim)
-        assert np.array_equal(rho_of_lambda(prob, []).matrix, np.eye(dim) / dim)
+        assert np.array_equal(rho_of_lambda(prob, []), np.eye(dim) / dim)
         assert objective(prob, []) == 0.0
         assert gradient(prob, []).shape == (0,)
         assert susceptibility(prob, []).shape == (0, 0)
@@ -347,7 +361,7 @@ class TestSolve:
         assert sol.converged
         assert sol.objective == 0.0
         assert sol.n_evals == 1
-        assert np.max(np.abs(sol.rho.matrix - np.eye(8) / 8)) <= 1e-12
+        assert np.max(np.abs(sol.rho - np.eye(8) / 8)) <= 1e-12
 
     def test_tanh_inversion(self):
         # lambda must match atanh(a); needs a tolerance tight enough that the
@@ -364,7 +378,7 @@ class TestSolve:
             rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
             prob = problem_from_state(rho, pauli_basis(3))
             sol = solve(prob, opts)
-            assert states.fidelity(rho, sol.rho) >= 0.999
+            assert states.fidelity(rho, full_state(sol.rho, 3)) >= 0.999
 
     def test_default_options_small_problem(self, rng):
         rho = states.DensityMatrix(random_mixed_state(4, rng), 2)
@@ -372,7 +386,7 @@ class TestSolve:
         sol = solve(prob)
         assert sol.converged
         for (op, target) in prob.measured:
-            assert expectation(sol.rho, op) == pytest.approx(target, abs=1e-5)
+            assert expectation(full_state(sol.rho, 2), op) == pytest.approx(target, abs=1e-5)
 
     def test_default_options_converge_near_pure(self):
         # near-pure targets drive the multipliers toward divergence; the
@@ -399,7 +413,7 @@ class TestSolve:
         sol = solve(prob, SolverOptions(max_iterations=400))
         assert not sol.converged
         assert sol.objective > 0
-        assert np.isfinite(sol.rho.matrix).all()
+        assert np.isfinite(sol.rho).all()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_infeasible_gets_a_verdict(self, seed):
@@ -501,7 +515,7 @@ class TestSolve:
             ref.iterations, ref.objective, ref.n_evals
         )
         assert np.array_equal(got.lambdas, ref.lambdas)
-        assert np.array_equal(got.rho.matrix, ref.rho.matrix)
+        assert np.array_equal(got.rho, ref.rho)
 
     def test_constraints_met_within_sqrt_tolerance(self, rng):
         rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
@@ -510,7 +524,7 @@ class TestSolve:
         sol = solve(prob, opts)
         assert sol.converged
         for (op, target) in prob.measured:
-            assert abs(expectation(sol.rho, op) - target) <= np.sqrt(opts.tolerance)
+            assert abs(expectation(full_state(sol.rho, 3), op) - target) <= np.sqrt(opts.tolerance)
 
     def test_werner_five_observables_maximum_fidelity(self, rng):
         # five surviving measurements plus the symmetry constraints pin the
@@ -523,7 +537,7 @@ class TestSolve:
         assert len(kept) == 5
         prob = problem_from_state(rho, list(kept), spec.auxiliary)
         sol = solve(prob, SolverOptions(tolerance=1e-14))
-        assert states.fidelity(rho, sol.rho) >= 1 - 1e-3
+        assert states.fidelity(rho, full_state(sol.rho, 3)) >= 1 - 1e-3
 
     def test_symmetric_solution_commutes_with_generators(self, rng):
         spec = build_symmetry("permutation", 3)
@@ -536,7 +550,7 @@ class TestSolve:
         prob = problem_from_state(rho, list(filtered), spec.auxiliary)
         sol = solve(prob, SolverOptions(tolerance=1e-14))
         for g in spec.generators:
-            assert np.linalg.norm(linalg.commutator(g, sol.rho.matrix)) <= 1e-6
+            assert np.linalg.norm(linalg.commutator(g, sol.rho)) <= 1e-6
 
     def test_pi_targets_give_permutation_invariant_solution(self, rng):
         spec = build_symmetry("permutation", 3)
@@ -546,8 +560,8 @@ class TestSolve:
         filtered = filter_measured_observables(sic_povm(3), spec.auxiliary)
         prob = problem_from_state(rho, list(filtered)[:10], spec.auxiliary)
         sol = solve(prob, SolverOptions(tolerance=1e-14))
-        averaged = states.DensityMatrix(symmetry.project(sol.rho.matrix, "permutation", 3), 3)
-        assert states.fidelity(sol.rho, averaged) >= 1 - 1e-8
+        averaged = states.DensityMatrix(symmetry.project(sol.rho, "permutation", 3), 3)
+        assert states.fidelity(full_state(sol.rho, 3), averaged) >= 1 - 1e-8
 
     def test_entropy_optimality_against_perturbations(self, rng):
         # independent check of the entropy-maximization claim: perturb the
@@ -557,10 +571,10 @@ class TestSolve:
         ops = list(pauli_basis(3))[:12]
         prob = problem_from_state(rho, ops)
         sol = solve(prob, SolverOptions(tolerance=1e-22))
-        base_entropy = states.von_neumann_entropy(sol.rho)
+        base_entropy = states.von_neumann_entropy(full_state(sol.rho, 3))
 
         basis_cols = np.array([op.matrix.ravel() for op in ops]).T
-        wmin = np.linalg.eigvalsh(sol.rho.matrix)[0]
+        wmin = np.linalg.eigvalsh(sol.rho)[0]
         count = 0
         for _ in range(100):
             h = random_mixed_state(8, rng) - np.eye(8) / 8  # traceless hermitian
@@ -571,17 +585,18 @@ class TestSolve:
             if nrm < 1e-12:
                 continue
             eps = 0.5 * wmin / max(np.abs(np.linalg.eigvalsh(h_perp)).max(), 1e-12)
-            cand = states.DensityMatrix(sol.rho.matrix + eps * h_perp, 3)
+            cand = states.DensityMatrix(sol.rho + eps * h_perp, 3)
             for (op, target) in prob.measured:
                 assert abs(expectation(cand, op) - target) <= 1e-6
             assert states.von_neumann_entropy(cand) <= base_entropy + 1e-6
             count += 1
         assert count >= 90
 
-    def test_solution_json_round_trip(self, rng):
-        prob = single_qubit_problem(0.3)
-        sol = solve(prob)
-        payload = sol.to_jsonable()
+    def test_solution_json_round_trip(self):
+        # CLI solve writes the solution's fields, with the estimate as rho
+        payload = cli._solve_problem_from_json(
+            {"n_qubits": 1, "observables": "pauli", "measured": [{"label": "Z", "target": 0.3}]}
+        )
         assert set(payload) == {
             "rho", "lambdas", "objective", "iterations", "converged", "stop_reason",
             "entropy", "n_evals",
@@ -641,15 +656,20 @@ class TestProjectedConstraints:
                 opts,
             )
             assert reference.converged and projected.converged
-            worst = max(worst, np.max(np.abs(projected.rho.matrix - reference.rho.matrix)))
+            worst = max(worst, np.max(np.abs(projected.rho - reference.rho)))
         assert worst <= 1e-8
 
 
 class TestValidation:
-    @pytest.mark.parametrize("dim", [0, 1, 3, 6])
-    def test_rejects_dim_not_power_of_two(self, dim):
-        with pytest.raises(ValueError, match="power of two"):
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_rejects_dim_below_one(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
             MaxEntProblem((), (), dim)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_any_dim_solves(self, dim):
+        prob = MaxEntProblem((), (), dim)
+        assert np.array_equal(solve(prob).rho, np.eye(dim) / dim)
 
     def test_rejects_non_finite_target(self):
         z = pauli_basis(1)[2]
@@ -660,6 +680,26 @@ class TestValidation:
         z = pauli_basis(1)[2]
         with pytest.raises(ValueError, match="dim"):
             MaxEntProblem(((z, 0.1),), (), 8)
+
+    @pytest.mark.parametrize("matrix, match", [
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "from Hermitian"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
+        (np.ones((2, 3)), "shape"),
+    ])
+    def test_rejects_bad_array_operators(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            MaxEntProblem(((matrix, 0.1),), (), 2)
+
+    def test_nearly_hermitian_array_becomes_its_hermitian_part(self):
+        skew = np.array([[1.0, 0.5 + 1e-14], [0.5, -1.0]])
+        prob = MaxEntProblem(((skew, 0.2),), (), 2)
+        assert np.array_equal(prob._rows[0][0], ((skew + skew.T) / 2).ravel())
+
+    @pytest.mark.parametrize("log_weights", [[0.0], [0.0, np.inf], [[0.0, 0.0]]])
+    def test_rejects_bad_log_weights(self, log_weights):
+        with pytest.raises(ValueError, match="log_weights"):
+            MaxEntProblem((), (), 2, log_weights=log_weights)
 
     def test_solver_options_validation(self):
         with pytest.raises(ValueError):
@@ -696,13 +736,68 @@ class TestValidation:
             solve(prob, lambda0=(np.inf,))
 
 
+class TestDimensionFree:
+    def test_qutrit_closed_form(self):
+        # one constraint A = diag(1, 0, -1) with target a: rho is
+        # diag(x, 1, 1/x) / (x + 1 + 1/x) with x = e^lambda, and <A> = a
+        # solves to x = (a + sqrt(4 - 3 a^2)) / (2 (1 - a))
+        a_op = np.diag([1.0, 0.0, -1.0])
+        for a in (-0.6, 0.0, 0.3, 0.9):
+            sol = solve(MaxEntProblem(((a_op, a),), (), 3), SolverOptions(tolerance=1e-24))
+            assert sol.stop_reason == "tolerance"
+            x = (a + np.sqrt(4.0 - 3.0 * a * a)) / (2.0 * (1.0 - a))
+            assert abs(sol.lambdas[0] - np.log(x)) <= 1e-10
+            want = np.diag([x, 1.0, 1.0 / x]) / (x + 1.0 + 1.0 / x)
+            assert np.max(np.abs(sol.rho - want)) <= 1e-12
+
+    def test_arrays_and_operators_are_one_problem(self, rng):
+        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        ops = list(pauli_basis(3))[:7]
+        as_ops = problem_from_state(rho, ops)
+        as_arrays = MaxEntProblem(tuple((op.matrix, t) for op, t in as_ops.measured), (), 8)
+        got, want = solve(as_arrays), solve(as_ops)
+        assert np.array_equal(got.lambdas, want.lambdas)
+        assert np.array_equal(got.rho, want.rho)
+
+    @pytest.mark.parametrize("kind, n", [("permutation", 3), ("werner", 4)])
+    def test_log_weights_without_constraints(self, kind, n):
+        # the Gibbs state of the prior alone is diag(m) / sum m, the
+        # maximally mixed state on the full space
+        m = symmetry.block_weights(kind, n)
+        prob = compressed_problem((), kind, n)
+        assert np.array_equal(prob.log_weights, np.log(m))
+        sol = solve(prob)
+        assert sol.converged and sol.iterations == 0
+        assert np.max(np.abs(sol.rho - np.diag(m) / m.sum())) <= 1e-15
+        full = full_estimate(sol.rho, kind, n)
+        assert np.max(np.abs(full - np.eye(2**n) / 2**n)) <= 1e-15
+        weighted = solve(MaxEntProblem((), (), 3, log_weights=np.log([1.0, 2.0, 5.0])))
+        assert np.max(np.abs(weighted.rho - np.diag([1.0, 2.0, 5.0]) / 8.0)) <= 1e-15
+
+    @pytest.mark.parametrize("module", ["symmetry", "states"])
+    def test_maxent_knows_no_qubits_or_symmetries(self, module):
+        import ast
+
+        tree = ast.parse(Path(maxent.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert module not in imported
+        assert not hasattr(maxent, module)
+
+
 def declared_pair(shape, rng):
-    """One problem in three forms: with symmetry "none" over the commutant
-    projections of the SIC or Pauli operators kept by the symmetry filter,
-    the dense reference; with its symmetry kind over the same projections;
-    and with its symmetry kind over the kept operators themselves, which the
-    problem projects. The last two solve on the irrep blocks. The targets
-    come from a symmetric state."""
+    """One problem in three forms, as (dense, forms, kind, n): the dense
+    reference, a problem with symmetry "none" over the commutant
+    projections of the SIC or Pauli operators kept by the symmetry filter;
+    and the measured pairs of two forms for ``compressed_problem`` under its
+    symmetry kind, the same projections and the kept operators themselves,
+    which the compression projects. Those two solve on the irrep blocks. The
+    targets come from a symmetric state."""
     kind, n, observable_kind = shape.split("_")
     n = int(n[1])
     candidates = list(pauli_basis(n) if observable_kind == "pauli" else sic_povm(n))
@@ -713,11 +808,7 @@ def declared_pair(shape, rng):
     rho = sample(n, rng)
     targets = [expectation(rho, op) for op in ops]
     measured = tuple(zip(ops, targets))
-    return (
-        MaxEntProblem(measured, (), 2**n),
-        MaxEntProblem(measured, (), 2**n, kind),
-        MaxEntProblem(tuple(zip(raw, targets)), (), 2**n, kind),
-    )
+    return MaxEntProblem(measured, (), 2**n), (measured, tuple(zip(raw, targets))), kind, n
 
 
 DECLARED_SHAPES = [
@@ -738,17 +829,18 @@ class TestDeclaredSymmetry:
         # 8.7e-14): its 16 x 16 spectrum has (2j+1)-fold degenerate levels
         # spread over 2000. So near-pure rho is compared at 2e-12.
         rng = np.random.default_rng([20261020, DECLARED_SHAPES.index(shape)])
-        dense, *declared = declared_pair(shape, rng)
+        dense, forms, kind, n = declared_pair(shape, rng)
+        declared = [compressed_problem(measured, kind, n) for measured in forms]
         lam = oracle_multipliers(dense, which, rng)
         _, g, r, _, _ = dense._evaluate(lam)
-        rho = rho_of_lambda(dense, lam).matrix
+        rho = rho_of_lambda(dense, lam)
         rho_tol = 2e-12 if which == "near_pure" else 1e-12
         f = objective(dense, lam)
         c = susceptibility(dense, lam)
         scale = np.linalg.norm(c) + g @ g
         grad = gradient(dense, lam)
         for blocks in declared:
-            rho_blocks = rho_of_lambda(blocks, lam).matrix
+            rho_blocks = full_estimate(rho_of_lambda(blocks, lam), kind, n)
             assert np.linalg.norm(rho_blocks - rho) <= rho_tol * np.linalg.norm(rho)
             assert abs(objective(blocks, lam) - f) <= 1e-12 * f
             assert np.linalg.norm(susceptibility(blocks, lam) - c) <= 1e-12 * scale
@@ -758,39 +850,36 @@ class TestDeclaredSymmetry:
     @pytest.mark.parametrize("shape", DECLARED_SHAPES)
     def test_solve_matches_the_dense_problem(self, shape):
         rng = np.random.default_rng([20261021, DECLARED_SHAPES.index(shape)])
-        dense, *declared = declared_pair(shape, rng)
+        dense, forms, kind, n = declared_pair(shape, rng)
         opts = SolverOptions(tolerance=1e-14)
         for k in sorted({1, dense.n_constraints // 3, dense.n_constraints}):
             reference = solve(MaxEntProblem(dense.measured[:k], (), dense.dim), opts)
-            for blocks in declared:
-                sub = MaxEntProblem(blocks.measured[:k], (), blocks.dim, blocks.symmetry)
+            for measured in forms:
+                sub = compressed_problem(measured[:k], kind, n)
                 solution = solve(sub, opts)
                 assert solution.iterations == reference.iterations
                 assert solution.converged == reference.converged
                 assert solution.stop_reason == reference.stop_reason == "tolerance"
-                assert np.max(np.abs(solution.rho.matrix - reference.rho.matrix)) <= 1e-10
+                rho = full_estimate(solution.rho, kind, n)
+                assert np.max(np.abs(rho - reference.rho)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_empty_problem(self, kind, n):
-        prob = MaxEntProblem((), (), 2**n, kind)
-        assert np.max(np.abs(rho_of_lambda(prob, []).matrix - np.eye(2**n) / 2**n)) <= 1e-15
+        prob = compressed_problem((), kind, n)
+        rho = full_estimate(rho_of_lambda(prob, []), kind, n)
+        assert np.max(np.abs(rho - np.eye(2**n) / 2**n)) <= 1e-15
         sol = solve(prob)
         assert sol.converged and sol.iterations == 0
         assert susceptibility(prob, []).shape == (0, 0)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown symmetry kind 'cyclic'"):
-            MaxEntProblem((), (), 8, "cyclic")
-
-    def test_rejects_auxiliaries_with_a_symmetry(self):
-        aux = build_symmetry("permutation", 3).auxiliary[:2]
-        with pytest.raises(ValueError, match="auxiliary"):
-            MaxEntProblem((), aux, 8, "permutation")
+            compressed_problem((), "cyclic", 3)
 
     def test_rejects_one_qubit_permutation(self):
         with pytest.raises(ValueError, match="at least 2 qubits"):
-            MaxEntProblem((), (), 2, "permutation")
+            compressed_problem((), "permutation", 1)
 
 
 LEADING_SHAPES = [
@@ -799,11 +888,15 @@ LEADING_SHAPES = [
 
 
 def leading_problem(shape, rng):
-    """Problems a sweep state solves prefixes of: raw SIC operators with no
-    symmetry or with a declared one, and one with auxiliary constraints."""
+    """Problems a sweep state solves prefixes of, as (problem, measured,
+    kind, n) with the pairs ``compressed_problem`` built it from: raw SIC
+    operators with no symmetry or with a declared one, and one with
+    auxiliary constraints."""
     if shape in ("n3_none", "n3_aux15"):
-        return susceptibility_problem(shape, rng)
-    return declared_pair(shape, rng)[2]
+        measured, kind, n = susceptibility_problem(shape, rng).measured, "none", 3
+    else:
+        _, (_, measured), kind, n = declared_pair(shape, rng)
+    return compressed_problem(measured, kind, n), measured, kind, n
 
 
 class TestLeading:
@@ -814,26 +907,28 @@ class TestLeading:
         # equal the prefix problem's own compression exactly. A one-row
         # product takes another BLAS path, so k = 1 may differ by rounding.
         rng = np.random.default_rng([20261022, LEADING_SHAPES.index(shape)])
-        prob = leading_problem(shape, rng)
+        prob, measured, kind, n = leading_problem(shape, rng)
         opts = SolverOptions(tolerance=1e-14)
         for k in range(prob.n_constraints + 1):
             sub = prob.leading(k)
             assert sub.measured == prob.measured[:k]
             got = solve(sub, opts)
-            ref = solve(MaxEntProblem(prob.measured[:k], (), prob.dim, prob.symmetry), opts)
+            ref = solve(compressed_problem(measured[:k], kind, n), opts)
+            got_rho, ref_rho = (full_estimate(x.rho, kind, n) for x in (got, ref))
             assert got.stop_reason == ref.stop_reason
             if k == 1:
-                assert np.max(np.abs(got.rho.matrix - ref.rho.matrix)) <= 1e-15
+                assert np.max(np.abs(got_rho - ref_rho)) <= 1e-15
                 scale = max(1.0, np.max(np.abs(ref.lambdas)))
                 assert np.max(np.abs(got.lambdas - ref.lambdas)) <= 1e-15 * scale
                 continue
             assert np.array_equal(got.lambdas, ref.lambdas)
-            assert np.array_equal(got.rho.matrix, ref.rho.matrix)
+            assert np.array_equal(got_rho, ref_rho)
             assert got.iterations == ref.iterations
 
     def test_compresses_once(self, monkeypatch):
+        # one compression per compressed_problem; none from a kernel, a
+        # slice or a solve
         rng = np.random.default_rng([20261023])
-        prob = leading_problem("permutation_n4_sic", rng)
         calls = []
         compress = symmetry.compress
 
@@ -841,7 +936,9 @@ class TestLeading:
             calls.append(len(stack))
             return compress(stack, kind, n)
 
-        monkeypatch.setattr(maxent.symmetry, "compress", spy)
+        monkeypatch.setattr(symmetry, "compress", spy)
+        prob, *_ = leading_problem("permutation_n4_sic", rng)
+        assert calls == [prob.n_constraints]
         lam = np.full(prob.n_constraints, 0.1)
         for kernel in (rho_of_lambda, objective, gradient, susceptibility, objective):
             kernel(prob, lam)
@@ -858,10 +955,10 @@ class TestLeading:
         # bit for bit, variances included. Under a symmetry a one-row
         # compression takes another BLAS path, so there k = 1 is left out
         rng = np.random.default_rng([20261019, symmetry_kind == "none"])
-        prob = noisy_problem(rng, n_ops=12, symmetry_kind=symmetry_kind)
-        prob = MaxEntProblem(prob.measured, (), 8, symmetry_kind, rng.uniform(0, 4e-3, 12))
+        measured = noisy_measured(rng, n_ops=12, symmetry_kind=symmetry_kind)
+        prob = compressed_problem(measured, symmetry_kind, 3, rng.uniform(0, 4e-3, 12))
         fresh = {
-            k: MaxEntProblem(prob.measured[:k], (), 8, symmetry_kind, prob.variances[:k])
+            k: compressed_problem(measured[:k], symmetry_kind, 3, prob.variances[:k])
             for k in range(13)
         }
         # every problem builds its rows now; after this nothing is validated
@@ -869,10 +966,10 @@ class TestLeading:
         for problem in (prob, *fresh.values()):
             assert len(problem._rows) == 3
         monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
-        monkeypatch.setattr(maxent.symmetry, "compress", None)
+        monkeypatch.setattr(symmetry, "compress", None)
         for k in range(13):
             sub, ref = prob.leading(k), fresh[k]
-            assert sub.measured == ref.measured and sub.n_constraints == k
+            assert same_pairs(sub.measured, ref.measured) and sub.n_constraints == k
             assert np.array_equal(sub._targets, ref._targets)
             assert np.array_equal(sub.variances, ref.variances)
             assert not sub.variances.flags.writeable
@@ -880,18 +977,19 @@ class TestLeading:
                 assert np.shares_memory(got, parent) or k == 0
             if k == 1 and symmetry_kind != "none":
                 continue
-            assert np.array_equal(sub._operators, ref._operators)
             for got, want in zip(sub._rows, ref._rows):
                 assert np.array_equal(got, want)
             got, want = solve(sub), solve(ref)
             assert got.stop_reason == want.stop_reason == "tolerance"
             assert got.iterations == want.iterations and got.n_evals == want.n_evals
             assert np.array_equal(got.lambdas, want.lambdas)
-            assert np.array_equal(got.rho.matrix, want.rho.matrix)
+            assert np.array_equal(
+                full_estimate(got.rho, symmetry_kind, 3), full_estimate(want.rho, symmetry_kind, 3)
+            )
 
     def test_slice_of_a_slice(self):
         rng = np.random.default_rng([20261020])
-        prob = leading_problem("permutation_n4_sic", rng)
+        prob, *_ = leading_problem("permutation_n4_sic", rng)
         twice, once = prob.leading(20).leading(7), prob.leading(7)
         assert twice.measured == once.measured
         for got, want in zip(twice._rows, once._rows):
@@ -900,23 +998,29 @@ class TestLeading:
 
     @pytest.mark.parametrize("k", [-1, 35])
     def test_rejects_k_outside_the_measured_range(self, k):
-        prob = leading_problem("permutation_n4_sic", np.random.default_rng(0))
+        prob, *_ = leading_problem("permutation_n4_sic", np.random.default_rng(0))
         assert len(prob.measured) == 34
         with pytest.raises(ValueError, match=r"k must be in \[0, 34\]"):
             prob.leading(k)
 
 
-def noisy_problem(rng, n_ops=10, sigma=0.05, symmetry_kind="none"):
-    """Targets of a random state moved by Gaussian noise of standard
-    deviation ``sigma``, declared as the targets' variances."""
+def noisy_measured(rng, n_ops=10, sigma=0.05, symmetry_kind="none"):
+    """Measured pairs on three qubits: targets of a random state moved by
+    Gaussian noise of standard deviation ``sigma``."""
     if symmetry_kind == "none":
         rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
         ops = list(pauli_basis(3))[:n_ops]
     else:
         rho = states.random_permutation_invariant_mixed(3, rng)
         ops = _projected(list(sic_povm(3)), symmetry_kind, 3)[:n_ops]
-    measured = tuple((op, expectation(rho, op) + rng.normal(0, sigma)) for op in ops)
-    return MaxEntProblem(measured, (), 8, symmetry_kind, np.full(len(ops), sigma**2))
+    return tuple((op, expectation(rho, op) + rng.normal(0, sigma)) for op in ops)
+
+
+def noisy_problem(rng, n_ops=10, sigma=0.05, symmetry_kind="none"):
+    """The problem of ``noisy_measured``, with the noise declared as the
+    targets' variances."""
+    measured = noisy_measured(rng, n_ops, sigma, symmetry_kind)
+    return compressed_problem(measured, symmetry_kind, 3, np.full(len(measured), sigma**2))
 
 
 class TestVariances:
@@ -974,14 +1078,16 @@ class TestVariances:
         # minimiser: g - a + Sigma lambda = 0 there, with g the estimate's
         # expectations, and the solve reaches the tolerance
         rng = np.random.default_rng([20261019, seed])
-        prob = noisy_problem(rng, n_ops=15, sigma=0.3, symmetry_kind=symmetry_kind)
+        measured = noisy_measured(rng, n_ops=15, sigma=0.3, symmetry_kind=symmetry_kind)
+        prob = compressed_problem(measured, symmetry_kind, 3, np.full(15, 0.3**2))
         sol = solve(prob, SolverOptions(tolerance=1e-20))
         assert sol.stop_reason == "tolerance"
         targets = np.array([t for _, t in prob.measured])
-        g = np.array([expectation(sol.rho, op) for op, _ in prob.measured])
+        rho = full_state(sol.rho, 3, symmetry_kind)
+        g = np.array([expectation(rho, op) for op, _ in measured])
         assert np.max(np.abs(g - targets + prob.variances * sol.lambdas)) <= 1e-9
         # without the variances no state meets the same targets
-        exact = solve(MaxEntProblem(prob.measured, (), 8, symmetry_kind))
+        exact = solve(compressed_problem(measured, symmetry_kind, 3))
         assert exact.stop_reason == "infeasible"
 
 
@@ -999,10 +1105,13 @@ class TestEntropyAndEvaluations:
             ops = _projected(list(sic_povm(3)), symmetry_kind, 3)
         measured = tuple((op, expectation(rho, op)) for op in ops)
         for k in (0, 1, len(ops) // 2, len(ops)):
-            prob = MaxEntProblem(measured[:k], (), 8, symmetry_kind)
+            prob = compressed_problem(measured[:k], symmetry_kind, 3)
+            # under a symmetry the estimate is weighted by the blocks' copies
+            assert (prob.log_weights is None) == (symmetry_kind == "none")
             sol = solve(prob, SolverOptions(tolerance=1e-16))
             assert sol.converged
-            assert abs(sol.entropy - states.von_neumann_entropy(sol.rho)) <= 1e-9
+            rho = full_state(sol.rho, 3, symmetry_kind)
+            assert abs(sol.entropy - states.von_neumann_entropy(rho)) <= 1e-9
             assert sol.n_evals >= sol.iterations + 1
 
     def test_empty_problem_entropy_and_one_evaluation(self):
@@ -1063,7 +1172,7 @@ def test_cold_and_warm_starts_agree(monkeypatch):
         warm = solve(prob, options, np.concatenate([lam, np.zeros(prob.n_constraints - lam.size)]))
         lam = warm.lambdas
         assert cold.converged and warm.converged
-        worst = max(worst, 1.0 - states.fidelity(cold.rho, warm.rho))
+        worst = max(worst, 1.0 - states.fidelity(full_state(cold.rho, 3), full_state(warm.rho, 3)))
     assert worst <= 1e-4
 
 
@@ -1134,4 +1243,4 @@ def test_solution_matches_40_digit_dual_minimiser(case):
     with mpmath.workdps(40):
         oracle = _mp_dual_minimiser(ops, [t for _, t in prob.measured], mpmath.mp)
     assert np.linalg.eigvalsh(oracle)[0] > 0.01
-    assert np.max(np.abs(sol.rho.matrix - oracle)) <= 1e-9
+    assert np.max(np.abs(sol.rho - oracle)) <= 1e-9

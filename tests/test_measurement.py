@@ -85,6 +85,17 @@ class TestNoiseConfig:
     def test_numpy_integer_trials_accepted(self):
         assert NoiseConfig(mode="finite_sample", trials=np.int64(200)).trials == 200
 
+    def test_trials_numpy_cannot_draw_rejected(self):
+        # numpy's binomial draws 2**63 - 1 trials and overflows at 2**63
+        cfg = NoiseConfig(mode="finite_sample", trials=2**63 - 1)
+        counts = simulate_counts(
+            DensityMatrix(np.eye(2) / 2, 1), projector_modes(SZ), cfg, np.random.default_rng(0)
+        )
+        assert counts.shape == (2,)
+        for trials in (2**63, 10**20):
+            with pytest.raises(ValueError, match="trials must be in"):
+                NoiseConfig(mode="finite_sample", trials=trials)
+
     @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
     def test_noisy_modes_need_two_trials(self, mode):
         # at one trial every count's variance would read 0, as if exact

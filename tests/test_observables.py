@@ -3,6 +3,7 @@ import pytest
 
 from symmaxent import linalg
 from symmaxent.observables import (
+    canonical_operator,
     canonical_set,
     expectation,
     factor_indices,
@@ -83,9 +84,27 @@ class TestPauliBasis:
     @pytest.mark.parametrize("kind, n", [("pauli", 0), ("sic", 0), ("custom", 2)])
     def test_canonical_set_rejects_bad_arguments(self, kind, n):
         match = "n_qubits must be >= 1" if n < 1 else "no canonical observable set"
-        for build in (factor_indices, canonical_set):
+        for build in (factor_indices, canonical_set, lambda k, m: canonical_operator(k, m, "X")):
             with pytest.raises(ValueError, match=match):
                 build(kind, n)
+
+    @pytest.mark.parametrize("kind", ["pauli", "sic"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_operator_by_label_is_the_set_element(self, n, kind):
+        # built alone, bit for bit the element of the whole set
+        for op in canonical_set(kind, n):
+            alone = canonical_operator(kind, n, op.label)
+            assert alone.label == op.label
+            assert alone.matrix.tobytes() == op.matrix.tobytes()
+
+    @pytest.mark.parametrize("kind, label", [
+        ("pauli", "II"), ("pauli", "X"), ("pauli", "XYZ"), ("pauli", "XQ"), ("pauli", ""),
+        ("pauli", "SIC-01"), ("sic", "SIC-15"), ("sic", "SIC-1"), ("sic", "SIC-001"),
+        ("sic", "SIC--1"), ("sic", "SIC-\u0661\u0661"), ("sic", "XX"),
+    ])
+    def test_operator_rejects_unknown_labels(self, kind, label):
+        with pytest.raises(ValueError, match=f"unknown observable label '.*' for kind '{kind}'"):
+            canonical_operator(kind, 2, label)
 
 
 class TestSicPovm:

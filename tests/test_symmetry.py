@@ -602,3 +602,38 @@ class TestCompressExpand:
         a = random_mixed_state(2**n, np.random.default_rng([n, len(kind)]))
         both = compress(np.array([a, project(a, kind, n)]), kind, n)
         assert np.max(np.abs(both[0] - both[1])) <= 1e-13
+
+
+class TestCompressedProblem:
+    def test_none_is_the_plain_problem(self):
+        ops = list(pauli_basis(2))[:4]
+        measured = tuple((op, 0.1 * i) for i, op in enumerate(ops))
+        prob = symmetry.compressed_problem(measured, "none", 2, [0.0, 1e-3, 0.0, 0.0])
+        assert prob.dim == 4 and prob.log_weights is None
+        assert prob.measured == measured
+        assert np.array_equal(prob.variances, [0.0, 1e-3, 0.0, 0.0])
+        rho = np.eye(4) / 4
+        assert symmetry.full_estimate(rho, "none", 2) is rho
+
+    @pytest.mark.parametrize("kind, n", [("permutation", 3), ("werner", 3), ("werner", 4)])
+    def test_blocks_and_weights(self, kind, n):
+        sic = list(sic_povm(n))[:5]
+        prob = symmetry.compressed_problem(tuple((op, 0.0) for op in sic), kind, n)
+        weights = block_weights(kind, n)
+        assert prob.dim == len(weights)
+        assert np.array_equal(prob.log_weights, np.log(weights))
+        stack = compress(np.array([op.matrix for op in sic]), kind, n)
+        assert np.array_equal(prob._rows[0], stack.reshape(len(sic), -1))
+
+    def test_full_estimate_divides_by_the_weights(self, rng):
+        rho_c = compress(random_mixed_state(8, rng)[None], "permutation", 3)[0]
+        weighted = rho_c * block_weights("permutation", 3)[:, None]
+        assert np.allclose(
+            symmetry.full_estimate(weighted, "permutation", 3),
+            expand(rho_c, "permutation", 3),
+            atol=1e-15,
+        )
+
+    def test_rejects_operators_of_another_dim(self):
+        with pytest.raises(ValueError, match="do not match dim 8"):
+            symmetry.compressed_problem(((pauli_basis(2)[0], 0.1),), "permutation", 3)
