@@ -11,7 +11,6 @@ reconstruction fidelity against the number of measured observables.
 __version__ = "0.1.0"
 
 from .linalg import (
-    HermitianOperator,
     eigh,
     hs_inner,
     psd_sqrtm,
@@ -56,7 +55,6 @@ from .symmetry import (
 from .harness import ExperimentConfig, SweepResult, run_sweep, summarize
 
 __all__ = [
-    "HermitianOperator",
     "eigh",
     "hs_inner",
     "psd_sqrtm",

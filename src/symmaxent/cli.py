@@ -26,9 +26,8 @@ import re
 import sys
 from pathlib import Path
 
-from . import harness, observables, symmetry
+from . import harness, linalg, observables, symmetry
 from .harness import ExperimentConfig
-from .linalg import HermitianOperator
 from .maxent import SolverOptions, solve
 from .measurement import NoiseConfig
 from .states import DensityMatrix
@@ -203,9 +202,11 @@ def _solve_problem_from_json(data) -> dict:
         if not 0.0 <= variance < math.inf:
             raise ValueError(f"{where} variance must be finite and >= 0, got {variance!r}")
         if "matrix" in entry:
+            # the label names the matrix in error messages only
             label = entry.get("label", f"custom-{len(measured)}")
             try:
-                op = HermitianOperator(observables.matrix_from_jsonable(entry["matrix"]), label)
+                matrix = observables.matrix_from_jsonable(entry["matrix"])
+                op = linalg.hermitian(matrix, f"operator {label!r}")
             except ValueError as exc:
                 raise ValueError(f"{where} matrix: {exc}") from None
         elif "label" in entry:

@@ -312,7 +312,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     lambda0 = None
     for k in sorted({min(r, len(order)) for r in config.r_values}):
         if lambda0 is not None:
-            lambda0 = np.pad(lambda0, (0, k - lambda0.size))
+            lambda0 = np.concatenate([lambda0, np.zeros(k - lambda0.size)])
         solution = solve(problem.leading(k), config.solver, lambda0)
         full = symmetry.full_estimate(solution.rho, config.symmetry, config.n_qubits)
         rho = states.DensityMatrix(full, config.n_qubits)

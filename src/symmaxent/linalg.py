@@ -1,18 +1,16 @@
 """Dense complex-matrix kernel shared by every other module.
 
-All operators are plain square numpy arrays of complex128. Operators with a
-physical identity (observables, symmetry generators, auxiliary constraint
-operators) are wrapped in :class:`HermitianOperator`, which validates
-hermiticity on construction and symmetrizes away accumulated rounding error.
+All operators are plain square numpy arrays of complex128. Every constructor
+that takes an operator (observables, symmetry generators and auxiliaries,
+density matrices, maximum-entropy problems) checks it with :func:`hermitian`,
+which validates it and symmetrizes away accumulated rounding error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# Max-abs entrywise deviation from M == M^dagger tolerated on construction.
+# Max-abs entrywise deviation from M == M^dagger that ``hermitian`` tolerates.
 HERMITICITY_TOL = 1e-12
 
 # Relative tolerance for linear-independence decisions.
@@ -59,54 +57,34 @@ def permutation_matrix(n_qubits: int, perm) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A labelled Hermitian matrix.
-
-    The matrix is validated (square, finite, Hermitian within
-    ``HERMITICITY_TOL`` max-abs entrywise) and replaced by its Hermitian part
-    (M + M^dagger)/2 so that later eigendecompositions see an exactly
-    Hermitian input.
-    """
-
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator {self.label!r}: matrix must be square, got {m.shape}")
-        if m.shape[0] < 1:
-            raise ValueError(f"operator {self.label!r}: empty matrix")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError(f"operator {self.label!r}: non-finite entries")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(
-                f"operator {self.label!r}: not Hermitian "
-                f"(max |M - M^dag| = {dev:.3e} > {HERMITICITY_TOL})"
-            )
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def as_matrix(op) -> np.ndarray:
-    """Accept a HermitianOperator or a raw array; return the ndarray."""
-    if isinstance(op, HermitianOperator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
+def hermitian(m, what: str) -> np.ndarray:
+    """The read-only Hermitian part (M + M^dagger)/2 of one matrix or of a
+    stack of them, after checking that each is square, non-empty, finite and
+    Hermitian within ``HERMITICITY_TOL`` max-abs entrywise. The result is
+    exactly Hermitian, so later eigendecompositions see an exactly Hermitian
+    input; ``what`` names the input in the error messages."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{what}: must be square, got shape {m.shape}")
+    if m.shape[-1] < 1:
+        raise ValueError(f"{what}: empty matrix")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what}: non-finite entries")
+    adjoint = m.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(m - adjoint), initial=0.0)
+    if dev > HERMITICITY_TOL:
+        raise ValueError(
+            f"{what}: not Hermitian (max |M - M^dag| = {dev:.3e} > {HERMITICITY_TOL})"
+        )
+    out = (m + adjoint) / 2.0
+    out.setflags(write=False)
+    return out
 
 
 def stack(ops, dim: int) -> np.ndarray:
-    """(K, dim, dim) complex stack of K operators (``as_matrix``), each of
-    them dim x dim."""
-    mats = [as_matrix(op) for op in ops]
-    a = np.array(mats, dtype=complex) if mats else np.zeros((0, dim, dim), dtype=complex)
+    """(K, dim, dim) complex stack of K operators, each of them dim x dim."""
+    ops = list(ops)
+    a = np.array(ops, dtype=complex) if ops else np.zeros((0, dim, dim), dtype=complex)
     if a.shape[1:] != (dim, dim):
         raise ValueError(f"operators of shape {a.shape[1:]} do not match dim {dim}")
     return a
@@ -120,23 +98,19 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 def commutator(a, b) -> np.ndarray:
     """AB - BA. For Hermitian A, B the result is anti-Hermitian; i*(AB - BA)
     is the Hermitian operator used as a symmetry constraint."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    _check_same_dim(ma, mb)
-    return ma @ mb - mb @ ma
+    a, b = np.asarray(a), np.asarray(b)
+    _check_same_dim(a, b)
+    return a @ b - b @ a
 
 
 def eigh(h):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, checked and symmetrized by
+    :func:`hermitian` first.
 
     Returns ``(w, V)`` with eigenvalues ``w`` ascending and unitary ``V``
     such that h = V diag(w) V^dagger.
     """
-    m = as_matrix(h)
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"eigh: input not Hermitian (max |M - M^dag| = {dev:.3e})")
-    w, v = np.linalg.eigh(m)
-    return w, v
+    return np.linalg.eigh(hermitian(h, "eigh input"))
 
 
 def psd_sqrtm(m) -> np.ndarray:
@@ -153,9 +127,9 @@ def psd_sqrtm(m) -> np.ndarray:
 
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product Tr(A^dagger B)."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    _check_same_dim(ma, mb)
-    return complex(np.vdot(ma, mb))
+    a, b = np.asarray(a), np.asarray(b)
+    _check_same_dim(a, b)
+    return complex(np.vdot(a, b))
 
 
 def independent_rows(vectors, norms) -> list[int]:
@@ -208,8 +182,8 @@ def linearly_independent_subset(ops, seed_ops=()) -> list[int]:
     Returns the kept indices into ``ops``; elements dependent on the seeds
     alone are never kept.
     """
-    vecs = [as_matrix(op).ravel() for op in seed_ops]
+    vecs = [np.ravel(op) for op in seed_ops]
     n_seeds = len(vecs)
-    vecs += [as_matrix(op).ravel() for op in ops]
+    vecs += [np.ravel(op) for op in ops]
     kept = independent_rows(vecs, [np.linalg.norm(v) for v in vecs])
     return [i - n_seeds for i in kept if i >= n_seeds]

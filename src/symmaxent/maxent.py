@@ -92,7 +92,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, HermitianOperator, stack
+from .linalg import hermitian, stack
 
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
@@ -114,7 +114,7 @@ DUAL_ROUNDING = 1e-12
 class MaxEntProblem:
     """Measured observables with targets, on a space of dimension ``dim``.
 
-    Each measured operator is a ``HermitianOperator`` or a dim x dim array.
+    Each measured operator is a dim x dim array.
     ``auxiliary`` observables are constraints with target zero. They are
     appended to ``measured`` as zero-target rows when the problem is built,
     so a problem has one constraint list.
@@ -128,8 +128,8 @@ class MaxEntProblem:
     exponent: the Gibbs form relative to the prior diag(e^w).
     """
 
-    measured: tuple[tuple[HermitianOperator | np.ndarray, float], ...]
-    auxiliary: InitVar[tuple[HermitianOperator, ...]]
+    measured: tuple[tuple[np.ndarray, float], ...]
+    auxiliary: InitVar[tuple[np.ndarray, ...]]
     dim: int
     variances: np.ndarray | None = None
     log_weights: np.ndarray | None = None
@@ -162,17 +162,8 @@ class MaxEntProblem:
                 raise ValueError(f"log_weights must be {dim} finite numbers")
             w.setflags(write=False)
             object.__setattr__(self, "log_weights", w)
-        # one stack, checked at once; an operator within HERMITICITY_TOL of
-        # Hermitian but not exactly is replaced by its Hermitian part
-        a = stack([op for op, _ in measured], dim)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("measured observables have non-finite entries")
-        adjoint = a.conj().transpose(0, 2, 1)
-        dev = np.max(np.abs(a - adjoint), initial=0.0)
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"measured observables are {dev:.3e} from Hermitian")
-        if dev > 0.0:
-            a = (a + adjoint) / 2.0
+        # one stack, checked at once and replaced by its Hermitian part
+        a = hermitian(stack([op for op, _ in measured], dim), "measured observables")
         # the operators as (K, dim^2) rows, for the exponent; the same rows
         # viewed as real, for the expectations, since Tr(A rho) = sum_ij
         # conj(A_ij) rho_ij is one real dot for Hermitian A; and the

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import linalg
-from .linalg import HermitianOperator
 
 if TYPE_CHECKING:  # states imports symmetry, which imports this module
     from .states import DensityMatrix
@@ -39,7 +38,7 @@ def matrix_from_jsonable(data) -> np.ndarray:
         raise ValueError(f"not a matrix of [re, im] number pairs: {exc}") from None
 
 
-def pauli_basis(n_qubits: int) -> tuple[HermitianOperator, ...]:
+def pauli_basis(n_qubits: int) -> np.ndarray:
     """All 4^n - 1 non-identity Pauli tensor products, lexicographic with
     I < X < Y < Z. Each element is Hermitian, traceless and squares to the
     identity."""
@@ -61,7 +60,7 @@ def sic_single_qubit_elements() -> list[np.ndarray]:
     return out
 
 
-def sic_povm(n_qubits: int) -> tuple[HermitianOperator, ...]:
+def sic_povm(n_qubits: int) -> np.ndarray:
     """Tensor products of the single-qubit SIC elements, flat index order
     over per-qubit indices (0..3), with the final all-threes product dropped
     to leave 4^n - 1 linearly independent elements."""
@@ -112,18 +111,24 @@ def _products(kind: str, rows: np.ndarray) -> np.ndarray:
     return mats
 
 
-def canonical_set(kind: str, n_qubits: int) -> tuple[HermitianOperator, ...]:
+def canonical_set(kind: str, n_qubits: int) -> np.ndarray:
     """The Pauli products (``pauli_basis``) or the SIC products
-    (``sic_povm``) as a tuple of ``HermitianOperator``, one element per
-    ``factor_indices`` row, in row order: the Kronecker product of the
-    single-qubit elements the row names, labelled by the Pauli letters or
-    ``SIC-<row number>``. Labels are unique within a set."""
-    rows = factor_indices(kind, n_qubits)
-    mats = _products(kind, rows)
-    return tuple(HermitianOperator(m, label) for m, label in zip(mats, _labels(kind, rows)))
+    (``sic_povm``) as one read-only (4^n - 1, 2^n, 2^n) array, one element
+    per ``factor_indices`` row, in row order: the Kronecker product of the
+    single-qubit elements the row names, as ``linalg.hermitian`` returns it.
+    ``_labels`` names the elements in the same order, by the Pauli letters
+    or ``SIC-<row number>``; labels are unique within a set.
+
+    Each element is checked and replaced by its Hermitian part on its own,
+    in place, so the set holds no second copy of the stack."""
+    mats = _products(kind, factor_indices(kind, n_qubits))
+    for i, m in enumerate(mats):
+        m[...] = linalg.hermitian(m, f"{kind} element {i}")
+    mats.setflags(write=False)
+    return mats
 
 
-def canonical_operator(kind: str, n_qubits: int, label: str) -> HermitianOperator:
+def canonical_operator(kind: str, n_qubits: int, label: str) -> np.ndarray:
     """The element of ``canonical_set(kind, n_qubits)`` labelled ``label``,
     bit for bit, built alone: the label is read as its factor-index row, so
     no other element or label is built."""
@@ -139,12 +144,12 @@ def canonical_operator(kind: str, n_qubits: int, label: str) -> HermitianOperato
     if (len(row) != n_qubits or min(row) < 0 or (kind == "pauli" and not any(row))
             or _labels(kind, rows) != [label]):
         raise ValueError(f"unknown observable label {label!r} for kind {kind!r}")
-    return HermitianOperator(_products(kind, rows)[0], label)
+    return linalg.hermitian(_products(kind, rows)[0], label)
 
 
 def expectation(rho: DensityMatrix, a) -> float:
     """Tr(A rho); raises if the value has a non-negligible imaginary part."""
-    mat = linalg.as_matrix(a)
+    mat = np.asarray(a)
     if mat.shape[0] != rho.dim:
         raise ValueError(f"dimension mismatch: {mat.shape[0]} vs {rho.dim}")
     # vdot conjugates its first argument, so this is Tr(A^dagger rho) = Tr(A rho).

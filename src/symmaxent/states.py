@@ -57,21 +57,18 @@ class DensityMatrix:
     min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
         dim = 2**self.n_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix shape {m.shape} does not match {self.n_qubits} qubits")
-        dev = np.max(np.abs(m - m.conj().T))
-        if dev > linalg.HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
-        m = (m + m.conj().T) / 2.0
+        if np.shape(self.matrix) != (dim, dim):
+            raise ValueError(
+                f"matrix shape {np.shape(self.matrix)} does not match {self.n_qubits} qubits"
+            )
+        m = linalg.hermitian(self.matrix, "density matrix")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         wmin = float(np.linalg.eigvalsh(m)[0])
         if wmin < linalg.PSD_EIG_FLOOR:
             raise ValueError(f"density matrix not PSD (min eigenvalue {wmin:.3e})")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "min_eigenvalue", wmin)
 

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import HermitianOperator
 from .maxent import MaxEntProblem
 from .observables import pauli_basis
 
@@ -71,8 +70,8 @@ class SymmetryGroupSpec:
 
     kind: str
     n_qubits: int
-    generators: tuple[HermitianOperator, ...]
-    auxiliary: tuple[HermitianOperator, ...]
+    generators: tuple[np.ndarray, ...]
+    auxiliary: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -81,17 +80,17 @@ class SymmetryGroupSpec:
         object.__setattr__(self, "auxiliary", tuple(self.auxiliary))
 
 
-def permutation_operator(n_qubits: int, i: int, j: int) -> HermitianOperator:
+def permutation_operator(n_qubits: int, i: int, j: int) -> np.ndarray:
     """Swap of tensor factors i and j (1-based, i < j). Hermitian, unitary,
     and involutory."""
     if not 1 <= i < j <= n_qubits:
         raise ValueError(f"need 1 <= i < j <= {n_qubits}, got i={i}, j={j}")
     perm = list(range(n_qubits))
     perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return HermitianOperator(linalg.permutation_matrix(n_qubits, perm), f"P{i}{j}")
+    return linalg.hermitian(linalg.permutation_matrix(n_qubits, perm), f"swap P{i}{j}")
 
 
-def permutation_generators(n_qubits: int) -> list[HermitianOperator]:
+def permutation_generators(n_qubits: int) -> list[np.ndarray]:
     """Transpositions [P_12, P_13, ..., P_1n]; together they generate the
     full qubit-permutation group."""
     if n_qubits < 2:
@@ -99,7 +98,7 @@ def permutation_generators(n_qubits: int) -> list[HermitianOperator]:
     return [permutation_operator(n_qubits, 1, j) for j in range(2, n_qubits + 1)]
 
 
-def werner_generators(n_qubits: int) -> list[HermitianOperator]:
+def werner_generators(n_qubits: int) -> list[np.ndarray]:
     """Collective Pauli sums sum_l sigma_k^(l) for k in {x, y, z}.
 
     The k = 0 collective operator is n times the identity; its commutators
@@ -116,11 +115,11 @@ def werner_generators(n_qubits: int) -> list[HermitianOperator]:
                 linalg.PAULI_1Q[name] if q == pos else linalg.PAULI_1Q["I"]
                 for q in range(n_qubits)
             )
-        out.append(HermitianOperator(acc, f"S{name.lower()}"))
+        out.append(linalg.hermitian(acc, f"collective S{name.lower()}"))
     return out
 
 
-def generators_for(kind: str, n_qubits: int) -> list[HermitianOperator]:
+def generators_for(kind: str, n_qubits: int) -> list[np.ndarray]:
     if kind == "none":
         return []
     if kind == "permutation":
@@ -130,9 +129,9 @@ def generators_for(kind: str, n_qubits: int) -> list[HermitianOperator]:
     raise ValueError(f"unknown symmetry kind {kind!r}")
 
 
-def auxiliary_observables(kind: str, n_qubits: int) -> list[HermitianOperator]:
+def auxiliary_observables(kind: str, n_qubits: int) -> list[np.ndarray]:
     """Linearly independent auxiliary observables i[Q_k, O_j], with O_j the
-    j-th Pauli product of ``pauli_basis`` (1-based, as labelled).
+    Pauli products of ``pauli_basis``, in order.
 
     Candidates are symmetrized, rescaled to unit Hilbert-Schmidt norm (the
     target value zero is scale-free and unit scaling conditions the solver),
@@ -142,18 +141,17 @@ def auxiliary_observables(kind: str, n_qubits: int) -> list[HermitianOperator]:
     """
     gens = generators_for(kind, n_qubits)
     paulis = pauli_basis(n_qubits) if gens else ()
-    candidates, labels = [], []
+    candidates = []
     for gen in gens:
-        for j, op in enumerate(paulis, start=1):
+        for op in paulis:
             comm = 1j * linalg.commutator(gen, op)
             comm = (comm + comm.conj().T) / 2.0
             nrm = np.linalg.norm(comm)
             if nrm <= ZERO_COMMUTATOR_TOL:
                 continue
             candidates.append(comm / nrm)
-            labels.append(f"aux-{gen.label}-O{j:02d}")
     return [
-        HermitianOperator(candidates[i], labels[i])
+        linalg.hermitian(candidates[i], f"auxiliary observable {i}")
         for i in linalg.linearly_independent_subset(candidates)
     ]
 
@@ -171,14 +169,13 @@ def build_symmetry(kind: str, n_qubits: int) -> SymmetryGroupSpec:
 
 
 def filter_measured_observables(
-    candidates: Sequence[HermitianOperator], aux: Sequence[HermitianOperator]
-) -> tuple[HermitianOperator, ...]:
+    candidates: Sequence[np.ndarray], aux: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
     """The order-preserving subset of ``candidates``, as a tuple, in which
     every element is linearly independent of the auxiliaries and of the
     candidates kept before it. Measuring a rejected candidate would add no
-    information beyond what the symmetry constraints already pin down."""
-    if aux and candidates and aux[0].dim != candidates[0].dim:
-        raise ValueError("auxiliary dimension does not match candidates")
+    information beyond what the symmetry constraints already pin down.
+    Operators of different dimensions are rejected."""
     kept = linalg.linearly_independent_subset(candidates, seed_ops=aux)
     return tuple(candidates[i] for i in kept)
 
@@ -368,7 +365,7 @@ def project(a, kind: str, n_qubits: int) -> np.ndarray:
     commutant of ``kind``: the group average of the operator. Idempotent,
     trace-preserving, and Tr(A rho) = Tr(project(A) rho) for every
     symmetric rho."""
-    mat = linalg.as_matrix(a)
+    mat = np.asarray(a)
     basis = commutant_basis(kind, n_qubits)
     return ((basis.conj() @ mat.ravel()) @ basis).reshape(mat.shape)
 
@@ -386,6 +383,6 @@ def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:
     ops = list(ops)
     if not ops:
         return []
-    flat = np.array([linalg.as_matrix(op).ravel() for op in ops])
+    flat = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
     coeffs = _coordinates(flat, kind, n_qubits)
     return linalg.independent_rows(coeffs, np.linalg.norm(flat, axis=1))

@@ -342,7 +342,7 @@ class TestCriterion9SolverCorrectness:
 
 class TestCriterion10ClosedFormOracle:
     def test_single_pauli_multiplier_matches_atanh(self):
-        z = [op for op in pauli_basis(1) if op.label == "Z"][0]
+        z = pauli_basis(1)[2]
         opts = SolverOptions(tolerance=1e-16)
         worst = 0.0
         for a in (0.0, 0.3, -0.3, 0.9, -0.9):

@@ -239,7 +239,7 @@ class TestSolveCommand:
         assert payload["converged"] is True
         assert payload["stop_reason"] == "tolerance"
         rho = matrix_from_jsonable(payload["rho"])
-        z = pauli_basis(1)[2].matrix
+        z = pauli_basis(1)[2]
         assert np.trace(z @ rho).real == pytest.approx(0.5, abs=1e-6)
         assert payload["lambdas"][0] == pytest.approx(np.arctanh(0.5), abs=1e-5)
         # the entropy of the (3/4, 1/4) state, and one Gibbs evaluation at
@@ -306,7 +306,7 @@ class TestSolveCommand:
             assert payload["converged"] is True
             assert payload["stop_reason"] == "tolerance"
             rho = matrix_from_jsonable(payload["rho"])
-            z = pauli_basis(1)[2].matrix
+            z = pauli_basis(1)[2]
             assert np.trace(z @ rho).real == pytest.approx(z_fit, abs=1e-3)
 
     def test_variance_reaches_the_problem(self, monkeypatch):
@@ -383,7 +383,7 @@ class TestSolveCommand:
         path.write_text(json.dumps(problem))
         assert main(["solve", "--targets", str(path)]) == 0
         assert [kind for _, kind in seen] == ["werner"]
-        assert np.array_equal(seen[0][0][0][0].matrix, sic_povm(3)[5].matrix)
+        assert np.array_equal(seen[0][0][0][0], sic_povm(3)[5])
         assert solved == [3]
         assert json.loads(capsys.readouterr().out)["converged"] is True
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from symmaxent import linalg, observables, symmetry
 from symmaxent.linalg import (
-    HermitianOperator,
     commutator,
     eigh,
+    hermitian,
     hs_inner,
     linearly_independent_subset,
     psd_sqrtm,
@@ -16,29 +16,69 @@ from symmaxent.states import DensityMatrix
 from conftest import I2, SX, SY, SZ, random_hermitian, random_psd
 
 
-class TestHermitianOperator:
+class TestHermitian:
     def test_symmetrizes_small_asymmetry(self):
         m = SX.copy()
         m[0, 1] += 1e-14
-        op = HermitianOperator(m, "x")
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) == 0.0
+        h = hermitian(m, "x")
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
+        assert np.array_equal(h, (m + m.conj().T) / 2.0)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
+    def test_returns_the_hermitian_part_of_a_stack(self, rng):
+        a = np.array([random_hermitian(3, rng) for _ in range(4)])
+        a[:, 0, 1] += 1e-13
+        h = hermitian(a, "stack")
+        assert h.shape == (4, 3, 3)
+        assert np.array_equal(h, (a + a.conj().transpose(0, 2, 1)) / 2.0)
+        assert np.array_equal(h, h.conj().transpose(0, 2, 1))
+        # each matrix of a stack is checked and symmetrized as it is alone
+        for m, row in zip(a, h):
+            assert np.array_equal(hermitian(m, "one"), row)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            HermitianOperator(np.zeros((2, 3)))
+    def test_exact_input_is_returned_unchanged(self):
+        assert np.array_equal(hermitian(SY, "y"), SY)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            HermitianOperator(np.array([[np.inf, 0], [0, 0]], dtype=complex))
+    def test_empty_stack_of_nonempty_matrices(self):
+        assert hermitian(np.zeros((0, 2, 2)), "no operators").shape == (0, 2, 2)
 
-    def test_immutable(self):
-        op = HermitianOperator(SZ)
+    @pytest.mark.parametrize("m", [SZ, np.zeros((2, 2, 2))])
+    def test_read_only_copy(self, m):
+        h = hermitian(m, "z")
+        assert not h.flags.writeable
+        assert not np.shares_memory(h, m)
         with pytest.raises(ValueError):
-            op.matrix[0, 0] = 5.0
+            h[..., 0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.array([[0, 1], [0, 0]], dtype=complex), "not Hermitian"),
+            (np.zeros((2, 3)), "must be square"),
+            (np.zeros(4), "must be square"),
+            (np.zeros((2, 2, 2, 2)), "must be square"),
+            (np.zeros((0, 0)), "empty matrix"),
+            (np.zeros((3, 0, 0)), "empty matrix"),
+            (np.array([[np.inf, 0], [0, 0]], dtype=complex), "non-finite"),
+            (np.full((2, 2), np.nan), "non-finite"),
+            (np.array([[0, 1j * np.nan], [0, 0]]), "non-finite"),
+        ],
+    )
+    def test_rejects_with_a_message_naming_the_input(self, m, message):
+        with pytest.raises(ValueError, match=f"^the input: {message}"):
+            hermitian(m, "the input")
+
+    @pytest.mark.parametrize("scale, accepted", [(0.5, True), (2.0, False)])
+    def test_tolerance(self, scale, accepted):
+        m = SX + scale * linalg.HERMITICITY_TOL * np.array([[0, 1], [0, 0]])
+        if accepted:
+            assert np.array_equal(hermitian(m, "x"), (m + m.conj().T) / 2.0)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian(m, "x")
+
+    def test_the_operator_type_is_gone(self):
+        assert not hasattr(linalg, "HermitianOperator")
+        assert not hasattr(linalg, "as_matrix")
 
 
 class TestCommutator:
@@ -77,6 +117,11 @@ class TestEigh:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_nan(self):
+        # every comparison with NaN is false, so no tolerance test catches it
+        with pytest.raises(ValueError, match="non-finite"):
+            eigh(np.full((2, 2), np.nan))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 16))
@@ -299,7 +344,7 @@ class TestIndependentRowsOracle:
         # the rows independent_projections builds for the sweep harness:
         # commutant coordinates, reference norms of the operators themselves
         candidates = observables.canonical_set(observable_kind, n)
-        flat = np.array([linalg.as_matrix(op).ravel() for op in candidates])
+        flat = candidates.reshape(len(candidates), -1)
         coeffs = flat @ symmetry.commutant_basis(kind, n).conj().T
         norms = np.linalg.norm(flat, axis=1)
         rng = np.random.default_rng([n, len(candidates), len(kind)])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from symmaxent import cli, linalg, maxent, states, symmetry
-from symmaxent.linalg import HermitianOperator
 from symmaxent.maxent import (
     MaxEntProblem,
     MaxEntSolution,
@@ -18,14 +17,14 @@ from symmaxent.maxent import (
     solve,
     susceptibility,
 )
-from symmaxent.observables import expectation, pauli_basis, sic_povm
+from symmaxent.observables import canonical_operator, expectation, pauli_basis, sic_povm
 from symmaxent.symmetry import build_symmetry, compressed_problem, full_estimate
 
 from conftest import SZ, full_state, kron_chain, random_mixed_state
 
 
 def single_qubit_problem(target):
-    z = [op for op in pauli_basis(1) if op.label == "Z"][0]
+    z = pauli_basis(1)[2]
     return MaxEntProblem(((z, target),), (), 2)
 
 
@@ -36,14 +35,13 @@ def problem_from_state(rho, ops, aux=()):
 
 def operator_stack(prob):
     """(K, dim, dim) array of a problem's constraint operators, as given."""
-    return np.array([linalg.as_matrix(op) for op, _ in prob.measured])
+    return np.array([op for op, _ in prob.measured], dtype=complex)
 
 
 def same_pairs(x, y):
-    """Whether two measured tuples hold equal operators and targets; a
-    compressed problem's operators are arrays."""
+    """Whether two measured tuples hold equal operators and targets."""
     return len(x) == len(y) and all(
-        np.array_equal(linalg.as_matrix(a), linalg.as_matrix(b)) and s == t
+        np.array_equal(a, b) and s == t
         for (a, s), (b, t) in zip(x, y)
     )
 
@@ -89,8 +87,8 @@ class TestRhoOfLambda:
             assert expectation(rho, SZ) == pytest.approx(np.tanh(t), abs=1e-12)
 
     def test_commuting_observables_factorize(self):
-        zi = HermitianOperator(kron_chain(SZ, np.eye(2)), "ZI")
-        iz = HermitianOperator(kron_chain(np.eye(2), SZ), "IZ")
+        zi = linalg.hermitian(kron_chain(SZ, np.eye(2)), "ZI")
+        iz = linalg.hermitian(kron_chain(np.eye(2), SZ), "IZ")
         prob = MaxEntProblem(((zi, 0.0), (iz, 0.0)), (), 4)
         a, b = 0.7, -0.4
         rho = rho_of_lambda(prob, [a, b])
@@ -190,7 +188,7 @@ def susceptibility_problem(shape, rng):
     kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 4)][:12]
     return MaxEntProblem(
         tuple(
-            (HermitianOperator(symmetry.project(op, "permutation", 4), op.label),
+            (linalg.hermitian(symmetry.project(op, "permutation", 4), "projection"),
              expectation(rho, op))
             for op in kept
         ),
@@ -241,7 +239,7 @@ def _reference_susceptibility(a, g, state):
 
 def _projected(ops, kind, n):
     kept = [ops[i] for i in symmetry.independent_projections(ops, kind, n)]
-    return [HermitianOperator(symmetry.project(op, kind, n), op.label) for op in kept]
+    return [linalg.hermitian(symmetry.project(op, kind, n), "projection") for op in kept]
 
 
 def oracle_problem(shape, rng):
@@ -262,8 +260,8 @@ def oracle_problem(shape, rng):
         ops, aux = _projected(list(sic_povm(4)), "permutation", 4)[:20], ()
     else:
         ops, aux = list(sic_povm(3))[:8], build_symmetry("werner", 3).auxiliary[:20]
-    n = ops[0].dim.bit_length() - 1
-    rho = states.DensityMatrix(random_mixed_state(ops[0].dim, rng), n)
+    dim = len(ops[0])
+    rho = states.DensityMatrix(random_mixed_state(dim, rng), dim.bit_length() - 1)
     return problem_from_state(rho, ops, aux)
 
 
@@ -573,13 +571,13 @@ class TestSolve:
         sol = solve(prob, SolverOptions(tolerance=1e-22))
         base_entropy = states.von_neumann_entropy(full_state(sol.rho, 3))
 
-        basis_cols = np.array([op.matrix.ravel() for op in ops]).T
+        basis_cols = np.array([op.ravel() for op in ops]).T
         wmin = np.linalg.eigvalsh(sol.rho)[0]
         count = 0
         for _ in range(100):
             h = random_mixed_state(8, rng) - np.eye(8) / 8  # traceless hermitian
             coeffs, *_ = np.linalg.lstsq(basis_cols, h.ravel(), rcond=None)
-            h_perp = h - np.tensordot(coeffs, [op.matrix for op in ops], axes=1)
+            h_perp = h - np.tensordot(coeffs, ops, axes=1)
             h_perp = (h_perp + h_perp.conj().T) / 2
             nrm = np.linalg.norm(h_perp)
             if nrm < 1e-12:
@@ -646,7 +644,7 @@ class TestProjectedConstraints:
             projected = solve(
                 MaxEntProblem(
                     tuple(
-                        (HermitianOperator(symmetry.project(op, kind, 3), op.label),
+                        (linalg.hermitian(symmetry.project(op, kind, 3), "projection"),
                          expectation(rho, op))
                         for op in use
                     ),
@@ -682,7 +680,7 @@ class TestValidation:
             MaxEntProblem(((z, 0.1),), (), 8)
 
     @pytest.mark.parametrize("matrix, match", [
-        (np.array([[1.0, 1.0], [0.0, 1.0]]), "from Hermitian"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian"),
         (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
         (np.array([[1.0, np.nan], [np.nan, 1.0]]), "non-finite"),
         (np.ones((2, 3)), "shape"),
@@ -749,15 +747,6 @@ class TestDimensionFree:
             assert abs(sol.lambdas[0] - np.log(x)) <= 1e-10
             want = np.diag([x, 1.0, 1.0 / x]) / (x + 1.0 + 1.0 / x)
             assert np.max(np.abs(sol.rho - want)) <= 1e-12
-
-    def test_arrays_and_operators_are_one_problem(self, rng):
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
-        ops = list(pauli_basis(3))[:7]
-        as_ops = problem_from_state(rho, ops)
-        as_arrays = MaxEntProblem(tuple((op.matrix, t) for op, t in as_ops.measured), (), 8)
-        got, want = solve(as_arrays), solve(as_ops)
-        assert np.array_equal(got.lambdas, want.lambdas)
-        assert np.array_equal(got.rho, want.rho)
 
     @pytest.mark.parametrize("kind, n", [("permutation", 3), ("werner", 4)])
     def test_log_weights_without_constraints(self, kind, n):
@@ -1180,7 +1169,7 @@ def _mp_dual_minimiser(ops, targets, mp):
     """The state minimising Phi = log Tr exp(sum_i l_i A_i) - l . a at the
     working precision of ``mp``: damped Newton on Phi from l = 0, with a
     forward-difference Hessian, until ||grad|| < 10^(10 - dps)."""
-    mats = [mp.matrix(op.matrix.tolist()) for op in ops]
+    mats = [mp.matrix(op.tolist()) for op in ops]
     a = [mp.mpf(t) for t in targets]
     dim = mats[0].rows
 
@@ -1222,9 +1211,8 @@ def _oracle_case(case):
     rng = np.random.default_rng([20261025, case])
     paulis, sic = list(pauli_basis(2)), list(sic_povm(2))
     if case == 3:
-        by_label = {op.label: op for op in paulis}
-        ops = [by_label[label] for label in ("ZI", "IZ", "XX", "YY")]
-        h = sum(w * op.matrix for w, op in zip((0.5, 0.5, 1e-9, 0.0), ops))
+        ops = [canonical_operator("pauli", 2, label) for label in ("ZI", "IZ", "XX", "YY")]
+        h = sum(w * op for w, op in zip((0.5, 0.5, 1e-9, 0.0), ops))
         w, v = np.linalg.eigh(h)
         rho = states.DensityMatrix((v * np.exp(w)) @ v.conj().T / np.exp(w).sum(), 2)
     else:

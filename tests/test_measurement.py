@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symmaxent.linalg import HermitianOperator
+from symmaxent.linalg import hermitian
 from symmaxent.measurement import (
     NoiseConfig,
     click_probability,
@@ -361,7 +361,7 @@ class TestEstimateExpectations:
         rng = np.random.default_rng(3)
         cfg = NoiseConfig(trials=10**6, mode="photon_model", mu=0.18, lambda_dc=1e-4)
         rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex), 1)
-        op = HermitianOperator(SZ, "Z")
+        op = hermitian(SZ, "Z")
         modes = projector_modes(op)
         a_hat = estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
         # worst-case propagated standard error over the two modes
@@ -429,7 +429,7 @@ def per_observable_acquisition(rho, op, cfg, rng):
     estimator applied one observable at a time before acquisition was
     batched: its own probability product, a scalar draw for one mode, and
     its own sums."""
-    w, v = np.linalg.eigh(op.matrix)
+    w, v = np.linalg.eigh(op)
     keep = np.abs(w) > 1e-12
     vectors, weights = v[:, keep], w[keep]
     p = (vectors.conj() * (rho.matrix @ vectors)).sum(axis=0).real.clip(0.0, 1.0)
@@ -470,7 +470,7 @@ BATCHES = {
     "sic": lambda: list(sic_povm(3)[::5]),
     "pauli": lambda: list(pauli_basis(3)[::5]),
     "mixed": lambda: [sic_povm(2)[3], pauli_basis(2)[7],
-                      HermitianOperator(kron_chain((I2 + SZ) / 2, SX), "P0X"),
+                      hermitian(kron_chain((I2 + SZ) / 2, SX), "P0X"),
                       sic_povm(2)[9], pauli_basis(2)[14]],
 }
 
@@ -486,7 +486,7 @@ class TestBatch:
         # every Pauli Z-string mode at p = 0 or 1, so finite_sample draws
         # empty and saturated modes
         ops = BATCHES[batch]()
-        n = ops[0].dim.bit_length() - 1
+        n = len(ops[0]).bit_length() - 1
         if state == "mixed":
             rho = DensityMatrix(random_mixed_state(2**n, rng), n)
         else:
@@ -511,7 +511,7 @@ class TestBatch:
         # a sweep acquires its first max(r) observables once and slices the
         # first k: those k must get the counts a batch of just them draws
         ops = BATCHES[batch]()
-        n = ops[0].dim.bit_length() - 1
+        n = len(ops[0]).bit_length() - 1
         rho = DensityMatrix(random_mixed_state(2**n, rng), n)
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
         alone = [projector_modes(op) for op in ops]

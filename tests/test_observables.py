@@ -3,6 +3,7 @@ import pytest
 
 from symmaxent import linalg
 from symmaxent.observables import (
+    _labels,
     canonical_operator,
     canonical_set,
     expectation,
@@ -22,24 +23,30 @@ def maximally_mixed(n):
     return DensityMatrix(np.eye(2**n) / 2**n, n)
 
 
+def labels(kind, n):
+    """The labels of ``canonical_set(kind, n)``, in set order."""
+    return _labels(kind, factor_indices(kind, n))
+
+
 class TestPauliBasis:
     def test_single_qubit(self):
         basis = pauli_basis(1)
-        assert [op.label for op in basis] == ["X", "Y", "Z"]
-        assert np.allclose(basis[0].matrix, SX)
+        assert labels("pauli", 1) == ["X", "Y", "Z"]
+        assert np.allclose(basis[0], SX)
 
     def test_three_qubit_count(self):
         assert len(pauli_basis(3)) == 63
 
     def test_order_deterministic(self):
-        labels = [op.label for op in pauli_basis(2)]
-        assert labels[:6] == ["IX", "IY", "IZ", "XI", "XX", "XY"]
-        assert labels == [op.label for op in pauli_basis(2)]
+        names = labels("pauli", 2)
+        assert names[:6] == ["IX", "IY", "IZ", "XI", "XX", "XY"]
+        assert names == labels("pauli", 2)
+        assert np.array_equal(pauli_basis(2), pauli_basis(2))
 
     def test_traceless_and_involutory(self):
         for op in pauli_basis(2):
-            assert abs(np.trace(op.matrix)) <= 1e-14
-            assert np.allclose(op.matrix @ op.matrix, np.eye(4))
+            assert abs(np.trace(op)) <= 1e-14
+            assert np.allclose(op @ op, np.eye(4))
 
     def test_orthogonality(self, rng):
         basis = pauli_basis(2)
@@ -50,7 +57,7 @@ class TestPauliBasis:
                 assert val == pytest.approx(4.0 if i == j else 0.0, abs=1e-12)
 
     def test_spans_full_operator_space(self):
-        ops = [np.eye(8)] + [op.matrix for op in pauli_basis(3)]
+        ops = [np.eye(8)] + list(pauli_basis(3))
         kept = linalg.linearly_independent_subset(ops)
         assert len(kept) == 64
 
@@ -66,20 +73,21 @@ class TestPauliBasis:
         )
         rows = factor_indices(kind, n)
         ops = canonical_set(kind, n)
-        # a plain tuple of operators, the same one each public name returns
-        assert type(ops) is tuple
-        assert all(type(op) is linalg.HermitianOperator for op in ops)
+        # one read-only array, the same one each public name returns
+        assert type(ops) is np.ndarray and ops.dtype == complex
+        assert ops.shape == (4**n - 1, 2**n, 2**n)
+        assert not ops.flags.writeable
         named = pauli_basis(n) if kind == "pauli" else sic_povm(n)
-        assert type(named) is tuple
-        assert [op.label for op in named] == [op.label for op in ops]
+        assert named.tobytes() == ops.tobytes()
         assert len(rows) == len(ops) == 4**n - 1
         for op, row in zip(ops, rows):
-            ref = linalg.HermitianOperator(linalg.kron_all(singles[i] for i in row))
-            assert op.matrix.tobytes() == ref.matrix.tobytes()
-        labels = [op.label for op in ops]
-        assert len(set(labels)) == len(labels)
+            ref = linalg.hermitian(linalg.kron_all(singles[i] for i in row), "ref")
+            assert op.tobytes() == ref.tobytes()
+        names = labels(kind, n)
+        assert len(names) == len(ops)
+        assert len(set(names)) == len(names)
         if kind == "pauli":
-            assert labels == ["".join("IXYZ"[i] for i in row) for row in rows]
+            assert names == ["".join("IXYZ"[i] for i in row) for row in rows]
 
     @pytest.mark.parametrize("kind, n", [("pauli", 0), ("sic", 0), ("custom", 2)])
     def test_canonical_set_rejects_bad_arguments(self, kind, n):
@@ -92,10 +100,10 @@ class TestPauliBasis:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_operator_by_label_is_the_set_element(self, n, kind):
         # built alone, bit for bit the element of the whole set
-        for op in canonical_set(kind, n):
-            alone = canonical_operator(kind, n, op.label)
-            assert alone.label == op.label
-            assert alone.matrix.tobytes() == op.matrix.tobytes()
+        for op, label in zip(canonical_set(kind, n), labels(kind, n), strict=True):
+            alone = canonical_operator(kind, n, label)
+            assert not alone.flags.writeable
+            assert alone.tobytes() == op.tobytes()
 
     @pytest.mark.parametrize("kind, label", [
         ("pauli", "II"), ("pauli", "X"), ("pauli", "XYZ"), ("pauli", "XQ"), ("pauli", ""),
@@ -126,23 +134,23 @@ class TestSicPovm:
 
     def test_elements_psd(self):
         for op in sic_povm(2):
-            assert np.linalg.eigvalsh(op.matrix)[0] >= -1e-12
+            assert np.linalg.eigvalsh(op)[0] >= -1e-12
 
     def test_completeness_with_dropped_element_restored(self):
         povm = sic_povm(3)
         singles = sic_single_qubit_elements()
         dropped = kron_chain(singles[3], singles[3], singles[3])
-        total = sum(op.matrix for op in povm) + dropped
+        total = povm.sum(axis=0) + dropped
         assert np.max(np.abs(total - np.eye(8))) <= 1e-12
 
     def test_linearly_independent(self):
-        ops = [op.matrix for op in sic_povm(2)]
+        ops = sic_povm(2)
         assert len(linalg.linearly_independent_subset(ops)) == len(ops)
 
     def test_labels(self):
-        povm = sic_povm(3)
-        assert povm[0].label == "SIC-00"
-        assert povm[17].label == "SIC-17"
+        names = labels("sic", 3)
+        assert names[0] == "SIC-00"
+        assert names[17] == "SIC-17"
 
 
 class TestExpectation:
@@ -153,7 +161,7 @@ class TestExpectation:
 
     def test_ghz_xxx(self):
         rho = ghz(3).density()
-        xxx = [op for op in pauli_basis(3) if op.label == "XXX"][0]
+        xxx = pauli_basis(3)[labels("pauli", 3).index("XXX")]
         assert expectation(rho, xxx) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_gives_trace(self, rng):
@@ -163,7 +171,7 @@ class TestExpectation:
     def test_linear_in_observable(self, rng):
         rho = DensityMatrix(random_mixed_state(4, rng), 2)
         a, b = pauli_basis(2)[3], pauli_basis(2)[7]
-        combo = 0.3 * a.matrix + 0.7 * b.matrix
+        combo = 0.3 * a + 0.7 * b
         assert expectation(rho, combo) == pytest.approx(
             0.3 * expectation(rho, a) + 0.7 * expectation(rho, b), abs=1e-12
         )

@@ -47,6 +47,17 @@ class TestTypes:
         with pytest.raises(ValueError, match="not PSD"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
 
+    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), [[0.5, np.inf], [np.inf, 0.5]]])
+    def test_density_rejects_non_finite(self, m):
+        # every comparison with NaN is false: the Hermiticity, trace and PSD
+        # tests would all let a NaN matrix through
+        with pytest.raises(ValueError, match="density matrix: non-finite"):
+            DensityMatrix(m, 1)
+
+    def test_density_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="density matrix: not Hermitian"):
+            DensityMatrix([[0.5, 0.1], [0.0, 0.5]], 1)
+
     def test_density_accepts_tiny_negative(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         DensityMatrix(m, 1)
@@ -343,6 +354,11 @@ class TestWhiteNoise:
 
 
 class TestFidelity:
+    def test_no_nan_state_reaches_it(self):
+        # a NaN entry would make the fidelity NaN; the state is refused
+        with pytest.raises(ValueError, match="non-finite"):
+            fidelity(maximally_mixed(1), DensityMatrix([[0.5, np.nan], [np.nan, 0.5]], 1))
+
     def test_self_fidelity(self, rng):
         rho = DensityMatrix(random_mixed_state(8, rng), 3)
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)

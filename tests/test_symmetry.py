@@ -30,7 +30,7 @@ from conftest import SX, SY, SZ, kron_chain, random_mixed_state
 
 class TestPermutationOperator:
     def test_two_qubit_swap(self):
-        swap = permutation_operator(2, 1, 2).matrix
+        swap = permutation_operator(2, 1, 2)
         expected = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
@@ -38,19 +38,19 @@ class TestPermutationOperator:
 
     def test_fixes_ghz(self):
         psi = states.ghz(3).amplitudes
-        p12 = permutation_operator(3, 1, 2).matrix
+        p12 = permutation_operator(3, 1, 2)
         assert np.allclose(p12 @ psi, psi)
 
     def test_p13_on_basis_state(self):
         # |001> -> |100>
-        p13 = permutation_operator(3, 1, 3).matrix
+        p13 = permutation_operator(3, 1, 3)
         e001 = np.eye(8)[1]
         e100 = np.eye(8)[4]
         assert np.allclose(p13 @ e001, e100)
 
     def test_involutory_hermitian_unitary(self):
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            p = permutation_operator(3, i, j).matrix
+            p = permutation_operator(3, i, j)
             assert np.allclose(p @ p, np.eye(8))
             assert np.allclose(p, p.conj().T)
             assert np.allclose(p @ p.conj().T, np.eye(8))
@@ -67,22 +67,24 @@ class TestPermutationOperator:
 class TestPermutationGenerators:
     def test_three_qubits(self):
         gens = permutation_generators(3)
-        assert [g.label for g in gens] == ["P12", "P13"]
+        assert len(gens) == 2
+        assert np.array_equal(gens[0], permutation_operator(3, 1, 2))
+        assert np.array_equal(gens[1], permutation_operator(3, 1, 3))
 
     def test_two_qubits_single_swap(self):
         gens = permutation_generators(2)
         assert len(gens) == 1
-        assert np.allclose(gens[0].matrix, permutation_operator(2, 1, 2).matrix)
+        assert np.allclose(gens[0], permutation_operator(2, 1, 2))
 
     def test_squares_to_identity(self):
         for g in permutation_generators(4):
-            assert np.allclose(g.matrix @ g.matrix, np.eye(16))
+            assert np.allclose(g @ g, np.eye(16))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_generate_full_symmetric_group(self, n):
         # closure of the generator set under multiplication reaches all n!
         # permutation matrices
-        gens = [g.matrix for g in permutation_generators(n)]
+        gens = permutation_generators(n)
         seen = {}
         frontier = [np.eye(2**n)]
         while frontier:
@@ -106,8 +108,10 @@ class TestPermutationGenerators:
 class TestWernerGenerators:
     def test_collective_z_two_qubits(self):
         gens = werner_generators(2)
-        z = [g for g in gens if g.label == "Sz"][0]
-        assert np.allclose(z.matrix, np.diag([2.0, 0.0, 0.0, -2.0]))
+        # collective X, Y, Z in that order
+        assert np.allclose(gens[2], np.diag([2.0, 0.0, 0.0, -2.0]))
+        assert np.allclose(gens[0], np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SX))
+        assert np.allclose(gens[1], np.kron(SY, np.eye(2)) + np.kron(np.eye(2), SY))
 
     def test_exactly_three(self):
         # the k = 0 collective operator is n*I; i[nI, O] = 0 identically so
@@ -121,7 +125,7 @@ class TestWernerGenerators:
         for g in werner_generators(3):
             for perm in itertools.permutations(range(3)):
                 v = linalg.permutation_matrix(3, perm)
-                assert np.linalg.norm(g.matrix @ v - v @ g.matrix) <= 1e-12
+                assert np.linalg.norm(g @ v - v @ g) <= 1e-12
 
 
 class TestAuxiliaryObservables:
@@ -131,11 +135,11 @@ class TestAuxiliaryObservables:
 
     def test_all_traceless(self):
         for aux in auxiliary_observables("permutation", 3):
-            assert abs(np.trace(aux.matrix)) <= 1e-12
+            assert abs(np.trace(aux)) <= 1e-12
 
     def test_unit_norm(self):
         for aux in auxiliary_observables("werner", 3):
-            assert np.linalg.norm(aux.matrix) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(aux) == pytest.approx(1.0, abs=1e-12)
 
     def test_werner_count_matches_commutant_oracle(self):
         # oracle: the joint kernel of the commutator maps X -> [Q_k, X] is
@@ -144,7 +148,7 @@ class TestAuxiliaryObservables:
         # superoperators.
         gens = werner_generators(3)
         rows = [
-            np.kron(g.matrix, np.eye(8)) - np.kron(np.eye(8), g.matrix.T)
+            np.kron(g, np.eye(8)) - np.kron(np.eye(8), g.T)
             for g in gens
         ]
         svals = np.linalg.svd(np.vstack(rows), compute_uv=False)
@@ -155,7 +159,7 @@ class TestAuxiliaryObservables:
     def test_permutation_count_matches_commutant_oracle(self):
         gens = permutation_generators(3)
         rows = [
-            np.kron(g.matrix, np.eye(8)) - np.kron(np.eye(8), g.matrix.T)
+            np.kron(g, np.eye(8)) - np.kron(np.eye(8), g.T)
             for g in gens
         ]
         svals = np.linalg.svd(np.vstack(rows), compute_uv=False)
@@ -165,7 +169,7 @@ class TestAuxiliaryObservables:
 
     def test_gram_positive_definite(self):
         aux = auxiliary_observables("permutation", 3)
-        vecs = np.array([a.matrix.ravel() for a in aux])
+        vecs = np.array([a.ravel() for a in aux])
         gram = (vecs @ vecs.conj().T).real
         assert np.linalg.eigvalsh(gram)[0] > 1e-6
 
@@ -177,7 +181,7 @@ class TestAuxiliaryObservables:
         ]
         for rho in sym_states:
             for a in aux:
-                assert abs(np.vdot(a.matrix, rho.matrix).real) <= 1e-9
+                assert abs(np.vdot(a, rho.matrix).real) <= 1e-9
 
     def test_none_kind_empty(self):
         assert auxiliary_observables("none", 3) == []
@@ -185,18 +189,25 @@ class TestAuxiliaryObservables:
     @pytest.mark.parametrize(
         "kind, n, count, first, last",
         [
-            ("permutation", 3, 44, ["aux-P12-O04", "aux-P12-O05", "aux-P12-O06"], "aux-P13-O39"),
-            ("werner", 3, 59, ["aux-Sx-O02"], "aux-Sy-O53"),
-            ("permutation", 4, 221, [], "aux-P14-O151"),
+            ("permutation", 3, 44, [(0, 4), (0, 5), (0, 6)], (1, 39)),
+            ("werner", 3, 59, [(0, 2)], (1, 53)),
+            ("permutation", 4, 221, [], (2, 151)),
         ],
     )
-    def test_counts_and_labels(self, kind, n, count, first, last):
-        # O_j is the j-th Pauli product of pauli_basis, counted from 1 as if
-        # the identity (whose commutators vanish) were O_00
-        labels = [a.label for a in auxiliary_observables(kind, n)]
-        assert len(labels) == count
-        assert labels[: len(first)] == first
-        assert labels[-1] == last
+    def test_counts_and_construction_order(self, kind, n, count, first, last):
+        # (k, j) names i[Q_k, O_j]: generator k of generators_for, and O_j
+        # the j-th Pauli product of pauli_basis, counted from 1 as if the
+        # identity (whose commutators vanish) were O_00
+        def candidate(k, j):
+            comm = 1j * linalg.commutator(generators_for(kind, n)[k], pauli_basis(n)[j - 1])
+            comm = (comm + comm.conj().T) / 2.0
+            return linalg.hermitian(comm / np.linalg.norm(comm), "candidate")
+
+        aux = auxiliary_observables(kind, n)
+        assert len(aux) == count
+        for a, kj in zip(aux, first):
+            assert np.array_equal(a, candidate(*kj))
+        assert np.array_equal(aux[-1], candidate(*last))
 
     def test_zero_expectations_imply_generator_commutation(self, rng):
         # build a state whose auxiliary expectations all vanish by averaging
@@ -204,7 +215,7 @@ class TestAuxiliaryObservables:
         # generator
         rho = states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3), 3)
         aux = auxiliary_observables("permutation", 3)
-        assert all(abs(np.vdot(a.matrix, rho.matrix).real) <= 1e-10 for a in aux)
+        assert all(abs(np.vdot(a, rho.matrix).real) <= 1e-10 for a in aux)
         for g in permutation_generators(3):
             assert np.linalg.norm(linalg.commutator(g, rho.matrix)) <= 1e-8
 
@@ -230,7 +241,7 @@ class TestFilterMeasuredObservables:
         basis = pauli_basis(3)
         kept = filter_measured_observables(basis, ())
         assert len(kept) == 63
-        assert [op.label for op in kept] == [op.label for op in basis]
+        assert np.array_equal(kept, basis)
 
     def test_rejects_aux_span_member(self):
         # X I I - I X I flips sign under conjugation by the 1<->2 swap, so it
@@ -240,11 +251,11 @@ class TestFilterMeasuredObservables:
         xii = kron_chain(SX, np.eye(2), np.eye(2))
         ixi = kron_chain(np.eye(2), SX, np.eye(2))
         candidate = (xii - ixi) / np.linalg.norm(xii - ixi)
-        basis_mat = np.array([a.matrix.ravel() for a in aux]).T
+        basis_mat = np.array([a.ravel() for a in aux]).T
         coeffs, *_ = np.linalg.lstsq(basis_mat, candidate.ravel(), rcond=None)
         residual = np.linalg.norm(basis_mat @ coeffs - candidate.ravel())
         assert residual < 1e-9
-        obs = [linalg.HermitianOperator(candidate, "XII-IXI")]
+        obs = [candidate]
         assert filter_measured_observables(obs, aux) == ()
 
     def test_rank_bookkeeping(self):
@@ -253,7 +264,7 @@ class TestFilterMeasuredObservables:
         candidates = pauli_basis(3)
         kept = filter_measured_observables(candidates, aux)
         stacked = np.array(
-            [a.matrix.ravel() for a in aux] + [c.matrix.ravel() for c in candidates]
+            [a.ravel() for a in aux] + [c.ravel() for c in candidates]
         )
         svals = np.linalg.svd(stacked, compute_uv=False)
         union_rank = int(np.sum(svals > 1e-9 * svals[0]))
@@ -270,18 +281,25 @@ class TestFilterMeasuredObservables:
             # a plain list in, a tuple of the kept operators out, in input order
             kept = filter_measured_observables(list(sic_povm(3)), aux)
             assert type(kept) is tuple
-            assert all(type(op) is linalg.HermitianOperator for op in kept)
-            assert [op.label for op in kept] == [f"SIC-{k:02d}" for k in numbers]
+            assert all(type(op) is np.ndarray for op in kept)
+            assert np.array_equal(kept, sic_povm(3)[numbers])
         # the call the benchmark's n = 3 permutation kernel makes
         aux = build_symmetry("permutation", 3).auxiliary
         first = list(filter_measured_observables(canonical_set("sic", 3), aux))[:19]
-        assert [op.label for op in first] == [f"SIC-{k:02d}" for k in expected["permutation"]]
+        assert np.array_equal(first, sic_povm(3)[expected["permutation"]])
+
+    def test_rejects_operators_of_another_dimension(self):
+        aux = build_symmetry("permutation", 3).auxiliary
+        with pytest.raises(ValueError, match="row shapes"):
+            filter_measured_observables(pauli_basis(2), aux)
 
     def test_preserves_order(self):
         aux = build_symmetry("werner", 3).auxiliary
         kept = filter_measured_observables(sic_povm(3), aux)
-        all_labels = [op.label for op in sic_povm(3)]
-        positions = [all_labels.index(op.label) for op in kept]
+        positions = [
+            next(i for i, op in enumerate(sic_povm(3)) if np.array_equal(op, k)) for k in kept
+        ]
+        assert len(positions) == len(kept) == 5
         assert positions == sorted(positions)
 
 
@@ -294,7 +312,7 @@ from symmaxent import states, symmetry
 from symmaxent.observables import sic_povm
 digest = hashlib.sha256(symmetry.commutant_basis("permutation", 4).tobytes())
 digest.update(symmetry.block_weights("permutation", 4).tobytes())
-sic = np.array([op.matrix for op in sic_povm(4)])
+sic = sic_povm(4)
 digest.update(symmetry.compress(sic, "permutation", 4).tobytes())
 rho = states.random_permutation_invariant_mixed(4, np.random.default_rng(5))
 print(digest.hexdigest(), repr(float(rho.matrix[0, 0].real)))
@@ -369,7 +387,7 @@ class TestProject:
         p = project(a, kind, 3)
         assert np.allclose(project(p, kind, 3), p, atol=1e-13)
         for aux in build_symmetry(kind, 3).auxiliary:
-            assert abs(np.vdot(aux.matrix, p)) <= 1e-12
+            assert abs(np.vdot(aux, p)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
     def test_expectations_kept_on_symmetric_states(self, kind, rng):
@@ -379,7 +397,7 @@ class TestProject:
         for op in list(sic_povm(3))[:20]:
             sym = project(op, kind, 3)
             assert np.vdot(sym, rho.matrix).real == pytest.approx(
-                np.vdot(op.matrix, rho.matrix).real, abs=1e-13
+                np.vdot(op, rho.matrix).real, abs=1e-13
             )
 
 
@@ -411,7 +429,7 @@ class TestIndependentProjections:
         # rounding-noise projection must not count as a new direction
         xii = kron_chain(SX, np.eye(2), np.eye(2))
         ixi = kron_chain(np.eye(2), SX, np.eye(2))
-        ops = [linalg.HermitianOperator(xii - ixi, "XII-IXI"), sic_povm(3)[0]]
+        ops = [xii - ixi, sic_povm(3)[0]]
         assert independent_projections(ops, "permutation", 3) == [1]
 
 
@@ -432,7 +450,7 @@ def _spin_blocks(kind, n):
     """Total spin j of each column of the blocks, read from the compressed
     collective S^2 = sum_k (sum_l sigma_k^(l) / 2)^2, which lies in both
     commutants, and the column ranges of equal j."""
-    s2 = sum(g.matrix @ g.matrix for g in werner_generators(n)) / 4.0
+    s2 = sum(g @ g for g in werner_generators(n)) / 4.0
     s2_c = compress(s2[None], kind, n)[0]
     assert np.max(np.abs(s2_c - np.diag(np.diag(s2_c)))) <= 1e-12
     j = (np.sqrt(1.0 + 4.0 * np.diag(s2_c).real) - 1.0) / 2.0
@@ -495,7 +513,7 @@ class TestIrrepBlocks:
         # TestCompressExpand
         rng = np.random.default_rng([n, len(kind)])
         ops = [_random_commutant_element(kind, n, rng) for _ in range(3)]
-        ops += [random_mixed_state(2**n, rng), sic_povm(n)[0].matrix]
+        ops += [random_mixed_state(2**n, rng), sic_povm(n)[0]]
         out = compress(np.array(ops), kind, n)
         assert np.all(out[:, ~_block_mask(kind, n)] == 0)
 
@@ -569,14 +587,14 @@ class TestCompressExpand:
 
     @pytest.mark.parametrize("kind, n", COMPRESS_CASES)
     def test_exactly_hermitian(self, kind, n):
-        ops = [op.matrix for op in list(sic_povm(n))[:7]]
+        ops = list(sic_povm(n))[:7]
         out = compress(np.array(ops), kind, n)
         assert np.array_equal(out, out.conj().transpose(0, 2, 1))
 
     @pytest.mark.parametrize("kind, n", sorted(IRREP_BLOCKS))
     def test_matches_isometry_oracle(self, kind, n):
         rng = np.random.default_rng([n, len(kind), 21])
-        ops = [op.matrix for op in list(sic_povm(n))[:10]]
+        ops = list(sic_povm(n))[:10]
         ops += [random_mixed_state(2**n, rng) for _ in range(3)]
         stack = np.array(ops)
         out = compress(stack, kind, n)
@@ -622,7 +640,7 @@ class TestCompressedProblem:
         weights = block_weights(kind, n)
         assert prob.dim == len(weights)
         assert np.array_equal(prob.log_weights, np.log(weights))
-        stack = compress(np.array([op.matrix for op in sic]), kind, n)
+        stack = compress(np.array(sic), kind, n)
         assert np.array_equal(prob._rows[0], stack.reshape(len(sic), -1))
 
     def test_full_estimate_divides_by_the_weights(self, rng):
