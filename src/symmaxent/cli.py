@@ -187,7 +187,7 @@ def _solve_problem_from_json(data) -> dict:
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     kind = data.get("observables")
-    symmetry_kind = data.get("symmetry", "none")
+    symmetry_kind = _expect(data.get("symmetry", "none"), str, "symmetry")
 
     if "observables" in data and kind not in observables.KINDS:
         raise ValueError(f"unknown observables kind {kind!r}, not one of {observables.KINDS}")
@@ -235,7 +235,7 @@ def _solve_problem_from_json(data) -> dict:
     rho = entropy = None
     if solution.stop_reason != "infeasible":
         full = symmetry.full_estimate(solution.rho, symmetry_kind, n_qubits)
-        rho = observables.matrix_to_jsonable(DensityMatrix(full, n_qubits).matrix)
+        rho = observables.matrix_to_jsonable(DensityMatrix(full).matrix)
         entropy = float(solution.entropy)
     return {
         "rho": rho,

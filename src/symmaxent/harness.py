@@ -1,11 +1,12 @@
 """Experiment orchestration: batch sampling, observable-count sweeps, solver
 invocation with or without a declared symmetry, and CSV/JSON result files.
 
-Protocol per state: sample a target from the configured family, optionally
-mix in white noise, order the canonical observable set (optionally shuffled
-per state), and under a symmetry discard observables whose projections onto
-the commutant are linearly dependent on those kept before them (measuring
-them would add nothing the symmetry does not already pin down). Under
+Protocol per state: draw a target from the configured family with white
+noise mixed in (``states.sample``; the families are ``states.FAMILIES``),
+order the canonical observable set (optionally shuffled per state), and
+under a symmetry discard observables whose projections onto the commutant
+are linearly dependent on those kept before them (measuring them would add
+nothing the symmetry does not already pin down). Under
 permutation symmetry that keeps the first member of each qubit-permutation
 orbit, read off the observables' factor indices; under werner symmetry the
 projections are filtered numerically. Acquire targets for the first max(r)
@@ -67,17 +68,6 @@ from . import __version__, measurement, observables, states, symmetry
 from .maxent import SolverOptions, solve
 from .measurement import NoiseConfig
 
-STATE_FAMILIES = (
-    "haar_pure",
-    "permutation_invariant",
-    "permutation_invariant_mixed",
-    "werner",
-    "ghz",
-    "dicke",
-)
-# families whose samplers need at least two qubits
-TWO_QUBIT_FAMILIES = ("permutation_invariant_mixed", "ghz")
-
 THREADS_ENV_VAR = "SYMMAXENT_THREADS"
 
 RESULT_CSV_HEADER = "state_id,r,fidelity,converged,iterations"
@@ -124,7 +114,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, int(value))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if self.state_family not in STATE_FAMILIES:
+        if self.state_family not in states.FAMILIES:
             raise ValueError(f"unknown state_family {self.state_family!r}")
         if self.observable_kind not in observables.KINDS:
             raise ValueError(f"unknown observable_kind {self.observable_kind!r}")
@@ -133,8 +123,9 @@ class ExperimentConfig:
         # caught here, not inside the first state after a pool has started
         if self.n_qubits < 2 and self.symmetry == "permutation":
             raise ValueError("symmetry 'permutation' needs n_qubits >= 2")
-        if self.n_qubits < 2 and self.state_family in TWO_QUBIT_FAMILIES:
-            raise ValueError(f"state_family {self.state_family!r} needs n_qubits >= 2")
+        least = states.FAMILIES[self.state_family][0]
+        if self.n_qubits < least:
+            raise ValueError(f"state_family {self.state_family!r} needs n_qubits >= {least}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         n_total = 4**self.n_qubits - 1
@@ -184,28 +175,6 @@ def _stream(seed: int, state_id: int, purpose: int) -> np.random.Generator:
     # shorter than four words with zeros, but a seed of 2**32 or more takes
     # two words, and there dropping the 0 would change the stream
     return np.random.default_rng(np.random.SeedSequence([seed, state_id, purpose, 0]))
-
-
-def _sample_target(config: ExperimentConfig, rng: np.random.Generator) -> states.DensityMatrix:
-    n = config.n_qubits
-    family = config.state_family
-    if family == "haar_pure":
-        return states.add_white_noise(states.haar_pure(n, rng), config.noise.eta)
-    if family == "permutation_invariant":
-        return states.add_white_noise(states.haar_symmetric_pure(n, rng), config.noise.eta)
-    if family == "ghz":
-        return states.add_white_noise(states.ghz(n), config.noise.eta)
-    if family == "dicke":
-        return states.add_white_noise(
-            states.dicke(n, config.dicke_excitations), config.noise.eta
-        )
-    if family == "permutation_invariant_mixed":
-        return states.mix_with_identity(
-            states.random_permutation_invariant_mixed(n, rng), config.noise.eta
-        )
-    if family == "werner":
-        return states.mix_with_identity(states.random_werner(n, rng), config.noise.eta)
-    raise ValueError(f"unknown state_family {family!r}")
 
 
 class _ObservableContext:
@@ -293,7 +262,10 @@ def _acquire(rho, context: _ObservableContext, indices, config: ExperimentConfig
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
     """All sweep points for one state; used directly by the worker pool."""
     context = _observable_context(config.observable_kind, config.n_qubits, config.symmetry)
-    rho_target = _sample_target(config, _stream(config.seed, state_id, 0))
+    rho_target = states.sample(
+        config.state_family, config.n_qubits, _stream(config.seed, state_id, 0),
+        config.noise.eta, config.dicke_excitations,
+    )
 
     # canonical indices in measurement order
     order = list(range(len(context.candidates)))
@@ -315,7 +287,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
             lambda0 = np.concatenate([lambda0, np.zeros(k - lambda0.size)])
         solution = solve(problem.leading(k), config.solver, lambda0)
         full = symmetry.full_estimate(solution.rho, config.symmetry, config.n_qubits)
-        rho = states.DensityMatrix(full, config.n_qubits)
+        rho = states.DensityMatrix(full)
         fid = states.fidelity(rho_target, rho)
         points[k] = fid, solution.converged, solution.iterations
         full_rank = rho.min_eigenvalue > math.sqrt(config.solver.tolerance)

@@ -70,7 +70,8 @@ that no state meets leave Phi unbounded below, and they have no
 maximum-entropy estimate. A state that met them would bound Phi below by
 its entropy, so a negative Phi proves them infeasible, and the solve stops
 at the iterate that proved it; declaring the targets' variances gives them
-an estimate. Each solve reports why it stopped
+an estimate. Where C + Sigma = 0, Phi is linear, and the solve steps along
+-r to a negative Phi. Each solve reports why it stopped
 (``MaxEntSolution.stop_reason``):
 
 - ``"tolerance"``: f fell below the tolerance;
@@ -419,11 +420,16 @@ def _newton_step(problem, lam, point):
     f, g, r, state, dual = point
     h = problem._susceptibility(g, state)
     h_diag = h.diagonal() + problem.variances
+    scale = float(h_diag.sum()) / problem.n_constraints
+    if not scale > 0.0:
+        # C + Sigma = 0: the targets are exact and Phi falls linearly along
+        # -r without bound; a step to Phi < 0 proves them infeasible
+        lam_new = lam - (1.0 + abs(dual)) / float(r @ r) * r
+        return (lam_new, problem._evaluate(lam_new)), 1
     np.fill_diagonal(h, h_diag)
     # half the gradient of f
     hr = h @ r
     mu, rounding = DAMPING, DUAL_ROUNDING * max(1.0, abs(dual))
-    scale = max(float(h_diag.sum()) / problem.n_constraints, 1e-300)
     evals = 0
     for _ in range(DAMPING_TRIES):
         np.fill_diagonal(h, h_diag + mu * scale)

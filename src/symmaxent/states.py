@@ -1,9 +1,10 @@
-"""Target-state construction, sampling, and state metrics.
+"""Target states: construction, the sweep's state families, and metrics.
 
-Samplers take an explicit ``numpy.random.Generator`` owned by the caller, so
-batch runs can hand each state its own independent stream.
+A state is its matrix, and any square size is one. Samplers take an explicit
+``numpy.random.Generator`` owned by the caller, so batch runs can hand each
+state its own independent stream. ``FAMILIES`` maps each family a sweep
+draws from to its least qubit count and its sampler.
 """
-
 from __future__ import annotations
 
 import functools
@@ -20,17 +21,12 @@ NORM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """State vector on n qubits, unit norm."""
+    """Unit state vector, of any length."""
 
     amplitudes: np.ndarray
-    n_qubits: int
 
     def __post_init__(self):
         amp = np.array(self.amplitudes, dtype=complex).ravel()
-        if amp.shape[0] != 2**self.n_qubits:
-            raise ValueError(
-                f"amplitude vector of length {amp.shape[0]} does not match {self.n_qubits} qubits"
-            )
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector not normalized: |psi| = {nrm!r}")
@@ -42,26 +38,23 @@ class PureState:
         return self.amplitudes.shape[0]
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.n_qubits)
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Trace-one PSD Hermitian operator on (C^2)^{otimes n}.
+    """Trace-one PSD Hermitian matrix, of any square size.
 
     ``min_eigenvalue`` is the smallest eigenvalue of ``matrix``, which the
     PSD check computes on construction."""
 
     matrix: np.ndarray
-    n_qubits: int
     min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = 2**self.n_qubits
-        if np.shape(self.matrix) != (dim, dim):
-            raise ValueError(
-                f"matrix shape {np.shape(self.matrix)} does not match {self.n_qubits} qubits"
-            )
+        # a (K, d, d) stack would pass the Hermitian check
+        if np.ndim(self.matrix) != 2:
+            raise ValueError(f"density matrix must be 2-D, got shape {np.shape(self.matrix)}")
         m = linalg.hermitian(self.matrix, "density matrix")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
@@ -91,7 +84,7 @@ def haar_pure(n_qubits: int, rng: np.random.Generator) -> PureState:
         raise ValueError("n_qubits must be >= 1")
     dim = 2**n_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v), n_qubits)
+    return PureState(v / np.linalg.norm(v))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,7 +114,7 @@ def haar_symmetric_pure(n_qubits: int, rng: np.random.Generator) -> PureState:
     c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     c /= np.linalg.norm(c)
     amp = sum(ci * vi for ci, vi in zip(c, basis))
-    return PureState(amp, n_qubits)
+    return PureState(amp)
 
 
 def ghz(n_qubits: int) -> PureState:
@@ -131,7 +124,7 @@ def ghz(n_qubits: int) -> PureState:
     dim = 2**n_qubits
     amp = np.zeros(dim, dtype=complex)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(amp, n_qubits)
+    return PureState(amp)
 
 
 def dicke(n_qubits: int, n_excitations: int) -> PureState:
@@ -144,10 +137,10 @@ def dicke(n_qubits: int, n_excitations: int) -> PureState:
     for idx in range(dim):
         if bin(idx).count("1") == n_excitations:
             amp[idx] = coeff
-    return PureState(amp, n_qubits)
+    return PureState(amp)
 
 
-def _random_algebra_state(basis: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
+def _random_algebra_state(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """rho = T T^dagger / Tr(T T^dagger) for a Gaussian element T of the
     algebra spanned by ``basis``: the Ginibre construction carried out inside
     the invariant algebra. The algebra is closed under products and adjoints,
@@ -155,6 +148,7 @@ def _random_algebra_state(basis: np.ndarray, dim: int, rng: np.random.Generator)
     (which concentrates tightly around the maximally mixed state) the samples
     spread over the whole invariant family.
     """
+    dim = math.isqrt(basis.shape[1])
     coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     t = (coeff @ basis).reshape(dim, dim)
     m = t @ t.conj().T
@@ -167,7 +161,7 @@ def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
     dim = 2**n_qubits
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, n_qubits)
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_werner(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -182,7 +176,7 @@ def random_werner(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     basis = symmetry.commutant_basis("werner", n_qubits)
-    return DensityMatrix(_random_algebra_state(basis, 2**n_qubits, rng), n_qubits)
+    return DensityMatrix(_random_algebra_state(basis, rng))
 
 
 def random_permutation_invariant_mixed(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -192,26 +186,41 @@ def random_permutation_invariant_mixed(n_qubits: int, rng: np.random.Generator) 
     if n_qubits < 2:
         raise ValueError("n_qubits must be >= 2")
     basis = symmetry.commutant_basis("permutation", n_qubits)
-    return DensityMatrix(_random_algebra_state(basis, 2**n_qubits, rng), n_qubits)
+    return DensityMatrix(_random_algebra_state(basis, rng))
 
 
-def add_white_noise(psi: PureState, eta: float) -> DensityMatrix:
-    """(1 - eta)|psi><psi| + eta I / 2^n."""
+def add_white_noise(state: PureState | DensityMatrix, eta: float) -> DensityMatrix:
+    """(1 - eta) rho + eta I / dim, with rho = |psi><psi| for a pure state."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    dim = psi.dim
-    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix((1.0 - eta) * proj + (eta / dim) * np.eye(dim), psi.n_qubits)
+    pure = isinstance(state, PureState)
+    rho = np.outer(state.amplitudes, state.amplitudes.conj()) if pure else state.matrix
+    return DensityMatrix((1.0 - eta) * rho + (eta / state.dim) * np.eye(state.dim))
 
 
-def mix_with_identity(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """(1 - eta) rho + eta I / dim; the mixed-state analogue of
-    :func:`add_white_noise`."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    return DensityMatrix(
-        (1.0 - eta) * rho.matrix + (eta / rho.dim) * np.eye(rho.dim), rho.n_qubits
-    )
+# the same map under its mixed-state name, which callers and tracers use
+mix_with_identity = add_white_noise
+
+# family name -> (least qubit count, sampler(n_qubits, rng, excitations)); a
+# sampler looks its function up on this module when called, so it finds a
+# wrapper set there
+FAMILIES = {
+    "haar_pure": (1, lambda n, rng, k: haar_pure(n, rng)),
+    "permutation_invariant": (1, lambda n, rng, k: haar_symmetric_pure(n, rng)),
+    "permutation_invariant_mixed": (
+        2, lambda n, rng, k: random_permutation_invariant_mixed(n, rng)),
+    "werner": (1, lambda n, rng, k: random_werner(n, rng)),
+    "ghz": (2, lambda n, rng, k: ghz(n)),
+    "dicke": (1, lambda n, rng, k: dicke(n, k)),
+}
+
+
+def sample(
+    family: str, n_qubits: int, rng: np.random.Generator, eta: float, excitations: int
+) -> DensityMatrix:
+    """A target from ``FAMILIES[family]`` on ``n_qubits`` with white noise at
+    rate ``eta``; ``excitations`` is read by ``"dicke"`` only."""
+    return add_white_noise(FAMILIES[family][1](n_qubits, rng, excitations), eta)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -34,7 +34,7 @@ def random_mixed_state(dim, rng):
 def full_state(rho, n_qubits, kind="none"):
     """A problem's estimate ``rho`` as a DensityMatrix on n qubits, expanded
     from the irrep blocks of symmetry ``kind`` (``symmetry.full_estimate``)."""
-    return states.DensityMatrix(symmetry.full_estimate(rho, kind, n_qubits), n_qubits)
+    return states.DensityMatrix(symmetry.full_estimate(rho, kind, n_qubits))
 
 
 @pytest.fixture

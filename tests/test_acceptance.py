@@ -253,8 +253,7 @@ class TestCriterion9SolverCorrectness:
             rho = states.DensityMatrix(
                 (lambda g: g @ g.conj().T / np.trace(g @ g.conj().T).real)(
                     rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-                ),
-                3,
+                )
             )
             idx = rng.choice(63, size=6, replace=False)
             ops = [paulis[int(i)] for i in idx]
@@ -289,12 +288,12 @@ class TestCriterion9SolverCorrectness:
         for _ in range(20):
             g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             m = g @ g.conj().T
-            rho = states.DensityMatrix(m / np.trace(m).real, 3)
+            rho = states.DensityMatrix(m / np.trace(m).real)
             prob = MaxEntProblem(
                 tuple((op, expectation(rho, op)) for op in paulis), (), 8
             )
             sol = solve(prob, opts)
-            worst = min(worst, states.fidelity(rho, states.DensityMatrix(sol.rho, 3)))
+            worst = min(worst, states.fidelity(rho, states.DensityMatrix(sol.rho)))
         assert worst >= 0.999
         print(
             f"\nACCEPTANCE C9b PASS: full 63-observable reconstruction of 20 random "

@@ -286,6 +286,26 @@ class TestSolveCommand:
         assert lam.shape == (2,)
         assert prob._dual(lam, prob._gibbs(lam)) < 0.0
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {"n_qubits": 1, "observables": "sic", "symmetry": "werner",
+             "measured": [{"label": "SIC-0", "target": 0.3}]},
+            {"n_qubits": 1, "measured": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                          "target": 0.5}]},
+        ],
+        ids=["werner_n1_sic", "identity_n1"],
+    )
+    def test_no_curvature_infeasible_verdict(self, tmp_path, capsys, problem):
+        # no multiplier moves these Gibbs states; the exact targets are out
+        # of reach, and the solve says so without a warning
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", "--targets", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stop_reason"] == "infeasible"
+        assert payload["rho"] is None
+
     def test_contradictory_targets_with_variances_converge(self, tmp_path, capsys):
         # declared variances make the regularised dual bounded: the same
         # contradictory targets now stop on tolerance, at <Z> = 0.4 for equal
@@ -350,7 +370,7 @@ class TestSolveCommand:
         assert rc == 0
         payload = json.loads(out_path.read_text())
         rho = matrix_from_jsonable(payload["rho"])
-        DensityMatrix(rho, 2)  # validates trace/PSD
+        DensityMatrix(rho)  # validates trace/PSD
         # one multiplier per measured observable, none for the symmetry
         assert len(payload["lambdas"]) == 1
         assert np.allclose(rho[[1, 2]][:, [1, 2]], rho[[2, 1]][:, [2, 1]], atol=1e-9)
@@ -668,6 +688,17 @@ class TestSolveCommand:
             (
                 {"n_qubits": 1, "observables": "pauli", "measured": [], "solver": [1]},
                 r"solver must be a JSON object, got \[1\]",
+            ),
+            # an unhashable kind would reach the symmetry's cache
+            (
+                {"n_qubits": 2, "observables": "pauli", "symmetry": ["permutation"],
+                 "measured": [{"label": "ZZ", "target": 0.5}]},
+                r"symmetry must be a string, got \['permutation'\]",
+            ),
+            (
+                {"n_qubits": 2, "observables": "pauli", "symmetry": {"k": 1},
+                 "measured": [{"label": "ZZ", "target": 0.5}]},
+                r"symmetry must be a string, got \{'k': 1\}",
             ),
         ],
     )

@@ -40,6 +40,14 @@ def small_config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+def sample_target(cfg, state_id):
+    """The target ``run_single_state`` draws for ``state_id``."""
+    stream = harness._stream(cfg.seed, state_id, 0)
+    return states.sample(
+        cfg.state_family, cfg.n_qubits, stream, cfg.noise.eta, cfg.dicke_excitations
+    )
+
+
 class TestConfigValidation:
     def test_r_values_default_full_range(self):
         cfg = ExperimentConfig(batch_size=1)
@@ -55,8 +63,11 @@ class TestConfigValidation:
             ExperimentConfig(r_values=(1, 2, 3, 3))
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="state_family"):
-            ExperimentConfig(state_family="thermal")
+        # names outside ``states.FAMILIES``
+        for family in ("thermal", "Haar_pure", "dicke(1)"):
+            with pytest.raises(ValueError) as err:
+                ExperimentConfig(state_family=family)
+            assert str(err.value) == f"unknown state_family {family!r}"
 
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -75,6 +86,15 @@ class TestConfigValidation:
         # first state of the sweep
         with pytest.raises(ValueError, match=named):
             ExperimentConfig(n_qubits=1, r_values=(1,), **fields)
+
+    @pytest.mark.parametrize("family", sorted(states.FAMILIES))
+    def test_families_are_the_table(self, family):
+        least = states.FAMILIES[family][0]
+        assert ExperimentConfig(n_qubits=least, state_family=family, batch_size=1).n_qubits == least
+        if least > 1:
+            with pytest.raises(ValueError) as err:
+                ExperimentConfig(n_qubits=least - 1, state_family=family)
+            assert str(err.value) == f"state_family {family!r} needs n_qubits >= {least}"
 
     def test_one_qubit_werner_accepted(self):
         cfg = ExperimentConfig(n_qubits=1, state_family="werner", symmetry="werner")
@@ -146,7 +166,7 @@ def per_r_records(cfg, state_id):
     stopped on tolerance with its estimate's smallest eigenvalue above
     sqrt(tolerance), and from zeros otherwise."""
     context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
-    rho = harness._sample_target(cfg, harness._stream(cfg.seed, state_id, 0))
+    rho = sample_target(cfg, state_id)
     order = list(range(len(context.candidates)))
     if cfg.shuffle_observables:
         harness._stream(cfg.seed, state_id, 1).shuffle(order)
@@ -237,7 +257,7 @@ class TestSweep:
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")
         cfg = small_config(state_family="haar_pure", r_values=(0,), batch_size=2)
         res = run_sweep(cfg)
-        mixed = states.DensityMatrix(np.eye(8) / 8, 3)
+        mixed = states.DensityMatrix(np.eye(8) / 8)
         for rec in res.records:
             rho = states.add_white_noise(
                 states.haar_pure(
@@ -420,7 +440,7 @@ class TestSweep:
         for state_id in range(cfg.batch_size):
             calls.clear()
             records = {rec.r: rec for rec in run_single_state(cfg, state_id)}
-            rho = harness._sample_target(cfg, harness._stream(cfg.seed, state_id, 0))
+            rho = sample_target(cfg, state_id)
             for problem, seeded in calls:
                 rec = records[problem.n_constraints]
                 cold = real_solve(problem, cfg.solver)

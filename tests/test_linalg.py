@@ -170,12 +170,12 @@ class TestPsdSqrtm:
         m = np.diag([1.0 - w, w]).astype(complex)
         if accepted:
             psd_sqrtm(m)
-            DensityMatrix(m, 1)
+            DensityMatrix(m)
         else:
             with pytest.raises(ValueError, match="not PSD"):
                 psd_sqrtm(m)
             with pytest.raises(ValueError, match="not PSD"):
-                DensityMatrix(m, 1)
+                DensityMatrix(m)
 
 
 class TestHsInner:

@@ -74,7 +74,7 @@ def finite_difference_gradient(problem, lam, step=1e-5):
 class TestRhoOfLambda:
     def test_zero_multipliers_maximally_mixed(self):
         prob = problem_from_state(
-            states.DensityMatrix(np.eye(8) / 8, 3), pauli_basis(3)[:5]
+            states.DensityMatrix(np.eye(8) / 8), pauli_basis(3)[:5]
         )
         rho = rho_of_lambda(prob, np.zeros(5))
         assert np.allclose(rho, np.eye(8) / 8, atol=1e-14)
@@ -117,7 +117,7 @@ class TestRhoOfLambda:
 
 class TestObjective:
     def test_exact_targets_give_zero(self):
-        rho = states.DensityMatrix(np.eye(8) / 8, 3)
+        rho = states.DensityMatrix(np.eye(8) / 8)
         prob = problem_from_state(rho, pauli_basis(3)[:6])
         assert objective(prob, np.zeros(6)) == pytest.approx(0.0, abs=1e-24)
 
@@ -140,7 +140,7 @@ class TestGradient:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         ops = list(pauli_basis(3))
         idx = rng.choice(63, size=8, replace=False)
         prob = problem_from_state(rho, [ops[int(i)] for i in idx])
@@ -151,7 +151,7 @@ class TestGradient:
 
     def test_matches_finite_differences_with_aux(self, rng):
         aux = build_symmetry("werner", 3).auxiliary[:10]
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:4], aux)
         lam = rng.normal(0, 0.3, prob.n_constraints)
         g = gradient(prob, lam)
@@ -159,13 +159,13 @@ class TestGradient:
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
     def test_stationary_at_solution(self, rng):
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:10])
         sol = solve(prob, SolverOptions(tolerance=1e-22))
         assert np.linalg.norm(gradient(prob, sol.lambdas)) <= 1e-8
 
     def test_susceptibility_symmetric_psd(self, rng):
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:12])
         c = susceptibility(prob, rng.normal(0, 0.3, 12))
         assert np.array_equal(c, c.T)
@@ -177,7 +177,7 @@ def susceptibility_problem(shape, rng):
     symmetry, n = 3 with auxiliary constraints, n = 4 with commutant-projected
     permutation constraints."""
     if shape == "n3_none":
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         return problem_from_state(rho, list(sic_povm(3))[:20])
     if shape == "n3_aux15":
         rho = states.random_permutation_invariant_mixed(3, rng)
@@ -261,7 +261,7 @@ def oracle_problem(shape, rng):
     else:
         ops, aux = list(sic_povm(3))[:8], build_symmetry("werner", 3).auxiliary[:20]
     dim = len(ops[0])
-    rho = states.DensityMatrix(random_mixed_state(dim, rng), dim.bit_length() - 1)
+    rho = states.DensityMatrix(random_mixed_state(dim, rng))
     return problem_from_state(rho, ops, aux)
 
 
@@ -373,13 +373,13 @@ class TestSolve:
     def test_full_pauli_reconstruction_mixed(self, rng):
         opts = SolverOptions(tolerance=1e-18, max_iterations=200)
         for _ in range(3):
-            rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+            rho = states.DensityMatrix(random_mixed_state(8, rng))
             prob = problem_from_state(rho, pauli_basis(3))
             sol = solve(prob, opts)
             assert states.fidelity(rho, full_state(sol.rho, 3)) >= 0.999
 
     def test_default_options_small_problem(self, rng):
-        rho = states.DensityMatrix(random_mixed_state(4, rng), 2)
+        rho = states.DensityMatrix(random_mixed_state(4, rng))
         prob = problem_from_state(rho, pauli_basis(2)[:6])
         sol = solve(prob)
         assert sol.converged
@@ -403,7 +403,7 @@ class TestSolve:
     def test_converged_false_on_infeasible(self, rng):
         # targets perturbed away from any quantum state: the dual proves them
         # infeasible and the solve reports non-convergence
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         measured = tuple(
             (op, expectation(rho, op) + rng.normal(0, 0.1)) for op in pauli_basis(3)
         )
@@ -418,7 +418,7 @@ class TestSolve:
         # the shape above: no state meets the exact targets, and the dual
         # proves it within a few steps instead of fitting them
         rng = np.random.default_rng(seed)
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         measured = tuple(
             (op, expectation(rho, op) + rng.normal(0, 0.1)) for op in pauli_basis(3)
         )
@@ -432,8 +432,27 @@ class TestSolve:
         assert prob._dual(lam, prob._gibbs(lam)) < 0.0
         assert objective(prob, lam) == sol.objective
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            # the one-qubit Werner-symmetric states are I/2 alone: the block
+            # problem is 1 x 1, and <SIC-0> is 0.25 on it
+            symmetry.compressed_problem(((sic_povm(1)[0], 0.3),), "werner", 1),
+            MaxEntProblem(((np.eye(2), 0.5),), (), 2),
+        ],
+        ids=["werner_n1_sic", "identity_n1"],
+    )
+    def test_no_curvature_infeasible_gets_a_verdict(self, problem):
+        # C = 0: the Newton system is zero, and the dual falls linearly
+        # along -r; the solve steps there and proves the targets infeasible
+        sol = solve(problem)
+        assert sol.stop_reason == "infeasible"
+        assert sol.iterations == 1
+        assert np.isfinite(sol.lambdas).all()
+        assert problem._dual(sol.lambdas, problem._gibbs(sol.lambdas)) < 0.0
+
     def test_budget_stop(self, rng):
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:20])
         sol = solve(prob, SolverOptions(max_iterations=1))
         assert sol.stop_reason == "budget"
@@ -445,7 +464,7 @@ class TestSolve:
 
     def test_no_descent_stops_at_the_start_point(self, rng, monkeypatch):
         # with no step length to try, no damping gives an accepted step
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:20])
         monkeypatch.setattr(maxent, "HALVINGS", 0)
         lam0 = rng.normal(0, 0.1, prob.n_constraints)
@@ -516,7 +535,7 @@ class TestSolve:
         assert np.array_equal(got.rho, ref.rho)
 
     def test_constraints_met_within_sqrt_tolerance(self, rng):
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:15])
         opts = SolverOptions(tolerance=1e-12)
         sol = solve(prob, opts)
@@ -558,14 +577,14 @@ class TestSolve:
         filtered = filter_measured_observables(sic_povm(3), spec.auxiliary)
         prob = problem_from_state(rho, list(filtered)[:10], spec.auxiliary)
         sol = solve(prob, SolverOptions(tolerance=1e-14))
-        averaged = states.DensityMatrix(symmetry.project(sol.rho, "permutation", 3), 3)
+        averaged = states.DensityMatrix(symmetry.project(sol.rho, "permutation", 3))
         assert states.fidelity(full_state(sol.rho, 3), averaged) >= 1 - 1e-8
 
     def test_entropy_optimality_against_perturbations(self, rng):
         # independent check of the entropy-maximization claim: perturb the
         # solution inside the null space of the constraint map (constraints
         # unchanged) and verify no perturbation has higher entropy
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         ops = list(pauli_basis(3))[:12]
         prob = problem_from_state(rho, ops)
         sol = solve(prob, SolverOptions(tolerance=1e-22))
@@ -583,7 +602,7 @@ class TestSolve:
             if nrm < 1e-12:
                 continue
             eps = 0.5 * wmin / max(np.abs(np.linalg.eigvalsh(h_perp)).max(), 1e-12)
-            cand = states.DensityMatrix(sol.rho + eps * h_perp, 3)
+            cand = states.DensityMatrix(sol.rho + eps * h_perp)
             for (op, target) in prob.measured:
                 assert abs(expectation(cand, op) - target) <= 1e-6
             assert states.von_neumann_entropy(cand) <= base_entropy + 1e-6
@@ -997,7 +1016,7 @@ def noisy_measured(rng, n_ops=10, sigma=0.05, symmetry_kind="none"):
     """Measured pairs on three qubits: targets of a random state moved by
     Gaussian noise of standard deviation ``sigma``."""
     if symmetry_kind == "none":
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         ops = list(pauli_basis(3))[:n_ops]
     else:
         rho = states.random_permutation_invariant_mixed(3, rng)
@@ -1085,7 +1104,7 @@ class TestEntropyAndEvaluations:
     def test_entropy_is_von_neumann(self, symmetry_kind):
         rng = np.random.default_rng([20261024, symmetry.KINDS.index(symmetry_kind)])
         if symmetry_kind == "none":
-            rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+            rho = states.DensityMatrix(random_mixed_state(8, rng))
             ops = list(sic_povm(3))[:20]
         else:
             sample = {"permutation": states.random_permutation_invariant_mixed,
@@ -1109,7 +1128,7 @@ class TestEntropyAndEvaluations:
         assert sol.n_evals == 1
 
     def test_evaluations_counted(self, rng, monkeypatch):
-        rho = states.DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = states.DensityMatrix(random_mixed_state(8, rng))
         prob = problem_from_state(rho, pauli_basis(3)[:20])
         calls = []
         gibbs = MaxEntProblem._gibbs
@@ -1214,11 +1233,11 @@ def _oracle_case(case):
         ops = [canonical_operator("pauli", 2, label) for label in ("ZI", "IZ", "XX", "YY")]
         h = sum(w * op for w, op in zip((0.5, 0.5, 1e-9, 0.0), ops))
         w, v = np.linalg.eigh(h)
-        rho = states.DensityMatrix((v * np.exp(w)) @ v.conj().T / np.exp(w).sum(), 2)
+        rho = states.DensityMatrix((v * np.exp(w)) @ v.conj().T / np.exp(w).sum())
     else:
         pool, k = ((paulis, 6), (sic, 5), (paulis, 4))[case]
         ops = [pool[i] for i in rng.choice(len(pool), k, replace=False)]
-        rho = states.DensityMatrix(random_mixed_state(4, rng), 2)
+        rho = states.DensityMatrix(random_mixed_state(4, rng))
     return problem_from_state(rho, ops), ops
 
 

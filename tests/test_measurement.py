@@ -19,7 +19,7 @@ from conftest import I2, SX, SZ, kron_chain, random_mixed_state
 
 
 def zero_state():
-    return DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
+    return DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
 
 
 def estimate_one(counts, modes, cfg):
@@ -89,7 +89,7 @@ class TestNoiseConfig:
         # numpy's binomial draws 2**63 - 1 trials and overflows at 2**63
         cfg = NoiseConfig(mode="finite_sample", trials=2**63 - 1)
         counts = simulate_counts(
-            DensityMatrix(np.eye(2) / 2, 1), projector_modes(SZ), cfg, np.random.default_rng(0)
+            DensityMatrix(np.eye(2) / 2), projector_modes(SZ), cfg, np.random.default_rng(0)
         )
         assert counts.shape == (2,)
         for trials in (2**63, 10**20):
@@ -236,7 +236,7 @@ class TestSimulateCounts:
     def test_stream_matches_per_mode_draws(self, rng, mode, trials, op, n_modes):
         # recorded sweeps depend on the draws consuming the stream one mode
         # at a time, in mode order
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         cfg = NoiseConfig(mode=mode, trials=trials, mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(op)
         assert modes[1].size == n_modes
@@ -265,7 +265,7 @@ class TestSimulateCounts:
     def test_binomial_mean(self):
         rng = np.random.default_rng(11)
         cfg = NoiseConfig(trials=100_000, mode="finite_sample")
-        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex), 1)
+        rho = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
         modes = projector_modes(SZ)
         counts = simulate_counts(rho, modes, cfg, rng)
         for c, p in zip(counts, mode_probabilities(rho, modes)):
@@ -280,7 +280,7 @@ class TestSimulateCounts:
 class TestEstimateExpectations:
     def test_ideal_round_trip(self, rng):
         # exact expected counts, rounded, give back the expectation value
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         cfg = NoiseConfig(trials=10_000, mode="finite_sample")
         for op in pauli_basis(3)[:5]:
             modes = projector_modes(op)
@@ -292,7 +292,7 @@ class TestEstimateExpectations:
     @pytest.mark.parametrize("op", [pauli_basis(3)[13], sic_povm(3)[40]], ids=["pauli", "sic"])
     def test_matches_per_mode_reference(self, rng, mode, op):
         cfg = NoiseConfig(trials=500, mode=mode, mu=0.18, lambda_dc=5e-4)
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         modes = projector_modes(op)
         for _ in range(20):
             counts = simulate_counts(rho, modes, cfg, rng)
@@ -323,7 +323,7 @@ class TestEstimateExpectations:
 
     def test_renormalized_probabilities_sum_to_one(self, rng):
         cfg = NoiseConfig(trials=5_000, mode="photon_model", mu=0.18, lambda_dc=2e-4)
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         modes = projector_modes(pauli_basis(3)[4])
         counts = simulate_counts(rho, modes, cfg, rng)
         freqs = counts / cfg.trials
@@ -334,7 +334,7 @@ class TestEstimateExpectations:
 
     def test_pauli_estimates_in_range(self, rng):
         cfg = NoiseConfig(trials=500, mode="photon_model", mu=0.18, lambda_dc=5e-4)
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         for op in pauli_basis(3)[:6]:
             modes = projector_modes(op)
             a_hat = estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
@@ -360,7 +360,7 @@ class TestEstimateExpectations:
         # binomial standard errors propagated through the inversion
         rng = np.random.default_rng(3)
         cfg = NoiseConfig(trials=10**6, mode="photon_model", mu=0.18, lambda_dc=1e-4)
-        rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex), 1)
+        rho = DensityMatrix(np.diag([0.65, 0.35]).astype(complex))
         op = hermitian(SZ, "Z")
         modes = projector_modes(op)
         a_hat = estimate_one(simulate_counts(rho, modes, cfg, rng), modes, cfg)[0]
@@ -377,7 +377,7 @@ class TestEstimateExpectations:
         # the delta-method variance against the spread of 2,000 estimates;
         # the sample variance itself scatters by about 3% at this size
         rng = np.random.default_rng(20261019)
-        rho = DensityMatrix(random_mixed_state(4, rng), 2)
+        rho = DensityMatrix(random_mixed_state(4, rng))
         cfg = NoiseConfig(mode=mode, trials=10_000, mu=0.18, lambda_dc=2e-4)
         modes = projector_modes(op)
         draws = np.array([
@@ -414,7 +414,7 @@ class TestEstimateExpectations:
         rng = np.random.default_rng(9)
         modes = projector_modes(sic_povm(1)[0])
         vectors, (w,), _ = modes
-        rho = DensityMatrix(vectors @ vectors.conj().T, 1)  # p = 1 for this mode
+        rho = DensityMatrix(vectors @ vectors.conj().T)  # p = 1 for this mode
         cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
         counts = simulate_counts(rho, modes, cfg, rng)
         inverted = estimate_one(counts, modes, cfg)[0]
@@ -488,9 +488,9 @@ class TestBatch:
         ops = BATCHES[batch]()
         n = len(ops[0]).bit_length() - 1
         if state == "mixed":
-            rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+            rho = DensityMatrix(random_mixed_state(2**n, rng))
         else:
-            rho = DensityMatrix(np.diag(np.eye(2**n)[0]).astype(complex), n)
+            rho = DensityMatrix(np.diag(np.eye(2**n)[0]).astype(complex))
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
         modes = stack_modes(projector_modes(op) for op in ops)
         assert modes.vectors.shape == (2**n, sum(modes.sizes))
@@ -512,7 +512,7 @@ class TestBatch:
         # first k: those k must get the counts a batch of just them draws
         ops = BATCHES[batch]()
         n = len(ops[0]).bit_length() - 1
-        rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        rho = DensityMatrix(random_mixed_state(2**n, rng))
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
         alone = [projector_modes(op) for op in ops]
         full = simulate_counts(rho, stack_modes(alone), cfg, np.random.default_rng(11))

@@ -20,7 +20,7 @@ from conftest import SX, SZ, kron_chain, random_mixed_state
 
 
 def maximally_mixed(n):
-    return DensityMatrix(np.eye(2**n) / 2**n, n)
+    return DensityMatrix(np.eye(2**n) / 2**n)
 
 
 def labels(kind, n):
@@ -165,11 +165,11 @@ class TestExpectation:
         assert expectation(rho, xxx) == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_gives_trace(self, rng):
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         assert expectation(rho, np.eye(8)) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_in_observable(self, rng):
-        rho = DensityMatrix(random_mixed_state(4, rng), 2)
+        rho = DensityMatrix(random_mixed_state(4, rng))
         a, b = pauli_basis(2)[3], pauli_basis(2)[7]
         combo = 0.3 * a + 0.7 * b
         assert expectation(rho, combo) == pytest.approx(
@@ -180,10 +180,10 @@ class TestExpectation:
         a = random_mixed_state(4, rng)
         b = random_mixed_state(4, rng)
         op = pauli_basis(2)[5]
-        mix = DensityMatrix(0.4 * a + 0.6 * b, 2)
+        mix = DensityMatrix(0.4 * a + 0.6 * b)
         assert expectation(mix, op) == pytest.approx(
-            0.4 * expectation(DensityMatrix(a, 2), op)
-            + 0.6 * expectation(DensityMatrix(b, 2), op),
+            0.4 * expectation(DensityMatrix(a), op)
+            + 0.6 * expectation(DensityMatrix(b), op),
             abs=1e-12,
         )
 
@@ -193,7 +193,7 @@ class TestExpectation:
             assert -1.0 - 1e-12 <= expectation(rho, op) <= 1.0 + 1e-12
 
     def test_dim_mismatch(self, rng):
-        rho = DensityMatrix(random_mixed_state(4, rng), 2)
+        rho = DensityMatrix(random_mixed_state(4, rng))
         with pytest.raises(ValueError, match="mismatch"):
             expectation(rho, np.eye(8))
 

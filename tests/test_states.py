@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symmaxent import linalg, states
+from symmaxent import linalg, states, symmetry
 from symmaxent.states import (
     DensityMatrix,
     PureState,
@@ -18,6 +18,7 @@ from symmaxent.states import (
     mix_with_identity,
     purity,
     random_density,
+    random_permutation_invariant_mixed,
     random_werner,
     von_neumann_entropy,
 )
@@ -27,45 +28,56 @@ from conftest import SX, SY, SZ, kron_chain, random_mixed_state
 
 
 def maximally_mixed(n):
-    return DensityMatrix(np.eye(2**n) / 2**n, n)
+    return DensityMatrix(np.eye(2**n) / 2**n)
 
 
 class TestTypes:
     def test_pure_state_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
-            PureState(np.array([1.0, 1.0]), 1)
+            PureState(np.array([1.0, 1.0]))
 
-    def test_pure_state_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="does not match"):
-            PureState(np.array([1.0, 0.0, 0.0]), 1)
+    def test_pure_state_of_any_length(self):
+        assert PureState(np.array([0.6, 0.0, 0.8j])).dim == 3
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_density_of_any_square_size(self, dim, rng):
+        # a state on a symmetry's irrep blocks need not have size 2^n
+        m = random_mixed_state(dim, rng)
+        assert np.array_equal(DensityMatrix(m).matrix, linalg.hermitian(m, "m"))
+
+    @pytest.mark.parametrize("m", [np.array([0.5, 0.5]), np.eye(2)[None] / 2])
+    def test_density_rejects_other_than_two_dimensions(self, m):
+        # a (1, 2, 2) stack would pass the Hermitian and PSD checks
+        with pytest.raises(ValueError, match="must be 2-D"):
+            DensityMatrix(m)
 
     def test_density_rejects_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2), 1)
+            DensityMatrix(np.eye(2))
 
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="not PSD"):
-            DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
+            DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
     @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), [[0.5, np.inf], [np.inf, 0.5]]])
     def test_density_rejects_non_finite(self, m):
         # every comparison with NaN is false: the Hermiticity, trace and PSD
         # tests would all let a NaN matrix through
         with pytest.raises(ValueError, match="density matrix: non-finite"):
-            DensityMatrix(m, 1)
+            DensityMatrix(m)
 
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="density matrix: not Hermitian"):
-            DensityMatrix([[0.5, 0.1], [0.0, 0.5]], 1)
+            DensityMatrix([[0.5, 0.1], [0.0, 0.5]])
 
     def test_density_accepts_tiny_negative(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
-        DensityMatrix(m, 1)
+        DensityMatrix(m)
 
     def test_min_eigenvalue_is_the_stored_matrix_smallest(self, rng):
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         assert rho.min_eigenvalue == np.linalg.eigvalsh(rho.matrix)[0]
-        assert DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]), 1).min_eigenvalue == -5e-11
+        assert DensityMatrix(np.diag([1.0 + 5e-11, -5e-11])).min_eigenvalue == -5e-11
 
 
 class TestHaarPure:
@@ -205,7 +217,7 @@ class TestTwirl:
         assert np.allclose(project(rho.matrix, "werner", 3), rho.matrix, atol=1e-14)
 
     def test_idempotent(self, rng):
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         once = project(rho.matrix, "werner", 3)
         twice = project(once, "werner", 3)
         assert np.allclose(once, twice, atol=1e-13)
@@ -214,7 +226,7 @@ class TestTwirl:
         # the image of the twirl is exactly span{V_pi}; note its elements
         # need not commute with individual permutations for n >= 3 (the
         # algebra spanned by the V_pi is non-abelian)
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         t = project(rho.matrix, "werner", 3)
         vecs = np.array(
             [
@@ -227,7 +239,7 @@ class TestTwirl:
         assert np.linalg.norm(residual) <= 1e-10
 
     def test_output_commutes_with_collective_sums(self, rng):
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         t = project(rho.matrix, "werner", 3)
         for s in (SX, SY, SZ):
             coll = (
@@ -251,15 +263,15 @@ class TestTwirl:
 
     def test_entropy_never_decreases(self, rng):
         for _ in range(5):
-            rho = DensityMatrix(random_mixed_state(8, rng), 3)
-            twirled = DensityMatrix(project(rho.matrix, "werner", 3), 3)
+            rho = DensityMatrix(random_mixed_state(8, rng))
+            twirled = DensityMatrix(project(rho.matrix, "werner", 3))
             assert von_neumann_entropy(twirled) >= von_neumann_entropy(rho) - 1e-9
 
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_equals_projection_onto_permutation_span(self, n, rng):
         # reference: least-squares fit of rho by all n! permutation matrices
-        rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        rho = DensityMatrix(random_mixed_state(2**n, rng))
         vecs = np.array(
             [
                 linalg.permutation_matrix(n, perm).ravel()
@@ -274,7 +286,7 @@ class TestTwirl:
 class TestPermutationAverage:
     @pytest.mark.parametrize("n", [3, 4])
     def test_equals_explicit_group_average(self, n, rng):
-        rho = DensityMatrix(random_mixed_state(2**n, rng), n)
+        rho = DensityMatrix(random_mixed_state(2**n, rng))
         expected = np.zeros_like(rho.matrix)
         perms = list(itertools.permutations(range(n)))
         for perm in perms:
@@ -284,7 +296,7 @@ class TestPermutationAverage:
         assert np.max(np.abs(project(rho.matrix, "permutation", n) - expected)) <= 1e-14
 
     def test_projects_onto_swap_invariants(self, rng):
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         avg = project(rho.matrix, "permutation", 3)
         for perm in itertools.permutations(range(3)):
             v = linalg.permutation_matrix(3, perm)
@@ -353,43 +365,114 @@ class TestWhiteNoise:
         assert np.allclose(a, b)
 
 
+# each family's sampler and mixer, called the way the sweep called them
+# before the families moved into ``states.FAMILIES``
+EXPLICIT = {
+    "haar_pure": lambda n, rng, eta, k: add_white_noise(haar_pure(n, rng), eta),
+    "permutation_invariant": lambda n, rng, eta, k: add_white_noise(
+        haar_symmetric_pure(n, rng), eta
+    ),
+    "permutation_invariant_mixed": lambda n, rng, eta, k: mix_with_identity(
+        random_permutation_invariant_mixed(n, rng), eta
+    ),
+    "werner": lambda n, rng, eta, k: mix_with_identity(random_werner(n, rng), eta),
+    "ghz": lambda n, rng, eta, k: add_white_noise(ghz(n), eta),
+    "dicke": lambda n, rng, eta, k: add_white_noise(dicke(n, k), eta),
+}
+
+
+class TestSample:
+    def test_every_family_is_in_the_table(self):
+        assert set(states.FAMILIES) == set(EXPLICIT)
+
+    @pytest.mark.parametrize("family", sorted(EXPLICIT))
+    def test_equals_the_explicit_sampler_and_mixer(self, family):
+        least = states.FAMILIES[family][0]
+        for n in range(max(2, least), 5):
+            for seed in range(5):
+                for eta in (0.0, 0.3):
+                    k = seed % (n + 1)
+                    got = states.sample(family, n, np.random.default_rng(seed), eta, k)
+                    want = EXPLICIT[family](n, np.random.default_rng(seed), eta, k)
+                    assert np.array_equal(got.matrix, want.matrix)
+
+    def test_calls_the_module_attributes(self, monkeypatch):
+        # a tracer wraps the samplers and mixers on the module; the table
+        # must find the wrappers, not the functions it was built with
+        calls = []
+
+        def spy(name):
+            real = getattr(states, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(states, name, wrapper)
+
+        for name in ("haar_pure", "random_werner", "add_white_noise"):
+            spy(name)
+        states.sample("haar_pure", 3, np.random.default_rng(0), 0.1, 1)
+        states.sample("werner", 3, np.random.default_rng(0), 0.1, 1)
+        assert calls == ["haar_pure", "add_white_noise", "random_werner", "add_white_noise"]
+
+
 class TestFidelity:
+    @pytest.mark.parametrize(
+        "kind, sampler",
+        [("permutation", random_permutation_invariant_mixed), ("werner", random_werner)],
+    )
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_block_fidelity_equals_the_full_space_value(self, kind, sampler, n):
+        # a symmetric state is sum_b rho_b (x) I_{m_b}; its weighted blocks
+        # M rho_c, with M = diag(m), are a c x c state with the same fidelity
+        rng = np.random.default_rng([n, len(kind)])
+        weights = symmetry.block_weights(kind, n)
+
+        def blocks(rho):
+            return DensityMatrix(weights[:, None] * symmetry.compress(rho.matrix[None], kind, n)[0])
+
+        for _ in range(4):
+            rho, sigma = sampler(n, rng), sampler(n, rng)
+            assert blocks(rho).dim < rho.dim
+            assert abs(fidelity(blocks(rho), blocks(sigma)) - fidelity(rho, sigma)) <= 1e-12
+
     def test_no_nan_state_reaches_it(self):
         # a NaN entry would make the fidelity NaN; the state is refused
         with pytest.raises(ValueError, match="non-finite"):
-            fidelity(maximally_mixed(1), DensityMatrix([[0.5, np.nan], [np.nan, 0.5]], 1))
+            fidelity(maximally_mixed(1), DensityMatrix([[0.5, np.nan], [np.nan, 0.5]]))
 
     def test_self_fidelity(self, rng):
-        rho = DensityMatrix(random_mixed_state(8, rng), 3)
+        rho = DensityMatrix(random_mixed_state(8, rng))
         assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
-        one = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), 1)
+        zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
+        one = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
         assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_vs_maximally_mixed(self):
         # closed form sqrt(<psi| I/2 |psi>) = 1/sqrt(2)
-        zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), 1)
+        zero = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
         mixed = maximally_mixed(1)
         assert fidelity(zero, mixed) == pytest.approx(1 / np.sqrt(2), abs=1e-10)
 
     def test_symmetric(self, rng):
-        a = DensityMatrix(random_mixed_state(8, rng), 3)
-        b = DensityMatrix(random_mixed_state(8, rng), 3)
+        a = DensityMatrix(random_mixed_state(8, rng))
+        b = DensityMatrix(random_mixed_state(8, rng))
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-8)
 
     def test_dimension_mismatch(self, rng):
-        a = DensityMatrix(random_mixed_state(4, rng), 2)
-        b = DensityMatrix(random_mixed_state(8, rng), 3)
+        a = DensityMatrix(random_mixed_state(4, rng))
+        b = DensityMatrix(random_mixed_state(8, rng))
         with pytest.raises(ValueError):
             fidelity(a, b)
 
     def test_cached_root_gives_the_inline_formula_exactly(self, rng):
-        rho = DensityMatrix(random_mixed_state(16, rng), 4)
+        rho = DensityMatrix(random_mixed_state(16, rng))
         s = linalg.psd_sqrtm(rho.matrix)
         for _ in range(3):  # the first call fills the cache, the others read it
-            sigma = DensityMatrix(random_mixed_state(16, rng), 4)
+            sigma = DensityMatrix(random_mixed_state(16, rng))
             inner = s @ sigma.matrix @ s
             inner = (inner + inner.conj().T) / 2.0
             w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
@@ -419,7 +502,7 @@ class TestPurityEntropy:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_ranges(self, seed):
-        rho = DensityMatrix(random_mixed_state(8, np.random.default_rng(seed)), 3)
+        rho = DensityMatrix(random_mixed_state(8, np.random.default_rng(seed)))
         assert 1 / 8 - 1e-12 <= purity(rho) <= 1.0 + 1e-12
         assert -1e-12 <= von_neumann_entropy(rho) <= np.log(8) + 1e-12
 

@@ -177,7 +177,7 @@ class TestAuxiliaryObservables:
         aux = auxiliary_observables("permutation", 3)
         sym_states = [
             states.haar_symmetric_pure(3, rng).density(),
-            states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3), 3),
+            states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3)),
         ]
         for rho in sym_states:
             for a in aux:
@@ -213,7 +213,7 @@ class TestAuxiliaryObservables:
         # build a state whose auxiliary expectations all vanish by averaging
         # over the permutation group, then check it commutes with each
         # generator
-        rho = states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3), 3)
+        rho = states.DensityMatrix(project(random_mixed_state(8, rng), "permutation", 3))
         aux = auxiliary_observables("permutation", 3)
         assert all(abs(np.vdot(a, rho.matrix).real) <= 1e-10 for a in aux)
         for g in permutation_generators(3):
