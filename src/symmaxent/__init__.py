@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     eigh,
-    hs_inner,
     psd_sqrtm,
 )
 from .maxent import (
@@ -56,7 +55,6 @@ from .harness import ExperimentConfig, SweepResult, run_sweep, summarize
 
 __all__ = [
     "eigh",
-    "hs_inner",
     "psd_sqrtm",
     "MaxEntProblem",
     "MaxEntSolution",

@@ -114,8 +114,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 top["r_values"] = _parse_r_values(value)
             elif key in top_fields and key not in ("noise", "solver"):
                 top[key] = _convert(value, top_fields[key])
+                # over one r value: the default grid of 4^n - 1 would not fit at large n
                 if key != "dicke_excitations":
-                    ExperimentConfig(**{key: top[key]})
+                    ExperimentConfig(**{"r_values": (0,), key: top[key]})
             else:
                 raise ValueError("unknown config key")
         except ValueError as exc:

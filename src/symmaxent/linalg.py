@@ -90,16 +90,12 @@ def stack(ops, dim: int) -> np.ndarray:
     return a
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def commutator(a, b) -> np.ndarray:
     """AB - BA. For Hermitian A, B the result is anti-Hermitian; i*(AB - BA)
     is the Hermitian operator used as a symmetry constraint."""
     a, b = np.asarray(a), np.asarray(b)
-    _check_same_dim(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
 
@@ -123,13 +119,6 @@ def psd_sqrtm(m) -> np.ndarray:
     if w[0] < PSD_EIG_FLOOR:
         raise ValueError(f"psd_sqrtm: matrix not PSD (min eigenvalue {w[0]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(A^dagger B)."""
-    a, b = np.asarray(a), np.asarray(b)
-    _check_same_dim(a, b)
-    return complex(np.vdot(a, b))
 
 
 def independent_rows(vectors, norms) -> list[int]:

@@ -1,20 +1,23 @@
 """Simulated data acquisition.
 
 An observable is measured in its eigenbasis, and observables are acquired
-in batches; one observable is a batch of one. :func:`projector_modes` gives
-an observable's modes, :func:`stack_modes` places the modes of a batch side
-by side as one (d x M) array, :func:`simulate_counts` draws one integer
-count per mode, and :func:`estimate_expectations` inverts the counts back to
-one expectation-value estimate and one variance per observable.
+in batches of N observables with m modes each (every canonical observable
+of a kind has the same m: 2^n for a Pauli product, 1 for a SIC element);
+one observable is a batch of one. :func:`projector_modes` gives an
+observable's modes, :func:`stack_modes` places the modes of a batch side by
+side as one (d x N m) array, :func:`simulate_counts` draws one integer count
+per mode, and :func:`estimate_expectations` inverts the counts back to one
+expectation-value estimate and one variance per observable.
 
 A batch is one pass: one GEMM gives every mode's probability, one binomial
 draw from one generator every count, in mode order, and the click model and
-the count inversion are array operations over all modes. numpy draws an
-array binomial element by element, so a batch's first k observables get the
-counts of a batch of just those k, and each observable's sums are its own
-dot products. A mode's probability, a GEMM column, can differ in the last
-bit (about 4e-16 relative) from its batch of one, far below what moves a
-binomial draw of any practical number of trials.
+the count inversion are array operations over the (N, m) modes. numpy
+draws an array binomial element by element, so a batch's first k
+observables get the counts of a batch of just those k, and each
+observable's sums are its own dot products. A mode's probability, a GEMM
+column, can differ in the last bit (about 4e-16 relative) from its batch
+of one, far below what moves a binomial draw of any practical number of
+trials.
 
 Acquisition modes:
 
@@ -88,52 +91,43 @@ class NoiseConfig:
 
 
 class Modes(NamedTuple):
-    """Measurement modes of a batch of observables, side by side in
-    observable order: the columns of ``vectors`` are the modes, ``weights``
-    their eigenvalues, and ``sizes`` the number of modes of each observable.
-    One observable is a batch of one (:func:`projector_modes`);
-    :func:`stack_modes` joins batches."""
+    """Measurement modes of a batch of N observables with m modes each, in
+    observable order: the N m columns of ``vectors`` are the modes, m per
+    observable, and ``weights``, of shape (N, m), their eigenvalues. One
+    observable is a batch of one (:func:`projector_modes`);
+    :func:`stack_modes` joins batches with the same m."""
 
     vectors: np.ndarray
     weights: np.ndarray
-    sizes: tuple[int, ...]
 
 
 def projector_modes(a) -> Modes:
     """Rank-one modes of one observable, as a batch of one.
 
-    The columns of ``vectors`` are orthonormal eigenvectors and ``weights``
-    their eigenvalues. Zero-eigenvalue directions are dropped, so a
-    subnormalized rank-one POVM element yields a single mode carrying its
-    scale as the weight. ``(vectors * weights) @ vectors^dagger`` is the
-    observable.
+    The columns of ``vectors`` are orthonormal eigenvectors and ``weights``,
+    of shape (1, m), their eigenvalues. Zero-eigenvalue directions are
+    dropped, so a subnormalized rank-one POVM element yields a single mode
+    carrying its scale as the weight. ``(vectors * weights) @
+    vectors^dagger`` is the observable.
     """
     w, v = linalg.eigh(a)
     keep = np.abs(w) > MODE_EIGENVALUE_TOL
-    return Modes(v[:, keep], w[keep], (int(keep.sum()),))
+    return Modes(v[:, keep], w[keep][None, :])
 
 
 def stack_modes(batches) -> Modes:
-    """One batch of the modes of ``batches``, in their order."""
+    """One batch of the modes of ``batches``, in their order; every batch
+    must have the same number of modes per observable."""
     batches = list(batches)
     if not batches:
         raise ValueError("stack_modes needs at least one batch")
+    counts = sorted({b.weights.shape[1] for b in batches})
+    if len(counts) > 1:
+        raise ValueError(f"stack_modes joins batches of one mode count, got mode counts {counts}")
     return Modes(
         np.concatenate([b.vectors for b in batches], axis=1),
         np.concatenate([b.weights for b in batches]),
-        sum((b.sizes for b in batches), ()),
     )
-
-
-def _segments(sizes):
-    """(observables, mode columns) per distinct mode count m: the indices
-    of the observables with m modes, and an (observables, m) array of their
-    modes' positions in the batch."""
-    sizes = np.asarray(sizes)
-    starts = np.cumsum(sizes) - sizes
-    for m in np.unique(sizes):
-        obs = np.flatnonzero(sizes == m)
-        yield obs, starts[obs][:, None] + np.arange(m)
 
 
 def click_probability(p, mu: float, lambda_dc: float):
@@ -177,7 +171,8 @@ def simulate_counts(rho: DensityMatrix, modes: Modes, config: NoiseConfig, rng) 
 def estimate_expectations(counts, modes: Modes, config: NoiseConfig) -> tuple[np.ndarray, np.ndarray]:
     """Invert a batch's mode counts into one expectation-value estimate and
     one variance per observable, as two arrays in observable order;
-    ``modes`` are the batch the counts were simulated for.
+    ``modes`` are the batch the counts were simulated for, and ``counts``
+    holds one whole number in [0, trials] per mode, in mode order.
 
     Mode probabilities are inverted from the click model (photon_model) or
     taken as raw frequencies, then, for an observable whose modes form a
@@ -195,16 +190,19 @@ def estimate_expectations(counts, modes: Modes, config: NoiseConfig) -> tuple[np
     derivative of the estimate in p_k: the mode weight, or, after the
     renormalization, (weight - estimate) / (sum of the p_k).
 
-    Every step is an array operation over all modes, or over the
-    observables with the same number of modes; each observable's sums are
-    its own dot products, so its estimate does not depend on the batch.
+    Every step is one array operation over the batch, its counts read as
+    one row of m per observable; each observable's sums are its own dot
+    products, so its estimate does not depend on the batch.
     """
-    vectors, weights, sizes = modes
+    vectors, w = modes
     counts = np.asarray(counts)
-    if counts.shape != weights.shape:
-        raise ValueError(f"expected {weights.size} counts, got shape {counts.shape}")
+    if counts.shape != (w.size,):
+        raise ValueError(f"expected {w.size} counts, got shape {counts.shape}")
     if not ((counts >= 0) & (counts <= config.trials)).all():
         raise ValueError(f"counts {counts} outside [0, {config.trials}]")
+    fractional = counts != np.trunc(counts)
+    if fractional.any():
+        raise ValueError(f"counts must be whole numbers, got {counts[fractional]}")
     n = config.trials
     p_hats = counts / n
     freq = p_hats.clip(1.0 / n, (n - 1) / n)
@@ -214,18 +212,15 @@ def estimate_expectations(counts, modes: Modes, config: NoiseConfig) -> tuple[np
         p_hats = (-np.log1p(-p_hats) - config.lambda_dc) / config.mu
     else:
         p_vars = freq * (1.0 - freq) / n
-    p_hats = p_hats.clip(0.0, 1.0)
-    estimates, variances = np.empty(len(sizes)), np.empty(len(sizes))
-    for obs, cols in _segments(sizes):
-        w, p = weights[cols], p_hats[cols]
-        complete = cols.shape[1] == vectors.shape[0]
-        if complete:
-            total = p.sum(axis=1, keepdims=True)
-            p = np.divide(p, total, out=np.full_like(p, 1.0 / p.shape[1]), where=total > 0.0)
-        # one dot product per observable, (1, m) @ (m, 1)
-        estimates[obs] = est = (w[:, None, :] @ p[:, :, None])[:, 0, 0]
-        slopes = w
-        if complete:
-            slopes = np.divide(w - est[:, None], total, out=w.copy(), where=total > 0.0)
-        variances[obs] = ((slopes**2)[:, None, :] @ p_vars[cols][:, :, None])[:, 0, 0]
+    p, p_vars = p_hats.clip(0.0, 1.0).reshape(w.shape), p_vars.reshape(w.shape)
+    complete = w.shape[1] == vectors.shape[0]
+    if complete:
+        total = p.sum(axis=1, keepdims=True)
+        p = np.divide(p, total, out=np.full_like(p, 1.0 / p.shape[1]), where=total > 0.0)
+    # one dot product per observable, (1, m) @ (m, 1)
+    estimates = (w[:, None, :] @ p[:, :, None])[:, 0, 0]
+    slopes = w
+    if complete:
+        slopes = np.divide(w - estimates[:, None], total, out=w.copy(), where=total > 0.0)
+    variances = ((slopes**2)[:, None, :] @ p_vars[:, :, None])[:, 0, 0]
     return estimates, variances

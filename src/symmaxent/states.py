@@ -26,7 +26,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex).ravel()
+        if np.ndim(self.amplitudes) != 1:
+            raise ValueError(f"state vector must be 1-D, got shape {np.shape(self.amplitudes)}")
+        amp = np.array(self.amplitudes, dtype=complex)
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector not normalized: |psi| = {nrm!r}")
@@ -153,15 +155,6 @@ def _random_algebra_state(basis: np.ndarray, rng: np.random.Generator) -> np.nda
     t = (coeff @ basis).reshape(dim, dim)
     m = t @ t.conj().T
     return m / np.trace(m).real
-
-
-def random_density(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
-    """Hilbert-Schmidt-uniform mixed state: rho = G G^dagger / Tr(G G^dagger)
-    with G complex Ginibre."""
-    dim = 2**n_qubits
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_werner(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:

@@ -53,6 +53,12 @@ class TestConfigParsing:
         assert cfg.noise.mode == "ideal"
         assert cfg.solver.max_iterations == 400
 
+    def test_parse_does_not_build_the_default_grid(self):
+        # n_qubits is range-checked before r_values is read; the default grid
+        # range(1, 4^30) does not fit in memory
+        cfg = parse_config_text("n_qubits = 30\nr_values = 1\n")
+        assert (cfg.n_qubits, cfg.r_values) == (30, (1,))
+
     def test_dicke_family_syntax(self):
         cfg = parse_config_text("state_family = dicke(2)\nbatch_size = 1")
         assert cfg.state_family == "dicke"
@@ -732,6 +738,15 @@ class TestInputErrors:
         assert re.search(match, err)
         with pytest.raises(ValueError, match=match):
             parse_config_text(lines)
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_sweep_too_large_to_build(self, tmp_path, capsys):
+        # the 4^30 - 1 canonical observables cannot be indexed; numpy refuses
+        # the array before allocating it
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("n_qubits = 30\nbatch_size = 1\nr_values = 1\n")
+        err = input_error(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert "array is too big" in err
         assert not (tmp_path / "result.csv").exists()
 
     @pytest.mark.parametrize(

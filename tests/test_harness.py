@@ -610,13 +610,11 @@ class TestObservableContext:
     def test_cached_modes_are_read_only_and_exact(self):
         context = harness._ObservableContext("sic", 3, "permutation")
         for index in (0, 17, 62):
-            vectors, weights, sizes = context.modes(index)
-            ref_vectors, ref_weights, ref_sizes = measurement.projector_modes(
-                context.candidates[index]
-            )
+            vectors, weights = context.modes(index)
+            ref_vectors, ref_weights = measurement.projector_modes(context.candidates[index])
             assert np.array_equal(vectors, ref_vectors)
             assert np.array_equal(weights, ref_weights)
-            assert sizes == ref_sizes == (1,)
+            assert weights.shape == (1, 1)
             assert context.modes(index)[0] is vectors
             for arr in (vectors, weights):
                 with pytest.raises(ValueError, match="read-only"):

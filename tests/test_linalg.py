@@ -7,7 +7,6 @@ from symmaxent.linalg import (
     commutator,
     eigh,
     hermitian,
-    hs_inner,
     linearly_independent_subset,
     psd_sqrtm,
 )
@@ -176,28 +175,6 @@ class TestPsdSqrtm:
                 psd_sqrtm(m)
             with pytest.raises(ValueError, match="not PSD"):
                 DensityMatrix(m)
-
-
-class TestHsInner:
-    def test_pauli_normalization(self):
-        assert hs_inner(SX, SX) == pytest.approx(2.0)
-
-    def test_pauli_orthogonality(self):
-        assert hs_inner(SX, SY) == pytest.approx(0.0, abs=1e-15)
-
-    def test_identity_dim(self):
-        assert hs_inner(np.eye(8), np.eye(8)) == pytest.approx(8.0)
-
-    def test_conjugate_symmetry(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-    def test_positive_on_diagonal(self, rng):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        val = hs_inner(a, a)
-        assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real >= 0.0
 
 
 class TestLinearlyIndependentSubset:

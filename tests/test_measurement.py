@@ -12,7 +12,7 @@ from symmaxent.measurement import (
     simulate_counts,
     stack_modes,
 )
-from symmaxent.observables import expectation, pauli_basis, sic_povm
+from symmaxent.observables import KINDS, canonical_set, expectation, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix
 
 from conftest import I2, SX, SZ, kron_chain, random_mixed_state
@@ -36,7 +36,7 @@ def mode_probabilities(rho, modes):
 
 def reference_estimate(counts, modes, cfg):
     """One mode at a time, as the estimator did before it was vectorised."""
-    vectors, weights, _ = modes
+    vectors, weights = modes
     p_hats = []
     for c in counts:
         freq = int(c) / cfg.trials
@@ -47,7 +47,7 @@ def reference_estimate(counts, modes, cfg):
     p_hats = np.array(p_hats)
     if vectors.shape[1] == vectors.shape[0]:
         p_hats = p_hats / p_hats.sum()
-    return float(np.array([float(w) for w in weights]) @ p_hats)
+    return float(np.array([float(w) for w in weights[0]]) @ p_hats)
 
 
 class TestNoiseConfig:
@@ -128,27 +128,27 @@ class TestNoiseConfig:
 
 class TestProjectorModes:
     def test_sigma_z(self):
-        vectors, weights, sizes = projector_modes(SZ)
-        assert vectors.shape == (2, 2) and sizes == (2,)
-        assert sorted(weights) == [-1.0, 1.0]
+        vectors, weights = projector_modes(SZ)
+        assert vectors.shape == (2, 2) and weights.shape == (1, 2)
+        assert sorted(weights[0]) == [-1.0, 1.0]
         assert np.allclose(vectors.conj().T @ vectors, np.eye(2), atol=1e-12)
 
     def test_xx_two_qubit(self):
-        vectors, weights, sizes = projector_modes(kron_chain(SX, SX))
-        assert vectors.shape == (4, 4) and sizes == (4,)
-        assert sorted(weights) == [-1.0, -1.0, 1.0, 1.0]
+        vectors, weights = projector_modes(kron_chain(SX, SX))
+        assert vectors.shape == (4, 4) and weights.shape == (1, 4)
+        assert sorted(weights[0]) == [-1.0, -1.0, 1.0, 1.0]
 
     def test_sic_element_single_mode(self):
-        vectors, weights, sizes = projector_modes(sic_povm(1)[0])
-        assert vectors.shape == (2, 1) and sizes == (1,)
-        assert weights[0] == pytest.approx(0.5, abs=1e-12)
+        vectors, weights = projector_modes(sic_povm(1)[0])
+        assert vectors.shape == (2, 1) and weights.shape == (1, 1)
+        assert weights[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert np.linalg.norm(vectors[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_reconstructs_observable(self, rng):
         from conftest import random_hermitian
 
         h = random_hermitian(8, rng)
-        vectors, weights, _ = projector_modes(h)
+        vectors, weights = projector_modes(h)
         total = (vectors * weights) @ vectors.conj().T
         assert np.linalg.norm(total - h) <= 1e-10
 
@@ -307,7 +307,7 @@ class TestEstimateExpectations:
         (p,) = mode_probabilities(zero_state(), modes)
         exact = int(round(cfg.trials * click_probability(p, cfg.mu, cfg.lambda_dc)))
         a_hat = estimate_one(np.array([exact]), modes, cfg)[0]
-        assert a_hat == pytest.approx(modes[1][0] * p, abs=1e-5)
+        assert a_hat == pytest.approx(modes.weights[0, 0] * p, abs=1e-5)
 
     def test_saturated_mode_clamped(self):
         # every pulse clicked: the frequency is clamped to (trials - 1)/trials
@@ -315,7 +315,7 @@ class TestEstimateExpectations:
         cfg = NoiseConfig(trials=100, mode="photon_model", mu=5.0, lambda_dc=0.0)
         counts = np.array([100])
         modes = projector_modes(sic_povm(1)[0])
-        (w,) = modes[1]
+        ((w,),) = modes.weights
         a_hat = estimate_one(counts, modes, cfg)[0]
         assert a_hat == pytest.approx(w * np.log(100.0) / 5.0, rel=1e-12)
         assert a_hat < w
@@ -330,7 +330,7 @@ class TestEstimateExpectations:
         p_hats = np.clip((-np.log1p(-freqs) - cfg.lambda_dc) / cfg.mu, 0.0, 1.0)
         assert abs(p_hats.sum() - 1.0) > 1e-3  # renormalization has work to do
         a_hat = estimate_one(counts, modes, cfg)[0]
-        assert a_hat == pytest.approx(modes[1] @ (p_hats / p_hats.sum()), abs=1e-12)
+        assert a_hat == pytest.approx(modes.weights[0] @ (p_hats / p_hats.sum()), abs=1e-12)
 
     def test_pauli_estimates_in_range(self, rng):
         cfg = NoiseConfig(trials=500, mode="photon_model", mu=0.18, lambda_dc=5e-4)
@@ -407,13 +407,24 @@ class TestEstimateExpectations:
         with pytest.raises(ValueError, match=r"outside \[0, 10\]"):
             estimate_expectations(np.array(counts), projector_modes(SZ), cfg)
 
+    def test_fractional_counts_rejected(self):
+        cfg = NoiseConfig(mode="finite_sample", trials=10)
+        with pytest.raises(ValueError, match=r"whole numbers, got \[0\.5 1\.5\]"):
+            estimate_expectations(np.array([0.5, 1.5]), projector_modes(SZ), cfg)
+        with pytest.raises(ValueError, match=r"whole numbers, got \[2\.25\]"):
+            estimate_expectations(np.array([3.0, 2.25]), projector_modes(SZ), cfg)
+        # whole counts held as floats invert as the integers do
+        assert estimate_one(np.array([3.0, 7.0]), projector_modes(SZ), cfg) == estimate_one(
+            np.array([3, 7]), projector_modes(SZ), cfg
+        )
+
     def test_raw_frequency_path_is_attenuated(self):
         # the raw click frequency is biased low by roughly the attenuation (a
         # SIC mode with p = 1 clicks on only 1 - exp(-mu) of pulses); the
         # inverted estimate removes the bias
         rng = np.random.default_rng(9)
         modes = projector_modes(sic_povm(1)[0])
-        vectors, (w,), _ = modes
+        vectors, ((w,),) = modes
         rho = DensityMatrix(vectors @ vectors.conj().T)  # p = 1 for this mode
         cfg = NoiseConfig(trials=200_000, mode="photon_model", mu=0.18)
         counts = simulate_counts(rho, modes, cfg, rng)
@@ -464,14 +475,10 @@ def per_observable_estimate(counts, vectors, weights, cfg):
     return float(weights @ p_hats), float(slopes**2 @ p_vars)
 
 
-# one-mode SIC products; complete-mode Pauli products; and a mixed batch
-# that adds an operator whose zero eigenspace is dropped (2 of 4 modes)
+# one-mode SIC products and complete-mode Pauli products
 BATCHES = {
     "sic": lambda: list(sic_povm(3)[::5]),
     "pauli": lambda: list(pauli_basis(3)[::5]),
-    "mixed": lambda: [sic_povm(2)[3], pauli_basis(2)[7],
-                      hermitian(kron_chain((I2 + SZ) / 2, SX), "P0X"),
-                      sic_povm(2)[9], pauli_basis(2)[14]],
 }
 
 
@@ -493,7 +500,9 @@ class TestBatch:
             rho = DensityMatrix(np.diag(np.eye(2**n)[0]).astype(complex))
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
         modes = stack_modes(projector_modes(op) for op in ops)
-        assert modes.vectors.shape == (2**n, sum(modes.sizes))
+        m = 2**n if batch == "pauli" else 1
+        assert modes.weights.shape == (len(ops), m)
+        assert modes.vectors.shape == (2**n, len(ops) * m)
         batch_rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         counts = simulate_counts(rho, modes, cfg, batch_rng)
         estimates, variances = estimate_expectations(counts, modes, cfg)
@@ -537,18 +546,35 @@ class TestBatch:
         start = 0
         for b, op in enumerate(ops):
             alone = projector_modes(op)
-            own = counts[start : start + alone.sizes[0]]
-            start += alone.sizes[0]
-            want = per_observable_estimate(own, alone.vectors, alone.weights, cfg)
+            own = counts[start : start + alone.weights.size]
+            start += alone.weights.size
+            want = per_observable_estimate(own, alone.vectors, alone.weights[0], cfg)
             assert (estimates[b], variances[b]) == want
             assert estimate_one(own, alone, cfg) == want
             assert np.isfinite(variances[b])
         # every mode of a complete observable empty: uniform probabilities
         pauli = projector_modes(pauli_basis(2)[5])
         assert estimate_one(np.zeros(4, dtype=int), pauli, cfg) == per_observable_estimate(
-            np.zeros(4, dtype=int), pauli.vectors, pauli.weights, cfg
+            np.zeros(4, dtype=int), pauli.vectors, pauli.weights[0], cfg
         )
 
     def test_stack_needs_a_batch(self):
         with pytest.raises(ValueError, match="at least one batch"):
             stack_modes([])
+
+    def test_stack_needs_one_mode_count(self):
+        pauli, sic = projector_modes(pauli_basis(2)[5]), projector_modes(sic_povm(2)[3])
+        with pytest.raises(ValueError, match=r"mode counts \[1, 4\]"):
+            stack_modes([pauli, sic])
+        # an operator whose zero eigenspace is dropped keeps 2 of its 4 modes
+        mixed = [sic_povm(2)[3], pauli_basis(2)[7], hermitian(kron_chain((I2 + SZ) / 2, SX), "P0X"),
+                 sic_povm(2)[9], pauli_basis(2)[14]]
+        with pytest.raises(ValueError, match=r"mode counts \[1, 2, 4\]"):
+            stack_modes(projector_modes(op) for op in mixed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_canonical_observables_of_a_kind_share_one_mode_count(self, kind, n):
+        # what lets a sweep stack any of its canonical observables in one batch
+        counts = {projector_modes(op).weights.shape for op in canonical_set(kind, n)}
+        assert counts == {(1, 2**n if kind == "pauli" else 1)}

@@ -53,7 +53,7 @@ class TestPauliBasis:
         idx = rng.choice(len(basis), size=6, replace=False)
         for i in idx:
             for j in idx:
-                val = linalg.hs_inner(basis[int(i)], basis[int(j)]).real
+                val = np.vdot(basis[int(i)], basis[int(j)]).real
                 assert val == pytest.approx(4.0 if i == j else 0.0, abs=1e-12)
 
     def test_spans_full_operator_space(self):

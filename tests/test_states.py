@@ -17,7 +17,6 @@ from symmaxent.states import (
     haar_unitary,
     mix_with_identity,
     purity,
-    random_density,
     random_permutation_invariant_mixed,
     random_werner,
     von_neumann_entropy,
@@ -38,6 +37,12 @@ class TestTypes:
 
     def test_pure_state_of_any_length(self):
         assert PureState(np.array([0.6, 0.0, 0.8j])).dim == 3
+
+    @pytest.mark.parametrize("amp", [np.eye(2) / np.sqrt(2), np.array([[0.6, 0.8]]), np.array(1.0)])
+    def test_pure_state_rejects_other_than_one_dimension(self, amp):
+        # a unit-norm matrix would be read as a vector of its entries
+        with pytest.raises(ValueError, match="state vector must be 1-D"):
+            PureState(amp)
 
     @pytest.mark.parametrize("dim", [3, 6])
     def test_density_of_any_square_size(self, dim, rng):
@@ -505,10 +510,3 @@ class TestPurityEntropy:
         rho = DensityMatrix(random_mixed_state(8, np.random.default_rng(seed)))
         assert 1 / 8 - 1e-12 <= purity(rho) <= 1.0 + 1e-12
         assert -1e-12 <= von_neumann_entropy(rho) <= np.log(8) + 1e-12
-
-
-class TestRandomDensity:
-    def test_valid(self, rng):
-        rho = random_density(3, rng)
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.eigvalsh(rho.matrix)[0] >= 0.0
