@@ -20,21 +20,28 @@ Build one maximum-entropy problem on them under the symmetry
 on the irrep blocks) that carries the variances (so a noisy target may miss
 by about its standard deviation). At each distinct k = min(r, survivors)
 solve its leading slice on the first k (``MaxEntProblem.leading``) once, and
-record the fidelity of its full-space estimate (``symmetry.full_estimate``)
-against the prepared (noisy) state for every sweep point r that maps to k.
+record the fidelity of its full-space estimate against the prepared (noisy)
+state for every sweep point r that maps to k. A target that commutes with
+the declared group (``symmetry.block_state``, a test on the target itself)
+is scored on the irrep blocks: its block form M compress(rho), with its
+square root, is built once per state, and each estimate rho' is scored as
+F(M compress(rho), rho'), which equals the full-space value. Any other
+target is scored against ``symmetry.full_estimate(rho')`` on the full space.
 
 The distinct k are solved in ascending order, and each solve is seeded from
 the one before: it starts from that solve's multipliers, padded with zeros
 for the new constraints, when that solve stopped on ``tolerance`` and the
-smallest eigenvalue of its estimate exceeds sqrt(tolerance), the residual
-scale the stop guarantees. Otherwise it starts from zeros, as the first k
-does. A full-rank estimate's multipliers are finite and fixed by the data to
-within the tolerance, and Newton converges fast from that nearby start
-(Boyd & Vandenberghe, Convex Optimization, section 9.5.3). A rank-deficient
-estimate's multipliers run off along a ray, and where they stop is set by
-the tolerance, not by the data, so they seed nothing. A seeded record
-differs from a cold solve of the same prefix only within the stop's slack;
-an unseeded one is that cold solve, bit for bit.
+smallest eigenvalue of its full-space estimate exceeds sqrt(tolerance), the
+residual scale the stop guarantees; for a target scored on the blocks it is
+read off them, as the smallest eigenvalue of rho' / m. Otherwise it starts
+from zeros, as the first k does. A full-rank estimate's multipliers are
+finite and fixed by the data to within the tolerance, and Newton converges
+fast from that nearby start (Boyd & Vandenberghe, Convex Optimization,
+section 9.5.3). A rank-deficient estimate's multipliers run off along a
+ray, and where they stop is set by the tolerance, not by the data, so they
+seed nothing. A seeded record differs from a cold solve of the same prefix
+only within the stop's slack; an unseeded one is that cold solve, bit for
+bit.
 
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
@@ -259,6 +266,31 @@ def _acquire(rho, context: _ObservableContext, indices, config: ExperimentConfig
     return measurement.estimate_expectations(counts, modes, config.noise)
 
 
+def _scorer(target: states.DensityMatrix, kind: str, n_qubits: int):
+    """score(rho') -> (fidelity against ``target``, smallest eigenvalue) of
+    the full-space estimate of a ``symmetry.compressed_problem``'s estimate
+    rho'. Both are read on the irrep blocks when the target commutes with
+    the group (``symmetry.block_state``), else on the full space."""
+    block = None if kind == "none" else symmetry.block_state(target.matrix, kind, n_qubits)
+    if block is None:
+        def score(rho):
+            full = states.DensityMatrix(symmetry.full_estimate(rho, kind, n_qubits))
+            return states.fidelity(target, full), full.min_eigenvalue
+        return score
+
+    block_target = states.DensityMatrix(block)
+    weights = symmetry.block_weights(kind, n_qubits)[:, None]
+
+    def score(rho):
+        # a Gibbs state needs no check beyond this one: it is PSD with unit
+        # trace by construction, and its full-space spectrum is that of its
+        # blocks rho' / m, each repeated m times
+        if not np.isfinite(rho).all():
+            raise ValueError("estimate: non-finite entries")
+        return states.fidelity(block_target, rho), float(np.linalg.eigvalsh(rho / weights)[0])
+    return score
+
+
 def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRecord]:
     """All sweep points for one state; used directly by the worker pool."""
     context = _observable_context(config.observable_kind, config.n_qubits, config.symmetry)
@@ -278,6 +310,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     targets, variances = _acquire(rho_target, context, kept, config, state_id)
     measured = tuple(zip((context.candidates[i] for i in kept), targets))
     problem = symmetry.compressed_problem(measured, config.symmetry, config.n_qubits, variances)
+    score = _scorer(rho_target, config.symmetry, config.n_qubits)
     # every r past the kept count is the same k; each distinct k is solved
     # once, in ascending order, seeded by the rule in the module docstring
     points: dict[int, tuple[float, bool, int]] = {}
@@ -286,11 +319,9 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
         if lambda0 is not None:
             lambda0 = np.concatenate([lambda0, np.zeros(k - lambda0.size)])
         solution = solve(problem.leading(k), config.solver, lambda0)
-        full = symmetry.full_estimate(solution.rho, config.symmetry, config.n_qubits)
-        rho = states.DensityMatrix(full)
-        fid = states.fidelity(rho_target, rho)
+        fid, min_eigenvalue = score(solution.rho)
         points[k] = fid, solution.converged, solution.iterations
-        full_rank = rho.min_eigenvalue > math.sqrt(config.solver.tolerance)
+        full_rank = min_eigenvalue > math.sqrt(config.solver.tolerance)
         lambda0 = solution.lambdas if solution.converged and full_rank else None
     return [StateRunRecord(state_id, r, *points[min(r, len(order))]) for r in config.r_values]
 

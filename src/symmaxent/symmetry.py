@@ -33,7 +33,10 @@ compressed solve is the plain solve with log m added to the exponent's
 diagonal, the Gibbs form of minimum relative entropy with prior M (Csiszar,
 Ann. Probab. 3, 146 (1975)). ``compressed_problem`` builds that problem and
 ``full_estimate`` returns its estimate to the full space; the solver knows
-neither qubits nor symmetry kinds.
+neither qubits nor symmetry kinds. A sweep scores its estimate on the
+blocks when the target commutes with the group, that is when
+``block_state`` finds the target equal to its commutant projection; it
+expands the estimate to the full space only to score any other target.
 
 The generators Q_k (swap operators, collective Pauli sums) and the
 auxiliary observables i[Q_k, O_j] built from them and the Pauli products
@@ -311,7 +314,9 @@ def block_weights(kind: str, n_qubits: int) -> np.ndarray:
 def _coordinates(flat: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
     """Coefficients on ``commutant_basis`` of the commutant projections of
     row-major vectorized operators, one row per operator."""
-    return flat @ commutant_basis(kind, n_qubits).conj().T
+    # the basis is real, so it is its own conjugate; a conjugated copy would
+    # duplicate it (173 MB at n = 8) on every call
+    return flat @ commutant_basis(kind, n_qubits).T
 
 
 def compress(stack, kind: str, n_qubits: int) -> np.ndarray:
@@ -360,6 +365,23 @@ def full_estimate(rho, kind: str, n_qubits: int) -> np.ndarray:
     return expand(rho / block_weights(kind, n_qubits)[:, None], kind, n_qubits)
 
 
+def block_state(rho, kind: str, n_qubits: int) -> np.ndarray | None:
+    """The c x c block form M compress(rho) of a state ``rho`` that commutes
+    with the group of ``kind``, or None when its commutant projection differs
+    from it by more than ``linalg.HERMITICITY_TOL`` max-abs entrywise.
+
+    The block form has the shape of a ``compressed_problem``'s estimate
+    rho'. Both states are then block diagonal in the total-spin basis with
+    each block repeated m times, so the Uhlmann fidelity of rho and
+    ``full_estimate(rho')`` is that of M compress(rho) and rho', read on the
+    c x c blocks: a sweep scores a commuting target there."""
+    rho = np.asarray(rho)
+    block = compress(rho[None], kind, n_qubits)[0]
+    if np.max(np.abs(expand(block, kind, n_qubits) - rho)) > linalg.HERMITICITY_TOL:
+        return None
+    return block_weights(kind, n_qubits)[:, None] * block
+
+
 def project(a, kind: str, n_qubits: int) -> np.ndarray:
     """Orthogonal (Hilbert-Schmidt) projection of an operator onto the
     commutant of ``kind``: the group average of the operator. Idempotent,
@@ -367,7 +389,7 @@ def project(a, kind: str, n_qubits: int) -> np.ndarray:
     symmetric rho."""
     mat = np.asarray(a)
     basis = commutant_basis(kind, n_qubits)
-    return ((basis.conj() @ mat.ravel()) @ basis).reshape(mat.shape)
+    return ((basis @ mat.ravel()) @ basis).reshape(mat.shape)
 
 
 def independent_projections(ops, kind: str, n_qubits: int) -> list[int]:

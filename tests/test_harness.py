@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from symmaxent import harness, linalg, measurement, states, symmetry
+from symmaxent import harness, linalg, measurement, observables, states, symmetry
 from symmaxent.harness import (
     ExperimentConfig,
     StateRunRecord,
@@ -21,7 +21,6 @@ from symmaxent.maxent import SolverOptions, solve
 from symmaxent.measurement import NoiseConfig
 from symmaxent.observables import sic_povm
 
-from conftest import full_state
 
 FAST_NEWTON = SolverOptions(tolerance=1e-12, max_iterations=300)
 
@@ -164,9 +163,12 @@ def per_r_records(cfg, state_id):
     order, a problem built afresh on the first k targets and solved. A solve
     starts from the last k's multipliers, padded with zeros, when that solve
     stopped on tolerance with its estimate's smallest eigenvalue above
-    sqrt(tolerance), and from zeros otherwise."""
+    sqrt(tolerance), and from zeros otherwise. Each estimate is scored as the
+    sweep scores it (``harness._scorer``), on the blocks when the target
+    commutes with the group."""
     context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
     rho = sample_target(cfg, state_id)
+    score = harness._scorer(rho, cfg.symmetry, cfg.n_qubits)
     order = list(range(len(context.candidates)))
     if cfg.shuffle_observables:
         harness._stream(cfg.seed, state_id, 1).shuffle(order)
@@ -188,10 +190,8 @@ def per_r_records(cfg, state_id):
         if lambda0 is not None:
             lambda0 = list(lambda0) + [0.0] * (k - len(lambda0))
         solution = solve(problem, cfg.solver, lambda0)
-        estimate = full_state(solution.rho, cfg.n_qubits, cfg.symmetry)
-        fid = states.fidelity(rho, estimate)
+        fid, smallest = score(solution.rho)
         fields[k] = fid, solution.converged, solution.iterations
-        smallest = np.linalg.eigvalsh(estimate.matrix)[0]
         full_rank = smallest > math.sqrt(cfg.solver.tolerance)
         lambda0 = solution.lambdas if solution.stop_reason == "tolerance" and full_rank else None
     return [StateRunRecord(state_id, r, *fields[min(r, len(order))]) for r in cfg.r_values]
@@ -440,11 +440,11 @@ class TestSweep:
         for state_id in range(cfg.batch_size):
             calls.clear()
             records = {rec.r: rec for rec in run_single_state(cfg, state_id)}
-            rho = sample_target(cfg, state_id)
+            score = harness._scorer(sample_target(cfg, state_id), cfg.symmetry, cfg.n_qubits)
             for problem, seeded in calls:
                 rec = records[problem.n_constraints]
                 cold = real_solve(problem, cfg.solver)
-                cold_fid = states.fidelity(rho, full_state(cold.rho, cfg.n_qubits, cfg.symmetry))
+                cold_fid = score(cold.rho)[0]
                 if seeded:
                     n_seeded += 1
                     assert rec.converged
@@ -552,6 +552,90 @@ class TestStreams:
         want = np.random.default_rng(np.random.SeedSequence(list(entropy) + [0]))
         assert got.bit_generator.state == want.bit_generator.state
         assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
+
+
+# the (family, symmetry) pairs whose targets commute with the group
+COMMUTING = [
+    ("permutation_invariant", "permutation"),
+    ("permutation_invariant_mixed", "permutation"),
+    ("ghz", "permutation"),
+    ("dicke", "permutation"),
+    ("werner", "werner"),
+]
+
+
+def _block_estimates(target, kind, n):
+    """Estimates of ``target`` that a sweep scores: solves on the first 0, 2
+    and 6 SIC observables whose projections the symmetry keeps."""
+    ops = list(sic_povm(n))
+    kept = [ops[i] for i in symmetry.independent_projections(ops, kind, n)][:6]
+    measured = tuple((op, observables.expectation(target, op)) for op in kept)
+    problem = symmetry.compressed_problem(measured, kind, n)
+    return [solve(problem.leading(k), FAST_NEWTON).rho for k in (0, 2, len(kept))]
+
+
+class TestBlockScoring:
+    """A target that commutes with the group is scored on the irrep blocks."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("family, kind", COMMUTING)
+    def test_block_score_is_the_full_space_score(self, family, kind, n, eta):
+        target = states.sample(family, n, np.random.default_rng([n, len(family)]), eta, 1)
+        assert symmetry.block_state(target.matrix, kind, n) is not None
+        score = harness._scorer(target, kind, n)
+        # a pure target's full-space score carries psd_sqrtm's rank-1 rounding
+        pure = eta == 0.0 and family not in ("permutation_invariant_mixed", "werner")
+        for rho in _block_estimates(target, kind, n):
+            full = states.DensityMatrix(symmetry.full_estimate(rho, kind, n))
+            fid, smallest = score(rho)
+            assert abs(fid - states.fidelity(target, full)) <= (2e-8 if pure else 1e-12)
+            assert abs(smallest - full.min_eigenvalue) <= 1e-14
+
+    @pytest.mark.parametrize("family, kind", COMMUTING)
+    def test_commuting_sweep_builds_no_full_estimate(self, monkeypatch, family, kind):
+        def refuse(*args):
+            raise AssertionError("full_estimate called")
+
+        monkeypatch.setattr(symmetry, "full_estimate", refuse)
+        cfg = small_config(state_family=family, symmetry=kind, r_values=(2, 5, 63), batch_size=2,
+                           noise=NoiseConfig(eta=0.1))
+        for state_id in range(cfg.batch_size):
+            assert all(0.0 <= rec.fidelity <= 1.0 for rec in run_single_state(cfg, state_id))
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_haar_pure_keeps_full_space_scoring(self, monkeypatch, kind):
+        # the target does not commute with the group, so its record is the
+        # fidelity of the full-space estimate, bit for bit
+        solved = {}
+        real_solve = harness.solve
+
+        def spy(problem, options, lambda0=None):
+            solved[problem.n_constraints] = solution = real_solve(problem, options, lambda0)
+            return solution
+
+        monkeypatch.setattr(harness, "solve", spy)
+        cfg = small_config(state_family="haar_pure", symmetry=kind, r_values=(2, 5, 63),
+                           shuffle_observables=True, batch_size=2)
+        for state_id in range(cfg.batch_size):
+            solved.clear()
+            records = run_single_state(cfg, state_id)
+            target = sample_target(cfg, state_id)
+            assert symmetry.block_state(target.matrix, kind, cfg.n_qubits) is None
+            for rec in records:
+                rho = solved[min(rec.r, max(solved))].rho
+                full = states.DensityMatrix(symmetry.full_estimate(rho, kind, cfg.n_qubits))
+                assert rec.fidelity == states.fidelity(target, full)
+
+    @pytest.mark.parametrize("family, kind", [("werner", "werner"), ("haar_pure", "werner"),
+                                              ("werner", "none")])
+    def test_non_finite_estimate_fails_the_state(self, family, kind):
+        target = states.sample(family, 3, np.random.default_rng(0), 0.0, 1)
+        dim = len(symmetry.block_weights(kind, 3)) if kind != "none" else 8
+        rho = np.eye(dim, dtype=complex) / dim
+        rho[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            harness._scorer(target, kind, 3)(rho)
 
 
 class TestObservableContext:

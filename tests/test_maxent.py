@@ -227,7 +227,7 @@ def _reference_susceptibility(a, g, state):
     replaced. Rotates each operator of the (K, dim, dim) stack ``a`` into
     the eigenbasis with a K-batched matmul and contracts with a complex
     K x dim^2 product."""
-    rho, w, v, expw, z, _ = state
+    rho, w, v, expw, z, _, _ = state
     atil = np.matmul(np.matmul(v.conj().T[None, :, :], a), v)
     phi = maxent._divided_difference_kernel(w, expw)
     m = atil * phi[None, :, :]

@@ -337,6 +337,15 @@ class TestCommutantBasis:
         assert not basis.flags.writeable
         assert commutant_basis(kind, 3) is basis
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_real(self, kind, n):
+        # the basis is its own conjugate, so projections and coordinates
+        # use it without a conjugated copy
+        basis = commutant_basis(kind, n)
+        assert np.all(basis.imag == 0.0)
+        assert not np.signbit(basis.imag).any()
+
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
     def test_elements_commute_with_generators(self, kind):
         for row in commutant_basis(kind, 3):
@@ -655,3 +664,28 @@ class TestCompressedProblem:
     def test_rejects_operators_of_another_dim(self):
         with pytest.raises(ValueError, match="do not match dim 8"):
             symmetry.compressed_problem(((pauli_basis(2)[0], 0.1),), "permutation", 3)
+
+
+class TestBlockState:
+    @pytest.mark.parametrize("kind, n", [("permutation", 3), ("werner", 3), ("werner", 4)])
+    def test_commuting_state_in_estimate_form(self, kind, n, rng):
+        sampler = {"permutation": states.random_permutation_invariant_mixed,
+                   "werner": states.random_werner}[kind]
+        rho = states.add_white_noise(sampler(n, rng), 0.1).matrix
+        block = symmetry.block_state(rho, kind, n)
+        weights = block_weights(kind, n)
+        assert np.array_equal(block, weights[:, None] * compress(rho[None], kind, n)[0])
+        assert np.array_equal(block, block.conj().T)
+        # the full estimate of the block form is the state itself
+        assert np.max(np.abs(symmetry.full_estimate(block, kind, n) - rho)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    def test_state_off_the_commutant_has_none(self, kind, rng):
+        rho = states.add_white_noise(states.haar_pure(3, rng), 0.1).matrix
+        assert symmetry.block_state(rho, kind, 3) is None
+        # a departure just past the tolerance is enough
+        sym = project(rho, kind, 3)
+        off = np.zeros((8, 8), dtype=complex)
+        off[0, 1] = off[1, 0] = 2 * linalg.HERMITICITY_TOL
+        assert symmetry.block_state(sym, kind, 3) is not None
+        assert symmetry.block_state(sym + off, kind, 3) is None
