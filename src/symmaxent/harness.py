@@ -287,7 +287,8 @@ def _scorer(target: states.DensityMatrix, kind: str, n_qubits: int):
         # blocks rho' / m, each repeated m times
         if not np.isfinite(rho).all():
             raise ValueError("estimate: non-finite entries")
-        return states.fidelity(block_target, rho), float(np.linalg.eigvalsh(rho / weights)[0])
+        fid = states._fidelity_from_sqrt(block_target.sqrt, rho)
+        return fid, float(np.linalg.eigvalsh(rho / weights)[0])
     return score
 
 

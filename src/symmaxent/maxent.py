@@ -87,7 +87,6 @@ the dual gives for free, and the number of Gibbs evaluations it made.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import numbers
 from dataclasses import InitVar, dataclass
@@ -158,8 +157,6 @@ class MaxEntProblem:
         targets = np.array([t for _, t in measured], dtype=float)
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets must be finite")
-        # exact targets skip the variance terms, which are zero
-        object.__setattr__(self, "_exact", not variances.any())
         if self.log_weights is not None:
             w = np.array(self.log_weights, dtype=float)
             if w.shape != (dim,) or not np.all(np.isfinite(w)):
@@ -197,7 +194,6 @@ class MaxEntProblem:
         for name, value in (
             ("measured", self.measured[:k]),
             ("variances", self.variances[:k]),
-            ("_exact", not self.variances[:k].any()),
             ("_targets", self._targets[:k]),
             ("_rows", (flat[:k], real[:k], cols[:, : k * self.dim])),
         ):
@@ -228,16 +224,12 @@ class MaxEntProblem:
         twice."""
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
-        r = g - self._targets
-        if not self._exact:
-            r += self.variances * lambdas
+        r = g - self._targets + self.variances * lambdas
         return float(r @ r), g, r, state, self._dual(lambdas, state)
 
     def _dual(self, lambdas: np.ndarray, state) -> float:
         """Phi = log Z - lambda . a + lambda^T Sigma lambda / 2, with log Z
         from ``_gibbs``'s state at the same multipliers."""
-        if self._exact:
-            return float(state[5] - lambdas @ self._targets)
         return float(state[5] - lambdas @ (self._targets - 0.5 * self.variances * lambdas))
 
     def _susceptibility(self, g: np.ndarray, state) -> np.ndarray:
@@ -317,24 +309,14 @@ class MaxEntSolution:
         return self.stop_reason == "tolerance"
 
 
-@functools.lru_cache(maxsize=64)
-def _later_index(d: int) -> np.ndarray:
-    """max(a, b) for every pair of d indices, read-only."""
-    idx = np.arange(d)
-    out = np.maximum.outer(idx, idx)
-    out.setflags(write=False)
-    return out
-
-
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
     """Phi_ab evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <= 0,
     i.e. with b the larger eigenvalue of the pair: no cancellation at small
-    gaps, no overflow at large ones, and exactly symmetric. ``w`` ascends,
-    as ``eigh`` returns it, so e^{w_b} is the entry at the later index."""
+    gaps, no overflow at large ones, and exactly symmetric."""
     d = -np.abs(w[:, None] - w[None, :])
     ratio = np.ones_like(d)
     np.divide(np.expm1(d), d, out=ratio, where=d != 0.0)
-    return expw[_later_index(len(w))] * ratio
+    return np.maximum(expw[:, None], expw[None, :]) * ratio
 
 
 def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarray:
@@ -393,7 +375,7 @@ def solve(
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
     point = problem._evaluate(lam)
     iterations, n_evals = 0, 1
-    exact = problem._exact
+    exact = not problem.variances.any()
 
     while True:
         if point[0] < options.tolerance:
@@ -441,18 +423,14 @@ def _newton_step(problem, lam, point):
     length backtracks."""
     f, g, r, state, dual = point
     h = problem._susceptibility(g, state)
-    if problem._exact:
-        # h is already C + Sigma; the damping loop writes its diagonal
-        h_diag = h.diagonal().copy()
-    else:
-        h_diag = h.diagonal() + problem.variances
-        np.fill_diagonal(h, h_diag)
+    h_diag = h.diagonal() + problem.variances
     scale = float(h_diag.sum()) / problem.n_constraints
     if not scale > 0.0:
         # C + Sigma = 0: the targets are exact and Phi falls linearly along
         # -r without bound; a step to Phi < 0 proves them infeasible
         lam_new = lam - (1.0 + abs(dual)) / float(r @ r) * r
         return (lam_new, problem._evaluate(lam_new)), 1
+    np.fill_diagonal(h, h_diag)
     # half the gradient of f
     hr = h @ r
     mu, rounding = DAMPING, DUAL_ROUNDING * max(1.0, abs(dual))

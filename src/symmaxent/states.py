@@ -183,13 +183,10 @@ def random_permutation_invariant_mixed(n_qubits: int, rng: np.random.Generator) 
 
 
 def add_white_noise(state: PureState | DensityMatrix, eta: float) -> DensityMatrix:
-    """(1 - eta) rho + eta I / dim, with rho = |psi><psi| for a pure state. A
-    density matrix at eta = 0 is returned as it is, already checked."""
+    """(1 - eta) rho + eta I / dim, with rho = |psi><psi| for a pure state."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     pure = isinstance(state, PureState)
-    if eta == 0.0 and not pure:
-        return state
     rho = np.outer(state.amplitudes, state.amplitudes.conj()) if pure else state.matrix
     return DensityMatrix((1.0 - eta) * rho + (eta / state.dim) * np.eye(state.dim))
 
@@ -219,15 +216,16 @@ def sample(
     return add_white_noise(FAMILIES[family][1](n_qubits, rng, excitations), eta)
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix | np.ndarray) -> float:
-    """Tr sqrt(sqrt(rho) sigma sqrt(rho)); 1 iff the states coincide.
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Tr sqrt(sqrt(rho) sigma sqrt(rho)); 1 iff the states coincide."""
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    return _fidelity_from_sqrt(rho.sqrt, sigma.matrix)
 
-    ``sigma`` may be a bare matrix, used as it is, unchecked: a solver's
-    Gibbs state is Hermitian PSD with unit trace by construction."""
-    sigma = sigma.matrix if isinstance(sigma, DensityMatrix) else sigma
-    if rho.dim != len(sigma):
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {len(sigma)}")
-    s = rho.sqrt
+
+def _fidelity_from_sqrt(s: np.ndarray, sigma: np.ndarray) -> float:
+    """``fidelity`` from sqrt(rho) and sigma's matrix of the same size, both
+    used unchecked."""
     inner = s @ sigma @ s
     inner = (inner + inner.conj().T) / 2.0
     w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)

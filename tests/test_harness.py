@@ -21,6 +21,8 @@ from symmaxent.maxent import SolverOptions, solve
 from symmaxent.measurement import NoiseConfig
 from symmaxent.observables import sic_povm
 
+from conftest import full_state
+
 
 FAST_NEWTON = SolverOptions(tolerance=1e-12, max_iterations=300)
 
@@ -163,12 +165,11 @@ def per_r_records(cfg, state_id):
     order, a problem built afresh on the first k targets and solved. A solve
     starts from the last k's multipliers, padded with zeros, when that solve
     stopped on tolerance with its estimate's smallest eigenvalue above
-    sqrt(tolerance), and from zeros otherwise. Each estimate is scored as the
-    sweep scores it (``harness._scorer``), on the blocks when the target
-    commutes with the group."""
+    sqrt(tolerance), and from zeros otherwise. Each estimate is expanded to
+    the full space and scored there. Returns the records and, for each
+    distinct k, whether its solve was seeded."""
     context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
     rho = sample_target(cfg, state_id)
-    score = harness._scorer(rho, cfg.symmetry, cfg.n_qubits)
     order = list(range(len(context.candidates)))
     if cfg.shuffle_observables:
         harness._stream(cfg.seed, state_id, 1).shuffle(order)
@@ -183,18 +184,50 @@ def per_r_records(cfg, state_id):
         (target,), (variance,) = measurement.estimate_expectations(counts, modes, cfg.noise)
         measured.append((op, float(target)))
         variances.append(float(variance))
-    fields, lambda0 = {}, None
+    fields, seeded, lambda0 = {}, [], None
     for k in sorted({min(r, len(order)) for r in cfg.r_values}):
         problem = symmetry.compressed_problem(tuple(measured[:k]), cfg.symmetry, cfg.n_qubits,
                                               variances[:k])
         if lambda0 is not None:
             lambda0 = list(lambda0) + [0.0] * (k - len(lambda0))
+        seeded.append(lambda0 is not None)
         solution = solve(problem, cfg.solver, lambda0)
-        fid, smallest = score(solution.rho)
-        fields[k] = fid, solution.converged, solution.iterations
+        estimate = full_state(solution.rho, cfg.n_qubits, cfg.symmetry)
+        fields[k] = states.fidelity(rho, estimate), solution.converged, solution.iterations
+        smallest = np.linalg.eigvalsh(estimate.matrix)[0]
         full_rank = smallest > math.sqrt(cfg.solver.tolerance)
         lambda0 = solution.lambdas if solution.stop_reason == "tolerance" and full_rank else None
-    return [StateRunRecord(state_id, r, *fields[min(r, len(order))]) for r in cfg.r_values]
+    records = [StateRunRecord(state_id, r, *fields[min(r, len(order))]) for r in cfg.r_values]
+    return records, seeded
+
+
+# the (family, symmetry) pairs whose targets commute with the group
+COMMUTING = [
+    ("permutation_invariant", "permutation"),
+    ("permutation_invariant_mixed", "permutation"),
+    ("ghz", "permutation"),
+    ("dicke", "permutation"),
+    ("werner", "werner"),
+]
+
+
+def score_tolerance(family, kind, eta):
+    """How far a sweep's fidelity may sit from the full-space score: 0 where
+    the sweep scores on the full space; on the blocks, 1e-12 for a mixed
+    target and 2e-8 for a pure one, whose full-space score carries
+    ``psd_sqrtm``'s rank-1 rounding."""
+    if (family, kind) not in COMMUTING:
+        return 0.0
+    pure = eta == 0.0 and family not in ("permutation_invariant_mixed", "werner")
+    return 2e-8 if pure else 1e-12
+
+
+def assert_records_match(records, want, tolerance):
+    """Records equal but for fidelities within ``tolerance``."""
+    assert [(rec.state_id, rec.r, rec.converged, rec.iterations) for rec in records] == [
+        (rec.state_id, rec.r, rec.converged, rec.iterations) for rec in want]
+    for rec, ref in zip(records, want):
+        assert abs(rec.fidelity - ref.fidelity) <= tolerance
 
 
 # each config with the distinct k = min(r, kept) its states solve
@@ -385,26 +418,33 @@ class TestSweep:
 
     @pytest.mark.parametrize("cfg", ["sic_permutation", "pauli_none", "pauli_werner"])
     def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
-        # bit for bit: the one-pass state against each observable acquired
-        # alone, in order, from one shared counts stream, and a fresh
-        # problem built and solved for
-        # every distinct k, seeded by the same rule. The permutation and
-        # werner sweeps keep 19 and 4 observables, so there r = 25 and 63
-        # repeat the full problem, which the state solves once
+        # the one-pass state against each observable acquired alone, in
+        # order, from one shared counts stream, and a fresh problem built
+        # and solved for every distinct k, seeded by the same rule on the
+        # full-space estimate and scored there: the same seeding, flags and
+        # counts, and the fidelities bit for bit where the sweep scores on
+        # the full space. The permutation and werner sweeps keep 19 and 4
+        # observables, so there r = 25 and 63 repeat the full problem, which
+        # the state solves once
         cfg, distinct = PER_R_CONFIGS[cfg]
-        solved = []
+        solved, seeded = [], []
         real_solve = harness.solve
 
         def spy(problem, options, lambda0=None):
             solved.append(problem.n_constraints)
+            seeded.append(lambda0 is not None)
             return real_solve(problem, options, lambda0)
 
         monkeypatch.setattr(harness, "solve", spy)
+        tolerance = score_tolerance(cfg.state_family, cfg.symmetry, cfg.noise.eta)
         for state_id in range(cfg.batch_size):
             solved.clear()
+            seeded.clear()
             records = run_single_state(cfg, state_id)
+            want, want_seeded = per_r_records(cfg, state_id)
             assert solved == distinct
-            assert records == per_r_records(cfg, state_id)
+            assert seeded == want_seeded
+            assert_records_match(records, want, tolerance)
 
     @pytest.mark.parametrize("noise", [
         NoiseConfig(mode="finite_sample", trials=1_000),
@@ -426,8 +466,10 @@ class TestSweep:
     ], ids=["sic_none", "sic_permutation"])
     def test_seeded_records_stay_near_cold_solves(self, monkeypatch, cfg):
         # a seeded prefix lands within 1e-4 in fidelity of the same prefix
-        # solved from zeros, and an unseeded one is that cold solve, bit for
-        # bit; pure targets give both kinds, mixed symmetric ones seeded only
+        # solved from zeros and scored on the full space, and an unseeded
+        # one is that cold solve, its fidelity within the block scoring's
+        # tolerance; pure targets give both kinds, mixed symmetric ones
+        # seeded only
         calls = []
         real_solve = harness.solve
 
@@ -437,21 +479,22 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "solve", spy)
         n_seeded = 0
+        tolerance = score_tolerance(cfg.state_family, cfg.symmetry, cfg.noise.eta)
         for state_id in range(cfg.batch_size):
             calls.clear()
             records = {rec.r: rec for rec in run_single_state(cfg, state_id)}
-            score = harness._scorer(sample_target(cfg, state_id), cfg.symmetry, cfg.n_qubits)
+            rho = sample_target(cfg, state_id)
             for problem, seeded in calls:
                 rec = records[problem.n_constraints]
                 cold = real_solve(problem, cfg.solver)
-                cold_fid = score(cold.rho)[0]
+                cold_fid = states.fidelity(rho, full_state(cold.rho, cfg.n_qubits, cfg.symmetry))
                 if seeded:
                     n_seeded += 1
                     assert rec.converged
                     assert abs(rec.fidelity - cold_fid) <= 1e-4
                 else:
-                    assert (rec.fidelity, rec.converged, rec.iterations) == (
-                        cold_fid, cold.converged, cold.iterations)
+                    assert (rec.converged, rec.iterations) == (cold.converged, cold.iterations)
+                    assert abs(rec.fidelity - cold_fid) <= tolerance
         assert n_seeded > 0
         if cfg.state_family == "haar_pure":
             assert n_seeded < len(calls) * cfg.batch_size
@@ -554,16 +597,6 @@ class TestStreams:
         assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
 
 
-# the (family, symmetry) pairs whose targets commute with the group
-COMMUTING = [
-    ("permutation_invariant", "permutation"),
-    ("permutation_invariant_mixed", "permutation"),
-    ("ghz", "permutation"),
-    ("dicke", "permutation"),
-    ("werner", "werner"),
-]
-
-
 def _block_estimates(target, kind, n):
     """Estimates of ``target`` that a sweep scores: solves on the first 0, 2
     and 6 SIC observables whose projections the symmetry keeps."""
@@ -584,12 +617,11 @@ class TestBlockScoring:
         target = states.sample(family, n, np.random.default_rng([n, len(family)]), eta, 1)
         assert symmetry.block_state(target.matrix, kind, n) is not None
         score = harness._scorer(target, kind, n)
-        # a pure target's full-space score carries psd_sqrtm's rank-1 rounding
-        pure = eta == 0.0 and family not in ("permutation_invariant_mixed", "werner")
+        tolerance = score_tolerance(family, kind, eta)
         for rho in _block_estimates(target, kind, n):
             full = states.DensityMatrix(symmetry.full_estimate(rho, kind, n))
             fid, smallest = score(rho)
-            assert abs(fid - states.fidelity(target, full)) <= (2e-8 if pure else 1e-12)
+            assert abs(fid - states.fidelity(target, full)) <= tolerance
             assert abs(smallest - full.min_eigenvalue) <= 1e-14
 
     @pytest.mark.parametrize("family, kind", COMMUTING)

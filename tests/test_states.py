@@ -369,12 +369,6 @@ class TestWhiteNoise:
         b = mix_with_identity(psi.density(), 0.25).matrix
         assert np.allclose(a, b)
 
-    def test_eta_zero_returns_a_density_matrix_as_it_is(self, rng):
-        # (1 - 0) rho + 0 I equals rho; the state was checked when it was made
-        rho = random_werner(3, rng)
-        assert add_white_noise(rho, 0.0) is rho
-        assert add_white_noise(rho, 0.1) is not rho
-
 
 # each family's sampler and mixer, called the way the sweep called them
 # before the families moved into ``states.FAMILIES``
@@ -492,13 +486,11 @@ class TestFidelity:
         with pytest.raises(ValueError, match="read-only"):
             rho.sqrt[0, 0] = 0.0
 
-    def test_bare_matrix_is_scored_as_it_is(self, rng):
-        # a solver's Gibbs state is scored without a DensityMatrix around it
+    def test_from_a_cached_root_is_the_fidelity(self, rng):
+        # the sweep scores a trusted estimate against a root it keeps
         rho = DensityMatrix(random_mixed_state(8, rng))
         sigma = DensityMatrix(random_mixed_state(8, rng))
-        assert fidelity(rho, sigma.matrix) == fidelity(rho, sigma)
-        with pytest.raises(ValueError, match="dimension mismatch: 8 vs 4"):
-            fidelity(rho, np.eye(4) / 4)
+        assert states._fidelity_from_sqrt(rho.sqrt, sigma.matrix) == fidelity(rho, sigma)
 
     def test_monotone_in_noise(self, rng):
         psi = haar_pure(3, rng)
