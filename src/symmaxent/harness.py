@@ -17,11 +17,13 @@ stream in mode order and inverts all counts with array operations
 (``measurement.simulate_counts``, ``measurement.estimate_expectations``).
 Build one maximum-entropy problem on them under the symmetry
 (``symmetry.compressed_problem``: it constrains their commutant projections,
-on the irrep blocks) that carries the variances (so a noisy target may miss
-by about its standard deviation). At each distinct k = min(r, survivors)
-solve its leading slice on the first k (``MaxEntProblem.leading``) once, and
-record the fidelity of its full-space estimate against the prepared (noisy)
-state for every sweep point r that maps to k. A target that commutes with
+on the irrep blocks; a state that measures the order of the state before it
+re-targets that state's problem, below) that carries the variances (so a
+noisy target may miss by about its standard deviation). At each distinct
+k = min(r, survivors) solve its leading slice on the first k
+(``MaxEntProblem.leading``) once, and record the fidelity of its full-space
+estimate against the prepared (noisy) state for every sweep point r that
+maps to k. A target that commutes with
 the declared group (``symmetry.block_state``, a test on the target itself)
 is scored on the irrep blocks: its block form M compress(rho), with its
 square root, is built once per state, and each estimate rho' is scored as
@@ -52,7 +54,16 @@ n_qubits, symmetry) and shares it between the states it sweeps
 modes of each observable a state measures, built on first use, and under
 permutation symmetry each observable's permutation orbit. Under werner
 symmetry a state calls ``symmetry.independent_projections`` on its order.
-Each state still samples its target, shuffles, filters its order, draws and
+The worker also remembers the last measured order it swept, keyed by the
+order before filtering and max(r): the indices the filter kept from it and
+the state measures, their stacked modes (noisy data only) and the problem
+``symmetry.compressed_problem`` built on them. A state with the same order,
+as every state of an unshuffled sweep has, skips the filter and the
+stacking and solves that problem with its own targets and variances
+(``MaxEntProblem.with_targets``, which shares the operators and checks only
+the new data). Any other order, which is every shuffled state's, is
+filtered and built afresh and replaces the remembered one, so one order is
+held at a time. Each state still samples its target, shuffles, draws and
 inverts its counts, and solves. The shared values are what each state would
 compute itself, so they change no result.
 """
@@ -72,7 +83,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, measurement, observables, states, symmetry
-from .maxent import SolverOptions, solve
+from .maxent import MaxEntProblem, SolverOptions, solve
 from .measurement import NoiseConfig
 
 THREADS_ENV_VAR = "SYMMAXENT_THREADS"
@@ -184,6 +195,23 @@ def _stream(seed: int, state_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, state_id, purpose, 0]))
 
 
+@dataclass(eq=False)
+class _MeasuredOrder:
+    """What a state builds from its measured order alone, for the next state
+    of its worker that measures the same order (``_ObservableContext.
+    measured``): the number of observables the symmetry filter keeps from
+    the order, the canonical indices of those it measures, their stacked
+    modes (read-only; noisy acquisition only, built on first use) and the
+    ``symmetry.compressed_problem`` on them, whose targets are those of the
+    state that built it (None until that state builds it)."""
+
+    key: tuple[tuple[int, ...], int]
+    length: int
+    kept: tuple[int, ...]
+    modes: measurement.Modes | None = None
+    problem: MaxEntProblem | None = None
+
+
 class _ObservableContext:
     """What every state of a sweep shares; see ``_observable_context``. Its
     arrays are read-only, so no state can change another state's inputs."""
@@ -192,6 +220,7 @@ class _ObservableContext:
         self.kind, self.n_qubits, self.symmetry = kind, n_qubits, symmetry_kind
         self.candidates = observables.canonical_set(kind, n_qubits)
         self._modes: dict[int, measurement.Modes] = {}
+        self._last: _MeasuredOrder | None = None
 
     def modes(self, index: int) -> measurement.Modes:
         """``measurement.projector_modes`` of canonical observable
@@ -233,6 +262,19 @@ class _ObservableContext:
             kept = symmetry.independent_projections(ops, self.symmetry, self.n_qubits)
         return tuple(order[i] for i in kept)
 
+    def measured(self, order, count: int) -> _MeasuredOrder:
+        """The ``_MeasuredOrder`` of a state that measures the first
+        ``count`` observables its symmetry filter keeps from ``order``
+        (canonical indices, before filtering). The last one built is
+        returned again while the order and count repeat; any other order
+        is filtered and replaces it, so at most one is held."""
+        key = (tuple(order), count)
+        if self._last is None or self._last.key != key:
+            if self.symmetry != "none":
+                order = self.independent(order)
+            self._last = _MeasuredOrder(key, len(order), tuple(order[:count]))
+        return self._last
+
 
 @functools.lru_cache(maxsize=8)
 def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _ObservableContext:
@@ -243,27 +285,34 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
     acquisition; on the first permutation-symmetric state, each canonical
     observable's orbit number, from its factor indices, so that a state
     keeps the first of each orbit in its order. A werner-symmetric state
-    filters its order with ``symmetry.independent_projections``. Each state
-    still samples its target, draws its shuffle and its counts, estimates,
-    solves and scores.
+    filters its order with ``symmetry.independent_projections``. The last
+    measured order swept is remembered with its problem
+    (``_ObservableContext.measured``). Each state still samples its target,
+    draws its shuffle and its counts, estimates, solves and scores.
     """
     return _ObservableContext(kind, n_qubits, symmetry_kind)
 
 
-def _acquire(rho, context: _ObservableContext, indices, config: ExperimentConfig,
-             state_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, variances) of the canonical observables ``indices``, in
-    their order, in one pass: ideal targets are exact, with variance zero;
-    noisy ones are drawn and inverted as one batch of their cached modes,
-    every count from the state's one counts stream, in mode order."""
+def _acquire(rho, context: _ObservableContext, measured: _MeasuredOrder,
+             config: ExperimentConfig, state_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, variances) of the canonical observables ``measured.kept``,
+    in their order, in one pass: ideal targets are exact, with variance
+    zero; noisy ones are drawn and inverted as one batch of their modes,
+    stacked once per measured order, every count from the state's one
+    counts stream, in mode order."""
+    indices = measured.kept
     # an empty batch has no modes to stack, and no targets either way
     if config.noise.mode == "ideal" or not indices:
         targets = [observables.expectation(rho, context.candidates[i]) for i in indices]
         return np.array(targets, dtype=float), np.zeros(len(indices))
-    modes = measurement.stack_modes(context.modes(i) for i in indices)
+    if measured.modes is None:
+        modes = measurement.stack_modes(context.modes(i) for i in indices)
+        for arr in modes:
+            arr.setflags(write=False)
+        measured.modes = modes
     rng = _stream(config.seed, state_id, 2)
-    counts = measurement.simulate_counts(rho, modes, config.noise, rng)
-    return measurement.estimate_expectations(counts, modes, config.noise)
+    counts = measurement.simulate_counts(rho, measured.modes, config.noise, rng)
+    return measurement.estimate_expectations(counts, measured.modes, config.noise)
 
 
 def _scorer(target: states.DensityMatrix, kind: str, n_qubits: int):
@@ -304,19 +353,20 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     order = list(range(len(context.candidates)))
     if config.shuffle_observables:
         _stream(config.seed, state_id, 1).shuffle(order)
-    if config.symmetry != "none":
-        order = context.independent(order)
-
-    kept = order[: min(max(config.r_values), len(order))]
-    targets, variances = _acquire(rho_target, context, kept, config, state_id)
-    measured = tuple(zip((context.candidates[i] for i in kept), targets))
-    problem = symmetry.compressed_problem(measured, config.symmetry, config.n_qubits, variances)
+    measured = context.measured(order, max(config.r_values))
+    targets, variances = _acquire(rho_target, context, measured, config, state_id)
+    if measured.problem is None:
+        pairs = tuple(zip((context.candidates[i] for i in measured.kept), targets))
+        problem = symmetry.compressed_problem(pairs, config.symmetry, config.n_qubits, variances)
+        measured.problem = problem
+    else:
+        problem = measured.problem.with_targets(targets, variances)
     score = _scorer(rho_target, config.symmetry, config.n_qubits)
     # every r past the kept count is the same k; each distinct k is solved
     # once, in ascending order, seeded by the rule in the module docstring
     points: dict[int, tuple[float, bool, int]] = {}
     lambda0 = None
-    for k in sorted({min(r, len(order)) for r in config.r_values}):
+    for k in sorted({min(r, measured.length) for r in config.r_values}):
         if lambda0 is not None:
             lambda0 = np.concatenate([lambda0, np.zeros(k - lambda0.size)])
         solution = solve(problem.leading(k), config.solver, lambda0)
@@ -324,7 +374,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
         points[k] = fid, solution.converged, solution.iterations
         full_rank = min_eigenvalue > math.sqrt(config.solver.tolerance)
         lambda0 = solution.lambdas if solution.converged and full_rank else None
-    return [StateRunRecord(state_id, r, *points[min(r, len(order))]) for r in config.r_values]
+    return [StateRunRecord(state_id, r, *points[min(r, measured.length)]) for r in config.r_values]
 
 
 def worker_count(batch_size: int) -> int:

@@ -41,7 +41,9 @@ entropy S below is minus that relative entropy.
 A problem stacks and validates its operators, and builds the arrays the
 solver derives from them, once, for every solve and kernel call on it. A
 sweep state builds one problem and solves its leading slices on the first r
-constraints (``MaxEntProblem.leading``), whose operators are its rows.
+constraints (``MaxEntProblem.leading``), whose operators are its rows; a
+state that measures the operators of the state before it solves that
+state's problem with its own targets (``MaxEntProblem.with_targets``).
 
 The multipliers minimise the variance-regularised dual
 
@@ -140,23 +142,16 @@ class MaxEntProblem:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         zero_rows = tuple((op, 0.0) for op in auxiliary)
-        n_given = len(self.measured)
-        if self.variances is None:
-            variances = np.zeros(n_given)
-        else:
-            variances = np.array(self.variances, dtype=float)
-        if variances.shape != (n_given,):
-            raise ValueError(f"expected {n_given} variances, got shape {variances.shape}")
-        if not (np.all(np.isfinite(variances)) and np.all(variances >= 0.0)):
-            raise ValueError("variances must be finite and >= 0")
-        variances = np.concatenate([variances, np.zeros(len(zero_rows))])
+        targets, variances = _checked_data(
+            [t for _, t in self.measured], self.variances, len(self.measured)
+        )
+        # auxiliary rows are exact zero targets
+        n_zero = len(zero_rows)
+        targets, variances = (np.concatenate([x, np.zeros(n_zero)]) for x in (targets, variances))
         variances.setflags(write=False)
         object.__setattr__(self, "variances", variances)
         measured = tuple((op, float(t)) for op, t in self.measured) + zero_rows
         object.__setattr__(self, "measured", measured)
-        targets = np.array([t for _, t in measured], dtype=float)
-        if not np.all(np.isfinite(targets)):
-            raise ValueError("targets must be finite")
         if self.log_weights is not None:
             w = np.array(self.log_weights, dtype=float)
             if w.shape != (dim,) or not np.all(np.isfinite(w)):
@@ -190,13 +185,34 @@ class MaxEntProblem:
         if not 0 <= k <= self.n_constraints:
             raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
         flat, real, cols = self._rows
+        return self._replace(
+            measured=self.measured[:k],
+            variances=self.variances[:k],
+            _targets=self._targets[:k],
+            _rows=(flat[:k], real[:k], cols[:, : k * self.dim]),
+        )
+
+    def with_targets(self, targets, variances=None) -> MaxEntProblem:
+        """The problem on this one's operators with new ``targets`` and
+        their ``variances`` (zeros when None), one of each per constraint.
+
+        Like ``leading``, it shares this problem's solver rows (the
+        operators) and log weights, which were validated when this problem
+        was built and are not checked again; only the new targets and
+        variances are, as the constructor checks them. So a sweep that
+        measures one order of observables on every state builds their
+        operators once."""
+        targets, variances = _checked_data(targets, variances, self.n_constraints)
+        variances.setflags(write=False)
+        ops = (op for op, _ in self.measured)
+        return self._replace(
+            measured=tuple(zip(ops, targets.tolist())), variances=variances, _targets=targets
+        )
+
+    def _replace(self, **fields) -> MaxEntProblem:
+        """A shallow copy of this problem with ``fields`` set, unchecked."""
         sub = copy.copy(self)
-        for name, value in (
-            ("measured", self.measured[:k]),
-            ("variances", self.variances[:k]),
-            ("_targets", self._targets[:k]),
-            ("_rows", (flat[:k], real[:k], cols[:, : k * self.dim])),
-        ):
+        for name, value in fields.items():
             object.__setattr__(sub, name, value)
         return sub
 
@@ -307,6 +323,23 @@ class MaxEntSolution:
     def converged(self) -> bool:
         """Whether the objective fell below the tolerance."""
         return self.stop_reason == "tolerance"
+
+
+def _checked_data(targets, variances, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, variances) as new float arrays, the variances zeros when
+    None: ``n`` of each, the targets finite, the variances finite and
+    >= 0."""
+    targets = np.array(targets, dtype=float)
+    if targets.shape != (n,):
+        raise ValueError(f"expected {n} targets, got shape {targets.shape}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError("targets must be finite")
+    variances = np.zeros(n) if variances is None else np.array(variances, dtype=float)
+    if variances.shape != (n,):
+        raise ValueError(f"expected {n} variances, got shape {variances.shape}")
+    if not (np.all(np.isfinite(variances)) and np.all(variances >= 0.0)):
+        raise ValueError("variances must be finite and >= 0")
+    return targets, variances
 
 
 def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:

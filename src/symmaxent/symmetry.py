@@ -274,11 +274,18 @@ def commutant_basis(kind: str, n_qubits: int) -> np.ndarray:
       for four, 42 for five.
     """
     _check_kind(kind, n_qubits, "commutant")
-    rows = []
-    for u in _oriented_blocks(kind, n_qubits):
-        units = np.einsum("cai,cbk->abik", u, u) / np.sqrt(u.shape[0])
-        rows.append(units.reshape(-1, u.shape[2] ** 2))
-    out = np.concatenate(rows).astype(complex)
+    blocks = _oriented_blocks(kind, n_qubits)
+    dim = 2**n_qubits
+    # each block's units are written straight into the real part of the
+    # one complex result: no real copy of the whole basis is made
+    out = np.zeros((sum(u.shape[1] ** 2 for u in blocks), dim * dim), dtype=complex)
+    start = 0
+    for u in blocks:
+        size = u.shape[1]
+        units = out.real[start : start + size**2].reshape(size, size, dim, dim)
+        np.einsum("cai,cbk->abik", u, u, out=units)
+        units /= np.sqrt(u.shape[0])
+        start += size**2
     out.setflags(write=False)
     return out
 

@@ -357,7 +357,9 @@ class TestSweep:
     def test_symmetric_solves_constrain_projected_observables_only(self, monkeypatch):
         # compressed_problem gets the first r filtered canonical operators
         # as they are, with the symmetry declared and no auxiliaries; it
-        # constrains their commutant projections (checked in test_maxent)
+        # constrains their commutant projections (checked in test_maxent).
+        # A worker that swept this order before would not build it again
+        harness._observable_context.cache_clear()
         seen = []
         real_compressed, real_solve = symmetry.compressed_problem, harness.solve
 
@@ -391,9 +393,12 @@ class TestSweep:
                 assert np.array_equal(op, ref)
 
     def test_one_problem_per_state(self, monkeypatch):
-        # every sweep point solves a leading slice of the state's one problem,
-        # in ascending k; the werner commutant at n = 3 keeps 5 SIC
+        # one problem per measured order: every sweep point solves a leading
+        # slice of it, in ascending k, and an unshuffled state that measures
+        # the order of the state before it solves that problem re-targeted
+        # with its own data. The werner commutant at n = 3 keeps 5 SIC
         # projections, so r = 30 solves 5
+        harness._observable_context.cache_clear()
         built, solved = [], []
         real_problem, real_solve = symmetry.compressed_problem, harness.solve
 
@@ -410,11 +415,22 @@ class TestSweep:
         cfg = small_config(symmetry="werner", r_values=(2, 4, 30, 3), batch_size=1)
         for state_id in (0, 1):
             run_single_state(cfg, state_id)
-        assert len(built) == 2
-        assert [len(p.measured) for p in built] == [5, 5]
+        assert len(built) == 1 and len(built[0].measured) == 5
         assert [p.n_constraints for p in solved] == [2, 3, 4, 5] * 2
         for i, problem in enumerate(solved):
-            assert problem.measured == built[i // 4].measured[: problem.n_constraints]
+            k = problem.n_constraints
+            if i < 4:
+                assert problem.measured == built[0].measured[:k]
+            ops = [op for op, _ in problem.measured]
+            assert all(op is ref for op, (ref, _) in zip(ops, built[0].measured))
+            for got, parent in zip(problem._rows, built[0]._rows):
+                assert np.shares_memory(got, parent)
+        # the second state solves its own targets
+        context = harness._observable_context("sic", 3, "werner")
+        rho = sample_target(cfg, 1)
+        own = [observables.expectation(rho, context.candidates[i]) for i in context._last.kept]
+        assert np.array_equal(solved[-1]._targets, own)
+        assert not np.array_equal(solved[-1]._targets, built[0]._targets)
 
     @pytest.mark.parametrize("cfg", ["sic_permutation", "pauli_none", "pauli_werner"])
     def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
@@ -566,6 +582,23 @@ SHUFFLED_SYMMETRIC_N4_SHAPED = small_config(
     solver=SolverOptions(tolerance=1e-14, max_iterations=400),
     shuffle_observables=True,
 )
+
+# unshuffled sweeps, whose states all measure one order, for each symmetry
+# with ideal and photon-model data
+UNSHUFFLED_SHAPED = {
+    f"unshuffled_{kind}_{noise.mode}": small_config(
+        state_family=family, symmetry=kind, r_values=(3, 12, 40), noise=noise,
+    )
+    for kind, family in (
+        ("none", "haar_pure"),
+        ("permutation", "permutation_invariant_mixed"),
+        ("werner", "werner"),
+    )
+    for noise in (
+        NoiseConfig(),
+        NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
+    )
+}
 
 
 def stream_purposes(monkeypatch, noise):
@@ -723,6 +756,35 @@ class TestObservableContext:
             run_single_state(NOISY_PHOTON_SHAPED, state_id)
         assert len(calls) == 19 and len(set(calls)) == 19
 
+    def test_shuffled_sweep_remembers_one_order(self):
+        # every shuffled state measures a new order, which replaces the last
+        harness._observable_context.cache_clear()
+        cfg = small_config(
+            state_family="permutation_invariant_mixed", symmetry="permutation",
+            shuffle_observables=True, r_values=(2, 19), noise=NOISY_PHOTON_SHAPED.noise,
+        )
+        context = harness._observable_context("sic", 3, "permutation")
+        for state_id in range(3):
+            run_single_state(cfg, state_id)
+            order = list(range(63))
+            harness._stream(cfg.seed, state_id, 1).shuffle(order)
+            remembered = [v for v in vars(context).values()
+                          if isinstance(v, harness._MeasuredOrder)]
+            assert len(remembered) == 1
+            assert remembered[0].key == (tuple(order), 19)
+            assert remembered[0].kept == context.independent(order)
+            assert remembered[0].problem.n_constraints == 19
+
+    def test_remembered_order_is_keyed_by_its_count(self):
+        # the same order measured to a different max(r) keeps other
+        # observables, so it is not the remembered one
+        short = dataclasses.replace(NOISY_PHOTON_SHAPED, r_values=(2, 5))
+        harness._observable_context.cache_clear()
+        cold = run_single_state(NOISY_PHOTON_SHAPED, 1)
+        harness._observable_context.cache_clear()
+        run_single_state(short, 0)
+        assert run_single_state(NOISY_PHOTON_SHAPED, 1) == cold
+
     def test_cached_modes_are_read_only_and_exact(self):
         context = harness._ObservableContext("sic", 3, "permutation")
         for index in (0, 17, 62):
@@ -768,11 +830,13 @@ class TestObservableContext:
         assert stream_purposes(monkeypatch, noise) == [0, 1, 2]
 
     @pytest.mark.parametrize(
-        "cfg", [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED],
-        ids=["noisy_photon", "shuffled_symmetric_n4"],
+        "cfg",
+        [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED, *UNSHUFFLED_SHAPED.values()],
+        ids=["noisy_photon", "shuffled_symmetric_n4", *UNSHUFFLED_SHAPED],
     )
     def test_cold_and_warm_workers_give_identical_records(self, cfg):
-        # a state must not depend on which states the worker swept before it
+        # a state must not depend on which states the worker swept before it;
+        # a warm unshuffled state re-targets the problem of the state before
         cold = []
         for state_id in range(3):
             harness._observable_context.cache_clear()

@@ -1031,6 +1031,61 @@ def noisy_problem(rng, n_ops=10, sigma=0.05, symmetry_kind="none"):
     return compressed_problem(measured, symmetry_kind, 3, np.full(len(measured), sigma**2))
 
 
+class TestWithTargets:
+    @pytest.mark.parametrize("symmetry_kind", ["none", "permutation"])
+    def test_solves_like_a_fresh_problem(self, monkeypatch, symmetry_kind):
+        # a re-targeted problem shares its source's operator rows and log
+        # weights, and solves bit for bit like a problem built afresh on the
+        # same operators with its targets and variances
+        rng = np.random.default_rng([20261020, symmetry_kind == "none"])
+        measured = noisy_measured(rng, n_ops=12, symmetry_kind=symmetry_kind)
+        source = compressed_problem(measured, symmetry_kind, 3, rng.uniform(0, 4e-3, 12))
+        other = noisy_measured(rng, n_ops=12, symmetry_kind=symmetry_kind)
+        targets, variances = [t for _, t in other], rng.uniform(0, 4e-3, 12)
+        fresh = compressed_problem(
+            tuple((op, t) for (op, _), t in zip(measured, targets)), symmetry_kind, 3, variances
+        )
+        monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
+        monkeypatch.setattr(symmetry, "compress", None)
+        got = source.with_targets(targets, variances)
+        assert same_pairs(got.measured, fresh.measured)
+        assert all(a is b for (a, _), (b, _) in zip(got.measured, source.measured))
+        assert np.array_equal(got._targets, targets)
+        assert np.array_equal(got.variances, variances) and not got.variances.flags.writeable
+        assert got.log_weights is source.log_weights
+        for rows, parent, want in zip(got._rows, source._rows, fresh._rows):
+            assert np.shares_memory(rows, parent)
+            assert np.array_equal(rows, want)
+        # the source keeps its own data
+        assert np.array_equal(source._targets, [t for _, t in measured])
+        a, b = solve(got), solve(fresh)
+        assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
+        assert np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.rho, b.rho)
+
+    def test_variances_default_to_exact(self):
+        prob = single_qubit_problem(0.3).with_targets([0.5])
+        assert np.array_equal(prob.variances, [0.0])
+        assert prob.measured[0][1] == 0.5
+        assert solve(prob).converged
+
+    @pytest.mark.parametrize(
+        "targets, variances, match",
+        [([0.1], None, r"expected 2 targets, got shape \(1,\)"),
+         ([[0.1, 0.2]], None, r"expected 2 targets, got shape \(1, 2\)"),
+         ([0.1, np.nan], None, "targets must be finite"),
+         ([0.1, np.inf], None, "targets must be finite"),
+         ([0.1, 0.2], [1e-3], r"expected 2 variances, got shape \(1,\)"),
+         ([0.1, 0.2], [1e-3, -1e-9], ">= 0"),
+         ([0.1, 0.2], [1e-3, np.nan], "finite"),
+         ([0.1, 0.2], [np.inf, 1e-3], "finite")],
+    )
+    def test_rejects_bad_data(self, targets, variances, match):
+        z, x = pauli_basis(1)[2], pauli_basis(1)[0]
+        prob = MaxEntProblem(((z, 0.1), (x, 0.2)), (), 2)
+        with pytest.raises(ValueError, match=match):
+            prob.with_targets(targets, variances)
+
+
 class TestVariances:
     def test_default_is_exact(self):
         prob = single_qubit_problem(0.3)

@@ -551,11 +551,29 @@ def _two_branch_commutant_basis(kind, n):
     return np.concatenate(rows).astype(complex)
 
 
+def _concatenated_commutant_basis(kind, n):
+    """The commutant basis as its blocks' units concatenated, each block a
+    separate real array, and then copied to complex."""
+    rows = []
+    for u in symmetry._oriented_blocks(kind, n):
+        units = np.einsum("cai,cbk->abik", u, u) / np.sqrt(u.shape[0])
+        rows.append(units.reshape(-1, u.shape[2] ** 2))
+    return np.concatenate(rows).astype(complex)
+
+
 class TestOrientedBlocks:
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_commutant_basis_matches_two_branch_oracle(self, kind, n):
         assert np.array_equal(commutant_basis(kind, n), _two_branch_commutant_basis(kind, n))
+
+    @pytest.mark.parametrize("kind", ["permutation", "werner"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_commutant_basis_built_in_place_matches_concatenated_units(self, kind, n):
+        # bit for bit, the sign of every zero included
+        basis, want = commutant_basis(kind, n), _concatenated_commutant_basis(kind, n)
+        assert basis.dtype == want.dtype and basis.shape == want.shape
+        assert basis.tobytes() == want.tobytes()
 
 
 COMPRESS_CASES = [(kind, n) for kind in ("permutation", "werner") for n in (2, 3, 4)]
