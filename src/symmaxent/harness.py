@@ -27,8 +27,10 @@ maps to k. A target that commutes with
 the declared group (``symmetry.block_state``, a test on the target itself)
 is scored on the irrep blocks: its block form M compress(rho), with its
 square root, is built once per state, and each estimate rho' is scored as
-F(M compress(rho), rho'), which equals the full-space value. Any other
-target is scored against ``symmetry.full_estimate(rho')`` on the full space.
+F(M compress(rho), rho'), which equals the full-space value. Under
+symmetry ``"none"`` every target commutes with the trivial group, and its
+block form is its own matrix, with unit weights. Any other target is scored
+against ``symmetry.full_estimate(rho')`` on the full space.
 
 The distinct k are solved in ascending order, and each solve is seeded from
 the one before: it starts from that solve's multipliers, padded with zeros
@@ -319,16 +321,20 @@ def _scorer(target: states.DensityMatrix, kind: str, n_qubits: int):
     """score(rho') -> (fidelity against ``target``, smallest eigenvalue) of
     the full-space estimate of a ``symmetry.compressed_problem``'s estimate
     rho'. Both are read on the irrep blocks when the target commutes with
-    the group (``symmetry.block_state``), else on the full space."""
-    block = None if kind == "none" else symmetry.block_state(target.matrix, kind, n_qubits)
-    if block is None:
-        def score(rho):
-            full = states.DensityMatrix(symmetry.full_estimate(rho, kind, n_qubits))
-            return states.fidelity(target, full), full.min_eigenvalue
-        return score
-
-    block_target = states.DensityMatrix(block)
-    weights = symmetry.block_weights(kind, n_qubits)[:, None]
+    the group (``symmetry.block_state``), else on the full space. The
+    trivial group of ``"none"`` commutes with every target: its block form
+    is the target's own matrix, with unit weights."""
+    if kind == "none":
+        block_target, weights = target, 1.0
+    else:
+        block = symmetry.block_state(target.matrix, kind, n_qubits)
+        if block is None:
+            def score(rho):
+                full = states.DensityMatrix(symmetry.full_estimate(rho, kind, n_qubits))
+                return states.fidelity(target, full), full.min_eigenvalue
+            return score
+        block_target = states.DensityMatrix(block)
+        weights = symmetry.block_weights(kind, n_qubits)[:, None]
 
     def score(rho):
         # a Gibbs state needs no check beyond this one: it is PSD with unit

@@ -109,13 +109,16 @@ def eigh(h):
     return np.linalg.eigh(hermitian(h, "eigh input"))
 
 
-def psd_sqrtm(m) -> np.ndarray:
+def psd_sqrtm(m, checked: bool = False) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
     Eigenvalues in [PSD_EIG_FLOOR, 0) are treated as rounding noise and
-    clamped to zero; anything more negative raises.
+    clamped to zero; anything more negative raises. The matrix is checked
+    by :func:`eigh` unless ``checked`` says it is :func:`hermitian`'s output
+    already, which is exactly Hermitian, so the check would return the same
+    bits.
     """
-    w, v = eigh(m)
+    w, v = np.linalg.eigh(m) if checked else eigh(m)
     if w[0] < PSD_EIG_FLOOR:
         raise ValueError(f"psd_sqrtm: matrix not PSD (min eigenvalue {w[0]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

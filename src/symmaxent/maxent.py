@@ -28,9 +28,12 @@ eigenbasis with the divided-difference kernel
     Phi_ab = (e^{w_a} - e^{w_b}) / (w_a - w_b),   Phi_aa = e^{w_a}.
 
 With the operators stored side by side, two GEMMs rotate all of them into
-the eigenbasis at once, atil_k = v^H A_k v. Phi is positive, so scaling by
-its real square root and viewing each scaled atil_k as one real row Y_k
-gives the susceptibility as a single real rank-K product,
+the eigenbasis at once, atil_k = v^H A_k v. Each atil_k is Hermitian and
+Phi symmetric, so the susceptibility sums over the d(d+1)/2 pairs a <= b
+of the upper triangle only, each weighted by c_ab = 1 on the diagonal and
+2 off it. Phi is positive, so scaling each pair by the real sqrt(c_ab
+Phi_ab) and viewing the scaled pairs of atil_k as one real row Y_k, of
+width d(d+1), gives the susceptibility as a single real rank-K product,
 C = Y Y^T / Z - g g^T with g the expectations, which is exactly symmetric.
 
 Log weights w on the diagonal of the exponent, rho(lambda) = exp(sum_i
@@ -169,6 +172,10 @@ class MaxEntProblem:
         rows = flat, flat.view(float), a.transpose(1, 0, 2).reshape(dim, len(a) * dim)
         object.__setattr__(self, "_targets", targets)
         object.__setattr__(self, "_rows", rows)
+        # the index pairs a <= b of the upper triangle, for the
+        # susceptibility, with sqrt(c): c = 1 on the diagonal and 2 off it
+        a, b = np.triu_indices(dim)
+        object.__setattr__(self, "_pairs", (a, b, np.where(a == b, 1.0, math.sqrt(2.0))))
 
     @property
     def n_constraints(self) -> int:
@@ -240,8 +247,11 @@ class MaxEntProblem:
         twice."""
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
-        r = g - self._targets + self.variances * lambdas
-        return float(r @ r), g, r, state, self._dual(lambdas, state)
+        sigma_lambda = self.variances * lambdas
+        r = g - self._targets + sigma_lambda
+        # the dual as ``_dual`` computes it, from the same Sigma lambda
+        dual = float(state[5] - lambdas @ (self._targets - 0.5 * sigma_lambda))
+        return float(r @ r), g, r, state, dual
 
     def _dual(self, lambdas: np.ndarray, state) -> float:
         """Phi = log Z - lambda . a + lambda^T Sigma lambda / 2, with log Z
@@ -252,22 +262,28 @@ class MaxEntProblem:
         """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix.
 
         Two GEMMs rotate every operator into the Gibbs eigenbasis,
-        atil_k = v^H A_k v. Scaled by sqrt(Phi), which is real since
-        Phi > 0 (an entry that underflows to 0 drops out), and viewed as
-        real rows Y_k, the operators give C = Y Y^T / z - g g^T, a real
+        atil_k = v^H A_k v. Each atil_k is Hermitian and Phi symmetric, so
+        C_ij = sum_{a<=b} c_ab Phi_ab Re(atil_i,ab conj(atil_j,ab)) / z -
+        g_i g_j runs over the d(d+1)/2 pairs of the upper triangle only,
+        with c_ab = 1 on the diagonal and 2 off it. Scaled by sqrt(c Phi),
+        which is real since Phi > 0 (an entry that underflows to 0 drops
+        out), each operator's pairs viewed as real form one row Y_k of
+        width d(d+1), and C = Y Y^T / z - g g^T is a K x d(d+1) real
         rank-K product that is exactly symmetric.
         """
         _, w, v, expw, z, _, vh = state
         d, k = w.shape[0], self.n_constraints
+        a, b, root_c = self._pairs
         left = (vh @ self._rows[2]).reshape(d * k, d)
         atil = (left @ v).reshape(d, k, d)
-        # scaled while copied into operator-major order, one pass
-        y = np.empty((k, d, d), dtype=complex)
-        np.multiply(atil.transpose(1, 0, 2), np.sqrt(_divided_difference_kernel(w, expw)), out=y)
-        y = y.view(float).reshape(k, 2 * d * d)
+        scale = root_c * np.sqrt(_divided_difference_kernel(w, expw, (a, b)))
+        # gathered into operator-major rows while scaled
+        y = np.empty((k, a.size), dtype=complex)
+        np.multiply(atil[a, :, b].T, scale, out=y)
+        y = y.view(float)
         c = y @ y.T
         c /= z
-        c -= g[:, None] * g[None, :]
+        c -= g[:, None] * g
         return c
 
 
@@ -342,14 +358,20 @@ def _checked_data(targets, variances, n: int) -> tuple[np.ndarray, np.ndarray]:
     return targets, variances
 
 
-def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray) -> np.ndarray:
-    """Phi_ab evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <= 0,
-    i.e. with b the larger eigenvalue of the pair: no cancellation at small
-    gaps, no overflow at large ones, and exactly symmetric."""
-    d = -np.abs(w[:, None] - w[None, :])
+def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray, pairs=None) -> np.ndarray:
+    """Phi_ab of the ascending eigenvalues ``w`` at the index ``pairs`` (a,
+    b) with a <= b, or the full symmetric matrix when None. Evaluated as
+    e^{w_b} expm1(d) / d with d = w_a - w_b <= 0, i.e. with b the larger
+    eigenvalue of the pair: no cancellation at small gaps and no overflow at
+    large ones."""
+    if pairs is None:
+        i, j = np.indices((w.size, w.size))
+        pairs = np.minimum(i, j), np.maximum(i, j)
+    a, b = pairs
+    d = w[a] - w[b]
     ratio = np.ones_like(d)
     np.divide(np.expm1(d), d, out=ratio, where=d != 0.0)
-    return np.maximum(expw[:, None], expw[None, :]) * ratio
+    return expw[b] * ratio
 
 
 def _checked_multipliers(problem: MaxEntProblem, lambdas, what: str) -> np.ndarray:
@@ -471,18 +493,19 @@ def _newton_step(problem, lam, point):
     for _ in range(DAMPING_TRIES):
         np.fill_diagonal(h, h_diag + mu * scale)
         try:
-            delta = -np.linalg.solve(h, r)
+            # the Newton direction is delta = -step
+            step = np.linalg.solve(h, r)
         except np.linalg.LinAlgError:
             mu *= 10.0
             continue
-        # directional derivatives of the dual and of f
-        slope, descent = float(r @ delta), 2.0 * float(hr @ delta)
+        # directional derivatives of the dual and of f along delta
+        slope, descent = -float(r @ step), -2.0 * float(hr @ step)
         if not (slope < 0.0 and descent < 0.0):
             mu *= 10.0
             continue
         t = 1.0
         for _ in range(HALVINGS):
-            lam_new = lam + t * delta
+            lam_new = lam - t * step
             trial = problem._evaluate(lam_new)
             evals += 1
             if -t * slope > rounding:

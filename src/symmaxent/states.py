@@ -74,8 +74,9 @@ class DensityMatrix:
     @functools.cached_property
     def sqrt(self) -> np.ndarray:
         """``linalg.psd_sqrtm`` of the matrix, computed once: a sweep scores
-        every estimate of a state against the same target."""
-        s = linalg.psd_sqrtm(self.matrix)
+        every estimate of a state against the same target. The matrix was
+        checked on construction and is not checked again."""
+        s = linalg.psd_sqrtm(self.matrix, checked=True)
         s.setflags(write=False)
         return s
 

@@ -213,10 +213,10 @@ COMMUTING = [
 
 def score_tolerance(family, kind, eta):
     """How far a sweep's fidelity may sit from the full-space score: 0 where
-    the sweep scores on the full space; on the blocks, 1e-12 for a mixed
-    target and 2e-8 for a pure one, whose full-space score carries
-    ``psd_sqrtm``'s rank-1 rounding."""
-    if (family, kind) not in COMMUTING:
+    the sweep scores on the full space; on the blocks, which score every
+    target under symmetry "none", 1e-12 for a mixed target and 2e-8 for a
+    pure one, whose score carries ``psd_sqrtm``'s rank-1 rounding."""
+    if kind != "none" and (family, kind) not in COMMUTING:
         return 0.0
     pure = eta == 0.0 and family not in ("permutation_invariant_mixed", "werner")
     return 2e-8 if pure else 1e-12
@@ -657,16 +657,32 @@ class TestBlockScoring:
             assert abs(fid - states.fidelity(target, full)) <= tolerance
             assert abs(smallest - full.min_eigenvalue) <= 1e-14
 
-    @pytest.mark.parametrize("family, kind", COMMUTING)
+    @pytest.mark.parametrize("family, kind", COMMUTING + [("haar_pure", "none"),
+                                                          ("werner", "none")])
     def test_commuting_sweep_builds_no_full_estimate(self, monkeypatch, family, kind):
+        # nor a DensityMatrix per solve: a state builds its target's, and
+        # under a declared group that of the target's block form
         def refuse(*args):
             raise AssertionError("full_estimate called")
 
+        built = []
+        real = states.DensityMatrix
+
+        def density(m):
+            built.append(m)
+            return real(m)
+
         monkeypatch.setattr(symmetry, "full_estimate", refuse)
+        monkeypatch.setattr(states, "DensityMatrix", density)
         cfg = small_config(state_family=family, symmetry=kind, r_values=(2, 5, 63), batch_size=2,
                            noise=NoiseConfig(eta=0.1))
         for state_id in range(cfg.batch_size):
+            built.clear()
+            sample_target(cfg, state_id)
+            sampled = len(built)
+            built.clear()
             assert all(0.0 <= rec.fidelity <= 1.0 for rec in run_single_state(cfg, state_id))
+            assert len(built) == sampled + (kind != "none")
 
     @pytest.mark.parametrize("kind", ["permutation", "werner"])
     def test_haar_pure_keeps_full_space_scoring(self, monkeypatch, kind):
@@ -810,13 +826,35 @@ class TestObservableContext:
         calls = []
         real = linalg.psd_sqrtm
 
-        def spy(m):
+        def spy(m, **kwargs):
             calls.append(1)
-            return real(m)
+            return real(m, **kwargs)
 
         monkeypatch.setattr(linalg, "psd_sqrtm", spy)
         run_single_state(small_config(r_values=(2, 5, 9)), 0)
         assert len(calls) == 1
+
+    def test_state_checks_each_scored_target_once(self, monkeypatch):
+        # a noisy_photon-shaped state scores against its target's block
+        # form; the target and the block form are each checked once, when
+        # built, and the block form's root is taken without a second check
+        checked, outputs = [], []
+        real = linalg.hermitian
+
+        def spy(m, what):
+            assert not any(np.shares_memory(m, out) for out in outputs), f"{what} checked twice"
+            checked.append(what)
+            outputs.append(real(m, what))
+            return outputs[-1]
+
+        # a warm worker: its observables were checked when first built
+        harness._observable_context.cache_clear()
+        run_single_state(NOISY_PHOTON_SHAPED, 0)
+        monkeypatch.setattr(linalg, "hermitian", spy)
+        for state_id in range(1, 3):
+            checked.clear()
+            run_single_state(NOISY_PHOTON_SHAPED, state_id)
+            assert checked == ["density matrix"] * 2
 
     def test_ideal_state_builds_no_measurement_streams(self, monkeypatch):
         assert stream_purposes(monkeypatch, NoiseConfig()) == [0, 1]  # the target and the shuffle

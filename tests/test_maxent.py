@@ -197,19 +197,36 @@ def susceptibility_problem(shape, rng):
     )
 
 
+def block_problem(shape, rng):
+    """A log-weighted irrep-block problem like those the symmetric_n4 and
+    noisy_photon sweeps solve, as (problem, operators, kind, n): the
+    ``compressed_problem`` of the SIC operators its symmetry keeps, with
+    targets from a symmetric state."""
+    n, kind = int(shape[1]), shape.split("_")[1]
+    _, (_, raw), _, _ = declared_pair(f"{kind}_n{n}_sic", rng)
+    return compressed_problem(raw, kind, n), [op for op, _ in raw], kind, n
+
+
+BLOCK_SHAPES = ["n3_permutation_blocks", "n4_permutation_blocks", "n3_werner_blocks"]
+
+
 class TestSusceptibility:
-    @pytest.mark.parametrize("shape", ["n3_none", "n3_aux15", "n4_permutation"])
+    @pytest.mark.parametrize("shape", ["n3_none", "n3_aux15", "n4_permutation", *BLOCK_SHAPES])
     def test_matches_finite_differences_of_expectations(self, shape):
         # independent oracle: central differences of <A_i>(lambda) taken
-        # through the Gibbs state, column j from a step in lambda_j
+        # through the full-space Gibbs state, column j from a step in
+        # lambda_j; a block problem's estimate is expanded from its blocks
         rng = np.random.default_rng([20261018, len(shape)])
-        prob = susceptibility_problem(shape, rng)
-        ops = [op for op, _ in prob.measured]
+        if shape in BLOCK_SHAPES:
+            prob, ops, kind, n = block_problem(shape, rng)
+        else:
+            prob = susceptibility_problem(shape, rng)
+            ops, kind, n = [op for op, _ in prob.measured], "none", prob.dim.bit_length() - 1
         lam = rng.normal(0, 0.3, prob.n_constraints)
         step = 1e-5
 
         def expectations(x):
-            rho = full_state(rho_of_lambda(prob, x), prob.dim.bit_length() - 1)
+            rho = full_state(rho_of_lambda(prob, x), n, kind)
             return np.array([expectation(rho, op) for op in ops])
 
         fd = np.zeros((prob.n_constraints, prob.n_constraints))
@@ -244,7 +261,9 @@ def _projected(ops, kind, n):
 
 def oracle_problem(shape, rng):
     """Raw SIC/Pauli operators at n = 2, 3, 4; commutant-projected operators;
-    and a problem with auxiliary constraints."""
+    a problem with auxiliary constraints; and log-weighted block problems."""
+    if shape in BLOCK_SHAPES:
+        return block_problem(shape, rng)[0]
     if shape == "n2_pauli":
         ops, aux = list(pauli_basis(2)), ()
     elif shape == "n2_sic":
@@ -266,9 +285,11 @@ def oracle_problem(shape, rng):
 
 
 def oracle_multipliers(prob, which, rng):
-    """Random multipliers; zero (fully degenerate spectrum, every Phi entry
-    on its d == 0 branch); or near-pure, the exponent's spectrum spread over
-    2000 so that gaps run to hundreds and Phi entries underflow to 0."""
+    """Random multipliers; zero (a fully degenerate spectrum, every Phi
+    entry on its d == 0 branch, or with log weights the spectrum of the log
+    weights, degenerate within each block); or near-pure, the exponent's
+    spectrum spread over 2000 so that gaps run to hundreds and Phi entries
+    underflow to 0."""
     if which == "zero":
         return np.zeros(prob.n_constraints)
     lam = rng.normal(0, 0.5, prob.n_constraints)
@@ -280,7 +301,7 @@ def oracle_multipliers(prob, which, rng):
 
 ORACLE_SHAPES = [
     "n2_pauli", "n2_sic", "n3_sic", "n4_sic",
-    "n3_permutation", "n3_werner", "n4_permutation", "n3_aux20",
+    "n3_permutation", "n3_werner", "n4_permutation", "n3_aux20", *BLOCK_SHAPES,
 ]
 
 
@@ -295,7 +316,9 @@ class TestSusceptibilityOracle:
         w, expw = state[1], state[3]
         phi = maxent._divided_difference_kernel(w, expw)
         if which == "zero":
-            assert np.all(w == 0.0)
+            # the exponent is diag(log weights), or zero without them
+            base = np.sort(prob.log_weights) if prob.log_weights is not None else np.zeros(prob.dim)
+            assert np.array_equal(w, base - base[-1])
         if which == "near_pure":
             assert np.any(phi == 0.0)
         c = prob._susceptibility(g, state)
@@ -322,7 +345,10 @@ class TestSusceptibilityOracle:
         monkeypatch.setattr(maxent.np.linalg, "eigh", spy)
         prob._gibbs(lam)
         assert len(seen) == 1
-        assert np.array_equal(seen[0], np.tensordot(lam, operator_stack(prob), axes=1))
+        want = np.tensordot(lam, operator_stack(prob), axes=1)
+        if prob.log_weights is not None:
+            want[np.diag_indices(prob.dim)] += prob.log_weights
+        assert np.array_equal(seen[0], want)
 
 
 class TestPublicKernels:

@@ -486,6 +486,18 @@ class TestFidelity:
         with pytest.raises(ValueError, match="read-only"):
             rho.sqrt[0, 0] = 0.0
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    @pytest.mark.parametrize("block", [False, True], ids=["target", "block_form"])
+    def test_root_of_a_checked_matrix_is_psd_sqrtm(self, block, eta):
+        # a noisy_photon-shaped target and its block form, which a sweep
+        # scores against: the root skips the second Hermitian check, and
+        # the check of an exactly Hermitian matrix returns its bits
+        target = states.sample("permutation_invariant", 3, np.random.default_rng(7), eta, 1)
+        m = symmetry.block_state(target.matrix, "permutation", 3) if block else target.matrix
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.sqrt, linalg.psd_sqrtm(m))
+        assert np.array_equal(rho.sqrt, linalg.psd_sqrtm(rho.matrix))
+
     def test_from_a_cached_root_is_the_fidelity(self, rng):
         # the sweep scores a trusted estimate against a root it keeps
         rho = DensityMatrix(random_mixed_state(8, rng))
