@@ -109,16 +109,18 @@ def eigh(h):
     return np.linalg.eigh(hermitian(h, "eigh input"))
 
 
-def psd_sqrtm(m, checked: bool = False) -> np.ndarray:
+def psd_sqrtm(m) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
     Eigenvalues in [PSD_EIG_FLOOR, 0) are treated as rounding noise and
-    clamped to zero; anything more negative raises. The matrix is checked
-    by :func:`eigh` unless ``checked`` says it is :func:`hermitian`'s output
-    already, which is exactly Hermitian, so the check would return the same
-    bits.
+    clamped to zero; anything more negative raises.
     """
-    w, v = np.linalg.eigh(m) if checked else eigh(m)
+    return _psd_root(*eigh(m))
+
+
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`psd_sqrtm` from the eigensystem ``(w, v)`` of a matrix that is
+    already exactly Hermitian, such as :func:`hermitian`'s output."""
     if w[0] < PSD_EIG_FLOOR:
         raise ValueError(f"psd_sqrtm: matrix not PSD (min eigenvalue {w[0]:.3e})")
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -242,21 +242,16 @@ class MaxEntProblem:
 
     def _evaluate(self, lambdas: np.ndarray):
         """(f, expectations, residuals, gibbs state tuple, dual): the
-        residuals r = g - a + Sigma lambda are the gradient of the dual Phi,
-        and f = ||r||^2. The point carries its Phi, so no step computes it
+        residuals r = g - a + Sigma lambda are the gradient of the dual
+        Phi = log Z - lambda . a + lambda^T Sigma lambda / 2, and
+        f = ||r||^2. The point carries its Phi, so no step computes it
         twice."""
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
         sigma_lambda = self.variances * lambdas
         r = g - self._targets + sigma_lambda
-        # the dual as ``_dual`` computes it, from the same Sigma lambda
         dual = float(state[5] - lambdas @ (self._targets - 0.5 * sigma_lambda))
         return float(r @ r), g, r, state, dual
-
-    def _dual(self, lambdas: np.ndarray, state) -> float:
-        """Phi = log Z - lambda . a + lambda^T Sigma lambda / 2, with log Z
-        from ``_gibbs``'s state at the same multipliers."""
-        return float(state[5] - lambdas @ (self._targets - 0.5 * self.variances * lambdas))
 
     def _susceptibility(self, g: np.ndarray, state) -> np.ndarray:
         """C_ij = d<A_i>/dlambda_j: symmetric PSD; the Newton system matrix.
@@ -358,15 +353,11 @@ def _checked_data(targets, variances, n: int) -> tuple[np.ndarray, np.ndarray]:
     return targets, variances
 
 
-def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray, pairs=None) -> np.ndarray:
+def _divided_difference_kernel(w: np.ndarray, expw: np.ndarray, pairs) -> np.ndarray:
     """Phi_ab of the ascending eigenvalues ``w`` at the index ``pairs`` (a,
-    b) with a <= b, or the full symmetric matrix when None. Evaluated as
-    e^{w_b} expm1(d) / d with d = w_a - w_b <= 0, i.e. with b the larger
-    eigenvalue of the pair: no cancellation at small gaps and no overflow at
-    large ones."""
-    if pairs is None:
-        i, j = np.indices((w.size, w.size))
-        pairs = np.minimum(i, j), np.maximum(i, j)
+    b) with a <= b. Evaluated as e^{w_b} expm1(d) / d with d = w_a - w_b <=
+    0, i.e. with b the larger eigenvalue of the pair: no cancellation at
+    small gaps and no overflow at large ones."""
     a, b = pairs
     d = w[a] - w[b]
     ratio = np.ones_like(d)

@@ -76,7 +76,7 @@ class DensityMatrix:
         """``linalg.psd_sqrtm`` of the matrix, computed once: a sweep scores
         every estimate of a state against the same target. The matrix was
         checked on construction and is not checked again."""
-        s = linalg.psd_sqrtm(self.matrix, checked=True)
+        s = linalg._psd_root(*np.linalg.eigh(self.matrix))
         s.setflags(write=False)
         return s
 

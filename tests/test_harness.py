@@ -824,13 +824,13 @@ class TestObservableContext:
     def test_state_takes_its_target_root_once(self, monkeypatch):
         # every sweep point scores against the same target
         calls = []
-        real = linalg.psd_sqrtm
+        real = linalg._psd_root
 
-        def spy(m, **kwargs):
+        def spy(w, v):
             calls.append(1)
-            return real(m, **kwargs)
+            return real(w, v)
 
-        monkeypatch.setattr(linalg, "psd_sqrtm", spy)
+        monkeypatch.setattr(linalg, "_psd_root", spy)
         run_single_state(small_config(r_values=(2, 5, 9)), 0)
         assert len(calls) == 1
 
