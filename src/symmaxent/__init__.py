@@ -30,7 +30,6 @@ from .measurement import (
     estimate_expectations,
     projector_modes,
     simulate_counts,
-    stack_modes,
 )
 from .observables import expectation, pauli_basis, sic_povm
 from .states import (
@@ -69,7 +68,6 @@ __all__ = [
     "estimate_expectations",
     "projector_modes",
     "simulate_counts",
-    "stack_modes",
     "expectation",
     "pauli_basis",
     "sic_povm",

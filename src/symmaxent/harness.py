@@ -11,14 +11,14 @@ permutation symmetry that keeps the first member of each qubit-permutation
 orbit, read off the observables' factor indices; under werner symmetry the
 projections are filtered numerically. Acquire targets for the first max(r)
 survivors, with their variances (zero for ideal data), in one pass: noisy
-data stacks the survivors' modes into one batch, computes every mode's
+data takes the survivors' modes as one batch, computes every mode's
 probability with one GEMM, draws every count from the state's one counts
 stream in mode order and inverts all counts with array operations
 (``measurement.simulate_counts``, ``measurement.estimate_expectations``).
 Build one maximum-entropy problem on them under the symmetry
 (``symmetry.compressed_problem``: it constrains their commutant projections,
-on the irrep blocks; a state that measures the order of the state before it
-re-targets that state's problem, below) that carries the variances (so a
+on the irrep blocks; the problem is built once per measured order and
+re-targeted, below) that carries the variances (so a
 noisy target may miss by about its standard deviation). At each distinct
 k = min(r, survivors) solve its leading slice on the first k
 (``MaxEntProblem.leading``) once, and record the fidelity of its full-space
@@ -52,22 +52,22 @@ are bit-identical across reruns and independent of worker scheduling.
 
 A worker process computes once what depends only on (observable_kind,
 n_qubits, symmetry) and shares it between the states it sweeps
-(``_observable_context``): the canonical observable set, the measurement
-modes of each observable a state measures, built on first use, and under
-permutation symmetry each observable's permutation orbit. Under werner
+(``_observable_context``): the canonical observable set and, under
+permutation symmetry, each observable's permutation orbit. Under werner
 symmetry a state calls ``symmetry.independent_projections`` on its order.
-The worker also remembers the last measured order it swept, keyed by the
-order before filtering and max(r): the indices the filter kept from it and
-the state measures, their stacked modes (noisy data only) and the problem
-``symmetry.compressed_problem`` built on them. A state with the same order,
-as every state of an unshuffled sweep has, skips the filter and the
-stacking and solves that problem with its own targets and variances
-(``MaxEntProblem.with_targets``, which shares the operators and checks only
-the new data). Any other order, which is every shuffled state's, is
-filtered and built afresh and replaces the remembered one, so one order is
-held at a time. Each state still samples its target, shuffles, draws and
-inverts its counts, and solves. The shared values are what each state would
-compute itself, so they change no result.
+A state's measured order (the order before filtering, max(r) and whether
+the data are noisy) is built once, whole, and held until another order
+replaces it (``_ObservableContext.measured``): the indices the filter
+kept from it and the state measures, for noisy data their modes (one
+``measurement.projector_modes`` call on their stack) and
+``symmetry.compressed_problem`` on them, with zero targets. Every state,
+the one that built its order or a later one, shuffled or not, solves that
+problem with its own targets and variances (``MaxEntProblem.with_targets``,
+which shares the operators and checks only the new data). An unshuffled
+sweep builds its one order once per worker; a shuffled state builds its
+own. Each state still samples its target, shuffles, draws and inverts its
+counts, and solves. The shared values are what each state would compute
+itself, so they change no result.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,21 +198,17 @@ def _stream(seed: int, state_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, state_id, purpose, 0]))
 
 
-@dataclass(eq=False)
-class _MeasuredOrder:
-    """What a state builds from its measured order alone, for the next state
-    of its worker that measures the same order (``_ObservableContext.
-    measured``): the number of observables the symmetry filter keeps from
-    the order, the canonical indices of those it measures, their stacked
-    modes (read-only; noisy acquisition only, built on first use) and the
-    ``symmetry.compressed_problem`` on them, whose targets are those of the
-    state that built it (None until that state builds it)."""
+class _MeasuredOrder(NamedTuple):
+    """What a state builds from its measured order alone, and every state
+    that measures the same order shares (``_ObservableContext.measured``):
+    the canonical indices of the observables it measures, the first max(r)
+    that its symmetry filter keeps; for noisy data their read-only modes,
+    else None; and ``symmetry.compressed_problem`` on their operators with
+    zero targets, which each state re-targets with its own data."""
 
-    key: tuple[tuple[int, ...], int]
-    length: int
     kept: tuple[int, ...]
-    modes: measurement.Modes | None = None
-    problem: MaxEntProblem | None = None
+    modes: measurement.Modes | None
+    problem: MaxEntProblem
 
 
 class _ObservableContext:
@@ -221,18 +218,6 @@ class _ObservableContext:
     def __init__(self, kind: str, n_qubits: int, symmetry_kind: str):
         self.kind, self.n_qubits, self.symmetry = kind, n_qubits, symmetry_kind
         self.candidates = observables.canonical_set(kind, n_qubits)
-        self._modes: dict[int, measurement.Modes] = {}
-        self._last: _MeasuredOrder | None = None
-
-    def modes(self, index: int) -> measurement.Modes:
-        """``measurement.projector_modes`` of canonical observable
-        ``index``, built on its first use."""
-        if index not in self._modes:
-            modes = measurement.projector_modes(self.candidates[index])
-            for arr in (modes.vectors, modes.weights):
-                arr.setflags(write=False)
-            self._modes[index] = modes
-        return self._modes[index]
 
     @functools.cached_property
     def orbits(self) -> np.ndarray:
@@ -264,31 +249,43 @@ class _ObservableContext:
             kept = symmetry.independent_projections(ops, self.symmetry, self.n_qubits)
         return tuple(order[i] for i in kept)
 
-    def measured(self, order, count: int) -> _MeasuredOrder:
+    def measured(self, order, count: int, noisy: bool) -> _MeasuredOrder:
         """The ``_MeasuredOrder`` of a state that measures the first
         ``count`` observables its symmetry filter keeps from ``order``
-        (canonical indices, before filtering). The last one built is
-        returned again while the order and count repeat; any other order
-        is filtered and replaces it, so at most one is held."""
-        key = (tuple(order), count)
-        if self._last is None or self._last.key != key:
-            if self.symmetry != "none":
-                order = self.independent(order)
-            self._last = _MeasuredOrder(key, len(order), tuple(order[:count]))
-        return self._last
+        (canonical indices, before filtering), with modes when the data are
+        ``noisy``. The one built last is held (``_measured_order``)."""
+        return _measured_order(self, tuple(order), count, noisy)
+
+
+@functools.lru_cache(maxsize=1)
+def _measured_order(context: _ObservableContext, order: tuple[int, ...], count: int,
+                    noisy: bool) -> _MeasuredOrder:
+    """``_ObservableContext.measured``, built whole; an order, count or
+    noisiness other than the last one's replaces it."""
+    if context.symmetry != "none":
+        order = context.independent(order)
+    kept = tuple(order[:count])
+    modes = None
+    # an empty batch has no modes, and no targets either way
+    if noisy and kept:
+        modes = measurement.projector_modes(context.candidates[list(kept)])
+        for arr in modes:
+            arr.setflags(write=False)
+    pairs = tuple((context.candidates[i], 0.0) for i in kept)
+    problem = symmetry.compressed_problem(pairs, context.symmetry, context.n_qubits)
+    return _MeasuredOrder(kept, modes, problem)
 
 
 @functools.lru_cache(maxsize=8)
 def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _ObservableContext:
     """Everything a sweep's states share, cached per worker process.
 
-    Computed once per worker: the canonical observable set; the measurement
-    modes of each canonical observable (one ``eigh``) on its first noisy
-    acquisition; on the first permutation-symmetric state, each canonical
-    observable's orbit number, from its factor indices, so that a state
-    keeps the first of each orbit in its order. A werner-symmetric state
-    filters its order with ``symmetry.independent_projections``. The last
-    measured order swept is remembered with its problem
+    Computed once per worker: the canonical observable set; on the first
+    permutation-symmetric state, each canonical observable's orbit number,
+    from its factor indices, so that a state keeps the first of each orbit
+    in its order. A werner-symmetric state filters its order with
+    ``symmetry.independent_projections``. The last measured order swept is
+    held whole, with its modes and its problem
     (``_ObservableContext.measured``). Each state still samples its target,
     draws its shuffle and its counts, estimates, solves and scores.
     """
@@ -298,20 +295,13 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
 def _acquire(rho, context: _ObservableContext, measured: _MeasuredOrder,
              config: ExperimentConfig, state_id: int) -> tuple[np.ndarray, np.ndarray]:
     """(targets, variances) of the canonical observables ``measured.kept``,
-    in their order, in one pass: ideal targets are exact, with variance
-    zero; noisy ones are drawn and inverted as one batch of their modes,
-    stacked once per measured order, every count from the state's one
-    counts stream, in mode order."""
-    indices = measured.kept
-    # an empty batch has no modes to stack, and no targets either way
-    if config.noise.mode == "ideal" or not indices:
-        targets = [observables.expectation(rho, context.candidates[i]) for i in indices]
-        return np.array(targets, dtype=float), np.zeros(len(indices))
+    in their order, in one pass: without modes (ideal data, or nothing
+    measured) targets are exact, with variance zero; noisy ones are drawn
+    and inverted as one batch of the order's modes, every count from the
+    state's one counts stream, in mode order."""
     if measured.modes is None:
-        modes = measurement.stack_modes(context.modes(i) for i in indices)
-        for arr in modes:
-            arr.setflags(write=False)
-        measured.modes = modes
+        targets = [observables.expectation(rho, context.candidates[i]) for i in measured.kept]
+        return np.array(targets, dtype=float), np.zeros(len(measured.kept))
     rng = _stream(config.seed, state_id, 2)
     counts = measurement.simulate_counts(rho, measured.modes, config.noise, rng)
     return measurement.estimate_expectations(counts, measured.modes, config.noise)
@@ -359,20 +349,16 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     order = list(range(len(context.candidates)))
     if config.shuffle_observables:
         _stream(config.seed, state_id, 1).shuffle(order)
-    measured = context.measured(order, max(config.r_values))
+    measured = context.measured(order, max(config.r_values), config.noise.mode != "ideal")
     targets, variances = _acquire(rho_target, context, measured, config, state_id)
-    if measured.problem is None:
-        pairs = tuple(zip((context.candidates[i] for i in measured.kept), targets))
-        problem = symmetry.compressed_problem(pairs, config.symmetry, config.n_qubits, variances)
-        measured.problem = problem
-    else:
-        problem = measured.problem.with_targets(targets, variances)
+    problem = measured.problem.with_targets(targets, variances)
+    kept = len(measured.kept)  # max(r), or fewer if the filter keeps fewer
     score = _scorer(rho_target, config.symmetry, config.n_qubits)
     # every r past the kept count is the same k; each distinct k is solved
     # once, in ascending order, seeded by the rule in the module docstring
     points: dict[int, tuple[float, bool, int]] = {}
     lambda0 = None
-    for k in sorted({min(r, measured.length) for r in config.r_values}):
+    for k in sorted({min(r, kept) for r in config.r_values}):
         if lambda0 is not None:
             lambda0 = np.concatenate([lambda0, np.zeros(k - lambda0.size)])
         solution = solve(problem.leading(k), config.solver, lambda0)
@@ -380,7 +366,7 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
         points[k] = fid, solution.converged, solution.iterations
         full_rank = min_eigenvalue > math.sqrt(config.solver.tolerance)
         lambda0 = solution.lambdas if solution.converged and full_rank else None
-    return [StateRunRecord(state_id, r, *points[min(r, measured.length)]) for r in config.r_values]
+    return [StateRunRecord(state_id, r, *points[min(r, kept)]) for r in config.r_values]
 
 
 def worker_count(batch_size: int) -> int:

@@ -43,10 +43,10 @@ entropy S below is minus that relative entropy.
 
 A problem stacks and validates its operators, and builds the arrays the
 solver derives from them, once, for every solve and kernel call on it. A
-sweep state builds one problem and solves its leading slices on the first r
-constraints (``MaxEntProblem.leading``), whose operators are its rows; a
-state that measures the operators of the state before it solves that
-state's problem with its own targets (``MaxEntProblem.with_targets``).
+sweep builds one problem per measured order, with zero targets; every
+state that measures that order solves it with its own targets
+(``MaxEntProblem.with_targets``), on its leading slices on the first r
+constraints (``MaxEntProblem.leading``), whose operators are its rows.
 
 The multipliers minimise the variance-regularised dual
 

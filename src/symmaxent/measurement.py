@@ -3,10 +3,10 @@
 An observable is measured in its eigenbasis, and observables are acquired
 in batches of N observables with m modes each (every canonical observable
 of a kind has the same m: 2^n for a Pauli product, 1 for a SIC element);
-one observable is a batch of one. :func:`projector_modes` gives an
-observable's modes, :func:`stack_modes` places the modes of a batch side by
-side as one (d x N m) array, :func:`simulate_counts` draws one integer count
-per mode, and :func:`estimate_expectations` inverts the counts back to one
+one observable is a batch of one. :func:`projector_modes` gives the modes
+of a (N, d, d) stack of observables from one batched ``eigh``, side by side
+as one (d x N m) array, :func:`simulate_counts` draws one integer count per
+mode, and :func:`estimate_expectations` inverts the counts back to one
 expectation-value estimate and one variance per observable.
 
 A batch is one pass: one GEMM gives every mode's probability, one binomial
@@ -93,41 +93,37 @@ class NoiseConfig:
 class Modes(NamedTuple):
     """Measurement modes of a batch of N observables with m modes each, in
     observable order: the N m columns of ``vectors`` are the modes, m per
-    observable, and ``weights``, of shape (N, m), their eigenvalues. One
-    observable is a batch of one (:func:`projector_modes`);
-    :func:`stack_modes` joins batches with the same m."""
+    observable, and ``weights``, of shape (N, m), their eigenvalues
+    (:func:`projector_modes`)."""
 
     vectors: np.ndarray
     weights: np.ndarray
 
 
-def projector_modes(a) -> Modes:
-    """Rank-one modes of one observable, as a batch of one.
+def projector_modes(ops) -> Modes:
+    """Rank-one modes of a batch of observables: a (N, d, d) stack, or one
+    (d, d) observable as a batch of one.
 
-    The columns of ``vectors`` are orthonormal eigenvectors and ``weights``,
-    of shape (1, m), their eigenvalues. Zero-eigenvalue directions are
-    dropped, so a subnormalized rank-one POVM element yields a single mode
-    carrying its scale as the weight. ``(vectors * weights) @
-    vectors^dagger`` is the observable.
+    One ``eigh`` decomposes the whole stack. Each observable's columns of
+    ``vectors`` are its orthonormal eigenvectors and its row of
+    ``weights`` their eigenvalues. Zero-eigenvalue directions are dropped,
+    so a subnormalized rank-one POVM element yields a single mode carrying
+    its scale as the weight; every observable of a batch must keep the same
+    number of modes. ``(vectors * weights) @ vectors^dagger`` over one
+    observable's modes is that observable.
     """
-    w, v = linalg.eigh(a)
+    ops = np.asarray(ops)
+    if ops.ndim == 2:
+        ops = ops[None]
+    if not len(ops):
+        raise ValueError("projector_modes needs at least one observable")
+    w, v = linalg.eigh(ops)
     keep = np.abs(w) > MODE_EIGENVALUE_TOL
-    return Modes(v[:, keep], w[keep][None, :])
-
-
-def stack_modes(batches) -> Modes:
-    """One batch of the modes of ``batches``, in their order; every batch
-    must have the same number of modes per observable."""
-    batches = list(batches)
-    if not batches:
-        raise ValueError("stack_modes needs at least one batch")
-    counts = sorted({b.weights.shape[1] for b in batches})
+    counts = sorted(set(keep.sum(axis=1).tolist()))
     if len(counts) > 1:
-        raise ValueError(f"stack_modes joins batches of one mode count, got mode counts {counts}")
-    return Modes(
-        np.concatenate([b.vectors for b in batches], axis=1),
-        np.concatenate([b.weights for b in batches]),
-    )
+        raise ValueError(f"a batch needs one mode count per observable, got mode counts {counts}")
+    # (d, N, d) puts each observable's kept columns side by side, in order
+    return Modes(v.transpose(1, 0, 2)[:, keep], w[keep].reshape(len(w), -1))
 
 
 def click_probability(p, mu: float, lambda_dc: float):
@@ -194,6 +190,8 @@ def estimate_expectations(counts, modes: Modes, config: NoiseConfig) -> tuple[np
     one row of m per observable; each observable's sums are its own dot
     products, so its estimate does not depend on the batch.
     """
+    if config.mode == "ideal":
+        raise ValueError("ideal acquisition takes exact expectations and inverts no counts")
     vectors, w = modes
     counts = np.asarray(counts)
     if counts.shape != (w.size,):

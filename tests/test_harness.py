@@ -393,11 +393,10 @@ class TestSweep:
                 assert np.array_equal(op, ref)
 
     def test_one_problem_per_state(self, monkeypatch):
-        # one problem per measured order: every sweep point solves a leading
-        # slice of it, in ascending k, and an unshuffled state that measures
-        # the order of the state before it solves that problem re-targeted
-        # with its own data. The werner commutant at n = 3 keeps 5 SIC
-        # projections, so r = 30 solves 5
+        # one problem per measured order, built with zero targets: every
+        # state, the first included, solves leading slices of it re-targeted
+        # with its own data, in ascending k. The werner commutant at n = 3
+        # keeps 5 SIC projections, so r = 30 solves 5
         harness._observable_context.cache_clear()
         built, solved = [], []
         real_problem, real_solve = symmetry.compressed_problem, harness.solve
@@ -416,21 +415,22 @@ class TestSweep:
         for state_id in (0, 1):
             run_single_state(cfg, state_id)
         assert len(built) == 1 and len(built[0].measured) == 5
+        assert not built[0]._targets.any()
         assert [p.n_constraints for p in solved] == [2, 3, 4, 5] * 2
-        for i, problem in enumerate(solved):
-            k = problem.n_constraints
-            if i < 4:
-                assert problem.measured == built[0].measured[:k]
+        for problem in solved:
             ops = [op for op, _ in problem.measured]
             assert all(op is ref for op, (ref, _) in zip(ops, built[0].measured))
             for got, parent in zip(problem._rows, built[0]._rows):
                 assert np.shares_memory(got, parent)
-        # the second state solves its own targets
+        # each state solves its own targets; reading the order back builds nothing
         context = harness._observable_context("sic", 3, "werner")
-        rho = sample_target(cfg, 1)
-        own = [observables.expectation(rho, context.candidates[i]) for i in context._last.kept]
-        assert np.array_equal(solved[-1]._targets, own)
-        assert not np.array_equal(solved[-1]._targets, built[0]._targets)
+        kept = context.measured(range(63), 30, False).kept
+        assert len(built) == 1
+        for state_id in (0, 1):
+            rho = sample_target(cfg, state_id)
+            own = [observables.expectation(rho, context.candidates[i]) for i in kept]
+            assert np.array_equal(solved[4 * state_id + 3]._targets, own)
+        assert not np.array_equal(solved[3]._targets, solved[7]._targets)
 
     @pytest.mark.parametrize("cfg", ["sic_permutation", "pauli_none", "pauli_werner"])
     def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
@@ -582,6 +582,18 @@ SHUFFLED_SYMMETRIC_N4_SHAPED = small_config(
     solver=SolverOptions(tolerance=1e-14, max_iterations=400),
     shuffle_observables=True,
 )
+
+# shuffled sweeps with noisy data, whose states each build their order's modes
+SHUFFLED_NOISY_SHAPED = {
+    "shuffled_permutation_photon_model": small_config(
+        state_family="permutation_invariant_mixed", symmetry="permutation",
+        r_values=(3, 12, 19), noise=NOISY_PHOTON_SHAPED.noise, shuffle_observables=True,
+    ),
+    "shuffled_werner_finite_sample": small_config(
+        symmetry="werner", r_values=(2, 5), shuffle_observables=True,
+        noise=NoiseConfig(mode="finite_sample", trials=1_000),
+    ),
+}
 
 # unshuffled sweeps, whose states all measure one order, for each symmetry
 # with ideal and photon-model data
@@ -758,19 +770,22 @@ class TestObservableContext:
 
     def test_modes_built_for_measured_observables_only(self, monkeypatch):
         # an unshuffled permutation sweep at n = 3 measures the same 19 of
-        # the 63 canonical observables in every state
+        # the 63 canonical observables in every state: one batch of them
         calls = []
         real = measurement.projector_modes
 
-        def spy(op):
-            calls.append(op.tobytes())
-            return real(op)
+        def spy(ops):
+            calls.append(ops)
+            return real(ops)
 
         monkeypatch.setattr(measurement, "projector_modes", spy)
         harness._observable_context.cache_clear()
         for state_id in range(2):
             run_single_state(NOISY_PHOTON_SHAPED, state_id)
-        assert len(calls) == 19 and len(set(calls)) == 19
+        assert len(calls) == 1 and calls[0].shape == (19, 8, 8)
+        assert len({op.tobytes() for op in calls[0]}) == 19
+        context = harness._observable_context("sic", 3, "permutation")
+        assert np.array_equal(calls[0], context.candidates[list(context.independent(range(63)))])
 
     def test_shuffled_sweep_remembers_one_order(self):
         # every shuffled state measures a new order, which replaces the last
@@ -781,15 +796,37 @@ class TestObservableContext:
         )
         context = harness._observable_context("sic", 3, "permutation")
         for state_id in range(3):
+            misses = harness._measured_order.cache_info().misses
             run_single_state(cfg, state_id)
+            info = harness._measured_order.cache_info()
+            assert info.currsize == 1 and info.misses == misses + 1
             order = list(range(63))
             harness._stream(cfg.seed, state_id, 1).shuffle(order)
-            remembered = [v for v in vars(context).values()
-                          if isinstance(v, harness._MeasuredOrder)]
-            assert len(remembered) == 1
-            assert remembered[0].key == (tuple(order), 19)
-            assert remembered[0].kept == context.independent(order)
-            assert remembered[0].problem.n_constraints == 19
+            measured = context.measured(order, 19, True)
+            assert harness._measured_order.cache_info().misses == misses + 1
+            assert measured.kept == context.independent(order)
+            assert measured.problem.n_constraints == 19
+            assert measured.modes.weights.shape == (19, 1)
+
+    def test_remembered_order_is_keyed_by_whether_data_are_noisy(self, monkeypatch):
+        # an ideal order holds no modes; a noisy state of the same order and
+        # max(r) after it must build them and draw its counts
+        photon = dataclasses.replace(NOISY_PHOTON_SHAPED, r_values=(2, 19))
+        ideal = dataclasses.replace(photon, noise=NoiseConfig())
+        harness._observable_context.cache_clear()
+        cold = run_single_state(photon, 1)
+        harness._observable_context.cache_clear()
+        run_single_state(ideal, 0)
+        calls = []
+        real = measurement.projector_modes
+
+        def spy(ops):
+            calls.append(ops)
+            return real(ops)
+
+        monkeypatch.setattr(measurement, "projector_modes", spy)
+        assert run_single_state(photon, 1) == cold
+        assert len(calls) == 1
 
     def test_remembered_order_is_keyed_by_its_count(self):
         # the same order measured to a different max(r) keeps other
@@ -803,23 +840,29 @@ class TestObservableContext:
 
     def test_cached_modes_are_read_only_and_exact(self):
         context = harness._ObservableContext("sic", 3, "permutation")
-        for index in (0, 17, 62):
-            vectors, weights = context.modes(index)
-            ref_vectors, ref_weights = measurement.projector_modes(context.candidates[index])
-            assert np.array_equal(vectors, ref_vectors)
-            assert np.array_equal(weights, ref_weights)
-            assert weights.shape == (1, 1)
-            assert context.modes(index)[0] is vectors
-            for arr in (vectors, weights):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 0.0
+        measured = context.measured(range(63), 19, True)
+        vectors, weights = measured.modes
+        alone = [measurement.projector_modes(context.candidates[i]) for i in measured.kept]
+        assert np.array_equal(vectors, np.concatenate([a.vectors for a in alone], axis=1))
+        assert np.array_equal(weights, np.concatenate([a.weights for a in alone]))
+        assert weights.shape == (19, 1)
+        assert context.measured(range(63), 19, True) is measured
+        for arr in (vectors, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            measured.modes = None
         assert context.orbits.flags.writeable is False
 
     def test_ideal_sweep_without_symmetry_builds_neither_cache(self):
+        # no modes for ideal data, and no orbits without permutation symmetry
         harness._observable_context.cache_clear()
         run_single_state(small_config(r_values=(3,)), 0)
         context = harness._observable_context("sic", 3, "none")
-        assert not context._modes and "orbits" not in vars(context)
+        hits = harness._measured_order.cache_info().hits
+        measured = context.measured(range(63), 3, False)
+        assert harness._measured_order.cache_info().hits == hits + 1
+        assert measured.modes is None and "orbits" not in vars(context)
 
     def test_state_takes_its_target_root_once(self, monkeypatch):
         # every sweep point scores against the same target
@@ -869,12 +912,14 @@ class TestObservableContext:
 
     @pytest.mark.parametrize(
         "cfg",
-        [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED, *UNSHUFFLED_SHAPED.values()],
-        ids=["noisy_photon", "shuffled_symmetric_n4", *UNSHUFFLED_SHAPED],
+        [NOISY_PHOTON_SHAPED, SHUFFLED_SYMMETRIC_N4_SHAPED, *SHUFFLED_NOISY_SHAPED.values(),
+         *UNSHUFFLED_SHAPED.values()],
+        ids=["noisy_photon", "shuffled_symmetric_n4", *SHUFFLED_NOISY_SHAPED, *UNSHUFFLED_SHAPED],
     )
     def test_cold_and_warm_workers_give_identical_records(self, cfg):
         # a state must not depend on which states the worker swept before it;
-        # a warm unshuffled state re-targets the problem of the state before
+        # a warm unshuffled state re-targets the problem its order was built
+        # with, a shuffled one builds its own order
         cold = []
         for state_id in range(3):
             harness._observable_context.cache_clear()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symmaxent.linalg import hermitian
+from symmaxent.linalg import eigh, hermitian
 from symmaxent.measurement import (
     NoiseConfig,
     click_probability,
@@ -10,7 +10,6 @@ from symmaxent.measurement import (
     photon_number_statistics,
     projector_modes,
     simulate_counts,
-    stack_modes,
 )
 from symmaxent.observables import KINDS, canonical_set, expectation, pauli_basis, sic_povm
 from symmaxent.states import DensityMatrix
@@ -278,6 +277,11 @@ class TestSimulateCounts:
 
 
 class TestEstimateExpectations:
+    def test_ideal_mode_rejected(self):
+        # ideal data are exact expectations: there are no counts to invert
+        with pytest.raises(ValueError, match="ideal"):
+            estimate_expectations(np.array([3, 7]), projector_modes(SZ), NoiseConfig(mode="ideal"))
+
     def test_ideal_round_trip(self, rng):
         # exact expected counts, rounded, give back the expectation value
         rho = DensityMatrix(random_mixed_state(8, rng))
@@ -499,7 +503,7 @@ class TestBatch:
         else:
             rho = DensityMatrix(np.diag(np.eye(2**n)[0]).astype(complex))
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
-        modes = stack_modes(projector_modes(op) for op in ops)
+        modes = projector_modes(np.array(ops))
         m = 2**n if batch == "pauli" else 1
         assert modes.weights.shape == (len(ops), m)
         assert modes.vectors.shape == (2**n, len(ops) * m)
@@ -523,14 +527,14 @@ class TestBatch:
         n = len(ops[0]).bit_length() - 1
         rho = DensityMatrix(random_mixed_state(2**n, rng))
         cfg = NoiseConfig(mode=mode, trials=2_000, mu=0.18, lambda_dc=2e-4)
-        alone = [projector_modes(op) for op in ops]
-        full = simulate_counts(rho, stack_modes(alone), cfg, np.random.default_rng(11))
+        stack = np.array(ops)
+        full = simulate_counts(rho, projector_modes(stack), cfg, np.random.default_rng(11))
         for k in range(1, len(ops) + 1):
-            lead = stack_modes(alone[:k])
+            lead = projector_modes(stack[:k])
             counts = simulate_counts(rho, lead, cfg, np.random.default_rng(11))
             assert counts.tolist() == full[: counts.size].tolist()
             assert (estimate_expectations(counts, lead, cfg)[0].tolist()
-                    == estimate_expectations(full, stack_modes(alone), cfg)[0][:k].tolist())
+                    == estimate_expectations(full, projector_modes(stack), cfg)[0][:k].tolist())
 
     @pytest.mark.parametrize("mode", ["finite_sample", "photon_model"])
     @pytest.mark.parametrize("batch", sorted(BATCHES))
@@ -539,7 +543,7 @@ class TestBatch:
         # observable: each inverts as it would alone
         ops = BATCHES[batch]()
         cfg = NoiseConfig(mode=mode, trials=100, mu=5.0, lambda_dc=1e-3)
-        modes = stack_modes(projector_modes(op) for op in ops)
+        modes = projector_modes(np.array(ops))
         pattern = [0, cfg.trials, 37, 0, 100, 5]
         counts = np.resize(pattern, modes.weights.size)
         estimates, variances = estimate_expectations(counts, modes, cfg)
@@ -558,19 +562,39 @@ class TestBatch:
             np.zeros(4, dtype=int), pauli.vectors, pauli.weights[0], cfg
         )
 
-    def test_stack_needs_a_batch(self):
-        with pytest.raises(ValueError, match="at least one batch"):
-            stack_modes([])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_stack_gives_the_per_observable_modes(self, kind, n):
+        # one eigh over the stack decomposes each observable as a call on it
+        # alone does, and as eigh of the one matrix, bit for bit, on the
+        # whole canonical set and on a shuffled third of it
+        ops = canonical_set(kind, n)
+        third = np.random.default_rng(n).permutation(len(ops))[: max(1, len(ops) // 3)]
+        for stack in (ops, ops[third]):
+            batch = projector_modes(stack)
+            alone = [projector_modes(op) for op in stack]
+            vectors = np.concatenate([a.vectors for a in alone], axis=1)
+            assert batch.vectors.tobytes() == vectors.tobytes()
+            assert batch.weights.tobytes() == np.concatenate([a.weights for a in alone]).tobytes()
+            for a, op in zip(alone, stack):
+                w, v = eigh(op)
+                keep = np.abs(w) > 1e-12
+                assert a.vectors.tobytes() == v[:, keep].tobytes()
+                assert a.weights.tobytes() == w[keep].tobytes()
+
+    def test_stack_needs_an_observable(self):
+        with pytest.raises(ValueError, match="at least one observable"):
+            projector_modes(np.zeros((0, 2, 2), dtype=complex))
 
     def test_stack_needs_one_mode_count(self):
-        pauli, sic = projector_modes(pauli_basis(2)[5]), projector_modes(sic_povm(2)[3])
+        pauli, sic = pauli_basis(2)[5], sic_povm(2)[3]
         with pytest.raises(ValueError, match=r"mode counts \[1, 4\]"):
-            stack_modes([pauli, sic])
+            projector_modes(np.array([pauli, sic]))
         # an operator whose zero eigenspace is dropped keeps 2 of its 4 modes
         mixed = [sic_povm(2)[3], pauli_basis(2)[7], hermitian(kron_chain((I2 + SZ) / 2, SX), "P0X"),
                  sic_povm(2)[9], pauli_basis(2)[14]]
         with pytest.raises(ValueError, match=r"mode counts \[1, 2, 4\]"):
-            stack_modes(projector_modes(op) for op in mixed)
+            projector_modes(np.array(mixed))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", KINDS)
