@@ -15,11 +15,12 @@ data takes the survivors' modes as one batch, computes every mode's
 probability with one GEMM, draws every count from the state's one counts
 stream in mode order and inverts all counts with array operations
 (``measurement.simulate_counts``, ``measurement.estimate_expectations``).
-Build one maximum-entropy problem on them under the symmetry
-(``symmetry.compressed_problem``: it constrains their commutant projections,
-on the irrep blocks; the problem is built once per measured order and
-re-targeted, below) that carries the variances (so a
-noisy target may miss by about its standard deviation). At each distinct
+Solve one maximum-entropy problem on them under the symmetry (the problem
+``symmetry.compressed_problem`` builds on them, bit for bit: it constrains
+their commutant projections, on the irrep blocks; a worker builds it once
+for every canonical observable and each measured order gathers its rows,
+below) that carries the variances (so a noisy target may miss by about its
+standard deviation). At each distinct
 k = min(r, survivors) solve its leading slice on the first k
 (``MaxEntProblem.leading``) once, and record the fidelity of its full-space
 estimate against the prepared (noisy) state for every sweep point r that
@@ -52,22 +53,29 @@ are bit-identical across reruns and independent of worker scheduling.
 
 A worker process computes once what depends only on (observable_kind,
 n_qubits, symmetry) and shares it between the states it sweeps
-(``_observable_context``): the canonical observable set and, under
-permutation symmetry, each observable's permutation orbit. Under werner
-symmetry a state calls ``symmetry.independent_projections`` on its order.
-A state's measured order (the order before filtering, max(r) and whether
-the data are noisy) is built once, whole, and held until another order
-replaces it (``_ObservableContext.measured``): the indices the filter
-kept from it and the state measures, for noisy data their modes (one
-``measurement.projector_modes`` call on their stack) and
-``symmetry.compressed_problem`` on them, with zero targets. Every state,
-the one that built its order or a later one, shuffled or not, solves that
-problem with its own targets and variances (``MaxEntProblem.with_targets``,
-which shares the operators and checks only the new data). An unshuffled
-sweep builds its one order once per worker; a shuffled state builds its
-own. Each state still samples its target, shuffles, draws and inverts its
-counts, and solves. The shared values are what each state would compute
-itself, so they change no result.
+(``_observable_context``): the canonical observable set; under permutation
+symmetry, each observable's permutation orbit; under werner symmetry, the
+commutant coordinates of every canonical observable
+(``symmetry.coordinates``), on which a state runs the greedy test of
+``symmetry.independent_projections`` in its own order; and the canonical
+problem, one zero-target problem on all 4^n - 1 canonical observables,
+compressed from their coordinates under a symmetry
+(``symmetry.coordinate_problem``) and on the observables themselves under
+``"none"``, and checked once. A state's measured order (the order before
+filtering, max(r) and whether the data are noisy) is built once, whole,
+and held until another order replaces it (``_ObservableContext.measured``):
+the indices the filter kept from it and the state measures, for noisy
+data their modes (one ``measurement.projector_modes`` call on their stack)
+and the canonical problem's rows at those indices, in that order
+(``MaxEntProblem.take``: a gather of rows that were validated once, which
+compresses and checks nothing again). Every state, the one that built its
+order or a later one, shuffled or not, solves that problem with its own
+targets and variances (``MaxEntProblem.with_targets``, which shares the
+operators and checks only the new data). An unshuffled sweep builds its
+one order once per worker; a shuffled state gathers its own. Each state
+still samples its target, shuffles, draws and inverts its counts, and
+solves. The shared values are what each state would compute itself, bit
+for bit, so they change no result.
 """
 
 from __future__ import annotations
@@ -85,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__, measurement, observables, states, symmetry
+from . import __version__, linalg, measurement, observables, states, symmetry
 from .maxent import MaxEntProblem, SolverOptions, solve
 from .measurement import NoiseConfig
 
@@ -203,8 +211,11 @@ class _MeasuredOrder(NamedTuple):
     that measures the same order shares (``_ObservableContext.measured``):
     the canonical indices of the observables it measures, the first max(r)
     that its symmetry filter keeps; for noisy data their read-only modes,
-    else None; and ``symmetry.compressed_problem`` on their operators with
-    zero targets, which each state re-targets with its own data."""
+    else None; and the zero-target problem on their operators, gathered
+    from the canonical problem (``MaxEntProblem.take``), which each state
+    re-targets with its own data. Its rows are those that
+    ``symmetry.compressed_problem`` builds on the same operators, bit for
+    bit."""
 
     kept: tuple[int, ...]
     modes: measurement.Modes | None
@@ -230,6 +241,33 @@ class _ObservableContext:
         orbits.setflags(write=False)
         return orbits
 
+    @functools.cached_property
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (coordinates, norms) of the canonical set under the
+        declared symmetry (``symmetry.coordinates``): each observable's
+        commutant coordinates and its Hilbert-Schmidt norm, whose rows the
+        werner filter reads and from which ``problem`` is compressed."""
+        return symmetry.coordinates(self.candidates, self.symmetry, self.n_qubits)
+
+    @functools.cached_property
+    def problem(self) -> MaxEntProblem:
+        """The canonical problem: one zero-target problem on every canonical
+        observable, built and checked once. Under a symmetry it is compressed
+        from the canonical set's coordinates, ``symmetry.CHUNK`` rows at a
+        time and with no copy of the set (``symmetry.coordinate_problem``);
+        under ``"none"`` its operators are the observables themselves, which
+        ``canonical_set`` checked. A measured order gathers its rows from it
+        (``MaxEntProblem.take``)."""
+        if self.symmetry == "none":
+            return MaxEntProblem._zero_targets(self.candidates)
+        # the werner filter reads the coordinates on every state; under
+        # permutation symmetry they serve this build alone and are not held
+        if self.symmetry == "werner":
+            coords, _ = self.coordinates
+        else:
+            coords, _ = symmetry.coordinates(self.candidates, self.symmetry, self.n_qubits)
+        return symmetry.coordinate_problem(coords, self.symmetry, self.n_qubits)
+
     def independent(self, order) -> tuple[int, ...]:
         """The canonical indices in ``order`` that
         ``symmetry.independent_projections`` keeps on the operators in that
@@ -239,14 +277,16 @@ class _ObservableContext:
         (``orbits``), read off the factor indices: P(A) = P(V_s A V_s^dagger)
         for every qubit permutation s, so an orbit's members share one
         projection, and symmetrised products of a local basis are linearly
-        independent. Under werner symmetry it is that call itself."""
+        independent. Under werner symmetry it is the same greedy test on the
+        rows of ``coordinates`` in that order, which are the rows that call
+        computes, bit for bit."""
         order = list(order)
         if self.symmetry == "permutation":
             _, first = np.unique(self.orbits[order], return_index=True)
             kept = np.sort(first)
         else:
-            ops = [self.candidates[i] for i in order]
-            kept = symmetry.independent_projections(ops, self.symmetry, self.n_qubits)
+            coords, norms = self.coordinates
+            kept = linalg.independent_rows(coords[order], norms[order])
         return tuple(order[i] for i in kept)
 
     def measured(self, order, count: int, noisy: bool) -> _MeasuredOrder:
@@ -271,9 +311,7 @@ def _measured_order(context: _ObservableContext, order: tuple[int, ...], count: 
         modes = measurement.projector_modes(context.candidates[list(kept)])
         for arr in modes:
             arr.setflags(write=False)
-    pairs = tuple((context.candidates[i], 0.0) for i in kept)
-    problem = symmetry.compressed_problem(pairs, context.symmetry, context.n_qubits)
-    return _MeasuredOrder(kept, modes, problem)
+    return _MeasuredOrder(kept, modes, context.problem.take(kept))
 
 
 @functools.lru_cache(maxsize=8)
@@ -283,9 +321,12 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
     Computed once per worker: the canonical observable set; on the first
     permutation-symmetric state, each canonical observable's orbit number,
     from its factor indices, so that a state keeps the first of each orbit
-    in its order. A werner-symmetric state filters its order with
-    ``symmetry.independent_projections``. The last measured order swept is
-    held whole, with its modes and its problem
+    in its order; on the first werner-symmetric state, the canonical set's
+    commutant coordinates, on whose rows a state runs the greedy
+    independence test in its own order; and on the first state, the
+    canonical problem (``_ObservableContext.problem``), compressed and
+    checked once, from which every measured order gathers its rows. The
+    last measured order swept is held whole, with its modes and its problem
     (``_ObservableContext.measured``). Each state still samples its target,
     draws its shuffle and its counts, estimates, solves and scores.
     """

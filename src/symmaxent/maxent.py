@@ -43,10 +43,12 @@ entropy S below is minus that relative entropy.
 
 A problem stacks and validates its operators, and builds the arrays the
 solver derives from them, once, for every solve and kernel call on it. A
-sweep builds one problem per measured order, with zero targets; every
-state that measures that order solves it with its own targets
+sweep worker builds one problem with zero targets on every observable it
+may measure; a measured order gathers its rows (``MaxEntProblem.take``),
+and every state that measures that order solves it with its own targets
 (``MaxEntProblem.with_targets``), on its leading slices on the first r
 constraints (``MaxEntProblem.leading``), whose operators are its rows.
+None of these checks an operator again.
 
 The multipliers minimise the variance-regularised dual
 
@@ -92,6 +94,7 @@ the dual gives for free, and the number of Gibbs evaluations it made.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import numbers
 from dataclasses import InitVar, dataclass
@@ -163,23 +166,38 @@ class MaxEntProblem:
             object.__setattr__(self, "log_weights", w)
         # one stack, checked at once and replaced by its Hermitian part
         a = hermitian(stack([op for op, _ in measured], dim), "measured observables")
-        # the operators as (K, dim^2) rows, for the exponent; the same rows
-        # viewed as real, for the expectations, since Tr(A rho) = sum_ij
-        # conj(A_ij) rho_ij is one real dot for Hermitian A; and the
-        # operators placed side by side, cols[:, k*dim:(k+1)*dim] = A_k, so
-        # that one GEMM applies v^H to all of them for the susceptibility
-        flat = a.reshape(len(a), dim * dim)
-        rows = flat, flat.view(float), a.transpose(1, 0, 2).reshape(dim, len(a) * dim)
         object.__setattr__(self, "_targets", targets)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", _solver_rows(a))
         # the index pairs a <= b of the upper triangle, for the
         # susceptibility, with sqrt(c): c = 1 on the diagonal and 2 off it
         a, b = np.triu_indices(dim)
         object.__setattr__(self, "_pairs", (a, b, np.where(a == b, 1.0, math.sqrt(2.0))))
 
+    @classmethod
+    def _zero_targets(cls, a: np.ndarray, log_weights=None) -> MaxEntProblem:
+        """The problem with zero targets on the (K, dim, dim) stack ``a``,
+        which must be ``hermitian``'s output or be made of its outputs:
+        read-only, checked and exactly Hermitian. It is neither copied nor
+        checked again; the problem's operators are views of it. So a whole
+        set of observables, checked once, becomes a problem to gather from
+        (``take``) with no second copy of it."""
+        zeros = np.zeros(len(a))
+        zeros.setflags(write=False)
+        return cls((), (), a.shape[-1], None, log_weights)._replace(
+            measured=tuple((op, 0.0) for op in a), variances=zeros, _targets=zeros,
+            _rows=_solver_rows(a),
+        )
+
     @property
     def n_constraints(self) -> int:
         return len(self.measured)
+
+    @functools.cached_property
+    def _cols(self) -> np.ndarray:
+        """The operators side by side (``_side_by_side``), for the
+        susceptibility; built on first use, so a problem that is only
+        gathered from (``take``) holds no second copy of its operators."""
+        return _side_by_side(self._rows[0], self.dim)
 
     def leading(self, k: int) -> MaxEntProblem:
         """The problem on the first ``k`` constraints, sliced from this one.
@@ -191,12 +209,45 @@ class MaxEntProblem:
         once, and each sweep point costs only the slicing."""
         if not 0 <= k <= self.n_constraints:
             raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
-        flat, real, cols = self._rows
+        flat, real = self._rows
         return self._replace(
             measured=self.measured[:k],
             variances=self.variances[:k],
             _targets=self._targets[:k],
-            _rows=(flat[:k], real[:k], cols[:, : k * self.dim]),
+            _rows=(flat[:k], real[:k]),
+            _cols=self._cols[:, : k * self.dim],
+        )
+
+    def take(self, indices) -> MaxEntProblem:
+        """The problem on the constraints ``indices`` of this one, in that
+        order: the gather sibling of ``leading``.
+
+        Its measured pairs, targets, variances and solver rows (the
+        operators) are this problem's at ``indices``, gathered into new
+        read-only arrays, and it shares this problem's log weights; they
+        were validated when this problem was built and are not checked
+        again. So a sweep builds and checks the problem of every observable
+        it may measure once, and a state that measures a subset of them in
+        its own order pays one row gather."""
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(np.intp)
+        n = self.n_constraints
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be one sequence of integers, got {indices!r}")
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise ValueError(f"indices must be in [0, {n}), got {indices!r}")
+        gathered = self._rows[0][idx], self.variances[idx], self._targets[idx]
+        for arr in gathered:
+            arr.setflags(write=False)
+        flat, variances, targets = gathered
+        # the columns are built here, so that every re-targeted copy shares them
+        return self._replace(
+            measured=tuple(self.measured[i] for i in idx.tolist()),
+            variances=variances,
+            _targets=targets,
+            _rows=_solver_rows(flat),
+            _cols=_side_by_side(flat, self.dim),
         )
 
     def with_targets(self, targets, variances=None) -> MaxEntProblem:
@@ -217,8 +268,11 @@ class MaxEntProblem:
         )
 
     def _replace(self, **fields) -> MaxEntProblem:
-        """A shallow copy of this problem with ``fields`` set, unchecked."""
+        """A shallow copy of this problem with ``fields`` set, unchecked;
+        one with other solver rows builds its own ``_cols``, unless given."""
         sub = copy.copy(self)
+        if "_rows" in fields:
+            sub.__dict__.pop("_cols", None)
         for name, value in fields.items():
             object.__setattr__(sub, name, value)
         return sub
@@ -269,7 +323,7 @@ class MaxEntProblem:
         _, w, v, expw, z, _, vh = state
         d, k = w.shape[0], self.n_constraints
         a, b, root_c = self._pairs
-        left = (vh @ self._rows[2]).reshape(d * k, d)
+        left = (vh @ self._cols).reshape(d * k, d)
         atil = (left @ v).reshape(d, k, d)
         scale = root_c * np.sqrt(_divided_difference_kernel(w, expw, (a, b)))
         # gathered into operator-major rows while scaled
@@ -334,6 +388,24 @@ class MaxEntSolution:
     def converged(self) -> bool:
         """Whether the objective fell below the tolerance."""
         return self.stop_reason == "tolerance"
+
+
+def _solver_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The operators of a checked (K, dim, dim) stack, or of its (K, dim^2)
+    rows, as (K, dim^2) rows, for the exponent, and the same rows viewed as
+    real, for the expectations, since Tr(A rho) = sum_ij conj(A_ij) rho_ij
+    is one real dot for Hermitian A."""
+    flat = a if a.ndim == 2 else a.reshape(len(a), a.shape[1] * a.shape[2])
+    return flat, flat.view(float)
+
+
+def _side_by_side(flat: np.ndarray, dim: int) -> np.ndarray:
+    """The operators of (K, dim^2) rows placed side by side, read-only:
+    cols[:, k*dim:(k+1)*dim] = A_k, so that one GEMM applies v^H to all of
+    them."""
+    cols = flat.reshape(len(flat), dim, dim).transpose(1, 0, 2).reshape(dim, len(flat) * dim)
+    cols.setflags(write=False)
+    return cols
 
 
 def _checked_data(targets, variances, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -66,6 +66,10 @@ KINDS = ("none", "permutation", "werner")
 # vanishing commutators (O_j commuting with Q_k) and are dropped.
 ZERO_COMMUTATOR_TOL = 1e-12
 
+# Operators per pass of ``coordinates`` and ``coordinate_problem``: a whole
+# canonical set at once would hold several temporaries of its size.
+CHUNK = 32
+
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroupSpec:
@@ -333,10 +337,43 @@ def compress(stack, kind: str, n_qubits: int) -> np.ndarray:
     (K, c, c) result is exactly Hermitian and exactly zero off the blocks."""
     stack = np.asarray(stack)
     k, dim = len(stack), 2**n_qubits
+    return _on_blocks(_coordinates(stack.reshape(k, dim * dim), kind, n_qubits), kind, n_qubits)
+
+
+def _on_blocks(coords: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
+    """The (K, c, c) operators whose ``commutant_basis`` coordinates are the
+    K rows of ``coords``, on one copy of each block (see ``compress``)."""
     rows, cols, root, weights = _block_layout(kind, n_qubits)
-    out = np.zeros((k, len(weights), len(weights)), dtype=complex)
-    out[:, rows, cols] = _coordinates(stack.reshape(k, dim * dim), kind, n_qubits) / root
+    out = np.zeros((len(coords), len(weights), len(weights)), dtype=complex)
+    out[:, rows, cols] = coords / root
     return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+
+def coordinates(stack, kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (coordinates, norms) of the operators of a (N, 2^n, 2^n)
+    stack: one row per operator of its commutant projection's
+    ``commutant_basis`` coordinates, and its Hilbert-Schmidt norm.
+
+    The stack is read ``CHUNK`` operators at a time, through views, so no
+    copy of it is made and each pass's temporaries stay small. A row does
+    not depend on the pass it is computed in: BLAS rounds each row of a
+    matrix product of two or more rows alike, while a one-row product takes
+    its matrix-vector path, which rounds differently, so a pass of one
+    operator is computed as a pass of two. Rows gathered from a whole set
+    therefore equal the rows of the gathered operators, bit for bit."""
+    stack = np.asarray(stack)
+    n, dim = len(stack), 2**n_qubits
+    flat = stack.reshape(n, dim * dim)
+    coords = np.empty((n, len(commutant_basis(kind, n_qubits))), dtype=complex)
+    norms = np.empty(n)
+    for start in range(0, n, CHUNK):
+        part = flat[start : start + CHUNK]
+        pair = part if len(part) > 1 else np.concatenate([part, part])
+        coords[start : start + len(part)] = _coordinates(pair, kind, n_qubits)[: len(part)]
+        norms[start : start + len(part)] = np.linalg.norm(part, axis=1)
+    coords.setflags(write=False)
+    norms.setflags(write=False)
+    return coords, norms
 
 
 def expand(rho_c, kind: str, n_qubits: int) -> np.ndarray:
@@ -353,15 +390,31 @@ def compressed_problem(measured, kind: str, n_qubits: int, variances=None) -> Ma
     ``kind`` (see the module docstring): the plain problem for ``"none"``,
     else the ``compress``ed operators with log m as log weights, whose Gibbs
     state rho' = M rho_c gives each Tr(A rho) = Tr(M A_c rho_c) as Tr(A_c
-    rho'). Rejects a kind the blocks cannot serve."""
+    rho'). Rejects a kind the blocks cannot serve. Its operators are those
+    of ``coordinate_problem`` on the pairs' ``coordinates``, so they do not
+    depend on which other operators are compressed with them."""
     dim = 2**n_qubits
     if kind == "none":
         return MaxEntProblem(measured, (), dim, variances)
-    weights = block_weights(kind, n_qubits)
     measured = tuple(measured)
-    blocks = compress(linalg.stack([op for op, _ in measured], dim), kind, n_qubits)
-    targets = (t for _, t in measured)
-    return MaxEntProblem(tuple(zip(blocks, targets)), (), len(weights), variances, np.log(weights))
+    coords, _ = coordinates(linalg.stack([op for op, _ in measured], dim), kind, n_qubits)
+    problem = coordinate_problem(coords, kind, n_qubits)
+    return problem.with_targets([t for _, t in measured], variances)
+
+
+def coordinate_problem(coords, kind: str, n_qubits: int) -> MaxEntProblem:
+    """The zero-target ``compressed_problem`` on the operators whose
+    ``coordinates`` are the rows of ``coords``. They are placed on the
+    blocks and checked ``CHUNK`` rows at a time, into one read-only stack
+    that the problem keeps as it is, so the problem of a whole canonical set
+    is built with small temporaries and one copy of its operators."""
+    weights = block_weights(kind, n_qubits)
+    blocks = np.empty((len(coords), len(weights), len(weights)), dtype=complex)
+    for start in range(0, len(coords), CHUNK):
+        part = _on_blocks(coords[start : start + CHUNK], kind, n_qubits)
+        blocks[start : start + CHUNK] = linalg.hermitian(part, "measured observables")
+    blocks.setflags(write=False)
+    return MaxEntProblem._zero_targets(blocks, np.log(weights))
 
 
 def full_estimate(rho, kind: str, n_qubits: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from symmaxent import harness, linalg, measurement, observables, states, symmetry
+from symmaxent import harness, linalg, maxent, measurement, observables, states, symmetry
 from symmaxent.harness import (
     ExperimentConfig,
     StateRunRecord,
@@ -17,7 +17,7 @@ from symmaxent.harness import (
     worker_count,
     write_outputs,
 )
-from symmaxent.maxent import SolverOptions, solve
+from symmaxent.maxent import MaxEntProblem, SolverOptions, solve
 from symmaxent.measurement import NoiseConfig
 from symmaxent.observables import sic_povm
 
@@ -164,12 +164,16 @@ def per_r_records(cfg, state_id):
     every distinct k = min(r, kept), in ascending
     order, a problem built afresh on the first k targets and solved. A solve
     starts from the last k's multipliers, padded with zeros, when that solve
-    stopped on tolerance with its estimate's smallest eigenvalue above
-    sqrt(tolerance), and from zeros otherwise. Each estimate is expanded to
-    the full space and scored there. Returns the records and, for each
-    distinct k, whether its solve was seeded."""
+    stopped on tolerance with the smallest eigenvalue of its estimate,
+    expanded to the full space, above sqrt(tolerance), and from zeros
+    otherwise. Each estimate is scored by the sweep's own scorer
+    (``harness._scorer``), which ``TestBlockScoring`` checks against the
+    full-space and the exact pure-target fidelity, so the records must
+    match bit for bit. Returns the records and, for each distinct k,
+    whether its solve was seeded."""
     context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
     rho = sample_target(cfg, state_id)
+    score = harness._scorer(rho, cfg.symmetry, cfg.n_qubits)
     order = list(range(len(context.candidates)))
     if cfg.shuffle_observables:
         harness._stream(cfg.seed, state_id, 1).shuffle(order)
@@ -193,7 +197,7 @@ def per_r_records(cfg, state_id):
         seeded.append(lambda0 is not None)
         solution = solve(problem, cfg.solver, lambda0)
         estimate = full_state(solution.rho, cfg.n_qubits, cfg.symmetry)
-        fields[k] = states.fidelity(rho, estimate), solution.converged, solution.iterations
+        fields[k] = score(solution.rho)[0], solution.converged, solution.iterations
         smallest = np.linalg.eigvalsh(estimate.matrix)[0]
         full_rank = smallest > math.sqrt(cfg.solver.tolerance)
         lambda0 = solution.lambdas if solution.stop_reason == "tolerance" and full_rank else None
@@ -212,22 +216,15 @@ COMMUTING = [
 
 
 def score_tolerance(family, kind, eta):
-    """How far a sweep's fidelity may sit from the full-space score: 0 where
-    the sweep scores on the full space; on the blocks, which score every
-    target under symmetry "none", 1e-12 for a mixed target and 2e-8 for a
-    pure one, whose score carries ``psd_sqrtm``'s rank-1 rounding."""
+    """How far a sweep's fidelity may sit from the full-space score, and
+    from the exact one of a pure target: 0 where the sweep scores on the
+    full space; on the blocks, which score every target under symmetry
+    "none", 1e-12 for a mixed target and 2e-8 for a pure one, whose score
+    carries ``psd_sqrtm``'s rank-1 rounding."""
     if kind != "none" and (family, kind) not in COMMUTING:
         return 0.0
     pure = eta == 0.0 and family not in ("permutation_invariant_mixed", "werner")
     return 2e-8 if pure else 1e-12
-
-
-def assert_records_match(records, want, tolerance):
-    """Records equal but for fidelities within ``tolerance``."""
-    assert [(rec.state_id, rec.r, rec.converged, rec.iterations) for rec in records] == [
-        (rec.state_id, rec.r, rec.converged, rec.iterations) for rec in want]
-    for rec, ref in zip(records, want):
-        assert abs(rec.fidelity - ref.fidelity) <= tolerance
 
 
 # each config with the distinct k = min(r, kept) its states solve
@@ -355,24 +352,18 @@ class TestSweep:
         assert all(rec.converged and rec.fidelity >= 1 - 1e-8 for rec in res.records)
 
     def test_symmetric_solves_constrain_projected_observables_only(self, monkeypatch):
-        # compressed_problem gets the first r filtered canonical operators
-        # as they are, with the symmetry declared and no auxiliaries; it
-        # constrains their commutant projections (checked in test_maxent).
-        # A worker that swept this order before would not build it again
+        # each solve constrains the first r filtered canonical operators, as
+        # they are, with the symmetry declared and no auxiliaries: its rows
+        # are those of compressed_problem on exactly those operators, which
+        # constrains their commutant projections (checked in test_maxent)
         harness._observable_context.cache_clear()
-        seen = []
-        real_compressed, real_solve = symmetry.compressed_problem, harness.solve
-
-        def build(measured, kind, n_qubits, variances=None):
-            seen.append((measured, kind))
-            return real_compressed(measured, kind, n_qubits, variances)
+        solved = []
+        real_solve = harness.solve
 
         def spy(problem, options, lambda0=None):
-            solved.append(problem.n_constraints)
+            solved.append(problem)
             return real_solve(problem, options, lambda0)
 
-        solved = []
-        monkeypatch.setattr(symmetry, "compressed_problem", build)
         monkeypatch.setattr(harness, "solve", spy)
         cfg = small_config(
             state_family="permutation_invariant_mixed", symmetry="permutation",
@@ -382,50 +373,51 @@ class TestSweep:
         sic = list(sic_povm(3))
         kept = [sic[i] for i in symmetry.independent_projections(sic, "permutation", 3)]
         # r = 30 maps to the same 19 kept observables as r = 19, solved once
-        assert solved == [3, 19]
-        # the constraints are the kept operators alone: no auxiliary rows
-        assert len(seen) == 1
-        for measured, kind in seen:
-            assert kind == "permutation"
-            ops = [op for op, _ in measured]
-            assert len(ops) <= len(kept)
-            for op, ref in zip(ops, kept):
-                assert np.array_equal(op, ref)
+        assert [p.n_constraints for p in solved] == [3, 19]
+        for problem in solved:
+            k = problem.n_constraints
+            want = symmetry.compressed_problem(
+                tuple((op, 0.0) for op in kept[:k]), "permutation", 3)
+            for got, ref in zip((*problem._rows, problem._cols), (*want._rows, want._cols)):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(problem.log_weights, want.log_weights)
 
     def test_one_problem_per_state(self, monkeypatch):
-        # one problem per measured order, built with zero targets: every
-        # state, the first included, solves leading slices of it re-targeted
-        # with its own data, in ascending k. The werner commutant at n = 3
-        # keeps 5 SIC projections, so r = 30 solves 5
+        # one problem per measured order, gathered with zero targets from
+        # the canonical problem: every state, the first included, solves
+        # leading slices of it re-targeted with its own data, in ascending
+        # k. The werner commutant at n = 3 keeps 5 SIC projections, so r = 30
+        # solves 5
         harness._observable_context.cache_clear()
-        built, solved = [], []
-        real_problem, real_solve = symmetry.compressed_problem, harness.solve
+        gathered, solved = [], []
+        real_take, real_solve = MaxEntProblem.take, harness.solve
 
-        def build(*args, **kwargs):
-            built.append(real_problem(*args, **kwargs))
-            return built[-1]
+        def take(problem, indices):
+            gathered.append(real_take(problem, indices))
+            return gathered[-1]
 
         def spy(problem, options, lambda0=None):
             solved.append(problem)
             return real_solve(problem, options, lambda0)
 
-        monkeypatch.setattr(symmetry, "compressed_problem", build)
+        monkeypatch.setattr(MaxEntProblem, "take", take)
         monkeypatch.setattr(harness, "solve", spy)
         cfg = small_config(symmetry="werner", r_values=(2, 4, 30, 3), batch_size=1)
         for state_id in (0, 1):
             run_single_state(cfg, state_id)
-        assert len(built) == 1 and len(built[0].measured) == 5
-        assert not built[0]._targets.any()
+        assert len(gathered) == 1 and len(gathered[0].measured) == 5
+        assert not gathered[0]._targets.any()
         assert [p.n_constraints for p in solved] == [2, 3, 4, 5] * 2
         for problem in solved:
             ops = [op for op, _ in problem.measured]
-            assert all(op is ref for op, (ref, _) in zip(ops, built[0].measured))
-            for got, parent in zip(problem._rows, built[0]._rows):
+            assert all(op is ref for op, (ref, _) in zip(ops, gathered[0].measured))
+            for got, parent in zip((*problem._rows, problem._cols),
+                                   (*gathered[0]._rows, gathered[0]._cols)):
                 assert np.shares_memory(got, parent)
         # each state solves its own targets; reading the order back builds nothing
         context = harness._observable_context("sic", 3, "werner")
         kept = context.measured(range(63), 30, False).kept
-        assert len(built) == 1
+        assert len(gathered) == 1
         for state_id in (0, 1):
             rho = sample_target(cfg, state_id)
             own = [observables.expectation(rho, context.candidates[i]) for i in kept]
@@ -437,11 +429,10 @@ class TestSweep:
         # the one-pass state against each observable acquired alone, in
         # order, from one shared counts stream, and a fresh problem built
         # and solved for every distinct k, seeded by the same rule on the
-        # full-space estimate and scored there: the same seeding, flags and
-        # counts, and the fidelities bit for bit where the sweep scores on
-        # the full space. The permutation and werner sweeps keep 19 and 4
-        # observables, so there r = 25 and 63 repeat the full problem, which
-        # the state solves once
+        # full-space estimate: the same seeding, flags and counts, and the
+        # fidelities bit for bit. The permutation and werner sweeps keep 19
+        # and 4 observables, so there r = 25 and 63 repeat the full
+        # problem, which the state solves once
         cfg, distinct = PER_R_CONFIGS[cfg]
         solved, seeded = [], []
         real_solve = harness.solve
@@ -452,7 +443,6 @@ class TestSweep:
             return real_solve(problem, options, lambda0)
 
         monkeypatch.setattr(harness, "solve", spy)
-        tolerance = score_tolerance(cfg.state_family, cfg.symmetry, cfg.noise.eta)
         for state_id in range(cfg.batch_size):
             solved.clear()
             seeded.clear()
@@ -460,7 +450,7 @@ class TestSweep:
             want, want_seeded = per_r_records(cfg, state_id)
             assert solved == distinct
             assert seeded == want_seeded
-            assert_records_match(records, want, tolerance)
+            assert records == want
 
     @pytest.mark.parametrize("noise", [
         NoiseConfig(mode="finite_sample", trials=1_000),
@@ -659,14 +649,24 @@ class TestBlockScoring:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("family, kind", COMMUTING)
     def test_block_score_is_the_full_space_score(self, family, kind, n, eta):
+        # a pure target's block score is checked against the exact
+        # sqrt(<psi|sigma|psi>) of the full-space estimate sigma, not against
+        # states.fidelity, whose own rank-1 rounding reaches 1.5e-8 here
+        drawn = states.FAMILIES[family][1](n, np.random.default_rng([n, len(family)]), 1)
         target = states.sample(family, n, np.random.default_rng([n, len(family)]), eta, 1)
         assert symmetry.block_state(target.matrix, kind, n) is not None
         score = harness._scorer(target, kind, n)
         tolerance = score_tolerance(family, kind, eta)
+        pure = isinstance(drawn, states.PureState) and eta == 0.0
         for rho in _block_estimates(target, kind, n):
             full = states.DensityMatrix(symmetry.full_estimate(rho, kind, n))
             fid, smallest = score(rho)
-            assert abs(fid - states.fidelity(target, full)) <= tolerance
+            if pure:
+                psi = drawn.amplitudes
+                want = math.sqrt(max(np.vdot(psi, full.matrix @ psi).real, 0.0))
+            else:
+                want = states.fidelity(target, full)
+            assert abs(fid - want) <= tolerance
             assert abs(smallest - full.min_eigenvalue) <= 1e-14
 
     @pytest.mark.parametrize("family, kind", COMMUTING + [("haar_pure", "none"),
@@ -752,6 +752,89 @@ class TestObservableContext:
             # one per orbit of products of the 4 local factors, less the
             # dropped identity (Pauli) or all-last (SIC) orbit
             assert len(kept) == math.comb(n + 3, 3) - 1
+
+    @pytest.mark.parametrize("observable_kind", ["sic", "pauli"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_werner_filter_reads_the_rows_independent_projections_computes(
+            self, n, observable_kind):
+        # the filter gathers the worker's coordinate rows in the state's
+        # order: they are the rows and norms independent_projections computes
+        # on the operators in that order, bit for bit, so it keeps the same
+        context = harness._ObservableContext(observable_kind, n, "werner")
+        coords, norms = context.coordinates
+        assert not coords.flags.writeable and not norms.flags.writeable
+        candidates = context.candidates
+        rng = np.random.default_rng([n, len(observable_kind), 30])
+        for _ in range(30):
+            order = rng.permutation(len(candidates)).tolist()
+            ops = [candidates[i] for i in order]
+            flat = np.asarray(ops, dtype=complex).reshape(len(ops), -1)
+            assert np.array_equal(coords[order], symmetry._coordinates(flat, "werner", n))
+            assert np.array_equal(norms[order], np.linalg.norm(flat, axis=1))
+            kept = symmetry.independent_projections(ops, "werner", n)
+            assert list(context.independent(order)) == [order[i] for i in kept]
+
+    @pytest.mark.parametrize("kind", ["none", "permutation", "werner"])
+    def test_canonical_problem_is_the_compressed_problem_of_the_set(self, kind):
+        # compressed in chunks from the coordinates, it has the rows of one
+        # compressed_problem on every canonical observable, read-only; under
+        # "none" they are the canonical set itself, not a copy
+        context = harness._ObservableContext("sic", 4, kind)
+        problem = context.problem
+        zero = tuple((op, 0.0) for op in context.candidates)
+        want = symmetry.compressed_problem(zero, kind, 4)
+        assert problem.n_constraints == 255 and not problem._targets.any()
+        for got, ref in zip((*problem._rows, problem._cols), (*want._rows, want._cols)):
+            assert np.array_equal(got, ref) and not got.flags.writeable
+        assert np.array_equal(problem.log_weights, want.log_weights)
+        assert (kind == "none") == np.shares_memory(problem._rows[0], context.candidates)
+        assert ("coordinates" in vars(context)) == (kind == "werner")
+
+    @pytest.mark.parametrize("kind, family", [
+        ("none", "haar_pure"),
+        ("permutation", "permutation_invariant_mixed"),
+        ("werner", "werner"),
+    ])
+    def test_shuffled_states_build_the_canonical_problem_once(self, monkeypatch, kind, family):
+        # the worker compresses and checks every canonical observable once;
+        # each shuffled state gathers its rows, and no state compresses,
+        # filters through independent_projections or checks an operator stack
+        harness._observable_context.cache_clear()
+        built, coordinated, stacks = [], [], []
+        zero_targets, coordinates = MaxEntProblem._zero_targets.__func__, symmetry.coordinates
+        hermitian = linalg.hermitian
+
+        def build(cls, a, log_weights=None):
+            built.append(len(a))
+            return zero_targets(cls, a, log_weights)
+
+        def coordinate_spy(stack, kind, n):
+            coordinated.append(len(stack))
+            return coordinates(stack, kind, n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order compressed or filtered on its own")
+
+        def check(m, what):
+            stacks.extend([np.shape(m)] if np.ndim(m) == 3 else [])
+            return hermitian(m, what)
+
+        monkeypatch.setattr(MaxEntProblem, "_zero_targets", classmethod(build))
+        monkeypatch.setattr(symmetry, "coordinates", coordinate_spy)
+        for name in ("compressed_problem", "independent_projections"):
+            monkeypatch.setattr(symmetry, name, refuse)
+        cfg = small_config(state_family=family, symmetry=kind, shuffle_observables=True,
+                           r_values=(2, 5, 63), batch_size=3)
+        run_single_state(cfg, 0)
+        assert built == [63]
+        assert coordinated == ([] if kind == "none" else [63])
+        monkeypatch.setattr(linalg, "hermitian", check)
+        monkeypatch.setattr(maxent, "hermitian", check)
+        for state_id in (1, 2):
+            run_single_state(cfg, state_id)
+        assert built == [63] and len(coordinated) == (kind != "none")
+        assert stacks == []
+        assert harness._measured_order.cache_info().currsize == 1
 
     def test_shuffled_permutation_sweep_reads_orbits_only(self, monkeypatch):
         def numeric_filter(*args, **kwargs):
@@ -863,6 +946,7 @@ class TestObservableContext:
         measured = context.measured(range(63), 3, False)
         assert harness._measured_order.cache_info().hits == hits + 1
         assert measured.modes is None and "orbits" not in vars(context)
+        assert "coordinates" not in vars(context)
 
     def test_state_takes_its_target_root_once(self, monkeypatch):
         # every sweep point scores against the same target

@@ -17,7 +17,13 @@ from symmaxent.maxent import (
     solve,
     susceptibility,
 )
-from symmaxent.observables import canonical_operator, expectation, pauli_basis, sic_povm
+from symmaxent.observables import (
+    canonical_operator,
+    canonical_set,
+    expectation,
+    pauli_basis,
+    sic_povm,
+)
 from symmaxent.symmetry import build_symmetry, compressed_problem, full_estimate
 
 from conftest import SZ, full_state, kron_chain, random_mixed_state
@@ -940,9 +946,9 @@ class TestLeading:
     @pytest.mark.parametrize("shape", LEADING_SHAPES)
     def test_solves_like_the_prefix_problem(self, shape):
         # the slice is the first k rows, auxiliary rows included. Its
-        # operators are rows of one stack compressed at once; for k >= 2 they
-        # equal the prefix problem's own compression exactly. A one-row
-        # product takes another BLAS path, so k = 1 may differ by rounding.
+        # operators are rows of one stack compressed at once; they equal the
+        # prefix problem's own compression exactly, k = 1 included, since
+        # ``symmetry.coordinates`` computes a one-row pass as two rows
         rng = np.random.default_rng([20261022, LEADING_SHAPES.index(shape)])
         prob, measured, kind, n = leading_problem(shape, rng)
         opts = SolverOptions(tolerance=1e-14)
@@ -953,11 +959,6 @@ class TestLeading:
             ref = solve(compressed_problem(measured[:k], kind, n), opts)
             got_rho, ref_rho = (full_estimate(x.rho, kind, n) for x in (got, ref))
             assert got.stop_reason == ref.stop_reason
-            if k == 1:
-                assert np.max(np.abs(got_rho - ref_rho)) <= 1e-15
-                scale = max(1.0, np.max(np.abs(ref.lambdas)))
-                assert np.max(np.abs(got.lambdas - ref.lambdas)) <= 1e-15 * scale
-                continue
             assert np.array_equal(got.lambdas, ref.lambdas)
             assert np.array_equal(got_rho, ref_rho)
             assert got.iterations == ref.iterations
@@ -967,13 +968,13 @@ class TestLeading:
         # slice or a solve
         rng = np.random.default_rng([20261023])
         calls = []
-        compress = symmetry.compress
+        coordinates = symmetry.coordinates
 
         def spy(stack, kind, n):
             calls.append(len(stack))
-            return compress(stack, kind, n)
+            return coordinates(stack, kind, n)
 
-        monkeypatch.setattr(symmetry, "compress", spy)
+        monkeypatch.setattr(symmetry, "coordinates", spy)
         prob, *_ = leading_problem("permutation_n4_sic", rng)
         assert calls == [prob.n_constraints]
         lam = np.full(prob.n_constraints, 0.1)
@@ -989,8 +990,7 @@ class TestLeading:
     def test_slices_like_a_fresh_problem(self, monkeypatch, symmetry_kind):
         # the slice is views of the parent's validated arrays, equal to those
         # of a problem built on the first k, and it solves like that problem
-        # bit for bit, variances included. Under a symmetry a one-row
-        # compression takes another BLAS path, so there k = 1 is left out
+        # bit for bit, variances included
         rng = np.random.default_rng([20261019, symmetry_kind == "none"])
         measured = noisy_measured(rng, n_ops=12, symmetry_kind=symmetry_kind)
         prob = compressed_problem(measured, symmetry_kind, 3, rng.uniform(0, 4e-3, 12))
@@ -998,23 +998,23 @@ class TestLeading:
             k: compressed_problem(measured[:k], symmetry_kind, 3, prob.variances[:k])
             for k in range(13)
         }
-        # every problem builds its rows now; after this nothing is validated
-        # or compressed again
+        # every problem builds its rows now, and its side-by-side operators
+        # on first use; after this nothing is validated or compressed again
         for problem in (prob, *fresh.values()):
-            assert len(problem._rows) == 3
+            dim, k = problem.dim, problem.n_constraints
+            assert len(problem._rows) == 2 and problem._cols.shape == (dim, dim * k)
         monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
         monkeypatch.setattr(symmetry, "compress", None)
+        monkeypatch.setattr(symmetry, "coordinates", None)
         for k in range(13):
             sub, ref = prob.leading(k), fresh[k]
             assert same_pairs(sub.measured, ref.measured) and sub.n_constraints == k
             assert np.array_equal(sub._targets, ref._targets)
             assert np.array_equal(sub.variances, ref.variances)
             assert not sub.variances.flags.writeable
-            for got, parent in zip(sub._rows, prob._rows):
+            for got, parent in zip((*sub._rows, sub._cols), (*prob._rows, prob._cols)):
                 assert np.shares_memory(got, parent) or k == 0
-            if k == 1 and symmetry_kind != "none":
-                continue
-            for got, want in zip(sub._rows, ref._rows):
+            for got, want in zip((*sub._rows, sub._cols), (*ref._rows, ref._cols)):
                 assert np.array_equal(got, want)
             got, want = solve(sub), solve(ref)
             assert got.stop_reason == want.stop_reason == "tolerance"
@@ -1029,7 +1029,7 @@ class TestLeading:
         prob, *_ = leading_problem("permutation_n4_sic", rng)
         twice, once = prob.leading(20).leading(7), prob.leading(7)
         assert twice.measured == once.measured
-        for got, want in zip(twice._rows, once._rows):
+        for got, want in zip((*twice._rows, twice._cols), (*once._rows, once._cols)):
             assert np.array_equal(got, want)
         assert np.array_equal(solve(twice).lambdas, solve(once).lambdas)
 
@@ -1039,6 +1039,106 @@ class TestLeading:
         assert len(prob.measured) == 34
         with pytest.raises(ValueError, match=r"k must be in \[0, 34\]"):
             prob.leading(k)
+
+
+def canonical_problem(observable_kind, kind, n):
+    """The sweep's canonical problem, (problem, candidates): zero targets on
+    every canonical observable, compressed in chunks from their coordinates
+    under a symmetry and on the observables themselves under "none"."""
+    candidates = canonical_set(observable_kind, n)
+    if kind == "none":
+        return MaxEntProblem._zero_targets(candidates), candidates
+    coords, _ = symmetry.coordinates(candidates, kind, n)
+    return symmetry.coordinate_problem(coords, kind, n), candidates
+
+
+TAKE_SHAPES = [(obs, kind, n) for kind in ("none", "permutation", "werner") for n in (2, 3, 4)
+               for obs in ("sic", "pauli")]
+
+
+class TestTake:
+    @pytest.mark.parametrize("observable_kind, kind, n", TAKE_SHAPES)
+    def test_gathers_the_compressed_problem_of_its_operators(self, observable_kind, kind, n):
+        # the gathered rows, targets, variances and log weights are those of
+        # compressed_problem on the same operators in the same order, bit for
+        # bit, from empty and single-index gathers up to the whole set
+        rng = np.random.default_rng([20261021, TAKE_SHAPES.index((observable_kind, kind, n))])
+        zero, candidates = canonical_problem(observable_kind, kind, n)
+        size = len(candidates)
+        targets, variances = rng.uniform(-1, 1, size), rng.uniform(0, 1e-3, size)
+        source = zero.with_targets(targets, variances)
+        for count in sorted({0, 1, 2, min(17, size), size}):
+            idx = rng.permutation(size)[:count].tolist()
+            got = source.take(idx)
+            measured = tuple((candidates[i], targets[i]) for i in idx)
+            want = compressed_problem(measured, kind, n, variances[idx])
+            assert got.n_constraints == count
+            assert same_pairs(got.measured, want.measured)
+            for a, b in zip((*got._rows, got._cols), (*want._rows, want._cols)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(got._targets, want._targets)
+            assert np.array_equal(got.variances, want.variances)
+            assert got.log_weights is source.log_weights
+            assert np.array_equal(got.log_weights, want.log_weights)
+            for k in sorted({0, min(1, count), count // 2, count}):
+                sub = got.leading(k)
+                ref = compressed_problem(measured[:k], kind, n, variances[idx][:k])
+                for a, b in zip((*sub._rows, sub._cols), (*ref._rows, ref._cols)):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(sub._targets, ref._targets)
+                assert np.array_equal(sub.variances, ref.variances)
+
+    @pytest.mark.parametrize("kind", ["none", "permutation", "werner"])
+    def test_solves_like_the_compressed_problem(self, kind):
+        # a shuffled state's gather solves bit for bit like a problem built
+        # afresh on its operators, on every leading slice
+        rng = np.random.default_rng([20261022, len(kind)])
+        zero, candidates = canonical_problem("sic", kind, 3)
+        rho = states.sample("werner", 3, rng, 0.0, 1)
+        idx = rng.permutation(len(candidates))[:6].tolist()
+        targets = [expectation(rho, candidates[i]) for i in idx]
+        got = zero.take(idx).with_targets(targets)
+        want = compressed_problem(tuple(zip(candidates[idx], targets)), kind, 3)
+        for k in range(7):
+            a, b = solve(got.leading(k)), solve(want.leading(k))
+            assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
+            assert np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.rho, b.rho)
+
+    def test_gather_is_read_only_and_checks_nothing(self, monkeypatch):
+        # the gather copies validated rows: no operator is checked again,
+        # and nothing it returns can be written
+        zero, _ = canonical_problem("sic", "permutation", 4)
+        source = zero.with_targets(np.linspace(-0.5, 0.5, 255), np.full(255, 1e-4))
+        calls = []
+
+        def spy(m, what):
+            calls.append(what)
+            return linalg.hermitian(m, what)
+
+        monkeypatch.setattr(linalg, "hermitian", spy)
+        monkeypatch.setattr(maxent, "hermitian", spy)
+        got = source.take([200, 3, 41, 7])
+        assert calls == []
+        for arr in (*got._rows, got._cols, got._targets, got.variances, got.log_weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[..., 0] = 0.0
+        assert not any(np.shares_memory(a, b) for a, b in zip(got._rows, source._rows))
+        assert np.array_equal(got._targets, source._targets[[200, 3, 41, 7]])
+        assert all(a is b for (a, _), (b, _) in zip(got.measured,
+                                                   [source.measured[i] for i in (200, 3, 41, 7)]))
+
+    @pytest.mark.parametrize("indices, match", [
+        ([0, 255], r"indices must be in \[0, 255\)"),
+        ([-1], r"indices must be in \[0, 255\)"),
+        ([[0, 1]], "one sequence of integers"),
+        ([0.0, 1.0], "one sequence of integers"),
+        ([True, False], "one sequence of integers"),
+    ])
+    def test_rejects_indices_outside_the_problem(self, indices, match):
+        zero, _ = canonical_problem("sic", "permutation", 4)
+        with pytest.raises(ValueError, match=match):
+            zero.take(indices)
 
 
 def noisy_measured(rng, n_ops=10, sigma=0.05, symmetry_kind="none"):
@@ -1076,6 +1176,7 @@ class TestWithTargets:
         )
         monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
         monkeypatch.setattr(symmetry, "compress", None)
+        monkeypatch.setattr(symmetry, "coordinates", None)
         got = source.with_targets(targets, variances)
         assert same_pairs(got.measured, fresh.measured)
         assert all(a is b for (a, _), (b, _) in zip(got.measured, source.measured))
