@@ -55,8 +55,8 @@ A worker process computes once what depends only on (observable_kind,
 n_qubits, symmetry) and shares it between the states it sweeps
 (``_observable_context``): the canonical observable set; under permutation
 symmetry, each observable's permutation orbit; under werner symmetry, the
-commutant coordinates of every canonical observable
-(``symmetry.coordinates``), on which a state runs the greedy test of
+commutant coordinates (``symmetry.coordinates``) and the norm of every
+canonical observable, on whose rows a state runs the greedy test of
 ``symmetry.independent_projections`` in its own order; and the canonical
 problem, one zero-target problem on all 4^n - 1 canonical observables,
 compressed from their coordinates under a symmetry
@@ -75,7 +75,9 @@ operators and checks only the new data). An unshuffled sweep builds its
 one order once per worker; a shuffled state gathers its own. Each state
 still samples its target, shuffles, draws and inverts its counts, and
 solves. The shared values are what each state would compute itself, bit
-for bit, so they change no result.
+for bit, so they change no result. (A lone kept operator is the one
+exception: ``compressed_problem`` on it alone takes BLAS's matrix-vector
+path, which rounds its row differently from the gathered one.)
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ class _MeasuredOrder(NamedTuple):
     from the canonical problem (``MaxEntProblem.take``), which each state
     re-targets with its own data. Its rows are those that
     ``symmetry.compressed_problem`` builds on the same operators, bit for
-    bit."""
+    bit, when there are two or more."""
 
     kept: tuple[int, ...]
     modes: measurement.Modes | None
@@ -242,12 +244,23 @@ class _ObservableContext:
         return orbits
 
     @functools.cached_property
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (coordinates, norms) of the canonical set under the
-        declared symmetry (``symmetry.coordinates``): each observable's
-        commutant coordinates and its Hilbert-Schmidt norm, whose rows the
-        werner filter reads and from which ``problem`` is compressed."""
+    def coordinates(self) -> np.ndarray:
+        """The read-only commutant coordinates of the canonical set under the
+        declared symmetry (``symmetry.coordinates``), whose rows the werner
+        filter reads and from which ``problem`` is compressed."""
         return symmetry.coordinates(self.candidates, self.symmetry, self.n_qubits)
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """The read-only Hilbert-Schmidt norm of each canonical observable,
+        against which the werner filter measures a residual: taken
+        ``symmetry.CHUNK`` observables at a time, as a norm of the whole set
+        would square all of it into one temporary of its size."""
+        flat = self.candidates.reshape(len(self.candidates), -1)
+        norms = np.concatenate([np.linalg.norm(flat[i : i + symmetry.CHUNK], axis=1)
+                                for i in range(0, len(flat), symmetry.CHUNK)])
+        norms.setflags(write=False)
+        return norms
 
     @functools.cached_property
     def problem(self) -> MaxEntProblem:
@@ -263,9 +276,9 @@ class _ObservableContext:
         # the werner filter reads the coordinates on every state; under
         # permutation symmetry they serve this build alone and are not held
         if self.symmetry == "werner":
-            coords, _ = self.coordinates
+            coords = self.coordinates
         else:
-            coords, _ = symmetry.coordinates(self.candidates, self.symmetry, self.n_qubits)
+            coords = symmetry.coordinates(self.candidates, self.symmetry, self.n_qubits)
         return symmetry.coordinate_problem(coords, self.symmetry, self.n_qubits)
 
     def independent(self, order) -> tuple[int, ...]:
@@ -278,15 +291,14 @@ class _ObservableContext:
         for every qubit permutation s, so an orbit's members share one
         projection, and symmetrised products of a local basis are linearly
         independent. Under werner symmetry it is the same greedy test on the
-        rows of ``coordinates`` in that order, which are the rows that call
-        computes, bit for bit."""
+        rows of ``coordinates`` and ``norms`` in that order, which are the
+        rows that call computes, bit for bit."""
         order = list(order)
         if self.symmetry == "permutation":
             _, first = np.unique(self.orbits[order], return_index=True)
             kept = np.sort(first)
         else:
-            coords, norms = self.coordinates
-            kept = linalg.independent_rows(coords[order], norms[order])
+            kept = linalg.independent_rows(self.coordinates[order], self.norms[order])
         return tuple(order[i] for i in kept)
 
     def measured(self, order, count: int, noisy: bool) -> _MeasuredOrder:

@@ -335,9 +335,7 @@ def compress(stack, kind: str, n_qubits: int) -> np.ndarray:
     K = 0 included, on one copy of each block: its ``commutant_basis``
     coordinates placed on the blocks and divided by sqrt(copies). The
     (K, c, c) result is exactly Hermitian and exactly zero off the blocks."""
-    stack = np.asarray(stack)
-    k, dim = len(stack), 2**n_qubits
-    return _on_blocks(_coordinates(stack.reshape(k, dim * dim), kind, n_qubits), kind, n_qubits)
+    return _on_blocks(coordinates(stack, kind, n_qubits), kind, n_qubits)
 
 
 def _on_blocks(coords: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
@@ -349,31 +347,28 @@ def _on_blocks(coords: np.ndarray, kind: str, n_qubits: int) -> np.ndarray:
     return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
-def coordinates(stack, kind: str, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (coordinates, norms) of the operators of a (N, 2^n, 2^n)
-    stack: one row per operator of its commutant projection's
-    ``commutant_basis`` coordinates, and its Hilbert-Schmidt norm.
+def coordinates(stack, kind: str, n_qubits: int) -> np.ndarray:
+    """Read-only coordinates of the operators of a (N, 2^n, 2^n) stack: one
+    row per operator of its commutant projection's ``commutant_basis``
+    coordinates.
 
     The stack is read ``CHUNK`` operators at a time, through views, so no
-    copy of it is made and each pass's temporaries stay small. A row does
-    not depend on the pass it is computed in: BLAS rounds each row of a
-    matrix product of two or more rows alike, while a one-row product takes
-    its matrix-vector path, which rounds differently, so a pass of one
-    operator is computed as a pass of two. Rows gathered from a whole set
-    therefore equal the rows of the gathered operators, bit for bit."""
+    copy of it is made and each pass's temporaries stay small. BLAS rounds
+    each row of a matrix product of two or more rows alike, so a last pass
+    of one row joins the pass before it: the rows of N >= 2 operators equal
+    those of one product on all of them. A lone operator's product takes
+    BLAS's matrix-vector path, which rounds differently."""
     stack = np.asarray(stack)
     n, dim = len(stack), 2**n_qubits
     flat = stack.reshape(n, dim * dim)
     coords = np.empty((n, len(commutant_basis(kind, n_qubits))), dtype=complex)
-    norms = np.empty(n)
-    for start in range(0, n, CHUNK):
-        part = flat[start : start + CHUNK]
-        pair = part if len(part) > 1 else np.concatenate([part, part])
-        coords[start : start + len(part)] = _coordinates(pair, kind, n_qubits)[: len(part)]
-        norms[start : start + len(part)] = np.linalg.norm(part, axis=1)
+    start = 0
+    while start < n:
+        stop = n if n - start <= CHUNK + 1 else start + CHUNK
+        coords[start:stop] = _coordinates(flat[start:stop], kind, n_qubits)
+        start = stop
     coords.setflags(write=False)
-    norms.setflags(write=False)
-    return coords, norms
+    return coords
 
 
 def expand(rho_c, kind: str, n_qubits: int) -> np.ndarray:
@@ -391,13 +386,12 @@ def compressed_problem(measured, kind: str, n_qubits: int, variances=None) -> Ma
     else the ``compress``ed operators with log m as log weights, whose Gibbs
     state rho' = M rho_c gives each Tr(A rho) = Tr(M A_c rho_c) as Tr(A_c
     rho'). Rejects a kind the blocks cannot serve. Its operators are those
-    of ``coordinate_problem`` on the pairs' ``coordinates``, so they do not
-    depend on which other operators are compressed with them."""
+    of ``coordinate_problem`` on the pairs' ``coordinates``."""
     dim = 2**n_qubits
     if kind == "none":
         return MaxEntProblem(measured, (), dim, variances)
     measured = tuple(measured)
-    coords, _ = coordinates(linalg.stack([op for op, _ in measured], dim), kind, n_qubits)
+    coords = coordinates(linalg.stack([op for op, _ in measured], dim), kind, n_qubits)
     problem = coordinate_problem(coords, kind, n_qubits)
     return problem.with_targets([t for _, t in measured], variances)
 
