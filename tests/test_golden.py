@@ -1,10 +1,14 @@
-"""Golden sweep records: every record of three benchmark-shaped sweeps,
-compared exactly with the values committed in ``golden_records.json``.
+"""Golden sweep records: every record of three benchmark-shaped sweeps and
+one werner sweep, compared exactly with the values committed in
+``golden_records.json``.
 
-The sweeps have the shapes of the benchmark workloads (SIC observables on
+Three sweeps have the shapes of the benchmark workloads (SIC observables on
 Haar-random pure states without symmetry; on mixed permutation-invariant
 four-qubit states; and photon-model counts on permutation-invariant pure
-states), ten states each at one fixed seed. Each record is kept as
+states). The fourth measures finite-sample SIC data on four-qubit Werner
+states under werner symmetry, in a shuffled order per state, so each state
+filters its own order numerically and gathers its own rows. Each runs ten
+states at one fixed seed. Each record is kept as
 ``[state_id, r, fidelity.hex(), converged, iterations]``, so any change in
 the sweep's numbers, at any digit, fails here with a report of what moved.
 
@@ -56,6 +60,20 @@ CONFIGS = {
         r_values=(63,),
         noise=NoiseConfig(mode="photon_model", mu=0.18, lambda_dc=2e-4, trials=10_000),
         solver=SolverOptions(tolerance=1e-10, max_iterations=400),
+        batch_size=N_STATES,
+        seed=SEED,
+    ),
+    "shuffled_werner": ExperimentConfig(
+        n_qubits=4,
+        observable_kind="sic",
+        symmetry="werner",
+        state_family="werner",
+        # the werner filter keeps 14 SIC projections at four qubits; r = 20
+        # measures all of them
+        r_values=(2, 4, 7, 10, 13, 20),
+        noise=NoiseConfig(mode="finite_sample", trials=10_000),
+        solver=SolverOptions(tolerance=1e-12, max_iterations=400),
+        shuffle_observables=True,
         batch_size=N_STATES,
         seed=SEED,
     ),
