@@ -18,8 +18,8 @@ stream in mode order and inverts all counts with array operations
 Solve one maximum-entropy problem on them under the symmetry (the problem
 ``symmetry.compressed_problem`` builds on them, bit for bit: it constrains
 their commutant projections, on the irrep blocks; a worker builds it once
-for every canonical observable and each measured order gathers its rows,
-below) that carries the variances (so a noisy target may miss by about its
+for every canonical observable and each measured order gathers its
+operators, below) that carries the variances (so a noisy target may miss by about its
 standard deviation). At each distinct
 k = min(r, survivors) solve its leading slice on the first k
 (``MaxEntProblem.leading``) once, and record the fidelity of its full-space
@@ -66,9 +66,9 @@ filtering, max(r) and whether the data are noisy) is built once, whole,
 and held until another order replaces it (``_ObservableContext.measured``):
 the indices the filter kept from it and the state measures, for noisy
 data their modes (one ``measurement.projector_modes`` call on their stack)
-and the canonical problem's rows at those indices, in that order
-(``MaxEntProblem.take``: a gather of rows that were validated once, which
-compresses and checks nothing again). Every state, the one that built its
+and the canonical problem's operators at those indices, in that order
+(``MaxEntProblem.take``: a gather from one stack that was validated once,
+which compresses and checks nothing again). Every state, the one that built its
 order or a later one, shuffled or not, solves that problem with its own
 targets and variances (``MaxEntProblem.with_targets``, which shares the
 operators and checks only the new data). An unshuffled sweep builds its
@@ -77,7 +77,7 @@ still samples its target, shuffles, draws and inverts its counts, and
 solves. The shared values are what each state would compute itself, bit
 for bit, so they change no result. (A lone kept operator is the one
 exception: ``compressed_problem`` on it alone takes BLAS's matrix-vector
-path, which rounds its row differently from the gathered one.)
+path, which rounds it differently from the gathered one.)
 """
 
 from __future__ import annotations
@@ -215,9 +215,9 @@ class _MeasuredOrder(NamedTuple):
     that its symmetry filter keeps; for noisy data their read-only modes,
     else None; and the zero-target problem on their operators, gathered
     from the canonical problem (``MaxEntProblem.take``), which each state
-    re-targets with its own data. Its rows are those that
-    ``symmetry.compressed_problem`` builds on the same operators, bit for
-    bit, when there are two or more."""
+    re-targets with its own data. Its operators are those that
+    ``symmetry.compressed_problem`` stacks from the same observables, bit
+    for bit, when there are two or more."""
 
     kept: tuple[int, ...]
     modes: measurement.Modes | None
@@ -269,8 +269,8 @@ class _ObservableContext:
         from the canonical set's coordinates, ``symmetry.CHUNK`` rows at a
         time and with no copy of the set (``symmetry.coordinate_problem``);
         under ``"none"`` its operators are the observables themselves, which
-        ``canonical_set`` checked. A measured order gathers its rows from it
-        (``MaxEntProblem.take``)."""
+        ``canonical_set`` checked. A measured order gathers its operators
+        from it (``MaxEntProblem.take``)."""
         if self.symmetry == "none":
             return MaxEntProblem._zero_targets(self.candidates)
         # the werner filter reads the coordinates on every state; under
@@ -337,7 +337,7 @@ def _observable_context(kind: str, n_qubits: int, symmetry_kind: str) -> _Observ
     commutant coordinates, on whose rows a state runs the greedy
     independence test in its own order; and on the first state, the
     canonical problem (``_ObservableContext.problem``), compressed and
-    checked once, from which every measured order gathers its rows. The
+    checked once, from which every measured order gathers its operators. The
     last measured order swept is held whole, with its modes and its problem
     (``_ObservableContext.measured``). Each state still samples its target,
     draws its shuffle and its counts, estimates, solves and scores.

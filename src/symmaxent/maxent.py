@@ -41,14 +41,14 @@ lambda_i A_i + diag(w)) / Z, give the Gibbs form of minimum relative entropy
 with prior diag(e^w) (Csiszar, Ann. Probab. 3, 146 (1975)); with them the
 entropy S below is minus that relative entropy.
 
-A problem stacks and validates its operators, and builds the arrays the
-solver derives from them, once, for every solve and kernel call on it. A
-sweep worker builds one problem with zero targets on every observable it
-may measure; a measured order gathers its rows (``MaxEntProblem.take``),
-and every state that measures that order solves it with its own targets
-(``MaxEntProblem.with_targets``), on its leading slices on the first r
-constraints (``MaxEntProblem.leading``), whose operators are its rows.
-None of these checks an operator again.
+A problem is one read-only (K, dim, dim) stack of operators, validated
+once, with K targets and K variances; the arrays the solver derives from
+it serve every solve and kernel call on it. A sweep worker builds one problem with zero targets on every observable it
+may measure; a measured order gathers its operators
+(``MaxEntProblem.take``), and every state that measures that order solves
+it with its own targets (``MaxEntProblem.with_targets``), on its leading
+slices on the first r constraints (``MaxEntProblem.leading``), whose
+operators are views of its stack. None of these checks an operator again.
 
 The multipliers minimise the variance-regularised dual
 
@@ -119,116 +119,119 @@ HALVINGS = 30
 DUAL_ROUNDING = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MaxEntProblem:
-    """Measured observables with targets, on a space of dimension ``dim``.
+    """Constraints Tr(A_i rho) = a_i on a space of dimension ``dim``, held
+    once as read-only arrays: the (K, dim, dim) stack ``operators``, exactly
+    Hermitian; their ``targets`` a_i; and their ``variances``.
 
-    Each measured operator is a dim x dim array.
-    ``auxiliary`` observables are constraints with target zero. They are
-    appended to ``measured`` as zero-target rows when the problem is built,
-    so a problem has one constraint list.
+    The constructor takes ``measured`` (operator, target) pairs, each
+    operator a dim x dim array. ``auxiliary`` observables are constraints
+    with target zero, stacked after the measured operators, so a problem
+    has one stack of constraints. The stack is checked once with
+    ``linalg.hermitian`` and replaced by its Hermitian part.
 
     ``variances`` holds the variance of each measured target (zeros when
     None, for exact data; auxiliary rows are exact). They regularise the
     dual the solve minimises (see the module docstring), so that a target
-    may miss by about its standard deviation.
-
-    ``log_weights`` (dim reals, or None) are added to the diagonal of the
-    exponent: the Gibbs form relative to the prior diag(e^w).
+    may miss by about its standard deviation. ``log_weights`` (dim reals,
+    or None) are added to the diagonal of the exponent: the Gibbs form
+    relative to the prior diag(e^w).
     """
 
-    measured: tuple[tuple[np.ndarray, float], ...]
-    auxiliary: InitVar[tuple[np.ndarray, ...]]
-    dim: int
-    variances: np.ndarray | None = None
-    log_weights: np.ndarray | None = None
+    operators: np.ndarray
+    targets: np.ndarray
+    variances: np.ndarray
+    log_weights: np.ndarray | None
 
-    def __post_init__(self, auxiliary):
-        dim = self.dim
+    def __init__(self, measured, auxiliary, dim, variances=None, log_weights=None):
+        _check_integer(dim, "dim")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        zero_rows = tuple((op, 0.0) for op in auxiliary)
-        targets, variances = _checked_data(
-            [t for _, t in self.measured], self.variances, len(self.measured)
-        )
-        # auxiliary rows are exact zero targets
-        n_zero = len(zero_rows)
-        targets, variances = (np.concatenate([x, np.zeros(n_zero)]) for x in (targets, variances))
-        variances.setflags(write=False)
-        object.__setattr__(self, "variances", variances)
-        measured = tuple((op, float(t)) for op, t in self.measured) + zero_rows
-        object.__setattr__(self, "measured", measured)
-        if self.log_weights is not None:
-            w = np.array(self.log_weights, dtype=float)
-            if w.shape != (dim,) or not np.all(np.isfinite(w)):
-                raise ValueError(f"log_weights must be {dim} finite numbers")
-            w.setflags(write=False)
-            object.__setattr__(self, "log_weights", w)
+        targets, variances = _checked_data([t for _, t in measured], variances, len(measured))
         # one stack, checked at once and replaced by its Hermitian part
-        a = hermitian(stack([op for op, _ in measured], dim), "measured observables")
-        object.__setattr__(self, "_targets", targets)
-        object.__setattr__(self, "_rows", _solver_rows(a))
-        # the index pairs a <= b of the upper triangle, for the
-        # susceptibility, with sqrt(c): c = 1 on the diagonal and 2 off it
-        a, b = np.triu_indices(dim)
-        object.__setattr__(self, "_pairs", (a, b, np.where(a == b, 1.0, math.sqrt(2.0))))
+        a = hermitian(stack([op for op, _ in measured] + list(auxiliary), dim),
+                      "measured observables")
+        # auxiliary rows are exact zero targets
+        zeros = np.zeros(len(a) - len(targets))
+        self._build(a, np.concatenate([targets, zeros]), np.concatenate([variances, zeros]),
+                    log_weights)
 
     @classmethod
     def _zero_targets(cls, a: np.ndarray, log_weights=None) -> MaxEntProblem:
         """The problem with zero targets on the (K, dim, dim) stack ``a``,
         which must be ``hermitian``'s output or be made of its outputs:
         read-only, checked and exactly Hermitian. It is neither copied nor
-        checked again; the problem's operators are views of it. So a whole
+        checked again; the problem's operators are this stack. So a whole
         set of observables, checked once, becomes a problem to gather from
         (``take``) with no second copy of it."""
+        problem = cls.__new__(cls)
         zeros = np.zeros(len(a))
-        zeros.setflags(write=False)
-        return cls((), (), a.shape[-1], None, log_weights)._replace(
-            measured=tuple((op, 0.0) for op in a), variances=zeros, _targets=zeros,
-            _rows=_solver_rows(a),
+        problem._build(a, zeros, zeros, log_weights)
+        return problem
+
+    def _build(self, operators, targets, variances, log_weights) -> None:
+        """Sets every field of a new problem from checked operators, targets
+        and variances, and from ``log_weights``, checked here; its arrays
+        read-only. Its copies share the index pairs built here."""
+        dim = operators.shape[-1]
+        if log_weights is not None:
+            log_weights = np.array(log_weights, dtype=float)
+            if log_weights.shape != (dim,) or not np.all(np.isfinite(log_weights)):
+                raise ValueError(f"log_weights must be {dim} finite numbers")
+            log_weights.setflags(write=False)
+        for arr in (targets, variances):
+            arr.setflags(write=False)
+        # the index pairs a <= b of the upper triangle, for the
+        # susceptibility, with sqrt(c): c = 1 on the diagonal and 2 off it
+        a, b = np.triu_indices(dim)
+        # a frozen dataclass: its fields are set through the instance dict
+        self.__dict__.update(
+            operators=operators, targets=targets, variances=variances, log_weights=log_weights,
+            _rows=_solver_rows(operators), _pairs=(a, b, np.where(a == b, 1.0, math.sqrt(2.0))),
         )
 
     @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
+
+    @property
     def n_constraints(self) -> int:
-        return len(self.measured)
+        return len(self.targets)
 
     @functools.cached_property
     def _cols(self) -> np.ndarray:
         """The operators side by side (``_side_by_side``), for the
         susceptibility; built on first use, so a problem that is only
         gathered from (``take``) holds no second copy of its operators."""
-        return _side_by_side(self._rows[0], self.dim)
+        return _side_by_side(self.operators)
 
     def leading(self, k: int) -> MaxEntProblem:
         """The problem on the first ``k`` constraints, sliced from this one.
 
-        Its measured pairs, targets, variances and solver rows (the
-        operators) are the first k of this problem's, views where they are
-        arrays; they were validated when this problem was built and are not
-        checked again. So a sweep builds the stack of its longest prefix
-        once, and each sweep point costs only the slicing."""
+        Its operators, targets, variances and solver arrays are views of the
+        first k of this problem's; they were validated when this problem
+        was built and are not checked again. So a sweep builds the stack of
+        its longest prefix once, and each sweep point costs only the
+        slicing."""
+        _check_integer(k, "k")
         if not 0 <= k <= self.n_constraints:
             raise ValueError(f"k must be in [0, {self.n_constraints}], got {k}")
         flat, real = self._rows
-        return self._replace(
-            measured=self.measured[:k],
-            variances=self.variances[:k],
-            _targets=self._targets[:k],
-            _rows=(flat[:k], real[:k]),
-            _cols=self._cols[:, : k * self.dim],
-        )
+        return self._replace(operators=self.operators[:k], targets=self.targets[:k],
+                             variances=self.variances[:k], _rows=(flat[:k], real[:k]),
+                             _cols=self._cols[:, : k * self.dim])
 
     def take(self, indices) -> MaxEntProblem:
         """The problem on the constraints ``indices`` of this one, in that
         order: the gather sibling of ``leading``.
 
-        Its measured pairs, targets, variances and solver rows (the
-        operators) are this problem's at ``indices``, gathered into new
-        read-only arrays, and it shares this problem's log weights; they
-        were validated when this problem was built and are not checked
-        again. So a sweep builds and checks the problem of every observable
-        it may measure once, and a state that measures a subset of them in
-        its own order pays one row gather."""
+        Its operators, targets and variances are this problem's at
+        ``indices``, gathered into new read-only arrays, and it shares this
+        problem's log weights; they were validated when this problem was
+        built and are not checked again. So a sweep builds and checks the
+        problem of every observable it may measure once, and a state that
+        measures a subset of them in its own order pays one gather."""
         idx = np.asarray(indices)
         if idx.size == 0:
             idx = idx.astype(np.intp)
@@ -237,44 +240,31 @@ class MaxEntProblem:
             raise ValueError(f"indices must be one sequence of integers, got {indices!r}")
         if idx.size and not (0 <= idx.min() and idx.max() < n):
             raise ValueError(f"indices must be in [0, {n}), got {indices!r}")
-        gathered = self._rows[0][idx], self.variances[idx], self._targets[idx]
+        gathered = self.operators[idx], self.targets[idx], self.variances[idx]
         for arr in gathered:
             arr.setflags(write=False)
-        flat, variances, targets = gathered
+        operators, targets, variances = gathered
         # the columns are built here, so that every re-targeted copy shares them
-        return self._replace(
-            measured=tuple(self.measured[i] for i in idx.tolist()),
-            variances=variances,
-            _targets=targets,
-            _rows=_solver_rows(flat),
-            _cols=_side_by_side(flat, self.dim),
-        )
+        return self._replace(operators=operators, targets=targets, variances=variances,
+                             _rows=_solver_rows(operators), _cols=_side_by_side(operators))
 
     def with_targets(self, targets, variances=None) -> MaxEntProblem:
         """The problem on this one's operators with new ``targets`` and
         their ``variances`` (zeros when None), one of each per constraint.
 
-        Like ``leading``, it shares this problem's solver rows (the
-        operators) and log weights, which were validated when this problem
-        was built and are not checked again; only the new targets and
-        variances are, as the constructor checks them. So a sweep that
-        measures one order of observables on every state builds their
-        operators once."""
+        Like ``leading``, it shares this problem's operators, solver arrays
+        and log weights, which were validated when this problem was built
+        and are not checked again; only the new targets and variances are,
+        as the constructor checks them. So a sweep that measures one order
+        of observables on every state builds their operators once."""
         targets, variances = _checked_data(targets, variances, self.n_constraints)
-        variances.setflags(write=False)
-        ops = (op for op, _ in self.measured)
-        return self._replace(
-            measured=tuple(zip(ops, targets.tolist())), variances=variances, _targets=targets
-        )
+        return self._replace(targets=targets, variances=variances)
 
     def _replace(self, **fields) -> MaxEntProblem:
         """A shallow copy of this problem with ``fields`` set, unchecked;
-        one with other solver rows builds its own ``_cols``, unless given."""
+        other ``operators`` come with their ``_rows`` and ``_cols``."""
         sub = copy.copy(self)
-        if "_rows" in fields:
-            sub.__dict__.pop("_cols", None)
-        for name, value in fields.items():
-            object.__setattr__(sub, name, value)
+        sub.__dict__.update(fields)
         return sub
 
     def _gibbs(self, lambdas: np.ndarray):
@@ -303,8 +293,8 @@ class MaxEntProblem:
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
         sigma_lambda = self.variances * lambdas
-        r = g - self._targets + sigma_lambda
-        dual = float(state[5] - lambdas @ (self._targets - 0.5 * sigma_lambda))
+        r = g - self.targets + sigma_lambda
+        dual = float(state[5] - lambdas @ (self.targets - 0.5 * sigma_lambda))
         return float(r @ r), g, r, state, dual
 
     def _susceptibility(self, g: np.ndarray, state) -> np.ndarray:
@@ -349,14 +339,13 @@ class SolverOptions:
     step_rule: InitVar[str] = "newton"
 
     def __post_init__(self, step_rule):
-        # bool is an int subclass: True must not pass as a budget of 1
+        # bool is an int subclass: True must not pass as a tolerance of 1
         tol, budget = self.tolerance, self.max_iterations
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
             raise ValueError(f"tolerance must be a number, got {tol!r}")
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {budget!r}")
+        _check_integer(budget, "max_iterations")
         if budget < 1:
             raise ValueError("max_iterations must be >= 1")
         if step_rule != "newton":
@@ -390,28 +379,34 @@ class MaxEntSolution:
         return self.stop_reason == "tolerance"
 
 
+def _check_integer(value, name: str) -> None:
+    """Rejects a ``value`` that is not an integer, True included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _solver_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The operators of a checked (K, dim, dim) stack, or of its (K, dim^2)
-    rows, as (K, dim^2) rows, for the exponent, and the same rows viewed as
-    real, for the expectations, since Tr(A rho) = sum_ij conj(A_ij) rho_ij
-    is one real dot for Hermitian A."""
-    flat = a if a.ndim == 2 else a.reshape(len(a), a.shape[1] * a.shape[2])
+    """The operators of a checked (K, dim, dim) stack as (K, dim^2) rows,
+    for the exponent, and the same rows viewed as real, for the
+    expectations, since Tr(A rho) = sum_ij conj(A_ij) rho_ij is one real dot
+    for Hermitian A."""
+    flat = a.reshape(len(a), a.shape[1] * a.shape[2])
     return flat, flat.view(float)
 
 
-def _side_by_side(flat: np.ndarray, dim: int) -> np.ndarray:
-    """The operators of (K, dim^2) rows placed side by side, read-only:
-    cols[:, k*dim:(k+1)*dim] = A_k, so that one GEMM applies v^H to all of
-    them."""
-    cols = flat.reshape(len(flat), dim, dim).transpose(1, 0, 2).reshape(dim, len(flat) * dim)
+def _side_by_side(a: np.ndarray) -> np.ndarray:
+    """The operators of a (K, dim, dim) stack placed side by side,
+    read-only: cols[:, k*dim:(k+1)*dim] = A_k, so that one GEMM applies v^H
+    to all of them."""
+    cols = a.transpose(1, 0, 2).reshape(a.shape[1], len(a) * a.shape[2])
     cols.setflags(write=False)
     return cols
 
 
 def _checked_data(targets, variances, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, variances) as new float arrays, the variances zeros when
-    None: ``n`` of each, the targets finite, the variances finite and
-    >= 0."""
+    """(targets, variances) as new read-only float arrays, the variances
+    zeros when None: ``n`` of each, the targets finite, the variances finite
+    and >= 0."""
     targets = np.array(targets, dtype=float)
     if targets.shape != (n,):
         raise ValueError(f"expected {n} targets, got shape {targets.shape}")
@@ -422,6 +417,8 @@ def _checked_data(targets, variances, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected {n} variances, got shape {variances.shape}")
     if not (np.all(np.isfinite(variances)) and np.all(variances >= 0.0)):
         raise ValueError("variances must be finite and >= 0")
+    for arr in (targets, variances):
+        arr.setflags(write=False)
     return targets, variances
 
 

@@ -385,14 +385,15 @@ def compressed_problem(measured, kind: str, n_qubits: int, variances=None) -> Ma
     ``kind`` (see the module docstring): the plain problem for ``"none"``,
     else the ``compress``ed operators with log m as log weights, whose Gibbs
     state rho' = M rho_c gives each Tr(A rho) = Tr(M A_c rho_c) as Tr(A_c
-    rho'). Rejects a kind the blocks cannot serve. Its operators are those
-    of ``coordinate_problem`` on the pairs' ``coordinates``."""
-    dim = 2**n_qubits
-    if kind == "none":
-        return MaxEntProblem(measured, (), dim, variances)
+    rho'). Rejects a kind the blocks cannot serve. The stacked operators
+    become a zero-target problem (``coordinate_problem`` on their
+    ``coordinates`` under a symmetry) that takes the targets and variances."""
     measured = tuple(measured)
-    coords = coordinates(linalg.stack([op for op, _ in measured], dim), kind, n_qubits)
-    problem = coordinate_problem(coords, kind, n_qubits)
+    ops = linalg.stack([op for op, _ in measured], 2**n_qubits)
+    if kind == "none":
+        problem = MaxEntProblem._zero_targets(linalg.hermitian(ops, "measured observables"))
+    else:
+        problem = coordinate_problem(coordinates(ops, kind, n_qubits), kind, n_qubits)
     return problem.with_targets([t for _, t in measured], variances)
 
 

@@ -408,12 +408,13 @@ class TestSweep:
         cfg = small_config(symmetry="werner", r_values=(2, 4, 30, 3), batch_size=1)
         for state_id in (0, 1):
             run_single_state(cfg, state_id)
-        assert len(gathered) == 1 and len(gathered[0].measured) == 5
-        assert not gathered[0]._targets.any()
+        assert len(gathered) == 1 and len(gathered[0].operators) == 5
+        assert not gathered[0].targets.any()
         assert [p.n_constraints for p in solved] == [2, 3, 4, 5] * 2
         for problem in solved:
-            ops = [op for op, _ in problem.measured]
-            assert all(op is ref for op, (ref, _) in zip(ops, gathered[0].measured))
+            k = problem.n_constraints
+            assert np.array_equal(problem.operators, gathered[0].operators[:k])
+            assert np.shares_memory(problem.operators, gathered[0].operators)
             for got, parent in zip((*problem._rows, problem._cols),
                                    (*gathered[0]._rows, gathered[0]._cols)):
                 assert np.shares_memory(got, parent)
@@ -424,8 +425,8 @@ class TestSweep:
         for state_id in (0, 1):
             rho = sample_target(cfg, state_id)
             own = [observables.expectation(rho, context.candidates[i]) for i in kept]
-            assert np.array_equal(solved[4 * state_id + 3]._targets, own)
-        assert not np.array_equal(solved[3]._targets, solved[7]._targets)
+            assert np.array_equal(solved[4 * state_id + 3].targets, own)
+        assert not np.array_equal(solved[3].targets, solved[7].targets)
 
     @pytest.mark.parametrize("cfg", ["sic_permutation", "pauli_none", "pauli_werner"])
     def test_records_match_per_observable_acquisition_and_per_r_solves(self, monkeypatch, cfg):
@@ -788,7 +789,7 @@ class TestObservableContext:
         problem = context.problem
         zero = tuple((op, 0.0) for op in context.candidates)
         want = symmetry.compressed_problem(zero, kind, 4)
-        assert problem.n_constraints == 255 and not problem._targets.any()
+        assert problem.n_constraints == 255 and not problem.targets.any()
         for got, ref in zip((*problem._rows, problem._cols), (*want._rows, want._cols)):
             assert np.array_equal(got, ref) and not got.flags.writeable
         assert np.array_equal(problem.log_weights, want.log_weights)

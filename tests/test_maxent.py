@@ -39,17 +39,10 @@ def problem_from_state(rho, ops, aux=()):
     return MaxEntProblem(measured, tuple(aux), rho.dim)
 
 
-def operator_stack(prob):
-    """(K, dim, dim) array of a problem's constraint operators, as given."""
-    return np.array([op for op, _ in prob.measured], dtype=complex)
-
-
-def same_pairs(x, y):
-    """Whether two measured tuples hold equal operators and targets."""
-    return len(x) == len(y) and all(
-        np.array_equal(a, b) and s == t
-        for (a, s), (b, t) in zip(x, y)
-    )
+def pairs(prob):
+    """A problem's constraints as (operator, target) pairs, for building
+    another problem from them with ``MaxEntProblem``."""
+    return tuple(zip(prob.operators, prob.targets))
 
 
 def _load_benchmark_workloads():
@@ -227,7 +220,7 @@ class TestSusceptibility:
             prob, ops, kind, n = block_problem(shape, rng)
         else:
             prob = susceptibility_problem(shape, rng)
-            ops, kind, n = [op for op, _ in prob.measured], "none", prob.dim.bit_length() - 1
+            ops, kind, n = list(prob.operators), "none", prob.dim.bit_length() - 1
         lam = rng.normal(0, 0.3, prob.n_constraints)
         step = 1e-5
 
@@ -303,7 +296,7 @@ def oracle_multipliers(prob, which, rng):
         return np.zeros(prob.n_constraints)
     lam = rng.normal(0, 0.5, prob.n_constraints)
     if which == "near_pure":
-        w = np.linalg.eigvalsh(np.tensordot(lam, operator_stack(prob), axes=1))
+        w = np.linalg.eigvalsh(np.tensordot(lam, prob.operators, axes=1))
         lam *= 2000.0 / (w[-1] - w[0])
     return lam
 
@@ -331,11 +324,11 @@ class TestSusceptibilityOracle:
         if which == "near_pure":
             assert np.any(phi == 0.0)
         c = prob._susceptibility(g, state)
-        ref = _reference_susceptibility(operator_stack(prob), g, state)
+        ref = _reference_susceptibility(prob.operators, g, state)
         assert np.array_equal(c, c.T)
         assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
         # expectations against Tr(A_k rho) taken the long way round
-        exact = np.einsum("kij,ji->k", operator_stack(prob), state[0]).real
+        exact = np.einsum("kij,ji->k", prob.operators, state[0]).real
         assert np.max(np.abs(g - exact)) <= 1e-14
 
     @pytest.mark.parametrize("which", ["random", "zero", "near_pure"])
@@ -354,7 +347,7 @@ class TestSusceptibilityOracle:
         monkeypatch.setattr(maxent.np.linalg, "eigh", spy)
         prob._gibbs(lam)
         assert len(seen) == 1
-        want = np.tensordot(lam, operator_stack(prob), axes=1)
+        want = np.tensordot(lam, prob.operators, axes=1)
         if prob.log_weights is not None:
             want[np.diag_indices(prob.dim)] += prob.log_weights
         assert np.array_equal(seen[0], want)
@@ -418,7 +411,7 @@ class TestSolve:
         prob = problem_from_state(rho, pauli_basis(2)[:6])
         sol = solve(prob)
         assert sol.converged
-        for (op, target) in prob.measured:
+        for op, target in zip(prob.operators, prob.targets):
             assert expectation(full_state(sol.rho, 2), op) == pytest.approx(target, abs=1e-5)
 
     def test_default_options_converge_near_pure(self):
@@ -552,14 +545,16 @@ class TestSolve:
         assert set(reasons) == {"tolerance"}
 
     def test_auxiliary_is_zero_target_measured_rows(self, rng):
-        # auxiliary operators are constraints with target zero, appended to
-        # the one constraint list: the solve cannot tell them apart
+        # auxiliary operators are constraints with target zero, stacked
+        # after the measured operators: the solve cannot tell them apart
         rho = states.random_permutation_invariant_mixed(3, rng)
         aux = build_symmetry("permutation", 3).auxiliary[:15]
         measured = tuple((op, expectation(rho, op)) for op in list(sic_povm(3))[:6])
         with_aux = MaxEntProblem(measured, auxiliary=aux, dim=8)
         as_rows = MaxEntProblem(measured + tuple((op, 0.0) for op in aux), (), 8)
-        assert with_aux.measured == as_rows.measured
+        assert np.array_equal(with_aux.operators, as_rows.operators)
+        assert np.array_equal(with_aux.targets, as_rows.targets)
+        assert np.array_equal(with_aux.variances, as_rows.variances)
         opts = SolverOptions(tolerance=1e-14)
         got, ref = solve(with_aux, opts), solve(as_rows, opts)
         assert got.converged and got.stop_reason == ref.stop_reason
@@ -575,7 +570,7 @@ class TestSolve:
         opts = SolverOptions(tolerance=1e-12)
         sol = solve(prob, opts)
         assert sol.converged
-        for (op, target) in prob.measured:
+        for op, target in zip(prob.operators, prob.targets):
             assert abs(expectation(full_state(sol.rho, 3), op) - target) <= np.sqrt(opts.tolerance)
 
     def test_werner_five_observables_maximum_fidelity(self, rng):
@@ -638,7 +633,7 @@ class TestSolve:
                 continue
             eps = 0.5 * wmin / max(np.abs(np.linalg.eigvalsh(h_perp)).max(), 1e-12)
             cand = states.DensityMatrix(sol.rho + eps * h_perp)
-            for (op, target) in prob.measured:
+            for op, target in zip(prob.operators, prob.targets):
                 assert abs(expectation(cand, op) - target) <= 1e-6
             assert states.von_neumann_entropy(cand) <= base_entropy + 1e-6
             count += 1
@@ -713,9 +708,12 @@ class TestProjectedConstraints:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("dim", [0, -2])
+    @pytest.mark.parametrize("dim", [0, -2, 2.0, True])
     def test_rejects_dim_below_one(self, dim):
-        with pytest.raises(ValueError, match="dim must be >= 1"):
+        # bool is an int subclass: True must not pass as a dimension of 1
+        integer = not isinstance(dim, (bool, float))
+        match = "dim must be >= 1" if integer else f"dim must be an integer, got {dim!r}"
+        with pytest.raises(ValueError, match=match):
             MaxEntProblem((), (), dim)
 
     @pytest.mark.parametrize("dim", [1, 3, 6])
@@ -896,7 +894,7 @@ class TestDeclaredSymmetry:
         dense, forms, kind, n = declared_pair(shape, rng)
         opts = SolverOptions(tolerance=1e-14)
         for k in sorted({1, dense.n_constraints // 3, dense.n_constraints}):
-            reference = solve(MaxEntProblem(dense.measured[:k], (), dense.dim), opts)
+            reference = solve(MaxEntProblem(forms[0][:k], (), dense.dim), opts)
             for measured in forms:
                 sub = compressed_problem(measured[:k], kind, n)
                 solution = solve(sub, opts)
@@ -936,7 +934,7 @@ def leading_problem(shape, rng):
     operators with no symmetry or with a declared one, and one with
     auxiliary constraints."""
     if shape in ("n3_none", "n3_aux15"):
-        measured, kind, n = susceptibility_problem(shape, rng).measured, "none", 3
+        measured, kind, n = pairs(susceptibility_problem(shape, rng)), "none", 3
     else:
         _, (_, measured), kind, n = declared_pair(shape, rng)
     return compressed_problem(measured, kind, n), measured, kind, n
@@ -954,7 +952,8 @@ class TestLeading:
         opts = SolverOptions(tolerance=1e-14)
         for k in range(prob.n_constraints + 1):
             sub = prob.leading(k)
-            assert sub.measured == prob.measured[:k]
+            assert np.array_equal(sub.operators, prob.operators[:k])
+            assert np.array_equal(sub.targets, prob.targets[:k])
             got = solve(sub, opts)
             ref = solve(compressed_problem(measured[:k], kind, n), opts)
             got_rho, ref_rho = (full_estimate(x.rho, kind, n) for x in (got, ref))
@@ -985,7 +984,7 @@ class TestLeading:
         lam = np.full(prob.n_constraints, 0.1)
         for kernel in (rho_of_lambda, objective, gradient, susceptibility, objective):
             kernel(prob, lam)
-        for k in (2, 10, len(prob.measured)):
+        for k in (2, 10, prob.n_constraints):
             sub = prob.leading(k)
             solve(sub)
             objective(sub, lam[:k])
@@ -1009,19 +1008,22 @@ class TestLeading:
         for problem in (prob, *fresh.values()):
             dim, k = problem.dim, problem.n_constraints
             assert len(problem._rows) == 2 and problem._cols.shape == (dim, dim * k)
-        monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
+        monkeypatch.setattr(MaxEntProblem, "__init__", None)
+        monkeypatch.setattr(maxent, "hermitian", None)
         monkeypatch.setattr(symmetry, "compress", None)
         monkeypatch.setattr(symmetry, "coordinates", None)
         for k in range(13):
             sub, ref = prob.leading(k), fresh[k]
-            assert same_pairs(sub.measured, ref.measured) and sub.n_constraints == k
-            assert np.array_equal(sub._targets, ref._targets)
+            assert np.array_equal(sub.operators, prob.operators[:k]) and sub.n_constraints == k
+            assert np.array_equal(sub.targets, ref.targets)
             assert np.array_equal(sub.variances, ref.variances)
             assert not sub.variances.flags.writeable
-            for got, parent in zip((*sub._rows, sub._cols), (*prob._rows, prob._cols)):
+            for got, parent in zip((sub.operators, *sub._rows, sub._cols),
+                                   (prob.operators, *prob._rows, prob._cols)):
                 assert np.shares_memory(got, parent) or k == 0
             if k == 1 and symmetry_kind != "none":
                 continue
+            assert np.array_equal(sub.operators, ref.operators)
             for got, want in zip((*sub._rows, sub._cols), (*ref._rows, ref._cols)):
                 assert np.array_equal(got, want)
             got, want = solve(sub), solve(ref)
@@ -1036,16 +1038,19 @@ class TestLeading:
         rng = np.random.default_rng([20261020])
         prob, *_ = leading_problem("permutation_n4_sic", rng)
         twice, once = prob.leading(20).leading(7), prob.leading(7)
-        assert twice.measured == once.measured
+        assert np.array_equal(twice.operators, once.operators)
+        assert np.array_equal(twice.targets, once.targets)
         for got, want in zip((*twice._rows, twice._cols), (*once._rows, once._cols)):
             assert np.array_equal(got, want)
         assert np.array_equal(solve(twice).lambdas, solve(once).lambdas)
 
-    @pytest.mark.parametrize("k", [-1, 35])
+    @pytest.mark.parametrize("k", [-1, 35, True, 1.0])
     def test_rejects_k_outside_the_measured_range(self, k):
         prob, *_ = leading_problem("permutation_n4_sic", np.random.default_rng(0))
-        assert len(prob.measured) == 34
-        with pytest.raises(ValueError, match=r"k must be in \[0, 34\]"):
+        assert prob.n_constraints == 34
+        integer = not isinstance(k, (bool, float))
+        match = r"k must be in \[0, 34\]" if integer else f"k must be an integer, got {k!r}"
+        with pytest.raises(ValueError, match=match):
             prob.leading(k)
 
 
@@ -1089,10 +1094,10 @@ class TestTake:
             measured = tuple((candidates[i], targets[i]) for i in idx)
             want = built(measured, variances[idx])
             assert got.n_constraints == count
-            assert same_pairs(got.measured, want.measured)
-            for a, b in zip((*got._rows, got._cols), (*want._rows, want._cols)):
+            for a, b in zip((got.operators, *got._rows, got._cols),
+                            (want.operators, *want._rows, want._cols)):
                 assert np.array_equal(a, b)
-            assert np.array_equal(got._targets, want._targets)
+            assert np.array_equal(got.targets, want.targets)
             assert np.array_equal(got.variances, want.variances)
             assert got.log_weights is source.log_weights
             assert np.array_equal(got.log_weights, want.log_weights)
@@ -1101,7 +1106,7 @@ class TestTake:
                 ref = built(measured[:k], variances[idx][:k])
                 for a, b in zip((*sub._rows, sub._cols), (*ref._rows, ref._cols)):
                     assert np.array_equal(a, b)
-                assert np.array_equal(sub._targets, ref._targets)
+                assert np.array_equal(sub.targets, ref.targets)
                 assert np.array_equal(sub.variances, ref.variances)
 
     @pytest.mark.parametrize("kind", ["none", "permutation", "werner"])
@@ -1135,14 +1140,37 @@ class TestTake:
         monkeypatch.setattr(maxent, "hermitian", spy)
         got = source.take([200, 3, 41, 7])
         assert calls == []
-        for arr in (*got._rows, got._cols, got._targets, got.variances, got.log_weights):
+        for arr in (got.operators, *got._rows, got._cols, got.targets, got.variances,
+                    got.log_weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[..., 0] = 0.0
         assert not any(np.shares_memory(a, b) for a, b in zip(got._rows, source._rows))
-        assert np.array_equal(got._targets, source._targets[[200, 3, 41, 7]])
-        assert all(a is b for (a, _), (b, _) in zip(got.measured,
-                                                   [source.measured[i] for i in (200, 3, 41, 7)]))
+        assert np.array_equal(got.targets, source.targets[[200, 3, 41, 7]])
+        assert np.array_equal(got.operators, source.operators[[200, 3, 41, 7]])
+
+    @pytest.mark.parametrize("kind", ["none", "permutation", "werner"])
+    def test_copies_share_their_layouts(self, kind):
+        # a sweep state solves leading slices of a gathered, re-targeted
+        # problem. Every copy shares the index pairs of the stack it came
+        # from, and the memory of its operators: the gather builds its
+        # side-by-side operators once, and its re-targeted copies and their
+        # slices share them, so no solve rebuilds a layout
+        zero, _ = canonical_problem("sic", kind, 3)
+        gathered = zero.take([40, 3, 17, 9, 62])
+        cols = vars(gathered)["_cols"]
+        assert gathered._pairs is zero._pairs
+        retargeted = gathered.with_targets(np.linspace(-0.5, 0.5, 5), np.full(5, 1e-4))
+        assert retargeted._pairs is zero._pairs
+        assert retargeted.operators is gathered.operators
+        assert retargeted._rows is gathered._rows and retargeted._cols is cols
+        for parent in (zero, retargeted):
+            for k in range(1, 6):
+                sub = parent.leading(k)
+                assert sub._pairs is zero._pairs
+                for got, source in zip((sub.operators, *sub._rows, sub._cols),
+                                       (parent.operators, *parent._rows, parent._cols)):
+                    assert np.shares_memory(got, source)
 
     @pytest.mark.parametrize("indices, match", [
         ([0, 255], r"indices must be in \[0, 255\)"),
@@ -1190,20 +1218,21 @@ class TestWithTargets:
         fresh = compressed_problem(
             tuple((op, t) for (op, _), t in zip(measured, targets)), symmetry_kind, 3, variances
         )
-        monkeypatch.setattr(MaxEntProblem, "__post_init__", None)
+        monkeypatch.setattr(MaxEntProblem, "__init__", None)
+        monkeypatch.setattr(maxent, "hermitian", None)
         monkeypatch.setattr(symmetry, "compress", None)
         monkeypatch.setattr(symmetry, "coordinates", None)
         got = source.with_targets(targets, variances)
-        assert same_pairs(got.measured, fresh.measured)
-        assert all(a is b for (a, _), (b, _) in zip(got.measured, source.measured))
-        assert np.array_equal(got._targets, targets)
+        assert np.array_equal(got.operators, fresh.operators)
+        assert got.operators is source.operators
+        assert np.array_equal(got.targets, targets) and not got.targets.flags.writeable
         assert np.array_equal(got.variances, variances) and not got.variances.flags.writeable
         assert got.log_weights is source.log_weights
         for rows, parent, want in zip(got._rows, source._rows, fresh._rows):
             assert np.shares_memory(rows, parent)
             assert np.array_equal(rows, want)
         # the source keeps its own data
-        assert np.array_equal(source._targets, [t for _, t in measured])
+        assert np.array_equal(source.targets, [t for _, t in measured])
         a, b = solve(got), solve(fresh)
         assert a.stop_reason == b.stop_reason and a.iterations == b.iterations
         assert np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.rho, b.rho)
@@ -1211,7 +1240,7 @@ class TestWithTargets:
     def test_variances_default_to_exact(self):
         prob = single_qubit_problem(0.3).with_targets([0.5])
         assert np.array_equal(prob.variances, [0.0])
-        assert prob.measured[0][1] == 0.5
+        assert np.array_equal(prob.targets, [0.5])
         assert solve(prob).converged
 
     @pytest.mark.parametrize(
@@ -1254,10 +1283,10 @@ class TestVariances:
 
     def test_leading_slices_variances(self, rng):
         prob = noisy_problem(rng)
-        prob = MaxEntProblem(prob.measured, (), 8, variances=np.arange(10) * 1e-3)
+        prob = MaxEntProblem(pairs(prob), (), 8, variances=np.arange(10) * 1e-3)
         sub = prob.leading(4)
         assert np.array_equal(sub.variances, prob.variances[:4])
-        ref = MaxEntProblem(prob.measured[:4], (), 8, variances=prob.variances[:4])
+        ref = MaxEntProblem(pairs(prob)[:4], (), 8, variances=prob.variances[:4])
         got, want = solve(sub), solve(ref)
         assert np.array_equal(got.lambdas, want.lambdas)
 
@@ -1291,7 +1320,7 @@ class TestVariances:
         prob = compressed_problem(measured, symmetry_kind, 3, np.full(15, 0.3**2))
         sol = solve(prob, SolverOptions(tolerance=1e-20))
         assert sol.stop_reason == "tolerance"
-        targets = np.array([t for _, t in prob.measured])
+        targets = prob.targets
         rho = full_state(sol.rho, 3, symmetry_kind)
         g = np.array([expectation(rho, op) for op, _ in measured])
         assert np.max(np.abs(g - targets + prob.variances * sol.lambdas)) <= 1e-9
@@ -1449,6 +1478,6 @@ def test_solution_matches_40_digit_dual_minimiser(case):
     sol = solve(prob, SolverOptions(tolerance=1e-20))
     assert sol.converged
     with mpmath.workdps(40):
-        oracle = _mp_dual_minimiser(ops, [t for _, t in prob.measured], mpmath.mp)
+        oracle = _mp_dual_minimiser(ops, prob.targets, mpmath.mp)
     assert np.linalg.eigvalsh(oracle)[0] > 0.01
     assert np.max(np.abs(sol.rho - oracle)) <= 1e-9

@@ -655,7 +655,8 @@ class TestCompressedProblem:
         measured = tuple((op, 0.1 * i) for i, op in enumerate(ops))
         prob = symmetry.compressed_problem(measured, "none", 2, [0.0, 1e-3, 0.0, 0.0])
         assert prob.dim == 4 and prob.log_weights is None
-        assert prob.measured == measured
+        assert np.array_equal(prob.operators, ops)
+        assert np.array_equal(prob.targets, [0.1 * i for i in range(4)])
         assert np.array_equal(prob.variances, [0.0, 1e-3, 0.0, 0.0])
         rho = np.eye(4) / 4
         assert symmetry.full_estimate(rho, "none", 2) is rho
