@@ -96,7 +96,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, linalg, measurement, observables, states, symmetry
-from .maxent import MaxEntProblem, SolverOptions, solve
+from .maxent import MaxEntProblem, SolverOptions, inversion_multipliers, solve
 from .measurement import NoiseConfig
 
 THREADS_ENV_VAR = "SYMMAXENT_THREADS"
@@ -281,6 +281,16 @@ class _ObservableContext:
             coords = symmetry.coordinates(self.candidates, self.symmetry, self.n_qubits)
         return symmetry.coordinate_problem(coords, self.symmetry, self.n_qubits)
 
+    @functools.cached_property
+    def n_params(self) -> int:
+        """The real dimension of the operators a state's problem can hold:
+        4^n under ``"none"``, else the commutant's. Exact targets of
+        n_params - 1 independent observables, with the trace, determine the
+        state."""
+        if self.symmetry == "none":
+            return 4**self.n_qubits
+        return len(symmetry.commutant_basis(self.symmetry, self.n_qubits))
+
     def independent(self, order) -> tuple[int, ...]:
         """The canonical indices in ``order`` that
         ``symmetry.independent_projections`` keeps on the operators in that
@@ -414,7 +424,12 @@ def run_single_state(config: ExperimentConfig, state_id: int) -> list[StateRunRe
     for k in sorted({min(r, kept) for r in config.r_values}):
         if lambda0 is not None:
             lambda0 = np.concatenate([lambda0, np.zeros(k - lambda0.size)])
-        solution = solve(problem.leading(k), config.solver, lambda0)
+        sub = problem.leading(k)
+        if sub.exact and k == context.n_params - 1:
+            closed_form = inversion_multipliers(sub, config.solver.tolerance)
+            if closed_form is not None:
+                lambda0 = closed_form
+        solution = solve(sub, config.solver, lambda0)
         fid, min_eigenvalue = score(solution.rho)
         points[k] = fid, solution.converged, solution.iterations
         full_rank = min_eigenvalue > math.sqrt(config.solver.tolerance)

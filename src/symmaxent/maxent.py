@@ -87,6 +87,17 @@ an estimate. Where C + Sigma = 0, Phi is linear, and the solve steps along
 - ``"no_descent"``: no damping produced a step that passes the line search;
 - ``"budget"``: the iteration budget ran out.
 
+Complete exact data need no iteration. When the operators and the identity
+span every Hermitian operator the problem's states can be, exact data fix
+the state: the linear inversion rho' is the one operator that meets them
+with unit trace, and it is the maximum-entropy estimate when it is a
+state. When rho' is full rank, ``inversion_multipliers`` returns the
+coordinates of its logarithm (less the log weights) on the operators,
+whose Gibbs state is rho' to rounding; a solve started there stops on the
+tolerance after no step. A rank-deficient rho' has no finite multipliers,
+and gets None. An exact problem (``MaxEntProblem.exact``) evaluates its
+residual and dual without the variance terms, which are zero.
+
 It also reports the entropy of its estimate, S = log Z - lambda . g, which
 the dual gives for free, and the number of Gibbs evaluations it made.
 """
@@ -101,7 +112,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .linalg import hermitian, stack
+from .linalg import LI_TOL, hermitian, stack
 
 # sufficient-decrease constant of the Armijo test on each Newton step
 ARMIJO_C = 1e-4
@@ -134,14 +145,17 @@ class MaxEntProblem:
     ``variances`` holds the variance of each measured target (zeros when
     None, for exact data; auxiliary rows are exact). They regularise the
     dual the solve minimises (see the module docstring), so that a target
-    may miss by about its standard deviation. ``log_weights`` (dim reals,
-    or None) are added to the diagonal of the exponent: the Gibbs form
-    relative to the prior diag(e^w).
+    may miss by about its standard deviation. ``exact`` says whether every
+    variance is zero; it is set wherever the variances are, and an exact
+    problem evaluates its dual with no variance terms. ``log_weights`` (dim
+    reals, or None) are added to the diagonal of the exponent: the Gibbs
+    form relative to the prior diag(e^w).
     """
 
     operators: np.ndarray
     targets: np.ndarray
     variances: np.ndarray
+    exact: bool
     log_weights: np.ndarray | None
 
     def __init__(self, measured, auxiliary, dim, variances=None, log_weights=None):
@@ -187,7 +201,8 @@ class MaxEntProblem:
         a, b = np.triu_indices(dim)
         # a frozen dataclass: its fields are set through the instance dict
         self.__dict__.update(
-            operators=operators, targets=targets, variances=variances, log_weights=log_weights,
+            operators=operators, targets=targets, variances=variances,
+            exact=not variances.any(), log_weights=log_weights,
             _rows=_solver_rows(operators), _pairs=(a, b, np.where(a == b, 1.0, math.sqrt(2.0))),
         )
 
@@ -262,7 +277,10 @@ class MaxEntProblem:
 
     def _replace(self, **fields) -> MaxEntProblem:
         """A shallow copy of this problem with ``fields`` set, unchecked;
-        other ``operators`` come with their ``_rows`` and ``_cols``."""
+        other ``operators`` come with their ``_rows`` and ``_cols``, and
+        other ``variances`` set ``exact``."""
+        if "variances" in fields:
+            fields["exact"] = not fields["variances"].any()
         sub = copy.copy(self)
         sub.__dict__.update(fields)
         return sub
@@ -292,9 +310,14 @@ class MaxEntProblem:
         twice."""
         state = self._gibbs(lambdas)
         g = self._rows[1] @ state[0].view(float).ravel()
-        sigma_lambda = self.variances * lambdas
-        r = g - self.targets + sigma_lambda
-        dual = float(state[5] - lambdas @ (self.targets - 0.5 * sigma_lambda))
+        if self.exact:
+            # Sigma = 0: the same bits as the terms below, without them
+            r = g - self.targets
+            dual = float(state[5] - lambdas @ self.targets)
+        else:
+            sigma_lambda = self.variances * lambdas
+            r = g - self.targets + sigma_lambda
+            dual = float(state[5] - lambdas @ (self.targets - 0.5 * sigma_lambda))
         return float(r @ r), g, r, state, dual
 
     def _susceptibility(self, g: np.ndarray, state) -> np.ndarray:
@@ -473,6 +496,49 @@ def susceptibility(problem: MaxEntProblem, lambdas) -> np.ndarray:
     return problem._susceptibility(g, state)
 
 
+def inversion_multipliers(problem: MaxEntProblem, tolerance: float) -> np.ndarray | None:
+    """Multipliers whose Gibbs state is the linear inversion of complete
+    exact data, or None where that state is not full rank.
+
+    With B the problem's operators and the identity as real rows and G = B
+    B^T, the inversion rho' = B^T x, G x = [a; 1], is the one operator in
+    their span that meets the targets with unit trace. When the operators
+    and the identity span every Hermitian operator the problem's states
+    can be, that is its only state, so it is the maximum-entropy estimate
+    if it is one. Its multipliers are then the coordinates of log(rho' /
+    m) = log rho' - diag(w) on the same rows, G y = B vec(log(rho' / m)),
+    without the identity's, which the normalisation absorbs; m = e^w holds
+    the log weights w. They exist when rho' / m is full rank, tested as in
+    a sweep's seeding rule: its smallest eigenvalue above sqrt(tolerance).
+
+    Both systems are solved through B^T = QR, whose diagonal holds each
+    row's residual on the rows before it to working precision (G's
+    Cholesky pivots carry only its square root). None also when a residual
+    is at most ``linalg.LI_TOL`` times its row's norm, the observable
+    filter's test: the rows are then dependent, and the identity may lie
+    in the operators' span. Whether the data are complete is the caller's
+    to know; ``solve`` certifies the result, from which f is at rounding
+    level when the inversion is the estimate."""
+    flat = problem._rows[1]
+    dim = problem.dim
+    b = np.empty((len(flat) + 1, flat.shape[1]))
+    b[:-1] = flat
+    b[-1] = np.eye(dim, dtype=complex).view(float).ravel()
+    q, r = np.linalg.qr(b.T)
+    if not np.all(np.abs(r.diagonal()) > LI_TOL * np.linalg.norm(b, axis=1)):
+        return None
+    # G = R^T R, so rho' = Q R^-T [a; 1] and R y = Q^T vec(log(rho' / m))
+    rho = (q @ np.linalg.solve(r.T, np.append(problem.targets, 1.0))).view(complex)
+    rho = rho.reshape(dim, dim)
+    if problem.log_weights is not None:
+        rho /= np.exp(problem.log_weights)[:, None]
+    w, v = np.linalg.eigh(rho)
+    if not w[0] > math.sqrt(tolerance):
+        return None
+    log_rho = (v * np.log(w)) @ v.conj().T
+    return np.linalg.solve(r, q.T @ log_rho.view(float).ravel())[:-1]
+
+
 def solve(
     problem: MaxEntProblem, options: SolverOptions = SolverOptions(), lambda0=None
 ) -> MaxEntSolution:
@@ -490,13 +556,12 @@ def solve(
         lam = _checked_multipliers(problem, lambda0, "lambda0 entries")
     point = problem._evaluate(lam)
     iterations, n_evals = 0, 1
-    exact = not problem.variances.any()
 
     while True:
         if point[0] < options.tolerance:
             stop_reason = "tolerance"
             break
-        if exact and _proves_infeasible(point):
+        if problem.exact and _proves_infeasible(point):
             stop_reason = "infeasible"
             break
         if iterations >= options.max_iterations:
@@ -538,20 +603,24 @@ def _newton_step(problem, lam, point):
     length backtracks."""
     f, g, r, state, dual = point
     h = problem._susceptibility(g, state)
-    h_diag = h.diagonal() + problem.variances
+    # a writable view of the diagonal of h, which is C-contiguous
+    diag = h.reshape(-1)[:: problem.n_constraints + 1]
+    h_diag = diag.copy()
+    if not problem.exact:
+        h_diag += problem.variances
+        diag[:] = h_diag
     scale = float(h_diag.sum()) / problem.n_constraints
     if not scale > 0.0:
         # C + Sigma = 0: the targets are exact and Phi falls linearly along
         # -r without bound; a step to Phi < 0 proves them infeasible
         lam_new = lam - (1.0 + abs(dual)) / float(r @ r) * r
         return (lam_new, problem._evaluate(lam_new)), 1
-    np.fill_diagonal(h, h_diag)
     # half the gradient of f
     hr = h @ r
     mu, rounding = DAMPING, DUAL_ROUNDING * max(1.0, abs(dual))
     evals = 0
     for _ in range(DAMPING_TRIES):
-        np.fill_diagonal(h, h_diag + mu * scale)
+        np.add(h_diag, mu * scale, out=diag)
         try:
             # the Newton direction is delta = -step
             step = np.linalg.solve(h, r)
