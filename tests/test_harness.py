@@ -539,6 +539,105 @@ class TestSweep:
         assert [lambda0 is not None for _, lambda0, _ in calls] == [
             False, True, True, False, False]
 
+    @pytest.mark.parametrize("cfg", [
+        small_config(state_family="permutation_invariant_mixed", symmetry="permutation",
+                     r_values=(2, 19), shuffle_observables=True),
+        small_config(n_qubits=4, state_family="permutation_invariant_mixed",
+                     symmetry="permutation", r_values=(2, 34), shuffle_observables=True,
+                     solver=SolverOptions(tolerance=1e-14)),
+        small_config(observable_kind="pauli", symmetry="werner", r_values=(2, 4),
+                     noise=NoiseConfig(eta=0.1)),
+        small_config(n_qubits=4, observable_kind="pauli", symmetry="werner", r_values=(2, 13, 20),
+                     noise=NoiseConfig(eta=0.1), shuffle_observables=True),
+        small_config(n_qubits=2, state_family="haar_pure", r_values=(2, 15),
+                     noise=NoiseConfig(eta=0.1)),
+        small_config(state_family="haar_pure", observable_kind="pauli", r_values=(2, 63),
+                     noise=NoiseConfig(eta=0.1), shuffle_observables=True),
+    ], ids=["permutation_n3", "permutation_n4", "werner_n3", "werner_n4", "none_n2", "none_n3"])
+    def test_complete_exact_data_are_solved_in_closed_form(self, monkeypatch, cfg):
+        # exact data on n_params - 1 observables: the solve of that k starts
+        # from the closed form and stops on tolerance after no step, at the
+        # fidelity of a solve to 1e-26 from zeros; k = 2 never calls it
+        inverted, solved = [], {}
+        real_inversion, real_solve = harness.inversion_multipliers, harness.solve
+
+        def inversion_spy(problem, tolerance):
+            lam = real_inversion(problem, tolerance)
+            inverted.append((problem.n_constraints, lam))
+            return lam
+
+        def solve_spy(problem, options, lambda0=None):
+            solved[problem.n_constraints] = problem, lambda0
+            return real_solve(problem, options, lambda0)
+
+        monkeypatch.setattr(harness, "inversion_multipliers", inversion_spy)
+        monkeypatch.setattr(harness, "solve", solve_spy)
+        context = harness._observable_context(cfg.observable_kind, cfg.n_qubits, cfg.symmetry)
+        k = context.n_params - 1
+        for state_id in range(cfg.batch_size):
+            inverted.clear()
+            records = run_single_state(cfg, state_id)
+            assert [n for n, _ in inverted] == [k]
+            problem, lambda0 = solved[k]
+            assert lambda0 is inverted[0][1] is not None
+            complete = [rec for rec in records if rec.r >= k]
+            assert all((rec.converged, rec.iterations) == (True, 0) for rec in complete)
+            cold = real_solve(problem, SolverOptions(tolerance=1e-26))
+            rho = sample_target(cfg, state_id)
+            cold_fid = states.fidelity(rho, full_state(cold.rho, cfg.n_qubits, cfg.symmetry))
+            assert all(abs(rec.fidelity - cold_fid) <= 1e-10 for rec in complete)
+
+    @pytest.mark.parametrize("cfg", [
+        # complete noisy data
+        small_config(state_family="permutation_invariant_mixed", symmetry="permutation",
+                     r_values=(2, 19), noise=NoiseConfig(mode="finite_sample", trials=1_000)),
+        small_config(state_family="haar_pure", observable_kind="pauli", r_values=(63,),
+                     noise=NoiseConfig(mode="photon_model", eta=0.1, lambda_dc=2e-4)),
+        # exact data one observable short of complete
+        small_config(state_family="permutation_invariant_mixed", symmetry="permutation",
+                     r_values=(2, 18)),
+        small_config(state_family="haar_pure", observable_kind="pauli", r_values=(62,),
+                     noise=NoiseConfig(eta=0.1)),
+    ], ids=["noisy_permutation", "noisy_none", "exact_permutation_18", "exact_none_62"])
+    def test_noisy_or_incomplete_data_are_never_inverted(self, monkeypatch, cfg):
+        def refuse(problem, tolerance):
+            raise AssertionError(f"closed form called at k = {problem.n_constraints}")
+
+        monkeypatch.setattr(harness, "inversion_multipliers", refuse)
+        for state_id in range(cfg.batch_size):
+            run_single_state(cfg, state_id)
+
+    def test_pure_complete_data_keep_the_cold_solve(self, monkeypatch):
+        # the unbiased_sic shape: at r = 63 the pure target's inversion is
+        # rank-deficient, so the closed form gives None, and the solve
+        # starts from zeros, since the estimates before it are
+        # rank-deficient too: the cold solve, bit for bit
+        cfg = small_config(state_family="haar_pure", r_values=tuple(range(2, 51, 2)) + (55, 60, 63),
+                           shuffle_observables=True, batch_size=2)
+        inverted, solved = [], {}
+        real_inversion, real_solve = harness.inversion_multipliers, harness.solve
+
+        def inversion_spy(problem, tolerance):
+            inverted.append(real_inversion(problem, tolerance))
+            return inverted[-1]
+
+        def solve_spy(problem, options, lambda0=None):
+            solved[problem.n_constraints] = problem, lambda0, real_solve(problem, options, lambda0)
+            return solved[problem.n_constraints][2]
+
+        monkeypatch.setattr(harness, "inversion_multipliers", inversion_spy)
+        monkeypatch.setattr(harness, "solve", solve_spy)
+        for state_id in range(cfg.batch_size):
+            inverted.clear()
+            records = run_single_state(cfg, state_id)
+            assert inverted == [None]
+            problem, lambda0, solution = solved[63]
+            assert lambda0 is None
+            cold = real_solve(problem, cfg.solver)
+            assert (solution.stop_reason, solution.iterations) == (cold.stop_reason, cold.iterations)
+            assert np.array_equal(solution.lambdas, cold.lambdas)
+            assert (records[-1].converged, records[-1].iterations) == (True, cold.iterations)
+
     def test_noisy_sweep_with_no_observable(self, monkeypatch):
         monkeypatch.setenv("SYMMAXENT_THREADS", "1")
         cfg = small_config(r_values=(0, 2), noise=NoiseConfig(mode="finite_sample", trials=500))

@@ -1329,6 +1329,143 @@ class TestVariances:
         assert exact.stop_reason == "infeasible"
 
 
+class TestExactBranch:
+    def test_flag_follows_the_variances(self, rng):
+        prob = noisy_problem(rng)
+        assert not prob.exact
+        exact = prob.with_targets(prob.targets)
+        assert exact.exact and exact.leading(4).exact and exact.take([3, 1]).exact
+        assert not exact.with_targets(prob.targets, prob.variances).exact
+        # a noisy problem whose first variances are zero has exact slices
+        mixed = prob.with_targets(prob.targets, np.r_[np.zeros(4), prob.variances[4:]])
+        assert not mixed.exact
+        assert mixed.leading(4).exact and not mixed.leading(5).exact
+        assert mixed.take([0, 2]).exact and not mixed.take([0, 7]).exact
+        assert single_qubit_problem(0.3).exact
+        assert not MaxEntProblem(((pauli_basis(1)[2], 0.3),), (), 2, variances=[1e-3]).exact
+        assert MaxEntProblem._zero_targets(prob.operators).exact
+
+    @pytest.mark.parametrize("symmetry_kind", ["none", "permutation"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_evaluation_and_step_are_the_variance_formula(self, seed, symmetry_kind):
+        # zero variances through the general formula, r = g - a + Sigma
+        # lambda and Phi = log Z - lambda . (a - Sigma lambda / 2), give the
+        # bits of the exact branch, which drops the terms. The targets are
+        # feasible, so the exact solve never stops on its infeasibility test
+        rng = np.random.default_rng([20261022, seed])
+        measured = noisy_measured(rng, n_ops=12, sigma=0.0, symmetry_kind=symmetry_kind)
+        exact = compressed_problem(measured, symmetry_kind, 3)
+        general = exact._replace(exact=False)
+        assert exact.exact and not general.exact
+        lam = rng.normal(0, 0.5, exact.n_constraints)
+        got, want = exact._evaluate(lam), general._evaluate(lam)
+        assert got[0] == want[0] and got[4] == want[4]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        sigma_lambda = exact.variances * lam
+        assert np.array_equal(got[2], got[1] - exact.targets + sigma_lambda)
+        assert got[4] == float(got[3][5] - lam @ (exact.targets - 0.5 * sigma_lambda))
+        (lam_got, point_got), evals_got = maxent._newton_step(exact, lam, got)
+        (lam_want, point_want), evals_want = maxent._newton_step(general, lam, want)
+        assert evals_got == evals_want
+        assert np.array_equal(lam_got, lam_want)
+        assert point_got[0] == point_want[0] and point_got[4] == point_want[4]
+        a, b = solve(exact), solve(general)
+        assert (a.stop_reason, a.iterations, a.n_evals) == (b.stop_reason, b.iterations, b.n_evals)
+        assert np.array_equal(a.lambdas, b.lambdas) and np.array_equal(a.rho, b.rho)
+
+    def test_newton_step_leaves_the_hessian_diagonal_with_the_variances(self, rng, monkeypatch):
+        # the noisy step solves (C + Sigma + mu s I) delta = r, whatever the
+        # damping; its first try has mu = DAMPING
+        prob = noisy_problem(rng)
+        lam = rng.normal(0, 0.5, prob.n_constraints)
+        point = prob._evaluate(lam)
+        systems = []
+        real_solve = np.linalg.solve
+
+        def spy(h, r):
+            systems.append(h.copy())
+            return real_solve(h, r)
+
+        monkeypatch.setattr(maxent.np.linalg, "solve", spy)
+        maxent._newton_step(prob, lam, point)
+        c = prob._susceptibility(point[1], point[3])
+        h_diag = c.diagonal() + prob.variances
+        scale = h_diag.sum() / prob.n_constraints
+        want = c.copy()
+        np.fill_diagonal(want, h_diag + maxent.DAMPING * scale)
+        assert np.array_equal(systems[0], want)
+
+
+# (observable kind, symmetry, n, family, eta): complete exact data on
+# full-rank targets. Under werner symmetry the Pauli products serve, as
+# their projections are traceless: n_params - 1 of them leave the identity
+# out of their span (the SIC projections do not)
+COMPLETE_SHAPES = [
+    ("sic", "permutation", 3, "permutation_invariant_mixed", 0.0),
+    ("sic", "permutation", 4, "permutation_invariant_mixed", 0.0),
+    ("pauli", "werner", 3, "werner", 0.1),
+    ("pauli", "werner", 4, "werner", 0.1),
+    ("sic", "none", 2, "haar_pure", 0.1),
+    ("pauli", "none", 3, "haar_pure", 0.1),
+]
+
+
+def complete_problem(observable_kind, kind, n, family, eta, seed=0):
+    """A target drawn from ``family`` and the problem of its exact
+    expectations on the canonical observables whose projections the filter
+    keeps, in order."""
+    rho = states.sample(family, n, np.random.default_rng([20261022, seed]), eta, 1)
+    ops = list(canonical_set(observable_kind, n))
+    if kind != "none":
+        ops = [ops[i] for i in symmetry.independent_projections(ops, kind, n)]
+    return rho, compressed_problem(tuple((op, expectation(rho, op)) for op in ops), kind, n)
+
+
+class TestInversionMultipliers:
+    @pytest.mark.parametrize("shape", COMPLETE_SHAPES, ids=lambda s: f"{s[0]}_{s[1]}_n{s[2]}")
+    def test_gibbs_state_is_the_target(self, shape):
+        rho, prob = complete_problem(*shape)
+        _, kind, n, _, _ = shape
+        n_params = 4**n if kind == "none" else len(symmetry.commutant_basis(kind, n))
+        assert prob.n_constraints == n_params - 1
+        lam = maxent.inversion_multipliers(prob, 1e-14)
+        block = rho.matrix if kind == "none" else symmetry.block_state(rho.matrix, kind, n)
+        assert np.max(np.abs(rho_of_lambda(prob, lam) - block)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", COMPLETE_SHAPES, ids=lambda s: f"{s[0]}_{s[1]}_n{s[2]}")
+    def test_solve_stops_at_once_on_the_tight_estimate(self, shape):
+        # a solve to 1e-26 from zeros, the independent oracle, finds the
+        # fidelity the seeded solve has after no step
+        rho, prob = complete_problem(*shape)
+        _, kind, n, _, _ = shape
+        seeded = solve(prob, SolverOptions(tolerance=1e-14),
+                       maxent.inversion_multipliers(prob, 1e-14))
+        assert (seeded.stop_reason, seeded.iterations, seeded.n_evals) == ("tolerance", 0, 1)
+        cold = solve(prob, SolverOptions(tolerance=1e-26))
+        assert cold.iterations > 0
+        fid = states.fidelity(rho, full_state(seeded.rho, n, kind))
+        assert abs(fid - states.fidelity(rho, full_state(cold.rho, n, kind))) <= 1e-10
+
+    @pytest.mark.parametrize("kind, family", [("none", "haar_pure"),
+                                              ("permutation", "permutation_invariant")])
+    def test_pure_target_gets_none(self, kind, family):
+        # a rank-1 inversion has no finite multipliers
+        _, prob = complete_problem("sic", kind, 3, family, 0.0)
+        assert maxent.inversion_multipliers(prob, 1e-14) is None
+
+    def test_dependent_rows_get_none(self):
+        # every SIC projection the werner filter keeps: n_params of them,
+        # with the identity in their span, on a full-rank target
+        rho, prob = complete_problem("sic", "werner", 3, "werner", 0.1)
+        assert prob.n_constraints == len(symmetry.commutant_basis("werner", 3))
+        assert np.linalg.eigvalsh(rho.matrix)[0] > 0.01
+        assert maxent.inversion_multipliers(prob, 1e-14) is None
+        # a repeated operator, from the complete Pauli stack
+        _, prob = complete_problem("pauli", "werner", 3, "werner", 0.1)
+        assert maxent.inversion_multipliers(prob, 1e-14) is not None
+        assert maxent.inversion_multipliers(prob.take([0, 1, 1]), 1e-14) is None
+
+
 class TestEntropyAndEvaluations:
     @pytest.mark.parametrize("symmetry_kind", ["none", "permutation", "werner"])
     def test_entropy_is_von_neumann(self, symmetry_kind):
