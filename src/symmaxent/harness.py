@@ -48,6 +48,17 @@ seed nothing. A seeded record differs from a cold solve of the same prefix
 only within the stop's slack; an unseeded one is that cold solve, bit for
 bit.
 
+Exact data on k = n_params - 1 observables, with n_params = 4^n under
+``"none"`` and the commutant's dimension under a symmetry
+(``_ObservableContext.n_params``), are complete when the identity lies
+outside their span: the one state that meets them is the linear inversion,
+the maximum-entropy estimate when it is a state. That k's solve starts
+instead from the multipliers of the inversion's logarithm
+(``maxent.inversion_multipliers``) when they exist, that is when the
+inversion passes the full-rank test above and the operators with the
+identity are independent; the solve certifies them with its stop test,
+which they pass after no step. Noisy data are never inverted.
+
 Every random stream is derived from (seed, state_id, purpose), so results
 are bit-identical across reruns and independent of worker scheduling.
 
@@ -285,8 +296,8 @@ class _ObservableContext:
     def n_params(self) -> int:
         """The real dimension of the operators a state's problem can hold:
         4^n under ``"none"``, else the commutant's. Exact targets of
-        n_params - 1 independent observables, with the trace, determine the
-        state."""
+        n_params - 1 kept observables whose span leaves out the identity
+        determine the state, with its trace."""
         if self.symmetry == "none":
             return 4**self.n_qubits
         return len(symmetry.commutant_basis(self.symmetry, self.n_qubits))
