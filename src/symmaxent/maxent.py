@@ -515,12 +515,15 @@ def inversion_multipliers(problem: MaxEntProblem, tolerance: float) -> np.ndarra
     row's residual on the rows before it to working precision (G's
     Cholesky pivots carry only its square root). None also when a residual
     is at most ``linalg.LI_TOL`` times its row's norm, the observable
-    filter's test: the rows are then dependent, and the identity may lie
-    in the operators' span. Whether the data are complete is the caller's
+    filter's test, or when there are more rows than dim^2: the rows are
+    then dependent, and the identity may lie in the operators' span. Whether the data are complete is the caller's
     to know; ``solve`` certifies the result, from which f is at rounding
     level when the inversion is the estimate."""
     flat = problem._rows[1]
     dim = problem.dim
+    if len(flat) >= dim * dim:
+        # more rows than the dim^2 real dimensions of the Hermitian operators
+        return None
     b = np.empty((len(flat) + 1, flat.shape[1]))
     b[:-1] = flat
     b[-1] = np.eye(dim, dtype=complex).view(float).ravel()

@@ -1464,6 +1464,9 @@ class TestInversionMultipliers:
         _, prob = complete_problem("pauli", "werner", 3, "werner", 0.1)
         assert maxent.inversion_multipliers(prob, 1e-14) is not None
         assert maxent.inversion_multipliers(prob.take([0, 1, 1]), 1e-14) is None
+        # more operators than a one-dimensional space holds
+        one = np.eye(1, dtype=complex)
+        assert maxent.inversion_multipliers(MaxEntProblem(((one, 1.0),) * 2, (), 1), 1e-14) is None
 
 
 class TestEntropyAndEvaluations:
