@@ -182,25 +182,25 @@ class TestCriterion3BiasedSourceDegradation:
 
 
 class TestCriterion4PermutationSymmetryGain:
-    def test_mean_fidelity_with_auxiliaries(self):
+    def test_mean_fidelity_with_symmetry(self):
         table = mean_fidelity_by_r(run_c4())
         crossing = smallest_r_reaching(table, 0.95)
         assert crossing is not None and crossing <= 20
         assert table[20] >= 0.999
         print(
-            f"\nACCEPTANCE C4 PASS: with permutation auxiliaries, mean F >= 0.95 at "
+            f"\nACCEPTANCE C4 PASS: with permutation symmetry, mean F >= 0.95 at "
             f"r = {crossing} (<= 20) and mean F at r = 20 is {table[20]:.6f} (>= 0.999)"
         )
 
 
 class TestCriterion5WernerSymmetryGain:
-    def test_mean_fidelity_with_auxiliaries(self):
+    def test_mean_fidelity_with_symmetry(self):
         table = mean_fidelity_by_r(run_c5())
         crossing = smallest_r_reaching(table, 0.95)
         assert crossing is not None and crossing <= 5
         assert table[5] >= 0.999
         print(
-            f"\nACCEPTANCE C5 PASS: with collective-unitary auxiliaries, mean F >= 0.95 "
+            f"\nACCEPTANCE C5 PASS: with collective-unitary symmetry, mean F >= 0.95 "
             f"at r = {crossing} (<= 5) and mean F at r = 5 is {table[5]:.6f} (>= 0.999)"
         )
 
